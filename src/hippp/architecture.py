@@ -119,8 +119,6 @@ class Architecture:
 
         if self.kind == ArchitectureKind.FPP:
             self._require(fpp_rating=True)
-            if n < 1:
-                raise StructuralError("full processing needs at least one battery")
             if not self.fpp_rating >= 0.0:
                 raise StructuralError("fpp_rating must be non-negative")
         elif self.kind == ArchitectureKind.CPPP:

@@ -24,7 +24,7 @@ import csv
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -410,8 +410,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    from dataclasses import replace
-
     updates = {}
     if args.seed is not None:
         updates["seed"] = args.seed
@@ -419,13 +417,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         if args.trials < 1:
             raise ConfigError("--trials: must be positive")
         updates["trials"] = args.trials
-        updates["design"] = DesignConfig(
-            num_layer1=cfg.design.num_layer1,
-            num_rating_sets=cfg.design.num_rating_sets,
-            layer2_trial_ratings=cfg.design.layer2_trial_ratings,
-            monte_carlo_trials=args.trials,
-            base_seed=cfg.design.base_seed,
-        )
+        updates["design"] = replace(cfg.design, monte_carlo_trials=args.trials)
     return replace(cfg, **updates) if updates else cfg
 
 

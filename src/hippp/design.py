@@ -1,11 +1,15 @@
 """Two-stage converter placement and rating for the hierarchical architecture.
 
 Layer 1 is designed against the flattened expected set: every way to place M
-pair converters on the string is enumerated, each placement is scored by the
-deliverable power of its design LP, and ties are settled first by less total
-processed power, then by lexicographically smallest edge list, so the result
-is independent of enumeration order. The optimal processed powers are then
-collapsed into K identical-rating groups to cut part count.
+pair converters on the string is enumerated, and each placement is scored by
+its deliverable power with unbounded pair flows. Power moves freely inside a
+connected component of the placement, so that score is N times the smallest
+component mean capability (a battery with no converter is its own component),
+computed in closed form for blocks of placements at once. Ties are settled
+first by less total processed power, from the design LP, then by
+lexicographically smallest edge list, so the result is independent of
+enumeration order. The optimal processed powers are then collapsed into K
+identical-rating groups to cut part count.
 
 Layer 2 is rated by Monte Carlo: with layer 1 frozen, a shared set of seeded
 capability draws is replayed against a grid of trial ladder ratings and the
@@ -25,7 +29,7 @@ import numpy as np
 
 from .architecture import Architecture, ArchitectureKind, ConverterEdge, Layer1Design, Layer2Design
 from .errors import EnumerationCapError, ParameterError
-from .powerflow import layer1_design_lp, max_output_power, optimal_flow
+from .powerflow import free_flow_outputs, layer1_design_lp, optimal_flow
 from .supply import BatterySupply, ExpectedSet, flatten, sample_battery_set
 
 log = logging.getLogger(__name__)
@@ -152,17 +156,19 @@ def partition_ratings(processed, k: int) -> list[float]:
 # design results keyed by (expected capabilities, M, K); the search is pure
 _layer1_cache: dict[tuple, Layer1Design] = {}
 
+# placements scored per kernel call; bounds the search's working memory
+_PLACEMENT_BLOCK = 1024
 
-def _coverage_bound(caps: np.ndarray, edge_set) -> float:
-    """Cheap upper bound on deliverable power: any battery with no converter
-    pins the string current at its own capability."""
-    covered = np.zeros(caps.size, dtype=bool)
-    for src, dst in edge_set:
-        covered[src] = True
-        covered[dst] = True
-    if covered.all():
-        return float(caps.sum())
-    return caps.size * float(caps[~covered].min())
+
+def _placement_blocks(placements, m: int):
+    """Cut a lexicographic placement stream into (P, M, 2) endpoint arrays."""
+    while True:
+        block = itertools.islice(placements, _PLACEMENT_BLOCK)
+        flat = itertools.chain.from_iterable(itertools.chain.from_iterable(block))
+        endpoints = np.fromiter(flat, dtype=np.intp)
+        if endpoints.size == 0:
+            return
+        yield endpoints.reshape(-1, m, 2)
 
 
 def design_layer1(expected: ExpectedSet, cfg: DesignConfig) -> Layer1Design:
@@ -178,26 +184,23 @@ def design_layer1(expected: ExpectedSet, cfg: DesignConfig) -> Layer1Design:
         return cached
 
     best_output = -np.inf
-    contenders: list[tuple[float, tuple]] = []
-    scanned = 0
-    for edge_set in enumerate_interconnections(n, m):
-        scanned += 1
-        if _coverage_bound(caps, edge_set) < best_output - _VALUE_TIE_TOL:
-            continue  # provably cannot reach the incumbent
-        output = max_output_power(caps, edge_set)
-        if output > best_output + _VALUE_TIE_TOL:
-            best_output = output
-            contenders = [(output, edge_set)]
-        elif output >= best_output - _VALUE_TIE_TOL:
-            best_output = max(best_output, output)
-            contenders.append((output, edge_set))
+    contenders: list[tuple[np.ndarray, np.ndarray]] = []  # (outputs, endpoints) per block
+    for endpoints in _placement_blocks(enumerate_interconnections(n, m), m):
+        outputs = free_flow_outputs(caps, endpoints)
+        top = float(outputs.max())
+        if top > best_output + _VALUE_TIE_TOL:
+            contenders.clear()  # everything kept so far is now out of the tie band
+        best_output = max(best_output, top)
+        keep = outputs >= best_output - _VALUE_TIE_TOL
+        contenders.append((outputs[keep], endpoints[keep]))
 
+    outputs = np.concatenate([kept for kept, _ in contenders])
+    tied = np.concatenate([edges for _, edges in contenders])
     chosen_edges = None
     chosen_processed = None
     chosen_sum = np.inf
-    for output, edge_set in contenders:
-        if output < best_output - _VALUE_TIE_TOL:
-            continue
+    for edges in tied[outputs >= best_output - _VALUE_TIE_TOL]:
+        edge_set = tuple(map(tuple, edges.tolist()))
         processed, _ = layer1_design_lp(expected, edge_set)
         total = float(processed.sum())
         # contenders arrive in lexicographic order, so strict improvement only
@@ -205,10 +208,12 @@ def design_layer1(expected: ExpectedSet, cfg: DesignConfig) -> Layer1Design:
             chosen_sum = total
             chosen_edges = edge_set
             chosen_processed = processed
+        if chosen_sum <= _VALUE_TIE_TOL:
+            break  # a later total would have to be negative to win
 
     log.debug(
         "layer-1 search: %d placements scanned, best output %.6f, edges %s",
-        scanned, best_output, chosen_edges,
+        interconnection_count(n, m), best_output, chosen_edges,
     )
     ratings = partition_ratings(chosen_processed, cfg.num_rating_sets)
     design = Layer1Design(

@@ -297,12 +297,48 @@ def optimal_flow(capabilities, arch: Architecture) -> PowerFlowSolution:
     )
 
 
+def free_flow_outputs(caps: np.ndarray, endpoints: np.ndarray) -> np.ndarray:
+    """Design-mode maximum output of every placement in a block, in closed form.
+
+    `endpoints` is an integer array (P, M, 2) holding the battery pair of each
+    of the M edges of P placements. Labels start as battery indices and each
+    pass over the edges lowers both endpoints to the smaller label; a component
+    spans at most M edges, so M passes leave every battery labelled with the
+    smallest index of its component. Capabilities and battery counts are then
+    summed per (placement, label) with one bincount each, and the result is
+    N * the smallest component mean of each placement (see max_output_power).
+    """
+    n = caps.size
+    p, m = endpoints.shape[:2]
+    rows = np.arange(p)
+    labels = np.tile(np.arange(n), (p, 1))
+    for _ in range(m):
+        for e in range(m):
+            src, dst = endpoints[:, e, 0], endpoints[:, e, 1]
+            low = np.minimum(labels[rows, src], labels[rows, dst])
+            labels[rows, src] = low
+            labels[rows, dst] = low
+    slots = (labels + n * rows[:, None]).ravel()
+    sums = np.bincount(slots, weights=np.tile(caps, p), minlength=p * n).reshape(p, n)
+    counts = np.bincount(slots, minlength=p * n).reshape(p, n)
+    means = np.divide(sums, counts, out=np.full((p, n), np.inf), where=counts > 0)
+    return n * means.min(axis=1)
+
+
 def max_output_power(capabilities, edges: Sequence[_Pair]) -> float:
-    """Stage-1 objective only: the best deliverable power for unrated pair edges."""
+    """Stage-1 objective only: the best deliverable power for unrated pair edges.
+
+    With unbounded pair flows, power moves freely inside each connected
+    component C of the placement, so a string current I is reachable exactly
+    when |C| * I <= sum of P_j over C for every component (the Gale/Hoffman
+    condition: every cut inside a component is crossed by an unbounded edge).
+    The best output is therefore N * the smallest component mean capability;
+    a battery with no converter is a component of its own.
+    """
     caps = _validate_capabilities(capabilities)
     pairs = _edge_pairs(edges, caps.size)
-    free = _free_flow_lp(caps, pairs)
-    return float(_solve_or_die(free, "design stage-1").objective_value)
+    endpoints = np.array(pairs, dtype=np.intp).reshape(1, len(pairs), 2)
+    return float(free_flow_outputs(caps, endpoints)[0])
 
 
 def layer1_design_lp(expected: ExpectedSet, edges: Sequence[_Pair]):

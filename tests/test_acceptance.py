@@ -99,6 +99,7 @@ def test_utilization_at_the_design_budget():
     )
 
 
+@pytest.mark.slow
 def test_system_efficiency_at_the_design_budget(rating_records):
     ls = pick(rating_records, "lshippp", rating_norm=DESIGN_BUDGET)
     ladder = pick(rating_records, "cppp", rating_norm=DESIGN_BUDGET)
@@ -115,6 +116,7 @@ def test_system_efficiency_at_the_design_budget(rating_records):
     )
 
 
+@pytest.mark.slow
 def test_processing_share_where_utilization_saturates(rating_records):
     ls = [r for r in rating_records if r.architecture_kind == "lshippp"]
     saturated = [r for r in ls if r.utilization >= 0.99]
@@ -131,6 +133,7 @@ def test_processing_share_where_utilization_saturates(rating_records):
     )
 
 
+@pytest.mark.slow
 def test_dedicated_converters_track_their_rating(rating_records):
     dedicated = [r for r in rating_records if r.architecture_kind == "fpp"]
     worst = max(abs(r.utilization - r.rating_norm) for r in dedicated)
@@ -143,6 +146,7 @@ def test_dedicated_converters_track_their_rating(rating_records):
     )
 
 
+@pytest.mark.slow
 def test_sparse_hierarchy_dominates_the_ladder(rating_records, sigma_records):
     checks = []
     # records arrive budget-major; the sparse hierarchy can exceed a small

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import hippp.design
 from hippp import (
     BatterySupply,
     DesignConfig,
@@ -144,22 +145,40 @@ class TestLayer1Search:
         assert design.processed_at_design == pytest.approx(N9_PROCESSED, abs=1e-12)
         assert max_output_power(expected.capabilities, N9_EDGES) == pytest.approx(N9_OUTPUT, abs=1e-9)
 
-    def test_search_matches_scipy_full_scan(self):
-        # independent full enumeration: five slots, two pair converters
-        expected = flatten(BatterySupply(1.0, 0.2, 5))
+    @pytest.mark.parametrize("n, m, sigma", [(5, 2, 0.2), (4, 3, 0.2), (6, 3, 0.1), (7, 2, 0.3)])
+    def test_search_matches_scipy_full_scan(self, n, m, sigma):
+        # independent full enumeration of every m-converter placement
+        expected = flatten(BatterySupply(1.0, sigma, n))
         caps = expected.capabilities
         best = (-np.inf, np.inf, None)
-        for edge_set in itertools.combinations(itertools.combinations(range(5), 2), 2):
+        for edge_set in itertools.combinations(itertools.combinations(range(n), 2), m):
             output, processed = scipy_two_stage(caps, edge_set)
             candidate = (output, processed, edge_set)
             if output > best[0] + 1e-9 or (
                 abs(output - best[0]) <= 1e-9 and processed < best[1] - 1e-9
             ):
                 best = candidate
-        design = design_layer1(expected, DesignConfig(num_layer1=2, num_rating_sets=2))
+        design = design_layer1(expected, DesignConfig(num_layer1=m, num_rating_sets=2))
         assert tuple((e.from_battery, e.to_battery) for e in design.edges) == best[2]
         assert sum(design.processed_at_design) == pytest.approx(best[1], abs=1e-7)
         assert max_output_power(caps, best[2]) == pytest.approx(best[0], abs=1e-9)
+
+    def test_uniform_supply_stops_at_the_first_lossless_placement(self, monkeypatch):
+        # every placement ties on output and the first one already processes
+        # nothing, so the tie-break needs a single design LP
+        calls = []
+
+        def counting_design_lp(expected, edges):
+            calls.append(edges)
+            return layer1_design_lp(expected, edges)
+
+        monkeypatch.setattr(hippp.design, "_layer1_cache", {})
+        monkeypatch.setattr(hippp.design, "layer1_design_lp", counting_design_lp)
+        expected = flatten(BatterySupply(1.0, 0.0, 9))
+        design = design_layer1(expected, DesignConfig(num_layer1=3, num_rating_sets=2))
+        assert [(e.from_battery, e.to_battery) for e in design.edges] == [(0, 1), (0, 2), (0, 3)]
+        assert [e.rating for e in design.edges] == [0.0, 0.0, 0.0]
+        assert len(calls) <= 1
 
     def test_design_lp_agrees_with_scipy_on_the_chosen_edges(self):
         expected = flatten(BatterySupply(1.0, 0.2, 9))

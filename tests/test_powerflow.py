@@ -7,7 +7,10 @@ maximum over the grid bounds the LP answer to grid resolution.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import grid_best_output, incidence
+from scipy.optimize import linprog
 
 from hippp import (
     Architecture,
@@ -24,7 +27,9 @@ from hippp import (
     fpp_from_budget,
     max_output_power,
     optimal_flow,
+    solve,
 )
+from hippp.powerflow import _free_flow_lp
 
 GRID_TOL = 2e-3
 
@@ -239,6 +244,43 @@ class TestFreeFlowDesignSolve:
     def test_no_edges_is_the_bare_string(self):
         caps = np.array([0.6, 0.8, 1.2])
         assert max_output_power(caps, []) == pytest.approx(3 * 0.6, abs=1e-9)
+
+
+@st.composite
+def free_flow_instances(draw):
+    """Capabilities and an unrated edge list, in any orientation, repeats allowed."""
+    n = draw(st.integers(2, 12))
+    caps = draw(st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n))
+    battery = st.integers(0, n - 1)
+    pair = st.tuples(battery, battery).filter(lambda p: p[0] != p[1])
+    edges = draw(st.lists(pair, max_size=n + 2))
+    return caps, edges
+
+
+def scipy_free_flow_output(caps, edges):
+    """HiGHS on the unrated flow LP: maximize N*I over I >= 0, free f, |p| <= P."""
+    n, e = len(caps), len(edges)
+    a_eq = np.hstack([np.ones((n, 1)), incidence(edges, n), -np.eye(n)])
+    bounds = [(0, None)] + [(None, None)] * e + [(-c, c) for c in caps]
+    c = np.zeros(1 + e + n)
+    c[0] = -float(n)
+    res = linprog(c, A_eq=a_eq, b_eq=np.zeros(n), bounds=bounds, method="highs")
+    assert res.status == 0
+    return -float(res.fun)
+
+
+class TestClosedFormAgainstLP:
+    @settings(max_examples=150, deadline=None)
+    @given(free_flow_instances())
+    @example(([0.6, 0.8, 1.2], []))                                  # no edges
+    @example(([0.6, 0.8, 1.2, 1.4], [(0, 1), (1, 0), (0, 1)]))       # repeats, both ways
+    @example(([0.6, 0.8, 1.2, 1.4, 2.0], [(3, 1), (1, 3), (4, 0)]))  # battery 2 isolated
+    def test_component_mean_matches_both_lps(self, instance):
+        caps, edges = instance
+        closed = max_output_power(caps, edges)
+        in_repo = solve(_free_flow_lp(np.asarray(caps), edges)).objective_value
+        assert closed == pytest.approx(in_repo, abs=1e-9)
+        assert closed == pytest.approx(scipy_free_flow_output(caps, edges), abs=1e-9)
 
 
 class TestArchitectureEdges:
