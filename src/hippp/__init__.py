@@ -11,7 +11,8 @@ Layout:
   expected capabilities and Monte Carlo samples.
 * :mod:`hippp.lp` is a deterministic bounded-variable simplex solver.
 * :mod:`hippp.architecture` declares the three converter architectures.
-* :mod:`hippp.powerflow` finds the optimal dispatch for one battery set.
+* :mod:`hippp.powerflow` finds the optimal dispatch for one battery set, or
+  for a block of them.
 * :mod:`hippp.design` picks layer-1 interconnections and converter ratings.
 * :mod:`hippp.evaluate` runs Monte Carlo comparisons and sweeps.
 * :mod:`hippp.cli` is the command-line front end.
@@ -61,7 +62,10 @@ from .powerflow import (
     PowerFlowSolution,
     architecture_edges,
     build_flow_lp,
+    flow_powers,
+    ladder_flow,
     max_output_power,
+    max_string_output,
     optimal_flow,
 )
 from .supply import (
@@ -70,6 +74,7 @@ from .supply import (
     CapabilityDistribution,
     ExpectedSet,
     GaussianCapability,
+    draw_capabilities,
     flatten,
     flatten_distribution,
     sample_battery_set,
@@ -109,15 +114,19 @@ __all__ = [
     "cppp_from_budget",
     "design_layer1",
     "design_layer2",
+    "draw_capabilities",
     "enumerate_interconnections",
     "evaluate_architecture",
     "flatten",
     "flatten_distribution",
+    "flow_powers",
     "fpp_from_budget",
     "interconnection_count",
+    "ladder_flow",
     "layer2_rating_for_budget",
     "lshippp_for_budget",
     "max_output_power",
+    "max_string_output",
     "optimal_flow",
     "partition_ratings",
     "sample_battery_set",

@@ -8,14 +8,17 @@ component mean capability (a battery with no converter is its own component),
 computed in closed form for blocks of placements at once. Ties are settled
 first by less total processed power, from the design LP, then by
 lexicographically smallest edge list, so the result is independent of
-enumeration order. The optimal processed powers are then collapsed into K
-identical-rating groups to cut part count.
+enumeration order; the tie-break stops as soon as a placement reaches a
+lower bound that every placement's processing must meet. The optimal
+processed powers are then collapsed into K identical-rating groups to cut
+part count.
 
 Layer 2 is rated by Monte Carlo: with layer 1 frozen, a shared set of seeded
 capability draws is replayed against a grid of trial ladder ratings and the
-mean utilization of each trial rating forms a curve. Callers pick the ladder
-rating off that curve, usually by spending whatever rating budget layer 1
-left over.
+mean utilization of each trial rating forms a curve. Utilization needs only
+the maximum output, so each curve point solves the stage-1 LP alone. Callers
+pick the ladder rating off that curve, usually by spending whatever rating
+budget layer 1 left over.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ import numpy as np
 
 from .architecture import Architecture, ArchitectureKind, ConverterEdge, Layer1Design, Layer2Design
 from .errors import EnumerationCapError, ParameterError
-from .powerflow import free_flow_outputs, layer1_design_lp, optimal_flow
-from .supply import BatterySupply, ExpectedSet, flatten, sample_battery_set
+from .powerflow import free_flow_outputs, layer1_design_lp, max_string_output
+from .supply import BatterySupply, ExpectedSet, draw_capabilities, flatten
 
 log = logging.getLogger(__name__)
 
@@ -172,7 +175,19 @@ def _placement_blocks(placements, m: int):
 
 
 def design_layer1(expected: ExpectedSet, cfg: DesignConfig) -> Layer1Design:
-    """Exhaustive search for the best M-converter placement on the expected set."""
+    """Exhaustive search for the best M-converter placement on the expected set.
+
+    Every placement is scored by its closed-form maximum output. Those within
+    _VALUE_TIE_TOL of the best go, in lexicographic order, through the design
+    LP, and the least total processed power wins. That scan stops early on a
+    lower bound. At string current I, battery j must take in at least
+    max(0, I - P_j) over its own converters, and each converter's |f_e| lands
+    on at most one battery, so every placement delivering N * I processes at
+    least floor = sum_j max(0, I - P_j). With I the smallest tied output / N,
+    the floor holds for every tied placement, and once the chosen total is
+    within half the tolerance of it no later placement can undercut it by
+    the full tolerance. The other half is margin against LP rounding.
+    """
     n = expected.count
     m = cfg.num_layer1
     if m > n - 1:
@@ -196,10 +211,12 @@ def design_layer1(expected: ExpectedSet, cfg: DesignConfig) -> Layer1Design:
 
     outputs = np.concatenate([kept for kept, _ in contenders])
     tied = np.concatenate([edges for _, edges in contenders])
+    in_band = outputs >= best_output - _VALUE_TIE_TOL
+    floor = float(np.maximum(float(outputs[in_band].min()) / n - caps, 0.0).sum())
     chosen_edges = None
     chosen_processed = None
     chosen_sum = np.inf
-    for edges in tied[outputs >= best_output - _VALUE_TIE_TOL]:
+    for edges in tied[in_band]:
         edge_set = tuple(map(tuple, edges.tolist()))
         processed, _ = layer1_design_lp(expected, edge_set)
         total = float(processed.sum())
@@ -208,8 +225,8 @@ def design_layer1(expected: ExpectedSet, cfg: DesignConfig) -> Layer1Design:
             chosen_sum = total
             chosen_edges = edge_set
             chosen_processed = processed
-        if chosen_sum <= _VALUE_TIE_TOL:
-            break  # a later total would have to be negative to win
+        if chosen_sum <= floor + _VALUE_TIE_TOL / 2:
+            break  # no later placement can process less (see the docstring)
 
     log.debug(
         "layer-1 search: %d placements scanned, best output %.6f, edges %s",
@@ -269,7 +286,8 @@ def design_layer2(
     """
     expected = flatten(supply)
     n = expected.count
-    samples = [sample_battery_set(supply, cfg.base_seed + t) for t in range(cfg.monte_carlo_trials)]
+    draws = [draw_capabilities(supply, cfg.base_seed + t) for t in range(cfg.monte_carlo_trials)]
+    batch_powers = [float(caps.sum()) for caps in draws]
 
     points = []
     for rating in cfg.layer2_trial_ratings:
@@ -281,7 +299,7 @@ def design_layer2(
             layer2=Layer2Design(rating, n - 1),
         )
         utilizations = [
-            optimal_flow(s.capabilities, arch).output_power / s.total_power for s in samples
+            max_string_output(caps, arch) / total for caps, total in zip(draws, batch_powers)
         ]
         points.append((rating, float(np.mean(utilizations))))
     curve = Layer2Curve(tuple(points))

@@ -4,6 +4,10 @@ Every evaluation replays seeded capability batches (trial t draws with
 seed + t), so two architectures evaluated with the same supply, trial count
 and seed see identical batches. That common-random-numbers discipline makes
 sweep comparisons paired and bit-reproducible regardless of worker count.
+A cell draws its (trials, N) block once, takes every trial's output and
+processed power from one powerflow call (closed form over the whole block
+for the ladder and full processing, one LP pair per trial for the
+hierarchical design) and checks its invariants over all trials at once.
 
 Reported metrics per architecture:
 
@@ -25,8 +29,8 @@ import numpy as np
 from .architecture import Architecture, ArchitectureKind, aggregate_rating, cppp_from_budget, fpp_from_budget
 from .design import DesignConfig, design_layer1, lshippp_for_budget
 from .errors import InternalCheckError, ParameterError, UndefinedMetricError
-from .powerflow import optimal_flow
-from .supply import BatterySupply, flatten, sample_battery_set
+from .powerflow import flow_powers
+from .supply import BatterySupply, draw_capabilities, flatten
 
 log = logging.getLogger(__name__)
 
@@ -51,20 +55,30 @@ class MetricsRecord:
     output_norm: float
 
 
-def system_efficiency(processed: float, output: float, converter_efficiency: float) -> float:
+def system_efficiency(processed, output, converter_efficiency: float):
     """Share of delivered power that survives conversion losses.
 
     Only the processed fraction pays the converter loss, so efficiency is
     affine in processed/output: no processing means lossless delivery, full
-    processing degenerates to the bare converter efficiency.
+    processing degenerates to the bare converter efficiency. Scalar powers
+    give a float; equal-shape arrays of per-trial powers give an array.
     """
     if not 0.0 < converter_efficiency <= 1.0:
         raise ParameterError("converter efficiency must lie in (0, 1]")
-    if processed < 0.0 or output < 0.0:
+    processed = np.asarray(processed, dtype=float)
+    output = np.asarray(output, dtype=float)
+    if np.any(processed < 0.0) or np.any(output < 0.0):
         raise ParameterError("powers must be non-negative")
-    if output == 0.0:
+    if np.any(output == 0.0):
         raise UndefinedMetricError("system efficiency is undefined at zero output")
-    return 1.0 - (processed / output) * (1.0 - converter_efficiency)
+    efficiency = 1.0 - (processed / output) * (1.0 - converter_efficiency)
+    return float(efficiency) if efficiency.ndim == 0 else efficiency
+
+
+def _first_trial(violations: np.ndarray) -> int | None:
+    """Index of the first True entry, or None."""
+    hits = np.flatnonzero(violations)
+    return int(hits[0]) if hits.size else None
 
 
 def evaluate_architecture(
@@ -77,8 +91,9 @@ def evaluate_architecture(
     """Replay `trials` seeded batches against `arch` and average the metrics.
 
     Inline invariants (conservation comes certified from the flow solver) are
-    re-checked on every trial and abort on violation rather than skewing the
-    statistics.
+    checked on every trial and abort on violation rather than skewing the
+    statistics. Every trial delivers power (the bare string is always
+    available), so efficiency is defined on each.
     """
     if supply.count != arch.num_batteries:
         raise ParameterError(f"supply count {supply.count} does not match architecture {arch.num_batteries}")
@@ -86,36 +101,27 @@ def evaluate_architecture(
         raise ParameterError("trials must be a positive integer")
     rating_norm = aggregate_rating(arch)
     total_expected = arch.total_expected_power
-    string_kind = arch.kind != ArchitectureKind.FPP
 
-    utils = np.empty(trials)
-    effs = np.empty(trials)
-    procs = np.empty(trials)
-    outs = np.empty(trials)
-    for t in range(trials):
-        sample = sample_battery_set(supply, seed + t)
-        sol = optimal_flow(sample.capabilities, arch)
-        batch_power = sample.total_power
-        util = sol.output_power / batch_power
+    caps = np.array([draw_capabilities(supply, seed + t) for t in range(trials)])
+    output, processed = flow_powers(caps, arch)
+    batch_power = caps.sum(axis=1)
+    utils = output / batch_power
+    procs = processed / total_expected
 
-        if util > 1.0 + _UTIL_SLACK:
-            raise InternalCheckError(f"utilization {util} above 1 on trial {t}")
-        if string_kind:
-            # the bare series string is always available as a fallback
-            floor = arch.num_batteries * float(sample.capabilities.min()) / batch_power
-            if util < floor - _UTIL_SLACK:
-                raise InternalCheckError(f"utilization {util} below the bare-string floor on trial {t}")
-        if sol.processed_power / total_expected > rating_norm + 1e-8:
-            raise InternalCheckError(f"processed power above installed rating on trial {t}")
+    t = _first_trial(utils > 1.0 + _UTIL_SLACK)
+    if t is not None:
+        raise InternalCheckError(f"utilization {utils[t]} above 1 on trial {t}")
+    if arch.kind != ArchitectureKind.FPP:
+        # the bare series string is always available as a fallback
+        floor = arch.num_batteries * caps.min(axis=1) / batch_power
+        t = _first_trial(utils < floor - _UTIL_SLACK)
+        if t is not None:
+            raise InternalCheckError(f"utilization {utils[t]} below the bare-string floor on trial {t}")
+    t = _first_trial(procs > rating_norm + 1e-8)
+    if t is not None:
+        raise InternalCheckError(f"processed power above installed rating on trial {t}")
 
-        utils[t] = util
-        procs[t] = sol.processed_power / total_expected
-        outs[t] = sol.output_power / total_expected
-        if sol.output_power == 0.0 and sol.processed_power == 0.0:
-            effs[t] = 1.0  # nothing flowed, nothing was lost
-        else:
-            effs[t] = system_efficiency(sol.processed_power, sol.output_power, converter_efficiency)
-
+    effs = system_efficiency(processed, output, converter_efficiency)
     return MetricsRecord(
         architecture_kind=arch.kind.value,
         rating_norm=rating_norm,
@@ -126,7 +132,7 @@ def evaluate_architecture(
         utilization_std=float(utils.std(ddof=1)) if trials > 1 else 0.0,
         system_efficiency=float(effs.mean()),
         processed_norm=float(procs.mean()),
-        output_norm=float(outs.mean()),
+        output_norm=float((output / total_expected).mean()),
     )
 
 

@@ -16,11 +16,18 @@ pattern each architecture would actually run. The hierarchical design owes
 its layer-1 placement to a central optimizer and re-optimizes dispatch the
 same way at operation time, so it takes the pattern with the least total
 processed power sum |f_e|; converter ratings derived at design time use the
-same convention. The conventional ladder has no central optimizer: every
-battery regulates toward its full capability and each adjacent converter
-passes the accumulated mismatch along until it saturates, so curtailment
-lands on the strong end of the string and considerably more power is
-processed for the same output.
+same convention. Both of its stages are LPs. The conventional ladder has no
+central optimizer: every battery regulates toward its full capability and
+each adjacent converter passes the accumulated mismatch along until it
+saturates, so curtailment lands on the strong end of the string and
+considerably more power is processed for the same output. On a path graph
+both of its stages have exact closed forms (see ladder_flow), evaluated for a
+whole block of capability draws at once. Full processing needs no flow model
+at all.
+
+Every flow that leaves this module, LP or closed form, passes the same
+certification: conservation, capabilities, ratings and a non-negative
+current.
 """
 
 from __future__ import annotations
@@ -57,10 +64,12 @@ class PowerFlowSolution:
         object.__setattr__(self, "battery_powers", powers)
 
 
-def _validate_capabilities(capabilities) -> np.ndarray:
+def _validate_capabilities(capabilities, ndim: int = 1) -> np.ndarray:
+    """Capabilities as floats: one non-empty vector, or a (T, N) block of them."""
     caps = np.asarray(capabilities, dtype=float)
-    if caps.ndim != 1 or caps.size == 0:
-        raise ParameterError("capabilities must be a non-empty vector")
+    if caps.ndim != ndim or caps.size == 0:
+        shape = "vector" if ndim == 1 else "(trials, batteries) block"
+        raise ParameterError(f"capabilities must be a non-empty {shape}")
     if not np.all(np.isfinite(caps)) or not np.all(caps > 0.0):
         raise ParameterError("capabilities must be positive and finite")
     return caps
@@ -142,39 +151,6 @@ def _min_processed_lp(caps: np.ndarray, pairs: list[_Pair], flow_caps, current: 
     return LinearProgram(objective, a, np.zeros(n), lower, upper)
 
 
-def _cascade_delivery_lp(caps: np.ndarray, pairs: list[_Pair], flow_caps, current: float) -> LinearProgram:
-    """Stage 2 for the ladder: fix I and prefer delivery from the weak end.
-
-    Maximizing battery power weighted by string position (weakest slot
-    heaviest) reproduces the decentralized dispatch: each battery runs at
-    full capability until the converter chain carrying its neighbours'
-    accumulated mismatch saturates, and the strong end curtails.
-    """
-    edges = [ConverterEdge(s, d, r) for (s, d), r in zip(pairs, flow_caps)]
-    base = build_flow_lp(caps, edges)
-    objective = np.zeros_like(base.objective)
-    objective[1 + len(pairs):] = np.arange(caps.size, 0, -1, dtype=float)
-    lower = base.lower.copy()
-    upper = base.upper.copy()
-    lower[0] = upper[0] = current
-    return LinearProgram(objective, base.a_eq, base.b_eq, lower, upper)
-
-
-def _conventional_ladder_flow(caps: np.ndarray, pairs: list[_Pair], flow_caps):
-    """Maximize output, then emulate the decentralized ladder dispatch at it."""
-    edges = [ConverterEdge(s, d, r) for (s, d), r in zip(pairs, flow_caps)]
-    first = _solve_or_die(build_flow_lp(caps, edges), "maximum-output stage")
-    current = float(first.values[0])
-
-    second = _solve_or_die(
-        _cascade_delivery_lp(caps, pairs, flow_caps, current), "ladder dispatch stage"
-    )
-    n_edges = len(pairs)
-    flows = np.asarray(second.values[1:1 + n_edges])
-    battery = np.asarray(second.values[1 + n_edges:])
-    return current, flows, battery
-
-
 def _free_flow_lp(caps: np.ndarray, pairs: list[_Pair]) -> LinearProgram:
     """Design-mode stage 1: the flow LP with unbounded pair flows."""
     rated = build_flow_lp(caps, [ConverterEdge(s, d, 0.0) for s, d in pairs])
@@ -185,17 +161,23 @@ def _free_flow_lp(caps: np.ndarray, pairs: list[_Pair]) -> LinearProgram:
     return LinearProgram(rated.objective, rated.a_eq, rated.b_eq, lower, upper)
 
 
-def _optimal_split_flow(caps: np.ndarray, pairs: list[_Pair], flow_caps):
-    """Maximize output, then minimize processed power at that output."""
+def _max_current(caps: np.ndarray, pairs: list[_Pair], flow_caps) -> float:
+    """Stage 1: solve the maximum-output LP, certify its flow, return I."""
     if flow_caps is not None:
         edges = [ConverterEdge(s, d, r) for (s, d), r in zip(pairs, flow_caps)]
         stage1 = build_flow_lp(caps, edges)
     else:
         stage1 = _free_flow_lp(caps, pairs)
-
     first = _solve_or_die(stage1, "maximum-output stage")
     current = float(first.values[0])
+    n_edges = len(pairs)
+    _certify(caps, pairs, flow_caps, current, first.values[1:1 + n_edges], first.values[1 + n_edges:])
+    return current
 
+
+def _optimal_split_flow(caps: np.ndarray, pairs: list[_Pair], flow_caps):
+    """Maximize output, then minimize processed power at that output."""
+    current = _max_current(caps, pairs, flow_caps)
     stage2 = _min_processed_lp(caps, pairs, flow_caps, current)
     second = _solve_or_die(stage2, "minimum-processing stage")
     n_edges = len(pairs)
@@ -205,21 +187,26 @@ def _optimal_split_flow(caps: np.ndarray, pairs: list[_Pair], flow_caps):
         raise InternalCheckError("flow split left circulating power in both directions")
     flows = np.asarray(pos - neg)
     battery = np.asarray(second.values[1 + 2 * n_edges:])
+    _certify(caps, pairs, flow_caps, current, flows, battery)
     return current, flows, battery
 
 
 def _certify(caps, pairs, ratings, current, flows, battery):
-    """Conservation and limit checks on a finished flow; violations abort."""
-    n = caps.size
-    mismatch = battery - current - _incidence(pairs, n) @ flows
-    if float(np.abs(mismatch).max(initial=0.0)) > FEASIBILITY_TOL:
+    """Conservation and limit checks on finished flows; violations abort.
+
+    Takes one flow, or a block of T flows on the same edges: caps and battery
+    (T, N), flows (T, E), current (T,). A NaN anywhere fails the checks.
+    """
+    current = np.asarray(current)
+    mismatch = battery - current[..., None] - flows @ _incidence(pairs, caps.shape[-1]).T
+    if not float(np.abs(mismatch).max(initial=0.0)) <= FEASIBILITY_TOL:
         raise InternalCheckError("flow solution violates power conservation")
-    if float((np.abs(battery) - caps).max(initial=0.0)) > FEASIBILITY_TOL:
+    if not float((np.abs(battery) - caps).max(initial=0.0)) <= FEASIBILITY_TOL:
         raise InternalCheckError("flow solution exceeds a battery capability")
     if ratings is not None and flows.size:
-        if float((np.abs(flows) - ratings).max(initial=0.0)) > FEASIBILITY_TOL:
+        if not float((np.abs(flows) - ratings).max(initial=0.0)) <= FEASIBILITY_TOL:
             raise InternalCheckError("flow solution exceeds a converter rating")
-    if current < -FEASIBILITY_TOL:
+    if not float(current.min(initial=0.0)) >= -FEASIBILITY_TOL:
         raise InternalCheckError("string current went negative")
 
 
@@ -244,22 +231,89 @@ def architecture_edges(arch: Architecture) -> list[ConverterEdge]:
     raise StructuralError("full processing has no string-side converter edges")
 
 
+def ladder_flow(capabilities, rating: float):
+    """Conventional-ladder operating point of every row of a (T, N) block.
+
+    Rung j joins batteries j and j+1 and carries f_j, at most `rating` either
+    way; battery j sources p_j = I + f_j - f_{j-1}, with virtual rungs
+    f_{-1} = f_{N-1} = 0 at the string ends. Returns the string currents (T,),
+    rung flows (T, N-1) and battery powers (T, N), all certified. Rows are
+    independent: a block gives, row for row, the same bits as one-row calls.
+
+    Stage 1 is the cut form of the Gale/Hoffman feasibility condition. The
+    batteries of an interval [a, b] source (b-a+1) * I plus what leaves over
+    its boundary rungs, so I* is the smallest (sum of P over [a, b] + rating *
+    boundary rungs) / (b-a+1) over the N(N+1)/2 intervals; on a path a union
+    of non-adjacent intervals is never tighter than its tightest interval.
+    Sums are accumulated length by length, so a one-battery interval is
+    exactly its capability and a zero rating gives exactly the weakest one.
+
+    The dispatch weights slot j by N-j, and those weights telescope:
+    sum_j (N-j) p_j = const + sum_j f_j. So the ladder maximizes the sum of
+    rung flows under the difference constraints f_j - f_{j-1} <= P_j - I,
+    f_{j-1} - f_j <= P_j + I and f_j <= rating. Its unique optimum is the
+    greatest feasible flow: one forward pass f_j = min(rating, f_{j-1} + P_j
+    - I), then one backward pass f_j = min(f_j, f_{j+1} + P_{j+1} + I).
+    """
+    caps = _validate_capabilities(capabilities, ndim=2)
+    rating = float(rating)
+    if not (np.isfinite(rating) and rating >= 0.0):
+        raise ParameterError("ladder rating must be non-negative and finite")
+    trials, n = caps.shape
+
+    current = np.full(trials, np.inf)
+    sums = np.zeros((trials, n))
+    for length in range(1, n + 1):
+        sums = sums[:, :n - length + 1] + caps[:, length - 1:]
+        starts = np.arange(n - length + 1)
+        boundary = (starts > 0).astype(float) + (starts + length < n)
+        current = np.minimum(current, ((sums + rating * boundary) / length).min(axis=1))
+
+    padded = np.zeros((trials, n + 1))  # column j + 1 holds f_j
+    surplus = caps - current[:, None]
+    for j in range(n - 1):
+        padded[:, j + 1] = np.minimum(rating, padded[:, j] + surplus[:, j])
+    headroom = caps + current[:, None]
+    for j in range(n - 2, -1, -1):
+        padded[:, j + 1] = np.minimum(padded[:, j + 1], padded[:, j + 2] + headroom[:, j + 1])
+    flows = padded[:, 1:n]
+    battery = current[:, None] + padded[:, 1:] - padded[:, :-1]
+
+    pairs = [(j, j + 1) for j in range(n - 1)]
+    _certify(caps, pairs, np.full(n - 1, rating), current, flows, battery)
+    return current, flows, battery
+
+
+def _checked_capabilities(capabilities, arch: Architecture, ndim: int = 1) -> np.ndarray:
+    """Validated capabilities whose last axis matches the battery count of `arch`."""
+    caps = _validate_capabilities(capabilities, ndim)
+    n = caps.shape[-1]
+    if n != arch.num_batteries:
+        raise ParameterError(f"got {n} capabilities for {arch.num_batteries} batteries")
+    return caps
+
+
+def _string_edges(arch: Architecture) -> tuple[list[_Pair], np.ndarray]:
+    """Edge pairs and ratings of a string architecture."""
+    edges = architecture_edges(arch)
+    pairs = _edge_pairs(edges, arch.num_batteries)
+    return pairs, np.array([edge.rating for edge in edges], dtype=float)
+
+
 def optimal_flow(capabilities, arch: Architecture) -> PowerFlowSolution:
     """Best achievable operating point of `arch` on one capability draw.
 
-    Full processing bypasses the LP: every battery delivers through its own
-    converter, so output is the sum of rating-clipped capabilities and all of
-    it is processed. A zero rating means no converter was installed at all,
-    which leaves the bare series string. The ladder and hierarchical kinds
-    both maximize output with the flow LP but run different dispatch among
-    the output-optimal patterns: the ladder emulates its decentralized
-    controls, the hierarchical design re-optimizes for least processing.
+    Full processing needs no flow model: every battery delivers through its
+    own converter, so output is the sum of rating-clipped capabilities and all
+    of it is processed. A zero rating means no converter was installed at
+    all, which leaves the bare series string. The ladder and hierarchical
+    kinds both maximize output but run different dispatch among the
+    output-optimal patterns: the ladder emulates its decentralized controls
+    in closed form (ladder_flow), the hierarchical design re-optimizes for
+    least processing with two LPs.
     """
-    caps = _validate_capabilities(capabilities)
+    caps = _checked_capabilities(capabilities, arch)
     n = caps.size
-    if n != arch.num_batteries:
-        raise ParameterError(f"got {n} capabilities for {arch.num_batteries} batteries")
-
     if arch.kind == ArchitectureKind.FPP:
         if arch.fpp_rating == 0.0:
             current = float(caps.min())
@@ -280,20 +334,54 @@ def optimal_flow(capabilities, arch: Architecture) -> PowerFlowSolution:
             processed_power=output,
         )
 
-    edges = architecture_edges(arch)
-    pairs = _edge_pairs(edges, n)
-    ratings = np.array([edge.rating for edge in edges], dtype=float)
     if arch.kind == ArchitectureKind.CPPP:
-        current, flows, battery = _conventional_ladder_flow(caps, pairs, ratings)
+        currents, flows, battery = ladder_flow(caps[None, :], arch.cppp_rating)
+        current, flows, battery = float(currents[0]), flows[0], battery[0]
     else:
-        current, flows, battery = _optimal_split_flow(caps, pairs, ratings)
-    _certify(caps, pairs, ratings, current, flows, battery)
+        current, flows, battery = _optimal_split_flow(caps, *_string_edges(arch))
     return PowerFlowSolution(
         string_current=current,
         converter_flows=flows,
         battery_powers=battery,
         output_power=n * current,
         processed_power=float(np.abs(flows).sum()),
+    )
+
+
+def max_string_output(capabilities, arch: Architecture) -> float:
+    """Stage 1 of the LP flow on its own: the best deliverable power N * I.
+
+    Solves and certifies the same maximum-output LP as optimal_flow does for
+    the hierarchical kind, so for that kind the value equals
+    optimal_flow(capabilities, arch).output_power bit for bit; only the
+    dispatch, which never changes the output, is skipped. For the ladder it
+    agrees with the closed form of optimal_flow to rounding.
+    """
+    caps = _checked_capabilities(capabilities, arch)
+    return caps.size * _max_current(caps, *_string_edges(arch))
+
+
+def flow_powers(capabilities, arch: Architecture) -> tuple[np.ndarray, np.ndarray]:
+    """Output and processed power of `arch` on every row of a (T, N) block.
+
+    Full processing and the ladder are closed form over the whole block; the
+    hierarchical kind solves its LPs one row at a time through optimal_flow.
+    Row t equals optimal_flow(capabilities[t], arch) bit for bit.
+    """
+    caps = _checked_capabilities(capabilities, arch, ndim=2)
+    n = caps.shape[1]
+    if arch.kind == ArchitectureKind.FPP:
+        if arch.fpp_rating == 0.0:
+            return n * caps.min(axis=1), np.zeros(caps.shape[0])
+        output = np.minimum(caps, arch.fpp_rating).sum(axis=1)
+        return output, output
+    if arch.kind == ArchitectureKind.CPPP:
+        current, flows, _ = ladder_flow(caps, arch.cppp_rating)
+        return n * current, np.abs(flows).sum(axis=1)
+    solutions = [optimal_flow(row, arch) for row in caps]
+    return (
+        np.array([sol.output_power for sol in solutions]),
+        np.array([sol.processed_power for sol in solutions]),
     )
 
 
@@ -349,6 +437,5 @@ def layer1_design_lp(expected: ExpectedSet, edges: Sequence[_Pair]):
     """
     caps = expected.capabilities
     pairs = _edge_pairs(edges, caps.size)
-    current, flows, battery = _optimal_split_flow(caps, pairs, None)
-    _certify(caps, pairs, None, current, flows, battery)
+    current, flows, _ = _optimal_split_flow(caps, pairs, None)
     return np.abs(flows), caps.size * current

@@ -196,13 +196,12 @@ def flatten(supply: BatterySupply) -> ExpectedSet:
     return ExpectedSet(means, supply)
 
 
-def sample_battery_set(supply: BatterySupply, seed: int) -> BatterySample:
-    """Draw one batch of `count` capabilities and sort it onto the string.
+def draw_capabilities(supply: BatterySupply, seed: int) -> np.ndarray:
+    """Draw one batch of `count` capabilities, sorted ascending onto the string.
 
     Draws are independent Gaussians from numpy's seeded default generator;
     non-positive draws are rejected and redrawn from the same stream, so a
-    given (supply, seed) pair always yields the same batch. Deviations are
-    taken slot-by-slot against the flattened expected set.
+    given (supply, seed) pair always yields the same batch.
     """
     rng = np.random.default_rng(seed)
     caps = rng.normal(supply.mean_power, supply.std_power, size=supply.count)
@@ -212,6 +211,14 @@ def sample_battery_set(supply: BatterySupply, seed: int) -> BatterySample:
         if n_bad == 0:
             break
         caps[bad] = rng.normal(supply.mean_power, supply.std_power, size=n_bad)
-    caps = np.sort(caps)
+    return np.sort(caps)
+
+
+def sample_battery_set(supply: BatterySupply, seed: int) -> BatterySample:
+    """The batch of `draw_capabilities` with its slot-by-slot deviations.
+
+    Deviations are taken against the flattened expected set.
+    """
+    caps = draw_capabilities(supply, seed)
     expected = flatten(supply)
     return BatterySample(caps, caps - expected.capabilities, int(seed))

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from hippp import ConverterEdge, LinearProgram, LPStatus, build_flow_lp, solve
+
 
 def incidence(pairs, n):
     inc = np.zeros((n, len(pairs)))
@@ -42,3 +44,29 @@ def grid_best_output(caps, pairs, ratings, step=1e-3):
             flows[0] = head
             best = max(best, _best_current(caps, inc, flows))
     return n * best if np.isfinite(best) else 0.0
+
+
+def ladder_lp_flow(caps, rating):
+    """The conventional ladder as two dense LPs, for one capability row.
+
+    Stage 1 maximizes the string current over the adjacent-rung ladder.
+    Stage 2 fixes that current and maximizes battery power weighted by string
+    position (slot j weighs N - j), which reproduces the decentralized
+    dispatch: each battery runs at full capability until the rung chain
+    carrying its neighbours' accumulated mismatch saturates, and the strong
+    end curtails. Returns (current, rung flows, battery powers).
+    """
+    caps = np.asarray(caps, dtype=float)
+    n = caps.size
+    base = build_flow_lp(caps, [ConverterEdge(j, j + 1, rating) for j in range(n - 1)])
+    first = solve(base)
+    assert first.status is LPStatus.OPTIMAL
+    current = float(first.values[0])
+
+    objective = np.zeros_like(base.objective)
+    objective[n:] = np.arange(n, 0, -1, dtype=float)   # columns: I, n-1 rungs, n batteries
+    lower, upper = base.lower.copy(), base.upper.copy()
+    lower[0] = upper[0] = current
+    second = solve(LinearProgram(objective, base.a_eq, base.b_eq, lower, upper))
+    assert second.status is LPStatus.OPTIMAL
+    return current, np.asarray(second.values[1:n]), np.asarray(second.values[n:])

@@ -2,8 +2,11 @@
 
 import configparser
 import csv
+import importlib
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +38,8 @@ directory = out
 """
 
 N9_EDGES = ["0,8", "1,6", "2,5"]
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 @pytest.fixture
@@ -265,3 +270,20 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, timeout=60,
         )
         assert result.returncode == 2
+
+
+class TestBenchmarkOutputs:
+    def test_workloads_reproduce_the_recorded_digests(self, tmp_path, monkeypatch):
+        # the benchmark's three CLI calls at seed 0, in process; any engine
+        # change that alters a printed number fails here
+        monkeypatch.syspath_prepend(str(BENCH))
+        bench_run = importlib.import_module("run")
+        references = json.loads((BENCH / "reference_digests.json").read_text(encoding="utf-8"))
+        for name, spec in bench_run.WORKLOADS.items():
+            entry = references[name]
+            assert entry["fingerprint"] == spec.fingerprint()
+            config = tmp_path / f"{name}.ini"
+            config.write_text(spec.config.format(seed=0), encoding="utf-8")
+            out_dir = tmp_path / name
+            assert main(spec.argv(config, out_dir, 0)) == 0
+            assert bench_run.output_digest(spec.command, out_dir) == entry["digests"]["0"], name

@@ -9,22 +9,30 @@ from scipy.optimize import linprog
 
 import hippp.design
 from hippp import (
+    Architecture,
+    ArchitectureKind,
     BatterySupply,
     DesignConfig,
     EnumerationCapError,
     Layer2Curve,
+    Layer2Design,
     ParameterError,
+    StructuralError,
     design_layer1,
     design_layer2,
+    draw_capabilities,
     enumerate_interconnections,
     flatten,
     interconnection_count,
     layer2_rating_for_budget,
     lshippp_for_budget,
     max_output_power,
+    max_string_output,
+    optimal_flow,
     partition_ratings,
+    sample_battery_set,
 )
-from hippp.powerflow import layer1_design_lp
+from hippp.powerflow import free_flow_outputs, layer1_design_lp
 
 # frozen result of the nine-slot, three-converter, two-rating-group design
 N9_EDGES = [(0, 8), (1, 6), (2, 5)]
@@ -56,6 +64,26 @@ def scipy_two_stage(caps, edge_set):
     second = linprog(c2, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
     assert second.status == 0
     return n * best_current, float(second.fun)
+
+
+def full_tie_scan(expected, m, k):
+    """Layer-1 design that runs the design LP on every tied placement, no early stop.
+
+    Returns (edges, ratings, processed) as the search would build them.
+    """
+    caps = expected.capabilities
+    placements = list(enumerate_interconnections(expected.count, m))
+    outputs = free_flow_outputs(caps, np.array(placements, dtype=np.intp))
+    best = outputs.max()
+    chosen = (None, None, np.inf)
+    for edges, output in zip(placements, outputs):
+        if output < best - 1e-9:
+            continue
+        processed, _ = layer1_design_lp(expected, edges)
+        if processed.sum() < chosen[2] - 1e-9:
+            chosen = (edges, processed, float(processed.sum()))
+    edges, processed, _ = chosen
+    return list(edges), partition_ratings(processed, k), [float(p) for p in processed]
 
 
 class TestEnumeration:
@@ -180,6 +208,35 @@ class TestLayer1Search:
         assert [e.rating for e in design.edges] == [0.0, 0.0, 0.0]
         assert len(calls) <= 1
 
+    @pytest.mark.parametrize("n, m, sigma, calls, edges", [
+        (16, 2, 0.2, 13, [(0, 8), (1, 4)]),
+        (9, 3, 0.2, 7, N9_EDGES),
+        (9, 2, 0.1, 5, [(0, 6), (1, 4)]),
+    ])
+    def test_tie_break_stops_at_the_processing_floor(self, monkeypatch, n, m, sigma, calls, edges):
+        # every tied placement processes at least sum_j max(0, I - P_j), so
+        # the scan ends at the first placement that reaches it
+        solved = []
+
+        def counting_design_lp(expected, edge_set):
+            solved.append(edge_set)
+            return layer1_design_lp(expected, edge_set)
+
+        monkeypatch.setattr(hippp.design, "_layer1_cache", {})
+        monkeypatch.setattr(hippp.design, "layer1_design_lp", counting_design_lp)
+        expected = flatten(BatterySupply(1.0, sigma, n))
+        design = design_layer1(expected, DesignConfig(num_layer1=m, num_rating_sets=2))
+        assert len(solved) == calls
+        assert [(e.from_battery, e.to_battery) for e in design.edges] == edges
+
+        ref_edges, ref_ratings, ref_processed = full_tie_scan(expected, m, 2)
+        assert ref_edges == edges
+        assert [e.rating.hex() for e in design.edges] == [r.hex() for r in ref_ratings]
+        assert [p.hex() for p in design.processed_at_design] == [p.hex() for p in ref_processed]
+        current = max_output_power(expected.capabilities, edges) / n
+        floor = np.maximum(current - expected.capabilities, 0.0).sum()
+        assert sum(design.processed_at_design) == pytest.approx(floor, abs=1e-12)
+
     def test_design_lp_agrees_with_scipy_on_the_chosen_edges(self):
         expected = flatten(BatterySupply(1.0, 0.2, 9))
         flows, output = layer1_design_lp(expected, N9_EDGES)
@@ -292,6 +349,21 @@ class TestLayer2Design:
         assert curve.utilizations == pytest.approx([1.0, 1.0], abs=1e-9)
         assert design.rating == 0.0
 
+    def test_curve_points_equal_an_optimal_flow_reference(self):
+        supply = BatterySupply(1.0, 0.2, 9)
+        expected = flatten(supply)
+        layer1 = design_layer1(expected, self.CFG)
+        _, curve = design_layer2(layer1, supply, self.CFG)
+        samples = [sample_battery_set(supply, self.CFG.base_seed + t) for t in range(40)]
+        reference = []
+        for rating in self.CFG.layer2_trial_ratings:
+            arch = Architecture(
+                ArchitectureKind.LSHIPPP, 9, expected.total_power, layer1, Layer2Design(rating, 8),
+            )
+            utilizations = [optimal_flow(s.capabilities, arch).output_power / s.total_power for s in samples]
+            reference.append((rating, float(np.mean(utilizations))))
+        assert curve.points == tuple(reference)
+
     def test_repeat_run_is_bit_identical(self):
         supply = BatterySupply(1.0, 0.2, 9)
         layer1 = design_layer1(flatten(supply), self.CFG)
@@ -299,3 +371,28 @@ class TestLayer2Design:
         d2, c2 = design_layer2(layer1, supply, self.CFG, budget=0.15)
         assert d1 == d2
         assert c1.points == c2.points
+
+
+class TestStageOneOutput:
+    def test_equals_the_full_solve_output_bit_for_bit(self):
+        supply = BatterySupply(1.0, 0.2, 9)
+        expected = flatten(supply)
+        layer1 = design_layer1(expected, DesignConfig(num_layer1=3, num_rating_sets=2))
+        for rating in (0.0, 0.05, 0.3):
+            arch = Architecture(
+                ArchitectureKind.LSHIPPP, 9, expected.total_power, layer1, Layer2Design(rating, 8),
+            )
+            for seed in range(200):
+                caps = draw_capabilities(supply, seed)
+                assert max_string_output(caps, arch) == optimal_flow(caps, arch).output_power
+
+    def test_ladder_output_agrees_with_the_closed_form(self):
+        expected = flatten(BatterySupply(1.0, 0.2, 9))
+        arch = Architecture(ArchitectureKind.CPPP, 9, expected.total_power, cppp_rating=0.1)
+        caps = draw_capabilities(BatterySupply(1.0, 0.2, 9), 3)
+        assert max_string_output(caps, arch) == pytest.approx(optimal_flow(caps, arch).output_power, abs=1e-12)
+
+    def test_full_processing_has_no_string_stage(self):
+        arch = Architecture(ArchitectureKind.FPP, 3, 3.0, fpp_rating=0.5)
+        with pytest.raises(StructuralError):
+            max_string_output([0.8, 1.0, 1.2], arch)

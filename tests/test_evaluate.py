@@ -11,9 +11,15 @@ from hippp import (
     ParameterError,
     UndefinedMetricError,
     cppp_from_budget,
+    design_layer1,
+    draw_capabilities,
     evaluate_architecture,
     flatten,
+    flow_powers,
     fpp_from_budget,
+    lshippp_for_budget,
+    optimal_flow,
+    sample_battery_set,
     sweep_heterogeneity,
     sweep_rating,
     system_efficiency,
@@ -38,6 +44,15 @@ class TestSystemEfficiency:
     def test_zero_output_is_undefined(self):
         with pytest.raises(UndefinedMetricError):
             system_efficiency(0.0, 0.0, 0.85)
+
+    def test_per_trial_arrays(self):
+        effs = system_efficiency(np.array([1.0, 0.08, 0.0]), np.array([1.0, 1.0, 2.7]), 0.85)
+        assert list(effs) == [system_efficiency(1.0, 1.0, 0.85),
+                              system_efficiency(0.08, 1.0, 0.85), 1.0]
+        with pytest.raises(UndefinedMetricError):
+            system_efficiency(np.array([0.1, 0.0]), np.array([1.0, 0.0]), 0.85)
+        with pytest.raises(ParameterError):
+            system_efficiency(np.array([0.1, -0.1]), np.array([1.0, 1.0]), 0.85)
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
@@ -99,6 +114,43 @@ class TestEvaluateArchitecture:
             evaluate_architecture(arch, BatterySupply(1.0, 0.2, 5), trials=5, seed=0)
         with pytest.raises(ParameterError):
             evaluate_architecture(arch, SUPPLY9, trials=0, seed=0)
+
+
+class TestTrialBlock:
+    """A cell's block path gives, trial for trial, the bits of the one-draw path."""
+
+    def test_draws_match_the_samples(self):
+        for seed in range(20):
+            caps = draw_capabilities(SUPPLY9, seed)
+            sample = sample_battery_set(SUPPLY9, seed)
+            assert np.array_equal(caps, sample.capabilities)
+            assert float(caps.sum()) == sample.total_power
+
+    @pytest.mark.parametrize("kind, budget", [
+        ("cppp", 0.0), ("cppp", 0.15), ("fpp", 0.0), ("fpp", 0.15), ("lshippp", 0.15),
+    ])
+    def test_flow_powers_rows_equal_optimal_flow(self, kind, budget):
+        expected = flatten(SUPPLY9)
+        if kind == "cppp":
+            arch = cppp_from_budget(budget, expected)
+        elif kind == "fpp":
+            arch = fpp_from_budget(budget, expected)
+        else:
+            arch = lshippp_for_budget(design_layer1(expected, FAST_CFG), expected, budget)
+        block = np.array([draw_capabilities(SUPPLY9, seed) for seed in range(12)])
+        output, processed = flow_powers(block, arch)
+        for t, caps in enumerate(block):
+            sol = optimal_flow(caps, arch)
+            assert output[t] == sol.output_power
+            assert processed[t] == sol.processed_power
+        assert np.array_equal(block.sum(axis=1), [float(caps.sum()) for caps in block])
+
+    def test_block_shape_is_checked(self):
+        arch = cppp_from_budget(0.15, flatten(SUPPLY9))
+        with pytest.raises(ParameterError):
+            flow_powers(draw_capabilities(SUPPLY9, 0), arch)
+        with pytest.raises(ParameterError):
+            flow_powers(np.ones((3, 5)), arch)
 
 
 class TestSweeps:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import grid_best_output, incidence
+from oracles import grid_best_output, incidence, ladder_lp_flow
 from scipy.optimize import linprog
 
 from hippp import (
@@ -18,6 +18,7 @@ from hippp import (
     BatterySupply,
     ConverterEdge,
     Layer1Design,
+    InternalCheckError,
     Layer2Design,
     ParameterError,
     StructuralError,
@@ -25,11 +26,12 @@ from hippp import (
     cppp_from_budget,
     flatten,
     fpp_from_budget,
+    ladder_flow,
     max_output_power,
     optimal_flow,
     solve,
 )
-from hippp.powerflow import _free_flow_lp
+from hippp.powerflow import _certify, _free_flow_lp
 
 GRID_TOL = 2e-3
 
@@ -281,6 +283,133 @@ class TestClosedFormAgainstLP:
         in_repo = solve(_free_flow_lp(np.asarray(caps), edges)).objective_value
         assert closed == pytest.approx(in_repo, abs=1e-9)
         assert closed == pytest.approx(scipy_free_flow_output(caps, edges), abs=1e-9)
+
+
+@st.composite
+def ladder_blocks(draw):
+    """A (T, N) capability block, sorted or not, and a rung rating (0 included)."""
+    n = draw(st.integers(2, 16))
+    rows = draw(st.integers(1, 3))
+    row = st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n)
+    block = np.array(draw(st.lists(row, min_size=rows, max_size=rows)))
+    if draw(st.booleans()):
+        block = np.sort(block, axis=1)
+    rating = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.6)))
+    return block, rating
+
+
+class TestLadderKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(ladder_blocks())
+    @example((np.array([[0.8, 1.0, 1.2]]), 0.0))                     # bare string
+    @example((np.array([[1.2, 0.8, 1.0], [0.8, 1.0, 1.2]]), 0.2))    # unsorted row
+    @example((np.sort(np.random.default_rng(1).uniform(0.3, 1.7, (2, 16))), 0.6))
+    @example((np.array([[0.05, 0.05, 3.0, 0.2]]), 0.6))   # only the backward pass keeps p_3 >= -P_3
+    def test_kernel_matches_the_two_stage_lp(self, instance):
+        block, rating = instance
+        current, flows, battery = ladder_flow(block, rating)
+        assert current.shape == (len(block),)
+        assert flows.shape == (len(block), block.shape[1] - 1)
+        assert battery.shape == block.shape
+        for t, row in enumerate(block):
+            ref_current, ref_flows, ref_battery = ladder_lp_flow(row, rating)
+            assert current[t] == pytest.approx(ref_current, abs=1e-9)
+            assert flows[t] == pytest.approx(ref_flows, abs=1e-9)
+            assert battery[t] == pytest.approx(ref_battery, abs=1e-9)
+            assert np.abs(flows[t]).sum() == pytest.approx(np.abs(ref_flows).sum(), abs=1e-9)
+            # a block row and a one-row call give the same bits
+            one = ladder_flow(row[None, :], rating)
+            for got, alone in zip((current, flows, battery), one):
+                assert np.array_equal(got[t], alone[0])
+
+    def test_optimal_flow_is_the_kernel_on_one_row(self):
+        rng = np.random.default_rng(11)
+        caps = np.sort(rng.uniform(0.4, 1.6, 9))
+        sol = optimal_flow(caps, cppp_arch(9.0, 9, 0.1))
+        current, flows, battery = ladder_flow(caps[None, :], 0.1)
+        assert sol.string_current == current[0]
+        assert np.array_equal(sol.converter_flows, flows[0])
+        assert np.array_equal(sol.battery_powers, battery[0])
+
+    def test_zero_rating_processes_nothing(self):
+        block = np.array([[0.7, 1.3, 0.9, 1.1], [1.0, 1.0, 1.0, 1.0]])
+        current, flows, battery = ladder_flow(block, 0.0)
+        assert np.array_equal(current, block.min(axis=1))
+        assert np.all(flows == 0.0)
+        assert np.array_equal(battery, np.repeat(current[:, None], 4, axis=1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.5])
+    def test_invalid_capabilities_are_parameter_errors(self, bad):
+        caps = np.array([0.8, bad, 1.2])
+        layer1 = [(0, 2, 0.1)]
+        for arch in (
+            cppp_arch(3.0, 3, 0.1),
+            ls_arch(3, 3.0, layer1, 0.1),
+            Architecture(ArchitectureKind.FPP, 3, 3.0, fpp_rating=0.5),
+        ):
+            with pytest.raises(ParameterError):
+                optimal_flow(caps, arch)
+        with pytest.raises(ParameterError):
+            ladder_flow(np.array([[0.9, 1.0, 1.1], caps]), 0.1)
+
+    def test_rejects_a_bad_block_or_rating(self):
+        with pytest.raises(ParameterError):
+            ladder_flow([0.8, 1.0, 1.2], 0.1)        # a vector, not a block
+        for rating in (-0.1, np.nan, np.inf):
+            with pytest.raises(ParameterError):
+                ladder_flow([[0.8, 1.0, 1.2]], rating)
+
+
+class TestBlockCertification:
+    """The vectorized flow check catches one bad entry anywhere in a block."""
+
+    RATING = 0.2
+
+    def setup_method(self):
+        rng = np.random.default_rng(12)
+        self.caps = np.sort(rng.uniform(0.3, 1.7, (6, 5)), axis=1)
+        self.current, self.flows, self.battery = ladder_flow(self.caps, self.RATING)
+        self.pairs = [(j, j + 1) for j in range(4)]
+        self.ratings = np.full(4, self.RATING)
+
+    def certify(self, caps=None, ratings=None, current=None, flows=None, battery=None):
+        _certify(
+            self.caps if caps is None else caps, self.pairs,
+            self.ratings if ratings is None else ratings,
+            self.current if current is None else current,
+            self.flows if flows is None else flows,
+            self.battery if battery is None else battery,
+        )
+
+    def test_clean_block_passes(self):
+        self.certify()
+
+    def test_corrupted_flow_breaks_conservation(self):
+        flows = self.flows.copy()
+        flows[3, 2] += 1e-6
+        with pytest.raises(InternalCheckError, match="conservation"):
+            self.certify(flows=flows)
+
+    def test_nan_flow_is_caught(self):
+        flows = self.flows.copy()
+        flows[5, 0] = np.nan
+        with pytest.raises(InternalCheckError):
+            self.certify(flows=flows)
+
+    def test_capability_and_rating_limits(self):
+        assert np.abs(self.flows).max() == pytest.approx(self.RATING, abs=1e-12)  # rungs saturate
+        with pytest.raises(InternalCheckError, match="capability"):
+            self.certify(caps=self.caps * 0.9)
+        with pytest.raises(InternalCheckError, match="rating"):
+            self.certify(ratings=self.ratings / 2)
+
+    def test_negative_current(self):
+        current = self.current.copy()
+        current[1] = -1e-6
+        battery = self.battery.copy()
+        battery[1] += current[1] - self.current[1]
+        with pytest.raises(InternalCheckError, match="negative"):
+            self.certify(current=current, battery=battery)
 
 
 class TestArchitectureEdges:
