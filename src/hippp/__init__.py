@@ -63,6 +63,7 @@ from .powerflow import (
     architecture_edges,
     build_flow_lp,
     flow_powers,
+    hierarchical_currents,
     ladder_flow,
     max_output_power,
     max_string_output,
@@ -121,6 +122,7 @@ __all__ = [
     "flatten_distribution",
     "flow_powers",
     "fpp_from_budget",
+    "hierarchical_currents",
     "interconnection_count",
     "ladder_flow",
     "layer2_rating_for_budget",

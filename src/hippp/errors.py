@@ -18,7 +18,7 @@ class UndefinedMetricError(HipppError, ValueError):
 
 
 class EnumerationCapError(HipppError, RuntimeError):
-    """The interconnection search space exceeds the configured cap."""
+    """A combinatorial space exceeds its cap: layer-1 placements, or cut-form endpoint patterns."""
 
 
 class InternalCheckError(HipppError, RuntimeError):

@@ -6,8 +6,10 @@ and seed see identical batches. That common-random-numbers discipline makes
 sweep comparisons paired and bit-reproducible regardless of worker count.
 A cell draws its (trials, N) block once, takes every trial's output and
 processed power from one powerflow call (closed form over the whole block
-for the ladder and full processing, one LP pair per trial for the
-hierarchical design) and checks its invariants over all trials at once.
+for the ladder and full processing; for the hierarchical design, every
+trial's current from the cut form over the whole block and one
+least-processing LP per trial) and checks its invariants over all trials
+at once.
 
 Reported metrics per architecture:
 
@@ -150,7 +152,8 @@ def _evaluate_cell(cell):
 
 
 def _run_cells(cells, workers: int):
-    if workers > 1 and len(cells) > 1:
+    workers = min(workers, len(cells))  # a forked pool starts every worker up front
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_evaluate_cell, cells))
     return [_evaluate_cell(cell) for cell in cells]

@@ -16,14 +16,18 @@ pattern each architecture would actually run. The hierarchical design owes
 its layer-1 placement to a central optimizer and re-optimizes dispatch the
 same way at operation time, so it takes the pattern with the least total
 processed power sum |f_e|; converter ratings derived at design time use the
-same convention. Both of its stages are LPs. The conventional ladder has no
-central optimizer: every battery regulates toward its full capability and
-each adjacent converter passes the accumulated mismatch along until it
-saturates, so curtailment lands on the strong end of the string and
+same convention. Its maximum output has an exact cut form, a dynamic program
+over the string evaluated for a whole block of draws at once (see
+hierarchical_currents); its dispatch is an LP per draw. The conventional
+ladder has no central optimizer: every battery regulates toward its full
+capability and each adjacent converter passes the accumulated mismatch along
+until it saturates, so curtailment lands on the strong end of the string and
 considerably more power is processed for the same output. On a path graph
 both of its stages have exact closed forms (see ladder_flow), evaluated for a
 whole block of capability draws at once. Full processing needs no flow model
-at all.
+at all. The maximum-output LP stays for the layer-2 rating curve
+(max_string_output) and the layer-1 design solve, whose printed values it
+pins bit for bit.
 
 Every flow that leaves this module, LP or closed form, passes the same
 certification: conservation, capabilities, ratings and a non-negative
@@ -38,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .architecture import Architecture, ArchitectureKind, ConverterEdge
-from .errors import InternalCheckError, ParameterError, StructuralError
+from .errors import EnumerationCapError, InternalCheckError, ParameterError, StructuralError
 from .lp import FEASIBILITY_TOL, LinearProgram, LPStatus, solve
 from .supply import ExpectedSet
 
@@ -175,9 +179,8 @@ def _max_current(caps: np.ndarray, pairs: list[_Pair], flow_caps) -> float:
     return current
 
 
-def _optimal_split_flow(caps: np.ndarray, pairs: list[_Pair], flow_caps):
-    """Maximize output, then minimize processed power at that output."""
-    current = _max_current(caps, pairs, flow_caps)
+def _least_processing_flow(caps: np.ndarray, pairs: list[_Pair], flow_caps, current: float):
+    """Stage 2: the flow of least processed power at string current I, certified."""
     stage2 = _min_processed_lp(caps, pairs, flow_caps, current)
     second = _solve_or_die(stage2, "minimum-processing stage")
     n_edges = len(pairs)
@@ -188,7 +191,7 @@ def _optimal_split_flow(caps: np.ndarray, pairs: list[_Pair], flow_caps):
     flows = np.asarray(pos - neg)
     battery = np.asarray(second.values[1 + 2 * n_edges:])
     _certify(caps, pairs, flow_caps, current, flows, battery)
-    return current, flows, battery
+    return flows, battery
 
 
 def _certify(caps, pairs, ratings, current, flows, battery):
@@ -300,6 +303,92 @@ def _string_edges(arch: Architecture) -> tuple[list[_Pair], np.ndarray]:
     return pairs, np.array([edge.rating for edge in edges], dtype=float)
 
 
+# state cells (rows x patterns x subset sizes) per pass of the cut-form kernel;
+# bounds its working arrays the way the placement block bounds the layer-1 search
+_CUT_CELLS = 1 << 18
+
+
+def hierarchical_currents(capabilities, arch: Architecture) -> np.ndarray:
+    """Maximum string current of a hierarchical `arch` on every row of a (T, N) block.
+
+    By the Gale/Hoffman feasibility condition, current I is reachable exactly
+    when every non-empty battery subset U can source |U| * I from its own
+    capabilities plus the ratings of the converters crossing its boundary. So
+    I* = min over U of (sum of P over U + r * ladder rungs crossed + ratings
+    of the layer-1 chords crossed) / |U|, with r the ladder rating.
+
+    The minimum is taken exactly without listing the 2^N subsets. Fix which
+    of the d distinct chord endpoints lie in U (2^d patterns, at most 4^M for
+    M chords): the chord term is then a constant of the pattern, and what is
+    left is a path. One pass over the batteries keeps, per pattern, per
+    subset size k and per membership of the current battery, the least sum
+    of P over U plus r times the rungs crossed so far, with the membership
+    of each chord endpoint forced by the pattern. I* is the least (that sum
+    + chord term) / k. A one-battery subset with zero ratings costs exactly
+    its capability.
+
+    Rows are independent and every step is elementwise, so a block gives, row
+    for row, the same bits as one-row calls. Rows go through in passes of at
+    most _CUT_CELLS state cells; an architecture whose single row needs more
+    is refused with EnumerationCapError.
+    """
+    if arch.kind != ArchitectureKind.LSHIPPP:
+        raise StructuralError("the cut-form current covers the hierarchical kind only")
+    caps = _checked_capabilities(capabilities, arch, ndim=2)
+    trials, n = caps.shape
+    chords = _edge_pairs(arch.layer1.edges, n)
+    chord_ratings = np.array([edge.rating for edge in arch.layer1.edges], dtype=float)
+    rung = float(arch.layer2.rating)
+    if not (rung >= 0.0 and np.all(chord_ratings >= 0.0)):
+        raise ParameterError("converter ratings must be non-negative")
+
+    ends = sorted({battery for pair in chords for battery in pair})
+    patterns = 1 << len(ends)
+    cells = patterns * (n + 1)
+    if cells > _CUT_CELLS:
+        raise EnumerationCapError(
+            f"{len(ends)} distinct layer-1 endpoints need {cells} cut states per draw, "
+            f"over the cap of {_CUT_CELLS}"
+        )
+    member = (np.arange(patterns)[:, None] >> np.arange(len(ends)) & 1).astype(bool)  # (Q, d)
+    slot = {battery: i for i, battery in enumerate(ends)}
+    chord_cost = np.zeros(patterns)
+    for (a, b), rating in zip(chords, chord_ratings):
+        crossed = member[:, slot[a]] != member[:, slot[b]]
+        chord_cost[crossed] += rating
+    # added to battery j's states: 0 where the pattern allows its side, inf where not
+    ban_in = np.zeros((n, patterns))
+    ban_out = np.zeros((n, patterns))
+    for battery, i in slot.items():
+        ban_in[battery, ~member[:, i]] = np.inf
+        ban_out[battery, member[:, i]] = np.inf
+
+    rows = max(1, _CUT_CELLS // cells)
+    return np.concatenate([
+        _cut_pass(caps[start:start + rows], rung, ban_in, ban_out, chord_cost)
+        for start in range(0, trials, rows)
+    ])
+
+
+def _cut_pass(caps: np.ndarray, rung: float, ban_in, ban_out, chord_cost) -> np.ndarray:
+    """The subset dynamic program of hierarchical_currents on one block of rows."""
+    trials, n = caps.shape
+    shape = (trials, chord_cost.size, n + 1)  # last axis: subset size k
+    inside = np.full(shape, np.inf)  # least cost with the current battery in U
+    outside = np.full(shape, np.inf)
+    inside[:, :, 1] = caps[:, 0, None]
+    outside[:, :, 0] = 0.0
+    inside += ban_in[0][:, None]
+    outside += ban_out[0][:, None]
+    for j in range(1, n):
+        entered = np.full(shape, np.inf)
+        entered[:, :, 1:] = np.minimum(inside[:, :, :-1], outside[:, :, :-1] + rung) + caps[:, j, None, None]
+        outside = np.minimum(outside, inside + rung) + ban_out[j][:, None]
+        inside = entered + ban_in[j][:, None]
+    best = np.minimum(inside, outside)[:, :, 1:] + chord_cost[:, None]
+    return (best / np.arange(1, n + 1)).min(axis=(1, 2))
+
+
 def optimal_flow(capabilities, arch: Architecture) -> PowerFlowSolution:
     """Best achievable operating point of `arch` on one capability draw.
 
@@ -309,8 +398,9 @@ def optimal_flow(capabilities, arch: Architecture) -> PowerFlowSolution:
     all, which leaves the bare series string. The ladder and hierarchical
     kinds both maximize output but run different dispatch among the
     output-optimal patterns: the ladder emulates its decentralized controls
-    in closed form (ladder_flow), the hierarchical design re-optimizes for
-    least processing with two LPs.
+    in closed form (ladder_flow); the hierarchical design takes its current
+    from the cut form (hierarchical_currents) and re-optimizes for least
+    processing with one LP at that current.
     """
     caps = _checked_capabilities(capabilities, arch)
     n = caps.size
@@ -338,7 +428,8 @@ def optimal_flow(capabilities, arch: Architecture) -> PowerFlowSolution:
         currents, flows, battery = ladder_flow(caps[None, :], arch.cppp_rating)
         current, flows, battery = float(currents[0]), flows[0], battery[0]
     else:
-        current, flows, battery = _optimal_split_flow(caps, *_string_edges(arch))
+        current = float(hierarchical_currents(caps[None, :], arch)[0])
+        flows, battery = _least_processing_flow(caps, *_string_edges(arch), current)
     return PowerFlowSolution(
         string_current=current,
         converter_flows=flows,
@@ -351,11 +442,12 @@ def optimal_flow(capabilities, arch: Architecture) -> PowerFlowSolution:
 def max_string_output(capabilities, arch: Architecture) -> float:
     """Stage 1 of the LP flow on its own: the best deliverable power N * I.
 
-    Solves and certifies the same maximum-output LP as optimal_flow does for
-    the hierarchical kind, so for that kind the value equals
-    optimal_flow(capabilities, arch).output_power bit for bit; only the
-    dispatch, which never changes the output, is skipped. For the ladder it
-    agrees with the closed form of optimal_flow to rounding.
+    Solves and certifies the maximum-output LP over the architecture's edges.
+    For the hierarchical kind it agrees with the cut form that optimal_flow
+    uses (hierarchical_currents) to rounding, about 1e-16 in the current;
+    the layer-2 rating curve is printed with repr and stays on this LP, so
+    its values do not move with the cut form's summation order. For the
+    ladder it agrees with the closed form of optimal_flow to rounding.
     """
     caps = _checked_capabilities(capabilities, arch)
     return caps.size * _max_current(caps, *_string_edges(arch))
@@ -364,8 +456,9 @@ def max_string_output(capabilities, arch: Architecture) -> float:
 def flow_powers(capabilities, arch: Architecture) -> tuple[np.ndarray, np.ndarray]:
     """Output and processed power of `arch` on every row of a (T, N) block.
 
-    Full processing and the ladder are closed form over the whole block; the
-    hierarchical kind solves its LPs one row at a time through optimal_flow.
+    Full processing and the ladder are closed form over the whole block. The
+    hierarchical kind takes every row's current from the cut form in one
+    call, then solves the least-processing LP row by row at that current.
     Row t equals optimal_flow(capabilities[t], arch) bit for bit.
     """
     caps = _checked_capabilities(capabilities, arch, ndim=2)
@@ -378,11 +471,13 @@ def flow_powers(capabilities, arch: Architecture) -> tuple[np.ndarray, np.ndarra
     if arch.kind == ArchitectureKind.CPPP:
         current, flows, _ = ladder_flow(caps, arch.cppp_rating)
         return n * current, np.abs(flows).sum(axis=1)
-    solutions = [optimal_flow(row, arch) for row in caps]
-    return (
-        np.array([sol.output_power for sol in solutions]),
-        np.array([sol.processed_power for sol in solutions]),
-    )
+    currents = hierarchical_currents(caps, arch)
+    pairs, ratings = _string_edges(arch)
+    processed = [
+        np.abs(_least_processing_flow(row, pairs, ratings, float(current))[0]).sum()
+        for row, current in zip(caps, currents)
+    ]
+    return n * currents, np.array(processed)
 
 
 def free_flow_outputs(caps: np.ndarray, endpoints: np.ndarray) -> np.ndarray:
@@ -437,5 +532,6 @@ def layer1_design_lp(expected: ExpectedSet, edges: Sequence[_Pair]):
     """
     caps = expected.capabilities
     pairs = _edge_pairs(edges, caps.size)
-    current, flows, _ = _optimal_split_flow(caps, pairs, None)
+    current = _max_current(caps, pairs, None)
+    flows, _ = _least_processing_flow(caps, pairs, None, current)
     return np.abs(flows), caps.size * current

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from hippp import ConverterEdge, LinearProgram, LPStatus, build_flow_lp, solve
+from hippp import ConverterEdge, LinearProgram, LPStatus, architecture_edges, build_flow_lp, solve
 
 
 def incidence(pairs, n):
@@ -70,3 +70,27 @@ def ladder_lp_flow(caps, rating):
     second = solve(LinearProgram(objective, base.a_eq, base.b_eq, lower, upper))
     assert second.status is LPStatus.OPTIMAL
     return current, np.asarray(second.values[1:n]), np.asarray(second.values[n:])
+
+
+def hierarchical_lp_output(caps, arch):
+    """Best output N * I of a string architecture from its stage-1 LP, certified.
+
+    Solves the maximum-output LP over every converter edge of `arch` with the
+    in-repo simplex, checks the flow it returns (conservation, capabilities,
+    ratings) and gives N times its current.
+    """
+    caps = np.asarray(caps, dtype=float)
+    n = caps.size
+    edges = architecture_edges(arch)
+    pairs = [(e.from_battery, e.to_battery) for e in edges]
+    ratings = np.array([e.rating for e in edges])
+    sol = solve(build_flow_lp(caps, edges))
+    assert sol.status is LPStatus.OPTIMAL
+    current = float(sol.values[0])
+    flows = np.asarray(sol.values[1:1 + len(edges)])
+    battery = np.asarray(sol.values[1 + len(edges):])
+    assert np.abs(battery - current - incidence(pairs, n) @ flows).max() <= 1e-8
+    assert np.all(np.abs(battery) <= caps + 1e-8)
+    assert np.all(np.abs(flows) <= ratings + 1e-8)
+    assert current >= -1e-8
+    return n * current

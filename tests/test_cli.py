@@ -6,10 +6,12 @@ import importlib
 import json
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
+import hippp.evaluate
 from hippp.cli import CSV_HEADER, load_config, main
 from hippp.errors import ConfigError
 
@@ -181,6 +183,32 @@ class TestSweepCommand:
         assert all(int(row[3]) == 5 for row in rows)
 
 
+    def test_more_threads_than_cells_write_the_same_csvs(self, tmp_path, monkeypatch):
+        # two cells per sweep: a pool never starts more workers than that
+        path = tmp_path / "two_cells.ini"
+        path.write_text(
+            BASE_CONFIG.replace("lshippp, cppp, fpp", "lshippp, cppp")
+            .replace("rating_grid = 0.10 0.15", "rating_grid = 0.15")
+            .replace("sigma_grid = 0.10 0.20", "sigma_grid = 0.20")
+        )
+        pools = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(hippp.evaluate, "ProcessPoolExecutor", RecordingPool)
+        out1, out5 = tmp_path / "t1", tmp_path / "t5"
+        assert run_main("sweep", "--config", path, "--out", out1, "--threads", 1) == 0
+        assert run_main("sweep", "--config", path, "--out", out5, "--threads", 5) == 0
+        assert pools == [2, 2]
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out5.iterdir()) and len(names) == 4
+        for name in names:
+            assert (out1 / name).read_bytes() == (out5 / name).read_bytes()
+
+
 class TestFlowCommand:
     def test_round_trip_from_design_artifact(self, config_file, tmp_path, capsys):
         out = tmp_path / "artifacts"
@@ -270,6 +298,17 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, timeout=60,
         )
         assert result.returncode == 2
+
+
+class TestImportCost:
+    def test_import_leaves_scipy_optimize_out(self):
+        # scipy.optimize takes about 0.2 s to import, as long as a small sweep
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, hippp; print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestBenchmarkOutputs:

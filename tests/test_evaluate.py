@@ -12,6 +12,7 @@ from hippp import (
     UndefinedMetricError,
     cppp_from_budget,
     design_layer1,
+    design_layer2,
     draw_capabilities,
     evaluate_architecture,
     flatten,
@@ -183,6 +184,31 @@ class TestSweeps:
         assert all(r.rating_norm == pytest.approx(0.15, abs=1e-9) for r in records)
         # more spread in the supply costs utilization
         assert records[0].utilization > records[1].utilization
+
+    def test_two_battery_hierarchy_end_to_end(self):
+        # at N = 2 the one chord runs parallel to the one rung, so the
+        # hierarchy is a ladder with the same total rating
+        supply = BatterySupply(1.0, 0.2, 2)
+        cfg = DesignConfig(num_layer1=1, num_rating_sets=1, layer2_trial_ratings=(0.0, 0.05), monte_carlo_trials=8)
+        layer1 = design_layer1(flatten(supply), cfg)
+        assert [(e.from_battery, e.to_battery) for e in layer1.edges] == [(0, 1)]
+        layer2, curve = design_layer2(layer1, supply, cfg, budget=0.15)
+        assert layer2.count == 1 and len(curve.points) == 2
+        records = sweep_rating(["lshippp", "cppp"], supply, [0.1, 0.2], trials=12, seed=3, design_cfg=cfg)
+        for hier, ladder in zip(records[::2], records[1::2]):
+            assert hier.architecture_kind == "lshippp" and ladder.architecture_kind == "cppp"
+            assert hier.utilization == pytest.approx(ladder.utilization, abs=1e-12)
+            assert hier.processed_norm == pytest.approx(ladder.processed_norm, abs=1e-12)
+
+    def test_zero_spread_supply_needs_no_processing(self):
+        supply = BatterySupply(1.0, 0.0, 9)
+        records = sweep_rating(["lshippp", "cppp"], supply, [0.0, 0.15], trials=6, seed=0, design_cfg=FAST_CFG)
+        assert len(records) == 4
+        for record in records:
+            assert record.utilization == pytest.approx(1.0, abs=1e-12)
+            assert record.utilization_std == pytest.approx(0.0, abs=1e-12)
+            assert record.processed_norm == pytest.approx(0.0, abs=1e-12)
+            assert record.system_efficiency == pytest.approx(1.0, abs=1e-12)
 
     def test_frontier_is_a_single_kind_sweep(self):
         frontier = tradeoff_frontier("fpp", SUPPLY9, [0.1, 0.2], trials=8, seed=9)

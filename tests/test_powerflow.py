@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import grid_best_output, incidence, ladder_lp_flow
+from oracles import grid_best_output, hierarchical_lp_output, incidence, ladder_lp_flow
 from scipy.optimize import linprog
 
 from hippp import (
@@ -17,6 +17,7 @@ from hippp import (
     ArchitectureKind,
     BatterySupply,
     ConverterEdge,
+    EnumerationCapError,
     Layer1Design,
     InternalCheckError,
     Layer2Design,
@@ -26,6 +27,7 @@ from hippp import (
     cppp_from_budget,
     flatten,
     fpp_from_budget,
+    hierarchical_currents,
     ladder_flow,
     max_output_power,
     optimal_flow,
@@ -349,8 +351,11 @@ class TestLadderKernel:
         ):
             with pytest.raises(ParameterError):
                 optimal_flow(caps, arch)
+        block = np.array([[0.9, 1.0, 1.1], caps])
         with pytest.raises(ParameterError):
-            ladder_flow(np.array([[0.9, 1.0, 1.1], caps]), 0.1)
+            ladder_flow(block, 0.1)
+        with pytest.raises(ParameterError):
+            hierarchical_currents(block, ls_arch(3, 3.0, layer1, 0.1))
 
     def test_rejects_a_bad_block_or_rating(self):
         with pytest.raises(ParameterError):
@@ -358,6 +363,96 @@ class TestLadderKernel:
         for rating in (-0.1, np.nan, np.inf):
             with pytest.raises(ParameterError):
                 ladder_flow([[0.8, 1.0, 1.2]], rating)
+
+
+@st.composite
+def hierarchical_blocks(draw):
+    """A (T, N) block and a hierarchy on it.
+
+    Up to three chords in any orientation, repeats and chords parallel to a
+    rung allowed; ratings include exact zeros. No chords at all is drawn as
+    one zero-rated chord, which is the same string.
+    """
+    n = draw(st.integers(2, 16))
+    rows = draw(st.integers(1, 3))
+    row = st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n)
+    block = np.array(draw(st.lists(row, min_size=rows, max_size=rows)))
+    if draw(st.booleans()):
+        block = np.sort(block, axis=1)
+    rating = st.one_of(st.just(0.0), st.floats(0.0, 0.6))
+    battery = st.integers(0, n - 1)
+    pair = st.tuples(battery, battery).filter(lambda p: p[0] != p[1])
+    chords = draw(st.lists(st.tuples(pair, rating), max_size=min(3, n - 1)))
+    layer1 = [(a, b, r) for (a, b), r in chords] or [(0, 1, 0.0)]
+    return block, ls_arch(n, float(n), layer1, draw(rating), k=len(layer1))
+
+
+class TestHierarchicalKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(hierarchical_blocks())
+    @example((np.array([[0.8, 1.0, 1.2]]), ls_arch(3, 3.0, [(0, 1, 0.0)], 0.0, k=1)))  # bare string
+    @example((np.array([[0.6, 1.4, 0.9, 1.1]]), ls_arch(4, 4.0, [(1, 2, 0.3), (2, 1, 0.1)], 0.05, k=2)))
+    @example((np.array([[0.5, 1.5, 1.0], [1.5, 0.5, 1.0]]), ls_arch(3, 3.0, [(0, 2, 0.2), (0, 2, 0.2)], 0.1, k=1)))
+    @example((np.sort(np.random.default_rng(2).uniform(0.3, 1.7, (2, 16))),
+              ls_arch(16, 16.0, [(0, 15, 0.4), (1, 9, 0.2), (3, 12, 0.1)], 0.05, k=3)))
+    def test_kernel_matches_the_stage_one_lp(self, instance):
+        block, arch = instance
+        n = block.shape[1]
+        current = hierarchical_currents(block, arch)
+        assert current.shape == (len(block),)
+        for t, row in enumerate(block):
+            assert n * current[t] == pytest.approx(hierarchical_lp_output(row, arch), abs=1e-12)
+            # a block row and a one-row call give the same bits
+            assert current[t] == hierarchical_currents(row[None, :], arch)[0]
+        if all(edge.rating == 0.0 for edge in arch.layer1.edges):
+            ladder_current = ladder_flow(block, arch.layer2.rating)[0]
+            assert current == pytest.approx(ladder_current, abs=1e-12)
+
+    def test_passes_cut_a_large_block_without_changing_bits(self):
+        # 64 endpoint patterns at N = 16 fit 240 rows in one pass
+        rng = np.random.default_rng(13)
+        block = np.sort(rng.uniform(0.3, 1.7, (300, 16)), axis=1)
+        arch = ls_arch(16, 16.0, [(0, 15, 0.4), (1, 9, 0.2), (3, 12, 0.1)], 0.05, k=3)
+        whole = hierarchical_currents(block, arch)
+        assert np.array_equal(whole, [hierarchical_currents(row[None, :], arch)[0] for row in block])
+
+    def test_zero_ratings_give_the_weakest_capability(self):
+        block = np.array([[0.7, 1.3, 0.9, 1.1], [1.0, 1.0, 1.0, 1.0]])
+        arch = ls_arch(4, 4.0, [(0, 3, 0.0)], 0.0)
+        assert np.array_equal(hierarchical_currents(block, arch), block.min(axis=1))
+
+    def test_unbounded_chord_pools_its_endpoints(self):
+        # an infinite rating never crosses a finite cut: batteries 0 and 2 share power freely
+        caps = np.array([[0.6, 1.1, 1.0], [0.9, 0.7, 1.3]])
+        arch = ls_arch(3, 3.0, [(0, 2, np.inf)], 0.0)
+        expected = [max_output_power(row, [(0, 2)]) / 3 for row in caps]
+        assert hierarchical_currents(caps, arch) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("chord, rung", [(-0.1, None), (np.nan, None), (None, -0.1), (None, np.nan)])
+    def test_invalid_ratings_are_parameter_errors(self, chord, rung):
+        # the dataclasses refuse these ratings, so they are forged in to reach the kernel's own check
+        arch = ls_arch(3, 3.0, [(0, 2, 0.1)], 0.1)
+        if chord is not None:
+            object.__setattr__(arch.layer1.edges[0], "rating", chord)
+        if rung is not None:
+            object.__setattr__(arch.layer2, "rating", rung)
+        with pytest.raises(ParameterError):
+            hierarchical_currents(np.array([[0.8, 1.0, 1.2]]), arch)
+
+    def test_rejects_other_kinds_and_shapes(self):
+        with pytest.raises(StructuralError):
+            hierarchical_currents(np.array([[0.8, 1.0, 1.2]]), cppp_arch(3.0, 3, 0.1))
+        arch = ls_arch(3, 3.0, [(0, 2, 0.1)], 0.1)
+        with pytest.raises(ParameterError):
+            hierarchical_currents([0.8, 1.0, 1.2], arch)      # a vector, not a block
+        with pytest.raises(ParameterError):
+            hierarchical_currents(np.ones((2, 4)), arch)
+
+    def test_too_many_endpoints_are_refused_before_any_work(self):
+        # 20 distinct endpoints would need 2^20 patterns per draw
+        arch = ls_arch(20, 20.0, [(j, j + 10, 0.1) for j in range(10)], 0.1, k=1)
+        with pytest.raises(EnumerationCapError):
+            hierarchical_currents(np.ones((1, 20)), arch)
 
 
 class TestBlockCertification:
