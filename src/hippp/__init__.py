@@ -55,7 +55,6 @@ from .evaluate import (
     sweep_heterogeneity,
     sweep_rating,
     system_efficiency,
-    tradeoff_frontier,
 )
 from .lp import LinearProgram, LPSolution, LPStatus, solve
 from .powerflow import (
@@ -65,6 +64,7 @@ from .powerflow import (
     flow_powers,
     hierarchical_currents,
     ladder_flow,
+    least_processing_flows,
     max_output_power,
     max_string_output,
     optimal_flow,
@@ -125,6 +125,7 @@ __all__ = [
     "hierarchical_currents",
     "interconnection_count",
     "ladder_flow",
+    "least_processing_flows",
     "layer2_rating_for_budget",
     "lshippp_for_budget",
     "max_output_power",
@@ -136,6 +137,5 @@ __all__ = [
     "sweep_heterogeneity",
     "sweep_rating",
     "system_efficiency",
-    "tradeoff_frontier",
     "__version__",
 ]

@@ -6,12 +6,13 @@ its deliverable power with unbounded pair flows. Power moves freely inside a
 connected component of the placement, so that score is N times the smallest
 component mean capability (a battery with no converter is its own component),
 computed in closed form for blocks of placements at once. Ties are settled
-first by less total processed power, from the design LP, then by
-lexicographically smallest edge list, so the result is independent of
-enumeration order; the tie-break stops as soon as a placement reaches a
-lower bound that every placement's processing must meet. The optimal
-processed powers are then collapsed into K identical-rating groups to cut
-part count.
+first by less total processed power, from the least-processing min-cost flow
+(powerflow.least_processing_flows), then by lexicographically smallest edge
+list, so the result is independent of enumeration order; the tie-break stops
+as soon as a placement reaches a lower bound that every placement's
+processing must meet. Only the winner goes through the design LP, whose
+optimal processed powers are then collapsed into K identical-rating groups
+to cut part count.
 
 Layer 2 is rated by Monte Carlo: with layer 1 frozen, a shared set of seeded
 capability draws is replayed against a grid of trial ladder ratings and the
@@ -32,7 +33,7 @@ import numpy as np
 
 from .architecture import Architecture, ArchitectureKind, ConverterEdge, Layer1Design, Layer2Design
 from .errors import EnumerationCapError, ParameterError
-from .powerflow import free_flow_outputs, layer1_design_lp, max_string_output
+from .powerflow import free_flow_outputs, layer1_design_lp, least_processing_flows, max_string_output
 from .supply import BatterySupply, ExpectedSet, draw_capabilities, flatten
 
 log = logging.getLogger(__name__)
@@ -178,15 +179,18 @@ def design_layer1(expected: ExpectedSet, cfg: DesignConfig) -> Layer1Design:
     """Exhaustive search for the best M-converter placement on the expected set.
 
     Every placement is scored by its closed-form maximum output. Those within
-    _VALUE_TIE_TOL of the best go, in lexicographic order, through the design
-    LP, and the least total processed power wins. That scan stops early on a
-    lower bound. At string current I, battery j must take in at least
-    max(0, I - P_j) over its own converters, and each converter's |f_e| lands
-    on at most one battery, so every placement delivering N * I processes at
-    least floor = sum_j max(0, I - P_j). With I the smallest tied output / N,
-    the floor holds for every tied placement, and once the chosen total is
-    within half the tolerance of it no later placement can undercut it by
-    the full tolerance. The other half is margin against LP rounding.
+    _VALUE_TIE_TOL of the best are scored, in lexicographic order, by their
+    least total processed power at their own output (least_processing_flows
+    with unbounded flows, one row each), and the least total wins. That scan
+    stops early on a lower bound. At string current I, battery j must take
+    in at least max(0, I - P_j) over its own converters, and each converter's
+    |f_e| lands on at most one battery, so every placement delivering N * I
+    processes at least floor = sum_j max(0, I - P_j). With I the smallest
+    tied output / N, the floor holds for every tied placement, and once the
+    chosen total is within half the tolerance of it no later placement can
+    undercut it by the full tolerance. The other half is margin against
+    rounding. The winner alone then goes through the design LP
+    (layer1_design_lp), whose per-edge processed powers set the ratings.
     """
     n = expected.count
     m = cfg.num_layer1
@@ -213,20 +217,20 @@ def design_layer1(expected: ExpectedSet, cfg: DesignConfig) -> Layer1Design:
     tied = np.concatenate([edges for _, edges in contenders])
     in_band = outputs >= best_output - _VALUE_TIE_TOL
     floor = float(np.maximum(float(outputs[in_band].min()) / n - caps, 0.0).sum())
+    unbounded = np.full(m, np.inf)
     chosen_edges = None
-    chosen_processed = None
     chosen_sum = np.inf
-    for edges in tied[in_band]:
+    for edges, output in zip(tied[in_band], outputs[in_band]):
         edge_set = tuple(map(tuple, edges.tolist()))
-        processed, _ = layer1_design_lp(expected, edge_set)
-        total = float(processed.sum())
+        flows, _ = least_processing_flows(caps[None, :], edge_set, unbounded, [output / n])
+        total = float(np.abs(flows).sum())
         # contenders arrive in lexicographic order, so strict improvement only
         if total < chosen_sum - _VALUE_TIE_TOL:
             chosen_sum = total
             chosen_edges = edge_set
-            chosen_processed = processed
         if chosen_sum <= floor + _VALUE_TIE_TOL / 2:
             break  # no later placement can process less (see the docstring)
+    chosen_processed, _ = layer1_design_lp(expected, chosen_edges)
 
     log.debug(
         "layer-1 search: %d placements scanned, best output %.6f, edges %s",

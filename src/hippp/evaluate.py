@@ -7,9 +7,9 @@ sweep comparisons paired and bit-reproducible regardless of worker count.
 A cell draws its (trials, N) block once, takes every trial's output and
 processed power from one powerflow call (closed form over the whole block
 for the ladder and full processing; for the hierarchical design, every
-trial's current from the cut form over the whole block and one
-least-processing LP per trial) and checks its invariants over all trials
-at once.
+trial's current from the cut form and its least-processing flow from one
+min-cost flow kernel, both over the whole block, with no LP) and checks its
+invariants over all trials at once.
 
 Reported metrics per architecture:
 
@@ -249,19 +249,3 @@ def sweep_heterogeneity(
             )
     return _run_cells(cells, workers)
 
-
-def tradeoff_frontier(
-    kind: ArchitectureKind | str,
-    supply: BatterySupply,
-    rating_grid: Sequence[float],
-    trials: int,
-    seed: int,
-    design_cfg: DesignConfig | None = None,
-    converter_efficiency: float = DEFAULT_CONVERTER_EFFICIENCY,
-    workers: int = 1,
-) -> list[MetricsRecord]:
-    """Utilization / processed-power / efficiency frontier along a rating grid."""
-    return sweep_rating(
-        [kind], supply, rating_grid, trials, seed,
-        design_cfg=design_cfg, converter_efficiency=converter_efficiency, workers=workers,
-    )

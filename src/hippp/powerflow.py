@@ -17,19 +17,20 @@ its layer-1 placement to a central optimizer and re-optimizes dispatch the
 same way at operation time, so it takes the pattern with the least total
 processed power sum |f_e|; converter ratings derived at design time use the
 same convention. Its maximum output has an exact cut form, a dynamic program
-over the string evaluated for a whole block of draws at once (see
-hierarchical_currents); its dispatch is an LP per draw. The conventional
-ladder has no central optimizer: every battery regulates toward its full
-capability and each adjacent converter passes the accumulated mismatch along
-until it saturates, so curtailment lands on the strong end of the string and
-considerably more power is processed for the same output. On a path graph
-both of its stages have exact closed forms (see ladder_flow), evaluated for a
-whole block of capability draws at once. Full processing needs no flow model
-at all. The maximum-output LP stays for the layer-2 rating curve
-(max_string_output) and the layer-1 design solve, whose printed values it
-pins bit for bit.
+over the string (see hierarchical_currents), and its dispatch at that current
+is a min-cost flow with unit arc costs, solved by successive shortest paths
+(see least_processing_flows); both run on a whole block of draws at once.
+The conventional ladder has no central optimizer: every battery regulates
+toward its full capability and each adjacent converter passes the accumulated
+mismatch along until it saturates, so curtailment lands on the strong end of
+the string and considerably more power is processed for the same output. On
+a path graph both of its stages have exact closed forms (see ladder_flow),
+evaluated for a whole block of capability draws at once. Full processing
+needs no flow model at all. The LPs stay for the layer-2 rating curve
+(max_string_output) and the layer-1 design solve of the chosen placement
+(layer1_design_lp), whose printed values they pin bit for bit.
 
-Every flow that leaves this module, LP or closed form, passes the same
+Every flow that leaves this module, LP or combinatorial, passes the same
 certification: conservation, capabilities, ratings and a non-negative
 current.
 """
@@ -130,8 +131,8 @@ def _solve_or_die(lp: LinearProgram, context: str):
     return sol
 
 
-def _min_processed_lp(caps: np.ndarray, pairs: list[_Pair], flow_caps, current: float) -> LinearProgram:
-    """Stage 2: fix I and minimize sum |f| via a positive/negative flow split."""
+def _min_processed_lp(caps: np.ndarray, pairs: list[_Pair], current: float) -> LinearProgram:
+    """Design stage 2: fix I and minimize sum |f| of unbounded flows via a positive/negative split."""
     n = caps.size
     n_edges = len(pairs)
     n_var = 1 + 2 * n_edges + n
@@ -146,12 +147,8 @@ def _min_processed_lp(caps: np.ndarray, pairs: list[_Pair], flow_caps, current: 
 
     objective = np.zeros(n_var)
     objective[1:1 + 2 * n_edges] = -1.0  # maximize the negated processed power
-    if flow_caps is None:
-        caps_vec = np.full(2 * n_edges, np.inf)
-    else:
-        caps_vec = np.concatenate([flow_caps, flow_caps])
     lower = np.concatenate([[current], np.zeros(2 * n_edges), -caps])
-    upper = np.concatenate([[current], caps_vec, caps])
+    upper = np.concatenate([[current], np.full(2 * n_edges, np.inf), caps])
     return LinearProgram(objective, a, np.zeros(n), lower, upper)
 
 
@@ -179,9 +176,9 @@ def _max_current(caps: np.ndarray, pairs: list[_Pair], flow_caps) -> float:
     return current
 
 
-def _least_processing_flow(caps: np.ndarray, pairs: list[_Pair], flow_caps, current: float):
-    """Stage 2: the flow of least processed power at string current I, certified."""
-    stage2 = _min_processed_lp(caps, pairs, flow_caps, current)
+def _least_processing_flow(caps: np.ndarray, pairs: list[_Pair], current: float):
+    """Design stage 2: the unbounded flow of least processed power at string current I, certified."""
+    stage2 = _min_processed_lp(caps, pairs, current)
     second = _solve_or_die(stage2, "minimum-processing stage")
     n_edges = len(pairs)
     pos = second.values[1:1 + n_edges]
@@ -190,7 +187,7 @@ def _least_processing_flow(caps: np.ndarray, pairs: list[_Pair], flow_caps, curr
         raise InternalCheckError("flow split left circulating power in both directions")
     flows = np.asarray(pos - neg)
     battery = np.asarray(second.values[1 + 2 * n_edges:])
-    _certify(caps, pairs, flow_caps, current, flows, battery)
+    _certify(caps, pairs, None, current, flows, battery)
     return flows, battery
 
 
@@ -303,8 +300,9 @@ def _string_edges(arch: Architecture) -> tuple[list[_Pair], np.ndarray]:
     return pairs, np.array([edge.rating for edge in edges], dtype=float)
 
 
-# state cells (rows x patterns x subset sizes) per pass of the cut-form kernel;
-# bounds its working arrays the way the placement block bounds the layer-1 search
+# cells per pass of the cut-form and least-processing kernels (rows x patterns x
+# subset sizes, rows x batteries x incoming arcs); bounds their working arrays
+# the way the placement block bounds the layer-1 search
 _CUT_CELLS = 1 << 18
 
 
@@ -389,6 +387,138 @@ def _cut_pass(caps: np.ndarray, rung: float, ban_in, ban_out, chord_cost) -> np.
     return (best / np.arange(1, n + 1)).min(axis=(1, 2))
 
 
+def least_processing_flows(capabilities, pairs: Sequence[_Pair], ratings, currents):
+    """Flows of least processed power sum |f_e| on every row of a (T, N) block.
+
+    Row t runs at string current currents[t] over the converter edges `pairs`
+    (each rated ratings[e] either way; inf means unbounded). Returns the flows
+    (T, E) and battery powers (T, N), all certified. Rows are independent and
+    every step is elementwise, so a block gives, row for row, the same bits
+    as one-row calls.
+
+    At a fixed current this is a min-cost flow with unit arc costs. Battery j
+    has a deficit max(0, I - P_j) that must flow in and a surplus
+    max(0, P_j - I) that may flow out. No optimum absorbs more than a deficit
+    or sends more than a surplus: decompose the flow into paths and cycles,
+    and a path that ends past a deficit (or starts past a surplus) can be
+    removed, which keeps every |p_j| <= P_j and lowers sum |f|. So the bounds
+    |p_j| <= P_j reduce to these supplies and demands, and the optimum moves
+    exactly the total deficit.
+
+    It is solved by successive shortest paths (Ahuja, Magnanti and Orlin,
+    Network Flows, 1993, ch. 9), starting from zero flow. Edge e gives one
+    residual arc each way, whose marginal cost is -1 while it undoes the
+    flow already on e and +1 beyond that, up to the rating. Each round runs
+    Bellman-Ford from every battery with surplus left, over a padded table of
+    incoming arcs, and augments along the path to the nearest battery with
+    deficit left by its bottleneck; a saturated arc, supply or demand is set
+    to its limit exactly, so every round saturates something. A row stops
+    when no battery with deficit left is reachable; stopping earlier at a
+    small deficit would leave sum |f| short by that deficit times a path
+    length. A deficit above FEASIBILITY_TOL left at the end (the current is
+    above what the edges can carry) or a row still augmenting after
+    4 * N * (N + E) rounds (random draws at N <= 16 need at most 13) raises
+    InternalCheckError. Rows go through in passes of at most _CUT_CELLS
+    (row, battery, incoming arc) cells.
+    """
+    caps = _validate_capabilities(capabilities, ndim=2)
+    trials, n = caps.shape
+    pairs = _edge_pairs(pairs, n)
+    ratings = np.asarray(ratings, dtype=float)
+    currents = np.asarray(currents, dtype=float)
+    if ratings.shape != (len(pairs),) or not np.all(ratings >= 0.0):
+        raise ParameterError("need one non-negative rating per converter edge")
+    if currents.shape != (trials,) or not np.all(np.isfinite(currents) & (currents >= 0.0)):
+        raise ParameterError("need one non-negative finite current per row")
+
+    # arc a < E runs src -> dst along edge a; arc E + a runs dst -> src; arc 2E is padding
+    e = len(pairs)
+    tails = np.array([s for s, _ in pairs] + [d for _, d in pairs] + [0], dtype=np.intp)
+    heads = [d for _, d in pairs] + [s for s, _ in pairs]
+    incoming = [[a for a, head in enumerate(heads) if head == v] for v in range(n)]
+    width = max(1, max(map(len, incoming)))
+    in_arcs = np.array([arcs + [2 * e] * (width - len(arcs)) for arcs in incoming], dtype=np.intp)
+
+    rows = max(1, _CUT_CELLS // (n * width))
+    flows = np.concatenate([
+        _ssp_pass(caps[start:start + rows], currents[start:start + rows], ratings, tails, in_arcs)
+        for start in range(0, trials, rows)
+    ])
+    battery = np.repeat(currents[:, None], n, axis=1)
+    for idx, (src, dst) in enumerate(pairs):
+        battery[:, src] += flows[:, idx]
+        battery[:, dst] -= flows[:, idx]
+    _certify(caps, pairs, ratings, currents, flows, battery)
+    return flows, battery
+
+
+def _ssp_pass(caps, currents, ratings, tails, in_arcs) -> np.ndarray:
+    """Successive shortest paths of least_processing_flows on one block of rows."""
+    trials, n = caps.shape
+    e = ratings.size
+    rows, nodes = np.arange(trials), np.arange(n)
+    in_tails = tails[in_arcs]
+    flows = np.zeros((trials, e))
+    surplus = caps - currents[:, None]
+    supply = np.maximum(surplus, 0.0)
+    demand = np.maximum(-surplus, 0.0)
+    pad = np.full((trials, 1), np.inf)
+    for _ in range(4 * n * (n + e)):
+        # where each arc's flow ends up when saturated, how far off that is, and its cost
+        undo_fwd, undo_bwd = flows < 0.0, flows > 0.0
+        limit = np.concatenate([np.where(undo_fwd, 0.0, ratings), np.where(undo_bwd, 0.0, -ratings)], axis=1)
+        room = np.concatenate([limit[:, :e] - flows, flows - limit[:, e:]], axis=1)
+        cost = np.where(np.concatenate([undo_fwd, undo_bwd], axis=1), -1.0, 1.0)
+        in_cost = np.concatenate([np.where(room > 0.0, cost, np.inf), pad], axis=1)[:, in_arcs]
+
+        dist = np.where(supply > 0.0, 0.0, np.inf)
+        pred = np.full((trials, n), -1, dtype=np.intp)
+        for _ in range(n + 1):
+            cand = dist[:, in_tails] + in_cost
+            best = cand.min(axis=2)
+            better = best < dist
+            if not better.any():
+                break
+            dist = np.where(better, best, dist)
+            pred = np.where(better, in_arcs[nodes, cand.argmin(axis=2)], pred)
+        else:
+            raise InternalCheckError("least-processing residual graph has a negative cycle")
+
+        reach = np.where(demand > 0.0, dist, np.inf)
+        sink = reach.argmin(axis=1)
+        live = np.isfinite(reach[rows, sink])
+        if not live.any():
+            break
+
+        # walk each live row's path back to its source, then augment by the bottleneck
+        delta = np.where(live, demand[rows, sink], 0.0)
+        node, on, path = sink, live, []
+        for _ in range(n):
+            arc = pred[rows, node]
+            on = on & (arc >= 0)
+            if not on.any():
+                break
+            path.append((on, arc))
+            delta = np.where(on, np.minimum(delta, room[rows, arc]), delta)
+            node = np.where(on, tails[arc], node)
+        if (on & (pred[rows, node] >= 0)).any():
+            raise InternalCheckError("least-processing path does not end at a source")
+        delta = np.where(live, np.minimum(delta, supply[rows, node]), 0.0)
+        for on, arc in path:
+            edge = arc % e
+            moved = flows[rows, edge] + np.where(arc < e, delta, -delta)
+            moved = np.where(delta >= room[rows, arc], limit[rows, arc], moved)
+            flows[rows[on], edge[on]] = moved[on]
+        supply[rows, node] = np.where(delta >= supply[rows, node], 0.0, supply[rows, node] - delta)
+        demand[rows, sink] = np.where(delta >= demand[rows, sink], 0.0, demand[rows, sink] - delta)
+    else:
+        raise InternalCheckError("least-processing flow did not finish within its augmentation cap")
+
+    if not float(demand.sum(axis=1).max(initial=0.0)) <= FEASIBILITY_TOL:
+        raise InternalCheckError("the string current is above what the converter edges can carry")
+    return flows
+
+
 def optimal_flow(capabilities, arch: Architecture) -> PowerFlowSolution:
     """Best achievable operating point of `arch` on one capability draw.
 
@@ -399,8 +529,11 @@ def optimal_flow(capabilities, arch: Architecture) -> PowerFlowSolution:
     kinds both maximize output but run different dispatch among the
     output-optimal patterns: the ladder emulates its decentralized controls
     in closed form (ladder_flow); the hierarchical design takes its current
-    from the cut form (hierarchical_currents) and re-optimizes for least
-    processing with one LP at that current.
+    from the cut form (hierarchical_currents) and the flow of least processed
+    power at that current from least_processing_flows. Its output and
+    processed power are unique; its per-edge flows are one least-processing
+    optimum, which where several exist may differ from the vertex an LP
+    would return.
     """
     caps = _checked_capabilities(capabilities, arch)
     n = caps.size
@@ -428,8 +561,9 @@ def optimal_flow(capabilities, arch: Architecture) -> PowerFlowSolution:
         currents, flows, battery = ladder_flow(caps[None, :], arch.cppp_rating)
         current, flows, battery = float(currents[0]), flows[0], battery[0]
     else:
-        current = float(hierarchical_currents(caps[None, :], arch)[0])
-        flows, battery = _least_processing_flow(caps, *_string_edges(arch), current)
+        currents = hierarchical_currents(caps[None, :], arch)
+        flows, battery = least_processing_flows(caps[None, :], *_string_edges(arch), currents)
+        current, flows, battery = float(currents[0]), flows[0], battery[0]
     return PowerFlowSolution(
         string_current=current,
         converter_flows=flows,
@@ -458,8 +592,9 @@ def flow_powers(capabilities, arch: Architecture) -> tuple[np.ndarray, np.ndarra
 
     Full processing and the ladder are closed form over the whole block. The
     hierarchical kind takes every row's current from the cut form in one
-    call, then solves the least-processing LP row by row at that current.
-    Row t equals optimal_flow(capabilities[t], arch) bit for bit.
+    call and its least-processing flows from one min-cost flow call at those
+    currents; no LP is solved. Row t equals optimal_flow(capabilities[t],
+    arch) bit for bit.
     """
     caps = _checked_capabilities(capabilities, arch, ndim=2)
     n = caps.shape[1]
@@ -472,12 +607,8 @@ def flow_powers(capabilities, arch: Architecture) -> tuple[np.ndarray, np.ndarra
         current, flows, _ = ladder_flow(caps, arch.cppp_rating)
         return n * current, np.abs(flows).sum(axis=1)
     currents = hierarchical_currents(caps, arch)
-    pairs, ratings = _string_edges(arch)
-    processed = [
-        np.abs(_least_processing_flow(row, pairs, ratings, float(current))[0]).sum()
-        for row, current in zip(caps, currents)
-    ]
-    return n * currents, np.array(processed)
+    flows, _ = least_processing_flows(caps, *_string_edges(arch), currents)
+    return n * currents, np.abs(flows).sum(axis=1)
 
 
 def free_flow_outputs(caps: np.ndarray, endpoints: np.ndarray) -> np.ndarray:
@@ -525,13 +656,14 @@ def max_output_power(capabilities, edges: Sequence[_Pair]) -> float:
 
 
 def layer1_design_lp(expected: ExpectedSet, edges: Sequence[_Pair]):
-    """Design solve on the expected set with unbounded pair flows.
+    """Design solve on the expected set with unbounded pair flows, as two LPs.
 
     Returns (processed, output): the canonical per-edge processed powers
     |f_e| at maximum output with minimum total processing, and that output.
+    The design prints these values with repr, so they stay on the LP.
     """
     caps = expected.capabilities
     pairs = _edge_pairs(edges, caps.size)
     current = _max_current(caps, pairs, None)
-    flows, _ = _least_processing_flow(caps, pairs, None, current)
+    flows, _ = _least_processing_flow(caps, pairs, current)
     return np.abs(flows), caps.size * current

@@ -94,3 +94,33 @@ def hierarchical_lp_output(caps, arch):
     assert np.all(np.abs(flows) <= ratings + 1e-8)
     assert current >= -1e-8
     return n * current
+
+
+def least_processing_lp(caps, pairs, ratings, current):
+    """Least processed power sum |f| at a fixed string current, as one dense LP.
+
+    Variables [I, f+, f-, p] with f = f+ - f-: row j ties battery j's power to
+    the current and its incident flows (the rows of build_flow_lp with each
+    flow split in two), I is fixed, |p_j| <= P_j and f+, f- <= the edge's
+    rating, which may be inf. Solved with the in-repo simplex; the flow it
+    returns is checked (conservation, capabilities, ratings). Returns
+    (sum |f|, flows, battery powers).
+    """
+    caps = np.asarray(caps, dtype=float)
+    ratings = np.asarray(ratings, dtype=float)
+    n, e = caps.size, len(pairs)
+    inc = incidence(pairs, n)
+    a_eq = np.hstack([np.ones((n, 1)), inc, -inc, -np.eye(n)])
+    objective = np.zeros(1 + 2 * e + n)
+    objective[1:1 + 2 * e] = -1.0
+    lower = np.concatenate([[current], np.zeros(2 * e), -caps])
+    upper = np.concatenate([[current], ratings, ratings, caps])
+    sol = solve(LinearProgram(objective, a_eq, np.zeros(n), lower, upper))
+    assert sol.status is LPStatus.OPTIMAL
+    values = np.asarray(sol.values)
+    flows = values[1:1 + e] - values[1 + e:1 + 2 * e]
+    battery = values[1 + 2 * e:]
+    assert np.abs(battery - current - inc @ flows).max(initial=0.0) <= 1e-8
+    assert np.all(np.abs(battery) <= caps + 1e-8)
+    assert np.all(np.abs(flows) <= ratings + 1e-8)
+    return -sol.objective_value, flows, battery

@@ -9,10 +9,13 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
+from oracles import hierarchical_lp_output, least_processing_lp
 
 import hippp.evaluate
-from hippp.cli import CSV_HEADER, load_config, main
+from hippp import architecture_edges
+from hippp.cli import CSV_HEADER, _read_design, load_config, main
 from hippp.errors import ConfigError
 
 BASE_CONFIG = """\
@@ -230,6 +233,28 @@ class TestFlowCommand:
         assert "layer 1 converter 0->8" in text
         assert "layer 2 converter 0->1" in text
         assert "battery powers:" in text
+
+    def test_round_trip_prints_the_lp_output_and_processed_power(self, config_file, tmp_path, capsys):
+        # the per-edge flows may be another least-processing optimum than the
+        # LP's vertex, but output and processed power are unique
+        out = tmp_path / "artifacts"
+        run_main("design", "--config", config_file, "--out", out)
+        capsys.readouterr()
+        caps = tmp_path / "caps.txt"
+        caps.write_text("0.9 1.1 0.95 1.0 1.05 0.8 1.2 0.85 1.0\n")
+        assert run_main("flow", out / "design.txt", caps) == 0
+        lines = capsys.readouterr().out.splitlines()
+
+        _, arch = _read_design(str(out / "design.txt"))
+        values = np.sort(np.loadtxt(caps))
+        output = hierarchical_lp_output(values, arch)
+        edges = architecture_edges(arch)
+        processed, _, _ = least_processing_lp(
+            values, [(e.from_battery, e.to_battery) for e in edges],
+            [e.rating for e in edges], output / values.size,
+        )
+        assert f"output power: {output:.6g} (utilization {output / values.sum():.6g})" in lines
+        assert f"processed power: {processed:.6g}" in lines
 
     def test_wrong_capability_count_is_a_config_error(self, config_file, tmp_path, capsys):
         out = tmp_path / "artifacts"

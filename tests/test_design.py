@@ -33,7 +33,7 @@ from hippp import (
     partition_ratings,
     sample_battery_set,
 )
-from hippp.powerflow import free_flow_outputs, layer1_design_lp
+from hippp.powerflow import free_flow_outputs, layer1_design_lp, least_processing_flows
 
 # frozen result of the nine-slot, three-converter, two-rating-group design
 N9_EDGES = [(0, 8), (1, 6), (2, 5)]
@@ -192,22 +192,34 @@ class TestLayer1Search:
         assert sum(design.processed_at_design) == pytest.approx(best[1], abs=1e-7)
         assert max_output_power(caps, best[2]) == pytest.approx(best[0], abs=1e-9)
 
-    def test_uniform_supply_stops_at_the_first_lossless_placement(self, monkeypatch):
-        # every placement ties on output and the first one already processes
-        # nothing, so the tie-break needs a single design LP
-        calls = []
+    @staticmethod
+    def count_solves(monkeypatch):
+        """Record the placements the tie-break scores and the design LPs it solves."""
+        scored, solved = [], []
+
+        def counting_kernel(caps, pairs, ratings, currents):
+            scored.append(pairs)
+            return least_processing_flows(caps, pairs, ratings, currents)
 
         def counting_design_lp(expected, edges):
-            calls.append(edges)
+            solved.append(edges)
             return layer1_design_lp(expected, edges)
 
         monkeypatch.setattr(hippp.design, "_layer1_cache", {})
+        monkeypatch.setattr(hippp.design, "least_processing_flows", counting_kernel)
         monkeypatch.setattr(hippp.design, "layer1_design_lp", counting_design_lp)
+        return scored, solved
+
+    def test_uniform_supply_stops_at_the_first_lossless_placement(self, monkeypatch):
+        # every placement ties on output and the first one already processes
+        # nothing, so the tie-break scores a single placement
+        scored, solved = self.count_solves(monkeypatch)
         expected = flatten(BatterySupply(1.0, 0.0, 9))
         design = design_layer1(expected, DesignConfig(num_layer1=3, num_rating_sets=2))
         assert [(e.from_battery, e.to_battery) for e in design.edges] == [(0, 1), (0, 2), (0, 3)]
         assert [e.rating for e in design.edges] == [0.0, 0.0, 0.0]
-        assert len(calls) <= 1
+        assert len(scored) <= 1
+        assert solved == [((0, 1), (0, 2), (0, 3))]
 
     @pytest.mark.parametrize("n, m, sigma, calls, edges", [
         (16, 2, 0.2, 13, [(0, 8), (1, 4)]),
@@ -216,18 +228,13 @@ class TestLayer1Search:
     ])
     def test_tie_break_stops_at_the_processing_floor(self, monkeypatch, n, m, sigma, calls, edges):
         # every tied placement processes at least sum_j max(0, I - P_j), so
-        # the scan ends at the first placement that reaches it
-        solved = []
-
-        def counting_design_lp(expected, edge_set):
-            solved.append(edge_set)
-            return layer1_design_lp(expected, edge_set)
-
-        monkeypatch.setattr(hippp.design, "_layer1_cache", {})
-        monkeypatch.setattr(hippp.design, "layer1_design_lp", counting_design_lp)
+        # the scan ends at the first placement that reaches it; only the
+        # winner gets the design LP
+        scored, solved = self.count_solves(monkeypatch)
         expected = flatten(BatterySupply(1.0, sigma, n))
         design = design_layer1(expected, DesignConfig(num_layer1=m, num_rating_sets=2))
-        assert len(solved) == calls
+        assert len(scored) == calls
+        assert solved == [tuple(edges)]
         assert [(e.from_battery, e.to_battery) for e in design.edges] == edges
 
         ref_edges, ref_ratings, ref_processed = full_tie_scan(expected, m, 2)

@@ -24,7 +24,6 @@ from hippp import (
     sweep_heterogeneity,
     sweep_rating,
     system_efficiency,
-    tradeoff_frontier,
 )
 
 SUPPLY9 = BatterySupply(1.0, 0.2, 9)
@@ -209,11 +208,6 @@ class TestSweeps:
             assert record.utilization_std == pytest.approx(0.0, abs=1e-12)
             assert record.processed_norm == pytest.approx(0.0, abs=1e-12)
             assert record.system_efficiency == pytest.approx(1.0, abs=1e-12)
-
-    def test_frontier_is_a_single_kind_sweep(self):
-        frontier = tradeoff_frontier("fpp", SUPPLY9, [0.1, 0.2], trials=8, seed=9)
-        paired = sweep_rating(["fpp"], SUPPLY9, [0.1, 0.2], trials=8, seed=9)
-        assert frontier == paired
 
     def test_grid_validation(self):
         with pytest.raises(ParameterError):

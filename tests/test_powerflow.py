@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import grid_best_output, hierarchical_lp_output, incidence, ladder_lp_flow
+from oracles import grid_best_output, hierarchical_lp_output, incidence, ladder_lp_flow, least_processing_lp
 from scipy.optimize import linprog
 
 from hippp import (
@@ -29,10 +29,12 @@ from hippp import (
     fpp_from_budget,
     hierarchical_currents,
     ladder_flow,
+    least_processing_flows,
     max_output_power,
     optimal_flow,
     solve,
 )
+import hippp.powerflow
 from hippp.powerflow import _certify, _free_flow_lp
 
 GRID_TOL = 2e-3
@@ -453,6 +455,122 @@ class TestHierarchicalKernel:
         arch = ls_arch(20, 20.0, [(j, j + 10, 0.1) for j in range(10)], 0.1, k=1)
         with pytest.raises(EnumerationCapError):
             hierarchical_currents(np.ones((1, 20)), arch)
+
+
+@st.composite
+def dispatch_blocks(draw):
+    """A (T, N) block, a ladder with 0-3 chords, and per-row currents at or below I*.
+
+    Chords go in any orientation, repeats and chords parallel to a rung
+    allowed; chord ratings include exact zeros and inf, the rung rating exact
+    zeros. I* comes from the cut form (hierarchical_currents, or ladder_flow
+    without chords); each row runs at I* or at a sixteenth-step fraction of
+    it. Capabilities and ratings are whole hundredths, so every deficit is
+    zero or well above the LP oracle's 1e-8 tolerances, below which its
+    vertex stops being exact (see test_tiny_ratings_are_served_in_full).
+    """
+    n = draw(st.integers(2, 16))
+    rows = draw(st.integers(1, 3))
+    hundredths = st.integers(0, 60).map(lambda k: k / 100)
+    row = st.lists(st.integers(5, 300).map(lambda k: k / 100), min_size=n, max_size=n)
+    block = np.array(draw(st.lists(row, min_size=rows, max_size=rows)))
+    if draw(st.booleans()):
+        block = np.sort(block, axis=1)
+    battery = st.integers(0, n - 1)
+    pair = st.tuples(battery, battery).filter(lambda p: p[0] != p[1])
+    chord_rating = st.one_of(st.just(0.0), st.just(np.inf), hundredths)
+    chords = draw(st.lists(st.tuples(pair, chord_rating), max_size=min(3, n - 1)))
+    rung = draw(st.one_of(st.just(0.0), hundredths))
+    if chords:
+        arch = ls_arch(n, float(n), [(a, b, r) for (a, b), r in chords], rung, k=len(chords))
+        best = hierarchical_currents(block, arch)
+    else:
+        best = ladder_flow(block, rung)[0]
+    scale = st.one_of(st.just(1.0), st.integers(0, 16).map(lambda k: k / 16))
+    currents = best * np.array([draw(scale) for _ in range(rows)])
+    pairs = [p for p, _ in chords] + [(j, j + 1) for j in range(n - 1)]
+    ratings = np.array([r for _, r in chords] + [rung] * (n - 1))
+    return block, pairs, ratings, currents
+
+
+class TestLeastProcessingKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(dispatch_blocks())
+    @example((np.array([[0.5, 1.0, 1.5]]), [(0, 2), (0, 1), (1, 2)], np.array([0.5, 0.5, 0.5]),
+              np.array([1.0])))                                        # the chord serves the deficit alone
+    @example((np.array([[0.95, 0.6, 1.4, 0.9]]), [(1, 2), (2, 1), (0, 1), (1, 2), (2, 3)],
+              np.array([0.3, np.inf, 0.05, 0.05, 0.05]), np.array([0.9])))  # repeats, parallel to a rung
+    @example((np.array([[0.8, 1.0, 1.2]]), [(0, 1), (1, 2)], np.zeros(2), np.array([0.8])))  # bare string
+    # the least-processing flow must reroute an earlier path (undo arcs) in these two
+    @example((np.array([[1.98, 0.17, 1.47, 0.6]]), [(2, 1), (1, 3), (3, 2), (0, 1), (1, 2), (2, 3)],
+              np.array([np.inf, 0.41, np.inf, 0.58, 0.58, 0.58]), np.array([0.94])))
+    @example((np.array([[1.29, 0.91, 0.51, 1.56, 0.73, 0.74]]), [(j, j + 1) for j in range(5)],
+              np.full(5, 0.53), np.array([0.95666])))
+    def test_kernel_matches_the_least_processing_lp(self, instance):
+        block, pairs, ratings, currents = instance
+        n = block.shape[1]
+        flows, battery = least_processing_flows(block, pairs, ratings, currents)
+        assert flows.shape == (len(block), len(pairs))
+        assert battery.shape == block.shape
+        for t, row in enumerate(block):
+            ref, _, _ = least_processing_lp(row, pairs, ratings, currents[t])
+            assert np.abs(flows[t]).sum() == pytest.approx(ref, abs=1e-12)
+            residual = battery[t] - currents[t] - incidence(pairs, n) @ flows[t]
+            assert np.abs(residual).max() <= 1e-8
+            assert np.all(np.abs(battery[t]) <= row + 1e-8)
+            assert np.all(np.abs(flows[t]) <= ratings + 1e-8)
+            # a block row and a one-row call give the same bits
+            one = least_processing_flows(row[None, :], pairs, ratings, currents[t:t + 1])
+            assert np.array_equal(flows[t], one[0][0])
+            assert np.array_equal(battery[t], one[1][0])
+
+    def test_tiny_ratings_are_served_in_full(self):
+        # rungs of 1e-12 lift I* by 2.5e-13 over the four weak batteries; each
+        # deficit crosses every rung between it and the strong end, so
+        # sum |f| = 2.5e-13 * (1 + 2 + 3 + 4). The LP oracle's tolerances blur this.
+        block = np.array([[1.0, 1.0, 1.0, 1.0, 2.0]])
+        current = ladder_flow(block, 1e-12)[0]
+        flows, _ = least_processing_flows(block, [(j, j + 1) for j in range(4)], np.full(4, 1e-12), current)
+        assert np.abs(flows).sum() == pytest.approx(2.5e-12, rel=1e-3)
+
+    def test_passes_cut_a_block_without_changing_bits(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        block = np.sort(rng.uniform(0.3, 1.7, (50, 9)), axis=1)
+        arch = ls_arch(9, 9.0, [(0, 8, 0.3), (1, 6, np.inf), (2, 5, 0.0)], 0.05, k=3)
+        currents = hierarchical_currents(block, arch)
+        pairs = [(e.from_battery, e.to_battery) for e in architecture_edges(arch)]
+        ratings = np.array([e.rating for e in architecture_edges(arch)])
+        whole = least_processing_flows(block, pairs, ratings, currents)
+        monkeypatch.setattr(hippp.powerflow, "_CUT_CELLS", 7 * 9 * 4)   # passes of 7 rows
+        split = least_processing_flows(block, pairs, ratings, currents)
+        assert all(np.array_equal(a, b) for a, b in zip(whole, split))
+
+    def test_optimal_flow_is_the_kernel_at_the_cut_form_current(self):
+        caps = np.sort(np.random.default_rng(15).uniform(0.4, 1.6, 9))
+        arch = ls_arch(9, 9.0, [(0, 8, 0.3), (1, 6, 0.1)], 0.05, k=2)
+        sol = optimal_flow(caps, arch)
+        edges = architecture_edges(arch)
+        flows, battery = least_processing_flows(
+            caps[None, :], [(e.from_battery, e.to_battery) for e in edges],
+            [e.rating for e in edges], hierarchical_currents(caps[None, :], arch),
+        )
+        assert np.array_equal(sol.converter_flows, flows[0])
+        assert np.array_equal(sol.battery_powers, battery[0])
+        assert sol.processed_power == np.abs(flows[0]).sum()
+
+    def test_current_above_the_maximum_is_an_internal_error(self):
+        block = np.array([[0.6, 1.0, 1.4]])
+        arch = ls_arch(3, 3.0, [(0, 2, 0.1)], 0.05)
+        current = hierarchical_currents(block, arch) + 1e-6
+        with pytest.raises(InternalCheckError):
+            least_processing_flows(block, [(0, 2), (0, 1), (1, 2)], [0.1, 0.05, 0.05], current)
+
+    def test_rejects_bad_ratings_and_currents(self):
+        block = np.array([[0.6, 1.0, 1.4]])
+        for ratings, currents in (([0.1, -0.1], [0.8]), ([0.1, np.nan], [0.8]), ([0.1], [0.8]),
+                                  ([0.1, 0.1], [-0.1]), ([0.1, 0.1], [np.inf]), ([0.1, 0.1], [0.8, 0.8])):
+            with pytest.raises(ParameterError):
+                least_processing_flows(block, [(0, 1), (1, 2)], ratings, currents)
 
 
 class TestBlockCertification:
