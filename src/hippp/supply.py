@@ -8,6 +8,10 @@ is cut into `count` equal-probability intervals and each slot is assigned the
 conditional mean of its interval. A procured batch, sorted ascending, then
 lines up slot-for-slot with the flattened expected set, and per-slot
 deviations drive the Monte Carlo stages downstream.
+
+The normal CDF and quantile are a port of `ndtr` and `ndtri` from S. L.
+Moshier's Cephes Mathematical Library (see `_normal`), equal to
+scipy.special's bit for bit.
 """
 
 from __future__ import annotations
@@ -17,8 +21,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+# numpy loads numpy.random lazily; import it with hippp so that the first
+# default_rng of a call does not import it
+import numpy.random  # noqa: F401
+
+from ._normal import ndtr, ndtri
 from .errors import InternalCheckError, ParameterError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -59,14 +67,14 @@ class GaussianCapability(CapabilityDistribution):
     def cdf(self, x: float) -> float:
         if self.std == 0.0:
             return 1.0 if x >= self.mean else 0.0
-        return float(ndtr((x - self.mean) / self.std))
+        return ndtr((x - self.mean) / self.std)
 
     def quantile(self, q: float) -> float:
         if not 0.0 <= q <= 1.0:
             raise ParameterError(f"quantile level {q} outside [0, 1]")
         if self.std == 0.0:
             return self.mean
-        return self.mean + self.std * float(ndtri(q))
+        return self.mean + self.std * ndtri(q)
 
     def interval_mean(self, low: float, high: float) -> float:
         if not low < high:
@@ -75,7 +83,7 @@ class GaussianCapability(CapabilityDistribution):
             return self.mean
         a = (low - self.mean) / self.std
         b = (high - self.mean) / self.std
-        mass = float(ndtr(b) - ndtr(a))
+        mass = ndtr(b) - ndtr(a)
         if mass <= 0.0:
             raise ParameterError("interval carries no probability mass")
         return self.mean + self.std * (_phi(a) - _phi(b)) / mass

@@ -326,14 +326,43 @@ class TestModuleEntryPoint:
 
 
 class TestImportCost:
-    def test_import_leaves_scipy_optimize_out(self):
-        # scipy.optimize takes about 0.2 s to import, as long as a small sweep
+    def test_import_leaves_scipy_out(self):
+        # scipy.special alone took 0.29 s to import, ten times a small sweep;
+        # scipy is a test dependency only
         result = subprocess.run(
-            [sys.executable, "-c", "import sys, hippp; print('scipy.optimize' in sys.modules)"],
+            [sys.executable, "-c",
+             "import sys, hippp; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
             capture_output=True, text=True, timeout=60,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "[]"
+
+    def test_cli_call_imports_no_module(self, tmp_path, monkeypatch):
+        # everything a call needs is imported with hippp.cli, so that import
+        # time never lands inside a timed call (numpy.random, for one, loads
+        # lazily on first use)
+        monkeypatch.syspath_prepend(str(BENCH))
+        spec = importlib.import_module("run").WORKLOADS["sweep-n9"]
+        config = tmp_path / "sweep-n9.ini"
+        config.write_text(spec.config.format(seed=0), encoding="utf-8")
+        argv = spec.argv(config, tmp_path / "out", 0)
+        report = tmp_path / "imported.json"
+        script = (
+            "import json, sys\n"
+            "import hippp.cli\n"
+            "before = set(sys.modules)\n"
+            "code = hippp.cli.main(json.loads(sys.argv[1]))\n"
+            "with open(sys.argv[2], 'w') as f:\n"
+            "    json.dump([code, sorted(set(sys.modules) - before)], f)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argv), str(report)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        code, imported = json.loads(report.read_text(encoding="utf-8"))
+        assert code == 0
+        assert imported == []
 
 
 class TestBenchmarkOutputs:

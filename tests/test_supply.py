@@ -2,16 +2,18 @@
 
 The flattening oracle is direct numeric quadrature of x * pdf(x) over each
 equal-probability interval, done with scipy and sharing nothing with the
-implementation.
+implementation. The port of the Cephes normal CDF and quantile is compared
+with scipy.special, the C code it was transcribed from, bit for bit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from hippp import (
     BatterySupply,
@@ -23,6 +25,7 @@ from hippp import (
     flatten_distribution,
     sample_battery_set,
 )
+from hippp._normal import _EXP_M2, _MAXLOG, _SQRT1_2, ndtr, ndtri
 
 SQRT_2_OVER_PI = 0.7978845608028654
 
@@ -200,3 +203,69 @@ class TestSampling:
             s = sample_battery_set(supply, seed)
             assert np.all(s.capabilities > 0.0)
         assert raw_had_nonpositive  # the resample path was actually exercised
+
+
+def _ulp_window(value, steps=4):
+    """`value` and its `steps` nearest doubles on either side."""
+    out = [value]
+    low = high = value
+    for _ in range(steps):
+        low = math.nextafter(low, -math.inf)
+        high = math.nextafter(high, math.inf)
+        out += [low, high]
+    return out
+
+
+def _assert_matches_scipy(port, reference, inputs):
+    inputs = np.asarray(inputs, dtype=float)
+    got = np.array([port(float(v)) for v in inputs])
+    want = reference(inputs)
+    same = (got == want) | (np.isnan(got) & np.isnan(want))
+    if not same.all():
+        i = int(np.flatnonzero(~same)[0])
+        pytest.fail(
+            f"{(~same).sum()} of {inputs.size} differ; first at {inputs[i]!r}: "
+            f"port {got[i]!r}, scipy {want[i]!r}"
+        )
+
+
+class TestNormalPort:
+    """The Cephes port equals scipy.special.ndtr/ndtri by ==, edges included."""
+
+    RNG_SEED = 20240611
+
+    def test_quantile_at_every_slot_bound(self):
+        levels = [k / n for n in range(1, 129) for k in range(n + 1)]
+        _assert_matches_scipy(ndtri, special.ndtri, levels)
+
+    def test_quantile_at_random_levels(self):
+        rng = np.random.default_rng(self.RNG_SEED)
+        levels = np.concatenate([
+            rng.random(20_000),
+            10.0 ** rng.uniform(-300.0, 0.0, 20_000),
+            1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 20_000),
+        ])
+        _assert_matches_scipy(ndtri, special.ndtri, levels)
+
+    def test_quantile_branch_edges(self):
+        levels = [0.0, -0.0, 1.0, 0.5, 5e-324, 1e-300, -1e-300, -1.0, 1.5,
+                  math.inf, -math.inf, math.nan]
+        # central fit vs tails at exp(-2) on both sides; tail fits split at z = 8
+        for edge in (_EXP_M2, 1.0 - _EXP_M2, math.exp(-32.0), 1.0 - math.exp(-32.0)):
+            levels += _ulp_window(edge)
+        levels += _ulp_window(1.0, 8)
+        _assert_matches_scipy(ndtri, special.ndtri, levels)
+
+    def test_cdf_on_a_grid_and_random_points(self):
+        rng = np.random.default_rng(self.RNG_SEED)
+        points = np.concatenate([np.linspace(-40.0, 40.0, 80_001), rng.uniform(-40.0, 40.0, 20_000)])
+        _assert_matches_scipy(ndtr, special.ndtr, points)
+
+    def test_cdf_branch_edges(self):
+        points = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, math.inf, -math.inf, math.nan]
+        # erf vs erfc at |x| = 1/sqrt(2), erfc's own erf branch at 1, its two
+        # fits at 8, and its MAXLOG underflow, with x = a / sqrt(2)
+        for edge in (_SQRT1_2, 1.0, 8.0, math.sqrt(_MAXLOG)):
+            for sign in (1.0, -1.0):
+                points += _ulp_window(sign * edge / _SQRT1_2)
+        _assert_matches_scipy(ndtr, special.ndtr, points)
