@@ -56,7 +56,7 @@ from .evaluate import (
     sweep_rating,
     system_efficiency,
 )
-from .lp import LinearProgram, LPSolution, LPStatus, solve
+from .lp import LinearProgram, LPSolution, LPStatus, solve, solve_many
 from .powerflow import (
     PowerFlowSolution,
     architecture_edges,
@@ -67,6 +67,7 @@ from .powerflow import (
     least_processing_flows,
     max_output_power,
     max_string_output,
+    max_string_outputs,
     optimal_flow,
 )
 from .supply import (
@@ -130,10 +131,12 @@ __all__ = [
     "lshippp_for_budget",
     "max_output_power",
     "max_string_output",
+    "max_string_outputs",
     "optimal_flow",
     "partition_ratings",
     "sample_battery_set",
     "solve",
+    "solve_many",
     "sweep_heterogeneity",
     "sweep_rating",
     "system_efficiency",

@@ -17,9 +17,11 @@ to cut part count.
 Layer 2 is rated by Monte Carlo: with layer 1 frozen, a shared set of seeded
 capability draws is replayed against a grid of trial ladder ratings and the
 mean utilization of each trial rating forms a curve. Utilization needs only
-the maximum output, so each curve point solves the stage-1 LP alone. Callers
-pick the ladder rating off that curve, usually by spending whatever rating
-budget layer 1 left over.
+the maximum output, so the curve is one batched stage-1 solve: every (trial
+rating, draw) stage-1 LP goes through one max_string_outputs call, which
+solves them in lockstep (lp.solve_many) with the bits of one-at-a-time
+solves. Callers pick the ladder rating off that curve, usually by spending
+whatever rating budget layer 1 left over.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .architecture import Architecture, ArchitectureKind, ConverterEdge, Layer1Design, Layer2Design
 from .errors import EnumerationCapError, ParameterError
-from .powerflow import free_flow_outputs, layer1_design_lp, least_processing_flows, max_string_output
+from .powerflow import free_flow_outputs, layer1_design_lp, least_processing_flows, max_string_outputs
 from .supply import BatterySupply, ExpectedSet, draw_capabilities, flatten
 
 log = logging.getLogger(__name__)
@@ -72,8 +74,8 @@ class DesignConfig:
         ratings = self.layer2_trial_ratings
         if len(ratings) == 0:
             raise ParameterError("layer2_trial_ratings must not be empty")
-        if any(r < 0.0 for r in ratings):
-            raise ParameterError("layer2_trial_ratings must be non-negative")
+        if any(not r >= 0.0 for r in ratings):
+            raise ParameterError("layer2_trial_ratings must be non-negative numbers, not NaN")
         if any(b <= a for a, b in zip(ratings, ratings[1:])):
             raise ParameterError("layer2_trial_ratings must be strictly increasing")
         if int(self.monte_carlo_trials) != self.monte_carlo_trials or self.monte_carlo_trials < 1:
@@ -293,18 +295,20 @@ def design_layer2(
     draws = [draw_capabilities(supply, cfg.base_seed + t) for t in range(cfg.monte_carlo_trials)]
     batch_powers = [float(caps.sum()) for caps in draws]
 
-    points = []
-    for rating in cfg.layer2_trial_ratings:
-        arch = Architecture(
+    archs = [
+        Architecture(
             ArchitectureKind.LSHIPPP,
             num_batteries=n,
             total_expected_power=expected.total_power,
             layer1=layer1,
             layer2=Layer2Design(rating, n - 1),
         )
-        utilizations = [
-            max_string_output(caps, arch) / total for caps, total in zip(draws, batch_powers)
-        ]
+        for rating in cfg.layer2_trial_ratings
+    ]
+    outputs = max_string_outputs(np.stack(draws), archs)
+    points = []
+    for rating, row in zip(cfg.layer2_trial_ratings, outputs):
+        utilizations = [output / total for output, total in zip(row, batch_powers)]
         points.append((rating, float(np.mean(utilizations))))
     curve = Layer2Curve(tuple(points))
 

@@ -9,12 +9,24 @@ Pivoting is deterministic: Dantzig pricing with ties broken by lowest
 variable index, falling back to Bland's rule after a run of degenerate
 steps. Identical inputs therefore produce bit-identical solutions, which
 keeps Monte Carlo sweeps reproducible across runs and worker counts.
+
+solve_many runs a batch of same-shape LPs through the same two phases in
+lockstep. Each LP keeps its own basis, statuses, Bland flag, stall count and
+verdict, and leaves the batch when it is done. Every step is a stacked
+np.linalg.solve on (K, m, m) with a (K, m, 1) right-hand side, a stacked
+matmul, or an elementwise op, each of which gives, slice for slice, the bits
+of the serial call. So every LP takes the same pivots and returns the same
+bits as under solve. The phase-1 set-up, the exchange of artificials and the
+post-hoc certification are shared helpers of both paths. solve stays the
+serial path, because the batch costs two to three times as much per LP at
+K = 1; it is also the batch's test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -237,56 +249,51 @@ def _drive_out_artificials(a, lower, upper, basis, stat, x, n_real):
         x[artificial] = 0.0
 
 
-def solve(lp: LinearProgram) -> LPSolution:
-    """Two-phase simplex. Infeasible and unbounded problems are reported
-    through the status, never raised; a returned optimum is re-verified
-    against the constraints and bounds before it leaves this function.
+def _phase_one(lp: LinearProgram):
+    """Phase-1 problem of a constrained LP: one artificial per row, signed by
+    the residual at the starting point and basic, with objective -sum of them.
+
+    Returns (c, a, lower, upper, basis, stat, x), all freshly allocated.
     """
-    c = lp.objective.copy()
-    a = lp.a_eq
-    b = lp.b_eq
-    lower = lp.lower.copy()
-    upper = lp.upper.copy()
+    a, b = lp.a_eq, lp.b_eq
+    n, m = lp.num_variables, b.size
+    x0, stat0 = _initial_point(lp.lower, lp.upper)
+    residual = b - a @ x0
+    signs = np.where(residual >= 0.0, 1.0, -1.0)
+    a1 = np.hstack([a, np.diag(signs)])
+    lo1 = np.concatenate([lp.lower, np.zeros(m)])
+    up1 = np.concatenate([lp.upper, np.full(m, np.inf)])
+    x = np.concatenate([x0, np.abs(residual)])
+    stat = np.concatenate([stat0, np.full(m, _BASIC, dtype=np.int8)])
+    basis = np.arange(n, n + m)
+    c_phase1 = np.concatenate([np.zeros(n), -np.ones(m)])
+    return c_phase1, a1, lo1, up1, basis, stat, x
+
+
+def _phase_two(c, a1, lo1, up1, basis, stat, x):
+    """Turn a finished phase 1 into phase 2 in place; None when infeasible.
+
+    Otherwise drives zero artificials out of the basis, pins every artificial
+    at zero and returns the phase-2 objective (c padded with zeros).
+    """
     n = c.size
-    m = b.size
+    if x[n:].sum() > FEASIBILITY_TOL:
+        return None
+    _drive_out_artificials(a1, lo1, up1, basis, stat, x, n)
+    lo1[n:] = 0.0
+    up1[n:] = 0.0  # artificials pinned; they can never re-enter
+    return np.concatenate([c, np.zeros(basis.size)])
 
-    x0, stat0 = _initial_point(lower, upper)
-    empty = _as_readonly(np.zeros(0))
 
-    if m:
-        residual = b - a @ x0
-        signs = np.where(residual >= 0.0, 1.0, -1.0)
-        a1 = np.hstack([a, np.diag(signs)])
-        lo1 = np.concatenate([lower, np.zeros(m)])
-        up1 = np.concatenate([upper, np.full(m, np.inf)])
-        x = np.concatenate([x0, np.abs(residual)])
-        stat = np.concatenate([stat0, np.full(m, _BASIC, dtype=np.int8)])
-        basis = np.arange(n, n + m)
+def _no_point(status: LPStatus) -> LPSolution:
+    return LPSolution(status, _as_readonly(np.zeros(0)), float("nan"))
 
-        c_phase1 = np.concatenate([np.zeros(n), -np.ones(m)])
-        outcome = _iterate(c_phase1, a1, b, lo1, up1, basis, stat, x)
-        if outcome != "optimal":  # pragma: no cover - phase 1 objective is bounded
-            raise InternalCheckError("phase-1 simplex reported unbounded")
-        if x[n:].sum() > FEASIBILITY_TOL:
-            return LPSolution(LPStatus.INFEASIBLE, empty, float("nan"))
-        _drive_out_artificials(a1, lo1, up1, basis, stat, x, n)
-        lo1[n:] = 0.0
-        up1[n:] = 0.0  # artificials pinned; they can never re-enter
-        c_phase2 = np.concatenate([c, np.zeros(m)])
-        outcome = _iterate(c_phase2, a1, b, lo1, up1, basis, stat, x)
-        values = x[:n]
-    else:
-        basis = np.zeros(0, dtype=int)
-        x = x0
-        outcome = _iterate(c, a, b, lower, upper, basis, stat0, x)
-        values = x
 
-    if outcome == "unbounded":
-        return LPSolution(LPStatus.UNBOUNDED, empty, float("nan"))
-
-    # post-hoc certification; a violation here is a solver bug
-    if m:
-        eq_residual = float(np.abs(a @ values - b).max())
+def _certified(lp: LinearProgram, c, values) -> LPSolution:
+    """The optimal verdict for `values`, re-verified against the constraints
+    and bounds first; a violation here is a solver bug."""
+    if lp.b_eq.size:
+        eq_residual = float(np.abs(lp.a_eq @ values - lp.b_eq).max())
         if eq_residual > FEASIBILITY_TOL:
             raise InternalCheckError(f"optimal point violates equalities by {eq_residual:.3e}")
     below = lp.lower - values
@@ -297,5 +304,182 @@ def solve(lp: LinearProgram) -> LPSolution:
     )
     if bound_violation > FEASIBILITY_TOL:
         raise InternalCheckError(f"optimal point violates bounds by {bound_violation:.3e}")
-
     return LPSolution(LPStatus.OPTIMAL, _as_readonly(values), float(c @ values))
+
+
+def solve(lp: LinearProgram) -> LPSolution:
+    """Two-phase simplex. Infeasible and unbounded problems are reported
+    through the status, never raised; a returned optimum is re-verified
+    against the constraints and bounds before it leaves this function.
+    """
+    c = lp.objective.copy()
+    a = lp.a_eq
+    b = lp.b_eq
+
+    if b.size:
+        c_phase1, a1, lo1, up1, basis, stat, x = _phase_one(lp)
+        outcome = _iterate(c_phase1, a1, b, lo1, up1, basis, stat, x)
+        if outcome != "optimal":  # pragma: no cover - phase 1 objective is bounded
+            raise InternalCheckError("phase-1 simplex reported unbounded")
+        c_phase2 = _phase_two(c, a1, lo1, up1, basis, stat, x)
+        if c_phase2 is None:
+            return _no_point(LPStatus.INFEASIBLE)
+        outcome = _iterate(c_phase2, a1, b, lo1, up1, basis, stat, x)
+        values = x[:c.size]
+    else:
+        x, stat = _initial_point(lp.lower, lp.upper)
+        outcome = _iterate(c, a, b, lp.lower, lp.upper, np.zeros(0, dtype=int), stat, x)
+        values = x
+
+    if outcome == "unbounded":
+        return _no_point(LPStatus.UNBOUNDED)
+    return _certified(lp, c, values)
+
+
+def _iterate_many(c, a, b, lower, upper, basis, stat, x) -> np.ndarray:
+    """_iterate on a stack of K same-shape problems at once, in lockstep.
+
+    Every argument gains a leading axis of length K; basis, stat and x are
+    updated in place. Each problem keeps its own basis, statuses, Bland flag,
+    stall count and verdict, and takes exactly the steps _iterate would take
+    on it alone: the stacked linear solves and matrix products give, slice for
+    slice, the bits of the serial calls, and everything else is elementwise
+    or a per-row selection with the same tie rules. A problem leaves the live
+    stack as soon as it is optimal or unbounded. Returns the (K,) mask of
+    unbounded problems.
+    """
+    unbounded = np.zeros(basis.shape[0], dtype=bool)
+    live = np.arange(basis.shape[0])
+    bland = np.zeros(live.size, dtype=bool)
+    stall = np.zeros(live.size, dtype=int)
+    # the live problems; the caller's arrays themselves until the first one leaves
+    cc, aa, bb, lo, up, bas, st, xs = c, a, b, lower, upper, basis, stat, x
+    for _ in range(_MAX_ITERATIONS):
+        if live.size == 0:
+            return unbounded
+        rows = np.arange(live.size)[:, None]
+        basis_cols = aa[rows, :, bas].transpose(0, 2, 1)  # slice k holds the columns a_k[:, bas_k]
+        x_nb = xs.copy()
+        x_nb[rows, bas] = 0.0
+        try:
+            xs[rows, bas] = np.linalg.solve(basis_cols, bb[:, :, None] - aa @ x_nb[:, :, None])[:, :, 0]
+            y = np.linalg.solve(basis_cols.transpose(0, 2, 1), cc[rows, bas][:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by pivot tol
+            raise InternalCheckError(f"singular simplex basis: {exc}") from exc
+        reduced = cc - (y[:, None, :] @ aa)[:, 0, :]
+        reduced[rows, bas] = 0.0
+
+        can_increase = (st == _NB_LOWER) | (st == _NB_FREE)
+        can_decrease = (st == _NB_UPPER) | (st == _NB_FREE)
+        candidates = (up > lo) & (
+            (can_increase & (reduced > REDUCED_COST_TOL))
+            | (can_decrease & (reduced < -REDUCED_COST_TOL))
+        )
+        candidates[rows, bas] = False
+        # Bland takes the first candidate; Dantzig the first of the largest |reduced cost|
+        enter = np.where(
+            bland,
+            candidates.argmax(axis=1),
+            np.where(candidates, np.abs(reduced), -np.inf).argmax(axis=1),
+        )
+        r = rows[:, 0]
+        direction = np.where((st[r, enter] == _NB_LOWER) | (reduced[r, enter] > 0.0), 1.0, -1.0)
+
+        w = np.linalg.solve(basis_cols, aa[r, :, enter][:, :, None])[:, :, 0]
+        g = -direction[:, None] * w
+        xb = xs[rows, bas]
+        hits_upper = g > _PIVOT_TOL
+        hits_lower = g < -_PIVOT_TOL
+        with np.errstate(divide="ignore", invalid="ignore"):
+            to_upper = (up[rows, bas] - xb) / g
+            to_lower = (lo[rows, bas] - xb) / g
+        caps = np.where(hits_upper, to_upper, np.where(hits_lower, to_lower, np.inf))
+        np.maximum(caps, 0.0, out=caps)
+        step_basic = caps.min(axis=1)
+        step_self = up[r, enter] - lo[r, enter]
+        step = np.minimum(step_basic, step_self)
+
+        optimal = ~candidates.any(axis=1)
+        unbounded[live] = ~optimal & ~np.isfinite(step)
+        going = ~optimal & np.isfinite(step)
+
+        flip = going & (step_self < step_basic)
+        pivot = going & ~flip
+        leave_pos = np.where(caps <= (step + 1e-12)[:, None], bas, np.iinfo(bas.dtype).max).argmin(axis=1)
+        leaving = bas[r, leave_pos]
+        leave_up = g[r, leave_pos] > 0
+        xs[rows[going], bas[going]] = xb[going] + g[going] * step[going, None]
+        fr, fe, fd = r[flip], enter[flip], direction[flip] > 0
+        xs[fr, fe] = np.where(fd, up[fr, fe], lo[fr, fe])
+        st[fr, fe] = np.where(fd, _NB_UPPER, _NB_LOWER)
+        pr, pe, pl, pu = r[pivot], enter[pivot], leaving[pivot], leave_up[pivot]
+        xs[pr, pe] += direction[pivot] * step[pivot]
+        xs[pr, pl] = np.where(pu, up[pr, pl], lo[pr, pl])
+        st[pr, pl] = np.where(pu, _NB_UPPER, _NB_LOWER)
+        st[pr, pe] = _BASIC
+        bas[pr, leave_pos[pivot]] = pe
+
+        stall = np.where(step <= _DEGENERATE_STEP, stall + 1, 0)
+        bland |= stall >= _STALL_LIMIT
+
+        if not going.all():
+            done = ~going
+            basis[live[done]], stat[live[done]], x[live[done]] = bas[done], st[done], xs[done]
+            live = live[going]
+            cc, aa, bb, lo, up, bas, st, xs, bland, stall = (
+                arr[going] for arr in (cc, aa, bb, lo, up, bas, st, xs, bland, stall)
+            )
+    raise InternalCheckError("simplex iteration cap exceeded")
+
+
+def solve_many(lps: Sequence[LinearProgram]) -> list[LPSolution]:
+    """solve on a batch of same-shape LPs with at least one row, in lockstep.
+
+    Returns one LPSolution per LP, equal by == in status, values and
+    objective to what solve returns for it: the batch runs the same two
+    phases, pivots and checks, only stacked (see _iterate_many). A batch
+    mixing shapes, or of LPs without equality rows, raises ParameterError.
+    """
+    lps = list(lps)
+    if not lps:
+        return []
+    shape = lps[0].a_eq.shape
+    if any(lp.a_eq.shape != shape for lp in lps):
+        raise ParameterError("a batch of LPs must share one constraint shape")
+    m, n = shape
+    if m == 0:
+        raise ParameterError("a batch of LPs needs at least one equality row")
+
+    k_all, width = len(lps), n + m
+    c, lo1, up1, x = (np.empty((k_all, width)) for _ in range(4))
+    a1 = np.empty((k_all, m, width))
+    basis = np.empty((k_all, m), dtype=int)
+    stat = np.empty((k_all, width), dtype=np.int8)
+    for k, lp in enumerate(lps):
+        c[k], a1[k], lo1[k], up1[k], basis[k], stat[k], x[k] = _phase_one(lp)
+    b = np.stack([lp.b_eq for lp in lps])
+    if _iterate_many(c, a1, b, lo1, up1, basis, stat, x).any():  # pragma: no cover
+        raise InternalCheckError("phase-1 simplex reported unbounded")
+
+    objectives = [lp.objective.copy() for lp in lps]
+    feasible = np.ones(k_all, dtype=bool)
+    for k in range(k_all):
+        c_phase2 = _phase_two(objectives[k], a1[k], lo1[k], up1[k], basis[k], stat[k], x[k])
+        if c_phase2 is None:
+            feasible[k] = False
+        else:
+            c[k] = c_phase2
+    live = np.flatnonzero(feasible)
+    stacks = c, a1, b, lo1, up1, basis, stat, x
+    if live.size < k_all:  # otherwise phase 2 runs on the phase-1 stacks, uncopied
+        stacks = tuple(arr[live] for arr in stacks)
+    unbounded = _iterate_many(*stacks)
+    x = stacks[-1]
+
+    solutions = [_no_point(LPStatus.INFEASIBLE)] * k_all
+    for j, k in enumerate(live):
+        if unbounded[j]:
+            solutions[k] = _no_point(LPStatus.UNBOUNDED)
+        else:
+            solutions[k] = _certified(lps[k], objectives[k], x[j, :n].copy())
+    return solutions

@@ -26,9 +26,14 @@ mismatch along until it saturates, so curtailment lands on the strong end of
 the string and considerably more power is processed for the same output. On
 a path graph both of its stages have exact closed forms (see ladder_flow),
 evaluated for a whole block of capability draws at once. Full processing
-needs no flow model at all. The LPs stay for the layer-2 rating curve
-(max_string_output) and the layer-1 design solve of the chosen placement
-(layer1_design_lp), whose printed values they pin bit for bit.
+needs no flow model at all. The LPs stay for the layer-2 rating curve and
+the layer-1 design solve of the chosen placement (layer1_design_lp), whose
+printed values they pin bit for bit. The curve's stage-1 LPs, one per
+(trial rating, draw), are built and solved as blocks (max_string_outputs,
+through lp.solve_many), with the same pivots and bits as one solve each.
+
+Capabilities are per string position, in any order: battery j is the j-th
+battery of the string, and a reordered draw is a different string.
 
 Every flow that leaves this module, LP or combinatorial, passes the same
 certification: conservation, capabilities, ratings and a non-negative
@@ -44,7 +49,7 @@ import numpy as np
 
 from .architecture import Architecture, ArchitectureKind, ConverterEdge
 from .errors import EnumerationCapError, InternalCheckError, ParameterError, StructuralError
-from .lp import FEASIBILITY_TOL, LinearProgram, LPStatus, solve
+from .lp import FEASIBILITY_TOL, LinearProgram, LPStatus, solve, solve_many
 from .supply import ExpectedSet
 
 _Pair = tuple[int, int]
@@ -123,12 +128,15 @@ def build_flow_lp(capabilities, edges: Sequence[ConverterEdge]) -> LinearProgram
     return LinearProgram(objective, a, np.zeros(n), lower, upper)
 
 
-def _solve_or_die(lp: LinearProgram, context: str):
-    sol = solve(lp)
+def _optimal(sol, context: str):
     if sol.status is not LPStatus.OPTIMAL:
         # zero current with zero flows is always feasible, so this cannot happen
         raise InternalCheckError(f"{context}: solver returned {sol.status.value}")
     return sol
+
+
+def _solve_or_die(lp: LinearProgram, context: str):
+    return _optimal(solve(lp), context)
 
 
 def _min_processed_lp(caps: np.ndarray, pairs: list[_Pair], current: float) -> LinearProgram:
@@ -162,17 +170,12 @@ def _free_flow_lp(caps: np.ndarray, pairs: list[_Pair]) -> LinearProgram:
     return LinearProgram(rated.objective, rated.a_eq, rated.b_eq, lower, upper)
 
 
-def _max_current(caps: np.ndarray, pairs: list[_Pair], flow_caps) -> float:
-    """Stage 1: solve the maximum-output LP, certify its flow, return I."""
-    if flow_caps is not None:
-        edges = [ConverterEdge(s, d, r) for (s, d), r in zip(pairs, flow_caps)]
-        stage1 = build_flow_lp(caps, edges)
-    else:
-        stage1 = _free_flow_lp(caps, pairs)
-    first = _solve_or_die(stage1, "maximum-output stage")
+def _max_current(caps: np.ndarray, pairs: list[_Pair]) -> float:
+    """Design stage 1: solve the free-flow maximum-output LP, certify its flow, return I."""
+    first = _solve_or_die(_free_flow_lp(caps, pairs), "maximum-output stage")
     current = float(first.values[0])
     n_edges = len(pairs)
-    _certify(caps, pairs, flow_caps, current, first.values[1:1 + n_edges], first.values[1 + n_edges:])
+    _certify(caps, pairs, None, current, first.values[1:1 + n_edges], first.values[1 + n_edges:])
     return current
 
 
@@ -301,8 +304,9 @@ def _string_edges(arch: Architecture) -> tuple[list[_Pair], np.ndarray]:
 
 
 # cells per pass of the cut-form and least-processing kernels (rows x patterns x
-# subset sizes, rows x batteries x incoming arcs); bounds their working arrays
-# the way the placement block bounds the layer-1 search
+# subset sizes, rows x batteries x incoming arcs) and of the batched stage-1 LPs
+# (LPs x rows x columns); bounds their working arrays the way the placement
+# block bounds the layer-1 search
 _CUT_CELLS = 1 << 18
 
 
@@ -533,7 +537,8 @@ def optimal_flow(capabilities, arch: Architecture) -> PowerFlowSolution:
     power at that current from least_processing_flows. Its output and
     processed power are unique; its per-edge flows are one least-processing
     optimum, which where several exist may differ from the vertex an LP
-    would return.
+    would return. Capabilities are per string position, in any order: a
+    reordered draw is a different string, whose answer may differ.
     """
     caps = _checked_capabilities(capabilities, arch)
     n = caps.size
@@ -576,15 +581,50 @@ def optimal_flow(capabilities, arch: Architecture) -> PowerFlowSolution:
 def max_string_output(capabilities, arch: Architecture) -> float:
     """Stage 1 of the LP flow on its own: the best deliverable power N * I.
 
-    Solves and certifies the maximum-output LP over the architecture's edges.
-    For the hierarchical kind it agrees with the cut form that optimal_flow
-    uses (hierarchical_currents) to rounding, about 1e-16 in the current;
-    the layer-2 rating curve is printed with repr and stays on this LP, so
-    its values do not move with the cut form's summation order. For the
-    ladder it agrees with the closed form of optimal_flow to rounding.
+    The one-row call of max_string_outputs. For the hierarchical kind it
+    agrees with the cut form that optimal_flow uses (hierarchical_currents)
+    to rounding, about 1e-16 in the current; the layer-2 rating curve is
+    printed with repr and stays on this LP, so its values do not move with
+    the cut form's summation order. For the ladder it agrees with the closed
+    form of optimal_flow to rounding. Capabilities are per string position,
+    in any order.
     """
     caps = _checked_capabilities(capabilities, arch)
-    return caps.size * _max_current(caps, *_string_edges(arch))
+    return float(max_string_outputs(caps[None, :], [arch])[0, 0])
+
+
+def max_string_outputs(capabilities, archs: Sequence[Architecture]) -> np.ndarray:
+    """Stage 1 of the LP flow for every architecture on every row of a (T, N) block.
+
+    Returns (len(archs), T): entry [i, t] is N * I of the maximum-output LP
+    (build_flow_lp) over the edges of archs[i] on row t, equal by == to what
+    solve gives for that LP alone. The architectures must share one edge
+    count, so that all LPs share one shape; they go through lp.solve_many in
+    passes of at most _CUT_CELLS (LPs x rows x columns) cells, and each
+    architecture's rows are certified by one block _certify call.
+    Capabilities are per string position, in any order.
+    """
+    caps = _validate_capabilities(capabilities, ndim=2)
+    trials, n = caps.shape
+    for arch in archs:
+        if arch.num_batteries != n:
+            raise ParameterError(f"got {n} capabilities for {arch.num_batteries} batteries")
+    edge_lists = [architecture_edges(arch) for arch in archs]
+    if len({len(edges) for edges in edge_lists}) != 1:
+        raise ParameterError("need at least one architecture, all with the same number of edges")
+    jobs = [(row, edges) for edges in edge_lists for row in caps]
+    per_pass = max(1, _CUT_CELLS // (n * (1 + len(edge_lists[0]) + n)))  # rows x columns per LP
+    solutions = [
+        _optimal(sol, "maximum-output stage")
+        for start in range(0, len(jobs), per_pass)
+        for sol in solve_many([build_flow_lp(row, edges) for row, edges in jobs[start:start + per_pass]])
+    ]
+    values = np.stack([sol.values for sol in solutions]).reshape(len(archs), trials, -1)
+    for arch, rows in zip(archs, values):
+        pairs, ratings = _string_edges(arch)
+        e = len(pairs)
+        _certify(caps, pairs, ratings, rows[:, 0], rows[:, 1:1 + e], rows[:, 1 + e:])
+    return n * values[:, :, 0]
 
 
 def flow_powers(capabilities, arch: Architecture) -> tuple[np.ndarray, np.ndarray]:
@@ -664,6 +704,6 @@ def layer1_design_lp(expected: ExpectedSet, edges: Sequence[_Pair]):
     """
     caps = expected.capabilities
     pairs = _edge_pairs(edges, caps.size)
-    current = _max_current(caps, pairs, None)
+    current = _max_current(caps, pairs)
     flows, _ = _least_processing_flow(caps, pairs, current)
     return np.abs(flows), caps.size * current

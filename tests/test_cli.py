@@ -299,6 +299,16 @@ class TestExitCodes:
         assert code == 2
         assert "config error:" in capsys.readouterr().err
 
+    def test_nan_trial_rating_is_a_config_error(self, tmp_path, capsys):
+        # NaN passes every ordered comparison as False, so it must be refused
+        # before the layer-1 search runs, not deep inside the layer-2 curve
+        path = tmp_path / "nan.ini"
+        path.write_text("[design]\nnum_layer1 = 2\nlayer2_trial_ratings = 0.0 nan\nmonte_carlo_trials = 2\n")
+        assert run_main("design", "--config", path, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "layer2_trial_ratings" in err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_config_value(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text("[evaluate]\ntrials = -4\n")

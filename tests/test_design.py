@@ -9,16 +9,22 @@ from oracles import hierarchical_lp_output
 from scipy.optimize import linprog
 
 import hippp.design
+import hippp.powerflow
 from hippp import (
     Architecture,
     ArchitectureKind,
     BatterySupply,
+    ConverterEdge,
     DesignConfig,
     EnumerationCapError,
+    Layer1Design,
     Layer2Curve,
     Layer2Design,
+    LPStatus,
     ParameterError,
     StructuralError,
+    architecture_edges,
+    build_flow_lp,
     design_layer1,
     design_layer2,
     draw_capabilities,
@@ -29,9 +35,11 @@ from hippp import (
     lshippp_for_budget,
     max_output_power,
     max_string_output,
+    max_string_outputs,
     optimal_flow,
     partition_ratings,
     sample_battery_set,
+    solve,
 )
 from hippp.powerflow import free_flow_outputs, layer1_design_lp, least_processing_flows
 
@@ -161,6 +169,8 @@ class TestDesignConfig:
             DesignConfig(layer2_trial_ratings=(0.1, 0.1))
         with pytest.raises(ParameterError):
             DesignConfig(layer2_trial_ratings=(-0.1, 0.2))
+        with pytest.raises(ParameterError, match="layer2_trial_ratings"):
+            DesignConfig(layer2_trial_ratings=(0.0, float("nan")))
         with pytest.raises(ParameterError):
             DesignConfig(monte_carlo_trials=0)
 
@@ -382,6 +392,86 @@ class TestLayer2Design:
         assert c1.points == c2.points
 
 
+def one_lp_curve(layer1, supply, cfg):
+    """The layer-2 curve as it was computed before the batch: one solve per (rating, draw)."""
+    expected = flatten(supply)
+    n = expected.count
+    draws = [draw_capabilities(supply, cfg.base_seed + t) for t in range(cfg.monte_carlo_trials)]
+    points = []
+    for rating in cfg.layer2_trial_ratings:
+        arch = Architecture(
+            ArchitectureKind.LSHIPPP, n, expected.total_power, layer1, Layer2Design(rating, n - 1),
+        )
+        utilizations = []
+        for caps in draws:
+            sol = solve(build_flow_lp(caps, architecture_edges(arch)))
+            assert sol.status is LPStatus.OPTIMAL
+            utilizations.append(caps.size * float(sol.values[0]) / float(caps.sum()))
+        points.append((rating, float(np.mean(utilizations))))
+    return tuple(points)
+
+
+class TestBatchedCurve:
+    """design_layer2 solves every (rating, draw) LP in one batch; its curve
+    must equal the one-LP-at-a-time curve by ==."""
+
+    RATINGS = (0.0, 0.03, 0.1, np.inf)
+
+    @staticmethod
+    def layer1(n, m, seed):
+        rng = np.random.default_rng(seed)
+        pairs = list(itertools.combinations(range(n), 2))
+        chosen = [pairs[i] for i in rng.choice(len(pairs), m, replace=False)]
+        ratings = [0.05 * (1 + i % 2) for i in range(m)]
+        return Layer1Design(
+            tuple(ConverterEdge(a, b, r) for (a, b), r in zip(chosen, ratings)),
+            len(set(ratings)), tuple(ratings),
+        )
+
+    @pytest.mark.parametrize("n", [5, 9, 16])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_equals_the_one_lp_curve(self, n, m):
+        supply = BatterySupply(1.0, 0.25, n)
+        layer1 = self.layer1(n, m, seed=10 * n + m)
+        cfg = DesignConfig(num_layer1=m, num_rating_sets=1, layer2_trial_ratings=self.RATINGS,
+                           monte_carlo_trials=6, base_seed=n)
+        _, curve = design_layer2(layer1, supply, cfg)
+        assert curve.points == one_lp_curve(layer1, supply, cfg)
+
+    def test_small_passes_give_the_same_bits(self, monkeypatch):
+        supply = BatterySupply(1.0, 0.2, 9)
+        layer1 = self.layer1(9, 3, seed=4)
+        cfg = DesignConfig(num_layer1=3, num_rating_sets=1, layer2_trial_ratings=self.RATINGS,
+                           monte_carlo_trials=7)
+        whole = design_layer2(layer1, supply, cfg)
+        cells_per_lp = 9 * build_flow_lp(np.ones(9), [ConverterEdge(j, j + 1, 0.1) for j in range(8)]
+                                         + list(layer1.edges)).num_variables
+        for lps_per_pass in (3, 1):
+            monkeypatch.setattr(hippp.powerflow, "_CUT_CELLS", lps_per_pass * cells_per_lp)
+            assert design_layer2(layer1, supply, cfg) == whole
+
+    def test_block_rows_equal_one_row_calls(self):
+        supply = BatterySupply(1.0, 0.2, 9)
+        expected = flatten(supply)
+        layer1 = self.layer1(9, 2, seed=8)
+        archs = [Architecture(ArchitectureKind.LSHIPPP, 9, expected.total_power, layer1, Layer2Design(r, 8))
+                 for r in (0.0, 0.2, np.inf)]
+        block = np.stack([draw_capabilities(supply, seed) for seed in range(5)])
+        outputs = max_string_outputs(block, archs)
+        assert outputs.shape == (3, 5)
+        for i, arch in enumerate(archs):
+            for t, caps in enumerate(block):
+                assert outputs[i, t] == max_string_output(caps, arch) == hierarchical_lp_output(caps, arch)
+
+    def test_rejects_mixed_edge_counts_and_no_architecture(self):
+        block = np.stack([draw_capabilities(BatterySupply(1.0, 0.2, 9), seed) for seed in range(2)])
+        ladder = Architecture(ArchitectureKind.CPPP, 9, 9.0, cppp_rating=0.1)
+        hierarchy = Architecture(ArchitectureKind.LSHIPPP, 9, 9.0, self.layer1(9, 2, seed=8), Layer2Design(0.1, 8))
+        for archs in ([ladder, hierarchy], []):
+            with pytest.raises(ParameterError):
+                max_string_outputs(block, archs)
+
+
 class TestStageOneOutput:
     def test_equals_the_stage_one_lp_bit_for_bit(self):
         # the full solve takes its current from the cut form, which agrees
@@ -393,9 +483,8 @@ class TestStageOneOutput:
             arch = Architecture(
                 ArchitectureKind.LSHIPPP, 9, expected.total_power, layer1, Layer2Design(rating, 8),
             )
-            for seed in range(200):
-                caps = draw_capabilities(supply, seed)
-                output = max_string_output(caps, arch)
+            block = np.stack([draw_capabilities(supply, seed) for seed in range(200)])
+            for caps, output in zip(block, max_string_outputs(block, [arch])[0]):
                 assert output == hierarchical_lp_output(caps, arch)
                 assert output == pytest.approx(optimal_flow(caps, arch).output_power, abs=1e-12)
 

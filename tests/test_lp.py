@@ -2,7 +2,8 @@
 
 Two oracles back the solver: exhaustive vertex enumeration (every basis,
 every at-bound assignment) for tiny problems, and scipy's HiGHS interface
-for randomized ones. Neither shares any code with the implementation.
+for randomized ones. Neither shares any code with the implementation. The
+batched solver (solve_many) is checked against the serial one, by ==.
 """
 
 import itertools
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from hippp import LinearProgram, LPStatus, ParameterError, solve
+import hippp.lp
+from hippp import LinearProgram, LPStatus, ParameterError, solve, solve_many
 
 RNG_INSTANCES = 60
 
@@ -305,3 +307,86 @@ def test_solution_is_feasible_and_undominated(seed):
         if np.abs(lp.a_eq @ z - lp.b_eq).max() > 1e-9:
             continue
         assert lp.objective @ z <= sol.objective_value + 1e-7
+
+
+def mixed_batch(rng, n_var, n_row, size):
+    """Same-shape LPs of every verdict: random, infeasible, degenerate, with fixed variables.
+
+    Random instances with free variables give optimal and unbounded ones; a
+    right-hand side far outside what a finite box reaches gives infeasible
+    ones; a zero right-hand side over a box at zero gives degenerate pivots;
+    and some variables get zero-width bounds.
+    """
+    batch = []
+    for _ in range(size):
+        lp = random_lp(rng, n_var, n_row, free_prob=0.3)
+        kind = rng.integers(4)
+        if kind == 1:
+            box = random_lp(rng, n_var, n_row, free_prob=0.0)
+            lp = LinearProgram(box.objective, box.a_eq, np.full(n_row, 1e3), box.lower, box.upper)
+        elif kind == 2:
+            lp = LinearProgram(lp.objective, lp.a_eq, np.zeros(n_row), np.zeros(n_var), np.full(n_var, 2.0))
+        elif kind == 3:
+            lower, upper = lp.lower.copy(), lp.upper.copy()
+            fixed = rng.random(n_var) < 0.4
+            lower[fixed] = upper[fixed] = np.where(np.isfinite(lower[fixed]), lower[fixed], 0.5)
+            lp = LinearProgram(lp.objective, lp.a_eq, lp.a_eq @ np.clip(rng.normal(size=n_var), lower, upper),
+                               lower, upper)
+        batch.append(lp)
+    return batch
+
+
+def assert_same_solutions(batch, solutions):
+    assert len(solutions) == len(batch)
+    for lp, got in zip(batch, solutions):
+        want = solve(lp)
+        assert got.status is want.status
+        assert got.values.shape == want.values.shape
+        assert np.all(got.values == want.values)
+        if want.status is LPStatus.OPTIMAL:
+            assert got.objective_value == want.objective_value
+        else:
+            assert np.isnan(got.objective_value)
+
+
+class TestSolveMany:
+    """The lockstep batch against the serial solver, compared by ==."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 8), st.integers(1, 4),
+           st.integers(1, 12))
+    def test_equals_the_serial_solver(self, seed, n_var, n_row, size):
+        batch = mixed_batch(np.random.default_rng(seed), n_var, n_row, size)
+        assert_same_solutions(batch, solve_many(batch))
+
+    def test_a_fixed_batch_holds_every_verdict(self):
+        batch = mixed_batch(np.random.default_rng(5), 6, 3, 40)
+        solutions = solve_many(batch)
+        assert {sol.status for sol in solutions} == set(LPStatus)
+        assert_same_solutions(batch, solutions)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(2, 8))
+    def test_bland_switch_at_different_iterations(self, seed, size):
+        # a stall limit of 2 makes most degenerate instances switch to Bland's
+        # rule, each after its own number of iterations
+        rng = np.random.default_rng(seed)
+        batch = [
+            LinearProgram(rng.normal(size=6), rng.normal(size=(3, 6)), np.zeros(3), np.zeros(6), np.full(6, 2.0))
+            for _ in range(size)
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hippp.lp, "_STALL_LIMIT", 2)
+            assert_same_solutions(batch, solve_many(batch))
+
+    def test_empty_batch(self):
+        assert solve_many([]) == []
+
+    def test_rejects_mixed_shapes_and_empty_rows(self):
+        one_row = LinearProgram([1.0, 1.0], [[1.0, 1.0]], [1.0], [0.0, 0.0], [1.0, 1.0])
+        two_rows = LinearProgram([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0])
+        three_vars = LinearProgram([1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]], [1.0], [0.0] * 3, [1.0] * 3)
+        no_rows = LinearProgram([1.0, -2.0], np.zeros((0, 2)), [], [0.0, -1.0], [3.0, 1.0])
+        for batch in ([one_row, two_rows], [one_row, three_vars], [no_rows], [no_rows, no_rows]):
+            with pytest.raises(ParameterError):
+                solve_many(batch)
