@@ -51,7 +51,10 @@ from .errors import (
 from .evaluate import (
     DEFAULT_CONVERTER_EFFICIENCY,
     MetricsRecord,
+    SweepCell,
     evaluate_architecture,
+    evaluate_cells,
+    sweep_figures,
     sweep_heterogeneity,
     sweep_rating,
     system_efficiency,
@@ -109,6 +112,7 @@ __all__ = [
     "ParameterError",
     "PowerFlowSolution",
     "StructuralError",
+    "SweepCell",
     "UndefinedMetricError",
     "aggregate_rating",
     "architecture_edges",
@@ -119,6 +123,7 @@ __all__ = [
     "draw_capabilities",
     "enumerate_interconnections",
     "evaluate_architecture",
+    "evaluate_cells",
     "flatten",
     "flatten_distribution",
     "flow_powers",
@@ -137,6 +142,7 @@ __all__ = [
     "sample_battery_set",
     "solve",
     "solve_many",
+    "sweep_figures",
     "sweep_heterogeneity",
     "sweep_rating",
     "system_efficiency",

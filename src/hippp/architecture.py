@@ -162,6 +162,15 @@ def aggregate_rating(arch: Architecture) -> float:
     return installed / arch.total_expected_power
 
 
+def budget_rating(arch: Architecture) -> float:
+    """The one rating a kind's budget sets: per battery for full processing, per ladder rung otherwise."""
+    if arch.kind == ArchitectureKind.FPP:
+        return arch.fpp_rating
+    if arch.kind == ArchitectureKind.CPPP:
+        return arch.cppp_rating
+    return arch.layer2.rating
+
+
 def fpp_from_budget(budget: float, expected: ExpectedSet) -> Architecture:
     """Spend a normalized rating budget evenly across N per-battery converters."""
     if not budget >= 0.0:

@@ -21,6 +21,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+
+# argparse's gettext imports locale when it builds its first parser; import it
+# with hippp.cli so that a call imports no module
+import locale  # noqa: F401
 import logging
 import os
 import sys
@@ -42,8 +46,7 @@ from .errors import ConfigError, EnumerationCapError, HipppError, InternalCheckE
 from .evaluate import (
     DEFAULT_CONVERTER_EFFICIENCY,
     MetricsRecord,
-    sweep_heterogeneity,
-    sweep_rating,
+    sweep_figures,
 )
 from .powerflow import architecture_edges, optimal_flow
 from .supply import BatterySupply, flatten
@@ -243,13 +246,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> list[Pat
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
 
-    rating_records = sweep_rating(
-        cfg.kinds, cfg.supply, cfg.rating_grid, cfg.trials, cfg.seed,
-        design_cfg=cfg.design, converter_efficiency=cfg.converter_efficiency, workers=workers,
-    )
-    het_records = sweep_heterogeneity(
-        cfg.kinds, cfg.supply.mean_power, cfg.sigma_grid, cfg.rating_budget,
-        cfg.trials, cfg.seed, count=cfg.supply.count,
+    rating_records, het_records = sweep_figures(
+        cfg.kinds, cfg.supply, cfg.rating_grid, cfg.sigma_grid, cfg.rating_budget, cfg.trials, cfg.seed,
         design_cfg=cfg.design, converter_efficiency=cfg.converter_efficiency, workers=workers,
     )
 

@@ -159,9 +159,6 @@ def partition_ratings(processed, k: int) -> list[float]:
     return ratings
 
 
-# design results keyed by (expected capabilities, M, K); the search is pure
-_layer1_cache: dict[tuple, Layer1Design] = {}
-
 # placements scored per kernel call; bounds the search's working memory
 _PLACEMENT_BLOCK = 1024
 
@@ -199,11 +196,6 @@ def design_layer1(expected: ExpectedSet, cfg: DesignConfig) -> Layer1Design:
     if m > n - 1:
         raise ParameterError("layer 1 must stay sparse: num_layer1 at most count - 1")
     caps = expected.capabilities
-    key = (caps.tobytes(), n, m, cfg.num_rating_sets)
-    cached = _layer1_cache.get(key)
-    if cached is not None:
-        return cached
-
     best_output = -np.inf
     contenders: list[tuple[np.ndarray, np.ndarray]] = []  # (outputs, endpoints) per block
     for endpoints in _placement_blocks(enumerate_interconnections(n, m), m):
@@ -239,13 +231,11 @@ def design_layer1(expected: ExpectedSet, cfg: DesignConfig) -> Layer1Design:
         interconnection_count(n, m), best_output, chosen_edges,
     )
     ratings = partition_ratings(chosen_processed, cfg.num_rating_sets)
-    design = Layer1Design(
+    return Layer1Design(
         edges=tuple(ConverterEdge(src, dst, r) for (src, dst), r in zip(chosen_edges, ratings)),
         rating_partitions=cfg.num_rating_sets,
         processed_at_design=tuple(float(p) for p in chosen_processed),
     )
-    _layer1_cache[key] = design
-    return design
 
 
 def layer2_rating_for_budget(layer1: Layer1Design, expected: ExpectedSet, budget: float) -> float:

@@ -4,12 +4,20 @@ Every evaluation replays seeded capability batches (trial t draws with
 seed + t), so two architectures evaluated with the same supply, trial count
 and seed see identical batches. That common-random-numbers discipline makes
 sweep comparisons paired and bit-reproducible regardless of worker count.
-A cell draws its (trials, N) block once, takes every trial's output and
-processed power from one powerflow call (closed form over the whole block
-for the ladder and full processing; for the hierarchical design, every
-trial's current from the cut form and its least-processing flow from one
-min-cost flow kernel, both over the whole block, with no LP) and checks its
-invariants over all trials at once.
+
+A sweep is one grouped evaluation of its cells (evaluate_cells). Each
+distinct (supply, trials, seed) block is drawn once. Cells that share a
+kind, a battery count and a layer-1 design form a group, whose cells'
+rows are stacked and run through one powerflow call (flow_powers) with
+each row's own budget rating: closed form for full processing and the
+ladder; for the hierarchical design, every row's current from the cut form
+and its least-processing flow from one min-cost flow kernel, with no LP.
+Every kernel step is elementwise per row, so a cell's rows carry the same
+bits as when the cell runs alone. Each cell's invariants and metric means
+are then computed on its own rows. evaluate_architecture is the one-cell
+call; `hippp sweep` evaluates the rating and heterogeneity sweeps together
+(sweep_figures), with layer 1 designed once per distinct flattened supply.
+Under several workers a group is the unit of work.
 
 Reported metrics per architecture:
 
@@ -22,13 +30,20 @@ Reported metrics per architecture:
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .architecture import Architecture, ArchitectureKind, aggregate_rating, cppp_from_budget, fpp_from_budget
+from .architecture import (
+    Architecture,
+    ArchitectureKind,
+    Layer1Design,
+    aggregate_rating,
+    budget_rating,
+    cppp_from_budget,
+    fpp_from_budget,
+)
 from .design import DesignConfig, design_layer1, lshippp_for_budget
 from .errors import InternalCheckError, ParameterError, UndefinedMetricError
 from .powerflow import flow_powers
@@ -83,29 +98,87 @@ def _first_trial(violations: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def evaluate_architecture(
-    arch: Architecture,
-    supply: BatterySupply,
-    trials: int,
-    seed: int,
-    converter_efficiency: float = DEFAULT_CONVERTER_EFFICIENCY,
-) -> MetricsRecord:
-    """Replay `trials` seeded batches against `arch` and average the metrics.
+class SweepCell(NamedTuple):
+    """One evaluation: `arch` against `trials` seeded draws of `supply` from `seed`."""
 
-    Inline invariants (conservation comes certified from the flow solver) are
-    checked on every trial and abort on violation rather than skewing the
-    statistics. Every trial delivers power (the bare string is always
-    available), so efficiency is defined on each.
+    arch: Architecture
+    supply: BatterySupply
+    trials: int
+    seed: int
+    converter_efficiency: float = DEFAULT_CONVERTER_EFFICIENCY
+
+
+def evaluate_cells(cells: Sequence[SweepCell], workers: int = 1) -> list[MetricsRecord]:
+    """Evaluate every cell as one grouped evaluation; records in cell order.
+
+    Each distinct (supply, trials, seed) block is drawn once. Cells sharing
+    a kind, a battery count and a layer-1 design are stacked and evaluated by
+    one flow_powers call, each row at its own cell's budget rating; each
+    cell's record comes from its own rows and equals, by ==, the record of
+    the cell evaluated alone. With workers > 1 the groups are spread over a
+    process pool of at most one worker per group.
     """
-    if supply.count != arch.num_batteries:
-        raise ParameterError(f"supply count {supply.count} does not match architecture {arch.num_batteries}")
-    if int(trials) != trials or trials < 1:
-        raise ParameterError("trials must be a positive integer")
+    cells = [SweepCell(*cell) for cell in cells]
+    for arch, supply, trials, _, _ in cells:
+        if supply.count != arch.num_batteries:
+            raise ParameterError(f"supply count {supply.count} does not match architecture {arch.num_batteries}")
+        if int(trials) != trials or trials < 1:
+            raise ParameterError("trials must be a positive integer")
+
+    blocks: dict[tuple, np.ndarray] = {}
+    members: dict[tuple, list[int]] = {}
+    tasks: dict[tuple, list[tuple[SweepCell, np.ndarray]]] = {}
+    for index, (arch, supply, trials, seed, _) in enumerate(cells):
+        key = (supply, int(trials), seed)
+        if key not in blocks:
+            blocks[key] = np.array([draw_capabilities(supply, seed + t) for t in range(int(trials))])
+        group = (arch.kind, arch.num_batteries, arch.layer1)
+        members.setdefault(group, []).append(index)
+        tasks.setdefault(group, []).append((cells[index], blocks[key]))
+
+    records: list[MetricsRecord] = [None] * len(cells)
+    for indices, group_records in zip(members.values(), _run_groups(list(tasks.values()), workers)):
+        for index, record in zip(indices, group_records):
+            records[index] = record
+    return records
+
+
+def _run_groups(tasks, workers: int):
+    workers = min(workers, len(tasks))  # a forked pool starts every worker up front
+    if workers > 1:
+        # imported here: it pulls in multiprocessing, which a one-process run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_evaluate_group, tasks))
+    return [_evaluate_group(task) for task in tasks]
+
+
+def _evaluate_group(task) -> list[MetricsRecord]:
+    """One flow_powers call over the stacked rows of a group, then one record per cell."""
+    caps = np.concatenate([block for _, block in task])
+    ratings = np.concatenate([np.full(len(block), budget_rating(cell.arch)) for cell, block in task])
+    output, processed = flow_powers(caps, task[0][0].arch, ratings)
+    records = []
+    start = 0
+    for cell, block in task:
+        stop = start + len(block)
+        records.append(_cell_record(cell, block, output[start:stop], processed[start:stop]))
+        start = stop
+    return records
+
+
+def _cell_record(cell: SweepCell, caps: np.ndarray, output: np.ndarray, processed: np.ndarray) -> MetricsRecord:
+    """A cell's metric means from its own rows, after its inline invariants.
+
+    Conservation comes certified from the flow kernels; the checks here abort
+    on violation rather than skewing the statistics. Every trial delivers
+    power (the bare string is always available), so efficiency is defined on
+    each.
+    """
+    arch, supply, trials, seed, converter_efficiency = cell
     rating_norm = aggregate_rating(arch)
     total_expected = arch.total_expected_power
-
-    caps = np.array([draw_capabilities(supply, seed + t) for t in range(trials)])
-    output, processed = flow_powers(caps, arch)
     batch_power = caps.sum(axis=1)
     utils = output / batch_power
     procs = processed / total_expected
@@ -138,25 +211,27 @@ def evaluate_architecture(
     )
 
 
+def evaluate_architecture(
+    arch: Architecture,
+    supply: BatterySupply,
+    trials: int,
+    seed: int,
+    converter_efficiency: float = DEFAULT_CONVERTER_EFFICIENCY,
+) -> MetricsRecord:
+    """Replay `trials` seeded batches against `arch` and average the metrics.
+
+    The one-cell call of evaluate_cells. Inline invariants are checked on
+    every trial and abort on violation.
+    """
+    return evaluate_cells([SweepCell(arch, supply, trials, seed, converter_efficiency)])[0]
+
+
 def _architecture_for(kind: ArchitectureKind, budget: float, expected, layer1) -> Architecture:
     if kind == ArchitectureKind.FPP:
         return fpp_from_budget(budget, expected)
     if kind == ArchitectureKind.CPPP:
         return cppp_from_budget(budget, expected)
     return lshippp_for_budget(layer1, expected, budget)
-
-
-def _evaluate_cell(cell):
-    arch, supply, trials, seed, converter_efficiency = cell
-    return evaluate_architecture(arch, supply, trials, seed, converter_efficiency)
-
-
-def _run_cells(cells, workers: int):
-    workers = min(workers, len(cells))  # a forked pool starts every worker up front
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_evaluate_cell, cells))
-    return [_evaluate_cell(cell) for cell in cells]
 
 
 def _normalize_kinds(kinds) -> list[ArchitectureKind]:
@@ -166,6 +241,59 @@ def _normalize_kinds(kinds) -> list[ArchitectureKind]:
     if len(set(out)) != len(out):
         raise ParameterError("architecture kinds must not repeat")
     return out
+
+
+def _rating_points(supply: BatterySupply, rating_grid) -> list[tuple[BatterySupply, list[float]]]:
+    grid = [float(b) for b in rating_grid]
+    if not grid:
+        raise ParameterError("rating grid must not be empty")
+    if any(b < 0.0 for b in grid):
+        raise ParameterError("rating budgets must be non-negative")
+    if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
+        raise ParameterError("rating grid must be strictly increasing")
+    return [(supply, grid)]
+
+
+def _sigma_points(supply_mean: float, sigma_grid, fixed_budget: float, count: int):
+    sigmas = [float(s) for s in sigma_grid]
+    if not sigmas:
+        raise ParameterError("sigma grid must not be empty")
+    if any(s < 0.0 for s in sigmas):
+        raise ParameterError("supply spreads must be non-negative")
+    if any(s2 <= s1 for s1, s2 in zip(sigmas, sigmas[1:])):
+        raise ParameterError("sigma grid must be strictly increasing")
+    if not fixed_budget >= 0.0:
+        raise ParameterError("rating budget must be non-negative")
+    return [(BatterySupply(supply_mean, sigma, count), [float(fixed_budget)]) for sigma in sigmas]
+
+
+def _sweep(kinds, points, trials, seed, design_cfg, converter_efficiency, workers) -> list[MetricsRecord]:
+    """Cells point by point, budget by budget, kind by kind, as one grouped evaluation.
+
+    `points` pairs each supply with its budgets. Each distinct flattened
+    supply gets one layer-1 design, reused for every budget of every point
+    that flattens to it; each budget only re-splits what is left for the
+    ladder.
+    """
+    layer1s: dict[bytes, Layer1Design] = {}
+    cells = []
+    for supply, budgets in points:
+        expected = flatten(supply)
+        layer1 = None
+        if ArchitectureKind.LSHIPPP in kinds:
+            key = expected.capabilities.tobytes()
+            if key not in layer1s:
+                layer1s[key] = design_layer1(expected, design_cfg or DesignConfig())
+            layer1 = layer1s[key]
+        cells += [
+            SweepCell(_architecture_for(kind, budget, expected, layer1), supply, trials, seed, converter_efficiency)
+            for budget in budgets
+            for kind in kinds
+        ]
+    records = evaluate_cells(cells, workers)
+    for record in records:
+        log.debug("sweep cell %s", record)
+    return records
 
 
 def sweep_rating(
@@ -184,28 +312,8 @@ def sweep_rating(
     every budget; each budget only re-splits what is left for the ladder.
     """
     kinds = _normalize_kinds(kinds)
-    grid = [float(b) for b in rating_grid]
-    if not grid:
-        raise ParameterError("rating grid must not be empty")
-    if any(b < 0.0 for b in grid):
-        raise ParameterError("rating budgets must be non-negative")
-    if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
-        raise ParameterError("rating grid must be strictly increasing")
-
-    expected = flatten(supply)
-    layer1 = None
-    if ArchitectureKind.LSHIPPP in kinds:
-        layer1 = design_layer1(expected, design_cfg or DesignConfig())
-
-    cells = [
-        (_architecture_for(kind, budget, expected, layer1), supply, trials, seed, converter_efficiency)
-        for budget in grid
-        for kind in kinds
-    ]
-    records = _run_cells(cells, workers)
-    for record in records:
-        log.debug("sweep cell %s", record)
-    return records
+    points = _rating_points(supply, rating_grid)
+    return _sweep(kinds, points, trials, seed, design_cfg, converter_efficiency, workers)
 
 
 def sweep_heterogeneity(
@@ -226,26 +334,32 @@ def sweep_heterogeneity(
     and the draw schedule stay fixed so curves are comparable point-by-point.
     """
     kinds = _normalize_kinds(kinds)
-    sigmas = [float(s) for s in sigma_grid]
-    if not sigmas:
-        raise ParameterError("sigma grid must not be empty")
-    if any(s < 0.0 for s in sigmas):
-        raise ParameterError("supply spreads must be non-negative")
-    if any(s2 <= s1 for s1, s2 in zip(sigmas, sigmas[1:])):
-        raise ParameterError("sigma grid must be strictly increasing")
-    if not fixed_budget >= 0.0:
-        raise ParameterError("rating budget must be non-negative")
+    points = _sigma_points(supply_mean, sigma_grid, fixed_budget, count)
+    return _sweep(kinds, points, trials, seed, design_cfg, converter_efficiency, workers)
 
-    cells = []
-    for sigma in sigmas:
-        supply = BatterySupply(supply_mean, sigma, count)
-        expected = flatten(supply)
-        layer1 = None
-        if ArchitectureKind.LSHIPPP in kinds:
-            layer1 = design_layer1(expected, design_cfg or DesignConfig())
-        for kind in kinds:
-            cells.append(
-                (_architecture_for(kind, fixed_budget, expected, layer1), supply, trials, seed, converter_efficiency)
-            )
-    return _run_cells(cells, workers)
 
+def sweep_figures(
+    kinds: Sequence[ArchitectureKind | str],
+    supply: BatterySupply,
+    rating_grid: Sequence[float],
+    sigma_grid: Sequence[float],
+    fixed_budget: float,
+    trials: int,
+    seed: int,
+    design_cfg: DesignConfig | None = None,
+    converter_efficiency: float = DEFAULT_CONVERTER_EFFICIENCY,
+    workers: int = 1,
+) -> tuple[list[MetricsRecord], list[MetricsRecord]]:
+    """The rating sweep of `supply` and the heterogeneity sweep around it, evaluated together.
+
+    Returns the records of sweep_rating(kinds, supply, rating_grid, ...) and
+    of sweep_heterogeneity(kinds, supply.mean_power, sigma_grid,
+    fixed_budget, ..., count=supply.count), equal to them by ==. The spread
+    of `supply` shares its block draws and its layer-1 design between the two.
+    """
+    kinds = _normalize_kinds(kinds)
+    rating_points = _rating_points(supply, rating_grid)
+    sigma_points = _sigma_points(supply.mean_power, sigma_grid, fixed_budget, supply.count)
+    records = _sweep(kinds, rating_points + sigma_points, trials, seed, design_cfg, converter_efficiency, workers)
+    split = len(kinds) * len(rating_points[0][1])
+    return records[:split], records[split:]

@@ -437,7 +437,8 @@ def solve_many(lps: Sequence[LinearProgram]) -> list[LPSolution]:
 
     Returns one LPSolution per LP, equal by == in status, values and
     objective to what solve returns for it: the batch runs the same two
-    phases, pivots and checks, only stacked (see _iterate_many). A batch
+    phases, pivots and checks, only stacked (see _iterate_many). A batch of
+    one LP goes through solve, which gives those bits for less work. A batch
     mixing shapes, or of LPs without equality rows, raises ParameterError.
     """
     lps = list(lps)
@@ -449,6 +450,8 @@ def solve_many(lps: Sequence[LinearProgram]) -> list[LPSolution]:
     m, n = shape
     if m == 0:
         raise ParameterError("a batch of LPs needs at least one equality row")
+    if len(lps) == 1:
+        return [solve(lps[0])]
 
     k_all, width = len(lps), n + m
     c, lo1, up1, x = (np.empty((k_all, width)) for _ in range(4))

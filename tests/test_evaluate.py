@@ -2,25 +2,33 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hippp.evaluate
 from hippp import (
     ArchitectureKind,
     BatterySupply,
+    ConverterEdge,
     DesignConfig,
+    Layer1Design,
     MetricsRecord,
     ParameterError,
+    SweepCell,
     UndefinedMetricError,
     cppp_from_budget,
     design_layer1,
     design_layer2,
     draw_capabilities,
     evaluate_architecture,
+    evaluate_cells,
     flatten,
     flow_powers,
     fpp_from_budget,
     lshippp_for_budget,
     optimal_flow,
     sample_battery_set,
+    sweep_figures,
     sweep_heterogeneity,
     sweep_rating,
     system_efficiency,
@@ -151,6 +159,100 @@ class TestTrialBlock:
             flow_powers(draw_capabilities(SUPPLY9, 0), arch)
         with pytest.raises(ParameterError):
             flow_powers(np.ones((3, 5)), arch)
+
+
+@st.composite
+def cell_lists(draw):
+    """Random cells over one or two battery counts, with shared and unshared blocks.
+
+    Supplies, trial counts, seeds and layer-1 designs come from small pools,
+    so some cells share a (supply, trials, seed) block or a layer-1 design
+    and some do not. Layer-1 designs are random chords with random ratings;
+    budgets and spreads include 0.
+    """
+    counts = draw(st.lists(st.integers(2, 16), min_size=1, max_size=2, unique=True))
+    trial_pool = draw(st.lists(st.integers(1, 30), min_size=1, max_size=2))
+    seed_pool = draw(st.lists(st.integers(0, 1000), min_size=1, max_size=2))
+    layer1s = {}
+    for n in counts:
+        battery = st.integers(0, n - 1)
+        pair = st.tuples(battery, battery).filter(lambda p: p[0] != p[1])
+        designs = []
+        for _ in range(draw(st.integers(1, 2))):
+            chords = draw(st.lists(st.tuples(pair, st.sampled_from([0.0, 0.02, 0.1, 0.3])),
+                                   min_size=1, max_size=min(3, n - 1)))
+            designs.append(Layer1Design(
+                tuple(ConverterEdge(a, b, r) for (a, b), r in chords), len(chords), tuple(r for _, r in chords),
+            ))
+        layer1s[n] = designs
+    cells = []
+    for _ in range(draw(st.integers(1, 8))):
+        n = draw(st.sampled_from(counts))
+        supply = BatterySupply(1.0, draw(st.sampled_from([0.0, 0.1, 0.25])), n)
+        expected = flatten(supply)
+        budget = draw(st.sampled_from([0.0, 0.05, 0.15, 0.4]))
+        kind = draw(st.sampled_from(list(ArchitectureKind)))
+        if kind == ArchitectureKind.FPP:
+            arch = fpp_from_budget(budget, expected)
+        elif kind == ArchitectureKind.CPPP:
+            arch = cppp_from_budget(budget, expected)
+        else:
+            arch = lshippp_for_budget(draw(st.sampled_from(layer1s[n])), expected, budget)
+        cells.append(SweepCell(arch, supply, draw(st.sampled_from(trial_pool)), draw(st.sampled_from(seed_pool)),
+                               draw(st.sampled_from([0.85, 0.9]))))
+    return cells
+
+
+class TestGroupedEvaluation:
+    """One grouped evaluation gives every cell the record it gets alone, by ==."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cell_lists())
+    def test_equals_one_cell_at_a_time(self, cells):
+        assert evaluate_cells(cells) == [evaluate_architecture(*cell) for cell in cells]
+
+    def test_cells_sharing_a_block_and_a_design(self):
+        # a rating sweep stacks every budget of one layer-1 design into one
+        # kernel call; each cell still gets the record it gets alone
+        expected = flatten(SUPPLY9)
+        layer1 = design_layer1(expected, FAST_CFG)
+        cells = [
+            SweepCell(make(budget), SUPPLY9, 20, 3)
+            for budget in (0.0, 0.1, 0.2, 0.5)
+            for make in (lambda b: lshippp_for_budget(layer1, expected, b),
+                         lambda b: cppp_from_budget(b, expected),
+                         lambda b: fpp_from_budget(b, expected))
+        ]
+        records = evaluate_cells(cells)
+        assert records == [evaluate_architecture(*cell) for cell in cells]
+        assert len(set(records)) == len(records)
+
+    def test_validation_covers_every_cell(self):
+        arch = cppp_from_budget(0.2, flatten(SUPPLY9))
+        good = SweepCell(arch, SUPPLY9, 5, 0)
+        with pytest.raises(ParameterError):
+            evaluate_cells([good, SweepCell(arch, BatterySupply(1.0, 0.2, 5), 5, 0)])
+        with pytest.raises(ParameterError):
+            evaluate_cells([good, SweepCell(arch, SUPPLY9, 0, 0)])
+        assert evaluate_cells([]) == []
+
+    def test_sweep_figures_equals_the_two_sweeps(self):
+        kinds = ["lshippp", "cppp", "fpp"]
+        rating, sigma = sweep_figures(kinds, SUPPLY9, [0.05, 0.3], [0.1, 0.2], 0.15, 12, 4, design_cfg=FAST_CFG)
+        assert rating == sweep_rating(kinds, SUPPLY9, [0.05, 0.3], 12, 4, design_cfg=FAST_CFG)
+        assert sigma == sweep_heterogeneity(kinds, 1.0, [0.1, 0.2], 0.15, 12, 4, count=9, design_cfg=FAST_CFG)
+
+    def test_one_layer1_design_per_flattened_supply(self, monkeypatch):
+        # the supply's own spread is in the sigma grid: both sweeps share its design
+        designed = []
+
+        def counting_design(expected, cfg):
+            designed.append(expected.supply.std_power)
+            return design_layer1(expected, cfg)
+
+        monkeypatch.setattr(hippp.evaluate, "design_layer1", counting_design)
+        sweep_figures(["lshippp"], SUPPLY9, [0.05, 0.3], [0.1, 0.2, 0.3], 0.15, 3, 0, design_cfg=FAST_CFG)
+        assert designed == [0.2, 0.1, 0.3]
 
 
 class TestSweeps:

@@ -354,8 +354,9 @@ class TestSolveMany:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 8), st.integers(1, 4),
-           st.integers(1, 12))
+           st.integers(2, 12))
     def test_equals_the_serial_solver(self, seed, n_var, n_row, size):
+        # a batch of one goes through solve itself, so only K >= 2 tests the lockstep
         batch = mixed_batch(np.random.default_rng(seed), n_var, n_row, size)
         assert_same_solutions(batch, solve_many(batch))
 
@@ -381,6 +382,11 @@ class TestSolveMany:
 
     def test_empty_batch(self):
         assert solve_many([]) == []
+
+    def test_a_batch_of_one_is_a_serial_solve(self, monkeypatch):
+        batch = mixed_batch(np.random.default_rng(3), 6, 3, 1)
+        monkeypatch.setattr(hippp.lp, "_iterate_many", None)  # the lockstep must not run
+        assert_same_solutions(batch, solve_many(batch))
 
     def test_rejects_mixed_shapes_and_empty_rows(self):
         one_row = LinearProgram([1.0, 1.0], [[1.0, 1.0]], [1.0], [0.0, 0.0], [1.0, 1.0])

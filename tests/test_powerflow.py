@@ -5,6 +5,8 @@ vector the best feasible string current follows in closed form, so the
 maximum over the grid bounds the LP answer to grid resolution.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -571,6 +573,120 @@ class TestLeastProcessingKernel:
                                   ([0.1, 0.1], [-0.1]), ([0.1, 0.1], [np.inf]), ([0.1, 0.1], [0.8, 0.8])):
             with pytest.raises(ParameterError):
                 least_processing_flows(block, [(0, 1), (1, 2)], ratings, currents)
+
+
+@st.composite
+def mixed_rating_blocks(draw):
+    """A (T, N) block, a hierarchy on it, and one rung rating per row.
+
+    Rung ratings come from a small pool with exact zeros, so rows share and
+    differ in ratings within one block; chords as in hierarchical_blocks.
+    """
+    n = draw(st.integers(2, 16))
+    rows = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = rng.integers(5, 301, (rows, n)) / 100
+    if draw(st.booleans()):
+        block = np.sort(block, axis=1)
+    hundredths = st.integers(0, 60).map(lambda k: k / 100)
+    battery = st.integers(0, n - 1)
+    pair = st.tuples(battery, battery).filter(lambda p: p[0] != p[1])
+    chords = draw(st.lists(st.tuples(pair, st.one_of(st.just(0.0), hundredths)), max_size=min(3, n - 1)))
+    layer1 = [(a, b, r) for (a, b), r in chords] or [(0, 1, 0.0)]
+    pool = draw(st.lists(st.one_of(st.just(0.0), hundredths), min_size=1, max_size=4))
+    rungs = rng.choice(pool, size=rows)
+    return block, ls_arch(n, float(n), layer1, 0.0, k=len(layer1)), rungs
+
+
+def with_rung(arch, rung):
+    return replace(arch, layer2=Layer2Design(float(rung), arch.num_batteries - 1))
+
+
+class TestPerRowRatings:
+    """Every kernel takes one rating per row; a block row equals a one-row call bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_rating_blocks())
+    def test_cut_form_rows_equal_one_row_calls(self, instance):
+        block, arch, rungs = instance
+        currents = hierarchical_currents(block, arch, rungs)
+        for t, row in enumerate(block):
+            assert currents[t] == hierarchical_currents(row[None, :], with_rung(arch, rungs[t]))[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_rating_blocks())
+    def test_ladder_rows_equal_one_row_calls(self, instance):
+        block, _, rungs = instance
+        stacked = ladder_flow(block, rungs)
+        for t, row in enumerate(block):
+            for got, alone in zip(stacked, ladder_flow(row[None, :], rungs[t])):
+                assert np.array_equal(got[t], alone[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_rating_blocks(), st.integers(0, 2**32 - 1))
+    def test_least_processing_rows_equal_one_row_calls(self, instance, seed):
+        # rows run at I* or a fraction of it, so they finish after different
+        # numbers of rounds and leave the pass at different times
+        block, arch, rungs = instance
+        scale = np.random.default_rng(seed).choice([0.0, 0.5, 0.9, 1.0], size=len(block))
+        currents = hierarchical_currents(block, arch, rungs) * scale
+        edges = architecture_edges(arch)
+        pairs = [(e.from_battery, e.to_battery) for e in edges]
+        chords = [e.rating for e in arch.layer1.edges]
+        table = np.array([chords + [rung] * (block.shape[1] - 1) for rung in rungs])
+        flows, battery = least_processing_flows(block, pairs, table, currents)
+        for t, row in enumerate(block):
+            one = least_processing_flows(row[None, :], pairs, table[t], currents[t:t + 1])
+            assert np.array_equal(flows[t], one[0][0])
+            assert np.array_equal(battery[t], one[1][0])
+
+    @settings(max_examples=25, deadline=None)
+    @given(mixed_rating_blocks())
+    def test_flow_powers_rows_equal_optimal_flow(self, instance):
+        block, arch, rungs = instance
+        n = block.shape[1]
+        for kind_arch in (arch, cppp_arch(float(n), n, 0.0),
+                          Architecture(ArchitectureKind.FPP, n, float(n), fpp_rating=0.0)):
+            output, processed = hippp.powerflow.flow_powers(block, kind_arch, rungs)
+            for t, row in enumerate(block):
+                if kind_arch.kind == ArchitectureKind.FPP:
+                    alone = optimal_flow(row, replace(kind_arch, fpp_rating=float(rungs[t])))
+                elif kind_arch.kind == ArchitectureKind.CPPP:
+                    alone = optimal_flow(row, replace(kind_arch, cppp_rating=float(rungs[t])))
+                else:
+                    alone = optimal_flow(row, with_rung(kind_arch, rungs[t]))
+                assert output[t] == alone.output_power
+                assert processed[t] == alone.processed_power
+
+    def test_a_large_block_of_mixed_ratings(self):
+        # 400 rows over 8 rung ratings and two kinds of pass: the SSP pass drops
+        # rows round by round, and the cut form runs in several passes
+        rng = np.random.default_rng(21)
+        block = np.sort(rng.uniform(0.3, 1.7, (400, 16)), axis=1)
+        arch = ls_arch(16, 16.0, [(0, 15, 0.4), (1, 9, 0.2), (3, 12, 0.1)], 0.0, k=3)
+        rungs = rng.choice([0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 1.0], size=len(block))
+        output, processed = hippp.powerflow.flow_powers(block, arch, rungs)
+        for t in range(0, len(block), 7):
+            alone = optimal_flow(block[t], with_rung(arch, rungs[t]))
+            assert output[t] == alone.output_power
+            assert processed[t] == alone.processed_power
+
+    def test_rejects_bad_per_row_ratings(self):
+        block = np.array([[0.6, 1.0, 1.4], [0.7, 1.0, 1.3]])
+        arch = ls_arch(3, 3.0, [(0, 2, 0.1)], 0.05)
+        for rungs in ([0.1], [0.1, 0.1, 0.1], [0.1, -0.1], [0.1, np.nan]):
+            with pytest.raises(ParameterError):
+                hierarchical_currents(block, arch, rungs)
+            with pytest.raises(ParameterError):
+                ladder_flow(block, rungs)
+            with pytest.raises(ParameterError):
+                hippp.powerflow.flow_powers(block, cppp_arch(3.0, 3, 0.1), rungs)
+            with pytest.raises(ParameterError):
+                hippp.powerflow.flow_powers(block, fpp_from_budget(0.1, flatten(BatterySupply(1.0, 0.2, 3))), rungs)
+        currents = hierarchical_currents(block, arch)
+        for table in (np.full((2, 2), 0.1), np.full((3, 3), 0.1), np.array([[0.1] * 3, [0.1, -0.1, 0.1]])):
+            with pytest.raises(ParameterError):
+                least_processing_flows(block, [(0, 2), (0, 1), (1, 2)], table, currents)
 
 
 class TestBlockCertification:
