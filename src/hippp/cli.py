@@ -105,6 +105,16 @@ def _parse_float_list(parser, section, key, default):
     return values
 
 
+def _parse_grid(parser, key, default):
+    """A non-negative, strictly increasing [evaluate] list; NaN fails both tests."""
+    grid = _parse_float_list(parser, "evaluate", key, default)
+    if any(not value >= 0.0 for value in grid):
+        raise ConfigError(f"[evaluate] {key}: values must be non-negative, not NaN")
+    if any(not b > a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"[evaluate] {key}: values must be strictly increasing")
+    return grid
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Read the flat key-value experiment description; see README for keys."""
     parser = configparser.ConfigParser()
@@ -157,15 +167,15 @@ def load_config(path: str) -> ExperimentConfig:
     if not 0.0 < efficiency <= 1.0:
         raise ConfigError("[evaluate] converter_efficiency: must lie in (0, 1]")
     budget = _parse_scalar(parser, "evaluate", "rating_budget", float, 0.15)
-    if budget < 0.0:
-        raise ConfigError("[evaluate] rating_budget: must be non-negative")
+    if not budget >= 0.0:
+        raise ConfigError("[evaluate] rating_budget: must be non-negative, not NaN")
 
     return ExperimentConfig(
         supply=supply,
         design=design,
         kinds=tuple(kinds),
-        rating_grid=_parse_float_list(parser, "evaluate", "rating_grid", _DEFAULT_RATING_GRID),
-        sigma_grid=_parse_float_list(parser, "evaluate", "sigma_grid", _DEFAULT_SIGMA_GRID),
+        rating_grid=_parse_grid(parser, "rating_grid", _DEFAULT_RATING_GRID),
+        sigma_grid=_parse_grid(parser, "sigma_grid", _DEFAULT_SIGMA_GRID),
         rating_budget=budget,
         converter_efficiency=efficiency,
         trials=trials,

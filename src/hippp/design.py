@@ -8,11 +8,13 @@ component mean capability (a battery with no converter is its own component),
 computed in closed form for blocks of placements at once. Ties are settled
 first by less total processed power, from the least-processing min-cost flow
 (powerflow.least_processing_flows), then by lexicographically smallest edge
-list, so the result is independent of enumeration order; the tie-break stops
-as soon as a placement reaches a lower bound that every placement's
-processing must meet. Only the winner goes through the design LP, whose
-optimal processed powers are then collapsed into K identical-rating groups
-to cut part count.
+list, so the result is independent of enumeration order. The tied placements
+are scored in lexicographic runs, one stacked min-cost flow call per run over
+the union of the run's edges, with the bits of one call per placement; the
+tie-break stops as soon as a placement reaches a lower bound that every
+placement's processing must meet. Only the winner goes through the design
+LP, whose optimal processed powers are then collapsed into K
+identical-rating groups to cut part count.
 
 Layer 2 is rated by Monte Carlo: with layer 1 frozen, a shared set of seeded
 capability draws is replayed against a grid of trial ladder ratings and the
@@ -116,12 +118,7 @@ def interconnection_count(n: int, m: int) -> int:
     return comb(comb(n, 2), m)
 
 
-def enumerate_interconnections(n: int, m: int, max_sets: int = DEFAULT_ENUMERATION_CAP):
-    """Yield every m-subset of unordered battery pairs, lexicographically.
-
-    Pairs are canonically oriented low index -> high index; flows are signed,
-    so orientation costs no generality. Refuses combinatorial blowups.
-    """
+def _check_enumeration(n: int, m: int, max_sets: int) -> None:
     if int(n) != n or n < 2:
         raise ParameterError("need at least two batteries to place pair converters")
     if int(m) != m or not 1 <= m <= comb(n, 2):
@@ -132,6 +129,15 @@ def enumerate_interconnections(n: int, m: int, max_sets: int = DEFAULT_ENUMERATI
             f"{total} candidate interconnections exceed the cap of {max_sets}; "
             "reduce num_layer1 or raise the cap deliberately"
         )
+
+
+def enumerate_interconnections(n: int, m: int, max_sets: int = DEFAULT_ENUMERATION_CAP):
+    """Yield every m-subset of unordered battery pairs, lexicographically.
+
+    Pairs are canonically oriented low index -> high index; flows are signed,
+    so orientation costs no generality. Refuses combinatorial blowups.
+    """
+    _check_enumeration(n, m, max_sets)
     pairs = list(itertools.combinations(range(n), 2))
     return itertools.combinations(pairs, m)
 
@@ -161,17 +167,53 @@ def partition_ratings(processed, k: int) -> list[float]:
 
 # placements scored per kernel call; bounds the search's working memory
 _PLACEMENT_BLOCK = 1024
+# tied placements in the tie-break's first kernel call; each later run doubles, up to _PLACEMENT_BLOCK
+_FIRST_TIE_RUN = 16
 
 
-def _placement_blocks(placements, m: int):
-    """Cut a lexicographic placement stream into (P, M, 2) endpoint arrays."""
+def _placement_blocks(n: int, m: int):
+    """enumerate_interconnections(n, m) as (P, M, 2) endpoint arrays, in the same order.
+
+    A placement is an m-combination of indices into the lexicographic pair
+    table, and those combinations come out in the placements' own
+    lexicographic order.
+    """
+    _check_enumeration(n, m, DEFAULT_ENUMERATION_CAP)
+    pair_table = np.array(list(itertools.combinations(range(n), 2)), dtype=np.intp)
+    picks = itertools.combinations(range(len(pair_table)), m)
     while True:
-        block = itertools.islice(placements, _PLACEMENT_BLOCK)
-        flat = itertools.chain.from_iterable(itertools.chain.from_iterable(block))
-        endpoints = np.fromiter(flat, dtype=np.intp)
-        if endpoints.size == 0:
+        block = itertools.islice(picks, _PLACEMENT_BLOCK)
+        index = np.fromiter(itertools.chain.from_iterable(block), dtype=np.intp)
+        if index.size == 0:
             return
-        yield endpoints.reshape(-1, m, 2)
+        yield pair_table[index.reshape(-1, m)]
+
+
+def _processing_totals(caps: np.ndarray, endpoints: np.ndarray, currents: np.ndarray) -> np.ndarray:
+    """Least total processed power of each placement of a (P, M, 2) run, unbounded flows.
+
+    One least_processing_flows call scores the whole run, over the sorted
+    union of its edges, with each row's own edges unbounded and every other
+    edge rated 0. A zero-rated arc has no room, so it costs inf and never
+    relaxes. Each placement's edges are a lexicographic subsequence of the
+    union, so every battery's incoming arcs list the row's own arcs in their
+    own relative order and the kernel picks the same predecessors as on the
+    placement alone. Each row's flows, and the sum of their magnitudes over
+    its own edges in its own order, are those of a one-row call over the
+    placement's own edges, bit for bit.
+    """
+    n = caps.size
+    rows = np.arange(len(endpoints))[:, None]
+    codes = endpoints[:, :, 0] * n + endpoints[:, :, 1]
+    present = np.zeros(n * n, dtype=bool)
+    present[codes] = True
+    union = np.flatnonzero(present)
+    cols = (np.cumsum(present) - 1)[codes]  # each edge's column in the union
+    table = np.zeros((rows.size, union.size))
+    table[rows, cols] = np.inf
+    pairs = [divmod(code, n) for code in union.tolist()]
+    flows, _ = least_processing_flows(np.broadcast_to(caps, (rows.size, n)), pairs, table, currents)
+    return np.abs(flows[rows, cols]).sum(axis=1)
 
 
 def design_layer1(expected: ExpectedSet, cfg: DesignConfig) -> Layer1Design:
@@ -179,11 +221,14 @@ def design_layer1(expected: ExpectedSet, cfg: DesignConfig) -> Layer1Design:
 
     Every placement is scored by its closed-form maximum output. Those within
     _VALUE_TIE_TOL of the best are scored, in lexicographic order, by their
-    least total processed power at their own output (least_processing_flows
-    with unbounded flows, one row each), and the least total wins. That scan
-    stops early on a lower bound. At string current I, battery j must take
-    in at least max(0, I - P_j) over its own converters, and each converter's
-    |f_e| lands on at most one battery, so every placement delivering N * I
+    least total processed power at their own output, and the least total
+    wins. The tied placements go through least_processing_flows in runs, one
+    stacked call per run (_processing_totals): the first run holds
+    _FIRST_TIE_RUN placements and each later one twice as many, up to
+    _PLACEMENT_BLOCK. The scan stops early on a lower bound, and no later run
+    is scored once it has. At string current I, battery j must take in at
+    least max(0, I - P_j) over its own converters, and each converter's |f_e|
+    lands on at most one battery, so every placement delivering N * I
     processes at least floor = sum_j max(0, I - P_j). With I the smallest
     tied output / N, the floor holds for every tied placement, and once the
     chosen total is within half the tolerance of it no later placement can
@@ -198,7 +243,7 @@ def design_layer1(expected: ExpectedSet, cfg: DesignConfig) -> Layer1Design:
     caps = expected.capabilities
     best_output = -np.inf
     contenders: list[tuple[np.ndarray, np.ndarray]] = []  # (outputs, endpoints) per block
-    for endpoints in _placement_blocks(enumerate_interconnections(n, m), m):
+    for endpoints in _placement_blocks(n, m):
         outputs = free_flow_outputs(caps, endpoints)
         top = float(outputs.max())
         if top > best_output + _VALUE_TIE_TOL:
@@ -210,20 +255,23 @@ def design_layer1(expected: ExpectedSet, cfg: DesignConfig) -> Layer1Design:
     outputs = np.concatenate([kept for kept, _ in contenders])
     tied = np.concatenate([edges for _, edges in contenders])
     in_band = outputs >= best_output - _VALUE_TIE_TOL
-    floor = float(np.maximum(float(outputs[in_band].min()) / n - caps, 0.0).sum())
-    unbounded = np.full(m, np.inf)
-    chosen_edges = None
+    outputs, tied = outputs[in_band], tied[in_band]
+    floor = float(np.maximum(float(outputs.min()) / n - caps, 0.0).sum())
+    chosen = 0
     chosen_sum = np.inf
-    for edges, output in zip(tied[in_band], outputs[in_band]):
-        edge_set = tuple(map(tuple, edges.tolist()))
-        flows, _ = least_processing_flows(caps[None, :], edge_set, unbounded, [output / n])
-        total = float(np.abs(flows).sum())
-        # contenders arrive in lexicographic order, so strict improvement only
-        if total < chosen_sum - _VALUE_TIE_TOL:
-            chosen_sum = total
-            chosen_edges = edge_set
-        if chosen_sum <= floor + _VALUE_TIE_TOL / 2:
-            break  # no later placement can process less (see the docstring)
+    start, run = 0, _FIRST_TIE_RUN
+    while start < len(tied) and chosen_sum > floor + _VALUE_TIE_TOL / 2:
+        totals = _processing_totals(caps, tied[start:start + run], outputs[start:start + run] / n)
+        for offset, total in enumerate(totals.tolist()):
+            # contenders arrive in lexicographic order, so strict improvement only
+            if total < chosen_sum - _VALUE_TIE_TOL:
+                chosen_sum = total
+                chosen = start + offset
+            if chosen_sum <= floor + _VALUE_TIE_TOL / 2:
+                break  # no later placement can process less (see the docstring)
+        start += run
+        run = min(2 * run, _PLACEMENT_BLOCK)
+    chosen_edges = tuple(map(tuple, tied[chosen].tolist()))
     chosen_processed, _ = layer1_design_lp(expected, chosen_edges)
 
     log.debug(

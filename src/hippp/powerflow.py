@@ -446,7 +446,8 @@ def least_processing_flows(capabilities, pairs: Sequence[_Pair], ratings, curren
     InternalCheckError. A row that has no battery with deficit left in reach
     is finished for good, so it leaves the pass's working arrays with its
     flows written back. Rows go through in passes of at most _CUT_CELLS
-    (row, battery, incoming arc) cells.
+    cells: (row, battery, incoming arc) cells of the path search plus
+    (row, arc) cells of the residual graph.
     """
     caps = _validate_capabilities(capabilities, ndim=2)
     trials, n = caps.shape
@@ -467,7 +468,7 @@ def least_processing_flows(capabilities, pairs: Sequence[_Pair], ratings, curren
     width = max(1, max(map(len, incoming)))
     in_arcs = np.array([arcs + [2 * e] * (width - len(arcs)) for arcs in incoming], dtype=np.intp)
 
-    rows = max(1, _CUT_CELLS // (n * width))
+    rows = max(1, _CUT_CELLS // (n * width + 2 * e))
     flows = np.concatenate([
         _ssp_pass(caps[start:start + rows], currents[start:start + rows], ratings[start:start + rows],
                   tails, in_arcs)

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 from oracles import hierarchical_lp_output, least_processing_lp
 
+import hippp.cli
+import hippp.evaluate
 from hippp import architecture_edges
 from hippp.cli import CSV_HEADER, _read_design, load_config, main
 from hippp.errors import ConfigError
@@ -331,6 +333,32 @@ class TestExitCodes:
         assert run_main("design", "--config", path, "--out", tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert "config error:" in err and "layer2_trial_ratings" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("design", "rating_budget", "nan"),
+        ("sweep", "rating_budget", "nan"),
+        ("sweep", "rating_grid", "0.05 nan"),
+        ("sweep", "rating_grid", "nan 0.05"),
+        ("sweep", "sigma_grid", "0.1 nan"),
+    ])
+    def test_nan_evaluate_value_is_a_config_error(
+        self, config_file, tmp_path, capsys, monkeypatch, command, key, value
+    ):
+        # refused at load, before the layer-1 search, naming the key
+        def no_search(expected, cfg):
+            raise AssertionError("the layer-1 search ran before the config was checked")
+
+        monkeypatch.setattr(hippp.cli, "design_layer1", no_search)
+        monkeypatch.setattr(hippp.evaluate, "design_layer1", no_search)
+        text = "".join(
+            f"{key} = {value}\n" if line.startswith(f"{key} =") else line
+            for line in BASE_CONFIG.splitlines(keepends=True)
+        )
+        config_file.write_text(text)
+        assert run_main(command, "--config", config_file, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and f"[evaluate] {key}" in err
         assert not (tmp_path / "o").exists()
 
     def test_bad_config_value(self, tmp_path, capsys):

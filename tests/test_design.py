@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import hierarchical_lp_output
 from scipy.optimize import linprog
 
@@ -115,6 +117,17 @@ class TestEnumeration:
         gen = enumerate_interconnections(10, 6, max_sets=10_000_000)
         assert next(iter(gen)) == ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6))
 
+    @pytest.mark.parametrize("n, m", [(2, 1), (4, 2), (9, 3), (16, 2)])
+    def test_placement_blocks_keep_the_enumeration_order(self, n, m):
+        blocks = list(hippp.design._placement_blocks(n, m))
+        assert all(len(block) <= hippp.design._PLACEMENT_BLOCK for block in blocks)
+        placements = np.array(list(enumerate_interconnections(n, m)), dtype=np.intp)
+        assert np.array_equal(np.concatenate(blocks), placements)
+
+    def test_placement_blocks_keep_the_cap(self):
+        with pytest.raises(EnumerationCapError):
+            next(hippp.design._placement_blocks(10, 6))
+
     def test_argument_validation(self):
         with pytest.raises(ParameterError):
             enumerate_interconnections(1, 1)
@@ -204,11 +217,11 @@ class TestLayer1Search:
 
     @staticmethod
     def count_solves(monkeypatch):
-        """Record the placements the tie-break scores and the design LPs it solves."""
+        """Record the rows of each tie-break kernel call and the design LPs it solves."""
         scored, solved = [], []
 
         def counting_kernel(caps, pairs, ratings, currents):
-            scored.append(pairs)
+            scored.append(len(caps))
             return least_processing_flows(caps, pairs, ratings, currents)
 
         def counting_design_lp(expected, edges):
@@ -221,7 +234,7 @@ class TestLayer1Search:
 
     def test_uniform_supply_stops_at_the_first_lossless_placement(self, monkeypatch):
         # every placement ties on output and the first one already processes
-        # nothing, so the tie-break scores a single placement
+        # nothing, so the tie-break stops in its first run
         scored, solved = self.count_solves(monkeypatch)
         expected = flatten(BatterySupply(1.0, 0.0, 9))
         design = design_layer1(expected, DesignConfig(num_layer1=3, num_rating_sets=2))
@@ -230,19 +243,20 @@ class TestLayer1Search:
         assert len(scored) <= 1
         assert solved == [((0, 1), (0, 2), (0, 3))]
 
-    @pytest.mark.parametrize("n, m, sigma, calls, edges", [
-        (16, 2, 0.2, 13, [(0, 8), (1, 4)]),
-        (9, 3, 0.2, 7, N9_EDGES),
-        (9, 2, 0.1, 5, [(0, 6), (1, 4)]),
+    @pytest.mark.parametrize("n, m, sigma, rows, edges", [
+        (16, 2, 0.2, 16, [(0, 8), (1, 4)]),
+        (9, 3, 0.2, 13, N9_EDGES),
+        (9, 2, 0.1, 16, [(0, 6), (1, 4)]),
     ])
-    def test_tie_break_stops_at_the_processing_floor(self, monkeypatch, n, m, sigma, calls, edges):
+    def test_tie_break_stops_at_the_processing_floor(self, monkeypatch, n, m, sigma, rows, edges):
         # every tied placement processes at least sum_j max(0, I - P_j), so
-        # the scan ends at the first placement that reaches it; only the
-        # winner gets the design LP
+        # the scan ends at the first placement that reaches it; here that is
+        # inside the first run (13 placements tie at N=9, M=3), so one kernel
+        # call scores the run, and only the winner gets the design LP
         scored, solved = self.count_solves(monkeypatch)
         expected = flatten(BatterySupply(1.0, sigma, n))
         design = design_layer1(expected, DesignConfig(num_layer1=m, num_rating_sets=2))
-        assert len(scored) == calls
+        assert scored == [rows]
         assert solved == [tuple(edges)]
         assert [(e.from_battery, e.to_battery) for e in design.edges] == edges
 
@@ -253,6 +267,37 @@ class TestLayer1Search:
         current = max_output_power(expected.capabilities, edges) / n
         floor = np.maximum(current - expected.capabilities, 0.0).sum()
         assert sum(design.processed_at_design) == pytest.approx(floor, abs=1e-12)
+
+    @pytest.mark.parametrize("n, m, sigma, k, runs", [
+        # 166 placements tie and the stop is the 52nd: runs of 16, 32 and 64
+        (12, 3, 0.3, 2, [16, 32, 64]),
+        # every placement ties and the first processes nothing
+        (7, 2, 0.0, 2, [16]),
+    ])
+    def test_runs_equal_the_full_tie_scan(self, monkeypatch, n, m, sigma, k, runs):
+        scored, _ = self.count_solves(monkeypatch)
+        expected = flatten(BatterySupply(1.0, sigma, n))
+        design = design_layer1(expected, DesignConfig(num_layer1=m, num_rating_sets=k))
+        assert scored == runs
+        ref_edges, ref_ratings, ref_processed = full_tie_scan(expected, m, k)
+        assert [(e.from_battery, e.to_battery) for e in design.edges] == ref_edges
+        assert [e.rating.hex() for e in design.edges] == [r.hex() for r in ref_ratings]
+        assert [p.hex() for p in design.processed_at_design] == [p.hex() for p in ref_processed]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(3, 12), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_run_totals_equal_one_placement_calls(self, n, m, seed):
+        # a stacked run against the one-row calls of the serial scan it replaced
+        rng = np.random.default_rng(seed)
+        caps = np.sort(rng.uniform(0.3, 1.7, n))
+        placements = list(enumerate_interconnections(n, m))
+        picked = np.sort(rng.choice(len(placements), size=min(len(placements), 40), replace=False))
+        endpoints = np.array([placements[i] for i in picked], dtype=np.intp)
+        currents = free_flow_outputs(caps, endpoints) / n
+        totals = hippp.design._processing_totals(caps, endpoints, currents)
+        for edges, current, total in zip(endpoints.tolist(), currents, totals):
+            flows, _ = least_processing_flows(caps[None, :], edges, np.full(m, np.inf), [current])
+            assert total.hex() == float(np.abs(flows).sum()).hex()
 
     def test_design_lp_agrees_with_scipy_on_the_chosen_edges(self):
         expected = flatten(BatterySupply(1.0, 0.2, 9))

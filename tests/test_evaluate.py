@@ -329,6 +329,25 @@ class TestSweeps:
         with pytest.raises(ParameterError):
             sweep_heterogeneity(["cppp"], 1.0, [0.1], fixed_budget=-0.1, trials=5, seed=0)
 
+    def test_nan_grids_fail_before_any_search(self, monkeypatch):
+        # NaN passes every ordered comparison as False, so each check is
+        # written to fail on it; no layer-1 search may run first
+        def no_search(expected, cfg):
+            raise AssertionError("the layer-1 search ran before the grid was checked")
+
+        monkeypatch.setattr(hippp.evaluate, "design_layer1", no_search)
+        nan = float("nan")
+        with pytest.raises(ParameterError):
+            sweep_rating(["lshippp"], SUPPLY9, [0.05, nan], trials=5, seed=0)
+        with pytest.raises(ParameterError):
+            sweep_rating(["lshippp"], SUPPLY9, [nan, 0.05], trials=5, seed=0)
+        with pytest.raises(ParameterError):
+            sweep_heterogeneity(["lshippp"], 1.0, [0.1, nan], fixed_budget=0.1, trials=5, seed=0)
+        with pytest.raises(ParameterError):
+            sweep_heterogeneity(["lshippp"], 1.0, [0.1], fixed_budget=nan, trials=5, seed=0)
+        with pytest.raises(ParameterError):
+            sweep_figures(["lshippp"], SUPPLY9, [0.05, nan], [0.2], 0.15, 5, 0)
+
     def test_architecture_kind_accepts_enum_or_string(self):
         a = sweep_rating([ArchitectureKind.FPP], SUPPLY9, [0.1], trials=5, seed=0)
         b = sweep_rating(["fpp"], SUPPLY9, [0.1], trials=5, seed=0)

@@ -5,6 +5,7 @@ vector the best feasible string current follows in closed form, so the
 maximum over the grid bounds the LP answer to grid resolution.
 """
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -37,7 +38,7 @@ from hippp import (
     solve,
 )
 import hippp.powerflow
-from hippp.powerflow import _certify, _free_flow_lp
+from hippp.powerflow import _certify, _free_flow_lp, free_flow_outputs
 
 GRID_TOL = 2e-3
 
@@ -598,6 +599,18 @@ def mixed_rating_blocks(draw):
     return block, ls_arch(n, float(n), layer1, 0.0, k=len(layer1)), rungs
 
 
+@st.composite
+def union_edge_blocks(draw):
+    """(rows, N) sorted capabilities with 1-4 lexicographic edges per row."""
+    n = draw(st.integers(2, 16))
+    rows = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    block = np.sort(np.random.default_rng(seed).uniform(0.3, 1.7, (rows, n)), axis=1)
+    pairs = list(itertools.combinations(range(n), 2))
+    placement = st.lists(st.sampled_from(pairs), min_size=1, max_size=4, unique=True).map(sorted)
+    return block, draw(st.lists(placement, min_size=rows, max_size=rows))
+
+
 def with_rung(arch, rung):
     return replace(arch, layer2=Layer2Design(float(rung), arch.num_batteries - 1))
 
@@ -639,6 +652,29 @@ class TestPerRowRatings:
             one = least_processing_flows(row[None, :], pairs, table[t], currents[t:t + 1])
             assert np.array_equal(flows[t], one[0][0])
             assert np.array_equal(battery[t], one[1][0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(union_edge_blocks())
+    def test_union_edge_rows_equal_own_edge_calls(self, instance):
+        # the layer-1 tie-break's stacked call: each row rates its own edges
+        # inf and every other edge of the sorted union 0, and must get the
+        # flows of a one-row call over its own edges alone
+        block, placements = instance
+        n = block.shape[1]
+        currents = np.array([
+            free_flow_outputs(row, np.array([edges]))[0] / n for row, edges in zip(block, placements)
+        ])
+        union = sorted(set().union(*placements))
+        table = np.zeros((len(block), len(union)))
+        for t, edges in enumerate(placements):
+            table[t, [union.index(edge) for edge in edges]] = np.inf
+        flows, _ = least_processing_flows(block, union, table, currents)
+        for t, (row, edges) in enumerate(zip(block, placements)):
+            own = [union.index(edge) for edge in edges]
+            one, _ = least_processing_flows(row[None, :], edges, np.full(len(edges), np.inf), currents[t:t + 1])
+            assert flows[t, own].tobytes() == one[0].tobytes()
+            assert np.abs(flows[t, own]).sum().hex() == np.abs(one).sum().hex()
+            assert not np.delete(flows[t], own).any()
 
     @settings(max_examples=25, deadline=None)
     @given(mixed_rating_blocks())
