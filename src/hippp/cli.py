@@ -106,10 +106,10 @@ def _parse_float_list(parser, section, key, default):
 
 
 def _parse_grid(parser, key, default):
-    """A non-negative, strictly increasing [evaluate] list; NaN fails both tests."""
+    """A non-negative, finite, strictly increasing [evaluate] list; NaN fails both tests."""
     grid = _parse_float_list(parser, "evaluate", key, default)
-    if any(not value >= 0.0 for value in grid):
-        raise ConfigError(f"[evaluate] {key}: values must be non-negative, not NaN")
+    if any(not 0.0 <= value < np.inf for value in grid):
+        raise ConfigError(f"[evaluate] {key}: values must be non-negative and finite, not NaN")
     if any(not b > a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"[evaluate] {key}: values must be strictly increasing")
     return grid
@@ -167,8 +167,8 @@ def load_config(path: str) -> ExperimentConfig:
     if not 0.0 < efficiency <= 1.0:
         raise ConfigError("[evaluate] converter_efficiency: must lie in (0, 1]")
     budget = _parse_scalar(parser, "evaluate", "rating_budget", float, 0.15)
-    if not budget >= 0.0:
-        raise ConfigError("[evaluate] rating_budget: must be non-negative, not NaN")
+    if not 0.0 <= budget < np.inf:
+        raise ConfigError("[evaluate] rating_budget: must be non-negative and finite, not NaN")
 
     return ExperimentConfig(
         supply=supply,

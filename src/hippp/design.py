@@ -21,9 +21,10 @@ capability draws is replayed against a grid of trial ladder ratings and the
 mean utilization of each trial rating forms a curve. Utilization needs only
 the maximum output, so the curve is one batched stage-1 solve: every (trial
 rating, draw) stage-1 LP goes through one max_string_outputs call, which
-solves them in lockstep (lp.solve_many) with the bits of one-at-a-time
-solves. Callers pick the ladder rating off that curve, usually by spending
-whatever rating budget layer 1 left over.
+writes them as one stack of arrays and solves them in lockstep
+(lp.solve_stack) with the bits of one-at-a-time solves. Callers pick the
+ladder rating off that curve, usually by spending whatever rating budget
+layer 1 left over.
 """
 
 from __future__ import annotations
@@ -293,8 +294,8 @@ def layer2_rating_for_budget(layer1: Layer1Design, expected: ExpectedSet, budget
     spreads evenly over the N-1 ladder converters, floored at zero when layer
     1 alone exceeds the budget.
     """
-    if not budget >= 0.0:
-        raise ParameterError("rating budget must be non-negative")
+    if not 0.0 <= budget < np.inf:
+        raise ParameterError("rating budget must be non-negative and finite")
     n = expected.count
     if n < 2:
         raise ParameterError("a converter ladder needs at least two batteries")
@@ -330,6 +331,7 @@ def design_layer2(
     """
     expected = flatten(supply)
     n = expected.count
+    spent = None if budget is None else layer2_rating_for_budget(layer1, expected, budget)
     draws = [draw_capabilities(supply, cfg.base_seed + t) for t in range(cfg.monte_carlo_trials)]
     batch_powers = [float(caps.sum()) for caps in draws]
 
@@ -350,9 +352,8 @@ def design_layer2(
         points.append((rating, float(np.mean(utilizations))))
     curve = Layer2Curve(tuple(points))
 
-    if budget is not None:
-        rating = layer2_rating_for_budget(layer1, expected, budget)
-    else:
-        top = max(curve.utilizations)
-        rating = next(r for r, u in curve.points if u >= top - 1e-9)
+    if spent is not None:
+        return Layer2Design(spent, n - 1), curve
+    top = max(curve.utilizations)
+    rating = next(r for r, u in curve.points if u >= top - 1e-9)
     return Layer2Design(rating, n - 1), curve

@@ -247,8 +247,8 @@ def _rating_points(supply: BatterySupply, rating_grid) -> list[tuple[BatterySupp
     grid = [float(b) for b in rating_grid]
     if not grid:
         raise ParameterError("rating grid must not be empty")
-    if any(not b >= 0.0 for b in grid):
-        raise ParameterError("rating budgets must be non-negative")
+    if any(not 0.0 <= b < np.inf for b in grid):
+        raise ParameterError("rating budgets must be non-negative and finite")
     if any(not b2 > b1 for b1, b2 in zip(grid, grid[1:])):
         raise ParameterError("rating grid must be strictly increasing")
     return [(supply, grid)]
@@ -258,12 +258,12 @@ def _sigma_points(supply_mean: float, sigma_grid, fixed_budget: float, count: in
     sigmas = [float(s) for s in sigma_grid]
     if not sigmas:
         raise ParameterError("sigma grid must not be empty")
-    if any(not s >= 0.0 for s in sigmas):
-        raise ParameterError("supply spreads must be non-negative")
+    if any(not 0.0 <= s < np.inf for s in sigmas):
+        raise ParameterError("supply spreads must be non-negative and finite")
     if any(not s2 > s1 for s1, s2 in zip(sigmas, sigmas[1:])):
         raise ParameterError("sigma grid must be strictly increasing")
-    if not fixed_budget >= 0.0:
-        raise ParameterError("rating budget must be non-negative")
+    if not 0.0 <= fixed_budget < np.inf:
+        raise ParameterError("rating budget must be non-negative and finite")
     return [(BatterySupply(supply_mean, sigma, count), [float(fixed_budget)]) for sigma in sigmas]
 
 

@@ -10,16 +10,22 @@ variable index, falling back to Bland's rule after a run of degenerate
 steps. Identical inputs therefore produce bit-identical solutions, which
 keeps Monte Carlo sweeps reproducible across runs and worker counts.
 
-solve_many runs a batch of same-shape LPs through the same two phases in
-lockstep. Each LP keeps its own basis, statuses, Bland flag, stall count and
-verdict, and leaves the batch when it is done. Every step is a stacked
-np.linalg.solve on (K, m, m) with a (K, m, 1) right-hand side, a stacked
-matmul, or an elementwise op, each of which gives, slice for slice, the bits
-of the serial call. So every LP takes the same pivots and returns the same
-bits as under solve. The phase-1 set-up, the exchange of artificials and the
-post-hoc certification are shared helpers of both paths. solve stays the
-serial path, because the batch costs two to three times as much per LP at
-K = 1; it is also the batch's test oracle.
+solve_stack runs a stack of K same-shape LPs through the same two phases in
+lockstep, over arrays: an objective, one constraint matrix broadcast over the
+whole stack or one per LP, right-hand sides, and (K, n) bounds. Validation,
+the phase-1 set-up, the phase-2 handover and the certification each run once
+over the stack; only an LP that still holds a basic artificial after phase 1
+has it exchanged on its own. Each LP keeps its own basis, statuses, Bland
+flag, stall count and verdict, and leaves the stack when it is done. Every
+step is a stacked np.linalg.solve on (K, m, m) with a (K, m, 1) right-hand
+side, a stacked matmul, or an elementwise op, each of which gives, slice for
+slice, the bits of the serial call. So every LP takes the same pivots and
+returns the same bits as under solve. solve_many is solve_stack on a list of
+LinearPrograms. The phase-1 set-up, the phase-2 handover and the
+certification are written once, for one LP or a stack, and solve uses them
+too. solve stays the serial path, because the stack costs two to three times
+as much per LP at K = 1, so a stack of one goes through it; it is also the
+stack's test oracle.
 """
 
 from __future__ import annotations
@@ -56,6 +62,23 @@ def _as_readonly(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _check_values(objective, a, b, lower, upper):
+    """LinearProgram's checks on its values, for one LP or over a whole stack
+    at once: finite objective and constraints, no NaN bound, no lower bound
+    above its upper."""
+    if not np.all(np.isfinite(objective)):
+        raise ParameterError("objective coefficients must be finite")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ParameterError("equality constraints must be finite")
+    if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
+        raise ParameterError("bounds must not be NaN")
+    crossed = lower > upper
+    if np.any(crossed):
+        *lp, j = np.argwhere(crossed)[0].tolist()
+        where = f"LP {lp[0]}, " if lp else ""
+        raise ParameterError(f"{where}variable {j}: lower bound exceeds upper bound")
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     """maximize objective . x  s.t.  a_eq x = b_eq  and  lower <= x <= upper."""
@@ -86,15 +109,7 @@ class LinearProgram:
         upper = _as_readonly(self.upper)
         if lower.shape != (n,) or upper.shape != (n,):
             raise ParameterError("bound vectors must have one entry per variable")
-        if not np.all(np.isfinite(obj)):
-            raise ParameterError("objective coefficients must be finite")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ParameterError("equality constraints must be finite")
-        if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
-            raise ParameterError("bounds must not be NaN")
-        if np.any(lower > upper):
-            j = int(np.argmax(lower > upper))
-            raise ParameterError(f"variable {j}: lower bound exceeds upper bound")
+        _check_values(obj, a, b, lower, upper)
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "a_eq", a)
         object.__setattr__(self, "b_eq", b)
@@ -115,18 +130,23 @@ class LPSolution:
     objective_value: float
 
 
+@dataclass(frozen=True)
+class StackSolution:
+    """Verdicts of a stack of K LPs: one LPStatus per LP, and values (K, n)
+    and objective values (K,) that are NaN where an LP is not optimal."""
+
+    status: tuple[LPStatus, ...]
+    values: np.ndarray
+    objective_value: np.ndarray
+
+
 def _initial_point(lower: np.ndarray, upper: np.ndarray):
-    """Start each variable at its lower bound when finite, else upper, else zero."""
-    n = lower.size
-    x = np.zeros(n)
-    stat = np.full(n, _NB_FREE, dtype=np.int8)
+    """Start each variable at its lower bound when finite, else upper, else
+    zero; for one LP's bounds or a (K, n) stack of them."""
     fin_lo = np.isfinite(lower)
-    fin_up = np.isfinite(upper)
-    x[fin_lo] = lower[fin_lo]
-    stat[fin_lo] = _NB_LOWER
-    only_up = ~fin_lo & fin_up
-    x[only_up] = upper[only_up]
-    stat[only_up] = _NB_UPPER
+    only_up = ~fin_lo & np.isfinite(upper)
+    x = np.where(fin_lo, lower, np.where(only_up, upper, 0.0))
+    stat = np.where(fin_lo, _NB_LOWER, np.where(only_up, _NB_UPPER, _NB_FREE)).astype(np.int8)
     return x, stat
 
 
@@ -249,62 +269,71 @@ def _drive_out_artificials(a, lower, upper, basis, stat, x, n_real):
         x[artificial] = 0.0
 
 
-def _phase_one(lp: LinearProgram):
-    """Phase-1 problem of a constrained LP: one artificial per row, signed by
-    the residual at the starting point and basic, with objective -sum of them.
+def _phase_one(a, b, lower, upper):
+    """Phase-1 problem of a constrained LP, or of a stack of K of them: one
+    artificial per row, signed by the residual at the starting point and
+    basic, with objective -sum of them.
 
-    Returns (c, a, lower, upper, basis, stat, x), all freshly allocated.
+    a is (m, n), or (K, m, n), and b (m,) or (K, m); one matrix and one
+    right-hand side broadcast over a stack. lower and upper are (n,), or
+    (K, n) for a stack. Returns (c, a, lower, upper, basis, stat, x), with a
+    leading K axis for a stack; c is a read-only broadcast, the rest is
+    freshly allocated.
     """
-    a, b = lp.a_eq, lp.b_eq
-    n, m = lp.num_variables, b.size
-    x0, stat0 = _initial_point(lp.lower, lp.upper)
-    residual = b - a @ x0
-    signs = np.where(residual >= 0.0, 1.0, -1.0)
-    a1 = np.hstack([a, np.diag(signs)])
-    lo1 = np.concatenate([lp.lower, np.zeros(m)])
-    up1 = np.concatenate([lp.upper, np.full(m, np.inf)])
-    x = np.concatenate([x0, np.abs(residual)])
-    stat = np.concatenate([stat0, np.full(m, _BASIC, dtype=np.int8)])
-    basis = np.arange(n, n + m)
-    c_phase1 = np.concatenate([np.zeros(n), -np.ones(m)])
+    m, n = a.shape[-2:]
+    x0, stat0 = _initial_point(lower, upper)
+    residual = b - (a @ x0[..., None])[..., 0]
+    lead = residual.shape[:-1]
+    diagonal = np.arange(m)
+    a1 = np.zeros(lead + (m, n + m))
+    a1[..., :n] = a
+    a1[..., diagonal, n + diagonal] = np.where(residual >= 0.0, 1.0, -1.0)
+    lo1 = np.concatenate([lower, np.zeros(lead + (m,))], axis=-1)
+    up1 = np.concatenate([upper, np.full(lead + (m,), np.inf)], axis=-1)
+    x = np.concatenate([x0, np.abs(residual)], axis=-1)
+    stat = np.concatenate([stat0, np.full(lead + (m,), _BASIC, dtype=np.int8)], axis=-1)
+    basis = np.broadcast_to(np.arange(n, n + m), lead + (m,)).copy()
+    c_phase1 = np.broadcast_to(np.concatenate([np.zeros(n), -np.ones(m)]), lead + (n + m,))
     return c_phase1, a1, lo1, up1, basis, stat, x
 
 
 def _phase_two(c, a1, lo1, up1, basis, stat, x):
-    """Turn a finished phase 1 into phase 2 in place; None when infeasible.
+    """Turn a finished phase 1 into phase 2 in place, for one LP or a stack.
 
-    Otherwise drives zero artificials out of the basis, pins every artificial
-    at zero and returns the phase-2 objective (c padded with zeros).
+    Returns (feasible, c2): whether each LP's artificials sum to at most
+    FEASIBILITY_TOL, and the phase-2 objective (c padded with zeros). Each
+    feasible LP that still holds a basic artificial has its zero artificials
+    driven out of the basis, one LP at a time; then every artificial is
+    pinned at zero.
     """
-    n = c.size
-    if x[n:].sum() > FEASIBILITY_TOL:
-        return None
-    _drive_out_artificials(a1, lo1, up1, basis, stat, x, n)
-    lo1[n:] = 0.0
-    up1[n:] = 0.0  # artificials pinned; they can never re-enter
-    return np.concatenate([c, np.zeros(basis.size)])
+    n = c.shape[-1]
+    feasible = ~(x[..., n:].sum(axis=-1) > FEASIBILITY_TOL)
+    for k in map(tuple, np.argwhere(feasible & (basis >= n).any(axis=-1))):
+        _drive_out_artificials(a1[k], lo1[k], up1[k], basis[k], stat[k], x[k], n)
+    lo1[..., n:] = 0.0
+    up1[..., n:] = 0.0  # artificials pinned; they can never re-enter
+    return feasible, np.concatenate([np.broadcast_to(c, feasible.shape + (n,)), np.zeros(basis.shape)], axis=-1)
 
 
 def _no_point(status: LPStatus) -> LPSolution:
     return LPSolution(status, _as_readonly(np.zeros(0)), float("nan"))
 
 
-def _certified(lp: LinearProgram, c, values) -> LPSolution:
-    """The optimal verdict for `values`, re-verified against the constraints
-    and bounds first; a violation here is a solver bug."""
-    if lp.b_eq.size:
-        eq_residual = float(np.abs(lp.a_eq @ values - lp.b_eq).max())
-        if eq_residual > FEASIBILITY_TOL:
-            raise InternalCheckError(f"optimal point violates equalities by {eq_residual:.3e}")
-    below = lp.lower - values
-    above = values - lp.upper
+def _check_points(a, b, lower, upper, values, rows=...):
+    """Re-verify optimal points against the constraints and bounds; a
+    violation here is a solver bug. Takes one LP's point, or a (K, n) stack
+    of points of which `rows` are checked."""
+    eq_residual = float(np.abs((a @ values[..., None])[..., 0] - b)[rows].max(initial=0.0))
+    if eq_residual > FEASIBILITY_TOL:
+        raise InternalCheckError(f"optimal point violates equalities by {eq_residual:.3e}")
+    below = (lower - values)[rows]
+    above = (values - upper)[rows]
     bound_violation = max(
         float(below[np.isfinite(below)].max(initial=0.0)),
         float(above[np.isfinite(above)].max(initial=0.0)),
     )
     if bound_violation > FEASIBILITY_TOL:
         raise InternalCheckError(f"optimal point violates bounds by {bound_violation:.3e}")
-    return LPSolution(LPStatus.OPTIMAL, _as_readonly(values), float(c @ values))
 
 
 def solve(lp: LinearProgram) -> LPSolution:
@@ -312,28 +341,31 @@ def solve(lp: LinearProgram) -> LPSolution:
     through the status, never raised; a returned optimum is re-verified
     against the constraints and bounds before it leaves this function.
     """
-    c = lp.objective.copy()
-    a = lp.a_eq
-    b = lp.b_eq
+    return _solve_one(lp.objective, lp.a_eq, lp.b_eq, lp.lower, lp.upper)
 
+
+def _solve_one(objective, a, b, lower, upper) -> LPSolution:
+    """solve on the arrays of one validated LP."""
+    c = objective.copy()
     if b.size:
-        c_phase1, a1, lo1, up1, basis, stat, x = _phase_one(lp)
+        c_phase1, a1, lo1, up1, basis, stat, x = _phase_one(a, b, lower, upper)
         outcome = _iterate(c_phase1, a1, b, lo1, up1, basis, stat, x)
         if outcome != "optimal":  # pragma: no cover - phase 1 objective is bounded
             raise InternalCheckError("phase-1 simplex reported unbounded")
-        c_phase2 = _phase_two(c, a1, lo1, up1, basis, stat, x)
-        if c_phase2 is None:
+        feasible, c_phase2 = _phase_two(c, a1, lo1, up1, basis, stat, x)
+        if not feasible:
             return _no_point(LPStatus.INFEASIBLE)
         outcome = _iterate(c_phase2, a1, b, lo1, up1, basis, stat, x)
         values = x[:c.size]
     else:
-        x, stat = _initial_point(lp.lower, lp.upper)
-        outcome = _iterate(c, a, b, lp.lower, lp.upper, np.zeros(0, dtype=int), stat, x)
+        x, stat = _initial_point(lower, upper)
+        outcome = _iterate(c, a, b, lower, upper, np.zeros(0, dtype=int), stat, x)
         values = x
 
     if outcome == "unbounded":
         return _no_point(LPStatus.UNBOUNDED)
-    return _certified(lp, c, values)
+    _check_points(a, b, lower, upper, values)
+    return LPSolution(LPStatus.OPTIMAL, _as_readonly(values), float(c @ values))
 
 
 def _iterate_many(c, a, b, lower, upper, basis, stat, x) -> np.ndarray:
@@ -432,14 +464,69 @@ def _iterate_many(c, a, b, lower, upper, basis, stat, x) -> np.ndarray:
     raise InternalCheckError("simplex iteration cap exceeded")
 
 
+def solve_stack(objective, a_eq, b_eq, lower, upper) -> StackSolution:
+    """solve on a stack of K same-shape LPs with at least one row, in lockstep.
+
+    lower and upper are (K, n) and set K. objective is (n,) or (K, n), b_eq
+    (m,) or (K, m), and a_eq (m, n) or (K, m, n); a matrix the whole stack
+    shares is broadcast, never copied per LP. LinearProgram's checks run
+    once over the whole stack, and any LP that fails them raises
+    ParameterError. Row k of the result equals by == in status, values and
+    objective what solve returns for LP k alone: the stack runs the same two
+    phases, pivots and checks, only stacked (see _iterate_many). A stack of
+    one LP goes through solve's serial path, which gives those bits for less
+    work.
+    """
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    c = np.asarray(objective, dtype=float)
+    a = np.asarray(a_eq, dtype=float)
+    b = np.asarray(b_eq, dtype=float)
+    if lower.ndim != 2 or upper.shape != lower.shape:
+        raise ParameterError("bounds of a stack must be two (K, n) arrays of one shape")
+    k_all, n = lower.shape
+    m = a.shape[-2] if a.ndim in (2, 3) else 0
+    if a.shape not in ((m, n), (k_all, m, n)) or c.shape not in ((n,), (k_all, n)) \
+            or b.shape not in ((m,), (k_all, m)):
+        raise ParameterError("objective, constraints and bounds of a stack do not match in shape")
+    if m == 0:
+        raise ParameterError("a stack of LPs needs at least one equality row")
+    _check_values(c, a, b, lower, upper)
+    c = np.broadcast_to(c, (k_all, n))
+    b = np.broadcast_to(b, (k_all, m))
+    if k_all == 1:
+        one = _solve_one(c[0], a.reshape(m, n), b[0], lower[0], upper[0])
+        values = one.values[None, :] if one.status is LPStatus.OPTIMAL else np.full((1, n), np.nan)
+        return StackSolution((one.status,), values, np.array([one.objective_value]))
+
+    c_phase1, a1, lo1, up1, basis, stat, x = _phase_one(a, b, lower, upper)
+    if _iterate_many(c_phase1, a1, b, lo1, up1, basis, stat, x).any():  # pragma: no cover
+        raise InternalCheckError("phase-1 simplex reported unbounded")
+    feasible, c_phase2 = _phase_two(c, a1, lo1, up1, basis, stat, x)
+    live = np.flatnonzero(feasible)
+    stacks = c_phase2, a1, b, lo1, up1, basis, stat, x
+    if live.size < k_all:  # otherwise phase 2 runs on the phase-1 stacks, uncopied
+        stacks = tuple(arr[live] for arr in stacks)
+    unbounded = _iterate_many(*stacks)
+
+    verdicts = (LPStatus.INFEASIBLE, LPStatus.UNBOUNDED, LPStatus.OPTIMAL)
+    verdict = np.zeros(k_all, dtype=int)
+    verdict[live] = np.where(unbounded, 1, 2)
+    optimal = live[~unbounded]
+    values = np.full((k_all, n), np.nan)
+    values[optimal] = stacks[-1][~unbounded, :n]
+    _check_points(a, b, lower, upper, values, optimal)
+    objective_value = (values[:, None, :] @ c[:, :, None])[:, 0, 0]  # per LP the dot product solve takes
+    return StackSolution(tuple(verdicts[i] for i in verdict.tolist()), values, objective_value)
+
+
 def solve_many(lps: Sequence[LinearProgram]) -> list[LPSolution]:
     """solve on a batch of same-shape LPs with at least one row, in lockstep.
 
     Returns one LPSolution per LP, equal by == in status, values and
-    objective to what solve returns for it: the batch runs the same two
-    phases, pivots and checks, only stacked (see _iterate_many). A batch of
-    one LP goes through solve, which gives those bits for less work. A batch
-    mixing shapes, or of LPs without equality rows, raises ParameterError.
+    objective to what solve returns for it: the LPs' validated arrays are
+    stacked and go through solve_stack. A batch mixing shapes, or of LPs
+    without equality rows, raises ParameterError.
     """
     lps = list(lps)
     if not lps:
@@ -447,42 +534,11 @@ def solve_many(lps: Sequence[LinearProgram]) -> list[LPSolution]:
     shape = lps[0].a_eq.shape
     if any(lp.a_eq.shape != shape for lp in lps):
         raise ParameterError("a batch of LPs must share one constraint shape")
-    m, n = shape
-    if m == 0:
+    if shape[0] == 0:
         raise ParameterError("a batch of LPs needs at least one equality row")
-    if len(lps) == 1:
-        return [solve(lps[0])]
-
-    k_all, width = len(lps), n + m
-    c, lo1, up1, x = (np.empty((k_all, width)) for _ in range(4))
-    a1 = np.empty((k_all, m, width))
-    basis = np.empty((k_all, m), dtype=int)
-    stat = np.empty((k_all, width), dtype=np.int8)
-    for k, lp in enumerate(lps):
-        c[k], a1[k], lo1[k], up1[k], basis[k], stat[k], x[k] = _phase_one(lp)
-    b = np.stack([lp.b_eq for lp in lps])
-    if _iterate_many(c, a1, b, lo1, up1, basis, stat, x).any():  # pragma: no cover
-        raise InternalCheckError("phase-1 simplex reported unbounded")
-
-    objectives = [lp.objective.copy() for lp in lps]
-    feasible = np.ones(k_all, dtype=bool)
-    for k in range(k_all):
-        c_phase2 = _phase_two(objectives[k], a1[k], lo1[k], up1[k], basis[k], stat[k], x[k])
-        if c_phase2 is None:
-            feasible[k] = False
-        else:
-            c[k] = c_phase2
-    live = np.flatnonzero(feasible)
-    stacks = c, a1, b, lo1, up1, basis, stat, x
-    if live.size < k_all:  # otherwise phase 2 runs on the phase-1 stacks, uncopied
-        stacks = tuple(arr[live] for arr in stacks)
-    unbounded = _iterate_many(*stacks)
-    x = stacks[-1]
-
-    solutions = [_no_point(LPStatus.INFEASIBLE)] * k_all
-    for j, k in enumerate(live):
-        if unbounded[j]:
-            solutions[k] = _no_point(LPStatus.UNBOUNDED)
-        else:
-            solutions[k] = _certified(lps[k], objectives[k], x[j, :n].copy())
-    return solutions
+    fields = ("objective", "a_eq", "b_eq", "lower", "upper")
+    stack = solve_stack(*(np.stack([getattr(lp, field) for lp in lps]) for field in fields))
+    return [
+        LPSolution(status, _as_readonly(values), float(value)) if status is LPStatus.OPTIMAL else _no_point(status)
+        for status, values, value in zip(stack.status, stack.values, stack.objective_value)
+    ]

@@ -33,9 +33,11 @@ row, so rows of architectures that differ only in their budget rating stack
 into one call with the bits of one-row calls. The LPs stay for the layer-2
 rating curve and the layer-1 design solve of the chosen placement
 (layer1_design_lp), whose printed values they pin bit for bit. The curve's
-stage-1 LPs, one per (trial rating, draw), are built and solved as blocks
-(max_string_outputs, through lp.solve_many), with the same pivots and bits
-as one solve each.
+stage-1 LPs, one per (trial rating, draw), are never built one by one:
+max_string_outputs writes them as stacked arrays, one constraint matrix per
+edge list broadcast over its rows and a (LPs, variables) block of bounds,
+and solves them with lp.solve_stack, with the same pivots and bits as one
+solve each.
 
 Capabilities are per string position, in any order: battery j is the j-th
 battery of the string, and a reordered draw is a different string.
@@ -54,7 +56,7 @@ import numpy as np
 
 from .architecture import Architecture, ArchitectureKind, ConverterEdge, budget_rating
 from .errors import EnumerationCapError, InternalCheckError, ParameterError, StructuralError
-from .lp import FEASIBILITY_TOL, LinearProgram, LPStatus, solve, solve_many
+from .lp import FEASIBILITY_TOL, LinearProgram, LPStatus, solve, solve_stack
 from .supply import ExpectedSet
 
 _Pair = tuple[int, int]
@@ -116,32 +118,31 @@ def build_flow_lp(capabilities, edges: Sequence[ConverterEdge]) -> LinearProgram
     n = caps.size
     pairs = _edge_pairs(edges, n)
     ratings = np.array([edge.rating for edge in edges], dtype=float)
-    n_edges = len(pairs)
-    n_var = 1 + n_edges + n
-
-    a = np.zeros((n, n_var))
-    a[:, 0] = 1.0
-    for idx, (src, dst) in enumerate(pairs):
-        a[src, 1 + idx] += 1.0
-        a[dst, 1 + idx] -= 1.0
-    a[:, 1 + n_edges:] = -np.eye(n)
-
-    objective = np.zeros(n_var)
+    a = _flow_matrix(pairs, n)
+    objective = np.zeros(a.shape[1])
     objective[0] = float(n)
     lower = np.concatenate([[0.0], -ratings, -caps])
     upper = np.concatenate([[np.inf], ratings, caps])
     return LinearProgram(objective, a, np.zeros(n), lower, upper)
 
 
-def _optimal(sol, context: str):
+def _flow_matrix(pairs: Sequence[_Pair], n: int) -> np.ndarray:
+    """Equality rows of the maximum-output LP over [I, f, p]: row j reads
+    I + (signed flows of the edges at battery j) - p_j = 0."""
+    e = len(pairs)
+    a = np.zeros((n, 1 + e + n))
+    a[:, 0] = 1.0
+    a[:, 1:1 + e] = _incidence(pairs, n)
+    a[:, 1 + e:] = -np.eye(n)
+    return a
+
+
+def _solve_or_die(lp: LinearProgram, context: str):
+    sol = solve(lp)
     if sol.status is not LPStatus.OPTIMAL:
         # zero current with zero flows is always feasible, so this cannot happen
         raise InternalCheckError(f"{context}: solver returned {sol.status.value}")
     return sol
-
-
-def _solve_or_die(lp: LinearProgram, context: str):
-    return _optimal(solve(lp), context)
 
 
 def _min_processed_lp(caps: np.ndarray, pairs: list[_Pair], current: float) -> LinearProgram:
@@ -218,7 +219,7 @@ def _certify(caps, pairs, ratings, current, flows, battery):
         raise InternalCheckError("string current went negative")
 
 
-def _incidence(pairs: list[_Pair], n: int) -> np.ndarray:
+def _incidence(pairs: Sequence[_Pair], n: int) -> np.ndarray:
     inc = np.zeros((n, len(pairs)))
     for idx, (src, dst) in enumerate(pairs):
         inc[src, idx] += 1.0
@@ -638,11 +639,14 @@ def max_string_outputs(capabilities, archs: Sequence[Architecture]) -> np.ndarra
     """Stage 1 of the LP flow for every architecture on every row of a (T, N) block.
 
     Returns (len(archs), T): entry [i, t] is N * I of the maximum-output LP
-    (build_flow_lp) over the edges of archs[i] on row t, equal by == to what
-    solve gives for that LP alone. The architectures must share one edge
-    count, so that all LPs share one shape; they go through lp.solve_many in
-    passes of at most _CUT_CELLS (LPs x rows x columns) cells, and each
-    architecture's rows are certified by one block _certify call.
+    (the LP of build_flow_lp) over the edges of archs[i] on row t, equal by
+    == to what solve gives for that LP alone. The architectures must share
+    one edge count. No LinearProgram is built: architectures with the same
+    edge list share one constraint matrix, broadcast over all of their rows,
+    and each LP's bounds are its architecture's ratings and its row's
+    capabilities. Each such group goes through lp.solve_stack in passes of
+    at most _CUT_CELLS phase-1 cells, rows x (columns + artificials) per LP,
+    and each architecture's rows are certified by one block _certify call.
     Capabilities are per string position, in any order.
     """
     caps = _validate_capabilities(capabilities, ndim=2)
@@ -650,22 +654,40 @@ def max_string_outputs(capabilities, archs: Sequence[Architecture]) -> np.ndarra
     for arch in archs:
         if arch.num_batteries != n:
             raise ParameterError(f"got {n} capabilities for {arch.num_batteries} batteries")
-    edge_lists = [architecture_edges(arch) for arch in archs]
-    if len({len(edges) for edges in edge_lists}) != 1:
+    edges = [_string_edges(arch) for arch in archs]
+    if len({len(pairs) for pairs, _ in edges}) != 1:
         raise ParameterError("need at least one architecture, all with the same number of edges")
-    jobs = [(row, edges) for edges in edge_lists for row in caps]
-    per_pass = max(1, _CUT_CELLS // (n * (1 + len(edge_lists[0]) + n)))  # rows x columns per LP
-    solutions = [
-        _optimal(sol, "maximum-output stage")
-        for start in range(0, len(jobs), per_pass)
-        for sol in solve_many([build_flow_lp(row, edges) for row, edges in jobs[start:start + per_pass]])
-    ]
-    values = np.stack([sol.values for sol in solutions]).reshape(len(archs), trials, -1)
-    for arch, rows in zip(archs, values):
-        pairs, ratings = _string_edges(arch)
-        e = len(pairs)
-        _certify(caps, pairs, ratings, rows[:, 0], rows[:, 1:1 + e], rows[:, 1 + e:])
-    return n * values[:, :, 0]
+    e = len(edges[0][0])
+    width = 1 + e + n  # variables [I, f_0..f_{E-1}, p_0..p_{N-1}]
+    objective = np.zeros(width)
+    objective[0] = float(n)
+    per_pass = max(1, _CUT_CELLS // (n * (width + n)))
+    groups: dict[tuple[_Pair, ...], list[int]] = {}
+    for i, (pairs, _) in enumerate(edges):
+        groups.setdefault(tuple(pairs), []).append(i)
+
+    outputs = np.empty((len(archs), trials))
+    for pairs, members in groups.items():
+        a = _flow_matrix(pairs, n)
+        upper = np.empty((len(members), trials, width))
+        upper[..., 0] = np.inf
+        upper[..., 1:1 + e] = np.stack([edges[i][1] for i in members])[:, None, :]
+        upper[..., 1 + e:] = caps
+        upper = upper.reshape(-1, width)
+        lower = -upper
+        lower[:, 0] = 0.0
+        values = np.empty_like(upper)
+        for start in range(0, len(upper), per_pass):
+            part = slice(start, start + per_pass)
+            stack = solve_stack(objective, a, np.zeros(n), lower[part], upper[part])
+            failed = set(stack.status) - {LPStatus.OPTIMAL}
+            if failed:  # zero current with zero flows is always feasible
+                raise InternalCheckError(f"maximum-output stage: solver returned {failed.pop().value}")
+            values[part] = stack.values
+        for i, rows in zip(members, values.reshape(len(members), trials, width)):
+            _certify(caps, pairs, edges[i][1], rows[:, 0], rows[:, 1:1 + e], rows[:, 1 + e:])
+            outputs[i] = n * rows[:, 0]
+    return outputs
 
 
 def flow_powers(capabilities, arch: Architecture, ratings=None) -> tuple[np.ndarray, np.ndarray]:

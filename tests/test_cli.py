@@ -345,6 +345,22 @@ class TestExitCodes:
     def test_nan_evaluate_value_is_a_config_error(
         self, config_file, tmp_path, capsys, monkeypatch, command, key, value
     ):
+        self.assert_refused_at_load(config_file, tmp_path, capsys, monkeypatch, command, key, value)
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("design", "rating_budget", "inf"),
+        ("sweep", "rating_budget", "inf"),
+        ("design", "rating_budget", "-inf"),
+        ("sweep", "rating_grid", "0.1 inf"),
+        ("sweep", "sigma_grid", "0.1 inf"),
+    ])
+    def test_infinite_evaluate_value_is_a_config_error(
+        self, config_file, tmp_path, capsys, monkeypatch, command, key, value
+    ):
+        self.assert_refused_at_load(config_file, tmp_path, capsys, monkeypatch, command, key, value)
+
+    @staticmethod
+    def assert_refused_at_load(config_file, tmp_path, capsys, monkeypatch, command, key, value):
         # refused at load, before the layer-1 search, naming the key
         def no_search(expected, cfg):
             raise AssertionError("the layer-1 search ran before the config was checked")

@@ -11,6 +11,7 @@ from oracles import hierarchical_lp_output
 from scipy.optimize import linprog
 
 import hippp.design
+import hippp.lp
 import hippp.powerflow
 from hippp import (
     Architecture,
@@ -364,6 +365,19 @@ class TestLayer2Rating:
         with pytest.raises(ParameterError):
             layer2_rating_for_budget(self.layer1, self.expected, -0.1)
 
+    @pytest.mark.parametrize("budget", [np.inf, np.nan, -np.inf])
+    def test_a_budget_that_is_not_finite_is_refused_before_the_curve(self, budget, monkeypatch):
+        with pytest.raises(ParameterError):
+            layer2_rating_for_budget(self.layer1, self.expected, budget)
+
+        def no_curve(*args):
+            raise AssertionError("the layer-2 curve ran before the budget was checked")
+
+        monkeypatch.setattr(hippp.design, "max_string_outputs", no_curve)
+        cfg = DesignConfig(num_layer1=3, num_rating_sets=2, monte_carlo_trials=2)
+        with pytest.raises(ParameterError):
+            design_layer2(self.layer1, BatterySupply(1.0, 0.2, 9), cfg, budget=budget)
+
     def test_assembled_architecture_spends_the_budget(self):
         from hippp import aggregate_rating
 
@@ -488,8 +502,9 @@ class TestBatchedCurve:
         cfg = DesignConfig(num_layer1=3, num_rating_sets=1, layer2_trial_ratings=self.RATINGS,
                            monte_carlo_trials=7)
         whole = design_layer2(layer1, supply, cfg)
-        cells_per_lp = 9 * build_flow_lp(np.ones(9), [ConverterEdge(j, j + 1, 0.1) for j in range(8)]
-                                         + list(layer1.edges)).num_variables
+        # a pass holds the phase-1 stacks: rows x (columns + one artificial per row) per LP
+        cells_per_lp = 9 * (build_flow_lp(np.ones(9), [ConverterEdge(j, j + 1, 0.1) for j in range(8)]
+                                          + list(layer1.edges)).num_variables + 9)
         for lps_per_pass in (3, 1):
             monkeypatch.setattr(hippp.powerflow, "_CUT_CELLS", lps_per_pass * cells_per_lp)
             assert design_layer2(layer1, supply, cfg) == whole
@@ -506,6 +521,31 @@ class TestBatchedCurve:
         for i, arch in enumerate(archs):
             for t, caps in enumerate(block):
                 assert outputs[i, t] == max_string_output(caps, arch) == hierarchical_lp_output(caps, arch)
+
+    def test_the_default_curve_builds_no_lp_object(self, monkeypatch):
+        # the README default design: 10 trial ratings x 1000 draws, solved
+        # from stacked arrays, without a build_flow_lp call or a LinearProgram
+        supply = BatterySupply(1.0, 0.2, 9)
+        cfg = DesignConfig(num_layer1=3, num_rating_sets=2)
+        counts = {"build_flow_lp": 0, "LinearProgram": 0}
+        build, post_init = hippp.powerflow.build_flow_lp, hippp.lp.LinearProgram.__post_init__
+
+        def counted_build(*args):
+            counts["build_flow_lp"] += 1
+            return build(*args)
+
+        def counted_post_init(lp):
+            counts["LinearProgram"] += 1
+            post_init(lp)
+
+        monkeypatch.setattr(hippp.powerflow, "build_flow_lp", counted_build)
+        monkeypatch.setattr(hippp.lp.LinearProgram, "__post_init__", counted_post_init)
+        layer1 = design_layer1(flatten(supply), cfg)
+        assert counts["build_flow_lp"] > 0 and counts["LinearProgram"] > 0  # the design LP counts
+        counts.update(build_flow_lp=0, LinearProgram=0)
+        _, curve = design_layer2(layer1, supply, cfg, budget=0.15)
+        assert len(curve.points) == 10
+        assert counts == {"build_flow_lp": 0, "LinearProgram": 0}
 
     def test_rejects_mixed_edge_counts_and_no_architecture(self):
         block = np.stack([draw_capabilities(BatterySupply(1.0, 0.2, 9), seed) for seed in range(2)])

@@ -277,6 +277,20 @@ class TestSweeps:
         )
         assert records1 == records2
 
+    @pytest.mark.parametrize("sweep", [
+        lambda: sweep_rating(["lshippp"], SUPPLY9, [0.1, np.inf], trials=4, seed=0),
+        lambda: sweep_heterogeneity(["lshippp"], 1.0, [0.1, np.inf], fixed_budget=0.15, trials=4, seed=0),
+        lambda: sweep_heterogeneity(["lshippp"], 1.0, [0.1], fixed_budget=np.inf, trials=4, seed=0),
+        lambda: sweep_figures(["lshippp"], SUPPLY9, [np.inf], [0.1], fixed_budget=0.15, trials=4, seed=0),
+    ], ids=["rating_grid", "sigma_grid", "fixed_budget", "figures_rating_grid"])
+    def test_infinite_budgets_and_spreads_are_refused_before_the_search(self, sweep, monkeypatch):
+        def no_search(expected, cfg):
+            raise AssertionError("the layer-1 search ran before the grids were checked")
+
+        monkeypatch.setattr(hippp.evaluate, "design_layer1", no_search)
+        with pytest.raises(ParameterError):
+            sweep()
+
     def test_heterogeneity_sweep_shapes(self):
         records = sweep_heterogeneity(
             ["cppp"], 1.0, [0.1, 0.2], fixed_budget=0.15, trials=10, seed=1,

@@ -3,7 +3,8 @@
 Two oracles back the solver: exhaustive vertex enumeration (every basis,
 every at-bound assignment) for tiny problems, and scipy's HiGHS interface
 for randomized ones. Neither shares any code with the implementation. The
-batched solver (solve_many) is checked against the serial one, by ==.
+stacked solver (solve_stack, and solve_many over it) is checked against the
+serial one, by ==.
 """
 
 import itertools
@@ -16,6 +17,7 @@ from scipy.optimize import linprog
 
 import hippp.lp
 from hippp import LinearProgram, LPStatus, ParameterError, solve, solve_many
+from hippp.lp import solve_stack
 
 RNG_INSTANCES = 60
 
@@ -74,8 +76,9 @@ def scipy_oracle(lp: LinearProgram):
     return LPStatus.OPTIMAL, -res.fun
 
 
-def random_lp(rng, n_var, n_row, free_prob=0.15):
-    a = rng.normal(size=(n_row, n_var))
+def random_lp(rng, n_var, n_row, free_prob=0.15, a=None):
+    if a is None:
+        a = rng.normal(size=(n_row, n_var))
     lower = rng.uniform(-3.0, 0.0, n_var)
     upper = lower + rng.uniform(0.5, 4.0, n_var)
     for j in range(n_var):
@@ -309,20 +312,21 @@ def test_solution_is_feasible_and_undominated(seed):
         assert lp.objective @ z <= sol.objective_value + 1e-7
 
 
-def mixed_batch(rng, n_var, n_row, size):
+def mixed_batch(rng, n_var, n_row, size, a=None):
     """Same-shape LPs of every verdict: random, infeasible, degenerate, with fixed variables.
 
     Random instances with free variables give optimal and unbounded ones; a
     right-hand side far outside what a finite box reaches gives infeasible
     ones; a zero right-hand side over a box at zero gives degenerate pivots;
-    and some variables get zero-width bounds.
+    and some variables get zero-width bounds. All LPs share the constraint
+    matrix `a` when it is given.
     """
     batch = []
     for _ in range(size):
-        lp = random_lp(rng, n_var, n_row, free_prob=0.3)
+        lp = random_lp(rng, n_var, n_row, free_prob=0.3, a=a)
         kind = rng.integers(4)
         if kind == 1:
-            box = random_lp(rng, n_var, n_row, free_prob=0.0)
+            box = random_lp(rng, n_var, n_row, free_prob=0.0, a=a)
             lp = LinearProgram(box.objective, box.a_eq, np.full(n_row, 1e3), box.lower, box.upper)
         elif kind == 2:
             lp = LinearProgram(lp.objective, lp.a_eq, np.zeros(n_row), np.zeros(n_var), np.full(n_var, 2.0))
@@ -396,3 +400,98 @@ class TestSolveMany:
         for batch in ([one_row, two_rows], [one_row, three_vars], [no_rows], [no_rows, no_rows]):
             with pytest.raises(ParameterError):
                 solve_many(batch)
+
+
+def stack_arrays(batch, shared):
+    """The arrays of a batch as solve_stack takes them: the first LP's matrix
+    for the whole stack when `shared`, else one matrix per LP."""
+    a = batch[0].a_eq if shared else np.stack([lp.a_eq for lp in batch])
+    return (np.stack([lp.objective for lp in batch]), a, np.stack([lp.b_eq for lp in batch]),
+            np.stack([lp.lower for lp in batch]), np.stack([lp.upper for lp in batch]))
+
+
+def assert_stack_equals_serial(batch, stack):
+    assert len(stack.status) == len(batch) == len(stack.values) == len(stack.objective_value)
+    for lp, status, values, value in zip(batch, stack.status, stack.values, stack.objective_value):
+        want = solve(lp)
+        assert status is want.status
+        if want.status is LPStatus.OPTIMAL:
+            assert np.all(values == want.values)
+            assert value == want.objective_value
+        else:
+            assert np.all(np.isnan(values)) and np.isnan(value)
+
+
+class TestSolveStack:
+    """The array core against one serial solve per LP, compared by ==."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 8), st.integers(1, 4),
+           st.integers(1, 12), st.booleans())
+    def test_equals_the_serial_solver(self, seed, n_var, n_row, size, shared):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n_row, n_var)) if shared else None
+        batch = mixed_batch(rng, n_var, n_row, size, a)
+        assert_stack_equals_serial(batch, solve_stack(*stack_arrays(batch, shared)))
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_a_fixed_stack_holds_every_verdict_and_infinite_bound(self, shared):
+        rng = np.random.default_rng(11)
+        batch = mixed_batch(rng, 6, 3, 60, rng.normal(size=(3, 6)) if shared else None)
+        stack = solve_stack(*stack_arrays(batch, shared))
+        assert set(stack.status) == set(LPStatus)
+        lower = np.stack([lp.lower for lp in batch])
+        upper = np.stack([lp.upper for lp in batch])
+        assert np.isneginf(lower).any() and np.isposinf(upper).any() and (lower == upper).any()
+        assert_stack_equals_serial(batch, stack)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(2, 8), st.booleans())
+    def test_bland_switch_at_different_iterations(self, seed, size, shared):
+        # degenerate LPs: a stall limit of 2 makes most of them switch to
+        # Bland's rule, each after its own number of iterations
+        rng = np.random.default_rng(seed)
+        shape = (3, 6) if shared else (size, 3, 6)
+        arrays = rng.normal(size=(size, 6)), rng.normal(size=shape), np.zeros(3), np.zeros((size, 6)), \
+            np.full((size, 6), 2.0)
+        batch = [LinearProgram(arrays[0][k], arrays[1] if shared else arrays[1][k], arrays[2], arrays[3][k],
+                               arrays[4][k]) for k in range(size)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hippp.lp, "_STALL_LIMIT", 2)
+            assert_stack_equals_serial(batch, solve_stack(*arrays))
+
+    def test_a_stack_of_one_is_a_serial_solve(self, monkeypatch):
+        batch = mixed_batch(np.random.default_rng(3), 6, 3, 1)
+        monkeypatch.setattr(hippp.lp, "_iterate_many", None)  # the lockstep must not run
+        assert_stack_equals_serial(batch, solve_stack(*stack_arrays(batch, shared=False)))
+
+    @pytest.mark.parametrize("field, index, value", [
+        (3, (2, 1), np.nan),     # a NaN lower bound
+        (4, (1, 0), np.nan),     # a NaN upper bound
+        (3, (3, 2), 9.0),        # a lower bound above its upper
+        (0, (1, 2), np.inf),     # an infinite objective coefficient
+        (1, (2, 0, 1), np.inf),  # an infinite constraint coefficient
+        (1, (0, 1, 0), np.nan),  # a NaN constraint coefficient
+        (2, (3, 1), -np.inf),    # an infinite right-hand side
+    ])
+    def test_one_bad_lp_in_a_stack_is_refused(self, field, index, value):
+        rng = np.random.default_rng(2)
+        arrays = list(stack_arrays(mixed_batch(rng, 3, 2, 4), shared=False))
+        arrays[field] = arrays[field].copy()
+        arrays[field][index] = value
+        with pytest.raises(ParameterError):
+            solve_stack(*arrays)
+
+    def test_rejects_mismatched_shapes_and_empty_rows(self):
+        c, a, b, lower, upper = stack_arrays(mixed_batch(np.random.default_rng(4), 3, 2, 4), shared=False)
+        for bad in (
+            (c[:, :2], a, b, lower, upper),
+            (c, a[:3], b, lower, upper),
+            (c, a[0, :, :2], b, lower, upper),
+            (c, a, b[:, :1], lower, upper),
+            (c, a, b, lower[0], upper[0]),
+            (c, a, b, lower, upper[:3]),
+            (c, a[:, :0], b[:, :0], lower, upper),
+        ):
+            with pytest.raises(ParameterError):
+                solve_stack(*bad)
