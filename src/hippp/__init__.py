@@ -33,7 +33,6 @@ from .design import (
     Layer2Curve,
     design_layer1,
     design_layer2,
-    enumerate_interconnections,
     interconnection_count,
     layer2_rating_for_budget,
     lshippp_for_budget,
@@ -59,17 +58,14 @@ from .evaluate import (
     sweep_rating,
     system_efficiency,
 )
-from .lp import LinearProgram, LPSolution, LPStatus, solve, solve_many
+from .lp import LinearProgram, LPSolution, LPStatus, solve
 from .powerflow import (
     PowerFlowSolution,
     architecture_edges,
-    build_flow_lp,
     flow_powers,
     hierarchical_currents,
     ladder_flow,
     least_processing_flows,
-    max_output_power,
-    max_string_output,
     max_string_outputs,
     optimal_flow,
 )
@@ -116,12 +112,10 @@ __all__ = [
     "UndefinedMetricError",
     "aggregate_rating",
     "architecture_edges",
-    "build_flow_lp",
     "cppp_from_budget",
     "design_layer1",
     "design_layer2",
     "draw_capabilities",
-    "enumerate_interconnections",
     "evaluate_architecture",
     "evaluate_cells",
     "flatten",
@@ -134,14 +128,11 @@ __all__ = [
     "least_processing_flows",
     "layer2_rating_for_budget",
     "lshippp_for_budget",
-    "max_output_power",
-    "max_string_output",
     "max_string_outputs",
     "optimal_flow",
     "partition_ratings",
     "sample_battery_set",
     "solve",
-    "solve_many",
     "sweep_figures",
     "sweep_heterogeneity",
     "sweep_rating",

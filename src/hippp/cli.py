@@ -116,8 +116,11 @@ def _parse_grid(parser, key, default):
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Read the flat key-value experiment description; see README for keys."""
-    parser = configparser.ConfigParser()
+    """Read the flat key-value experiment description; see README for keys.
+
+    A `;` after a value, with whitespace before it, starts a comment.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle)
@@ -169,6 +172,9 @@ def load_config(path: str) -> ExperimentConfig:
     budget = _parse_scalar(parser, "evaluate", "rating_budget", float, 0.15)
     if not 0.0 <= budget < np.inf:
         raise ConfigError("[evaluate] rating_budget: must be non-negative and finite, not NaN")
+    seed = _parse_scalar(parser, "evaluate", "seed", int, 0)
+    if seed < 0:
+        raise ConfigError("[evaluate] seed: must be non-negative")
 
     return ExperimentConfig(
         supply=supply,
@@ -179,7 +185,7 @@ def load_config(path: str) -> ExperimentConfig:
         rating_budget=budget,
         converter_efficiency=efficiency,
         trials=trials,
-        seed=_parse_scalar(parser, "evaluate", "seed", int, 0),
+        seed=seed,
         out_dir=_parse_scalar(parser, "output", "directory", str, "out"),
     )
 
@@ -420,6 +426,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     updates = {}
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed: must be non-negative")
         updates["seed"] = args.seed
     if args.trials is not None:
         if args.trials < 1:

@@ -13,8 +13,9 @@ are scored in lexicographic runs, one stacked min-cost flow call per run over
 the union of the run's edges, with the bits of one call per placement; the
 tie-break stops as soon as a placement reaches a lower bound that every
 placement's processing must meet. Only the winner goes through the design
-LP, whose optimal processed powers are then collapsed into K
-identical-rating groups to cut part count.
+LP (powerflow.layer1_design_lp, two array LPs through lp.solve_stack),
+whose optimal processed powers are then collapsed into K identical-rating
+groups to cut part count.
 
 Layer 2 is rated by Monte Carlo: with layer 1 frozen, a shared set of seeded
 capability draws is replayed against a grid of trial ladder ratings and the
@@ -24,7 +25,7 @@ rating, draw) stage-1 LP goes through one max_string_outputs call, which
 writes them as one stack of arrays and solves them in lockstep
 (lp.solve_stack) with the bits of one-at-a-time solves. Callers pick the
 ladder rating off that curve, usually by spending whatever rating budget
-layer 1 left over.
+layer 1 left over. Neither layer builds a LinearProgram.
 """
 
 from __future__ import annotations
@@ -83,6 +84,8 @@ class DesignConfig:
             raise ParameterError("layer2_trial_ratings must be strictly increasing")
         if int(self.monte_carlo_trials) != self.monte_carlo_trials or self.monte_carlo_trials < 1:
             raise ParameterError("monte_carlo_trials must be a positive integer")
+        if int(self.base_seed) != self.base_seed or self.base_seed < 0:
+            raise ParameterError("base_seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -119,28 +122,17 @@ def interconnection_count(n: int, m: int) -> int:
     return comb(comb(n, 2), m)
 
 
-def _check_enumeration(n: int, m: int, max_sets: int) -> None:
+def _check_enumeration(n: int, m: int) -> None:
     if int(n) != n or n < 2:
         raise ParameterError("need at least two batteries to place pair converters")
     if int(m) != m or not 1 <= m <= comb(n, 2):
         raise ParameterError("number of converters must lie in 1..C(n,2)")
     total = interconnection_count(n, m)
-    if total > max_sets:
+    if total > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"{total} candidate interconnections exceed the cap of {max_sets}; "
+            f"{total} candidate interconnections exceed the cap of {DEFAULT_ENUMERATION_CAP}; "
             "reduce num_layer1 or raise the cap deliberately"
         )
-
-
-def enumerate_interconnections(n: int, m: int, max_sets: int = DEFAULT_ENUMERATION_CAP):
-    """Yield every m-subset of unordered battery pairs, lexicographically.
-
-    Pairs are canonically oriented low index -> high index; flows are signed,
-    so orientation costs no generality. Refuses combinatorial blowups.
-    """
-    _check_enumeration(n, m, max_sets)
-    pairs = list(itertools.combinations(range(n), 2))
-    return itertools.combinations(pairs, m)
 
 
 def partition_ratings(processed, k: int) -> list[float]:
@@ -173,13 +165,15 @@ _FIRST_TIE_RUN = 16
 
 
 def _placement_blocks(n: int, m: int):
-    """enumerate_interconnections(n, m) as (P, M, 2) endpoint arrays, in the same order.
+    """Every m-subset of unordered battery pairs, lexicographically, as (P, M, 2) endpoint arrays.
 
-    A placement is an m-combination of indices into the lexicographic pair
-    table, and those combinations come out in the placements' own
-    lexicographic order.
+    Pairs are canonically oriented low index -> high index; flows are signed,
+    so orientation costs no generality. A placement is an m-combination of
+    indices into the lexicographic pair table, and those combinations come
+    out in the placements' own lexicographic order. Refuses combinatorial
+    blowups past DEFAULT_ENUMERATION_CAP placements.
     """
-    _check_enumeration(n, m, DEFAULT_ENUMERATION_CAP)
+    _check_enumeration(n, m)
     pair_table = np.array(list(itertools.combinations(range(n), 2)), dtype=np.intp)
     picks = itertools.combinations(range(len(pair_table)), m)
     while True:

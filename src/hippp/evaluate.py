@@ -119,11 +119,13 @@ def evaluate_cells(cells: Sequence[SweepCell], workers: int = 1) -> list[Metrics
     process pool of at most one worker per group.
     """
     cells = [SweepCell(*cell) for cell in cells]
-    for arch, supply, trials, _, _ in cells:
+    for arch, supply, trials, seed, _ in cells:
         if supply.count != arch.num_batteries:
             raise ParameterError(f"supply count {supply.count} does not match architecture {arch.num_batteries}")
         if int(trials) != trials or trials < 1:
             raise ParameterError("trials must be a positive integer")
+        if int(seed) != seed or seed < 0:
+            raise ParameterError("seed must be a non-negative integer")
 
     blocks: dict[tuple, np.ndarray] = {}
     members: dict[tuple, list[int]] = {}

@@ -20,19 +20,20 @@ flag, stall count and verdict, and leaves the stack when it is done. Every
 step is a stacked np.linalg.solve on (K, m, m) with a (K, m, 1) right-hand
 side, a stacked matmul, or an elementwise op, each of which gives, slice for
 slice, the bits of the serial call. So every LP takes the same pivots and
-returns the same bits as under solve. solve_many is solve_stack on a list of
-LinearPrograms. The phase-1 set-up, the phase-2 handover and the
-certification are written once, for one LP or a stack, and solve uses them
-too. solve stays the serial path, because the stack costs two to three times
-as much per LP at K = 1, so a stack of one goes through it; it is also the
-stack's test oracle.
+returns the same bits as under solve. The phase-1 set-up, the phase-2
+handover and the certification are written once, for one LP or a stack, and
+solve uses them too. The serial path stays, because the stack costs two to
+three times as much per LP at K = 1, so a stack of one goes through it.
+
+The rest of the package writes its LPs as arrays and solves them only with
+solve_stack, one LP or many. LinearProgram and solve are the serial API for
+a caller who holds one LP, and the stack's test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -518,27 +519,3 @@ def solve_stack(objective, a_eq, b_eq, lower, upper) -> StackSolution:
     _check_points(a, b, lower, upper, values, optimal)
     objective_value = (values[:, None, :] @ c[:, :, None])[:, 0, 0]  # per LP the dot product solve takes
     return StackSolution(tuple(verdicts[i] for i in verdict.tolist()), values, objective_value)
-
-
-def solve_many(lps: Sequence[LinearProgram]) -> list[LPSolution]:
-    """solve on a batch of same-shape LPs with at least one row, in lockstep.
-
-    Returns one LPSolution per LP, equal by == in status, values and
-    objective to what solve returns for it: the LPs' validated arrays are
-    stacked and go through solve_stack. A batch mixing shapes, or of LPs
-    without equality rows, raises ParameterError.
-    """
-    lps = list(lps)
-    if not lps:
-        return []
-    shape = lps[0].a_eq.shape
-    if any(lp.a_eq.shape != shape for lp in lps):
-        raise ParameterError("a batch of LPs must share one constraint shape")
-    if shape[0] == 0:
-        raise ParameterError("a batch of LPs needs at least one equality row")
-    fields = ("objective", "a_eq", "b_eq", "lower", "upper")
-    stack = solve_stack(*(np.stack([getattr(lp, field) for lp in lps]) for field in fields))
-    return [
-        LPSolution(status, _as_readonly(values), float(value)) if status is LPStatus.OPTIMAL else _no_point(status)
-        for status, values, value in zip(stack.status, stack.values, stack.objective_value)
-    ]

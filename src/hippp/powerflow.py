@@ -32,12 +32,13 @@ ladder_flow, least_processing_flows), and every step is elementwise per
 row, so rows of architectures that differ only in their budget rating stack
 into one call with the bits of one-row calls. The LPs stay for the layer-2
 rating curve and the layer-1 design solve of the chosen placement
-(layer1_design_lp), whose printed values they pin bit for bit. The curve's
-stage-1 LPs, one per (trial rating, draw), are never built one by one:
-max_string_outputs writes them as stacked arrays, one constraint matrix per
-edge list broadcast over its rows and a (LPs, variables) block of bounds,
-and solves them with lp.solve_stack, with the same pivots and bits as one
-solve each.
+(layer1_design_lp), whose printed values they pin bit for bit. Both write
+their LPs as arrays, never as LinearProgram objects, and solve them with
+lp.solve_stack, with the same pivots and bits as one solve each. The
+curve's stage-1 LPs, one per (trial rating, draw), form stacks
+(max_string_outputs): one constraint matrix per edge list broadcast over
+its rows and a (LPs, variables) block of bounds. The design solve is two
+stacks of one LP each.
 
 Capabilities are per string position, in any order: battery j is the j-th
 battery of the string, and a reordered draw is a different string.
@@ -56,7 +57,7 @@ import numpy as np
 
 from .architecture import Architecture, ArchitectureKind, ConverterEdge, budget_rating
 from .errors import EnumerationCapError, InternalCheckError, ParameterError, StructuralError
-from .lp import FEASIBILITY_TOL, LinearProgram, LPStatus, solve, solve_stack
+from .lp import FEASIBILITY_TOL, LPStatus, solve_stack
 from .supply import ExpectedSet
 
 _Pair = tuple[int, int]
@@ -107,25 +108,6 @@ def _edge_pairs(edges: Sequence[ConverterEdge] | Sequence[_Pair], n: int) -> lis
     return pairs
 
 
-def build_flow_lp(capabilities, edges: Sequence[ConverterEdge]) -> LinearProgram:
-    """Maximum-output LP: variables [I, f_0..f_{E-1}, p_0..p_{N-1}].
-
-    Row j ties battery j's sourced power to the string current and its
-    incident flows; battery capability and converter ratings enter as
-    variable bounds.
-    """
-    caps = _validate_capabilities(capabilities)
-    n = caps.size
-    pairs = _edge_pairs(edges, n)
-    ratings = np.array([edge.rating for edge in edges], dtype=float)
-    a = _flow_matrix(pairs, n)
-    objective = np.zeros(a.shape[1])
-    objective[0] = float(n)
-    lower = np.concatenate([[0.0], -ratings, -caps])
-    upper = np.concatenate([[np.inf], ratings, caps])
-    return LinearProgram(objective, a, np.zeros(n), lower, upper)
-
-
 def _flow_matrix(pairs: Sequence[_Pair], n: int) -> np.ndarray:
     """Equality rows of the maximum-output LP over [I, f, p]: row j reads
     I + (signed flows of the edges at battery j) - p_j = 0."""
@@ -137,67 +119,18 @@ def _flow_matrix(pairs: Sequence[_Pair], n: int) -> np.ndarray:
     return a
 
 
-def _solve_or_die(lp: LinearProgram, context: str):
-    sol = solve(lp)
-    if sol.status is not LPStatus.OPTIMAL:
-        # zero current with zero flows is always feasible, so this cannot happen
-        raise InternalCheckError(f"{context}: solver returned {sol.status.value}")
-    return sol
+def _optimal_points(stage: str, objective, a, b, lower, upper) -> np.ndarray:
+    """The (K, n) optimal points of a stack of flow LPs, from lp.solve_stack.
 
-
-def _min_processed_lp(caps: np.ndarray, pairs: list[_Pair], current: float) -> LinearProgram:
-    """Design stage 2: fix I and minimize sum |f| of unbounded flows via a positive/negative split."""
-    n = caps.size
-    n_edges = len(pairs)
-    n_var = 1 + 2 * n_edges + n
-    a = np.zeros((n, n_var))
-    a[:, 0] = 1.0
-    for idx, (src, dst) in enumerate(pairs):
-        a[src, 1 + idx] += 1.0
-        a[dst, 1 + idx] -= 1.0
-        a[src, 1 + n_edges + idx] -= 1.0
-        a[dst, 1 + n_edges + idx] += 1.0
-    a[:, 1 + 2 * n_edges:] = -np.eye(n)
-
-    objective = np.zeros(n_var)
-    objective[1:1 + 2 * n_edges] = -1.0  # maximize the negated processed power
-    lower = np.concatenate([[current], np.zeros(2 * n_edges), -caps])
-    upper = np.concatenate([[current], np.full(2 * n_edges, np.inf), caps])
-    return LinearProgram(objective, a, np.zeros(n), lower, upper)
-
-
-def _free_flow_lp(caps: np.ndarray, pairs: list[_Pair]) -> LinearProgram:
-    """Design-mode stage 1: the flow LP with unbounded pair flows."""
-    rated = build_flow_lp(caps, [ConverterEdge(s, d, 0.0) for s, d in pairs])
-    lower = rated.lower.copy()
-    upper = rated.upper.copy()
-    lower[1:1 + len(pairs)] = -np.inf
-    upper[1:1 + len(pairs)] = np.inf
-    return LinearProgram(rated.objective, rated.a_eq, rated.b_eq, lower, upper)
-
-
-def _max_current(caps: np.ndarray, pairs: list[_Pair]) -> float:
-    """Design stage 1: solve the free-flow maximum-output LP, certify its flow, return I."""
-    first = _solve_or_die(_free_flow_lp(caps, pairs), "maximum-output stage")
-    current = float(first.values[0])
-    n_edges = len(pairs)
-    _certify(caps, pairs, None, current, first.values[1:1 + n_edges], first.values[1 + n_edges:])
-    return current
-
-
-def _least_processing_flow(caps: np.ndarray, pairs: list[_Pair], current: float):
-    """Design stage 2: the unbounded flow of least processed power at string current I, certified."""
-    stage2 = _min_processed_lp(caps, pairs, current)
-    second = _solve_or_die(stage2, "minimum-processing stage")
-    n_edges = len(pairs)
-    pos = second.values[1:1 + n_edges]
-    neg = second.values[1 + n_edges:1 + 2 * n_edges]
-    if n_edges and float(np.minimum(pos, neg).max(initial=0.0)) > 1e-7:
-        raise InternalCheckError("flow split left circulating power in both directions")
-    flows = np.asarray(pos - neg)
-    battery = np.asarray(second.values[1 + 2 * n_edges:])
-    _certify(caps, pairs, None, current, flows, battery)
-    return flows, battery
+    Every flow LP here is feasible at zero current with zero flows, and its
+    objective is bounded, so any other verdict is a solver fault and raises
+    InternalCheckError, naming the stage.
+    """
+    stack = solve_stack(objective, a, b, lower, upper)
+    failed = set(stack.status) - {LPStatus.OPTIMAL}
+    if failed:
+        raise InternalCheckError(f"{stage}: solver returned {failed.pop().value}")
+    return stack.values
 
 
 def _certify(caps, pairs, ratings, current, flows, battery):
@@ -620,33 +553,24 @@ def optimal_flow(capabilities, arch: Architecture) -> PowerFlowSolution:
     )
 
 
-def max_string_output(capabilities, arch: Architecture) -> float:
-    """Stage 1 of the LP flow on its own: the best deliverable power N * I.
-
-    The one-row call of max_string_outputs. For the hierarchical kind it
-    agrees with the cut form that optimal_flow uses (hierarchical_currents)
-    to rounding, about 1e-16 in the current; the layer-2 rating curve is
-    printed with repr and stays on this LP, so its values do not move with
-    the cut form's summation order. For the ladder it agrees with the closed
-    form of optimal_flow to rounding. Capabilities are per string position,
-    in any order.
-    """
-    caps = _checked_capabilities(capabilities, arch)
-    return float(max_string_outputs(caps[None, :], [arch])[0, 0])
-
-
 def max_string_outputs(capabilities, archs: Sequence[Architecture]) -> np.ndarray:
     """Stage 1 of the LP flow for every architecture on every row of a (T, N) block.
 
     Returns (len(archs), T): entry [i, t] is N * I of the maximum-output LP
-    (the LP of build_flow_lp) over the edges of archs[i] on row t, equal by
-    == to what solve gives for that LP alone. The architectures must share
-    one edge count. No LinearProgram is built: architectures with the same
-    edge list share one constraint matrix, broadcast over all of their rows,
-    and each LP's bounds are its architecture's ratings and its row's
-    capabilities. Each such group goes through lp.solve_stack in passes of
-    at most _CUT_CELLS phase-1 cells, rows x (columns + artificials) per LP,
-    and each architecture's rows are certified by one block _certify call.
+    over [I, f, p] with the edges of archs[i] on row t (the rows of
+    _flow_matrix, |f_e| at most the edge's rating, |p_j| at most P_j and
+    I >= 0), equal by == to what solve gives for that LP alone. For the
+    hierarchical kind it agrees with the cut form of hierarchical_currents
+    to rounding, about 1e-16 in the current, and for the ladder with the
+    closed form of ladder_flow; the layer-2 curve is printed with repr, so
+    it stays on this LP. The architectures must share one edge count.
+
+    No LinearProgram is built: architectures with the same edge list share
+    one constraint matrix, broadcast over all of their rows, and each LP's
+    bounds are its architecture's ratings and its row's capabilities. Each
+    such group goes through lp.solve_stack in passes of at most _CUT_CELLS
+    phase-1 cells, rows x (columns + artificials) per LP, and each
+    architecture's rows are certified by one block _certify call.
     Capabilities are per string position, in any order.
     """
     caps = _validate_capabilities(capabilities, ndim=2)
@@ -679,11 +603,7 @@ def max_string_outputs(capabilities, archs: Sequence[Architecture]) -> np.ndarra
         values = np.empty_like(upper)
         for start in range(0, len(upper), per_pass):
             part = slice(start, start + per_pass)
-            stack = solve_stack(objective, a, np.zeros(n), lower[part], upper[part])
-            failed = set(stack.status) - {LPStatus.OPTIMAL}
-            if failed:  # zero current with zero flows is always feasible
-                raise InternalCheckError(f"maximum-output stage: solver returned {failed.pop().value}")
-            values[part] = stack.values
+            values[part] = _optimal_points("maximum-output stage", objective, a, np.zeros(n), lower[part], upper[part])
         for i, rows in zip(members, values.reshape(len(members), trials, width)):
             _certify(caps, pairs, edges[i][1], rows[:, 0], rows[:, 1:1 + e], rows[:, 1 + e:])
             outputs[i] = n * rows[:, 0]
@@ -733,7 +653,14 @@ def free_flow_outputs(caps: np.ndarray, endpoints: np.ndarray) -> np.ndarray:
     spans at most M edges, so M passes leave every battery labelled with the
     smallest index of its component. Capabilities and battery counts are then
     summed per (placement, label) with one bincount each, and the result is
-    N * the smallest component mean of each placement (see max_output_power).
+    N * the smallest component mean of each placement.
+
+    That is the optimum of the maximum-output LP with unbounded pair flows.
+    Power moves freely inside each connected component C of the placement, so
+    a string current I is reachable exactly when |C| * I <= sum of P_j over C
+    for every component (the Gale/Hoffman condition: every cut inside a
+    component is crossed by an unbounded edge). A battery with no converter
+    is a component of its own.
     """
     n = caps.size
     p, m = endpoints.shape[:2]
@@ -752,31 +679,47 @@ def free_flow_outputs(caps: np.ndarray, endpoints: np.ndarray) -> np.ndarray:
     return n * means.min(axis=1)
 
 
-def max_output_power(capabilities, edges: Sequence[_Pair]) -> float:
-    """Stage-1 objective only: the best deliverable power for unrated pair edges.
-
-    With unbounded pair flows, power moves freely inside each connected
-    component C of the placement, so a string current I is reachable exactly
-    when |C| * I <= sum of P_j over C for every component (the Gale/Hoffman
-    condition: every cut inside a component is crossed by an unbounded edge).
-    The best output is therefore N * the smallest component mean capability;
-    a battery with no converter is a component of its own.
-    """
-    caps = _validate_capabilities(capabilities)
-    pairs = _edge_pairs(edges, caps.size)
-    endpoints = np.array(pairs, dtype=np.intp).reshape(1, len(pairs), 2)
-    return float(free_flow_outputs(caps, endpoints)[0])
-
-
 def layer1_design_lp(expected: ExpectedSet, edges: Sequence[_Pair]):
     """Design solve on the expected set with unbounded pair flows, as two LPs.
 
     Returns (processed, output): the canonical per-edge processed powers
     |f_e| at maximum output with minimum total processing, and that output.
-    The design prints these values with repr, so they stay on the LP.
+    The design prints these values with repr, so they stay on the LP. Stage
+    1 is the maximum-output LP over [I, f, p] with free flows; stage 2 fixes
+    its current and minimizes sum |f| over [I, f+, f-, p], with f = f+ - f-
+    and both halves non-negative. Each goes through lp.solve_stack as a
+    stack of one, which runs the serial solve's code. Both flows are
+    certified, and a stage-2 flow that circulates power both ways along an
+    edge raises InternalCheckError.
     """
     caps = expected.capabilities
-    pairs = _edge_pairs(edges, caps.size)
-    current = _max_current(caps, pairs)
-    flows, _ = _least_processing_flow(caps, pairs, current)
-    return np.abs(flows), caps.size * current
+    n = caps.size
+    pairs = _edge_pairs(edges, n)
+    e = len(pairs)
+    b = np.zeros(n)
+
+    objective = np.zeros(1 + e + n)
+    objective[0] = float(n)
+    lower = np.concatenate([[0.0], np.full(e, -np.inf), -caps])
+    upper = np.concatenate([[np.inf], np.full(e, np.inf), caps])
+    first = _optimal_points("maximum-output stage", objective, _flow_matrix(pairs, n), b, lower[None], upper[None])[0]
+    current = float(first[0])
+    _certify(caps, pairs, None, current, first[1:1 + e], first[1 + e:])
+
+    inc = _incidence(pairs, n)
+    a = np.zeros((n, 1 + 2 * e + n))
+    a[:, 0] = 1.0
+    a[:, 1:1 + e] = inc
+    a[:, 1 + e:1 + 2 * e] -= inc  # written as 0 - inc: no negative zeros
+    a[:, 1 + 2 * e:] = -np.eye(n)
+    objective = np.zeros(1 + 2 * e + n)
+    objective[1:1 + 2 * e] = -1.0  # maximize the negated processed power
+    lower = np.concatenate([[current], np.zeros(2 * e), -caps])
+    upper = np.concatenate([[current], np.full(2 * e, np.inf), caps])
+    second = _optimal_points("minimum-processing stage", objective, a, b, lower[None], upper[None])[0]
+    pos, neg = second[1:1 + e], second[1 + e:1 + 2 * e]
+    if e and float(np.minimum(pos, neg).max(initial=0.0)) > 1e-7:
+        raise InternalCheckError("flow split left circulating power in both directions")
+    flows = pos - neg
+    _certify(caps, pairs, None, current, flows, second[1 + 2 * e:])
+    return np.abs(flows), n * current

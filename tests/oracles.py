@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from hippp import ConverterEdge, LinearProgram, LPStatus, architecture_edges, build_flow_lp, solve
+from hippp import ConverterEdge, LinearProgram, LPStatus, architecture_edges, solve
+from hippp.powerflow import free_flow_outputs
 
 
 def incidence(pairs, n):
@@ -11,6 +12,48 @@ def incidence(pairs, n):
         inc[src, idx] += 1.0
         inc[dst, idx] -= 1.0
     return inc
+
+
+def build_flow_lp(caps, edges):
+    """Maximum-output LP as a LinearProgram: variables [I, f_0..f_{E-1}, p_0..p_{N-1}].
+
+    Row j ties battery j's sourced power to the string current and its
+    incident flows, I + (signed flows at j) - p_j = 0; I >= 0, and the
+    converter ratings (inf for a free flow) and battery capabilities enter
+    as variable bounds. `edges` are ConverterEdges.
+    """
+    caps = np.asarray(caps, dtype=float)
+    n = caps.size
+    pairs = [(edge.from_battery, edge.to_battery) for edge in edges]
+    ratings = np.array([edge.rating for edge in edges], dtype=float)
+    a = np.hstack([np.ones((n, 1)), incidence(pairs, n), -np.eye(n)])
+    objective = np.zeros(a.shape[1])
+    objective[0] = float(n)
+    lower = np.concatenate([[0.0], -ratings, -caps])
+    upper = np.concatenate([[np.inf], ratings, caps])
+    return LinearProgram(objective, a, np.zeros(n), lower, upper)
+
+
+def free_flow_output(caps, pairs):
+    """free_flow_outputs on one placement: N * the smallest component mean."""
+    endpoints = np.array(pairs, dtype=np.intp).reshape(1, len(pairs), 2)
+    return float(free_flow_outputs(np.asarray(caps, dtype=float), endpoints)[0])
+
+
+def two_lp_design_solve(caps, pairs):
+    """The layer-1 design solve as two LinearPrograms through the serial solve.
+
+    Stage 1 is the maximum-output LP of build_flow_lp with unbounded pair
+    flows; stage 2 fixes its current and takes the least processed power
+    from least_processing_lp with infinite ratings. Returns (|f_e| per edge,
+    N * I), as powerflow.layer1_design_lp does.
+    """
+    caps = np.asarray(caps, dtype=float)
+    first = solve(build_flow_lp(caps, [ConverterEdge(src, dst, np.inf) for src, dst in pairs]))
+    assert first.status is LPStatus.OPTIMAL
+    current = float(first.values[0])
+    _, flows, _ = least_processing_lp(caps, pairs, np.full(len(pairs), np.inf), current)
+    return np.abs(flows), caps.size * current
 
 
 def _best_current(caps, inc, flows):

@@ -98,6 +98,19 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "nope.ini"))
 
+    def test_a_semicolon_after_a_value_starts_a_comment(self, tmp_path):
+        path = tmp_path / "commented.ini"
+        path.write_text("[supply]\nmean_power = 1.5    ; expected battery power capability\ncount = 5 ; batteries\n")
+        cfg = load_config(str(path))
+        assert cfg.supply.mean_power == 1.5 and cfg.supply.count == 5
+
+    @pytest.mark.parametrize("section, key", [("design", "base_seed"), ("evaluate", "seed")])
+    def test_a_negative_seed_names_its_key(self, tmp_path, section, key):
+        path = tmp_path / "negative.ini"
+        path.write_text(f"[{section}]\n{key} = -1\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(str(path))
+
 
 class TestDesignCommand:
     def test_writes_the_design_artifact(self, config_file, tmp_path, capsys):
@@ -375,6 +388,24 @@ class TestExitCodes:
         assert run_main(command, "--config", config_file, "--out", tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert "config error:" in err and f"[evaluate] {key}" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["design", "sweep"])
+    @pytest.mark.parametrize("section, key", [("design", "base_seed"), ("evaluate", "seed"), (None, "--seed")])
+    def test_a_negative_seed_is_a_config_error(self, config_file, tmp_path, capsys, command, section, key):
+        # refused with exit 2, naming the key, instead of failing inside the generator
+        if section is None:
+            code = run_main(command, "--config", config_file, "--out", tmp_path / "o", "--seed", -3)
+        else:
+            parser = configparser.ConfigParser()
+            parser.read_string(BASE_CONFIG)
+            parser[section][key] = "-3"
+            with open(config_file, "w", encoding="utf-8") as handle:
+                parser.write(handle)
+            code = run_main(command, "--config", config_file, "--out", tmp_path / "o")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and key in err
         assert not (tmp_path / "o").exists()
 
     def test_bad_config_value(self, tmp_path, capsys):

@@ -2,12 +2,13 @@
 and an independent scipy-based search oracle."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import hierarchical_lp_output
+from oracles import build_flow_lp, free_flow_output, hierarchical_lp_output, two_lp_design_solve
 from scipy.optimize import linprog
 
 import hippp.design
@@ -20,6 +21,7 @@ from hippp import (
     ConverterEdge,
     DesignConfig,
     EnumerationCapError,
+    ExpectedSet,
     Layer1Design,
     Layer2Curve,
     Layer2Design,
@@ -27,17 +29,13 @@ from hippp import (
     ParameterError,
     StructuralError,
     architecture_edges,
-    build_flow_lp,
     design_layer1,
     design_layer2,
     draw_capabilities,
-    enumerate_interconnections,
     flatten,
     interconnection_count,
     layer2_rating_for_budget,
     lshippp_for_budget,
-    max_output_power,
-    max_string_output,
     max_string_outputs,
     optimal_flow,
     partition_ratings,
@@ -78,13 +76,18 @@ def scipy_two_stage(caps, edge_set):
     return n * best_current, float(second.fun)
 
 
+def placements_in_order(n, m):
+    """Every m-subset of the pairs of n batteries, in lexicographic order."""
+    return list(itertools.combinations(itertools.combinations(range(n), 2), m))
+
+
 def full_tie_scan(expected, m, k):
     """Layer-1 design that runs the design LP on every tied placement, no early stop.
 
     Returns (edges, ratings, processed) as the search would build them.
     """
     caps = expected.capabilities
-    placements = list(enumerate_interconnections(expected.count, m))
+    placements = placements_in_order(expected.count, m)
     outputs = free_flow_outputs(caps, np.array(placements, dtype=np.intp))
     best = outputs.max()
     chosen = (None, None, np.inf)
@@ -105,24 +108,24 @@ class TestEnumeration:
         assert interconnection_count(10, 6) == 8145060
 
     def test_yields_all_pair_sets_in_order(self):
-        sets = list(enumerate_interconnections(4, 2))
+        sets = [tuple(map(tuple, placement)) for placement in
+                np.concatenate(list(hippp.design._placement_blocks(4, 2))).tolist()]
         assert len(sets) == interconnection_count(4, 2) == 15
         assert sets == sorted(sets)
         assert sets[0] == ((0, 1), (0, 2))
         assert all(src < dst for s in sets for (src, dst) in s)
 
     def test_cap_refuses_blowups(self):
+        # 8,145,060 placements at N=10, M=6: the search refuses before scoring any
+        expected = flatten(BatterySupply(1.0, 0.2, 10))
         with pytest.raises(EnumerationCapError):
-            list(enumerate_interconnections(10, 6))
-        # a raised cap lets the same request through
-        gen = enumerate_interconnections(10, 6, max_sets=10_000_000)
-        assert next(iter(gen)) == ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6))
+            design_layer1(expected, DesignConfig(num_layer1=6, num_rating_sets=2))
 
     @pytest.mark.parametrize("n, m", [(2, 1), (4, 2), (9, 3), (16, 2)])
     def test_placement_blocks_keep_the_enumeration_order(self, n, m):
         blocks = list(hippp.design._placement_blocks(n, m))
         assert all(len(block) <= hippp.design._PLACEMENT_BLOCK for block in blocks)
-        placements = np.array(list(enumerate_interconnections(n, m)), dtype=np.intp)
+        placements = np.array(placements_in_order(n, m), dtype=np.intp)
         assert np.array_equal(np.concatenate(blocks), placements)
 
     def test_placement_blocks_keep_the_cap(self):
@@ -130,12 +133,9 @@ class TestEnumeration:
             next(hippp.design._placement_blocks(10, 6))
 
     def test_argument_validation(self):
-        with pytest.raises(ParameterError):
-            enumerate_interconnections(1, 1)
-        with pytest.raises(ParameterError):
-            enumerate_interconnections(4, 0)
-        with pytest.raises(ParameterError):
-            enumerate_interconnections(4, 7)
+        for n, m in ((1, 1), (4, 0), (4, 7)):
+            with pytest.raises(ParameterError):
+                next(hippp.design._placement_blocks(n, m))
 
 
 class TestPartitionRatings:
@@ -188,6 +188,11 @@ class TestDesignConfig:
         with pytest.raises(ParameterError):
             DesignConfig(monte_carlo_trials=0)
 
+    @pytest.mark.parametrize("seed", [-1, -(2**40), 0.5])
+    def test_rejects_a_base_seed_the_generator_cannot_take(self, seed):
+        with pytest.raises(ParameterError, match="base_seed"):
+            DesignConfig(base_seed=seed)
+
 
 class TestLayer1Search:
     def test_nine_slot_design_is_frozen(self):
@@ -196,7 +201,7 @@ class TestLayer1Search:
         assert [(e.from_battery, e.to_battery) for e in design.edges] == N9_EDGES
         assert [e.rating for e in design.edges] == pytest.approx(N9_RATINGS, abs=1e-12)
         assert design.processed_at_design == pytest.approx(N9_PROCESSED, abs=1e-12)
-        assert max_output_power(expected.capabilities, N9_EDGES) == pytest.approx(N9_OUTPUT, abs=1e-9)
+        assert free_flow_output(expected.capabilities, N9_EDGES) == pytest.approx(N9_OUTPUT, abs=1e-9)
 
     @pytest.mark.parametrize("n, m, sigma", [(5, 2, 0.2), (4, 3, 0.2), (6, 3, 0.1), (7, 2, 0.3)])
     def test_search_matches_scipy_full_scan(self, n, m, sigma):
@@ -214,7 +219,7 @@ class TestLayer1Search:
         design = design_layer1(expected, DesignConfig(num_layer1=m, num_rating_sets=2))
         assert tuple((e.from_battery, e.to_battery) for e in design.edges) == best[2]
         assert sum(design.processed_at_design) == pytest.approx(best[1], abs=1e-7)
-        assert max_output_power(caps, best[2]) == pytest.approx(best[0], abs=1e-9)
+        assert free_flow_output(caps, best[2]) == pytest.approx(best[0], abs=1e-9)
 
     @staticmethod
     def count_solves(monkeypatch):
@@ -265,7 +270,7 @@ class TestLayer1Search:
         assert ref_edges == edges
         assert [e.rating.hex() for e in design.edges] == [r.hex() for r in ref_ratings]
         assert [p.hex() for p in design.processed_at_design] == [p.hex() for p in ref_processed]
-        current = max_output_power(expected.capabilities, edges) / n
+        current = free_flow_output(expected.capabilities, edges) / n
         floor = np.maximum(current - expected.capabilities, 0.0).sum()
         assert sum(design.processed_at_design) == pytest.approx(floor, abs=1e-12)
 
@@ -291,7 +296,7 @@ class TestLayer1Search:
         # a stacked run against the one-row calls of the serial scan it replaced
         rng = np.random.default_rng(seed)
         caps = np.sort(rng.uniform(0.3, 1.7, n))
-        placements = list(enumerate_interconnections(n, m))
+        placements = placements_in_order(n, m)
         picked = np.sort(rng.choice(len(placements), size=min(len(placements), 40), replace=False))
         endpoints = np.array([placements[i] for i in picked], dtype=np.intp)
         currents = free_flow_outputs(caps, endpoints) / n
@@ -299,6 +304,22 @@ class TestLayer1Search:
         for edges, current, total in zip(endpoints.tolist(), currents, totals):
             flows, _ = least_processing_flows(caps[None, :], edges, np.full(m, np.inf), [current])
             assert total.hex() == float(np.abs(flows).sum()).hex()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 10), st.integers(1, 3), st.one_of(st.just(0.0), st.floats(0.01, 0.3)), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_design_lp_equals_the_two_lp_solve(self, n, m, sigma, drawn, seed):
+        # the array stacks of one against the two LinearPrograms through solve, by
+        # float.hex; flatten fails on tiny positive spreads, so sigma is 0 or >= 0.01
+        rng = np.random.default_rng(seed)
+        supply = BatterySupply(1.0, sigma, n)
+        expected = ExpectedSet(np.sort(rng.uniform(0.3, 1.7, n)), supply) if drawn else flatten(supply)
+        placements = placements_in_order(n, m)
+        edges = placements[rng.integers(len(placements))]
+        processed, output = layer1_design_lp(expected, edges)
+        ref_processed, ref_output = two_lp_design_solve(expected.capabilities, edges)
+        assert output.hex() == ref_output.hex()
+        assert [p.hex() for p in processed.tolist()] == [p.hex() for p in ref_processed.tolist()]
 
     def test_design_lp_agrees_with_scipy_on_the_chosen_edges(self):
         expected = flatten(BatterySupply(1.0, 0.2, 9))
@@ -314,7 +335,7 @@ class TestLayer1Search:
             cfg = DesignConfig(num_layer1=n - 1, num_rating_sets=n - 1)
             design = design_layer1(expected, cfg)
             pairs = [(e.from_battery, e.to_battery) for e in design.edges]
-            out = max_output_power(expected.capabilities, pairs)
+            out = free_flow_output(expected.capabilities, pairs)
             assert out == pytest.approx(expected.total_power, abs=1e-9)
 
     def test_sparsity_guard(self):
@@ -520,32 +541,41 @@ class TestBatchedCurve:
         assert outputs.shape == (3, 5)
         for i, arch in enumerate(archs):
             for t, caps in enumerate(block):
-                assert outputs[i, t] == max_string_output(caps, arch) == hierarchical_lp_output(caps, arch)
+                one_row = max_string_outputs(caps[None, :], [arch])[0, 0]
+                assert outputs[i, t] == one_row == hierarchical_lp_output(caps, arch)
 
-    def test_the_default_curve_builds_no_lp_object(self, monkeypatch):
-        # the README default design: 10 trial ratings x 1000 draws, solved
-        # from stacked arrays, without a build_flow_lp call or a LinearProgram
-        supply = BatterySupply(1.0, 0.2, 9)
-        cfg = DesignConfig(num_layer1=3, num_rating_sets=2)
-        counts = {"build_flow_lp": 0, "LinearProgram": 0}
-        build, post_init = hippp.powerflow.build_flow_lp, hippp.lp.LinearProgram.__post_init__
-
-        def counted_build(*args):
-            counts["build_flow_lp"] += 1
-            return build(*args)
+    def test_the_default_design_builds_no_lp_object(self, monkeypatch):
+        # the README default design, layer 1 and the 10 x 1000 layer-2 curve:
+        # every LP is written as arrays and goes through solve_stack, so no
+        # LinearProgram is built and lp.solve is never called
+        built, solved = [], []
+        post_init, solve_one = hippp.lp.LinearProgram.__post_init__, hippp.lp.solve
 
         def counted_post_init(lp):
-            counts["LinearProgram"] += 1
+            built.append(lp)
             post_init(lp)
 
-        monkeypatch.setattr(hippp.powerflow, "build_flow_lp", counted_build)
+        def counted_solve(lp):
+            solved.append(lp)
+            return solve_one(lp)
+
         monkeypatch.setattr(hippp.lp.LinearProgram, "__post_init__", counted_post_init)
+        for name, module in list(sys.modules.items()):  # wherever a module holds lp.solve
+            if name.partition(".")[0] == "hippp":
+                for key, value in list(vars(module).items()):
+                    if value is solve_one:
+                        monkeypatch.setattr(module, key, counted_solve)
+        supply = BatterySupply(1.0, 0.2, 9)
+        cfg = DesignConfig(num_layer1=3, num_rating_sets=2)
         layer1 = design_layer1(flatten(supply), cfg)
-        assert counts["build_flow_lp"] > 0 and counts["LinearProgram"] > 0  # the design LP counts
-        counts.update(build_flow_lp=0, LinearProgram=0)
         _, curve = design_layer2(layer1, supply, cfg, budget=0.15)
+        assert [(e.from_battery, e.to_battery) for e in layer1.edges] == N9_EDGES
+        assert [p.hex() for p in layer1.processed_at_design] == [p.hex() for p in N9_PROCESSED]
         assert len(curve.points) == 10
-        assert counts == {"build_flow_lp": 0, "LinearProgram": 0}
+        assert built == [] and solved == []
+        # the counters do count: an LP built and solved on its own shows in both
+        hippp.solve(build_flow_lp(np.ones(2), [ConverterEdge(0, 1, 0.1)]))
+        assert len(built) == 1 and len(solved) == 1
 
     def test_rejects_mixed_edge_counts_and_no_architecture(self):
         block = np.stack([draw_capabilities(BatterySupply(1.0, 0.2, 9), seed) for seed in range(2)])
@@ -576,9 +606,10 @@ class TestStageOneOutput:
         expected = flatten(BatterySupply(1.0, 0.2, 9))
         arch = Architecture(ArchitectureKind.CPPP, 9, expected.total_power, cppp_rating=0.1)
         caps = draw_capabilities(BatterySupply(1.0, 0.2, 9), 3)
-        assert max_string_output(caps, arch) == pytest.approx(optimal_flow(caps, arch).output_power, abs=1e-12)
+        output = max_string_outputs(caps[None, :], [arch])[0, 0]
+        assert output == pytest.approx(optimal_flow(caps, arch).output_power, abs=1e-12)
 
     def test_full_processing_has_no_string_stage(self):
         arch = Architecture(ArchitectureKind.FPP, 3, 3.0, fpp_rating=0.5)
         with pytest.raises(StructuralError):
-            max_string_output([0.8, 1.0, 1.2], arch)
+            max_string_outputs([[0.8, 1.0, 1.2]], [arch])

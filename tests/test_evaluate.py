@@ -236,6 +236,13 @@ class TestGroupedEvaluation:
             evaluate_cells([good, SweepCell(arch, SUPPLY9, 0, 0)])
         assert evaluate_cells([]) == []
 
+    def test_a_negative_seed_is_refused(self):
+        arch = cppp_from_budget(0.2, flatten(SUPPLY9))
+        with pytest.raises(ParameterError, match="seed"):
+            evaluate_cells([SweepCell(arch, SUPPLY9, 5, 0), SweepCell(arch, SUPPLY9, 5, -1)])
+        with pytest.raises(ParameterError, match="seed"):
+            evaluate_architecture(arch, SUPPLY9, trials=5, seed=-2)
+
     def test_sweep_figures_equals_the_two_sweeps(self):
         kinds = ["lshippp", "cppp", "fpp"]
         rating, sigma = sweep_figures(kinds, SUPPLY9, [0.05, 0.3], [0.1, 0.2], 0.15, 12, 4, design_cfg=FAST_CFG)

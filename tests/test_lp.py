@@ -3,8 +3,7 @@
 Two oracles back the solver: exhaustive vertex enumeration (every basis,
 every at-bound assignment) for tiny problems, and scipy's HiGHS interface
 for randomized ones. Neither shares any code with the implementation. The
-stacked solver (solve_stack, and solve_many over it) is checked against the
-serial one, by ==.
+stacked solver (solve_stack) is checked against the serial one, by ==.
 """
 
 import itertools
@@ -16,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import hippp.lp
-from hippp import LinearProgram, LPStatus, ParameterError, solve, solve_many
+from hippp import LinearProgram, LPStatus, ParameterError, solve
 from hippp.lp import solve_stack
 
 RNG_INSTANCES = 60
@@ -340,68 +339,6 @@ def mixed_batch(rng, n_var, n_row, size, a=None):
     return batch
 
 
-def assert_same_solutions(batch, solutions):
-    assert len(solutions) == len(batch)
-    for lp, got in zip(batch, solutions):
-        want = solve(lp)
-        assert got.status is want.status
-        assert got.values.shape == want.values.shape
-        assert np.all(got.values == want.values)
-        if want.status is LPStatus.OPTIMAL:
-            assert got.objective_value == want.objective_value
-        else:
-            assert np.isnan(got.objective_value)
-
-
-class TestSolveMany:
-    """The lockstep batch against the serial solver, compared by ==."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 8), st.integers(1, 4),
-           st.integers(2, 12))
-    def test_equals_the_serial_solver(self, seed, n_var, n_row, size):
-        # a batch of one goes through solve itself, so only K >= 2 tests the lockstep
-        batch = mixed_batch(np.random.default_rng(seed), n_var, n_row, size)
-        assert_same_solutions(batch, solve_many(batch))
-
-    def test_a_fixed_batch_holds_every_verdict(self):
-        batch = mixed_batch(np.random.default_rng(5), 6, 3, 40)
-        solutions = solve_many(batch)
-        assert {sol.status for sol in solutions} == set(LPStatus)
-        assert_same_solutions(batch, solutions)
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(2, 8))
-    def test_bland_switch_at_different_iterations(self, seed, size):
-        # a stall limit of 2 makes most degenerate instances switch to Bland's
-        # rule, each after its own number of iterations
-        rng = np.random.default_rng(seed)
-        batch = [
-            LinearProgram(rng.normal(size=6), rng.normal(size=(3, 6)), np.zeros(3), np.zeros(6), np.full(6, 2.0))
-            for _ in range(size)
-        ]
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(hippp.lp, "_STALL_LIMIT", 2)
-            assert_same_solutions(batch, solve_many(batch))
-
-    def test_empty_batch(self):
-        assert solve_many([]) == []
-
-    def test_a_batch_of_one_is_a_serial_solve(self, monkeypatch):
-        batch = mixed_batch(np.random.default_rng(3), 6, 3, 1)
-        monkeypatch.setattr(hippp.lp, "_iterate_many", None)  # the lockstep must not run
-        assert_same_solutions(batch, solve_many(batch))
-
-    def test_rejects_mixed_shapes_and_empty_rows(self):
-        one_row = LinearProgram([1.0, 1.0], [[1.0, 1.0]], [1.0], [0.0, 0.0], [1.0, 1.0])
-        two_rows = LinearProgram([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0])
-        three_vars = LinearProgram([1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]], [1.0], [0.0] * 3, [1.0] * 3)
-        no_rows = LinearProgram([1.0, -2.0], np.zeros((0, 2)), [], [0.0, -1.0], [3.0, 1.0])
-        for batch in ([one_row, two_rows], [one_row, three_vars], [no_rows], [no_rows, no_rows]):
-            with pytest.raises(ParameterError):
-                solve_many(batch)
-
-
 def stack_arrays(batch, shared):
     """The arrays of a batch as solve_stack takes them: the first LP's matrix
     for the whole stack when `shared`, else one matrix per LP."""
@@ -420,6 +357,62 @@ def assert_stack_equals_serial(batch, stack):
             assert value == want.objective_value
         else:
             assert np.all(np.isnan(values)) and np.isnan(value)
+
+
+class TestSolveMany:
+    """Stacks of many LPs against the serial solver, compared by ==."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 8), st.integers(1, 4),
+           st.integers(2, 12))
+    def test_equals_the_serial_solver(self, seed, n_var, n_row, size):
+        # a stack of one goes through solve itself, so only K >= 2 tests the lockstep
+        batch = mixed_batch(np.random.default_rng(seed), n_var, n_row, size)
+        assert_stack_equals_serial(batch, solve_stack(*stack_arrays(batch, shared=False)))
+
+    def test_a_fixed_batch_holds_every_verdict(self):
+        batch = mixed_batch(np.random.default_rng(5), 6, 3, 40)
+        stack = solve_stack(*stack_arrays(batch, shared=False))
+        assert set(stack.status) == set(LPStatus)
+        assert_stack_equals_serial(batch, stack)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(2, 8))
+    def test_bland_switch_at_different_iterations(self, seed, size):
+        # a stall limit of 2 makes most degenerate instances switch to
+        # Bland's rule, each after its own number of iterations
+        rng = np.random.default_rng(seed)
+        batch = [
+            LinearProgram(rng.normal(size=6), rng.normal(size=(3, 6)), np.zeros(3), np.zeros(6), np.full(6, 2.0))
+            for _ in range(size)
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hippp.lp, "_STALL_LIMIT", 2)
+            assert_stack_equals_serial(batch, solve_stack(*stack_arrays(batch, shared=False)))
+
+    def test_empty_batch(self):
+        stack = solve_stack(np.zeros(2), np.ones((1, 2)), np.ones(1), np.zeros((0, 2)), np.ones((0, 2)))
+        assert stack.status == ()
+        assert stack.values.shape == (0, 2) and stack.objective_value.shape == (0,)
+
+    def test_a_batch_of_one_is_a_serial_solve(self, monkeypatch):
+        # a shared matrix, where TestSolveStack gives one per LP
+        batch = mixed_batch(np.random.default_rng(3), 6, 3, 1)
+        monkeypatch.setattr(hippp.lp, "_iterate_many", None)  # the lockstep must not run
+        assert_stack_equals_serial(batch, solve_stack(*stack_arrays(batch, shared=True)))
+
+    def test_rejects_mixed_shapes_and_empty_rows(self):
+        c, b, lower, upper = np.ones((2, 2)), np.ones((2, 1)), np.zeros((2, 2)), np.ones((2, 2))
+        one_row = np.ones((1, 2))
+        for bad in (
+            (c, np.ones((2, 2)), b, lower, upper),                  # two rows, one right-hand side each
+            (c, np.ones((1, 3)), b, lower, upper),                  # three columns, two variables
+            (np.ones((2, 3)), one_row, b, lower, upper),            # three objective coefficients
+            (c, np.zeros((0, 2)), np.zeros((2, 0)), lower, upper),  # no rows
+        ):
+            with pytest.raises(ParameterError):
+                solve_stack(*bad)
+        assert solve_stack(c, one_row, b, lower, upper).status == (LPStatus.OPTIMAL,) * 2
 
 
 class TestSolveStack:

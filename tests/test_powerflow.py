@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import grid_best_output, hierarchical_lp_output, incidence, ladder_lp_flow, least_processing_lp
+from oracles import (
+    build_flow_lp,
+    free_flow_output,
+    grid_best_output,
+    hierarchical_lp_output,
+    incidence,
+    ladder_lp_flow,
+    least_processing_lp,
+)
 from scipy.optimize import linprog
 
 from hippp import (
@@ -33,12 +41,11 @@ from hippp import (
     hierarchical_currents,
     ladder_flow,
     least_processing_flows,
-    max_output_power,
     optimal_flow,
     solve,
 )
 import hippp.powerflow
-from hippp.powerflow import _certify, _free_flow_lp, free_flow_outputs
+from hippp.powerflow import _certify, free_flow_outputs
 
 GRID_TOL = 2e-3
 
@@ -240,19 +247,19 @@ class TestSolutionInvariants:
 class TestFreeFlowDesignSolve:
     def test_connected_graph_reaches_the_mean(self):
         caps = np.array([0.7, 1.0, 1.3])
-        out = max_output_power(caps, [(0, 1), (1, 2)])
+        out = free_flow_output(caps, [(0, 1), (1, 2)])
         assert out == pytest.approx(3.0, abs=1e-9)
 
     def test_disconnected_graph_is_bottlenecked(self):
         # components balance internally; the string current is set by the
         # poorest component mean
         caps = np.array([0.6, 0.8, 1.2, 1.4])
-        out = max_output_power(caps, [(0, 1), (2, 3)])
+        out = free_flow_output(caps, [(0, 1), (2, 3)])
         assert out == pytest.approx(4 * 0.7, abs=1e-9)
 
     def test_no_edges_is_the_bare_string(self):
         caps = np.array([0.6, 0.8, 1.2])
-        assert max_output_power(caps, []) == pytest.approx(3 * 0.6, abs=1e-9)
+        assert free_flow_output(caps, []) == pytest.approx(3 * 0.6, abs=1e-9)
 
 
 @st.composite
@@ -286,8 +293,8 @@ class TestClosedFormAgainstLP:
     @example(([0.6, 0.8, 1.2, 1.4, 2.0], [(3, 1), (1, 3), (4, 0)]))  # battery 2 isolated
     def test_component_mean_matches_both_lps(self, instance):
         caps, edges = instance
-        closed = max_output_power(caps, edges)
-        in_repo = solve(_free_flow_lp(np.asarray(caps), edges)).objective_value
+        closed = free_flow_output(caps, edges)
+        in_repo = solve(build_flow_lp(caps, [ConverterEdge(src, dst, np.inf) for src, dst in edges])).objective_value
         assert closed == pytest.approx(in_repo, abs=1e-9)
         assert closed == pytest.approx(scipy_free_flow_output(caps, edges), abs=1e-9)
 
@@ -430,7 +437,7 @@ class TestHierarchicalKernel:
         # an infinite rating never crosses a finite cut: batteries 0 and 2 share power freely
         caps = np.array([[0.6, 1.1, 1.0], [0.9, 0.7, 1.3]])
         arch = ls_arch(3, 3.0, [(0, 2, np.inf)], 0.0)
-        expected = [max_output_power(row, [(0, 2)]) / 3 for row in caps]
+        expected = [free_flow_output(row, [(0, 2)]) / 3 for row in caps]
         assert hierarchical_currents(caps, arch) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("chord, rung", [(-0.1, None), (np.nan, None), (None, -0.1), (None, np.nan)])
