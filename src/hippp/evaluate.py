@@ -6,18 +6,19 @@ and seed see identical batches. That common-random-numbers discipline makes
 sweep comparisons paired and bit-reproducible regardless of worker count.
 
 A sweep is one grouped evaluation of its cells (evaluate_cells). Each
-distinct (supply, trials, seed) block is drawn once. Cells that share a
-kind, a battery count and a layer-1 design form a group, whose cells'
-rows are stacked and run through one powerflow call (flow_powers) with
-each row's own budget rating: closed form for full processing and the
-ladder; for the hierarchical design, every row's current from the cut form
-and its least-processing flow from one min-cost flow kernel, with no LP.
-Every kernel step is elementwise per row, so a cell's rows carry the same
-bits as when the cell runs alone. Each cell's invariants and metric means
-are then computed on its own rows. evaluate_architecture is the one-cell
-call; `hippp sweep` evaluates the rating and heterogeneity sweeps together
-(sweep_figures), with layer 1 designed once per distinct flattened supply.
-Under several workers a group is the unit of work.
+distinct cell is evaluated once, and each distinct (supply, trials, seed)
+block is drawn once. Cells that share a kind, a battery count and a
+layer-1 design form a group, whose cells' rows are stacked and run through
+one powerflow call (flow_powers) with each row's own budget rating: closed
+form for full processing and the ladder; for the hierarchical design,
+every row's current from the cut form and its least-processing flow from
+one min-cost flow kernel, with no LP. Every kernel step is elementwise per
+row, so a cell's rows carry the same bits as when the cell runs alone.
+Each cell's invariants and metric means are then computed on its own rows.
+evaluate_architecture is the one-cell call; `hippp sweep` evaluates the
+rating and heterogeneity sweeps together (sweep_figures), with each
+distinct supply flattened once and layer 1 designed once per distinct
+flattened supply. Under several workers a group is the unit of work.
 
 Reported metrics per architecture:
 
@@ -47,7 +48,7 @@ from .architecture import (
 from .design import DesignConfig, design_layer1, lshippp_for_budget
 from .errors import InternalCheckError, ParameterError, UndefinedMetricError
 from .powerflow import flow_powers
-from .supply import BatterySupply, draw_capabilities, flatten
+from .supply import BatterySupply, ExpectedSet, draw_capabilities, flatten
 
 log = logging.getLogger(__name__)
 
@@ -111,12 +112,13 @@ class SweepCell(NamedTuple):
 def evaluate_cells(cells: Sequence[SweepCell], workers: int = 1) -> list[MetricsRecord]:
     """Evaluate every cell as one grouped evaluation; records in cell order.
 
-    Each distinct (supply, trials, seed) block is drawn once. Cells sharing
-    a kind, a battery count and a layer-1 design are stacked and evaluated by
-    one flow_powers call, each row at its own cell's budget rating; each
-    cell's record comes from its own rows and equals, by ==, the record of
-    the cell evaluated alone. With workers > 1 the groups are spread over a
-    process pool of at most one worker per group.
+    Each distinct cell is evaluated once, and every copy of it gets its
+    record. Each distinct (supply, trials, seed) block is drawn once. Cells
+    sharing a kind, a battery count and a layer-1 design are stacked and
+    evaluated by one flow_powers call, each row at its own cell's budget
+    rating; each cell's record comes from its own rows and equals, by ==,
+    the record of the cell evaluated alone. With workers > 1 the groups are
+    spread over a process pool of at most one worker per group.
     """
     cells = [SweepCell(*cell) for cell in cells]
     for arch, supply, trials, seed, _ in cells:
@@ -127,22 +129,20 @@ def evaluate_cells(cells: Sequence[SweepCell], workers: int = 1) -> list[Metrics
         if int(seed) != seed or seed < 0:
             raise ParameterError("seed must be a non-negative integer")
 
+    distinct = list(dict.fromkeys(cells))
     blocks: dict[tuple, np.ndarray] = {}
-    members: dict[tuple, list[int]] = {}
     tasks: dict[tuple, list[tuple[SweepCell, np.ndarray]]] = {}
-    for index, (arch, supply, trials, seed, _) in enumerate(cells):
+    for cell in distinct:
+        arch, supply, trials, seed, _ = cell
         key = (supply, int(trials), seed)
         if key not in blocks:
             blocks[key] = np.array([draw_capabilities(supply, seed + t) for t in range(int(trials))])
-        group = (arch.kind, arch.num_batteries, arch.layer1)
-        members.setdefault(group, []).append(index)
-        tasks.setdefault(group, []).append((cells[index], blocks[key]))
+        tasks.setdefault((arch.kind, arch.num_batteries, arch.layer1), []).append((cell, blocks[key]))
 
-    records: list[MetricsRecord] = [None] * len(cells)
-    for indices, group_records in zip(members.values(), _run_groups(list(tasks.values()), workers)):
-        for index, record in zip(indices, group_records):
-            records[index] = record
-    return records
+    records: dict[SweepCell, MetricsRecord] = {}
+    for task, group_records in zip(tasks.values(), _run_groups(list(tasks.values()), workers)):
+        records.update(zip((cell for cell, _ in task), group_records))
+    return [records[cell] for cell in cells]
 
 
 def _run_groups(tasks, workers: int):
@@ -272,15 +272,18 @@ def _sigma_points(supply_mean: float, sigma_grid, fixed_budget: float, count: in
 def _sweep(kinds, points, trials, seed, design_cfg, converter_efficiency, workers) -> list[MetricsRecord]:
     """Cells point by point, budget by budget, kind by kind, as one grouped evaluation.
 
-    `points` pairs each supply with its budgets. Each distinct flattened
-    supply gets one layer-1 design, reused for every budget of every point
-    that flattens to it; each budget only re-splits what is left for the
-    ladder.
+    `points` pairs each supply with its budgets. Each distinct supply is
+    flattened once, and each distinct flattened supply gets one layer-1
+    design, reused for every budget of every point that flattens to it; each
+    budget only re-splits what is left for the ladder.
     """
+    expected_sets: dict[BatterySupply, ExpectedSet] = {}
     layer1s: dict[bytes, Layer1Design] = {}
     cells = []
     for supply, budgets in points:
-        expected = flatten(supply)
+        if supply not in expected_sets:
+            expected_sets[supply] = flatten(supply)
+        expected = expected_sets[supply]
         layer1 = None
         if ArchitectureKind.LSHIPPP in kinds:
             key = expected.capabilities.tobytes()

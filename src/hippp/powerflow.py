@@ -19,7 +19,8 @@ processed power sum |f_e|; converter ratings derived at design time use the
 same convention. Its maximum output has an exact cut form, a dynamic program
 over the string (see hierarchical_currents), and its dispatch at that current
 is a min-cost flow with unit arc costs, solved by successive shortest paths
-(see least_processing_flows); both run on a whole block of draws at once.
+(see least_processing_flows); both run on a whole block of draws at once,
+with the draws on the last axis of every working array.
 The conventional ladder has no central optimizer: every battery regulates
 toward its full capability and each adjacent converter passes the accumulated
 mismatch along until it saturates, so curtailment lands on the strong end of
@@ -251,11 +252,13 @@ def _string_edges(arch: Architecture) -> tuple[list[_Pair], np.ndarray]:
     return pairs, np.array([edge.rating for edge in edges], dtype=float)
 
 
-# cells per pass of the cut-form and least-processing kernels (rows x patterns x
-# subset sizes, rows x batteries x incoming arcs) and of the batched stage-1 LPs
-# (LPs x rows x columns); bounds their working arrays the way the placement
-# block bounds the layer-1 search
+# cells per pass of the least-processing kernel and of the batched stage-1 LPs
+# (LPs x rows x columns), and the most cut-form state cells one row may need;
+# bounds their working arrays the way the placement block bounds the search
 _CUT_CELLS = 1 << 18
+# cut-form state cells per pass: small enough to stay in a core's cache, which
+# halves the cut form's time on the default sweep against _CUT_CELLS
+_CUT_PASS_CELLS = 1 << 16
 
 
 def hierarchical_currents(capabilities, arch: Architecture, rungs=None) -> np.ndarray:
@@ -283,9 +286,9 @@ def hierarchical_currents(capabilities, arch: Architecture, rungs=None) -> np.nd
 
     Rows are independent and every step is elementwise, so a block gives, row
     for row, the same bits as one-row calls, whatever rung rating each row
-    has. Rows go through in passes of at most _CUT_CELLS state cells; an
-    architecture whose single row needs more is refused with
-    EnumerationCapError.
+    has. Rows go through in passes of at most _CUT_PASS_CELLS cells of their
+    widest state (see _cut_pass); an architecture whose single row needs more
+    than _CUT_CELLS is refused with EnumerationCapError.
     """
     if arch.kind != ArchitectureKind.LSHIPPP:
         raise StructuralError("the cut-form current covers the hierarchical kind only")
@@ -299,7 +302,8 @@ def hierarchical_currents(capabilities, arch: Architecture, rungs=None) -> np.nd
 
     ends = sorted({battery for pair in chords for battery in pair})
     patterns = 1 << len(ends)
-    cells = patterns * (n + 1)
+    # after battery j: the patterns of the endpoints up to j by sizes 0..j+1
+    cells = max((1 << sum(end <= j for end in ends)) * (j + 2) for j in range(n))
     if cells > _CUT_CELLS:
         raise EnumerationCapError(
             f"{len(ends)} distinct layer-1 endpoints need {cells} cut states per draw, "
@@ -318,7 +322,7 @@ def hierarchical_currents(capabilities, arch: Architecture, rungs=None) -> np.nd
         ban_in[battery, ~member[:, i]] = np.inf
         ban_out[battery, member[:, i]] = np.inf
 
-    rows = max(1, _CUT_CELLS // cells)
+    rows = max(1, _CUT_PASS_CELLS // cells)
     return np.concatenate([
         _cut_pass(caps[start:start + rows], rung[start:start + rows], ban_in, ban_out, chord_cost)
         for start in range(0, trials, rows)
@@ -326,23 +330,36 @@ def hierarchical_currents(capabilities, arch: Architecture, rungs=None) -> np.nd
 
 
 def _cut_pass(caps: np.ndarray, rung: np.ndarray, ban_in, ban_out, chord_cost) -> np.ndarray:
-    """The subset dynamic program of hierarchical_currents on one block of rows, one rung rating each."""
+    """The subset dynamic program of hierarchical_currents on one block of rows, one rung rating each.
+
+    States are (subset size k, pattern, row). Patterns that differ only in
+    endpoints not reached yet are equal, so the pass starts with one and, at
+    each endpoint, appends the states to themselves before adding its bans:
+    pattern p + 2^s is p with endpoint s in U, as in chord_cost. Sizes stop
+    at j + 1 after battery j. Elsewhere the bans add 0.0, so they are skipped.
+    """
     trials, n = caps.shape
-    rung = rung[:, None, None]
-    shape = (trials, chord_cost.size, n + 1)  # last axis: subset size k
-    inside = np.full(shape, np.inf)  # least cost with the current battery in U
-    outside = np.full(shape, np.inf)
-    inside[:, :, 1] = caps[:, 0, None]
-    outside[:, :, 0] = 0.0
-    inside += ban_in[0][:, None]
-    outside += ban_out[0][:, None]
-    for j in range(1, n):
-        entered = np.full(shape, np.inf)
-        entered[:, :, 1:] = np.minimum(inside[:, :, :-1], outside[:, :, :-1] + rung) + caps[:, j, None, None]
-        outside = np.minimum(outside, inside + rung) + ban_out[j][:, None]
-        inside = entered + ban_in[j][:, None]
-    best = np.minimum(inside, outside)[:, :, 1:] + chord_cost[:, None]
-    return (best / np.arange(1, n + 1)).min(axis=(1, 2))
+    caps = np.ascontiguousarray(caps.T)
+    inside = np.full((2, 1, trials), np.inf)  # least cost with the current battery in U
+    outside = np.full((2, 1, trials), np.inf)
+    inside[1] = caps[0]
+    outside[0] = 0.0
+    patterns = 1
+    for j in range(n):
+        if j:
+            entered = np.empty((j + 2, patterns, trials))
+            entered[0] = np.inf
+            np.add(np.minimum(inside, outside + rung), caps[j], out=entered[1:])
+            stayed = np.empty_like(entered)
+            np.minimum(outside, inside + rung, out=stayed[:-1])
+            stayed[-1] = np.inf
+            inside, outside = entered, stayed
+        if ban_in[j].any():  # a chord endpoint: its side of the cut splits every pattern
+            patterns *= 2
+            inside = np.concatenate([inside, inside], axis=1) + ban_in[j, :patterns, None]
+            outside = np.concatenate([outside, outside], axis=1) + ban_out[j, :patterns, None]
+    best = np.minimum(inside, outside)[1:] + chord_cost[:, None]
+    return (best / np.arange(1, n + 1)[:, None, None]).min(axis=(0, 1))
 
 
 def least_processing_flows(capabilities, pairs: Sequence[_Pair], ratings, currents):
@@ -376,12 +393,12 @@ def least_processing_flows(capabilities, pairs: Sequence[_Pair], ratings, curren
     small deficit would leave sum |f| short by that deficit times a path
     length. A deficit above FEASIBILITY_TOL left at the end (the current is
     above what the edges can carry) or a row still augmenting after
-    4 * N * (N + E) rounds (random draws at N <= 16 need at most 13) raises
-    InternalCheckError. A row that has no battery with deficit left in reach
-    is finished for good, so it leaves the pass's working arrays with its
-    flows written back. Rows go through in passes of at most _CUT_CELLS
-    cells: (row, battery, incoming arc) cells of the path search plus
-    (row, arc) cells of the residual graph.
+    4 * N * (N + E) rounds raises InternalCheckError (rows of 300-trial
+    default sweeps need at most 13 at N = 9 with M = 3 chords, 17 at N = 12,
+    M = 3, 19 at N = 16, M = 2 and 22 at N = 16, M = 3). A row with no
+    deficit left in reach is finished for good, so it leaves the pass's
+    working arrays with its flows written back. Rows go through in passes
+    of at most _CUT_CELLS cells of a round's peak state.
     """
     caps = _validate_capabilities(capabilities, ndim=2)
     trials, n = caps.shape
@@ -394,15 +411,18 @@ def least_processing_flows(capabilities, pairs: Sequence[_Pair], ratings, curren
     if currents.shape != (trials,) or not np.all(np.isfinite(currents) & (currents >= 0.0)):
         raise ParameterError("need one non-negative finite current per row")
 
-    # arc a < E runs src -> dst along edge a; arc E + a runs dst -> src; arc 2E is padding
+    # arc a < E runs src -> dst along edge a; arc E + a runs dst -> src; arc 2E is
+    # padding, which leads from the sentinel node N
     e = len(pairs)
-    tails = np.array([s for s, _ in pairs] + [d for _, d in pairs] + [0], dtype=np.intp)
+    tails = np.array([s for s, _ in pairs] + [d for _, d in pairs] + [n], dtype=np.intp)
     heads = [d for _, d in pairs] + [s for s, _ in pairs]
     incoming = [[a for a, head in enumerate(heads) if head == v] for v in range(n)]
     width = max(1, max(map(len, incoming)))
     in_arcs = np.array([arcs + [2 * e] * (width - len(arcs)) for arcs in incoming], dtype=np.intp)
 
-    rows = max(1, _CUT_CELLS // (n * width + 2 * e))
+    # a row's peak: per (node, incoming arc) its cost, candidate and flags; per node
+    # every iteration's distance and eight more; per edge ten arc and flow values
+    rows = max(1, _CUT_CELLS // ((n + 1) * (3 * width + n + 2) + 10 * e + 8 * (n + 1)))
     flows = np.concatenate([
         _ssp_pass(caps[start:start + rows], currents[start:start + rows], ratings[start:start + rows],
                   tails, in_arcs)
@@ -419,77 +439,109 @@ def least_processing_flows(capabilities, pairs: Sequence[_Pair], ratings, curren
 def _ssp_pass(caps, currents, ratings, tails, in_arcs) -> np.ndarray:
     """Successive shortest paths of least_processing_flows on one block of rows.
 
-    Works on the rows still augmenting: `keep` maps them to the block's rows.
-    A round that finds a row with no deficit in reach writes the row back to
-    `out` and drops it, since no later round would change it.
+    Works on the rows still augmenting, on the last axis of every working
+    array: `keep` maps them to the block's rows. A row with no deficit in
+    reach is written back to `out` and dropped.
+
+    Bellman-Ford keeps every iteration's distances, (N + 1, rows) with a
+    sentinel node N at inf, and reduces the slot-major (W, N + 1, rows) arc
+    costs over the leading slot axis. Costs are +-1, so distances are exact
+    whole numbers that never rise: the first incoming arc that attained
+    dist[v] when it last fell, the one a per-iteration argmin keeps, is the
+    first that is tight now and whose tail last fell earlier. A node that
+    never fell gets the padding arc, which leads to N. Iterations of last
+    fall drop along a path, so a sink that last fell at k is at most k arcs
+    from its source. The bottleneck is the least of the sink's demand, the
+    path's room and the source's supply (min is exact, so order does not
+    matter), and the path is written with one scatter: a path of a
+    predecessor tree repeats no edge.
     """
     trials, n = caps.shape
     e = ratings.shape[1]
-    nodes = np.arange(n)
-    in_tails = tails[in_arcs]
+    pad = 2 * e
+    width = in_arcs.shape[1]
+    slots = np.vstack([in_arcs, np.full((1, width), pad)]).T  # (W, N + 1): N has only the padding arc
+    in_tails = tails[slots]
+    pick = np.vstack([slots, np.full(n + 1, pad)])  # slot W: no incoming arc attains
+    rank = np.arange(width)[:, None, None]
+    nodes = np.arange(n + 1)[:, None]
+    edge_of = np.arange(pad) % e
+    sign = np.repeat([1.0, -1.0], e)  # what a unit along each arc adds to its edge's flow
     out = np.zeros((trials, e))
     left = np.zeros(trials)  # deficit each row ends with
     keep = np.arange(trials)
-    flows = np.zeros((trials, e))
-    surplus = caps - currents[:, None]
+    flows = np.zeros((e, trials))
+    signed = np.concatenate([ratings.T, -ratings.T])  # each arc's limit while it adds flow
+    surplus = caps.T - currents
     supply = np.maximum(surplus, 0.0)
     demand = np.maximum(-surplus, 0.0)
+    cols, inf_row = np.arange(trials), np.full((1, trials), np.inf)
     for _ in range(4 * n * (n + e)):
-        rows = np.arange(keep.size)
-        # where each arc's flow ends up when saturated, how far off that is, and its cost
-        undo_fwd, undo_bwd = flows < 0.0, flows > 0.0
-        limit = np.concatenate([np.where(undo_fwd, 0.0, ratings), np.where(undo_bwd, 0.0, -ratings)], axis=1)
-        room = np.concatenate([limit[:, :e] - flows, flows - limit[:, e:]], axis=1)
-        cost = np.where(np.concatenate([undo_fwd, undo_bwd], axis=1), -1.0, 1.0)
-        pad = np.full((keep.size, 1), np.inf)
-        in_cost = np.concatenate([np.where(room > 0.0, cost, np.inf), pad], axis=1)[:, in_arcs]
+        # where each arc's flow ends up when saturated, how far off that is, and its cost;
+        # an arc that undoes flow always has room, and the padding arc leaves N, at inf
+        undo = np.concatenate([flows < 0.0, flows > 0.0])
+        limit = np.where(undo, 0.0, signed)
+        room = np.concatenate([limit[:e] - flows, flows - limit[e:], inf_row])
+        cost = np.where(room > 0.0, 1.0, np.inf)
+        cost[:pad][undo] = -1.0
+        in_cost = cost[slots]
 
-        dist = np.where(supply > 0.0, 0.0, np.inf)
-        pred = np.full((keep.size, n), -1, dtype=np.intp)
-        for _ in range(n + 1):
-            cand = dist[:, in_tails] + in_cost
-            best = cand.min(axis=2)
-            better = best < dist
-            if not better.any():
+        hist = np.empty((n + 2, n + 1, keep.size))  # slot i: the distances after iteration i
+        hist[0] = np.concatenate([np.where(supply > 0.0, 0.0, np.inf), inf_row])
+        cand = np.empty_like(in_cost)
+        for fell in range(n + 1):
+            dist = hist[fell]
+            np.take(dist, in_tails, axis=0, out=cand, mode="clip")  # every index is in range
+            cand += in_cost
+            best = np.minimum.reduce(cand, axis=0)
+            if not (best < dist).any():
                 break
-            dist = np.where(better, best, dist)
-            pred = np.where(better, in_arcs[nodes, cand.argmin(axis=2)], pred)
+            np.minimum(dist, best, out=hist[fell + 1])
         else:
             raise InternalCheckError("least-processing residual graph has a negative cycle")
+        last = (hist[:fell] != dist).sum(axis=0)  # the iteration where dist[v] last fell
+        # arc u -> v attained dist[v] at that fall exactly when it is tight now and dist[u]
+        # was already final then: distances are whole numbers and never rise
+        attains = (cand == dist) & (last[in_tails] < last)
+        first = (~attains).astype(np.intp)  # rank of the first slot that attains, W where none does
+        first *= width
+        first += rank
+        pred = pick[np.minimum.reduce(first, axis=0), nodes]
 
-        reach = np.where(demand > 0.0, dist, np.inf)
-        sink = reach.argmin(axis=1)
-        live = np.isfinite(reach[rows, sink])
+        reach = np.where(demand > 0.0, dist[:n], np.inf)
+        sink = reach.argmin(axis=0)
+        live = np.isfinite(reach[sink, cols])
+        hops = last[sink, cols]  # last falls strictly along a path, so it has at most last[sink] arcs
         if not live.all():
-            out[keep[~live]] = flows[~live]
-            left[keep[~live]] = demand[~live].sum(axis=1)
+            out[keep[~live]] = flows[:, ~live].T
+            left[keep[~live]] = demand[:, ~live].sum(axis=0)
             if not live.any():
                 break
-            keep, flows, supply, demand, ratings = keep[live], flows[live], supply[live], demand[live], ratings[live]
-            limit, room, pred, sink = limit[live], room[live], pred[live], sink[live]
-            rows = np.arange(keep.size)
+            keep, flows, signed = keep[live], flows[:, live], signed[:, live]
+            supply, demand, sink, hops = supply[:, live], demand[:, live], sink[live], hops[live]
+            limit, room, pred = limit[:, live], room[:, live], pred[:, live]
+            cols, inf_row = np.arange(keep.size), inf_row[:, live]
 
         # walk each row's path back to its source, then augment by the bottleneck
-        delta = demand[rows, sink]
-        node, on, path = sink, np.ones(keep.size, dtype=bool), []
-        for _ in range(n):
-            arc = pred[rows, node]
-            on = on & (arc >= 0)
-            if not on.any():
-                break
-            path.append((on, arc))
-            delta = np.where(on, np.minimum(delta, room[rows, arc]), delta)
-            node = np.where(on, tails[arc], node)
-        if (on & (pred[rows, node] >= 0)).any():
+        node, path = sink, []
+        for _ in range(int(hops.max())):
+            arc = pred[node, cols]
+            path.append(arc)
+            node = tails[arc]
+        if (pred[node, cols] != pad).any():
             raise InternalCheckError("least-processing path does not end at a source")
-        delta = np.minimum(delta, supply[rows, node])
-        for on, arc in path:
-            edge = arc % e
-            moved = flows[rows, edge] + np.where(arc < e, delta, -delta)
-            moved = np.where(delta >= room[rows, arc], limit[rows, arc], moved)
-            flows[rows[on], edge[on]] = moved[on]
-        supply[rows, node] = np.where(delta >= supply[rows, node], 0.0, supply[rows, node] - delta)
-        demand[rows, sink] = np.where(delta >= demand[rows, sink], 0.0, demand[rows, sink] - delta)
+        path = np.array(path)
+        on = path != pad
+        source = tails[path[on.sum(axis=0) - 1, cols]]
+        headroom = room[path, cols]
+        want, have = demand[sink, cols], supply[source, cols]
+        delta = np.minimum(np.minimum(want, headroom.min(axis=0)), have)
+        arc, at = path[on], np.nonzero(on)[1]
+        edge, step = edge_of[arc], delta[at]
+        moved = flows[edge, at] + sign[arc] * step
+        flows[edge, at] = np.where(step >= headroom[on], limit[arc, at], moved)
+        supply[source, cols] = np.maximum(have - delta, 0.0)  # exactly 0 once delta reaches it
+        demand[sink, cols] = np.maximum(want - delta, 0.0)
     else:
         raise InternalCheckError("least-processing flow did not finish within its augmentation cap")
 

@@ -34,6 +34,14 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # equal-probability intervals must carry mass 1/count to this accuracy
 MASS_TOL = 1e-12
 
+# the least positive std_power, as a share of mean_power. Flattening places
+# the interval bounds at mean + std * z, so a spread far below the mean keeps
+# few digits of z and the intervals miss MASS_TOL: below about 1e-4 of the
+# mean they fail at many counts, and at 1e-5 at nearly every count to 64.
+# The floor keeps a tenfold margin above that, and a supply whose spread is
+# under a thousandth of its mean is homogeneous for any purpose here.
+MIN_RELATIVE_STD = 1e-3
+
 
 def _phi(z: float) -> float:
     # standard normal pdf; exp(-inf) underflows to exactly 0 for infinite z
@@ -91,7 +99,11 @@ class GaussianCapability(CapabilityDistribution):
 
 @dataclass(frozen=True)
 class BatterySupply:
-    """Gaussian battery population feeding one series string of `count` units."""
+    """Gaussian battery population feeding one series string of `count` units.
+
+    std_power is 0, a homogeneous supply, or between MIN_RELATIVE_STD *
+    mean_power and mean_power.
+    """
 
     mean_power: float
     std_power: float
@@ -102,6 +114,11 @@ class BatterySupply:
             raise ParameterError("mean_power must be positive and finite")
         if not (math.isfinite(self.std_power) and self.std_power >= 0.0):
             raise ParameterError("std_power must be non-negative and finite")
+        if 0.0 < self.std_power < MIN_RELATIVE_STD * self.mean_power:
+            raise ParameterError(
+                f"std_power must be 0 or at least {MIN_RELATIVE_STD} * mean_power, "
+                f"got {self.std_power!r}: a smaller spread cannot be flattened"
+            )
         if self.std_power >= self.mean_power:
             # keeps the negative-capability tail negligible
             raise ParameterError("std_power must be below mean_power")

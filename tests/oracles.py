@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from hippp import ConverterEdge, LinearProgram, LPStatus, architecture_edges, solve
+from hippp import ConverterEdge, InternalCheckError, LinearProgram, LPStatus, architecture_edges, solve
+from hippp.lp import FEASIBILITY_TOL
 from hippp.powerflow import free_flow_outputs
 
 
@@ -167,3 +168,110 @@ def least_processing_lp(caps, pairs, ratings, current):
     assert np.all(np.abs(battery) <= caps + 1e-8)
     assert np.all(np.abs(flows) <= ratings + 1e-8)
     return -sol.objective_value, flows, battery
+
+
+# The two LS-HiPPP evaluation kernels as they were first written, kept as byte
+# oracles for hippp.powerflow._cut_pass and _ssp_pass: same arguments, same
+# results bit for bit. ssp_pass needs the padding arc's tail inside 0..N-1.
+
+
+def cut_pass(caps: np.ndarray, rung: np.ndarray, ban_in, ban_out, chord_cost) -> np.ndarray:
+    """The subset dynamic program of hierarchical_currents on one block of rows, one rung rating each."""
+    trials, n = caps.shape
+    rung = rung[:, None, None]
+    shape = (trials, chord_cost.size, n + 1)  # last axis: subset size k
+    inside = np.full(shape, np.inf)  # least cost with the current battery in U
+    outside = np.full(shape, np.inf)
+    inside[:, :, 1] = caps[:, 0, None]
+    outside[:, :, 0] = 0.0
+    inside += ban_in[0][:, None]
+    outside += ban_out[0][:, None]
+    for j in range(1, n):
+        entered = np.full(shape, np.inf)
+        entered[:, :, 1:] = np.minimum(inside[:, :, :-1], outside[:, :, :-1] + rung) + caps[:, j, None, None]
+        outside = np.minimum(outside, inside + rung) + ban_out[j][:, None]
+        inside = entered + ban_in[j][:, None]
+    best = np.minimum(inside, outside)[:, :, 1:] + chord_cost[:, None]
+    return (best / np.arange(1, n + 1)).min(axis=(1, 2))
+
+
+def ssp_pass(caps, currents, ratings, tails, in_arcs) -> np.ndarray:
+    """Successive shortest paths of least_processing_flows on one block of rows.
+
+    Works on the rows still augmenting: `keep` maps them to the block's rows.
+    A round that finds a row with no deficit in reach writes the row back to
+    `out` and drops it, since no later round would change it.
+    """
+    trials, n = caps.shape
+    e = ratings.shape[1]
+    nodes = np.arange(n)
+    in_tails = tails[in_arcs]
+    out = np.zeros((trials, e))
+    left = np.zeros(trials)  # deficit each row ends with
+    keep = np.arange(trials)
+    flows = np.zeros((trials, e))
+    surplus = caps - currents[:, None]
+    supply = np.maximum(surplus, 0.0)
+    demand = np.maximum(-surplus, 0.0)
+    for _ in range(4 * n * (n + e)):
+        rows = np.arange(keep.size)
+        # where each arc's flow ends up when saturated, how far off that is, and its cost
+        undo_fwd, undo_bwd = flows < 0.0, flows > 0.0
+        limit = np.concatenate([np.where(undo_fwd, 0.0, ratings), np.where(undo_bwd, 0.0, -ratings)], axis=1)
+        room = np.concatenate([limit[:, :e] - flows, flows - limit[:, e:]], axis=1)
+        cost = np.where(np.concatenate([undo_fwd, undo_bwd], axis=1), -1.0, 1.0)
+        pad = np.full((keep.size, 1), np.inf)
+        in_cost = np.concatenate([np.where(room > 0.0, cost, np.inf), pad], axis=1)[:, in_arcs]
+
+        dist = np.where(supply > 0.0, 0.0, np.inf)
+        pred = np.full((keep.size, n), -1, dtype=np.intp)
+        for _ in range(n + 1):
+            cand = dist[:, in_tails] + in_cost
+            best = cand.min(axis=2)
+            better = best < dist
+            if not better.any():
+                break
+            dist = np.where(better, best, dist)
+            pred = np.where(better, in_arcs[nodes, cand.argmin(axis=2)], pred)
+        else:
+            raise InternalCheckError("least-processing residual graph has a negative cycle")
+
+        reach = np.where(demand > 0.0, dist, np.inf)
+        sink = reach.argmin(axis=1)
+        live = np.isfinite(reach[rows, sink])
+        if not live.all():
+            out[keep[~live]] = flows[~live]
+            left[keep[~live]] = demand[~live].sum(axis=1)
+            if not live.any():
+                break
+            keep, flows, supply, demand, ratings = keep[live], flows[live], supply[live], demand[live], ratings[live]
+            limit, room, pred, sink = limit[live], room[live], pred[live], sink[live]
+            rows = np.arange(keep.size)
+
+        # walk each row's path back to its source, then augment by the bottleneck
+        delta = demand[rows, sink]
+        node, on, path = sink, np.ones(keep.size, dtype=bool), []
+        for _ in range(n):
+            arc = pred[rows, node]
+            on = on & (arc >= 0)
+            if not on.any():
+                break
+            path.append((on, arc))
+            delta = np.where(on, np.minimum(delta, room[rows, arc]), delta)
+            node = np.where(on, tails[arc], node)
+        if (on & (pred[rows, node] >= 0)).any():
+            raise InternalCheckError("least-processing path does not end at a source")
+        delta = np.minimum(delta, supply[rows, node])
+        for on, arc in path:
+            edge = arc % e
+            moved = flows[rows, edge] + np.where(arc < e, delta, -delta)
+            moved = np.where(delta >= room[rows, arc], limit[rows, arc], moved)
+            flows[rows[on], edge[on]] = moved[on]
+        supply[rows, node] = np.where(delta >= supply[rows, node], 0.0, supply[rows, node] - delta)
+        demand[rows, sink] = np.where(delta >= demand[rows, sink], 0.0, demand[rows, sink] - delta)
+    else:
+        raise InternalCheckError("least-processing flow did not finish within its augmentation cap")
+
+    if not float(left.max(initial=0.0)) <= FEASIBILITY_TOL:
+        raise InternalCheckError("the string current is above what the converter edges can carry")
+    return out

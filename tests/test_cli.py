@@ -5,6 +5,7 @@ import configparser
 import csv
 import importlib
 import json
+import os
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -47,6 +48,14 @@ directory = out
 N9_EDGES = ["0,8", "1,6", "2,5"]
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env():
+    """The environment for a child interpreter: this checkout's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture
@@ -408,6 +417,21 @@ class TestExitCodes:
         assert "config error:" in err and key in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["design", "sweep"])
+    @pytest.mark.parametrize("sigma", ["1e-17", "1e-6"])
+    def test_a_spread_too_small_to_flatten_is_a_config_error(self, config_file, tmp_path, capsys, command, sigma):
+        # it used to pass the load and fail flatten's interval-mass check with exit 3
+        config_file.write_text(BASE_CONFIG.replace("std_power = 0.2", f"std_power = {sigma}"))
+        assert run_main(command, "--config", config_file, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "std_power" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_a_sigma_grid_spread_too_small_to_flatten_exits_two(self, config_file, tmp_path, capsys):
+        config_file.write_text(BASE_CONFIG.replace("sigma_grid = 0.10 0.20", "sigma_grid = 1e-7 0.20"))
+        assert run_main("sweep", "--config", config_file, "--out", tmp_path / "o") == 2
+        assert "std_power" in capsys.readouterr().err
+
     def test_bad_config_value(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text("[evaluate]\ntrials = -4\n")
@@ -420,7 +444,7 @@ class TestModuleEntryPoint:
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "hippp", "--help"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, env=child_env(), timeout=60,
         )
         assert result.returncode == 0
         for command in ("design", "sweep", "flow"):
@@ -429,7 +453,7 @@ class TestModuleEntryPoint:
     def test_missing_config_flag_exits_two(self):
         result = subprocess.run(
             [sys.executable, "-m", "hippp", "design"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, env=child_env(), timeout=60,
         )
         assert result.returncode == 2
 
@@ -441,7 +465,7 @@ class TestImportCost:
         result = subprocess.run(
             [sys.executable, "-c",
              "import sys, hippp; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, env=child_env(), timeout=60,
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
@@ -452,7 +476,7 @@ class TestImportCost:
         result = subprocess.run(
             [sys.executable, "-c",
              "import sys, hippp; print([m for m in sys.modules if m.split('.')[0] == 'multiprocessing'])"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, env=child_env(), timeout=60,
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
@@ -477,7 +501,7 @@ class TestImportCost:
         )
         result = subprocess.run(
             [sys.executable, "-c", script, json.dumps(argv), str(report)],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, env=child_env(), timeout=120,
         )
         assert result.returncode == 0, result.stderr
         code, imported = json.loads(report.read_text(encoding="utf-8"))

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import build_flow_lp, free_flow_output, hierarchical_lp_output, two_lp_design_solve
 from scipy.optimize import linprog
@@ -43,6 +43,7 @@ from hippp import (
     solve,
 )
 from hippp.powerflow import free_flow_outputs, layer1_design_lp, least_processing_flows
+from hippp.supply import MIN_RELATIVE_STD
 
 # frozen result of the nine-slot, three-converter, two-rating-group design
 N9_EDGES = [(0, 8), (1, 6), (2, 5)]
@@ -306,11 +307,12 @@ class TestLayer1Search:
             assert total.hex() == float(np.abs(flows).sum()).hex()
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(3, 10), st.integers(1, 3), st.one_of(st.just(0.0), st.floats(0.01, 0.3)), st.booleans(),
-           st.integers(0, 2**32 - 1))
+    @given(st.integers(3, 10), st.integers(1, 3), st.one_of(st.just(0.0), st.floats(MIN_RELATIVE_STD, 0.3)),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    @example(9, 3, MIN_RELATIVE_STD, False, 0)  # the least spread a supply may have
     def test_design_lp_equals_the_two_lp_solve(self, n, m, sigma, drawn, seed):
         # the array stacks of one against the two LinearPrograms through solve, by
-        # float.hex; flatten fails on tiny positive spreads, so sigma is 0 or >= 0.01
+        # float.hex, over every spread a supply accepts
         rng = np.random.default_rng(seed)
         supply = BatterySupply(1.0, sigma, n)
         expected = ExpectedSet(np.sort(rng.uniform(0.3, 1.7, n)), supply) if drawn else flatten(supply)

@@ -227,6 +227,26 @@ class TestGroupedEvaluation:
         assert records == [evaluate_architecture(*cell) for cell in cells]
         assert len(set(records)) == len(records)
 
+    @settings(max_examples=30, deadline=None)
+    @given(cell_lists(), st.data())
+    def test_a_repeated_cell_is_evaluated_once(self, cells, data):
+        # every copy gets the record of the cell alone, and a copy stacks no rows
+        copies = data.draw(st.lists(st.sampled_from(cells), min_size=1, max_size=4))
+        stacked = []
+
+        def counting_flow_powers(caps, arch, ratings):
+            stacked.append(len(caps))
+            return flow_powers(caps, arch, ratings)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hippp.evaluate, "flow_powers", counting_flow_powers)
+            records = evaluate_cells(cells + copies)
+            alone_rows = sum(stacked)
+            stacked.clear()
+            evaluate_cells(list(dict.fromkeys(cells)))
+        assert records == [evaluate_architecture(*cell) for cell in cells + copies]
+        assert alone_rows == sum(stacked)
+
     def test_validation_covers_every_cell(self):
         arch = cppp_from_budget(0.2, flatten(SUPPLY9))
         good = SweepCell(arch, SUPPLY9, 5, 0)
@@ -260,6 +280,27 @@ class TestGroupedEvaluation:
         monkeypatch.setattr(hippp.evaluate, "design_layer1", counting_design)
         sweep_figures(["lshippp"], SUPPLY9, [0.05, 0.3], [0.1, 0.2, 0.3], 0.15, 3, 0, design_cfg=FAST_CFG)
         assert designed == [0.2, 0.1, 0.3]
+
+    def test_one_flatten_and_one_evaluation_per_distinct_supply_and_cell(self, monkeypatch):
+        # the supply's own spread and the rating budget 0.15 recur in the
+        # heterogeneity sweep: its supply is flattened and its cells evaluated once
+        flattened, stacked = [], []
+
+        def counting_flatten(supply):
+            flattened.append(supply.std_power)
+            return flatten(supply)
+
+        def counting_flow_powers(caps, arch, ratings):
+            stacked.append(len(caps))
+            return flow_powers(caps, arch, ratings)
+
+        monkeypatch.setattr(hippp.evaluate, "flatten", counting_flatten)
+        monkeypatch.setattr(hippp.evaluate, "flow_powers", counting_flow_powers)
+        kinds = ["lshippp", "cppp", "fpp"]
+        rating, sigma = sweep_figures(kinds, SUPPLY9, [0.05, 0.15], [0.1, 0.2], 0.15, 4, 0, design_cfg=FAST_CFG)
+        assert flattened == [0.2, 0.1]
+        assert sum(stacked) == 4 * 3 * 3  # three distinct cells per kind, of four trials each
+        assert sigma[3:] == rating[3:]
 
 
 class TestSweeps:

@@ -5,6 +5,7 @@ vector the best feasible string current follows in closed form, so the
 maximum over the grid bounds the LP answer to grid resolution.
 """
 
+import contextlib
 import itertools
 from dataclasses import replace
 
@@ -14,12 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     build_flow_lp,
+    cut_pass,
     free_flow_output,
     grid_best_output,
     hierarchical_lp_output,
     incidence,
     ladder_lp_flow,
     least_processing_lp,
+    ssp_pass,
 )
 from scipy.optimize import linprog
 
@@ -421,7 +424,7 @@ class TestHierarchicalKernel:
             assert current == pytest.approx(ladder_current, abs=1e-12)
 
     def test_passes_cut_a_large_block_without_changing_bits(self):
-        # 64 endpoint patterns at N = 16 fit 240 rows in one pass
+        # 64 endpoint patterns by 17 sizes at N = 16 fit 60 rows in one pass
         rng = np.random.default_rng(13)
         block = np.sort(rng.uniform(0.3, 1.7, (300, 16)), axis=1)
         arch = ls_arch(16, 16.0, [(0, 15, 0.4), (1, 9, 0.2), (3, 12, 0.1)], 0.05, k=3)
@@ -551,7 +554,9 @@ class TestLeastProcessingKernel:
         pairs = [(e.from_battery, e.to_battery) for e in architecture_edges(arch)]
         ratings = np.array([e.rating for e in architecture_edges(arch)])
         whole = least_processing_flows(block, pairs, ratings, currents)
-        monkeypatch.setattr(hippp.powerflow, "_CUT_CELLS", 7 * 9 * 4)   # passes of 7 rows
+        # passes of 7 rows of 10 * (3 * 3 + 11) + 10 * 11 + 8 * 10 cells: 10 nodes with
+        # the sentinel, 3 incoming arcs at most, 11 iterations kept, 11 edges
+        monkeypatch.setattr(hippp.powerflow, "_CUT_CELLS", 7 * 390)
         split = least_processing_flows(block, pairs, ratings, currents)
         assert all(np.array_equal(a, b) for a, b in zip(whole, split))
 
@@ -618,6 +623,23 @@ def union_edge_blocks(draw):
     return block, draw(st.lists(placement, min_size=rows, max_size=rows))
 
 
+def union_edge_table(block, placements):
+    """The layer-1 tie-break's stacked call: each row at its placement's free-flow
+    current, over the sorted union of the edges, its own edges rated inf and the rest 0.
+
+    Returns (currents, union, table).
+    """
+    n = block.shape[1]
+    currents = np.array([
+        free_flow_outputs(row, np.array([edges]))[0] / n for row, edges in zip(block, placements)
+    ])
+    union = sorted(set().union(*placements))
+    table = np.zeros((len(block), len(union)))
+    for t, edges in enumerate(placements):
+        table[t, [union.index(edge) for edge in edges]] = np.inf
+    return currents, union, table
+
+
 def with_rung(arch, rung):
     return replace(arch, layer2=Layer2Design(float(rung), arch.num_batteries - 1))
 
@@ -667,14 +689,7 @@ class TestPerRowRatings:
         # inf and every other edge of the sorted union 0, and must get the
         # flows of a one-row call over its own edges alone
         block, placements = instance
-        n = block.shape[1]
-        currents = np.array([
-            free_flow_outputs(row, np.array([edges]))[0] / n for row, edges in zip(block, placements)
-        ])
-        union = sorted(set().union(*placements))
-        table = np.zeros((len(block), len(union)))
-        for t, edges in enumerate(placements):
-            table[t, [union.index(edge) for edge in edges]] = np.inf
+        currents, union, table = union_edge_table(block, placements)
         flows, _ = least_processing_flows(block, union, table, currents)
         for t, (row, edges) in enumerate(zip(block, placements)):
             own = [union.index(edge) for edge in edges]
@@ -730,6 +745,107 @@ class TestPerRowRatings:
         for table in (np.full((2, 2), 0.1), np.full((3, 3), 0.1), np.array([[0.1] * 3, [0.1, -0.1, 0.1]])):
             with pytest.raises(ParameterError):
                 least_processing_flows(block, [(0, 2), (0, 1), (1, 2)], table, currents)
+
+
+@contextlib.contextmanager
+def first_kernels_alongside(cut_cells=None, ssp_cells=None):
+    """Run every _cut_pass and _ssp_pass next to its first version and demand equal bytes.
+
+    The first versions are kept verbatim in tests/oracles.py. Yields the
+    number of passes compared, per kernel. `cut_cells` and `ssp_cells`, when
+    given, replace the pass budgets, so blocks are cut into more passes.
+    """
+    compared = {"cut": 0, "ssp": 0}
+    cut, ssp = hippp.powerflow._cut_pass, hippp.powerflow._ssp_pass
+
+    def cut_checked(caps, rung, ban_in, ban_out, chord_cost):
+        got = cut(caps, rung, ban_in, ban_out, chord_cost)
+        assert got.tobytes() == cut_pass(caps, rung, ban_in, ban_out, chord_cost).tobytes()
+        compared["cut"] += 1
+        return got
+
+    def ssp_checked(caps, currents, ratings, tails, in_arcs):
+        got = ssp(caps, currents, ratings, tails, in_arcs)
+        # the first version gathers the padding arc's tail as a battery, and needs it in range
+        first = ssp_pass(caps, currents, ratings, np.minimum(tails, caps.shape[1] - 1), in_arcs)
+        assert got.tobytes() == first.tobytes()
+        compared["ssp"] += 1
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hippp.powerflow, "_cut_pass", cut_checked)
+        mp.setattr(hippp.powerflow, "_ssp_pass", ssp_checked)
+        if cut_cells is not None:
+            mp.setattr(hippp.powerflow, "_CUT_PASS_CELLS", cut_cells)
+        if ssp_cells is not None:
+            mp.setattr(hippp.powerflow, "_CUT_CELLS", ssp_cells)
+        yield compared
+
+
+class TestKernelsAgainstTheirFirstVersions:
+    """The cut and SSP passes return the bytes of their first versions (tests/oracles.py)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(hierarchical_blocks())
+    def test_cut_pass(self, instance):
+        block, arch = instance
+        with first_kernels_alongside() as compared:
+            hierarchical_currents(block, arch)
+        assert compared["cut"] == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(dispatch_blocks())
+    @example((np.array([[1.98, 0.17, 1.47, 0.6]]), [(2, 1), (1, 3), (3, 2), (0, 1), (1, 2), (2, 3)],
+              np.array([np.inf, 0.41, np.inf, 0.58, 0.58, 0.58]), np.array([0.94])))
+    @example((np.array([[1.29, 0.91, 0.51, 1.56, 0.73, 0.74]]), [(j, j + 1) for j in range(5)],
+              np.full(5, 0.53), np.array([0.95666])))
+    def test_ssp_pass(self, instance):
+        block, pairs, ratings, currents = instance
+        with first_kernels_alongside() as compared:
+            least_processing_flows(block, pairs, ratings, currents)
+        assert compared["ssp"] == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_rating_blocks(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_per_row_ratings_and_rounds(self, instance, seed, in_passes):
+        # rows run at I* or a fraction of it, so they finish after different
+        # numbers of rounds; with in_passes the cut form runs one row per pass
+        # and the SSP pass a few rows, and the cut state cap stays above the
+        # 1088 cells of 6 endpoints at N = 16
+        block, arch, rungs = instance
+        scale = np.random.default_rng(seed).choice([0.0, 0.5, 0.9, 1.0], size=len(block))
+        edges = architecture_edges(arch)
+        pairs = [(e.from_battery, e.to_battery) for e in edges]
+        table = np.array([[e.rating for e in arch.layer1.edges] + [rung] * (block.shape[1] - 1) for rung in rungs])
+        budgets = (1, 2048) if in_passes else (None, None)
+        with first_kernels_alongside(*budgets) as compared:
+            currents = hierarchical_currents(block, arch, rungs)
+            least_processing_flows(block, pairs, table, currents * scale)
+            hippp.powerflow.flow_powers(block, arch, rungs)
+        assert compared["cut"] >= 2 and compared["ssp"] >= 2
+        if in_passes:
+            assert compared["cut"] == 2 * len(block)
+
+    @settings(max_examples=60, deadline=None)
+    @given(union_edge_blocks())
+    def test_union_edge_tie_break(self, instance):
+        block, placements = instance
+        currents, union, table = union_edge_table(block, placements)
+        with first_kernels_alongside() as compared:
+            least_processing_flows(block, union, table, currents)
+        assert compared["ssp"] == 1
+
+    def test_large_blocks_in_passes(self):
+        # a 1000-row block at N = 12 with four chords: the cut form at its
+        # default pass budget (256 patterns by 13 sizes, 19 rows a pass), and
+        # the SSP pass dropping rows round by round over its passes
+        rng = np.random.default_rng(22)
+        block = np.sort(rng.normal(1.0, 0.2, (1000, 12)), axis=1)
+        arch = ls_arch(12, 12.0, [(0, 11, 0.2), (1, 8, 0.1), (2, 7, 0.05), (3, 6, 0.05)], 0.0, k=3)
+        rungs = rng.choice([0.0, 0.01, 0.03, 0.1], size=len(block))
+        with first_kernels_alongside(ssp_cells=1 << 14) as compared:
+            hippp.powerflow.flow_powers(block, arch, rungs)
+        assert compared["cut"] > 1 and compared["ssp"] > 1
 
 
 class TestBlockCertification:

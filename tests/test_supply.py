@@ -26,6 +26,7 @@ from hippp import (
     sample_battery_set,
 )
 from hippp._normal import _EXP_M2, _MAXLOG, _SQRT1_2, ndtr, ndtri
+from hippp.supply import MIN_RELATIVE_STD
 
 SQRT_2_OVER_PI = 0.7978845608028654
 
@@ -153,6 +154,22 @@ class TestValidation:
     def test_rejects_nonpositive_mean(self):
         with pytest.raises(ParameterError):
             BatterySupply(0.0, 0.0, 3)
+
+    @pytest.mark.parametrize("mean, sigma", [
+        (1.0, 1e-17), (1.0, 5.8e-233), (1.0, 1e-6), (1.0, 0.999 * MIN_RELATIVE_STD),
+        (2.0, 1.5 * MIN_RELATIVE_STD),  # the floor scales with the mean
+    ])
+    def test_rejects_spread_too_small_to_flatten(self, mean, sigma):
+        # such spreads used to fail flatten's interval-mass check with InternalCheckError
+        with pytest.raises(ParameterError, match="std_power"):
+            BatterySupply(mean, sigma, 9)
+
+    @pytest.mark.parametrize("mean", [0.3, 1.0, 1.9999, 2.0001, 50.0])
+    def test_the_least_spread_flattens_at_every_count(self, mean):
+        for count in range(1, 65):
+            caps = flatten(BatterySupply(mean, MIN_RELATIVE_STD * mean, count)).capabilities
+            assert caps.sum() == pytest.approx(count * mean, rel=1e-12)
+            assert count == 1 or np.all(np.diff(caps) > 0.0)
 
     def test_rejects_spread_that_drowns_the_weak_slot(self):
         # wide spread and many slots push the weakest interval mean negative
