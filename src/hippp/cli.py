@@ -49,7 +49,7 @@ from .evaluate import (
     sweep_figures,
 )
 from .powerflow import architecture_edges, optimal_flow
-from .supply import BatterySupply, flatten
+from .supply import MIN_RELATIVE_STD, BatterySupply, flatten
 
 log = logging.getLogger(__name__)
 
@@ -175,13 +175,20 @@ def load_config(path: str) -> ExperimentConfig:
     seed = _parse_scalar(parser, "evaluate", "seed", int, 0)
     if seed < 0:
         raise ConfigError("[evaluate] seed: must be non-negative")
+    sigma_grid = _parse_grid(parser, "sigma_grid", _DEFAULT_SIGMA_GRID)
+    for sigma in sigma_grid:  # BatterySupply's floor, checked here to name the key
+        if 0.0 < sigma < MIN_RELATIVE_STD * supply.mean_power:
+            raise ConfigError(
+                f"[evaluate] sigma_grid: each spread is a std_power and must be 0 or at least "
+                f"{MIN_RELATIVE_STD} * mean_power, got {sigma!r}: a smaller spread cannot be flattened"
+            )
 
     return ExperimentConfig(
         supply=supply,
         design=design,
         kinds=tuple(kinds),
         rating_grid=_parse_grid(parser, "rating_grid", _DEFAULT_RATING_GRID),
-        sigma_grid=_parse_grid(parser, "sigma_grid", _DEFAULT_SIGMA_GRID),
+        sigma_grid=sigma_grid,
         rating_budget=budget,
         converter_efficiency=efficiency,
         trials=trials,

@@ -1,36 +1,24 @@
 """Two-stage converter placement and rating for the hierarchical architecture.
 
-Layer 1 is designed against the flattened expected set: every way to place M
-pair converters on the string is enumerated, and each placement is scored by
-its deliverable power with unbounded pair flows. Power moves freely inside a
-connected component of the placement, so that score is N times the smallest
-component mean capability (a battery with no converter is its own component),
-computed in closed form for blocks of placements at once. Ties are settled
-first by less total processed power, from the least-processing min-cost flow
-(powerflow.least_processing_flows), then by lexicographically smallest edge
-list, so the result is independent of enumeration order. The tied placements
-are scored in lexicographic runs, one stacked min-cost flow call per run over
-the union of the run's edges, with the bits of one call per placement; the
-tie-break stops as soon as a placement reaches a lower bound that every
-placement's processing must meet. Only the winner goes through the design
-LP (powerflow.layer1_design_lp, two array LPs through lp.solve_stack),
-whose optimal processed powers are then collapsed into K identical-rating
-groups to cut part count.
+Layer 1 is designed on the flattened expected set. A placement of M pair
+converters scores its output with unbounded pair flows (free_flow_outputs),
+and a pruned search scores only the placements that can reach the tie band
+of the best score. Ties go to less processed power, then to the
+lexicographically smallest edge list. The winner's design LP
+(powerflow.layer1_design_lp) gives processed powers that are collapsed into
+K identical-rating groups.
 
-Layer 2 is rated by Monte Carlo: with layer 1 frozen, a shared set of seeded
-capability draws is replayed against a grid of trial ladder ratings and the
-mean utilization of each trial rating forms a curve. Utilization needs only
-the maximum output, so the curve is one batched stage-1 solve: every (trial
-rating, draw) stage-1 LP goes through one max_string_outputs call, which
-writes them as one stack of arrays and solves them in lockstep
-(lp.solve_stack) with the bits of one-at-a-time solves. Callers pick the
-ladder rating off that curve, usually by spending whatever rating budget
-layer 1 left over. Neither layer builds a LinearProgram.
+Layer 2 is rated by Monte Carlo: with layer 1 frozen, shared seeded draws
+are replayed against a grid of trial ladder ratings, and the mean
+utilization per rating forms a curve. Its stage-1 LPs go through one
+max_string_outputs call, solved in lockstep (lp.solve_stack) with the bits
+of one-at-a-time solves. Callers pick the ladder rating off that curve,
+usually by spending the budget layer 1 left. Neither layer builds a
+LinearProgram.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 from math import comb
@@ -158,44 +146,76 @@ def partition_ratings(processed, k: int) -> list[float]:
     return ratings
 
 
-# placements scored per kernel call; bounds the search's working memory
+# placements per kernel call; bounds the search's working memory
 _PLACEMENT_BLOCK = 1024
-# tied placements in the tie-break's first kernel call; each later run doubles, up to _PLACEMENT_BLOCK
 _FIRST_TIE_RUN = 16
 
 
-def _placement_blocks(n: int, m: int):
-    """Every m-subset of unordered battery pairs, lexicographically, as (P, M, 2) endpoint arrays.
+def _tie_band(caps: np.ndarray, m: int):
+    """(best output, placements scored, band outputs, band endpoints as (P, M, 2)).
 
-    Pairs are canonically oriented low index -> high index; flows are signed,
-    so orientation costs no generality. A placement is an m-combination of
-    indices into the lexicographic pair table, and those combinations come
-    out in the placements' own lexicographic order. Refuses combinatorial
-    blowups past DEFAULT_ENUMERATION_CAP placements.
+    The band: every placement within _VALUE_TIE_TOL of the best, in
+    lexicographic order (bounds: design_layer1). Prefixes, pair-table
+    indices plus a covered-battery mask, grow by levels, parent-major.
     """
+    n = caps.size
     _check_enumeration(n, m)
-    pair_table = np.array(list(itertools.combinations(range(n), 2)), dtype=np.intp)
-    picks = itertools.combinations(range(len(pair_table)), m)
-    while True:
-        block = itertools.islice(picks, _PLACEMENT_BLOCK)
-        index = np.fromiter(itertools.chain.from_iterable(block), dtype=np.intp)
-        if index.size == 0:
-            return
-        yield pair_table[index.reshape(-1, m)]
+    battery = np.arange(n)
+    pairs = np.argwhere(battery[:, None] < battery)
+    ends_at = np.searchsorted(pairs[:, 0], battery, side="right")  # first pair past battery b
+    reach = n * caps  # bounds any placement that leaves battery b alone
+    best = -np.inf  # the incumbent; ends as the best score, as the pairing is scored unless beaten
+    if 2 * m <= n:
+        pairing = np.stack([battery[:m], n - 1 - battery[:m]], axis=1)
+        best = float(free_flow_outputs(caps, pairing[None])[0])
+    picks, covered = np.zeros((1, 0), dtype=np.intp), np.zeros((1, n), dtype=bool)
+    scored, contenders = 0, []
+    for left in range(m - 1, -1, -1):  # edges to place after this level's
+        open_ = (reach < best - _VALUE_TIE_TOL) & ~covered
+        first_open = np.where(open_.any(axis=1), open_.argmax(axis=1), n - 1)
+        hi = np.minimum(ends_at[first_open], len(pairs) - left)
+        ends = np.cumsum(np.maximum(hi - (picks[:, -1] + 1 if picks.shape[1] else 0), 0))
+        grown = []
+        for start in range(0, ends[-1], _PLACEMENT_BLOCK):
+            slot = np.arange(start, min(start + _PLACEMENT_BLOCK, ends[-1]))
+            parent = np.searchsorted(ends, slot, side="right")
+            pick = hi[parent] - ends[parent] + slot
+            src, dst = pairs.take(pick, axis=0).T  # take beats fancy indexing
+            mask = covered.take(parent, axis=0)
+            mask[slot - start, src] = mask[slot - start, dst] = True
+            need = reach < best - _VALUE_TIE_TOL  # tau may have risen since the level began
+            if need.any():
+                open_ = need & ~mask
+                keep = ~(open_ & (battery < src[:, None])).any(axis=1) & (open_.sum(axis=1) <= 2 * left)
+                parent, pick, mask = parent[keep], pick[keep], mask[keep]
+            child = np.concatenate([picks.take(parent, axis=0), pick[:, None]], axis=1)
+            if left:
+                grown.append((child, mask))
+            elif pick.size:
+                outputs = free_flow_outputs(caps, pairs.take(child, axis=0))
+                scored += outputs.size
+                top = float(outputs.max())
+                if top > best + _VALUE_TIE_TOL:
+                    contenders.clear()
+                best = max(best, top)
+                in_band = outputs >= best - _VALUE_TIE_TOL
+                contenders.append((outputs[in_band], child[in_band]))
+        if left:
+            picks, covered = (np.concatenate(parts) for parts in zip(*grown))
+
+    outputs = np.concatenate([kept for kept, _ in contenders])
+    tied = np.concatenate([child for _, child in contenders])
+    in_band = outputs >= best - _VALUE_TIE_TOL
+    return best, scored, outputs[in_band], pairs[tied[in_band]]
 
 
 def _processing_totals(caps: np.ndarray, endpoints: np.ndarray, currents: np.ndarray) -> np.ndarray:
     """Least total processed power of each placement of a (P, M, 2) run, unbounded flows.
 
-    One least_processing_flows call scores the whole run, over the sorted
-    union of its edges, with each row's own edges unbounded and every other
-    edge rated 0. A zero-rated arc has no room, so it costs inf and never
-    relaxes. Each placement's edges are a lexicographic subsequence of the
-    union, so every battery's incoming arcs list the row's own arcs in their
-    own relative order and the kernel picks the same predecessors as on the
-    placement alone. Each row's flows, and the sum of their magnitudes over
-    its own edges in its own order, are those of a one-row call over the
-    placement's own edges, bit for bit.
+    One least_processing_flows call over the sorted union of the run's
+    edges, other rows' edges rated 0 (cost inf, never relaxed). A row's
+    edges are a lexicographic subsequence of the union, so each row gets
+    the bits of a one-row call on its own edges.
     """
     n = caps.size
     rows = np.arange(len(endpoints))[:, None]
@@ -212,45 +232,34 @@ def _processing_totals(caps: np.ndarray, endpoints: np.ndarray, currents: np.nda
 
 
 def design_layer1(expected: ExpectedSet, cfg: DesignConfig) -> Layer1Design:
-    """Exhaustive search for the best M-converter placement on the expected set.
+    """Pruned search for the best M-converter placement on the expected set.
 
-    Every placement is scored by its closed-form maximum output. Those within
-    _VALUE_TIE_TOL of the best are scored, in lexicographic order, by their
-    least total processed power at their own output, and the least total
-    wins. The tied placements go through least_processing_flows in runs, one
-    stacked call per run (_processing_totals): the first run holds
-    _FIRST_TIE_RUN placements and each later one twice as many, up to
-    _PLACEMENT_BLOCK. The scan stops early on a lower bound, and no later run
-    is scored once it has. At string current I, battery j must take in at
-    least max(0, I - P_j) over its own converters, and each converter's |f_e|
-    lands on at most one battery, so every placement delivering N * I
-    processes at least floor = sum_j max(0, I - P_j). With I the smallest
-    tied output / N, the floor holds for every tied placement, and once the
-    chosen total is within half the tolerance of it no later placement can
-    undercut it by the full tolerance. The other half is margin against
-    rounding. The winner alone then goes through the design LP
-    (layer1_design_lp), whose per-edge processed powers set the ratings.
+    _tie_band finds the placements whose closed-form output is within
+    _VALUE_TIE_TOL of the best, as scoring all would. It drops a
+    lexicographic prefix when no completion can reach tau = incumbent -
+    _VALUE_TIE_TOL, the incumbent being the pairing (k, N-1-k), k < M, if
+    2M <= N, then the best score seen. A battery no edge covers is a
+    component of mean P_b, so its placement scores at most fl(N * P_b),
+    exactly. Later pairs start at or after battery i, the last pair's first,
+    so an uncovered b < i with fl(N * P_b) < tau drops the prefix, as do
+    more such batteries than twice the edges left.
+
+    The least total processed power in the band wins, scored in
+    lexicographic runs of one least_processing_flows call
+    (_processing_totals), _FIRST_TIE_RUN long, doubling up to
+    _PLACEMENT_BLOCK. At current I battery j takes in at least
+    max(0, I - P_j) and each |f_e| lands on one battery, so every tied
+    placement processes at least floor = sum_j max(0, I - P_j), I the least
+    tied output / N. Runs stop once the chosen total is within half the
+    tolerance of it (half is rounding margin). The winner's design LP
+    (layer1_design_lp) sets the ratings.
     """
     n = expected.count
     m = cfg.num_layer1
     if m > n - 1:
         raise ParameterError("layer 1 must stay sparse: num_layer1 at most count - 1")
     caps = expected.capabilities
-    best_output = -np.inf
-    contenders: list[tuple[np.ndarray, np.ndarray]] = []  # (outputs, endpoints) per block
-    for endpoints in _placement_blocks(n, m):
-        outputs = free_flow_outputs(caps, endpoints)
-        top = float(outputs.max())
-        if top > best_output + _VALUE_TIE_TOL:
-            contenders.clear()  # everything kept so far is now out of the tie band
-        best_output = max(best_output, top)
-        keep = outputs >= best_output - _VALUE_TIE_TOL
-        contenders.append((outputs[keep], endpoints[keep]))
-
-    outputs = np.concatenate([kept for kept, _ in contenders])
-    tied = np.concatenate([edges for _, edges in contenders])
-    in_band = outputs >= best_output - _VALUE_TIE_TOL
-    outputs, tied = outputs[in_band], tied[in_band]
+    best_output, scored, outputs, tied = _tie_band(caps, m)
     floor = float(np.maximum(float(outputs.min()) / n - caps, 0.0).sum())
     chosen = 0
     chosen_sum = np.inf
@@ -269,9 +278,10 @@ def design_layer1(expected: ExpectedSet, cfg: DesignConfig) -> Layer1Design:
     chosen_edges = tuple(map(tuple, tied[chosen].tolist()))
     chosen_processed, _ = layer1_design_lp(expected, chosen_edges)
 
+    total = interconnection_count(n, m)
     log.debug(
-        "layer-1 search: %d placements scanned, best output %.6f, edges %s",
-        interconnection_count(n, m), best_output, chosen_edges,
+        "layer-1 search: %d placements enumerable, %d scored, %d pruned, best output %.6f, edges %s",
+        total, scored, total - scored, best_output, chosen_edges,
     )
     ratings = partition_ratings(chosen_processed, cfg.num_rating_sets)
     return Layer1Design(
@@ -297,17 +307,14 @@ def layer2_rating_for_budget(layer1: Layer1Design, expected: ExpectedSet, budget
     return max(0.0, leftover / (n - 1))
 
 
+def _lshippp(layer1: Layer1Design, expected: ExpectedSet, rating: float) -> Architecture:
+    n = expected.count
+    return Architecture(ArchitectureKind.LSHIPPP, n, expected.total_power, layer1, Layer2Design(rating, n - 1))
+
+
 def lshippp_for_budget(layer1: Layer1Design, expected: ExpectedSet, budget: float) -> Architecture:
     """Assemble the hierarchical architecture for a normalized rating budget."""
-    n = expected.count
-    rating = layer2_rating_for_budget(layer1, expected, budget)
-    return Architecture(
-        ArchitectureKind.LSHIPPP,
-        num_batteries=n,
-        total_expected_power=expected.total_power,
-        layer1=layer1,
-        layer2=Layer2Design(rating, n - 1),
-    )
+    return _lshippp(layer1, expected, layer2_rating_for_budget(layer1, expected, budget))
 
 
 def design_layer2(
@@ -329,16 +336,7 @@ def design_layer2(
     draws = [draw_capabilities(supply, cfg.base_seed + t) for t in range(cfg.monte_carlo_trials)]
     batch_powers = [float(caps.sum()) for caps in draws]
 
-    archs = [
-        Architecture(
-            ArchitectureKind.LSHIPPP,
-            num_batteries=n,
-            total_expected_power=expected.total_power,
-            layer1=layer1,
-            layer2=Layer2Design(rating, n - 1),
-        )
-        for rating in cfg.layer2_trial_ratings
-    ]
+    archs = [_lshippp(layer1, expected, rating) for rating in cfg.layer2_trial_ratings]
     outputs = max_string_outputs(np.stack(draws), archs)
     points = []
     for rating, row in zip(cfg.layer2_trial_ratings, outputs):

@@ -378,7 +378,9 @@ def _iterate_many(c, a, b, lower, upper, basis, stat, x) -> np.ndarray:
     on it alone: the stacked linear solves and matrix products give, slice for
     slice, the bits of the serial calls, and everything else is elementwise
     or a per-row selection with the same tie rules. A problem leaves the live
-    stack as soon as it is optimal or unbounded. Returns the (K,) mask of
+    stack as soon as it is optimal, before the ratio test and its solve, or
+    unbounded. A step writes only the non-basic values it moves: the next
+    iteration's solve overwrites every basic value. Returns the (K,) mask of
     unbounded problems.
     """
     unbounded = np.zeros(basis.shape[0], dtype=bool)
@@ -409,6 +411,17 @@ def _iterate_many(c, a, b, lower, upper, basis, stat, x) -> np.ndarray:
             | (can_decrease & (reduced < -REDUCED_COST_TOL))
         )
         candidates[rows, bas] = False
+        optimal = ~candidates.any(axis=1)
+        if optimal.any():  # these leave before the ratio test and its solve
+            basis[live[optimal]], stat[live[optimal]], x[live[optimal]] = bas[optimal], st[optimal], xs[optimal]
+            live = live[~optimal]
+            if live.size == 0:
+                return unbounded
+            rows = rows[:live.size]
+            cc, aa, bb, lo, up, bas, st, xs, bland, stall, basis_cols, reduced, candidates = (
+                arr[~optimal] for arr in
+                (cc, aa, bb, lo, up, bas, st, xs, bland, stall, basis_cols, reduced, candidates)
+            )
         # Bland takes the first candidate; Dantzig the first of the largest |reduced cost|
         enter = np.where(
             bland,
@@ -432,21 +445,18 @@ def _iterate_many(c, a, b, lower, upper, basis, stat, x) -> np.ndarray:
         step_self = up[r, enter] - lo[r, enter]
         step = np.minimum(step_basic, step_self)
 
-        optimal = ~candidates.any(axis=1)
-        unbounded[live] = ~optimal & ~np.isfinite(step)
-        going = ~optimal & np.isfinite(step)
+        going = np.isfinite(step)
+        unbounded[live] = ~going
 
         flip = going & (step_self < step_basic)
         pivot = going & ~flip
         leave_pos = np.where(caps <= (step + 1e-12)[:, None], bas, np.iinfo(bas.dtype).max).argmin(axis=1)
         leaving = bas[r, leave_pos]
         leave_up = g[r, leave_pos] > 0
-        xs[rows[going], bas[going]] = xb[going] + g[going] * step[going, None]
         fr, fe, fd = r[flip], enter[flip], direction[flip] > 0
         xs[fr, fe] = np.where(fd, up[fr, fe], lo[fr, fe])
         st[fr, fe] = np.where(fd, _NB_UPPER, _NB_LOWER)
         pr, pe, pl, pu = r[pivot], enter[pivot], leaving[pivot], leave_up[pivot]
-        xs[pr, pe] += direction[pivot] * step[pivot]
         xs[pr, pl] = np.where(pu, up[pr, pl], lo[pr, pl])
         st[pr, pl] = np.where(pu, _NB_UPPER, _NB_LOWER)
         st[pr, pe] = _BASIC

@@ -1,8 +1,11 @@
 """Brute-force references shared by the flow and acceptance tests."""
 
+import itertools
+
 import numpy as np
 
 from hippp import ConverterEdge, InternalCheckError, LinearProgram, LPStatus, architecture_edges, solve
+from hippp.design import _PLACEMENT_BLOCK, _VALUE_TIE_TOL, _check_enumeration
 from hippp.lp import FEASIBILITY_TOL
 from hippp.powerflow import free_flow_outputs
 
@@ -39,6 +42,51 @@ def free_flow_output(caps, pairs):
     """free_flow_outputs on one placement: N * the smallest component mean."""
     endpoints = np.array(pairs, dtype=np.intp).reshape(1, len(pairs), 2)
     return float(free_flow_outputs(np.asarray(caps, dtype=float), endpoints)[0])
+
+
+def placement_blocks(n: int, m: int):
+    """Every m-subset of unordered battery pairs, lexicographically, as (P, M, 2) endpoint arrays.
+
+    Pairs are canonically oriented low index -> high index; flows are signed,
+    so orientation costs no generality. A placement is an m-combination of
+    indices into the lexicographic pair table, and those combinations come
+    out in the placements' own lexicographic order. Refuses combinatorial
+    blowups past DEFAULT_ENUMERATION_CAP placements.
+    """
+    _check_enumeration(n, m)
+    pair_table = np.array(list(itertools.combinations(range(n), 2)), dtype=np.intp)
+    picks = itertools.combinations(range(len(pair_table)), m)
+    while True:
+        block = itertools.islice(picks, _PLACEMENT_BLOCK)
+        index = np.fromiter(itertools.chain.from_iterable(block), dtype=np.intp)
+        if index.size == 0:
+            return
+        yield pair_table[index.reshape(-1, m)]
+
+
+def exhaustive_tie_band(caps, m):
+    """The layer-1 tie band by scoring every placement, block by block.
+
+    The scan design_layer1 ran before its pruned search. Returns (best
+    output, band outputs, band endpoints as (P, M, 2)), the band being every
+    placement within _VALUE_TIE_TOL of the best, in lexicographic order.
+    """
+    caps = np.asarray(caps, dtype=float)
+    best_output = -np.inf
+    contenders = []  # (outputs, endpoints) per block
+    for endpoints in placement_blocks(caps.size, m):
+        outputs = free_flow_outputs(caps, endpoints)
+        top = float(outputs.max())
+        if top > best_output + _VALUE_TIE_TOL:
+            contenders.clear()  # everything kept so far is now out of the tie band
+        best_output = max(best_output, top)
+        keep = outputs >= best_output - _VALUE_TIE_TOL
+        contenders.append((outputs[keep], endpoints[keep]))
+
+    outputs = np.concatenate([kept for kept, _ in contenders])
+    tied = np.concatenate([edges for _, edges in contenders])
+    in_band = outputs >= best_output - _VALUE_TIE_TOL
+    return best_output, outputs[in_band], tied[in_band]
 
 
 def two_lp_design_solve(caps, pairs):

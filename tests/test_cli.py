@@ -430,7 +430,14 @@ class TestExitCodes:
     def test_a_sigma_grid_spread_too_small_to_flatten_exits_two(self, config_file, tmp_path, capsys):
         config_file.write_text(BASE_CONFIG.replace("sigma_grid = 0.10 0.20", "sigma_grid = 1e-7 0.20"))
         assert run_main("sweep", "--config", config_file, "--out", tmp_path / "o") == 2
-        assert "std_power" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "std_power" in err
+        assert "[evaluate] sigma_grid" in err
+        # refused at load, with BatterySupply's arithmetic: the floor itself and 0 pass
+        with pytest.raises(ConfigError, match=r"\[evaluate\] sigma_grid"):
+            load_config(str(config_file))
+        config_file.write_text(BASE_CONFIG.replace("sigma_grid = 0.10 0.20", "sigma_grid = 0 0.001"))
+        assert load_config(str(config_file)).sigma_grid == (0.0, 0.001)
 
     def test_bad_config_value(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"

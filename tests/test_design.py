@@ -3,12 +3,20 @@ and an independent scipy-based search oracle."""
 
 import itertools
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import build_flow_lp, free_flow_output, hierarchical_lp_output, two_lp_design_solve
+from oracles import (
+    build_flow_lp,
+    exhaustive_tie_band,
+    free_flow_output,
+    hierarchical_lp_output,
+    placement_blocks,
+    two_lp_design_solve,
+)
 from scipy.optimize import linprog
 
 import hippp.design
@@ -109,12 +117,14 @@ class TestEnumeration:
         assert interconnection_count(10, 6) == 8145060
 
     def test_yields_all_pair_sets_in_order(self):
-        sets = [tuple(map(tuple, placement)) for placement in
-                np.concatenate(list(hippp.design._placement_blocks(4, 2))).tolist()]
-        assert len(sets) == interconnection_count(4, 2) == 15
-        assert sets == sorted(sets)
-        assert sets[0] == ((0, 1), (0, 2))
-        assert all(src < dst for s in sets for (src, dst) in s)
+        # on a uniform supply every placement ties, so the search's band is all of them
+        oracle = np.concatenate(list(placement_blocks(4, 2)))
+        for endpoints in (oracle, hippp.design._tie_band(np.ones(4), 2)[3]):
+            sets = [tuple(map(tuple, placement)) for placement in endpoints.tolist()]
+            assert len(sets) == interconnection_count(4, 2) == 15
+            assert sets == sorted(sets)
+            assert sets[0] == ((0, 1), (0, 2))
+            assert all(src < dst for s in sets for (src, dst) in s)
 
     def test_cap_refuses_blowups(self):
         # 8,145,060 placements at N=10, M=6: the search refuses before scoring any
@@ -122,21 +132,106 @@ class TestEnumeration:
         with pytest.raises(EnumerationCapError):
             design_layer1(expected, DesignConfig(num_layer1=6, num_rating_sets=2))
 
-    @pytest.mark.parametrize("n, m", [(2, 1), (4, 2), (9, 3), (16, 2)])
-    def test_placement_blocks_keep_the_enumeration_order(self, n, m):
-        blocks = list(hippp.design._placement_blocks(n, m))
-        assert all(len(block) <= hippp.design._PLACEMENT_BLOCK for block in blocks)
-        placements = np.array(placements_in_order(n, m), dtype=np.intp)
-        assert np.array_equal(np.concatenate(blocks), placements)
+    @staticmethod
+    def scored_rows(monkeypatch):
+        """Record the rows of every free_flow_outputs call the search makes."""
+        rows = []
 
-    def test_placement_blocks_keep_the_cap(self):
+        def counting(caps, endpoints):
+            rows.append(len(endpoints))
+            return free_flow_outputs(caps, endpoints)
+
+        monkeypatch.setattr(hippp.design, "free_flow_outputs", counting)
+        return rows
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (4, 2), (9, 3), (16, 2)])
+    def test_placement_blocks_keep_the_enumeration_order(self, monkeypatch, n, m):
+        placements = np.array(placements_in_order(n, m), dtype=np.intp)
+        blocks = list(placement_blocks(n, m))
+        assert all(len(block) <= hippp.design._PLACEMENT_BLOCK for block in blocks)
+        assert np.array_equal(np.concatenate(blocks), placements)
+        # nothing prunes on a uniform supply: the search scores every placement,
+        # in kernel calls of at most _PLACEMENT_BLOCK rows, and keeps their order
+        rows = self.scored_rows(monkeypatch)
+        _, scored, _, band = hippp.design._tie_band(np.ones(n), m)
+        assert max(rows) <= hippp.design._PLACEMENT_BLOCK
+        assert scored == len(placements)
+        assert np.array_equal(band, placements)
+
+    def test_placement_blocks_keep_the_cap(self, monkeypatch):
         with pytest.raises(EnumerationCapError):
-            next(hippp.design._placement_blocks(10, 6))
+            next(placement_blocks(10, 6))
+        rows = self.scored_rows(monkeypatch)
+        with pytest.raises(EnumerationCapError):
+            hippp.design._tie_band(np.ones(10), 6)
+        assert rows == []
 
     def test_argument_validation(self):
         for n, m in ((1, 1), (4, 0), (4, 7)):
             with pytest.raises(ParameterError):
-                next(hippp.design._placement_blocks(n, m))
+                next(placement_blocks(n, m))
+            with pytest.raises(ParameterError):
+                hippp.design._tie_band(np.ones(n), m)
+        with pytest.raises(ParameterError):  # one battery: the sparsity guard refuses first
+            design_layer1(flatten(BatterySupply(1.0, 0.2, 1)), DesignConfig(num_layer1=1, num_rating_sets=1))
+
+
+class TestPrunedSearch:
+    """The branch and bound against the exhaustive block scan it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 12), st.integers(1, 4),
+           st.sampled_from(["drawn", "coarse", "edge", 0.0, MIN_RELATIVE_STD, 0.3]), st.integers(0, 2**32 - 1))
+    @example(9, 3, 0.3, 0)
+    @example(12, 4, MIN_RELATIVE_STD, 0)
+    @example(8, 4, "coarse", 1)
+    @example(7, 4, "edge", 0)  # a bound off by 1e-12 at the band edge drops a member here
+    def test_band_equals_the_exhaustive_scan(self, n, m, source, seed):
+        # random sorted capabilities, coarse ones with many exact ties, coarse
+        # ones moved by multiples of the tie tolerance / N so that scores sit
+        # on the band's edge, and flattened supplies; by float.hex and in
+        # lexicographic order
+        m = min(m, n - 1)
+        rng = np.random.default_rng(seed)
+        if source == "drawn":
+            caps = np.sort(rng.uniform(0.3, 1.7, n))
+        elif source == "coarse":
+            caps = np.sort(rng.integers(2, 6, n)) / 4.0
+        elif source == "edge":
+            shift = rng.integers(-2, 3, n) * (hippp.design._VALUE_TIE_TOL / n)
+            caps = np.sort(rng.integers(2, 6, n) / 4.0 + shift)
+        else:
+            caps = flatten(BatterySupply(1.0, source, n)).capabilities
+        best, outputs, tied = exhaustive_tie_band(caps, m)
+        found, scored, band_outputs, band = hippp.design._tie_band(caps, m)
+        assert found.hex() == best.hex()
+        assert [v.hex() for v in band_outputs.tolist()] == [v.hex() for v in outputs.tolist()]
+        assert band.tolist() == tied.tolist()
+        assert len(tied) <= scored <= interconnection_count(n, m)
+
+    def test_readme_default_scores_a_fraction_of_the_placements(self, monkeypatch, caplog):
+        rows = TestEnumeration.scored_rows(monkeypatch)
+        expected = flatten(BatterySupply(1.0, 0.2, 9))
+        with caplog.at_level("DEBUG", logger="hippp.design"):
+            design = design_layer1(expected, DesignConfig(num_layer1=3, num_rating_sets=2))
+        assert [(e.from_battery, e.to_battery) for e in design.edges] == N9_EDGES
+        scored = sum(rows) - 1  # the first call scores the weak-to-strong incumbent
+        assert scored < interconnection_count(9, 3) == 7140
+        assert f"7140 placements enumerable, {scored} scored, {7140 - scored} pruned" in caplog.text
+
+    def test_search_memory_stays_within_the_block_scan(self):
+        # on a uniform supply nothing prunes and every one of the 58,905
+        # placements is in the band; the search must not hold more than the scan
+        caps = flatten(BatterySupply(1.0, 0.0, 9)).capabilities
+        peaks = []
+        for search in (exhaustive_tie_band, hippp.design._tie_band):
+            tracemalloc.start()
+            try:
+                search(caps, 4)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
 
 
 class TestPartitionRatings:
