@@ -58,7 +58,7 @@ from .evaluate import (
     sweep_rating,
     system_efficiency,
 )
-from .lp import LinearProgram, LPSolution, LPStatus, solve
+from .lp import LPStatus
 from .powerflow import (
     PowerFlowSolution,
     architecture_edges,
@@ -101,8 +101,6 @@ __all__ = [
     "Layer1Design",
     "Layer2Curve",
     "Layer2Design",
-    "LinearProgram",
-    "LPSolution",
     "LPStatus",
     "MetricsRecord",
     "ParameterError",
@@ -132,7 +130,6 @@ __all__ = [
     "optimal_flow",
     "partition_ratings",
     "sample_battery_set",
-    "solve",
     "sweep_figures",
     "sweep_heterogeneity",
     "sweep_rating",

@@ -10,11 +10,11 @@ K identical-rating groups.
 
 Layer 2 is rated by Monte Carlo: with layer 1 frozen, shared seeded draws
 are replayed against a grid of trial ladder ratings, and the mean
-utilization per rating forms a curve. Its stage-1 LPs go through one
-max_string_outputs call, solved in lockstep (lp.solve_stack) with the bits
-of one-at-a-time solves. Callers pick the ladder rating off that curve,
-usually by spending the budget layer 1 left. Neither layer builds a
-LinearProgram.
+utilization per rating forms a curve. The draws are tiled once per trial
+rating, and their stage-1 LPs go through one max_string_outputs call with
+one rung per row, solved in lockstep (lp.solve_stack) with the bits of
+one-at-a-time solves. Callers pick the ladder rating off that curve,
+usually by spending the budget layer 1 left.
 """
 
 from __future__ import annotations
@@ -333,16 +333,13 @@ def design_layer2(
     expected = flatten(supply)
     n = expected.count
     spent = None if budget is None else layer2_rating_for_budget(layer1, expected, budget)
-    draws = [draw_capabilities(supply, cfg.base_seed + t) for t in range(cfg.monte_carlo_trials)]
-    batch_powers = [float(caps.sum()) for caps in draws]
-
-    archs = [_lshippp(layer1, expected, rating) for rating in cfg.layer2_trial_ratings]
-    outputs = max_string_outputs(np.stack(draws), archs)
-    points = []
-    for rating, row in zip(cfg.layer2_trial_ratings, outputs):
-        utilizations = [output / total for output, total in zip(row, batch_powers)]
-        points.append((rating, float(np.mean(utilizations))))
-    curve = Layer2Curve(tuple(points))
+    draws = np.array([draw_capabilities(supply, cfg.base_seed + t) for t in range(cfg.monte_carlo_trials)])
+    ratings = cfg.layer2_trial_ratings
+    arch = _lshippp(layer1, expected, ratings[0])
+    rungs = np.repeat(ratings, len(draws))  # every draw once per trial rating, rating-major
+    outputs = max_string_outputs(np.tile(draws, (len(ratings), 1)), arch, rungs)
+    utilizations = (outputs.reshape(len(ratings), len(draws)) / draws.sum(axis=1)).mean(axis=1)
+    curve = Layer2Curve(tuple(zip(ratings, utilizations.tolist())))
 
     if spent is not None:
         return Layer2Design(spent, n - 1), curve

@@ -73,6 +73,11 @@ class MetricsRecord:
     output_norm: float
 
 
+def _check_efficiency(converter_efficiency: float) -> None:
+    if not 0.0 < converter_efficiency <= 1.0:
+        raise ParameterError("converter efficiency must lie in (0, 1]")
+
+
 def system_efficiency(processed, output, converter_efficiency: float):
     """Share of delivered power that survives conversion losses.
 
@@ -81,8 +86,7 @@ def system_efficiency(processed, output, converter_efficiency: float):
     processing degenerates to the bare converter efficiency. Scalar powers
     give a float; equal-shape arrays of per-trial powers give an array.
     """
-    if not 0.0 < converter_efficiency <= 1.0:
-        raise ParameterError("converter efficiency must lie in (0, 1]")
+    _check_efficiency(converter_efficiency)
     processed = np.asarray(processed, dtype=float)
     output = np.asarray(output, dtype=float)
     if np.any(processed < 0.0) or np.any(output < 0.0):
@@ -121,13 +125,14 @@ def evaluate_cells(cells: Sequence[SweepCell], workers: int = 1) -> list[Metrics
     spread over a process pool of at most one worker per group.
     """
     cells = [SweepCell(*cell) for cell in cells]
-    for arch, supply, trials, seed, _ in cells:
+    for arch, supply, trials, seed, converter_efficiency in cells:
         if supply.count != arch.num_batteries:
             raise ParameterError(f"supply count {supply.count} does not match architecture {arch.num_batteries}")
         if int(trials) != trials or trials < 1:
             raise ParameterError("trials must be a positive integer")
         if int(seed) != seed or seed < 0:
             raise ParameterError("seed must be a non-negative integer")
+        _check_efficiency(converter_efficiency)
 
     distinct = list(dict.fromkeys(cells))
     blocks: dict[tuple, np.ndarray] = {}
@@ -277,6 +282,7 @@ def _sweep(kinds, points, trials, seed, design_cfg, converter_efficiency, worker
     design, reused for every budget of every point that flattens to it; each
     budget only re-splits what is left for the ladder.
     """
+    _check_efficiency(converter_efficiency)
     expected_sets: dict[BatterySupply, ExpectedSet] = {}
     layer1s: dict[bytes, Layer1Design] = {}
     cells = []

@@ -10,24 +10,22 @@ variable index, falling back to Bland's rule after a run of degenerate
 steps. Identical inputs therefore produce bit-identical solutions, which
 keeps Monte Carlo sweeps reproducible across runs and worker counts.
 
-solve_stack runs a stack of K same-shape LPs through the same two phases in
-lockstep, over arrays: an objective, one constraint matrix broadcast over the
-whole stack or one per LP, right-hand sides, and (K, n) bounds. Validation,
-the phase-1 set-up, the phase-2 handover and the certification each run once
-over the stack; only an LP that still holds a basic artificial after phase 1
-has it exchanged on its own. Each LP keeps its own basis, statuses, Bland
-flag, stall count and verdict, and leaves the stack when it is done. Every
-step is a stacked np.linalg.solve on (K, m, m) with a (K, m, 1) right-hand
-side, a stacked matmul, or an elementwise op, each of which gives, slice for
-slice, the bits of the serial call. So every LP takes the same pivots and
-returns the same bits as under solve. The phase-1 set-up, the phase-2
-handover and the certification are written once, for one LP or a stack, and
-solve uses them too. The serial path stays, because the stack costs two to
-three times as much per LP at K = 1, so a stack of one goes through it.
-
-The rest of the package writes its LPs as arrays and solves them only with
-solve_stack, one LP or many. LinearProgram and solve are the serial API for
-a caller who holds one LP, and the stack's test oracle.
+solve_stack is the one entry point. It runs a stack of K same-shape LPs
+through the two phases in lockstep, over arrays: an objective, one
+constraint matrix broadcast over the whole stack or one per LP, right-hand
+sides, and (K, n) bounds. Validation, the phase-1 set-up, the phase-2
+handover and the certification each run once over the stack; only an LP
+that still holds a basic artificial after phase 1 has it exchanged on its
+own. Each LP keeps its own basis, statuses, Bland flag, stall count and
+verdict, and leaves the stack when it is done. Every step is a stacked
+np.linalg.solve on (K, m, m) with a (K, m, 1) right-hand side, a stacked
+matmul, or an elementwise op, each of which gives, slice for slice, the bits
+of the serial call. So every LP takes the same pivots and returns the same
+bits as it does alone. A stack of one goes through the serial path
+(_solve_one and _iterate), because the lockstep costs two to three times as
+much per LP at K = 1; that path is also the lockstep's bitwise reference.
+The phase-1 set-up, the phase-2 handover and the certification are written
+once, for one LP or a stack, and both paths use them.
 """
 
 from __future__ import annotations
@@ -57,16 +55,10 @@ class LPStatus(str, Enum):
     UNBOUNDED = "unbounded"
 
 
-def _as_readonly(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 def _check_values(objective, a, b, lower, upper):
-    """LinearProgram's checks on its values, for one LP or over a whole stack
-    at once: finite objective and constraints, no NaN bound, no lower bound
-    above its upper."""
+    """The checks on the values of a stack of LPs with (K, n) bounds, over the
+    whole stack at once: finite objective and constraints, no NaN bound, no
+    lower bound above its upper."""
     if not np.all(np.isfinite(objective)):
         raise ParameterError("objective coefficients must be finite")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
@@ -75,60 +67,8 @@ def _check_values(objective, a, b, lower, upper):
         raise ParameterError("bounds must not be NaN")
     crossed = lower > upper
     if np.any(crossed):
-        *lp, j = np.argwhere(crossed)[0].tolist()
-        where = f"LP {lp[0]}, " if lp else ""
-        raise ParameterError(f"{where}variable {j}: lower bound exceeds upper bound")
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """maximize objective . x  s.t.  a_eq x = b_eq  and  lower <= x <= upper."""
-
-    objective: np.ndarray
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        obj = _as_readonly(self.objective)
-        if obj.ndim != 1:
-            raise ParameterError("objective must be one-dimensional")
-        n = obj.size
-        a = np.array(self.a_eq, dtype=float)
-        if a.ndim != 2:
-            a = a.reshape(-1, n) if a.size else a.reshape(0, n)
-        if a.shape[1] != n:
-            raise ParameterError(
-                f"constraint matrix has {a.shape[1]} columns for {n} variables"
-            )
-        a.setflags(write=False)
-        b = _as_readonly(self.b_eq)
-        if b.shape != (a.shape[0],):
-            raise ParameterError("right-hand side length does not match constraint rows")
-        lower = _as_readonly(self.lower)
-        upper = _as_readonly(self.upper)
-        if lower.shape != (n,) or upper.shape != (n,):
-            raise ParameterError("bound vectors must have one entry per variable")
-        _check_values(obj, a, b, lower, upper)
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "a_eq", a)
-        object.__setattr__(self, "b_eq", b)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-
-    @property
-    def num_variables(self) -> int:
-        return self.objective.size
-
-
-@dataclass(frozen=True)
-class LPSolution:
-    """Solver verdict. `values` is empty and the objective NaN unless optimal."""
-
-    status: LPStatus
-    values: np.ndarray
-    objective_value: float
+        k, j = np.argwhere(crossed)[0].tolist()
+        raise ParameterError(f"LP {k}, variable {j}: lower bound exceeds upper bound")
 
 
 @dataclass(frozen=True)
@@ -152,23 +92,20 @@ def _initial_point(lower: np.ndarray, upper: np.ndarray):
 
 
 def _iterate(c, a, b, lower, upper, basis, stat, x) -> str:
-    """Run simplex iterations in place; returns 'optimal' or 'unbounded'."""
-    m = basis.size
+    """Run simplex iterations in place on one LP with at least one row;
+    returns 'optimal' or 'unbounded'."""
     bland = False
     stall = 0
     for _ in range(_MAX_ITERATIONS):
-        if m:
-            basis_cols = a[:, basis]
-            x_nb = x.copy()
-            x_nb[basis] = 0.0
-            try:
-                x[basis] = np.linalg.solve(basis_cols, b - a @ x_nb)
-                y = np.linalg.solve(basis_cols.T, c[basis])
-            except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by pivot tol
-                raise InternalCheckError(f"singular simplex basis: {exc}") from exc
-            reduced = c - y @ a
-        else:
-            reduced = c.copy()
+        basis_cols = a[:, basis]
+        x_nb = x.copy()
+        x_nb[basis] = 0.0
+        try:
+            x[basis] = np.linalg.solve(basis_cols, b - a @ x_nb)
+            y = np.linalg.solve(basis_cols.T, c[basis])
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by pivot tol
+            raise InternalCheckError(f"singular simplex basis: {exc}") from exc
+        reduced = c - y @ a
         reduced[basis] = 0.0
 
         can_increase = (stat == _NB_LOWER) | (stat == _NB_FREE)
@@ -189,38 +126,30 @@ def _iterate(c, a, b, lower, upper, basis, stat, x) -> str:
             enter = int(idxs[np.argmax(np.abs(reduced[idxs]))])
         direction = 1.0 if (stat[enter] == _NB_LOWER or reduced[enter] > 0.0) else -1.0
 
-        if m:
-            w = np.linalg.solve(basis_cols, a[:, enter])
-            g = -direction * w  # per-unit change of each basic variable
-            xb = x[basis]
-            caps = np.full(m, np.inf)
-            hits_upper = g > _PIVOT_TOL
-            hits_lower = g < -_PIVOT_TOL
-            caps[hits_upper] = (upper[basis[hits_upper]] - xb[hits_upper]) / g[hits_upper]
-            caps[hits_lower] = (lower[basis[hits_lower]] - xb[hits_lower]) / g[hits_lower]
-            np.maximum(caps, 0.0, out=caps)
-            step_basic = float(caps.min())
-        else:
-            g = np.zeros(0)
-            xb = np.zeros(0)
-            caps = np.zeros(0)
-            step_basic = np.inf
+        w = np.linalg.solve(basis_cols, a[:, enter])
+        g = -direction * w  # per-unit change of each basic variable
+        xb = x[basis]
+        caps = np.full(basis.size, np.inf)
+        hits_upper = g > _PIVOT_TOL
+        hits_lower = g < -_PIVOT_TOL
+        caps[hits_upper] = (upper[basis[hits_upper]] - xb[hits_upper]) / g[hits_upper]
+        caps[hits_lower] = (lower[basis[hits_lower]] - xb[hits_lower]) / g[hits_lower]
+        np.maximum(caps, 0.0, out=caps)
+        step_basic = float(caps.min())
         step_self = upper[enter] - lower[enter]  # bound-to-bound flip distance
         step = min(step_basic, step_self)
         if not np.isfinite(step):
             return "unbounded"
 
+        x[basis] = xb + g * step
         if step_self < step_basic:
             # entering variable flips to its opposite bound; basis unchanged
-            if m:
-                x[basis] = xb + g * step
             x[enter] = upper[enter] if direction > 0 else lower[enter]
             stat[enter] = _NB_UPPER if direction > 0 else _NB_LOWER
         else:
             tied = np.flatnonzero(caps <= step + 1e-12)
             leave_pos = int(tied[np.argmin(basis[tied])])  # lowest variable index wins
             leaving = int(basis[leave_pos])
-            x[basis] = xb + g * step
             x[enter] += direction * step
             if g[leave_pos] > 0:
                 x[leaving] = upper[leaving]
@@ -316,10 +245,6 @@ def _phase_two(c, a1, lo1, up1, basis, stat, x):
     return feasible, np.concatenate([np.broadcast_to(c, feasible.shape + (n,)), np.zeros(basis.shape)], axis=-1)
 
 
-def _no_point(status: LPStatus) -> LPSolution:
-    return LPSolution(status, _as_readonly(np.zeros(0)), float("nan"))
-
-
 def _check_points(a, b, lower, upper, values, rows=...):
     """Re-verify optimal points against the constraints and bounds; a
     violation here is a solver bug. Takes one LP's point, or a (K, n) stack
@@ -337,36 +262,22 @@ def _check_points(a, b, lower, upper, values, rows=...):
         raise InternalCheckError(f"optimal point violates bounds by {bound_violation:.3e}")
 
 
-def solve(lp: LinearProgram) -> LPSolution:
-    """Two-phase simplex. Infeasible and unbounded problems are reported
-    through the status, never raised; a returned optimum is re-verified
-    against the constraints and bounds before it leaves this function.
-    """
-    return _solve_one(lp.objective, lp.a_eq, lp.b_eq, lp.lower, lp.upper)
-
-
-def _solve_one(objective, a, b, lower, upper) -> LPSolution:
-    """solve on the arrays of one validated LP."""
-    c = objective.copy()
-    if b.size:
-        c_phase1, a1, lo1, up1, basis, stat, x = _phase_one(a, b, lower, upper)
-        outcome = _iterate(c_phase1, a1, b, lo1, up1, basis, stat, x)
-        if outcome != "optimal":  # pragma: no cover - phase 1 objective is bounded
-            raise InternalCheckError("phase-1 simplex reported unbounded")
-        feasible, c_phase2 = _phase_two(c, a1, lo1, up1, basis, stat, x)
-        if not feasible:
-            return _no_point(LPStatus.INFEASIBLE)
-        outcome = _iterate(c_phase2, a1, b, lo1, up1, basis, stat, x)
-        values = x[:c.size]
+def _solve_one(c, a, b, lower, upper) -> StackSolution:
+    """solve_stack's serial path: the two phases on the arrays of one
+    validated LP, given without the stack axis, as a stack of one."""
+    c_phase1, a1, lo1, up1, basis, stat, x = _phase_one(a, b, lower, upper)
+    if _iterate(c_phase1, a1, b, lo1, up1, basis, stat, x) != "optimal":  # pragma: no cover
+        raise InternalCheckError("phase-1 simplex reported unbounded")
+    feasible, c_phase2 = _phase_two(c, a1, lo1, up1, basis, stat, x)
+    if not feasible:
+        status = LPStatus.INFEASIBLE
+    elif _iterate(c_phase2, a1, b, lo1, up1, basis, stat, x) == "unbounded":
+        status = LPStatus.UNBOUNDED
     else:
-        x, stat = _initial_point(lower, upper)
-        outcome = _iterate(c, a, b, lower, upper, np.zeros(0, dtype=int), stat, x)
-        values = x
-
-    if outcome == "unbounded":
-        return _no_point(LPStatus.UNBOUNDED)
-    _check_points(a, b, lower, upper, values)
-    return LPSolution(LPStatus.OPTIMAL, _as_readonly(values), float(c @ values))
+        values = x[:c.size]
+        _check_points(a, b, lower, upper, values)
+        return StackSolution((LPStatus.OPTIMAL,), values[None, :], np.array([c @ values]))
+    return StackSolution((status,), np.full((1, c.size), np.nan), np.array([np.nan]))
 
 
 def _iterate_many(c, a, b, lower, upper, basis, stat, x) -> np.ndarray:
@@ -476,17 +387,19 @@ def _iterate_many(c, a, b, lower, upper, basis, stat, x) -> np.ndarray:
 
 
 def solve_stack(objective, a_eq, b_eq, lower, upper) -> StackSolution:
-    """solve on a stack of K same-shape LPs with at least one row, in lockstep.
+    """Two-phase simplex on a stack of K same-shape LPs with at least one row.
 
     lower and upper are (K, n) and set K. objective is (n,) or (K, n), b_eq
     (m,) or (K, m), and a_eq (m, n) or (K, m, n); a matrix the whole stack
-    shares is broadcast, never copied per LP. LinearProgram's checks run
-    once over the whole stack, and any LP that fails them raises
-    ParameterError. Row k of the result equals by == in status, values and
-    objective what solve returns for LP k alone: the stack runs the same two
-    phases, pivots and checks, only stacked (see _iterate_many). A stack of
-    one LP goes through solve's serial path, which gives those bits for less
-    work.
+    shares is broadcast, never copied per LP. The values are checked once
+    over the whole stack, and any LP that fails the checks raises
+    ParameterError. Infeasible and unbounded LPs are reported through their
+    status, never raised, with NaN values and objective; every optimum is
+    re-verified against the constraints and bounds. Row k of the result
+    equals by == in status, values and objective what a stack of LP k alone
+    returns: K >= 2 runs the same two phases, pivots and checks in lockstep
+    (see _iterate_many), and a stack of one takes the serial path
+    (_solve_one), which gives those bits for less work.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -506,9 +419,7 @@ def solve_stack(objective, a_eq, b_eq, lower, upper) -> StackSolution:
     c = np.broadcast_to(c, (k_all, n))
     b = np.broadcast_to(b, (k_all, m))
     if k_all == 1:
-        one = _solve_one(c[0], a.reshape(m, n), b[0], lower[0], upper[0])
-        values = one.values[None, :] if one.status is LPStatus.OPTIMAL else np.full((1, n), np.nan)
-        return StackSolution((one.status,), values, np.array([one.objective_value]))
+        return _solve_one(c[0], a.reshape(m, n), b[0], lower[0], upper[0])
 
     c_phase1, a1, lo1, up1, basis, stat, x = _phase_one(a, b, lower, upper)
     if _iterate_many(c_phase1, a1, b, lo1, up1, basis, stat, x).any():  # pragma: no cover
@@ -527,5 +438,5 @@ def solve_stack(objective, a_eq, b_eq, lower, upper) -> StackSolution:
     values = np.full((k_all, n), np.nan)
     values[optimal] = stacks[-1][~unbounded, :n]
     _check_points(a, b, lower, upper, values, optimal)
-    objective_value = (values[:, None, :] @ c[:, :, None])[:, 0, 0]  # per LP the dot product solve takes
+    objective_value = (values[:, None, :] @ c[:, :, None])[:, 0, 0]  # per LP the dot product _solve_one takes
     return StackSolution(tuple(verdicts[i] for i in verdict.tolist()), values, objective_value)

@@ -34,12 +34,12 @@ row, so rows of architectures that differ only in their budget rating stack
 into one call with the bits of one-row calls. The LPs stay for the layer-2
 rating curve and the layer-1 design solve of the chosen placement
 (layer1_design_lp), whose printed values they pin bit for bit. Both write
-their LPs as arrays, never as LinearProgram objects, and solve them with
-lp.solve_stack, with the same pivots and bits as one solve each. The
-curve's stage-1 LPs, one per (trial rating, draw), form stacks
-(max_string_outputs): one constraint matrix per edge list broadcast over
-its rows and a (LPs, variables) block of bounds. The design solve is two
-stacks of one LP each.
+their LPs as arrays and solve them with lp.solve_stack, with the same
+pivots and bits as one LP solved alone. The curve's stage-1 LPs, one per
+(trial rating, draw), form stacks (max_string_outputs): one constraint
+matrix broadcast over all rows and a (rows, variables) block of bounds
+that holds each row's rung. The design solve is two stacks of one LP
+each.
 
 Capabilities are per string position, in any order: battery j is the j-th
 battery of the string, and a reordered draw is a different string.
@@ -605,61 +605,54 @@ def optimal_flow(capabilities, arch: Architecture) -> PowerFlowSolution:
     )
 
 
-def max_string_outputs(capabilities, archs: Sequence[Architecture]) -> np.ndarray:
-    """Stage 1 of the LP flow for every architecture on every row of a (T, N) block.
+def max_string_outputs(capabilities, arch: Architecture, rungs=None) -> np.ndarray:
+    """Stage 1 of the LP flow of a string `arch` on every row of a (T, N) block.
 
-    Returns (len(archs), T): entry [i, t] is N * I of the maximum-output LP
-    over [I, f, p] with the edges of archs[i] on row t (the rows of
-    _flow_matrix, |f_e| at most the edge's rating, |p_j| at most P_j and
-    I >= 0), equal by == to what solve gives for that LP alone. For the
-    hierarchical kind it agrees with the cut form of hierarchical_currents
-    to rounding, about 1e-16 in the current, and for the ladder with the
-    closed form of ladder_flow; the layer-2 curve is printed with repr, so
-    it stays on this LP. The architectures must share one edge count.
+    `rungs`, when given, is a (T,) array of non-negative ladder ratings, inf
+    allowed, that replaces the ladder rating of `arch` row by row; a
+    hierarchical design keeps the layer-1 edges of `arch`. Returns (T,):
+    entry t is N * I of the maximum-output LP over [I, f, p] with the edges
+    of arch on row t (the rows of _flow_matrix, |f_e| at most the edge's
+    rating, |p_j| at most P_j and I >= 0), equal by == to what that LP gives
+    solved alone. For the hierarchical kind it agrees with the cut form of
+    hierarchical_currents to rounding, about 1e-16 in the current, and for
+    the ladder with the closed form of ladder_flow; the layer-2 curve is
+    printed with repr, so it stays on this LP.
 
-    No LinearProgram is built: architectures with the same edge list share
-    one constraint matrix, broadcast over all of their rows, and each LP's
-    bounds are its architecture's ratings and its row's capabilities. Each
-    such group goes through lp.solve_stack in passes of at most _CUT_CELLS
-    phase-1 cells, rows x (columns + artificials) per LP, and each
-    architecture's rows are certified by one block _certify call.
-    Capabilities are per string position, in any order.
+    All rows share one constraint matrix, broadcast over them. Each row's
+    bounds are written straight into one (T, variables) block: the layer-1
+    ratings, the row's rung on every ladder edge, and the row's
+    capabilities. The rows go through lp.solve_stack in passes of at most
+    _CUT_CELLS phase-1 cells, rows x (columns + artificials) per LP, and are
+    certified by one block _certify call. Capabilities are per string
+    position, in any order.
     """
-    caps = _validate_capabilities(capabilities, ndim=2)
+    caps = _checked_capabilities(capabilities, arch, ndim=2)
     trials, n = caps.shape
-    for arch in archs:
-        if arch.num_batteries != n:
-            raise ParameterError(f"got {n} capabilities for {arch.num_batteries} batteries")
-    edges = [_string_edges(arch) for arch in archs]
-    if len({len(pairs) for pairs, _ in edges}) != 1:
-        raise ParameterError("need at least one architecture, all with the same number of edges")
-    e = len(edges[0][0])
+    pairs, ratings = _string_edges(arch)
+    rung = _row_ratings(budget_rating(arch) if rungs is None else rungs, trials)
+    if not np.all(rung >= 0.0):
+        raise ParameterError("ladder ratings must be non-negative")
+    e = len(pairs)
+    chords = e - (n - 1)  # the layer-1 edges come first, the ladder's n - 1 rungs last
     width = 1 + e + n  # variables [I, f_0..f_{E-1}, p_0..p_{N-1}]
     objective = np.zeros(width)
     objective[0] = float(n)
+    upper = np.empty((trials, width))
+    upper[:, 0] = np.inf
+    upper[:, 1:1 + chords] = ratings[:chords]
+    upper[:, 1 + chords:1 + e] = rung[:, None]
+    upper[:, 1 + e:] = caps
+    lower = -upper
+    lower[:, 0] = 0.0
+    a = _flow_matrix(pairs, n)
     per_pass = max(1, _CUT_CELLS // (n * (width + n)))
-    groups: dict[tuple[_Pair, ...], list[int]] = {}
-    for i, (pairs, _) in enumerate(edges):
-        groups.setdefault(tuple(pairs), []).append(i)
-
-    outputs = np.empty((len(archs), trials))
-    for pairs, members in groups.items():
-        a = _flow_matrix(pairs, n)
-        upper = np.empty((len(members), trials, width))
-        upper[..., 0] = np.inf
-        upper[..., 1:1 + e] = np.stack([edges[i][1] for i in members])[:, None, :]
-        upper[..., 1 + e:] = caps
-        upper = upper.reshape(-1, width)
-        lower = -upper
-        lower[:, 0] = 0.0
-        values = np.empty_like(upper)
-        for start in range(0, len(upper), per_pass):
-            part = slice(start, start + per_pass)
-            values[part] = _optimal_points("maximum-output stage", objective, a, np.zeros(n), lower[part], upper[part])
-        for i, rows in zip(members, values.reshape(len(members), trials, width)):
-            _certify(caps, pairs, edges[i][1], rows[:, 0], rows[:, 1:1 + e], rows[:, 1 + e:])
-            outputs[i] = n * rows[:, 0]
-    return outputs
+    values = np.empty_like(upper)
+    for start in range(0, trials, per_pass):
+        part = slice(start, start + per_pass)
+        values[part] = _optimal_points("maximum-output stage", objective, a, np.zeros(n), lower[part], upper[part])
+    _certify(caps, pairs, upper[:, 1:1 + e], values[:, 0], values[:, 1:1 + e], values[:, 1 + e:])
+    return n * values[:, 0]
 
 
 def flow_powers(capabilities, arch: Architecture, ratings=None) -> tuple[np.ndarray, np.ndarray]:
@@ -740,7 +733,7 @@ def layer1_design_lp(expected: ExpectedSet, edges: Sequence[_Pair]):
     1 is the maximum-output LP over [I, f, p] with free flows; stage 2 fixes
     its current and minimizes sum |f| over [I, f+, f-, p], with f = f+ - f-
     and both halves non-negative. Each goes through lp.solve_stack as a
-    stack of one, which runs the serial solve's code. Both flows are
+    stack of one, which takes the solver's serial path. Both flows are
     certified, and a stage-2 flow that circulates power both ways along an
     edge raises InternalCheckError.
     """

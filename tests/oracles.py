@@ -1,13 +1,41 @@
 """Brute-force references shared by the flow and acceptance tests."""
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
-from hippp import ConverterEdge, InternalCheckError, LinearProgram, LPStatus, architecture_edges, solve
+from hippp import ConverterEdge, InternalCheckError, LPStatus, architecture_edges
 from hippp.design import _PLACEMENT_BLOCK, _VALUE_TIE_TOL, _check_enumeration
-from hippp.lp import FEASIBILITY_TOL
+from hippp.lp import FEASIBILITY_TOL, solve_stack
 from hippp.powerflow import free_flow_outputs
+
+
+class LinearProgram(NamedTuple):
+    """maximize objective . x  s.t.  a_eq x = b_eq  and  lower <= x <= upper, as float arrays."""
+
+    objective: np.ndarray
+    a_eq: np.ndarray
+    b_eq: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+
+def linear_program(objective, a_eq, b_eq, lower, upper) -> LinearProgram:
+    """A LinearProgram of whatever array-likes it is given, as float arrays."""
+    return LinearProgram(*(np.asarray(values, dtype=float) for values in (objective, a_eq, b_eq, lower, upper)))
+
+
+class Solution(NamedTuple):
+    status: LPStatus
+    values: np.ndarray
+    objective_value: float
+
+
+def solve(lp: LinearProgram) -> Solution:
+    """One LP through lp.solve_stack as a stack of one; values and objective are NaN unless optimal."""
+    stack = solve_stack(lp.objective, lp.a_eq, lp.b_eq, np.asarray(lp.lower)[None], np.asarray(lp.upper)[None])
+    return Solution(stack.status[0], stack.values[0], float(stack.objective_value[0]))
 
 
 def incidence(pairs, n):

@@ -15,6 +15,7 @@ from oracles import (
     free_flow_output,
     hierarchical_lp_output,
     placement_blocks,
+    solve,
     two_lp_design_solve,
 )
 from scipy.optimize import linprog
@@ -42,13 +43,13 @@ from hippp import (
     draw_capabilities,
     flatten,
     interconnection_count,
+    ladder_flow,
     layer2_rating_for_budget,
     lshippp_for_budget,
     max_string_outputs,
     optimal_flow,
     partition_ratings,
     sample_battery_set,
-    solve,
 )
 from hippp.powerflow import free_flow_outputs, layer1_design_lp, least_processing_flows
 from hippp.supply import MIN_RELATIVE_STD
@@ -620,67 +621,64 @@ class TestBatchedCurve:
         cfg = DesignConfig(num_layer1=3, num_rating_sets=1, layer2_trial_ratings=self.RATINGS,
                            monte_carlo_trials=7)
         whole = design_layer2(layer1, supply, cfg)
-        # a pass holds the phase-1 stacks: rows x (columns + one artificial per row) per LP
-        cells_per_lp = 9 * (build_flow_lp(np.ones(9), [ConverterEdge(j, j + 1, 0.1) for j in range(8)]
-                                          + list(layer1.edges)).num_variables + 9)
+        # a pass holds the phase-1 stacks: rows x (columns + one artificial per row) per LP,
+        # with columns [I, the 3 layer-1 edges and 8 rungs, 9 batteries]
+        cells_per_lp = 9 * ((1 + 3 + 8 + 9) + 9)
         for lps_per_pass in (3, 1):
             monkeypatch.setattr(hippp.powerflow, "_CUT_CELLS", lps_per_pass * cells_per_lp)
             assert design_layer2(layer1, supply, cfg) == whole
 
     def test_block_rows_equal_one_row_calls(self):
+        # rows with mixed rungs, an infinite one included, against one-row calls
+        # with the rung given and built in, and against the serial LP
         supply = BatterySupply(1.0, 0.2, 9)
         expected = flatten(supply)
         layer1 = self.layer1(9, 2, seed=8)
-        archs = [Architecture(ArchitectureKind.LSHIPPP, 9, expected.total_power, layer1, Layer2Design(r, 8))
-                 for r in (0.0, 0.2, np.inf)]
-        block = np.stack([draw_capabilities(supply, seed) for seed in range(5)])
-        outputs = max_string_outputs(block, archs)
-        assert outputs.shape == (3, 5)
-        for i, arch in enumerate(archs):
-            for t, caps in enumerate(block):
-                one_row = max_string_outputs(caps[None, :], [arch])[0, 0]
-                assert outputs[i, t] == one_row == hierarchical_lp_output(caps, arch)
+        arch = Architecture(ArchitectureKind.LSHIPPP, 9, expected.total_power, layer1, Layer2Design(0.1, 8))
+        block = np.stack([draw_capabilities(supply, seed) for seed in range(15)])
+        rungs = np.array([0.0, 0.2, np.inf])[np.arange(15) % 3]
+        outputs = max_string_outputs(block, arch, rungs)
+        assert outputs.shape == (15,)
+        for caps, rung, output in zip(block, rungs, outputs):
+            built_in = Architecture(ArchitectureKind.LSHIPPP, 9, expected.total_power, layer1, Layer2Design(rung, 8))
+            assert output == max_string_outputs(caps[None, :], arch, [rung])[0]
+            assert output == max_string_outputs(caps[None, :], built_in)[0] == hierarchical_lp_output(caps, built_in)
 
-    def test_the_default_design_builds_no_lp_object(self, monkeypatch):
+    def test_the_default_design_lp_traffic(self, monkeypatch):
         # the README default design, layer 1 and the 10 x 1000 layer-2 curve:
-        # every LP is written as arrays and goes through solve_stack, so no
-        # LinearProgram is built and lp.solve is never called
-        built, solved = [], []
-        post_init, solve_one = hippp.lp.LinearProgram.__post_init__, hippp.lp.solve
+        # the design solve is two stacks of one LP, and the curve's stacks
+        # hold its 10 x 1000 LPs
+        stacks = []
+        solve_stack = hippp.lp.solve_stack
 
-        def counted_post_init(lp):
-            built.append(lp)
-            post_init(lp)
+        def counted_solve_stack(objective, a_eq, b_eq, lower, upper):
+            stacks.append(len(lower))
+            return solve_stack(objective, a_eq, b_eq, lower, upper)
 
-        def counted_solve(lp):
-            solved.append(lp)
-            return solve_one(lp)
-
-        monkeypatch.setattr(hippp.lp.LinearProgram, "__post_init__", counted_post_init)
-        for name, module in list(sys.modules.items()):  # wherever a module holds lp.solve
+        for name, module in list(sys.modules.items()):  # wherever a module holds lp.solve_stack
             if name.partition(".")[0] == "hippp":
                 for key, value in list(vars(module).items()):
-                    if value is solve_one:
-                        monkeypatch.setattr(module, key, counted_solve)
+                    if value is solve_stack:
+                        monkeypatch.setattr(module, key, counted_solve_stack)
         supply = BatterySupply(1.0, 0.2, 9)
         cfg = DesignConfig(num_layer1=3, num_rating_sets=2)
         layer1 = design_layer1(flatten(supply), cfg)
+        assert stacks == [1, 1]
         _, curve = design_layer2(layer1, supply, cfg, budget=0.15)
         assert [(e.from_battery, e.to_battery) for e in layer1.edges] == N9_EDGES
         assert [p.hex() for p in layer1.processed_at_design] == [p.hex() for p in N9_PROCESSED]
         assert len(curve.points) == 10
-        assert built == [] and solved == []
-        # the counters do count: an LP built and solved on its own shows in both
-        hippp.solve(build_flow_lp(np.ones(2), [ConverterEdge(0, 1, 0.1)]))
-        assert len(built) == 1 and len(solved) == 1
+        assert sum(stacks[2:]) == 10 * 1000 and min(stacks[2:]) > 1
 
-    def test_rejects_mixed_edge_counts_and_no_architecture(self):
+    def test_rejects_bad_rungs(self):
         block = np.stack([draw_capabilities(BatterySupply(1.0, 0.2, 9), seed) for seed in range(2)])
         ladder = Architecture(ArchitectureKind.CPPP, 9, 9.0, cppp_rating=0.1)
         hierarchy = Architecture(ArchitectureKind.LSHIPPP, 9, 9.0, self.layer1(9, 2, seed=8), Layer2Design(0.1, 8))
-        for archs in ([ladder, hierarchy], []):
-            with pytest.raises(ParameterError):
-                max_string_outputs(block, archs)
+        for arch in (ladder, hierarchy):
+            for rungs in ([0.1, np.nan], [0.1, -0.1], [0.1, -np.inf], [0.1], [0.1, 0.1, 0.1], [[0.1, 0.1]]):
+                with pytest.raises(ParameterError):
+                    max_string_outputs(block, arch, rungs)
+            assert max_string_outputs(block, arch, [0.1, np.inf]).shape == (2,)
 
 
 class TestStageOneOutput:
@@ -695,7 +693,7 @@ class TestStageOneOutput:
                 ArchitectureKind.LSHIPPP, 9, expected.total_power, layer1, Layer2Design(rating, 8),
             )
             block = np.stack([draw_capabilities(supply, seed) for seed in range(200)])
-            for caps, output in zip(block, max_string_outputs(block, [arch])[0]):
+            for caps, output in zip(block, max_string_outputs(block, arch)):
                 assert output == hierarchical_lp_output(caps, arch)
                 assert output == pytest.approx(optimal_flow(caps, arch).output_power, abs=1e-12)
 
@@ -703,10 +701,15 @@ class TestStageOneOutput:
         expected = flatten(BatterySupply(1.0, 0.2, 9))
         arch = Architecture(ArchitectureKind.CPPP, 9, expected.total_power, cppp_rating=0.1)
         caps = draw_capabilities(BatterySupply(1.0, 0.2, 9), 3)
-        output = max_string_outputs(caps[None, :], [arch])[0, 0]
+        output = max_string_outputs(caps[None, :], arch)[0]
         assert output == pytest.approx(optimal_flow(caps, arch).output_power, abs=1e-12)
+        # and row by row at each row's own rung
+        block = np.stack([draw_capabilities(BatterySupply(1.0, 0.2, 9), seed) for seed in range(6)])
+        rungs = np.array([0.0, 0.05, 0.1, 0.2, 0.3, 0.5])
+        currents, _, _ = ladder_flow(block, rungs)
+        assert max_string_outputs(block, arch, rungs) == pytest.approx(9 * currents, abs=1e-12)
 
     def test_full_processing_has_no_string_stage(self):
         arch = Architecture(ArchitectureKind.FPP, 3, 3.0, fpp_rating=0.5)
         with pytest.raises(StructuralError):
-            max_string_outputs([[0.8, 1.0, 1.2]], [arch])
+            max_string_outputs([[0.8, 1.0, 1.2]], arch)

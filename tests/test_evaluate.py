@@ -339,6 +339,26 @@ class TestSweeps:
         with pytest.raises(ParameterError):
             sweep()
 
+    @pytest.mark.parametrize("efficiency", [float("nan"), 0.0, -0.2, 1.5])
+    def test_a_bad_converter_efficiency_is_refused_before_any_work(self, efficiency, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work ran before the converter efficiency was checked")
+
+        for name in ("design_layer1", "draw_capabilities", "flow_powers"):
+            monkeypatch.setattr(hippp.evaluate, name, unreachable)
+        arch = cppp_from_budget(0.2, flatten(SUPPLY9))
+        kinds = ["lshippp", "cppp", "fpp"]
+        for run in (
+            lambda: evaluate_cells([SweepCell(arch, SUPPLY9, 5, 0), SweepCell(arch, SUPPLY9, 5, 0, efficiency)]),
+            lambda: evaluate_architecture(arch, SUPPLY9, trials=5, seed=0, converter_efficiency=efficiency),
+            lambda: sweep_rating(kinds, SUPPLY9, [0.1], trials=5, seed=0, converter_efficiency=efficiency),
+            lambda: sweep_heterogeneity(kinds, 1.0, [0.1], fixed_budget=0.15, trials=5, seed=0,
+                                        converter_efficiency=efficiency),
+            lambda: sweep_figures(kinds, SUPPLY9, [0.1], [0.2], 0.15, 5, 0, converter_efficiency=efficiency),
+        ):
+            with pytest.raises(ParameterError, match="converter efficiency"):
+                run()
+
     def test_heterogeneity_sweep_shapes(self):
         records = sweep_heterogeneity(
             ["cppp"], 1.0, [0.1, 0.2], fixed_budget=0.15, trials=10, seed=1,

@@ -22,6 +22,7 @@ from oracles import (
     incidence,
     ladder_lp_flow,
     least_processing_lp,
+    solve,
     ssp_pass,
 )
 from scipy.optimize import linprog
@@ -45,7 +46,6 @@ from hippp import (
     ladder_flow,
     least_processing_flows,
     optimal_flow,
-    solve,
 )
 import hippp.powerflow
 from hippp.powerflow import _certify, free_flow_outputs
