@@ -23,7 +23,6 @@ from .architecture import (
     ArchitectureKind,
     ConverterEdge,
     Layer1Design,
-    Layer2Design,
     aggregate_rating,
     cppp_from_budget,
     fpp_from_budget,
@@ -100,7 +99,6 @@ __all__ = [
     "InternalCheckError",
     "Layer1Design",
     "Layer2Curve",
-    "Layer2Design",
     "LPStatus",
     "MetricsRecord",
     "ParameterError",

@@ -11,6 +11,11 @@ Three ways to wire power converters around N series batteries:
   pair converters placed by the design search (layer 1) on top of a cheap
   identical-rating adjacent ladder (layer 2).
 
+Each kind spends its budget on one set of identical converters, and
+``Architecture.rating`` is their one rating: per battery for full
+processing, per ladder rung for the ladder and for layer 2 of the
+hierarchy. Only the hierarchy adds ``layer1``.
+
 Aggregate converter rating is reported normalized by the expected total
 string power fixed at design time, so architectures of equal normalized
 rating cost the same converter capacity.
@@ -83,92 +88,46 @@ class Layer1Design:
 
 
 @dataclass(frozen=True)
-class Layer2Design:
-    """Dense ladder: one identical converter across each adjacent battery pair."""
-
-    rating: float
-    count: int
-
-    def __post_init__(self):
-        if not self.rating >= 0.0:
-            raise StructuralError("layer 2 rating must be non-negative")
-        if int(self.count) != self.count or self.count < 1:
-            raise StructuralError("layer 2 needs at least one converter")
-
-    @property
-    def total_rating(self) -> float:
-        return self.rating * self.count
-
-
-@dataclass(frozen=True)
 class Architecture:
+    """The converters of one string: `rating` per battery (fpp) or per ladder rung, plus lshippp's layer 1."""
+
     kind: ArchitectureKind
     num_batteries: int
     total_expected_power: float
+    rating: float
     layer1: Layer1Design | None = None
-    layer2: Layer2Design | None = None
-    cppp_rating: float | None = None
-    fpp_rating: float | None = None
 
     def __post_init__(self):
         n = self.num_batteries
         if int(n) != n or n < 1:
             raise ParameterError("num_batteries must be a positive integer")
+        object.__setattr__(self, "num_batteries", int(n))
         if not self.total_expected_power > 0.0:
             raise ParameterError("total_expected_power must be positive")
-
-        if self.kind == ArchitectureKind.FPP:
-            self._require(fpp_rating=True)
-            if not self.fpp_rating >= 0.0:
-                raise StructuralError("fpp_rating must be non-negative")
-        elif self.kind == ArchitectureKind.CPPP:
-            self._require(cppp_rating=True)
-            if n < 2:
-                raise StructuralError("a converter ladder needs at least two batteries")
-            if not self.cppp_rating >= 0.0:
-                raise StructuralError("cppp_rating must be non-negative")
-        elif self.kind == ArchitectureKind.LSHIPPP:
-            self._require(layer1=True, layer2=True)
-            if n < 2:
-                raise StructuralError("a hierarchical string needs at least two batteries")
+        if self.kind not in tuple(ArchitectureKind):
+            raise StructuralError(f"unknown architecture kind {self.kind!r}")
+        if not self.rating >= 0.0:
+            raise StructuralError("rating must be non-negative")
+        hierarchical = self.kind == ArchitectureKind.LSHIPPP
+        if (self.layer1 is not None) != hierarchical:
+            raise StructuralError("layer1 is set for the lshippp architecture and only for it")
+        if self.kind != ArchitectureKind.FPP and n < 2:
+            raise StructuralError("a converter ladder needs at least two batteries")
+        if hierarchical:
             if len(self.layer1.edges) > n - 1:
                 raise StructuralError("layer 1 must stay sparse: at most N-1 converters")
-            if self.layer2.count != n - 1:
-                raise StructuralError("layer 2 must have exactly N-1 converters")
             for edge in self.layer1.edges:
                 if edge.from_battery >= n or edge.to_battery >= n:
                     raise StructuralError(f"edge {edge.from_battery}->{edge.to_battery} leaves the string")
-        else:  # pragma: no cover
-            raise StructuralError(f"unknown architecture kind {self.kind!r}")
-
-    def _require(self, layer1=False, layer2=False, cppp_rating=False, fpp_rating=False):
-        wanted = {"layer1": layer1, "layer2": layer2, "cppp_rating": cppp_rating, "fpp_rating": fpp_rating}
-        for name, needed in wanted.items():
-            present = getattr(self, name) is not None
-            if needed and not present:
-                raise StructuralError(f"{self.kind.value} architecture requires {name}")
-            if present and not needed:
-                raise StructuralError(f"{self.kind.value} architecture must not set {name}")
 
 
 def aggregate_rating(arch: Architecture) -> float:
     """Total installed converter rating over the design-time expected string power."""
-    if arch.kind == ArchitectureKind.FPP:
-        installed = arch.num_batteries * arch.fpp_rating
-    elif arch.kind == ArchitectureKind.CPPP:
-        installed = (arch.num_batteries - 1) * arch.cppp_rating
-    else:
-        installed = arch.layer1.total_rating + arch.layer2.total_rating
+    count = arch.num_batteries if arch.kind == ArchitectureKind.FPP else arch.num_batteries - 1
+    installed = count * arch.rating
+    if arch.layer1 is not None:
+        installed = arch.layer1.total_rating + installed
     return installed / arch.total_expected_power
-
-
-def budget_rating(arch: Architecture) -> float:
-    """The one rating a kind's budget sets: per battery for full processing, per ladder rung otherwise."""
-    if arch.kind == ArchitectureKind.FPP:
-        return arch.fpp_rating
-    if arch.kind == ArchitectureKind.CPPP:
-        return arch.cppp_rating
-    return arch.layer2.rating
 
 
 def fpp_from_budget(budget: float, expected: ExpectedSet) -> Architecture:
@@ -181,7 +140,7 @@ def fpp_from_budget(budget: float, expected: ExpectedSet) -> Architecture:
         ArchitectureKind.FPP,
         num_batteries=n,
         total_expected_power=expected.total_power,
-        fpp_rating=rating,
+        rating=rating,
     )
 
 
@@ -197,5 +156,5 @@ def cppp_from_budget(budget: float, expected: ExpectedSet) -> Architecture:
         ArchitectureKind.CPPP,
         num_batteries=n,
         total_expected_power=expected.total_power,
-        cppp_rating=rating,
+        rating=rating,
     )

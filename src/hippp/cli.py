@@ -38,7 +38,6 @@ from .architecture import (
     ArchitectureKind,
     ConverterEdge,
     Layer1Design,
-    Layer2Design,
     aggregate_rating,
 )
 from .design import DesignConfig, design_layer1, design_layer2, lshippp_for_budget
@@ -220,7 +219,7 @@ def cmd_design(cfg: ExperimentConfig, out_dir: str) -> Path:
     """Run both design stages and write the design artifact; returns its path."""
     expected = flatten(cfg.supply)
     layer1 = design_layer1(expected, cfg.design)
-    layer2, curve = design_layer2(layer1, cfg.supply, cfg.design, budget=cfg.rating_budget)
+    rung, curve = design_layer2(layer1, cfg.supply, cfg.design, budget=cfg.rating_budget)
 
     out = configparser.ConfigParser()
     out["supply"] = {
@@ -244,7 +243,7 @@ def cmd_design(cfg: ExperimentConfig, out_dir: str) -> Path:
         layer1_section[f"rating_{i}"] = repr(edge.rating)
         layer1_section[f"processed_{i}"] = repr(processed)
     out["layer1"] = layer1_section
-    out["layer2"] = {"count": str(layer2.count), "rating": repr(layer2.rating)}
+    out["layer2"] = {"count": str(expected.count - 1), "rating": repr(rung)}
     out["layer2_curve"] = {}
     for i, (rating, util) in enumerate(curve.points):
         out["layer2_curve"][f"rating_{i}"] = repr(rating)
@@ -259,7 +258,7 @@ def cmd_design(cfg: ExperimentConfig, out_dir: str) -> Path:
     arch = lshippp_for_budget(layer1, expected, cfg.rating_budget)
     print(f"design written to {path}")
     print(f"layer 1: {len(layer1.edges)} converters, total rating {_sig6(layer1.total_rating)}")
-    print(f"layer 2: {layer2.count} converters rated {_sig6(layer2.rating)} each")
+    print(f"layer 2: {expected.count - 1} converters rated {_sig6(rung)} each")
     print(f"aggregate normalized rating {_sig6(aggregate_rating(arch))}")
     return path
 
@@ -335,18 +334,10 @@ def _read_design(path: str) -> tuple[BatterySupply, Architecture]:
         rating_partitions=_parse_scalar(parser, "design", "num_rating_sets", int, None),
         processed_at_design=tuple(processed),
     )
-    layer2 = Layer2Design(
-        rating=_parse_scalar(parser, "layer2", "rating", float, None),
-        count=_parse_scalar(parser, "layer2", "count", int, None),
-    )
-    expected = flatten(supply)
-    arch = Architecture(
-        ArchitectureKind.LSHIPPP,
-        num_batteries=supply.count,
-        total_expected_power=expected.total_power,
-        layer1=layer1,
-        layer2=layer2,
-    )
+    if _parse_scalar(parser, "layer2", "count", int, None) != supply.count - 1:
+        raise ConfigError(f"[layer2] count: a {supply.count}-battery ladder has {supply.count - 1} rungs")
+    rung = _parse_scalar(parser, "layer2", "rating", float, None)
+    arch = Architecture(ArchitectureKind.LSHIPPP, supply.count, flatten(supply).total_power, rung, layer1)
     return supply, arch
 
 
@@ -365,8 +356,8 @@ def _read_capabilities(path: str) -> np.ndarray:
         raise ConfigError(f"capabilities {path}: {exc}") from exc
     if values.size == 0:
         raise ConfigError(f"capabilities {path}: file lists no values")
-    if not np.all(values > 0.0):
-        raise ConfigError(f"capabilities {path}: all values must be positive")
+    if not np.all((values > 0.0) & (values < np.inf)):
+        raise ConfigError(f"capabilities {path}: all values must be positive and finite")
     return values
 
 

@@ -25,7 +25,7 @@ from math import comb
 
 import numpy as np
 
-from .architecture import Architecture, ArchitectureKind, ConverterEdge, Layer1Design, Layer2Design
+from .architecture import Architecture, ArchitectureKind, ConverterEdge, Layer1Design
 from .errors import EnumerationCapError, ParameterError
 from .powerflow import free_flow_outputs, layer1_design_lp, least_processing_flows, max_string_outputs
 from .supply import BatterySupply, ExpectedSet, draw_capabilities, flatten
@@ -74,6 +74,8 @@ class DesignConfig:
             raise ParameterError("monte_carlo_trials must be a positive integer")
         if int(self.base_seed) != self.base_seed or self.base_seed < 0:
             raise ParameterError("base_seed must be a non-negative integer")
+        for name in ("num_layer1", "num_rating_sets", "monte_carlo_trials", "base_seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -138,6 +140,7 @@ def partition_ratings(processed, k: int) -> list[float]:
         raise ParameterError("processed powers must be non-negative")
     if int(k) != k or not 1 <= k <= len(values):
         raise ParameterError("number of rating groups must lie in 1..number of converters")
+    k = int(k)
     order = sorted(range(len(values)), key=lambda i: (-values[i], i))
     kth_value = values[order[k - 1]]
     ratings = [0.0] * len(values)
@@ -308,8 +311,7 @@ def layer2_rating_for_budget(layer1: Layer1Design, expected: ExpectedSet, budget
 
 
 def _lshippp(layer1: Layer1Design, expected: ExpectedSet, rating: float) -> Architecture:
-    n = expected.count
-    return Architecture(ArchitectureKind.LSHIPPP, n, expected.total_power, layer1, Layer2Design(rating, n - 1))
+    return Architecture(ArchitectureKind.LSHIPPP, expected.count, expected.total_power, rating, layer1)
 
 
 def lshippp_for_budget(layer1: Layer1Design, expected: ExpectedSet, budget: float) -> Architecture:
@@ -322,16 +324,16 @@ def design_layer2(
     supply: BatterySupply,
     cfg: DesignConfig,
     budget: float | None = None,
-) -> tuple[Layer2Design, Layer2Curve]:
+) -> tuple[float, Layer2Curve]:
     """Monte Carlo rating curve for the ladder under a frozen layer 1.
 
     Every trial rating replays the same seeded batches (common random
-    numbers), which also forces the curve to be non-decreasing. The returned
-    design spends `budget` when given; otherwise it takes the cheapest trial
-    rating whose mean utilization already matches the top of the curve.
+    numbers), which also forces the curve to be non-decreasing. Returns the
+    per-rung ladder rating and the curve. The rating spends `budget` when
+    given; otherwise it is the cheapest trial rating whose mean utilization
+    already matches the top of the curve.
     """
     expected = flatten(supply)
-    n = expected.count
     spent = None if budget is None else layer2_rating_for_budget(layer1, expected, budget)
     draws = np.array([draw_capabilities(supply, cfg.base_seed + t) for t in range(cfg.monte_carlo_trials)])
     ratings = cfg.layer2_trial_ratings
@@ -342,7 +344,6 @@ def design_layer2(
     curve = Layer2Curve(tuple(zip(ratings, utilizations.tolist())))
 
     if spent is not None:
-        return Layer2Design(spent, n - 1), curve
+        return spent, curve
     top = max(curve.utilizations)
-    rating = next(r for r, u in curve.points if u >= top - 1e-9)
-    return Layer2Design(rating, n - 1), curve
+    return next(r for r, u in curve.points if u >= top - 1e-9), curve

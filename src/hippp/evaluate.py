@@ -41,7 +41,6 @@ from .architecture import (
     ArchitectureKind,
     Layer1Design,
     aggregate_rating,
-    budget_rating,
     cppp_from_budget,
     fpp_from_budget,
 )
@@ -133,15 +132,16 @@ def evaluate_cells(cells: Sequence[SweepCell], workers: int = 1) -> list[Metrics
         if int(seed) != seed or seed < 0:
             raise ParameterError("seed must be a non-negative integer")
         _check_efficiency(converter_efficiency)
+    cells = [cell._replace(trials=int(cell.trials), seed=int(cell.seed)) for cell in cells]
 
     distinct = list(dict.fromkeys(cells))
     blocks: dict[tuple, np.ndarray] = {}
     tasks: dict[tuple, list[tuple[SweepCell, np.ndarray]]] = {}
     for cell in distinct:
         arch, supply, trials, seed, _ = cell
-        key = (supply, int(trials), seed)
+        key = (supply, trials, seed)
         if key not in blocks:
-            blocks[key] = np.array([draw_capabilities(supply, seed + t) for t in range(int(trials))])
+            blocks[key] = np.array([draw_capabilities(supply, seed + t) for t in range(trials)])
         tasks.setdefault((arch.kind, arch.num_batteries, arch.layer1), []).append((cell, blocks[key]))
 
     records: dict[SweepCell, MetricsRecord] = {}
@@ -164,7 +164,7 @@ def _run_groups(tasks, workers: int):
 def _evaluate_group(task) -> list[MetricsRecord]:
     """One flow_powers call over the stacked rows of a group, then one record per cell."""
     caps = np.concatenate([block for _, block in task])
-    ratings = np.concatenate([np.full(len(block), budget_rating(cell.arch)) for cell, block in task])
+    ratings = np.concatenate([np.full(len(block), cell.arch.rating) for cell, block in task])
     output, processed = flow_powers(caps, task[0][0].arch, ratings)
     records = []
     start = 0
@@ -208,8 +208,8 @@ def _cell_record(cell: SweepCell, caps: np.ndarray, output: np.ndarray, processe
         architecture_kind=arch.kind.value,
         rating_norm=rating_norm,
         heterogeneity=supply.std_power,
-        trials=int(trials),
-        seed=int(seed),
+        trials=trials,
+        seed=seed,
         utilization=float(utils.mean()),
         utilization_std=float(utils.std(ddof=1)) if trials > 1 else 0.0,
         system_efficiency=float(effs.mean()),

@@ -56,7 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .architecture import Architecture, ArchitectureKind, ConverterEdge, budget_rating
+from .architecture import Architecture, ArchitectureKind, ConverterEdge
 from .errors import EnumerationCapError, InternalCheckError, ParameterError, StructuralError
 from .lp import FEASIBILITY_TOL, LPStatus, solve_stack
 from .supply import ExpectedSet
@@ -175,11 +175,10 @@ def _ladder(n: int, rating: float) -> list[ConverterEdge]:
 
 def architecture_edges(arch: Architecture) -> list[ConverterEdge]:
     """Converter edges the flow LP sees: layer 1 first, then the adjacent ladder."""
-    if arch.kind == ArchitectureKind.CPPP:
-        return _ladder(arch.num_batteries, arch.cppp_rating)
-    if arch.kind == ArchitectureKind.LSHIPPP:
-        return list(arch.layer1.edges) + _ladder(arch.num_batteries, arch.layer2.rating)
-    raise StructuralError("full processing has no string-side converter edges")
+    if arch.kind == ArchitectureKind.FPP:
+        raise StructuralError("full processing has no string-side converter edges")
+    chords = arch.layer1.edges if arch.layer1 is not None else ()
+    return list(chords) + _ladder(arch.num_batteries, arch.rating)
 
 
 def ladder_flow(capabilities, rating):
@@ -296,7 +295,7 @@ def hierarchical_currents(capabilities, arch: Architecture, rungs=None) -> np.nd
     trials, n = caps.shape
     chords = _edge_pairs(arch.layer1.edges, n)
     chord_ratings = np.array([edge.rating for edge in arch.layer1.edges], dtype=float)
-    rung = _row_ratings(arch.layer2.rating if rungs is None else rungs, trials)
+    rung = _row_ratings(arch.rating if rungs is None else rungs, trials)
     if not (np.all(rung >= 0.0) and np.all(chord_ratings >= 0.0)):
         raise ParameterError("converter ratings must be non-negative")
 
@@ -570,7 +569,7 @@ def optimal_flow(capabilities, arch: Architecture) -> PowerFlowSolution:
     caps = _checked_capabilities(capabilities, arch)
     n = caps.size
     if arch.kind == ArchitectureKind.FPP:
-        if arch.fpp_rating == 0.0:
+        if arch.rating == 0.0:
             current = float(caps.min())
             return PowerFlowSolution(
                 string_current=current,
@@ -579,7 +578,7 @@ def optimal_flow(capabilities, arch: Architecture) -> PowerFlowSolution:
                 output_power=n * current,
                 processed_power=0.0,
             )
-        clipped = np.minimum(caps, arch.fpp_rating)
+        clipped = np.minimum(caps, arch.rating)
         output = float(clipped.sum())
         return PowerFlowSolution(
             string_current=output / n,
@@ -590,7 +589,7 @@ def optimal_flow(capabilities, arch: Architecture) -> PowerFlowSolution:
         )
 
     if arch.kind == ArchitectureKind.CPPP:
-        currents, flows, battery = ladder_flow(caps[None, :], arch.cppp_rating)
+        currents, flows, battery = ladder_flow(caps[None, :], arch.rating)
         current, flows, battery = float(currents[0]), flows[0], battery[0]
     else:
         currents = hierarchical_currents(caps[None, :], arch)
@@ -630,7 +629,7 @@ def max_string_outputs(capabilities, arch: Architecture, rungs=None) -> np.ndarr
     caps = _checked_capabilities(capabilities, arch, ndim=2)
     trials, n = caps.shape
     pairs, ratings = _string_edges(arch)
-    rung = _row_ratings(budget_rating(arch) if rungs is None else rungs, trials)
+    rung = _row_ratings(arch.rating if rungs is None else rungs, trials)
     if not np.all(rung >= 0.0):
         raise ParameterError("ladder ratings must be non-negative")
     e = len(pairs)
@@ -658,11 +657,11 @@ def max_string_outputs(capabilities, arch: Architecture, rungs=None) -> np.ndarr
 def flow_powers(capabilities, arch: Architecture, ratings=None) -> tuple[np.ndarray, np.ndarray]:
     """Output and processed power of `arch` on every row of a (T, N) block.
 
-    `ratings`, when given, is a (T,) array that replaces the rating the
-    kind varies with its budget, row by row: the per-battery rating of full
-    processing, the ladder rating of the ladder and of the hierarchical
-    kind (whose layer-1 design stays that of `arch`). So one call evaluates
-    rows of several architectures that differ only in that rating.
+    `ratings`, when given, is a (T,) array that replaces `arch.rating` row
+    by row: the per-battery rating of full processing, the rung rating of
+    the ladder and of the hierarchical kind (whose layer-1 design stays that
+    of `arch`). So one call evaluates rows of several architectures that
+    differ only in the rating their budget sets.
 
     Full processing and the ladder are closed form over the whole block. The
     hierarchical kind takes every row's current from the cut form in one
@@ -672,7 +671,7 @@ def flow_powers(capabilities, arch: Architecture, ratings=None) -> tuple[np.ndar
     """
     caps = _checked_capabilities(capabilities, arch, ndim=2)
     trials, n = caps.shape
-    ratings = _row_ratings(budget_rating(arch) if ratings is None else ratings, trials)
+    ratings = _row_ratings(arch.rating if ratings is None else ratings, trials)
     if arch.kind == ArchitectureKind.FPP:
         if not np.all(ratings >= 0.0):
             raise ParameterError("converter ratings must be non-negative")

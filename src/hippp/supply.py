@@ -124,6 +124,7 @@ class BatterySupply:
             raise ParameterError("std_power must be below mean_power")
         if int(self.count) != self.count or self.count < 1:
             raise ParameterError("count must be a positive integer")
+        object.__setattr__(self, "count", int(self.count))
 
     def distribution(self) -> GaussianCapability:
         return GaussianCapability(self.mean_power, self.std_power)
@@ -192,6 +193,7 @@ def flatten_distribution(dist: CapabilityDistribution, count: int) -> np.ndarray
     """Cut `dist` into `count` equal-probability intervals; return their means."""
     if int(count) != count or count < 1:
         raise ParameterError("count must be a positive integer")
+    count = int(count)
     bounds = [dist.quantile(k / count) for k in range(count + 1)]
     means = np.empty(count)
     for k in range(count):

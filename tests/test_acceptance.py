@@ -19,7 +19,6 @@ from hippp import (
     ConverterEdge,
     DesignConfig,
     Layer1Design,
-    Layer2Design,
     architecture_edges,
     cppp_from_budget,
     design_layer1,
@@ -184,14 +183,14 @@ def test_flow_solver_matches_exhaustive_grid_search():
             caps = np.sort(rng.uniform(0.3, 1.7, 2))
             rating = float(rng.uniform(0.02, 0.6))
             arch = Architecture(
-                ArchitectureKind.CPPP, 2, float(caps.sum()), cppp_rating=rating,
+                ArchitectureKind.CPPP, 2, float(caps.sum()), rating=rating,
             )
             pairs, ratings = [(0, 1)], [rating]
         elif style == 1:                     # three batteries on a ladder
             caps = np.sort(rng.uniform(0.4, 1.6, 3))
             rating = float(rng.uniform(0.02, 0.4))
             arch = Architecture(
-                ArchitectureKind.CPPP, 3, float(caps.sum()), cppp_rating=rating,
+                ArchitectureKind.CPPP, 3, float(caps.sum()), rating=rating,
             )
             pairs, ratings = [(0, 1), (1, 2)], [rating, rating]
         else:                                # three batteries, hierarchy
@@ -201,7 +200,7 @@ def test_flow_solver_matches_exhaustive_grid_search():
             layer1 = Layer1Design((ConverterEdge(0, 2, r1),), 1, (r1,))
             arch = Architecture(
                 ArchitectureKind.LSHIPPP, 3, float(caps.sum()),
-                layer1=layer1, layer2=Layer2Design(r2, 2),
+                rating=r2, layer1=layer1,
             )
             pairs, ratings = [(0, 2), (0, 1), (1, 2)], [r1, r2, r2]
         solved = optimal_flow(caps, arch).output_power

@@ -8,10 +8,10 @@ from hippp import (
     BatterySupply,
     ConverterEdge,
     Layer1Design,
-    Layer2Design,
     ParameterError,
     StructuralError,
     aggregate_rating,
+    architecture_edges,
     cppp_from_budget,
     flatten,
     fpp_from_budget,
@@ -28,26 +28,25 @@ def make_lshippp(n=9, total=9.0, layer1_ratings=(0.9, 0.45, 0.45), layer2_rating
         ConverterEdge(i, n - 1 - i, r) for i, r in enumerate(layer1_ratings)
     )
     layer1 = Layer1Design(edges, rating_partitions=k, processed_at_design=layer1_ratings)
-    layer2 = Layer2Design(rating=layer2_rating, count=n - 1)
     return Architecture(
         ArchitectureKind.LSHIPPP,
         num_batteries=n,
         total_expected_power=total,
+        rating=layer2_rating,
         layer1=layer1,
-        layer2=layer2,
     )
 
 
 class TestAggregateRating:
     def test_fpp_budget_roundtrip(self, expected9):
         arch = fpp_from_budget(0.15, expected9)
-        assert arch.fpp_rating == pytest.approx(0.15)
+        assert arch.rating == pytest.approx(0.15)
         assert aggregate_rating(arch) == pytest.approx(0.15)
 
     def test_cppp_reference_rating(self, expected9):
         # a 0.15 budget split over 8 ladder converters of a 9-unit string
         arch = cppp_from_budget(0.15, expected9)
-        assert arch.cppp_rating == pytest.approx(0.16875)
+        assert arch.rating == pytest.approx(0.16875)
         assert aggregate_rating(arch) == pytest.approx(0.15)
 
     def test_lshippp_layer1_only(self):
@@ -89,14 +88,30 @@ class TestConverterEdge:
 
 class TestStructure:
     def test_kind_field_exclusivity(self):
+        # layer 1 is set for the hierarchy and only for it
+        layer1 = Layer1Design((ConverterEdge(0, 2, 0.5),), 1, (0.5,))
         with pytest.raises(StructuralError):
-            Architecture(ArchitectureKind.FPP, 3, 3.0)  # missing fpp_rating
+            Architecture(ArchitectureKind.LSHIPPP, 3, 3.0, 0.1)
+        for kind in (ArchitectureKind.FPP, ArchitectureKind.CPPP):
+            with pytest.raises(StructuralError):
+                Architecture(kind, 3, 3.0, 0.1, layer1)
+            assert Architecture(kind, 3, 3.0, 0.1).layer1 is None
+        assert Architecture(ArchitectureKind.LSHIPPP, 3, 3.0, 0.1, layer1).layer1 is layer1
+
+    @pytest.mark.parametrize("kind", list(ArchitectureKind))
+    @pytest.mark.parametrize("rating", [-0.1, float("nan")])
+    def test_rating_must_be_non_negative(self, kind, rating):
+        layer1 = Layer1Design((ConverterEdge(0, 2, 0.5),), 1, (0.5,)) if kind == ArchitectureKind.LSHIPPP else None
         with pytest.raises(StructuralError):
-            Architecture(ArchitectureKind.CPPP, 3, 3.0, fpp_rating=0.1)
+            Architecture(kind, 3, 3.0, rating, layer1)
+
+    def test_ladder_kinds_need_two_batteries(self):
+        layer1 = Layer1Design((ConverterEdge(0, 1, 0.5),), 1, (0.5,))
+        assert aggregate_rating(Architecture(ArchitectureKind.FPP, 1, 1.0, 0.5)) == 0.5
         with pytest.raises(StructuralError):
-            Architecture(
-                ArchitectureKind.FPP, 3, 3.0, fpp_rating=0.1, cppp_rating=0.1
-            )
+            Architecture(ArchitectureKind.CPPP, 1, 1.0, 0.1)
+        with pytest.raises(StructuralError):
+            Architecture(ArchitectureKind.LSHIPPP, 1, 1.0, 0.1, layer1)
 
     def test_layer1_sparsity_cap(self):
         edges = (ConverterEdge(0, 1, 0.1), ConverterEdge(0, 2, 0.1), ConverterEdge(1, 2, 0.1))
@@ -106,20 +121,8 @@ class TestStructure:
                 ArchitectureKind.LSHIPPP,
                 num_batteries=3,
                 total_expected_power=3.0,
+                rating=0.1,
                 layer1=layer1,
-                layer2=Layer2Design(rating=0.1, count=2),
-            )
-
-    def test_layer2_count_must_match(self):
-        edges = (ConverterEdge(0, 2, 0.5),)
-        layer1 = Layer1Design(edges, 1, (0.5,))
-        with pytest.raises(StructuralError):
-            Architecture(
-                ArchitectureKind.LSHIPPP,
-                num_batteries=3,
-                total_expected_power=3.0,
-                layer1=layer1,
-                layer2=Layer2Design(rating=0.1, count=3),
             )
 
     def test_layer1_edges_stay_in_string(self):
@@ -130,8 +133,8 @@ class TestStructure:
                 ArchitectureKind.LSHIPPP,
                 num_batteries=3,
                 total_expected_power=3.0,
+                rating=0.1,
                 layer1=layer1,
-                layer2=Layer2Design(rating=0.1, count=2),
             )
 
     def test_partition_count_limits_distinct_ratings(self):
@@ -158,6 +161,14 @@ class TestStructure:
     def test_processed_must_align_with_edges(self):
         with pytest.raises(StructuralError):
             Layer1Design((ConverterEdge(0, 1, 0.1),), 1, (0.1, 0.2))
+
+    def test_an_integer_valued_float_battery_count_is_an_integer(self):
+        whole = Architecture(ArchitectureKind.CPPP, 3, 3.0, 0.1)
+        arch = Architecture(ArchitectureKind.CPPP, 3.0, 3.0, 0.1)
+        assert type(arch.num_batteries) is int
+        assert architecture_edges(arch) == architecture_edges(whole)
+        with pytest.raises(ParameterError):
+            Architecture(ArchitectureKind.CPPP, 2.5, 3.0, 0.1)
 
     def test_kind_is_string_valued(self):
         # CSV writers and config parsing rely on the enum value being the name

@@ -320,6 +320,41 @@ class TestFlowCommand:
         assert run_main("flow", out / "design.txt", caps) == 2
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_a_non_finite_capability_names_the_file(self, config_file, tmp_path, capsys, value):
+        out = tmp_path / "artifacts"
+        run_main("design", "--config", config_file, "--out", out)
+        caps = tmp_path / "caps.txt"
+        caps.write_text(f"1.0 {value} 1.0 1.0 1.0 1.0 1.0 1.0 1.0\n")
+        assert run_main("flow", out / "design.txt", caps) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and str(caps) in err and "positive and finite" in err
+
+    @staticmethod
+    def flow_with_layer2(config_file, tmp_path, capsys, key, value):
+        """Exit code and stderr of `hippp flow` on a fresh design whose [layer2] `key` reads `value`."""
+        out = tmp_path / "artifacts"
+        run_main("design", "--config", config_file, "--out", out)
+        design = configparser.ConfigParser()
+        design.read(out / "design.txt")
+        design["layer2"][key] = value
+        with open(out / "design.txt", "w") as handle:
+            design.write(handle)
+        caps = tmp_path / "caps.txt"
+        caps.write_text("0.9 1.1 0.95 1.0 1.05 0.8 1.2 0.85 1.0\n")
+        capsys.readouterr()
+        return run_main("flow", out / "design.txt", caps), capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["7", "9"])
+    def test_a_wrong_layer2_count_names_its_key(self, config_file, tmp_path, capsys, count):
+        code, err = self.flow_with_layer2(config_file, tmp_path, capsys, "count", count)
+        assert code == 2 and "config error: [layer2] count" in err
+
+    @pytest.mark.parametrize("rating", ["-0.1", "nan"])
+    def test_a_negative_or_nan_layer2_rating_is_a_config_error(self, config_file, tmp_path, capsys, rating):
+        code, err = self.flow_with_layer2(config_file, tmp_path, capsys, "rating", rating)
+        assert code == 2 and "config error:" in err and "rating" in err
+
     def test_missing_design_file(self, tmp_path, capsys):
         caps = tmp_path / "caps.txt"
         caps.write_text("1.0\n")

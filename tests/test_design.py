@@ -33,7 +33,6 @@ from hippp import (
     ExpectedSet,
     Layer1Design,
     Layer2Curve,
-    Layer2Design,
     LPStatus,
     ParameterError,
     StructuralError,
@@ -257,6 +256,11 @@ class TestPartitionRatings:
                 assert len(set(ratings)) <= k
                 assert all(r >= p for r, p in zip(ratings, processed))
 
+    def test_an_integer_valued_float_group_count_is_an_integer(self):
+        assert partition_ratings(N9_PROCESSED, 2.0) == partition_ratings(N9_PROCESSED, 2)
+        with pytest.raises(ParameterError):
+            partition_ratings(N9_PROCESSED, 1.5)
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             partition_ratings([], 1)
@@ -284,6 +288,20 @@ class TestDesignConfig:
             DesignConfig(layer2_trial_ratings=(0.0, float("nan")))
         with pytest.raises(ParameterError):
             DesignConfig(monte_carlo_trials=0)
+
+    def test_integer_valued_floats_are_integers(self):
+        knobs = dict(num_layer1=2, num_rating_sets=1, layer2_trial_ratings=(0.0, 0.1), monte_carlo_trials=4,
+                     base_seed=3)
+        whole = DesignConfig(**knobs)
+        cfg = DesignConfig(**{key: float(v) if key != "layer2_trial_ratings" else v for key, v in knobs.items()})
+        assert cfg == whole and all(type(getattr(cfg, key)) is int for key in knobs if key != "layer2_trial_ratings")
+        supply = BatterySupply(1.0, 0.2, 9)
+        layer1 = design_layer1(flatten(supply), cfg)
+        assert layer1 == design_layer1(flatten(supply), whole)
+        assert design_layer2(layer1, supply, cfg) == design_layer2(layer1, supply, whole)
+        for key in ("num_layer1", "num_rating_sets", "monte_carlo_trials", "base_seed"):
+            with pytest.raises(ParameterError, match=key):
+                DesignConfig(**{**knobs, key: 2.5})
 
     @pytest.mark.parametrize("seed", [-1, -(2**40), 0.5])
     def test_rejects_a_base_seed_the_generator_cannot_take(self, seed):
@@ -504,7 +522,7 @@ class TestLayer2Rating:
         assert aggregate_rating(arch) == pytest.approx(0.15, abs=1e-12)
         # the floor makes small budgets overspent by layer 1 alone
         starved = lshippp_for_budget(self.layer1, self.expected, 0.05)
-        assert starved.layer2.rating == 0.0
+        assert starved.rating == 0.0
         assert aggregate_rating(starved) == pytest.approx(
             self.layer1.total_rating / self.expected.total_power, abs=1e-12
         )
@@ -520,18 +538,17 @@ class TestLayer2Design:
         supply = BatterySupply(1.0, 0.2, 9)
         expected = flatten(supply)
         layer1 = design_layer1(expected, self.CFG)
-        design, curve = design_layer2(layer1, supply, self.CFG, budget=0.15)
+        rung, curve = design_layer2(layer1, supply, self.CFG, budget=0.15)
         assert curve.ratings == (0.0, 0.05, 0.10)
         assert all(u1 <= u2 + 1e-12 for u1, u2 in zip(curve.utilizations, curve.utilizations[1:]))
-        assert design.count == 8
-        assert design.rating == pytest.approx(layer2_rating_for_budget(layer1, expected, 0.15), abs=0)
+        assert rung == layer2_rating_for_budget(layer1, expected, 0.15)
 
     def test_without_budget_takes_the_cheapest_top_rating(self):
         supply = BatterySupply(1.0, 0.2, 9)
         layer1 = design_layer1(flatten(supply), self.CFG)
-        design, curve = design_layer2(layer1, supply, self.CFG)
+        rung, curve = design_layer2(layer1, supply, self.CFG)
         top = max(curve.utilizations)
-        assert design.rating == min(r for r, u in curve.points if u >= top - 1e-9)
+        assert rung == min(r for r, u in curve.points if u >= top - 1e-9)
 
     def test_uniform_supply_needs_no_ladder(self):
         supply = BatterySupply(1.0, 0.0, 5)
@@ -540,9 +557,9 @@ class TestLayer2Design:
             layer2_trial_ratings=(0.0, 0.05), monte_carlo_trials=10,
         )
         layer1 = design_layer1(flatten(supply), cfg)
-        design, curve = design_layer2(layer1, supply, cfg)
+        rung, curve = design_layer2(layer1, supply, cfg)
         assert curve.utilizations == pytest.approx([1.0, 1.0], abs=1e-9)
-        assert design.rating == 0.0
+        assert rung == 0.0
 
     def test_curve_points_equal_a_stage_one_lp_reference(self):
         # the curve is printed with repr, so it stays on the stage-1 LP bit for bit
@@ -554,7 +571,7 @@ class TestLayer2Design:
         reference = []
         for rating in self.CFG.layer2_trial_ratings:
             arch = Architecture(
-                ArchitectureKind.LSHIPPP, 9, expected.total_power, layer1, Layer2Design(rating, 8),
+                ArchitectureKind.LSHIPPP, 9, expected.total_power, rating, layer1,
             )
             utilizations = [hierarchical_lp_output(s.capabilities, arch) / s.total_power for s in samples]
             reference.append((rating, float(np.mean(utilizations))))
@@ -577,7 +594,7 @@ def one_lp_curve(layer1, supply, cfg):
     points = []
     for rating in cfg.layer2_trial_ratings:
         arch = Architecture(
-            ArchitectureKind.LSHIPPP, n, expected.total_power, layer1, Layer2Design(rating, n - 1),
+            ArchitectureKind.LSHIPPP, n, expected.total_power, rating, layer1,
         )
         utilizations = []
         for caps in draws:
@@ -634,13 +651,13 @@ class TestBatchedCurve:
         supply = BatterySupply(1.0, 0.2, 9)
         expected = flatten(supply)
         layer1 = self.layer1(9, 2, seed=8)
-        arch = Architecture(ArchitectureKind.LSHIPPP, 9, expected.total_power, layer1, Layer2Design(0.1, 8))
+        arch = Architecture(ArchitectureKind.LSHIPPP, 9, expected.total_power, 0.1, layer1)
         block = np.stack([draw_capabilities(supply, seed) for seed in range(15)])
         rungs = np.array([0.0, 0.2, np.inf])[np.arange(15) % 3]
         outputs = max_string_outputs(block, arch, rungs)
         assert outputs.shape == (15,)
         for caps, rung, output in zip(block, rungs, outputs):
-            built_in = Architecture(ArchitectureKind.LSHIPPP, 9, expected.total_power, layer1, Layer2Design(rung, 8))
+            built_in = Architecture(ArchitectureKind.LSHIPPP, 9, expected.total_power, rung, layer1)
             assert output == max_string_outputs(caps[None, :], arch, [rung])[0]
             assert output == max_string_outputs(caps[None, :], built_in)[0] == hierarchical_lp_output(caps, built_in)
 
@@ -672,8 +689,8 @@ class TestBatchedCurve:
 
     def test_rejects_bad_rungs(self):
         block = np.stack([draw_capabilities(BatterySupply(1.0, 0.2, 9), seed) for seed in range(2)])
-        ladder = Architecture(ArchitectureKind.CPPP, 9, 9.0, cppp_rating=0.1)
-        hierarchy = Architecture(ArchitectureKind.LSHIPPP, 9, 9.0, self.layer1(9, 2, seed=8), Layer2Design(0.1, 8))
+        ladder = Architecture(ArchitectureKind.CPPP, 9, 9.0, rating=0.1)
+        hierarchy = Architecture(ArchitectureKind.LSHIPPP, 9, 9.0, 0.1, self.layer1(9, 2, seed=8))
         for arch in (ladder, hierarchy):
             for rungs in ([0.1, np.nan], [0.1, -0.1], [0.1, -np.inf], [0.1], [0.1, 0.1, 0.1], [[0.1, 0.1]]):
                 with pytest.raises(ParameterError):
@@ -690,7 +707,7 @@ class TestStageOneOutput:
         layer1 = design_layer1(expected, DesignConfig(num_layer1=3, num_rating_sets=2))
         for rating in (0.0, 0.05, 0.3):
             arch = Architecture(
-                ArchitectureKind.LSHIPPP, 9, expected.total_power, layer1, Layer2Design(rating, 8),
+                ArchitectureKind.LSHIPPP, 9, expected.total_power, rating, layer1,
             )
             block = np.stack([draw_capabilities(supply, seed) for seed in range(200)])
             for caps, output in zip(block, max_string_outputs(block, arch)):
@@ -699,7 +716,7 @@ class TestStageOneOutput:
 
     def test_ladder_output_agrees_with_the_closed_form(self):
         expected = flatten(BatterySupply(1.0, 0.2, 9))
-        arch = Architecture(ArchitectureKind.CPPP, 9, expected.total_power, cppp_rating=0.1)
+        arch = Architecture(ArchitectureKind.CPPP, 9, expected.total_power, rating=0.1)
         caps = draw_capabilities(BatterySupply(1.0, 0.2, 9), 3)
         output = max_string_outputs(caps[None, :], arch)[0]
         assert output == pytest.approx(optimal_flow(caps, arch).output_power, abs=1e-12)
@@ -710,6 +727,6 @@ class TestStageOneOutput:
         assert max_string_outputs(block, arch, rungs) == pytest.approx(9 * currents, abs=1e-12)
 
     def test_full_processing_has_no_string_stage(self):
-        arch = Architecture(ArchitectureKind.FPP, 3, 3.0, fpp_rating=0.5)
+        arch = Architecture(ArchitectureKind.FPP, 3, 3.0, rating=0.5)
         with pytest.raises(StructuralError):
             max_string_outputs([[0.8, 1.0, 1.2]], arch)

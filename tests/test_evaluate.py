@@ -304,6 +304,22 @@ class TestGroupedEvaluation:
 
 
 class TestSweeps:
+    def test_integer_valued_float_seeds_and_counts_are_integers(self):
+        arch = cppp_from_budget(0.15, flatten(SUPPLY9))
+        assert evaluate_cells([(arch, SUPPLY9, 5.0, 3.0)]) == evaluate_cells([(arch, SUPPLY9, 5, 3)])
+        kinds = ["lshippp", "cppp", "fpp"]
+        assert (sweep_rating(kinds, SUPPLY9, [0.1], trials=4, seed=2.0, design_cfg=FAST_CFG)
+                == sweep_rating(kinds, SUPPLY9, [0.1], trials=4, seed=2, design_cfg=FAST_CFG))
+        assert (sweep_heterogeneity(kinds, 1.0, [0.1], 0.15, trials=4, seed=2.0, count=5.0, design_cfg=FAST_CFG)
+                == sweep_heterogeneity(kinds, 1.0, [0.1], 0.15, trials=4, seed=2, count=5, design_cfg=FAST_CFG))
+        assert (sweep_figures(kinds, SUPPLY9, [0.1], [0.1], 0.15, trials=4, seed=2.0, design_cfg=FAST_CFG)
+                == sweep_figures(kinds, SUPPLY9, [0.1], [0.1], 0.15, trials=4, seed=2, design_cfg=FAST_CFG))
+        for trials, seed in ((4, 2.5), (2.5, 2)):
+            with pytest.raises(ParameterError):
+                evaluate_cells([(arch, SUPPLY9, trials, seed)])
+            with pytest.raises(ParameterError):
+                sweep_rating(kinds, SUPPLY9, [0.1], trials=trials, seed=seed, design_cfg=FAST_CFG)
+
     def test_rating_sweep_is_paired_and_ordered(self):
         grid = [0.1, 0.2]
         records = sweep_rating(
@@ -375,8 +391,8 @@ class TestSweeps:
         cfg = DesignConfig(num_layer1=1, num_rating_sets=1, layer2_trial_ratings=(0.0, 0.05), monte_carlo_trials=8)
         layer1 = design_layer1(flatten(supply), cfg)
         assert [(e.from_battery, e.to_battery) for e in layer1.edges] == [(0, 1)]
-        layer2, curve = design_layer2(layer1, supply, cfg, budget=0.15)
-        assert layer2.count == 1 and len(curve.points) == 2
+        _, curve = design_layer2(layer1, supply, cfg, budget=0.15)
+        assert len(curve.points) == 2
         records = sweep_rating(["lshippp", "cppp"], supply, [0.1, 0.2], trials=12, seed=3, design_cfg=cfg)
         for hier, ladder in zip(records[::2], records[1::2]):
             assert hier.architecture_kind == "lshippp" and ladder.architecture_kind == "cppp"

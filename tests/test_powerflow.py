@@ -35,7 +35,6 @@ from hippp import (
     EnumerationCapError,
     Layer1Design,
     InternalCheckError,
-    Layer2Design,
     ParameterError,
     StructuralError,
     architecture_edges,
@@ -65,7 +64,7 @@ def cppp_arch(caps_total, n, rating):
         ArchitectureKind.CPPP,
         num_batteries=n,
         total_expected_power=caps_total,
-        cppp_rating=rating,
+        rating=rating,
     )
 
 
@@ -78,8 +77,8 @@ def ls_arch(n, total, layer1_edges, layer2_rating, k=None):
         ArchitectureKind.LSHIPPP,
         num_batteries=n,
         total_expected_power=total,
+        rating=layer2_rating,
         layer1=layer1,
-        layer2=Layer2Design(rating=layer2_rating, count=n - 1),
     )
 
 
@@ -122,14 +121,14 @@ class TestFrozenExamples:
         )
 
     def test_fpp_clips_every_battery(self):
-        arch = Architecture(ArchitectureKind.FPP, 3, 3.0, fpp_rating=0.9)
+        arch = Architecture(ArchitectureKind.FPP, 3, 3.0, rating=0.9)
         sol = optimal_flow([0.8, 1.0, 1.2], arch)
         assert sol.output_power == pytest.approx(2.6)
         assert sol.processed_power == pytest.approx(2.6)
         assert sol.battery_powers == pytest.approx([0.8, 0.9, 0.9])
 
     def test_fpp_zero_rating_is_the_bare_string(self):
-        arch = Architecture(ArchitectureKind.FPP, 3, 3.0, fpp_rating=0.0)
+        arch = Architecture(ArchitectureKind.FPP, 3, 3.0, rating=0.0)
         sol = optimal_flow([0.8, 1.0, 1.2], arch)
         assert sol.output_power == pytest.approx(2.4)
         assert sol.processed_power == 0.0
@@ -362,7 +361,7 @@ class TestLadderKernel:
         for arch in (
             cppp_arch(3.0, 3, 0.1),
             ls_arch(3, 3.0, layer1, 0.1),
-            Architecture(ArchitectureKind.FPP, 3, 3.0, fpp_rating=0.5),
+            Architecture(ArchitectureKind.FPP, 3, 3.0, rating=0.5),
         ):
             with pytest.raises(ParameterError):
                 optimal_flow(caps, arch)
@@ -420,7 +419,7 @@ class TestHierarchicalKernel:
             # a block row and a one-row call give the same bits
             assert current[t] == hierarchical_currents(row[None, :], arch)[0]
         if all(edge.rating == 0.0 for edge in arch.layer1.edges):
-            ladder_current = ladder_flow(block, arch.layer2.rating)[0]
+            ladder_current = ladder_flow(block, arch.rating)[0]
             assert current == pytest.approx(ladder_current, abs=1e-12)
 
     def test_passes_cut_a_large_block_without_changing_bits(self):
@@ -450,7 +449,7 @@ class TestHierarchicalKernel:
         if chord is not None:
             object.__setattr__(arch.layer1.edges[0], "rating", chord)
         if rung is not None:
-            object.__setattr__(arch.layer2, "rating", rung)
+            object.__setattr__(arch, "rating", rung)
         with pytest.raises(ParameterError):
             hierarchical_currents(np.array([[0.8, 1.0, 1.2]]), arch)
 
@@ -640,10 +639,6 @@ def union_edge_table(block, placements):
     return currents, union, table
 
 
-def with_rung(arch, rung):
-    return replace(arch, layer2=Layer2Design(float(rung), arch.num_batteries - 1))
-
-
 class TestPerRowRatings:
     """Every kernel takes one rating per row; a block row equals a one-row call bit for bit."""
 
@@ -653,7 +648,7 @@ class TestPerRowRatings:
         block, arch, rungs = instance
         currents = hierarchical_currents(block, arch, rungs)
         for t, row in enumerate(block):
-            assert currents[t] == hierarchical_currents(row[None, :], with_rung(arch, rungs[t]))[0]
+            assert currents[t] == hierarchical_currents(row[None, :], replace(arch, rating=float(rungs[t])))[0]
 
     @settings(max_examples=40, deadline=None)
     @given(mixed_rating_blocks())
@@ -704,15 +699,10 @@ class TestPerRowRatings:
         block, arch, rungs = instance
         n = block.shape[1]
         for kind_arch in (arch, cppp_arch(float(n), n, 0.0),
-                          Architecture(ArchitectureKind.FPP, n, float(n), fpp_rating=0.0)):
+                          Architecture(ArchitectureKind.FPP, n, float(n), rating=0.0)):
             output, processed = hippp.powerflow.flow_powers(block, kind_arch, rungs)
             for t, row in enumerate(block):
-                if kind_arch.kind == ArchitectureKind.FPP:
-                    alone = optimal_flow(row, replace(kind_arch, fpp_rating=float(rungs[t])))
-                elif kind_arch.kind == ArchitectureKind.CPPP:
-                    alone = optimal_flow(row, replace(kind_arch, cppp_rating=float(rungs[t])))
-                else:
-                    alone = optimal_flow(row, with_rung(kind_arch, rungs[t]))
+                alone = optimal_flow(row, replace(kind_arch, rating=float(rungs[t])))
                 assert output[t] == alone.output_power
                 assert processed[t] == alone.processed_power
 
@@ -725,7 +715,7 @@ class TestPerRowRatings:
         rungs = rng.choice([0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 1.0], size=len(block))
         output, processed = hippp.powerflow.flow_powers(block, arch, rungs)
         for t in range(0, len(block), 7):
-            alone = optimal_flow(block[t], with_rung(arch, rungs[t]))
+            alone = optimal_flow(block[t], replace(arch, rating=float(rungs[t])))
             assert output[t] == alone.output_power
             assert processed[t] == alone.processed_power
 
@@ -914,4 +904,4 @@ class TestArchitectureEdges:
 
     def test_fpp_has_no_string_edges(self):
         with pytest.raises(StructuralError):
-            architecture_edges(Architecture(ArchitectureKind.FPP, 3, 3.0, fpp_rating=0.1))
+            architecture_edges(Architecture(ArchitectureKind.FPP, 3, 3.0, rating=0.1))

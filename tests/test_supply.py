@@ -151,6 +151,17 @@ class TestValidation:
         with pytest.raises(ParameterError):
             BatterySupply(1.0, 0.2, 0)
 
+    def test_an_integer_valued_float_count_is_an_integer(self):
+        supply = BatterySupply(1.0, 0.2, 9.0)
+        assert type(supply.count) is int
+        assert np.array_equal(flatten(supply).capabilities, flatten(BatterySupply(1.0, 0.2, 9)).capabilities)
+        dist = GaussianCapability(1.0, 0.2)
+        assert np.array_equal(flatten_distribution(dist, 9.0), flatten_distribution(dist, 9))
+        with pytest.raises(ParameterError):
+            BatterySupply(1.0, 0.2, 2.5)
+        with pytest.raises(ParameterError):
+            flatten_distribution(dist, 2.5)
+
     def test_rejects_nonpositive_mean(self):
         with pytest.raises(ParameterError):
             BatterySupply(0.0, 0.0, 3)
