@@ -302,6 +302,13 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> list[Pat
     return written
 
 
+def _design_rating(parser, path: str, section: str, key: str) -> float:
+    rating = _parse_scalar(parser, section, key, float, None)
+    if not rating >= 0.0:
+        raise ConfigError(f"design {path}: [{section}] {key}: rating must be non-negative, not NaN")
+    return rating
+
+
 def _read_design(path: str) -> tuple[BatterySupply, Architecture]:
     parser = configparser.ConfigParser()
     try:
@@ -326,8 +333,11 @@ def _read_design(path: str) -> tuple[BatterySupply, Architecture]:
             src, dst = (int(tok) for tok in raw.split(","))
         except ValueError as exc:
             raise ConfigError(f"[layer1] edge_{i}: cannot parse {raw!r}") from exc
-        rating = _parse_scalar(parser, "layer1", f"rating_{i}", float, None)
-        edges.append(ConverterEdge(src, dst, rating))
+        rating = _design_rating(parser, path, "layer1", f"rating_{i}")
+        try:
+            edges.append(ConverterEdge(src, dst, rating))
+        except HipppError as exc:
+            raise ConfigError(f"design {path}: [layer1] edge_{i}: {exc}") from exc
         processed.append(_parse_scalar(parser, "layer1", f"processed_{i}", float, None))
     layer1 = Layer1Design(
         edges=tuple(edges),
@@ -336,7 +346,7 @@ def _read_design(path: str) -> tuple[BatterySupply, Architecture]:
     )
     if _parse_scalar(parser, "layer2", "count", int, None) != supply.count - 1:
         raise ConfigError(f"[layer2] count: a {supply.count}-battery ladder has {supply.count - 1} rungs")
-    rung = _parse_scalar(parser, "layer2", "rating", float, None)
+    rung = _design_rating(parser, path, "layer2", "rating")
     arch = Architecture(ArchitectureKind.LSHIPPP, supply.count, flatten(supply).total_power, rung, layer1)
     return supply, arch
 

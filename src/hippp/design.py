@@ -107,9 +107,20 @@ class Layer2Curve:
         return tuple(u for _, u in self.points)
 
 
+def _whole(value, name: str) -> int:
+    """value as an int when it is a non-negative whole number, an integer-valued float included."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = -1
+    if whole < 0 or whole != value:
+        raise ParameterError(f"{name} must be a non-negative integer")
+    return whole
+
+
 def interconnection_count(n: int, m: int) -> int:
     """Number of ways to place m pair converters on an n-battery string."""
-    return comb(comb(n, 2), m)
+    return comb(comb(_whole(n, "battery count"), 2), _whole(m, "converter count"))
 
 
 def _check_enumeration(n: int, m: int) -> None:

@@ -18,9 +18,15 @@ handover and the certification each run once over the stack; only an LP
 that still holds a basic artificial after phase 1 has it exchanged on its
 own. Each LP keeps its own basis, statuses, Bland flag, stall count and
 verdict, and leaves the stack when it is done. Every step is a stacked
-np.linalg.solve on (K, m, m) with a (K, m, 1) right-hand side, a stacked
+np.linalg.solve on (G, m, m) with a (G, m, 1) right-hand side, a stacked
 matmul, or an elementwise op, each of which gives, slice for slice, the bits
-of the serial call. So every LP takes the same pivots and returns the same
+of the serial call. The basic values take one slice per live LP. The duals
+y (B^T y = c_B) and the entering column w (B w = a_enter) take one slice
+per group of live LPs whose inputs hold the same bytes, and every LP of the
+group takes that slice's result: equal inputs give equal bits. Each
+iteration finds the groups from the LPs' basis rows, every column coded by
+its bytes (_column_codes, once per stack), through a hash checked row by
+row (_basis_groups). So every LP takes the same pivots and returns the same
 bits as it does alone. A stack of one goes through the serial path
 (_solve_one and _iterate), because the lockstep costs two to three times as
 much per LP at K = 1; that path is also the lockstep's bitwise reference.
@@ -30,12 +36,15 @@ once, for one LP or a stack, and both paths use them.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import InternalCheckError, ParameterError
+
+log = logging.getLogger(__name__)
 
 FEASIBILITY_TOL = 1e-8
 REDUCED_COST_TOL = 1e-9
@@ -45,8 +54,11 @@ _DEGENERATE_STEP = 1e-12
 _STALL_LIMIT = 64        # degenerate iterations tolerated before switching to Bland's rule
 _MAX_ITERATIONS = 20_000
 
+_HASH_BASE = 0x9E3779B97F4A7C15  # the odd 64-bit golden-ratio constant; _iterate_many hashes with its powers
+
 # nonbasic-at-lower / nonbasic-at-upper / nonbasic free (at zero) / basic
 _NB_LOWER, _NB_UPPER, _NB_FREE, _BASIC = 0, 1, 2, 3
+_NO_POSITION = np.iinfo(np.intp).max  # above every basis index in the leaving-variable choice
 
 
 class LPStatus(str, Enum):
@@ -280,98 +292,169 @@ def _solve_one(c, a, b, lower, upper) -> StackSolution:
     return StackSolution((status,), np.full((1, c.size), np.nan), np.array([np.nan]))
 
 
-def _iterate_many(c, a, b, lower, upper, basis, stat, x) -> np.ndarray:
+def _distinct(code):
+    """Group the entries of a non-empty 1-D integer array by value: returns
+    (first, group), first holding the index of one entry of each distinct
+    value and group[i] the position of entry i's value in first."""
+    order = code.argsort()
+    ordered = code[order]
+    ids = np.empty(code.size, dtype=np.intp)
+    ids[0] = 0
+    np.not_equal(ordered[1:], ordered[:-1], out=ids[1:])
+    np.add.accumulate(ids, out=ids)  # the rank of each sorted entry's value
+    group = np.empty_like(ids)
+    group[order] = ids
+    first = np.empty(ids[-1] + 1, dtype=np.intp)
+    first[ids] = order
+    return first, group
+
+
+def _basis_groups(key, weights):
+    """_distinct over the rows of a 2-D non-negative integer key, each row
+    hashed to one uint64 by its dot product with `weights` (uint64
+    arithmetic wraps). A hash that joins two different rows is found by
+    comparing every row with its group's first, and then each row is its
+    own group."""
+    first, group = _distinct(key.view(np.uint64) @ weights)
+    if not np.array_equal(key[first[group]], key):
+        first = group = np.arange(key.shape[0])
+    return first, group
+
+
+def _column_codes(a1, n, own):
+    """A (K, n + m) code for every column of every LP of a phase-1 stack:
+    two columns get one code when they are the same column of the problem,
+    with the same artificial sign if artificial, in two LPs whose arrays in
+    `own` (the stack's per-LP matrices or objectives, leading axis K) are
+    equal byte for byte, so 0.0 and -0.0 differ. Equal codes therefore mean
+    equal column bytes and equal costs in either phase."""
+    k, m = a1.shape[:2]
+    diagonal = np.arange(m)
+    codes = np.broadcast_to(np.arange(n + m), (k, n + m)).copy()
+    codes[:, n:] += m * (a1[:, diagonal, n + diagonal] < 0.0)
+    if own:
+        key = np.concatenate([arr.reshape(k, int(np.prod(arr.shape[1:]))) for arr in own], axis=1)
+        cls = np.unique(key.view(np.uint8), axis=0, return_inverse=True)[1]
+        codes += (n + 2 * m) * cls.reshape(k, 1)
+    return codes
+
+
+def _iterate_many(c, a, b, lower, upper, basis, stat, codes, x, counts) -> np.ndarray:
     """_iterate on a stack of K same-shape problems at once, in lockstep.
 
-    Every argument gains a leading axis of length K; basis, stat and x are
-    updated in place. Each problem keeps its own basis, statuses, Bland flag,
-    stall count and verdict, and takes exactly the steps _iterate would take
-    on it alone: the stacked linear solves and matrix products give, slice for
-    slice, the bits of the serial calls, and everything else is elementwise
-    or a per-row selection with the same tie rules. A problem leaves the live
-    stack as soon as it is optimal, before the ratio test and its solve, or
-    unbounded. A step writes only the non-basic values it moves: the next
-    iteration's solve overwrites every basic value. Returns the (K,) mask of
-    unbounded problems.
+    Every argument but counts gains a leading axis of length K; basis, stat
+    and x are updated in place. Each problem keeps its own basis, statuses,
+    Bland flag, stall count and verdict, and takes exactly the steps _iterate
+    would take on it alone: the stacked linear solves and matrix products
+    give, slice for slice, the bits of the serial calls, and everything else
+    is elementwise or a per-row selection with the same tie rules. A problem
+    leaves the live stack as soon as it is optimal, before the ratio test and
+    its solve, or unbounded. A step writes only the non-basic values it moves:
+    the next iteration's solve overwrites every basic value.
+
+    The duals y (B^T y = c_B) depend on nothing but the bytes of the basis
+    columns and their costs, and the entering column w (B w = a_enter) on
+    those of B and a_enter. codes (K, columns), from _column_codes, give two
+    columns one code only when those bytes are equal. So each iteration
+    groups the live problems by their basis row of codes and solves y once
+    per group, and w once per (group, entering column); every problem takes
+    its group's result, and since a stacked solve gives each slice the bits of
+    that slice alone, that is the result of its own solve. The basic values
+    x_B and the reduced costs stay per problem: x_B has a right-hand side of
+    its own, and c - y A reads every column, where two problems of a group
+    may differ in a non-basic artificial's sign. counts, a list of five
+    ints, gains the iterations, the problem iterations (the y rows), the
+    distinct y solves, the distinct w solves and the w rows. Returns the
+    (K,) mask of unbounded problems.
     """
     unbounded = np.zeros(basis.shape[0], dtype=bool)
     live = np.arange(basis.shape[0])
     bland = np.zeros(live.size, dtype=bool)
     stall = np.zeros(live.size, dtype=int)
+    weights = np.array([pow(_HASH_BASE, i + 1, 2**64) for i in range(basis.shape[1])], dtype=np.uint64)
+    width = c.shape[1]
     # the live problems; the caller's arrays themselves until the first one leaves
-    cc, aa, bb, lo, up, bas, st, xs = c, a, b, lower, upper, basis, stat, x
+    cc, aa, bb, lo, up, bas, st, co, xs = c, a, b, lower, upper, basis, stat, codes, x
     for _ in range(_MAX_ITERATIONS):
         if live.size == 0:
             return unbounded
-        rows = np.arange(live.size)[:, None]
-        basis_cols = aa[rows, :, bas].transpose(0, 2, 1)  # slice k holds the columns a_k[:, bas_k]
+        rows = np.arange(live.size)
+        at = rows[:, None] * width + bas  # flat positions of the basic variables in the (live, width) arrays
+        first, group = _basis_groups(co.take(at), weights)
+        lead = aa[first[:, None], :, bas[first]].transpose(0, 2, 1)  # slice i holds a_k[:, bas_k], k = first[i]
         x_nb = xs.copy()
-        x_nb[rows, bas] = 0.0
+        x_nb.put(at, 0.0)
         try:
-            xs[rows, bas] = np.linalg.solve(basis_cols, bb[:, :, None] - aa @ x_nb[:, :, None])[:, :, 0]
-            y = np.linalg.solve(basis_cols.transpose(0, 2, 1), cc[rows, bas][:, :, None])[:, :, 0]
+            xs.put(at, np.linalg.solve(lead[group], bb[:, :, None] - aa @ x_nb[:, :, None])[:, :, 0])
+            y = np.linalg.solve(lead.transpose(0, 2, 1), cc[first[:, None], bas[first]][:, :, None])[group, :, 0]
         except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by pivot tol
             raise InternalCheckError(f"singular simplex basis: {exc}") from exc
-        reduced = cc - (y[:, None, :] @ aa)[:, 0, :]
-        reduced[rows, bas] = 0.0
+        reduced = cc - (y[:, None, :] @ aa)[:, 0, :]  # read only where a candidate is, never on a basic column
+        counts[0] += 1
+        counts[1] += live.size
+        counts[2] += first.size
 
-        can_increase = (st == _NB_LOWER) | (st == _NB_FREE)
-        can_decrease = (st == _NB_UPPER) | (st == _NB_FREE)
-        candidates = (up > lo) & (
-            (can_increase & (reduced > REDUCED_COST_TOL))
-            | (can_decrease & (reduced < -REDUCED_COST_TOL))
+        free = st == _NB_FREE
+        candidates = (up > lo) & (  # a basic variable's status is _BASIC, so it is never one
+            (((st == _NB_LOWER) | free) & (reduced > REDUCED_COST_TOL))
+            | (((st == _NB_UPPER) | free) & (reduced < -REDUCED_COST_TOL))
         )
-        candidates[rows, bas] = False
-        optimal = ~candidates.any(axis=1)
-        if optimal.any():  # these leave before the ratio test and its solve
-            basis[live[optimal]], stat[live[optimal]], x[live[optimal]] = bas[optimal], st[optimal], xs[optimal]
-            live = live[~optimal]
+        going = np.logical_or.reduce(candidates, axis=1)
+        if not going.all():  # the optimal ones leave before the ratio test and its solve
+            done = ~going
+            basis[live[done]], stat[live[done]], x[live[done]] = bas[done], st[done], xs[done]
+            live = live[going]
             if live.size == 0:
                 return unbounded
             rows = rows[:live.size]
-            cc, aa, bb, lo, up, bas, st, xs, bland, stall, basis_cols, reduced, candidates = (
-                arr[~optimal] for arr in
-                (cc, aa, bb, lo, up, bas, st, xs, bland, stall, basis_cols, reduced, candidates)
+            cc, aa, bb, lo, up, bas, st, xs, co, bland, stall, group, reduced, candidates = (
+                arr[going] for arr in
+                (cc, aa, bb, lo, up, bas, st, xs, co, bland, stall, group, reduced, candidates)
             )
+            at = rows[:, None] * width + bas
         # Bland takes the first candidate; Dantzig the first of the largest |reduced cost|
         enter = np.where(
             bland,
             candidates.argmax(axis=1),
             np.where(candidates, np.abs(reduced), -np.inf).argmax(axis=1),
         )
-        r = rows[:, 0]
-        direction = np.where((st[r, enter] == _NB_LOWER) | (reduced[r, enter] > 0.0), 1.0, -1.0)
+        at_enter = rows * width + enter
+        # a candidate at its lower bound has a positive reduced cost, at its upper a negative one
+        direction = np.where(reduced.take(at_enter) > 0.0, 1.0, -1.0)
 
-        w = np.linalg.solve(basis_cols, aa[r, :, enter][:, :, None])[:, :, 0]
+        # A group shares its basis codes, hence its class and y; so one entering index means one column's
+        # bytes. Only an artificial's sign may differ, and an artificial enters only in phase 1, where its
+        # reduced cost -1 - sign * y_r is positive for at most one sign.
+        w_first, w_group = _distinct(group * width + enter)
+        w = np.linalg.solve(lead[group[w_first]], aa[w_first, :, enter[w_first]][:, :, None])[w_group, :, 0]
+        counts[3] += w_first.size
+        counts[4] += live.size
         g = -direction[:, None] * w
-        xb = xs[rows, bas]
         hits_upper = g > _PIVOT_TOL
-        hits_lower = g < -_PIVOT_TOL
-        with np.errstate(divide="ignore", invalid="ignore"):
-            to_upper = (up[rows, bas] - xb) / g
-            to_lower = (lo[rows, bas] - xb) / g
-        caps = np.where(hits_upper, to_upper, np.where(hits_lower, to_lower, np.inf))
+        caps = np.full(g.shape, np.inf)
+        np.divide(np.where(hits_upper, up.take(at), lo.take(at)) - xs.take(at), g, out=caps,
+                  where=hits_upper | (g < -_PIVOT_TOL))
         np.maximum(caps, 0.0, out=caps)
-        step_basic = caps.min(axis=1)
-        step_self = up[r, enter] - lo[r, enter]
+        step_basic = np.minimum.reduce(caps, axis=1)
+        step_self = up.take(at_enter) - lo.take(at_enter)
         step = np.minimum(step_basic, step_self)
 
         going = np.isfinite(step)
         unbounded[live] = ~going
 
         flip = going & (step_self < step_basic)
+        if flip.any():
+            fe, fd = at_enter[flip], direction[flip] > 0
+            xs.put(fe, np.where(fd, up.take(fe), lo.take(fe)))
+            st.put(fe, np.where(fd, _NB_UPPER, _NB_LOWER))
         pivot = going & ~flip
-        leave_pos = np.where(caps <= (step + 1e-12)[:, None], bas, np.iinfo(bas.dtype).max).argmin(axis=1)
-        leaving = bas[r, leave_pos]
-        leave_up = g[r, leave_pos] > 0
-        fr, fe, fd = r[flip], enter[flip], direction[flip] > 0
-        xs[fr, fe] = np.where(fd, up[fr, fe], lo[fr, fe])
-        st[fr, fe] = np.where(fd, _NB_UPPER, _NB_LOWER)
-        pr, pe, pl, pu = r[pivot], enter[pivot], leaving[pivot], leave_up[pivot]
-        xs[pr, pl] = np.where(pu, up[pr, pl], lo[pr, pl])
-        st[pr, pl] = np.where(pu, _NB_UPPER, _NB_LOWER)
-        st[pr, pe] = _BASIC
-        bas[pr, leave_pos[pivot]] = pe
+        leave_pos = np.where(caps <= (step + 1e-12)[:, None], bas, _NO_POSITION).argmin(axis=1)
+        slot = (rows * bas.shape[1] + leave_pos)[pivot]  # flat position in bas of each pivot's leaving variable
+        at_leave, leave_up = at.take(slot), g.take(slot) > 0
+        xs.put(at_leave, np.where(leave_up, up.take(at_leave), lo.take(at_leave)))
+        st.put(at_leave, np.where(leave_up, _NB_UPPER, _NB_LOWER))
+        st.put(at_enter[pivot], _BASIC)
+        bas.put(slot, enter[pivot])
 
         stall = np.where(step <= _DEGENERATE_STEP, stall + 1, 0)
         bland |= stall >= _STALL_LIMIT
@@ -380,8 +463,8 @@ def _iterate_many(c, a, b, lower, upper, basis, stat, x) -> np.ndarray:
             done = ~going
             basis[live[done]], stat[live[done]], x[live[done]] = bas[done], st[done], xs[done]
             live = live[going]
-            cc, aa, bb, lo, up, bas, st, xs, bland, stall = (
-                arr[going] for arr in (cc, aa, bb, lo, up, bas, st, xs, bland, stall)
+            cc, aa, bb, lo, up, bas, st, xs, co, bland, stall = (
+                arr[going] for arr in (cc, aa, bb, lo, up, bas, st, xs, co, bland, stall)
             )
     raise InternalCheckError("simplex iteration cap exceeded")
 
@@ -416,20 +499,25 @@ def solve_stack(objective, a_eq, b_eq, lower, upper) -> StackSolution:
     if m == 0:
         raise ParameterError("a stack of LPs needs at least one equality row")
     _check_values(c, a, b, lower, upper)
+    own = [arr for arr, shared_ndim in ((a, 2), (c, 1)) if arr.ndim > shared_ndim]  # per-LP matrices, objectives
     c = np.broadcast_to(c, (k_all, n))
     b = np.broadcast_to(b, (k_all, m))
     if k_all == 1:
         return _solve_one(c[0], a.reshape(m, n), b[0], lower[0], upper[0])
 
     c_phase1, a1, lo1, up1, basis, stat, x = _phase_one(a, b, lower, upper)
-    if _iterate_many(c_phase1, a1, b, lo1, up1, basis, stat, x).any():  # pragma: no cover
+    codes = _column_codes(a1, n, own)
+    counts = [0, 0, 0, 0, 0]
+    if _iterate_many(c_phase1, a1, b, lo1, up1, basis, stat, codes, x, counts).any():  # pragma: no cover
         raise InternalCheckError("phase-1 simplex reported unbounded")
     feasible, c_phase2 = _phase_two(c, a1, lo1, up1, basis, stat, x)
     live = np.flatnonzero(feasible)
-    stacks = c_phase2, a1, b, lo1, up1, basis, stat, x
+    stacks = c_phase2, a1, b, lo1, up1, basis, stat, codes, x
     if live.size < k_all:  # otherwise phase 2 runs on the phase-1 stacks, uncopied
         stacks = tuple(arr[live] for arr in stacks)
-    unbounded = _iterate_many(*stacks)
+    unbounded = _iterate_many(*stacks, counts)
+    log.debug("lockstep stack: %d LPs, %d iterations, %d LP-iterations (y rows), %d y solves, "
+              "%d w solves for %d rows", k_all, *counts)
 
     verdicts = (LPStatus.INFEASIBLE, LPStatus.UNBOUNDED, LPStatus.OPTIMAL)
     verdict = np.zeros(k_all, dtype=int)

@@ -331,13 +331,13 @@ class TestFlowCommand:
         assert "config error:" in err and str(caps) in err and "positive and finite" in err
 
     @staticmethod
-    def flow_with_layer2(config_file, tmp_path, capsys, key, value):
-        """Exit code and stderr of `hippp flow` on a fresh design whose [layer2] `key` reads `value`."""
+    def flow_with_design_value(config_file, tmp_path, capsys, section, key, value):
+        """Exit code and stderr of `hippp flow` on a fresh design whose [section] `key` reads `value`."""
         out = tmp_path / "artifacts"
         run_main("design", "--config", config_file, "--out", out)
         design = configparser.ConfigParser()
         design.read(out / "design.txt")
-        design["layer2"][key] = value
+        design[section][key] = value
         with open(out / "design.txt", "w") as handle:
             design.write(handle)
         caps = tmp_path / "caps.txt"
@@ -347,13 +347,27 @@ class TestFlowCommand:
 
     @pytest.mark.parametrize("count", ["7", "9"])
     def test_a_wrong_layer2_count_names_its_key(self, config_file, tmp_path, capsys, count):
-        code, err = self.flow_with_layer2(config_file, tmp_path, capsys, "count", count)
+        code, err = self.flow_with_design_value(config_file, tmp_path, capsys, "layer2", "count", count)
         assert code == 2 and "config error: [layer2] count" in err
 
     @pytest.mark.parametrize("rating", ["-0.1", "nan"])
     def test_a_negative_or_nan_layer2_rating_is_a_config_error(self, config_file, tmp_path, capsys, rating):
-        code, err = self.flow_with_layer2(config_file, tmp_path, capsys, "rating", rating)
-        assert code == 2 and "config error:" in err and "rating" in err
+        code, err = self.flow_with_design_value(config_file, tmp_path, capsys, "layer2", "rating", rating)
+        design = tmp_path / "artifacts" / "design.txt"
+        assert code == 2 and f"config error: design {design}: [layer2] rating: rating must be non-negative" in err
+
+    @pytest.mark.parametrize("key", ["rating_0", "rating_2"])
+    @pytest.mark.parametrize("rating", ["-0.1", "nan"])
+    def test_a_negative_or_nan_layer1_rating_names_the_file_and_the_key(self, config_file, tmp_path, capsys, key,
+                                                                        rating):
+        code, err = self.flow_with_design_value(config_file, tmp_path, capsys, "layer1", key, rating)
+        design = tmp_path / "artifacts" / "design.txt"
+        assert code == 2 and f"config error: design {design}: [layer1] {key}: rating must be non-negative" in err
+
+    def test_a_bad_design_edge_names_the_file_and_the_key(self, config_file, tmp_path, capsys):
+        code, err = self.flow_with_design_value(config_file, tmp_path, capsys, "layer1", "edge_1", "4,4")
+        design = tmp_path / "artifacts" / "design.txt"
+        assert code == 2 and f"config error: design {design}: [layer1] edge_1: converter endpoints must differ" in err
 
     def test_missing_design_file(self, tmp_path, capsys):
         caps = tmp_path / "caps.txt"

@@ -116,6 +116,12 @@ class TestEnumeration:
         assert interconnection_count(3, 3) == 1
         assert interconnection_count(10, 6) == 8145060
 
+    def test_integer_valued_floats_count_and_other_values_are_refused(self):
+        assert interconnection_count(9, 3.0) == interconnection_count(9.0, 3) == 7140
+        for n, m in ((9, 2.5), (9, "3"), (9, None), (9, float("nan")), (float("inf"), 3), (-1, 2), (9, -1)):
+            with pytest.raises(ParameterError, match="must be a non-negative integer"):
+                interconnection_count(n, m)
+
     def test_yields_all_pair_sets_in_order(self):
         # on a uniform supply every placement ties, so the search's band is all of them
         oracle = np.concatenate(list(placement_blocks(4, 2)))

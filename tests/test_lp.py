@@ -8,6 +8,7 @@ one (oracles.solve), by ==.
 """
 
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import hippp.lp
-from hippp import LPStatus, ParameterError
+from hippp import (Architecture, ArchitectureKind, BatterySupply, DesignConfig, LPStatus, ParameterError,
+                   design_layer1, draw_capabilities, flatten, max_string_outputs)
 from hippp.lp import solve_stack
 from oracles import LinearProgram, linear_program, solve
 
@@ -326,6 +328,32 @@ def assert_stack_equals_serial(batch, stack):
             assert np.all(np.isnan(values)) and np.isnan(value)
 
 
+def lockstep_counts(caplog, solve):
+    """Run solve() and return its result and the counters of the one lockstep
+    stack it logs: LPs, iterations, LP-iterations (the y rows), y solves, w
+    solves, w rows."""
+    with caplog.at_level(logging.DEBUG, logger="hippp.lp"):
+        caplog.clear()
+        result = solve()
+    (record,) = [r for r in caplog.records if r.name == "hippp.lp" and r.msg.startswith("lockstep stack")]
+    return result, record.args
+
+
+def templated_batch(rng, n_var, n_row, size, templates):
+    """A curve-like batch: one matrix and one objective, and bounds and
+    right-hand sides copied from a few templates, some with a small shift,
+    so that many LPs share bases."""
+    a, c = rng.normal(size=(n_row, n_var)), rng.normal(size=n_var)
+    base = [random_lp(rng, n_var, n_row, free_prob=0.2, a=a) for _ in range(templates)]
+    batch = []
+    for k in range(size):
+        lp = base[k % templates]
+        shift = rng.uniform(0.0, 0.05, n_var) * (rng.random(n_var) < 0.3)
+        batch.append(LinearProgram(c, a, a @ (np.where(np.isfinite(lp.lower), lp.lower, -1.0) + 0.5),
+                                   lp.lower + shift, lp.upper + shift))
+    return batch
+
+
 class TestSolveStack:
     """The array core against one serial solve per LP, compared by ==."""
 
@@ -369,6 +397,92 @@ class TestSolveStack:
         batch = mixed_batch(np.random.default_rng(3), 6, 3, 1)
         monkeypatch.setattr(hippp.lp, "_iterate_many", None)  # the lockstep must not run
         assert_stack_equals_serial(batch, solve_stack(*stack_arrays(batch, shared)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_curve_like_stack_shares_its_solves(self, caplog, seed):
+        batch = templated_batch(np.random.default_rng(seed), 7, 3, 48, templates=4)
+        arrays = stack_arrays(batch, shared=True)
+        stack, (_, _, y_rows, y_solves, w_solves, w_rows) = lockstep_counts(
+            caplog, lambda: solve_stack(arrays[0][0], *arrays[1:]))
+        assert_stack_equals_serial(batch, stack)
+        assert y_solves < y_rows and w_solves < w_rows
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_equal_basis_rows_over_different_bytes(self, shared):
+        # every LP starts on the same basis index row, the artificials, but
+        # the bytes behind it differ: the artificial signs (right-hand sides
+        # from different points of one box), and without a shared matrix and
+        # objective also a scaled column, other objectives, one entry or cost
+        # an ulp away and a zero of the other sign. Each variant comes
+        # three times, so that the copies share solves.
+        rng = np.random.default_rng(5)
+        lp = random_lp(rng, 6, 3, free_prob=0.0)
+        a, c = lp.a_eq.copy(), lp.objective
+        a[1, 2] = 0.0
+        points = lp.lower + rng.uniform(0.1, 0.9, (4, 6)) * (lp.upper - lp.lower)
+        variants = [(a, c, a @ point) for point in points]
+        assert len({tuple(np.sign(b - a @ lp.lower)) for _, _, b in variants}) > 1
+        if not shared:
+            scaled, bumped, signed_zero, costly = a.copy(), a.copy(), a.copy(), c.copy()
+            scaled[:, 4] *= 2.0
+            bumped[0, 0] = np.nextafter(bumped[0, 0], np.inf)
+            signed_zero[1, 2] = -0.0
+            costly[3] = np.nextafter(costly[3], -np.inf)
+            b = a @ points[0]
+            variants += [(scaled, c, b), (a, -c, b), (bumped, c, b), (signed_zero, c, b), (a, costly, b)]
+            variants += [(a, other, b) for other in rng.normal(size=(4, 6))]  # one phase 1, then apart
+        batch = [LinearProgram(vc, va, vb, lp.lower, lp.upper) for va, vc, vb in variants for _ in range(3)]
+        arrays = list(stack_arrays(batch, shared))
+        if shared:
+            arrays[0] = arrays[0][0]  # one objective for the stack
+        stack = solve_stack(*arrays)
+        assert set(stack.status) == {LPStatus.OPTIMAL}
+        assert_stack_equals_serial(batch, stack)
+
+    def test_column_codes_tell_bytes_apart(self):
+        a = np.array([[[1.0, 0.0]], [[1.0, -0.0]], [[1.0, 0.0]]])
+        codes = hippp.lp._column_codes(hippp.lp._phase_one(a, np.ones((3, 1)), np.zeros((3, 2)),
+                                                           np.ones((3, 2)))[1], 2, [a])
+        assert (codes[0] == codes[2]).all() and not (codes[0] == codes[1]).any()
+        shared = hippp.lp._phase_one(np.ones((1, 2)), np.array([[1.0], [-1.0], [3.0]]), np.zeros((3, 2)),
+                                     np.ones((3, 2)))[1]
+        codes = hippp.lp._column_codes(shared, 2, [])
+        assert (codes[:, :2] == [0, 1]).all() and codes[0, 2] == codes[2, 2] != codes[1, 2]
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_bland_switch_in_a_grouped_stack(self, seed):
+        # degenerate templated LPs on one matrix and objective; a stall limit
+        # of 2 switches most of them to Bland's rule while they share solves
+        rng = np.random.default_rng(seed)
+        a, c = rng.normal(size=(3, 6)), rng.normal(size=6)
+        upper = np.repeat(rng.uniform(0.5, 2.0, size=(3, 6)), 4, axis=0)
+        batch = [LinearProgram(c, a, np.zeros(3), np.zeros(6), row) for row in upper]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hippp.lp, "_STALL_LIMIT", 2)
+            assert_stack_equals_serial(batch, solve_stack(c, a, np.zeros(3), np.zeros((12, 6)), upper))
+
+    def test_a_basis_hash_collision_is_caught(self, caplog, monkeypatch):
+        # a zero hash base sends every basis row to one key; the row check
+        # catches it, and every iteration solves each row on its own
+        monkeypatch.setattr(hippp.lp, "_HASH_BASE", 0)
+        batch = templated_batch(np.random.default_rng(9), 7, 4, 24, templates=3)
+        arrays = stack_arrays(batch, shared=True)
+        stack, (_, _, y_rows, y_solves, _, _) = lockstep_counts(caplog, lambda: solve_stack(*arrays))
+        assert_stack_equals_serial(batch, stack)
+        assert y_solves == y_rows
+
+    def test_the_layer2_curve_stack_shares_its_solves(self, caplog):
+        supply = BatterySupply(1.0, 0.2, 9)
+        expected = flatten(supply)
+        layer1 = design_layer1(expected, DesignConfig(num_layer1=3, num_rating_sets=2))
+        arch = Architecture(ArchitectureKind.LSHIPPP, 9, expected.total_power, 0.0, layer1)
+        block = np.tile([draw_capabilities(supply, seed) for seed in range(10)], (4, 1))
+        rungs = np.repeat([0.0, 0.05, 0.1, 0.3], 10)
+        _, (lps, _, y_rows, y_solves, w_solves, w_rows) = lockstep_counts(
+            caplog, lambda: max_string_outputs(block, arch, rungs))
+        assert lps == 40
+        assert 2 * y_solves < y_rows and 2 * w_solves < w_rows
 
     def test_empty_batch(self):
         stack = solve_stack(np.zeros(2), np.ones((1, 2)), np.ones(1), np.zeros((0, 2)), np.ones((0, 2)))
