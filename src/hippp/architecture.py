@@ -23,10 +23,11 @@ rating cost the same converter capacity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ParameterError, StructuralError
+from .errors import ParameterError, StructuralError, whole
 from .supply import ExpectedSet
 
 
@@ -45,10 +46,8 @@ class ConverterEdge:
     rating: float
 
     def __post_init__(self):
-        if int(self.from_battery) != self.from_battery or self.from_battery < 0:
-            raise ParameterError("from_battery must be a non-negative integer")
-        if int(self.to_battery) != self.to_battery or self.to_battery < 0:
-            raise ParameterError("to_battery must be a non-negative integer")
+        object.__setattr__(self, "from_battery", whole(self.from_battery, "from_battery"))
+        object.__setattr__(self, "to_battery", whole(self.to_battery, "to_battery"))
         if self.from_battery == self.to_battery:
             raise ParameterError("converter endpoints must differ")
         if not self.rating >= 0.0:
@@ -75,9 +74,8 @@ class Layer1Design:
             raise StructuralError("layer 1 needs at least one converter")
         if len(self.processed_at_design) != len(self.edges):
             raise StructuralError("one design processed power per edge required")
-        k = self.rating_partitions
-        if int(k) != k or not 1 <= k <= len(self.edges):
-            raise StructuralError("rating_partitions must lie in 1..number of edges")
+        k = whole(self.rating_partitions, "rating_partitions", 1, len(self.edges))
+        object.__setattr__(self, "rating_partitions", k)
         distinct = len(set(edge.rating for edge in self.edges))
         if distinct > k:
             raise StructuralError(f"{distinct} distinct ratings exceed {k} partitions")
@@ -98,10 +96,8 @@ class Architecture:
     layer1: Layer1Design | None = None
 
     def __post_init__(self):
-        n = self.num_batteries
-        if int(n) != n or n < 1:
-            raise ParameterError("num_batteries must be a positive integer")
-        object.__setattr__(self, "num_batteries", int(n))
+        n = whole(self.num_batteries, "num_batteries", 1)
+        object.__setattr__(self, "num_batteries", n)
         if not self.total_expected_power > 0.0:
             raise ParameterError("total_expected_power must be positive")
         if self.kind not in tuple(ArchitectureKind):
@@ -130,10 +126,15 @@ def aggregate_rating(arch: Architecture) -> float:
     return installed / arch.total_expected_power
 
 
+def _check_budget(budget: float) -> None:
+    """The rating-budget rule: a normalized budget is non-negative and finite, not NaN."""
+    if not 0.0 <= budget < math.inf:
+        raise ParameterError("rating budget must be non-negative and finite")
+
+
 def fpp_from_budget(budget: float, expected: ExpectedSet) -> Architecture:
     """Spend a normalized rating budget evenly across N per-battery converters."""
-    if not budget >= 0.0:
-        raise ParameterError("rating budget must be non-negative")
+    _check_budget(budget)
     n = expected.count
     rating = budget * expected.total_power / n
     return Architecture(
@@ -146,8 +147,7 @@ def fpp_from_budget(budget: float, expected: ExpectedSet) -> Architecture:
 
 def cppp_from_budget(budget: float, expected: ExpectedSet) -> Architecture:
     """Spend a normalized rating budget evenly across the N-1 ladder converters."""
-    if not budget >= 0.0:
-        raise ParameterError("rating budget must be non-negative")
+    _check_budget(budget)
     n = expected.count
     if n < 2:
         raise ParameterError("a converter ladder needs at least two batteries")

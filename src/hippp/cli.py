@@ -28,6 +28,7 @@ import locale  # noqa: F401
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -38,17 +39,22 @@ from .architecture import (
     ArchitectureKind,
     ConverterEdge,
     Layer1Design,
+    _check_budget,
     aggregate_rating,
 )
 from .design import DesignConfig, design_layer1, design_layer2, lshippp_for_budget
-from .errors import ConfigError, EnumerationCapError, HipppError, InternalCheckError
+from .errors import ConfigError, EnumerationCapError, HipppError, InternalCheckError, whole
 from .evaluate import (
     DEFAULT_CONVERTER_EFFICIENCY,
     MetricsRecord,
+    _check_efficiency,
+    _grid,
+    _normalize_kinds,
+    _sigma_points,
     sweep_figures,
 )
 from .powerflow import architecture_edges, optimal_flow
-from .supply import MIN_RELATIVE_STD, BatterySupply, flatten
+from .supply import BatterySupply, flatten
 
 log = logging.getLogger(__name__)
 
@@ -79,6 +85,17 @@ def _sig6(value: float) -> str:
     return f"{value:.6g}"
 
 
+@contextmanager
+def _key(label: str):
+    """Raise a library HipppError from inside as a ConfigError that starts with `label`, the key at fault."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except HipppError as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
+
+
 def _parse_scalar(parser, section, key, caster, default):
     if not parser.has_option(section, key):
         if default is None:
@@ -104,16 +121,6 @@ def _parse_float_list(parser, section, key, default):
     return values
 
 
-def _parse_grid(parser, key, default):
-    """A non-negative, finite, strictly increasing [evaluate] list; NaN fails both tests."""
-    grid = _parse_float_list(parser, "evaluate", key, default)
-    if any(not 0.0 <= value < np.inf for value in grid):
-        raise ConfigError(f"[evaluate] {key}: values must be non-negative and finite, not NaN")
-    if any(not b > a for a, b in zip(grid, grid[1:])):
-        raise ConfigError(f"[evaluate] {key}: values must be strictly increasing")
-    return grid
-
-
 def load_config(path: str) -> ExperimentConfig:
     """Read the flat key-value experiment description; see README for keys.
 
@@ -128,12 +135,13 @@ def load_config(path: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
-    try:
+    with _key("[supply]"):
         supply = BatterySupply(
             mean_power=_parse_scalar(parser, "supply", "mean_power", float, 1.0),
             std_power=_parse_scalar(parser, "supply", "std_power", float, 0.2),
             count=_parse_scalar(parser, "supply", "count", int, 9),
         )
+    with _key("[design]"):
         design = DesignConfig(
             num_layer1=_parse_scalar(parser, "design", "num_layer1", int, 3),
             num_rating_sets=_parse_scalar(parser, "design", "num_rating_sets", int, 2),
@@ -143,50 +151,35 @@ def load_config(path: str) -> ExperimentConfig:
             monte_carlo_trials=_parse_scalar(parser, "design", "monte_carlo_trials", int, 1000),
             base_seed=_parse_scalar(parser, "design", "base_seed", int, 0),
         )
-    except HipppError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid supply/design values: {exc}") from exc
 
-    kind_tokens = _parse_scalar(parser, "evaluate", "kinds", str, "lshippp, cppp, fpp")
-    kinds = []
-    for token in kind_tokens.replace(",", " ").split():
-        try:
-            kinds.append(ArchitectureKind(token.strip().lower()))
-        except ValueError as exc:
-            raise ConfigError(f"[evaluate] kinds: unknown architecture {token!r}") from exc
-    if not kinds:
-        raise ConfigError("[evaluate] kinds: must list at least one architecture")
-    if len(set(kinds)) != len(kinds):
-        raise ConfigError("[evaluate] kinds: architectures must not repeat")
-
+    # each [evaluate] value goes through the library rule that will use it
+    names = _parse_scalar(parser, "evaluate", "kinds", str, "lshippp, cppp, fpp")
+    with _key("[evaluate] kinds"):
+        kinds = _normalize_kinds(names.lower().replace(",", " ").split())
     trials = _parse_scalar(parser, "evaluate", "trials", int, 1000)
-    if trials < 1:
-        raise ConfigError("[evaluate] trials: must be positive")
-    efficiency = _parse_scalar(
-        parser, "evaluate", "converter_efficiency", float, DEFAULT_CONVERTER_EFFICIENCY
-    )
-    if not 0.0 < efficiency <= 1.0:
-        raise ConfigError("[evaluate] converter_efficiency: must lie in (0, 1]")
+    with _key("[evaluate] trials"):
+        trials = whole(trials, "trials", 1)
+    efficiency = _parse_scalar(parser, "evaluate", "converter_efficiency", float, DEFAULT_CONVERTER_EFFICIENCY)
+    with _key("[evaluate] converter_efficiency"):
+        _check_efficiency(efficiency)
     budget = _parse_scalar(parser, "evaluate", "rating_budget", float, 0.15)
-    if not 0.0 <= budget < np.inf:
-        raise ConfigError("[evaluate] rating_budget: must be non-negative and finite, not NaN")
+    with _key("[evaluate] rating_budget"):
+        _check_budget(budget)
     seed = _parse_scalar(parser, "evaluate", "seed", int, 0)
-    if seed < 0:
-        raise ConfigError("[evaluate] seed: must be non-negative")
-    sigma_grid = _parse_grid(parser, "sigma_grid", _DEFAULT_SIGMA_GRID)
-    for sigma in sigma_grid:  # BatterySupply's floor, checked here to name the key
-        if 0.0 < sigma < MIN_RELATIVE_STD * supply.mean_power:
-            raise ConfigError(
-                f"[evaluate] sigma_grid: each spread is a std_power and must be 0 or at least "
-                f"{MIN_RELATIVE_STD} * mean_power, got {sigma!r}: a smaller spread cannot be flattened"
-            )
+    with _key("[evaluate] seed"):
+        seed = whole(seed, "seed")
+    rating_grid = _parse_float_list(parser, "evaluate", "rating_grid", _DEFAULT_RATING_GRID)
+    with _key("[evaluate] rating_grid"):
+        _grid(rating_grid, "rating grid")
+    sigma_grid = _parse_float_list(parser, "evaluate", "sigma_grid", _DEFAULT_SIGMA_GRID)
+    with _key("[evaluate] sigma_grid"):  # each spread is a BatterySupply's std_power
+        _sigma_points(supply.mean_power, sigma_grid, budget, supply.count)
 
     return ExperimentConfig(
         supply=supply,
         design=design,
         kinds=tuple(kinds),
-        rating_grid=_parse_grid(parser, "rating_grid", _DEFAULT_RATING_GRID),
+        rating_grid=rating_grid,
         sigma_grid=sigma_grid,
         rating_budget=budget,
         converter_efficiency=efficiency,
@@ -334,10 +327,8 @@ def _read_design(path: str) -> tuple[BatterySupply, Architecture]:
         except ValueError as exc:
             raise ConfigError(f"[layer1] edge_{i}: cannot parse {raw!r}") from exc
         rating = _design_rating(parser, path, "layer1", f"rating_{i}")
-        try:
+        with _key(f"design {path}: [layer1] edge_{i}"):
             edges.append(ConverterEdge(src, dst, rating))
-        except HipppError as exc:
-            raise ConfigError(f"design {path}: [layer1] edge_{i}: {exc}") from exc
         processed.append(_parse_scalar(parser, "layer1", f"processed_{i}", float, None))
     layer1 = Layer1Design(
         edges=tuple(edges),
@@ -418,9 +409,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="experiment config file")
     common.add_argument("--out", default=None, help="output directory (overrides config)")
-    common.add_argument("--seed", type=int, default=None, help="evaluation seed override")
+    common.add_argument("--seed", type=int, default=None, help="[evaluate] seed and [design] base_seed override")
     common.add_argument("--trials", type=int, default=None, help="Monte Carlo trials override")
-    common.add_argument("--threads", type=int, default=1, help="parallel sweep workers")
+    common.add_argument("--threads", type=int, default=1, help="parallel sweep workers (design: 1 only)")
 
     sub.add_parser("design", parents=[common], help="run the two-stage design")
     sub.add_parser("sweep", parents=[common], help="run rating and heterogeneity sweeps")
@@ -432,17 +423,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
+    """--seed sets both seeds and --trials both trial counts, the evaluation's and the design's."""
+    updates, design = {}, {}
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed: must be non-negative")
-        updates["seed"] = args.seed
+        with _key("--seed"):
+            updates["seed"] = design["base_seed"] = whole(args.seed, "seed")
     if args.trials is not None:
-        if args.trials < 1:
-            raise ConfigError("--trials: must be positive")
-        updates["trials"] = args.trials
-        updates["design"] = replace(cfg.design, monte_carlo_trials=args.trials)
-    return replace(cfg, **updates) if updates else cfg
+        with _key("--trials"):
+            updates["trials"] = design["monte_carlo_trials"] = whole(args.trials, "trials", 1)
+    return replace(cfg, design=replace(cfg.design, **design), **updates)
 
 
 def main(argv=None) -> int:
@@ -454,11 +443,12 @@ def main(argv=None) -> int:
         if args.command == "flow":
             cmd_flow(args.design_file, args.capabilities_file)
             return 0
-        cfg = load_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+        if args.command == "design" and args.threads != 1:
+            raise ConfigError("--threads: hippp design runs in one process and takes only --threads 1")
+        with _key("--threads"):
+            whole(args.threads, "threads", 1)
+        cfg = _apply_overrides(load_config(args.config), args)
         out_dir = args.out if args.out is not None else cfg.out_dir
-        if args.threads is not None and args.threads < 1:
-            raise ConfigError("--threads: must be positive")
         if args.command == "design":
             cmd_design(cfg, out_dir)
         else:

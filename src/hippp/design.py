@@ -25,8 +25,8 @@ from math import comb
 
 import numpy as np
 
-from .architecture import Architecture, ArchitectureKind, ConverterEdge, Layer1Design
-from .errors import EnumerationCapError, ParameterError
+from .architecture import Architecture, ArchitectureKind, ConverterEdge, Layer1Design, _check_budget
+from .errors import EnumerationCapError, ParameterError, whole
 from .powerflow import free_flow_outputs, layer1_design_lp, least_processing_flows, max_string_outputs
 from .supply import BatterySupply, ExpectedSet, draw_capabilities, flatten
 
@@ -58,11 +58,11 @@ class DesignConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "layer2_trial_ratings", tuple(float(r) for r in self.layer2_trial_ratings))
-        if int(self.num_layer1) != self.num_layer1 or self.num_layer1 < 1:
-            raise ParameterError("num_layer1 must be a positive integer")
-        k = self.num_rating_sets
-        if int(k) != k or not 1 <= k <= self.num_layer1:
-            raise ParameterError("num_rating_sets must lie in 1..num_layer1")
+        m = whole(self.num_layer1, "num_layer1", 1)
+        object.__setattr__(self, "num_layer1", m)
+        object.__setattr__(self, "num_rating_sets", whole(self.num_rating_sets, "num_rating_sets", 1, m))
+        object.__setattr__(self, "monte_carlo_trials", whole(self.monte_carlo_trials, "monte_carlo_trials", 1))
+        object.__setattr__(self, "base_seed", whole(self.base_seed, "base_seed"))
         ratings = self.layer2_trial_ratings
         if len(ratings) == 0:
             raise ParameterError("layer2_trial_ratings must not be empty")
@@ -70,12 +70,6 @@ class DesignConfig:
             raise ParameterError("layer2_trial_ratings must be non-negative numbers, not NaN")
         if any(b <= a for a, b in zip(ratings, ratings[1:])):
             raise ParameterError("layer2_trial_ratings must be strictly increasing")
-        if int(self.monte_carlo_trials) != self.monte_carlo_trials or self.monte_carlo_trials < 1:
-            raise ParameterError("monte_carlo_trials must be a positive integer")
-        if int(self.base_seed) != self.base_seed or self.base_seed < 0:
-            raise ParameterError("base_seed must be a non-negative integer")
-        for name in ("num_layer1", "num_rating_sets", "monte_carlo_trials", "base_seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -90,7 +84,7 @@ class Layer2Curve:
         if not pts:
             raise ParameterError("curve needs at least one point")
         for rating, util in pts:
-            if rating < 0.0 or not -1e-7 <= util <= 1.0 + 1e-7:
+            if not rating >= 0.0 or not -1e-7 <= util <= 1.0 + 1e-7:
                 raise ParameterError("curve points must have rating >= 0 and utilization in [0, 1]")
         for (r0, u0), (r1, u1) in zip(pts, pts[1:]):
             if r1 <= r0:
@@ -107,33 +101,22 @@ class Layer2Curve:
         return tuple(u for _, u in self.points)
 
 
-def _whole(value, name: str) -> int:
-    """value as an int when it is a non-negative whole number, an integer-valued float included."""
-    try:
-        whole = int(value)
-    except (TypeError, ValueError, OverflowError):
-        whole = -1
-    if whole < 0 or whole != value:
-        raise ParameterError(f"{name} must be a non-negative integer")
-    return whole
-
-
 def interconnection_count(n: int, m: int) -> int:
     """Number of ways to place m pair converters on an n-battery string."""
-    return comb(comb(_whole(n, "battery count"), 2), _whole(m, "converter count"))
+    return comb(comb(whole(n, "battery count"), 2), whole(m, "converter count"))
 
 
-def _check_enumeration(n: int, m: int) -> None:
-    if int(n) != n or n < 2:
-        raise ParameterError("need at least two batteries to place pair converters")
-    if int(m) != m or not 1 <= m <= comb(n, 2):
-        raise ParameterError("number of converters must lie in 1..C(n,2)")
+def _check_enumeration(n: int, m: int) -> tuple[int, int]:
+    """(n, m) as ints once m pair converters fit on n batteries within the enumeration cap."""
+    n = whole(n, "battery count", 2)
+    m = whole(m, "converter count", 1, comb(n, 2))
     total = interconnection_count(n, m)
     if total > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError(
             f"{total} candidate interconnections exceed the cap of {DEFAULT_ENUMERATION_CAP}; "
             "reduce num_layer1 or raise the cap deliberately"
         )
+    return n, m
 
 
 def partition_ratings(processed, k: int) -> list[float]:
@@ -147,11 +130,9 @@ def partition_ratings(processed, k: int) -> list[float]:
     values = [float(p) for p in processed]
     if len(values) == 0:
         raise ParameterError("no processed powers to partition")
-    if any(v < 0.0 for v in values):
-        raise ParameterError("processed powers must be non-negative")
-    if int(k) != k or not 1 <= k <= len(values):
-        raise ParameterError("number of rating groups must lie in 1..number of converters")
-    k = int(k)
+    if any(not v >= 0.0 for v in values):
+        raise ParameterError("processed powers must be non-negative, not NaN")
+    k = whole(k, "number of rating groups", 1, len(values))
     order = sorted(range(len(values)), key=lambda i: (-values[i], i))
     kth_value = values[order[k - 1]]
     ratings = [0.0] * len(values)
@@ -172,8 +153,7 @@ def _tie_band(caps: np.ndarray, m: int):
     lexicographic order (bounds: design_layer1). Prefixes, pair-table
     indices plus a covered-battery mask, grow by levels, parent-major.
     """
-    n = caps.size
-    _check_enumeration(n, m)
+    n, m = _check_enumeration(caps.size, m)
     battery = np.arange(n)
     pairs = np.argwhere(battery[:, None] < battery)
     ends_at = np.searchsorted(pairs[:, 0], battery, side="right")  # first pair past battery b
@@ -312,8 +292,7 @@ def layer2_rating_for_budget(layer1: Layer1Design, expected: ExpectedSet, budget
     spreads evenly over the N-1 ladder converters, floored at zero when layer
     1 alone exceeds the budget.
     """
-    if not 0.0 <= budget < np.inf:
-        raise ParameterError("rating budget must be non-negative and finite")
+    _check_budget(budget)
     n = expected.count
     if n < 2:
         raise ParameterError("a converter ladder needs at least two batteries")

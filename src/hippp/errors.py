@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one whole-number rule."""
+
+from __future__ import annotations
 
 
 class HipppError(Exception):
@@ -7,6 +9,26 @@ class HipppError(Exception):
 
 class ParameterError(HipppError, ValueError):
     """An argument violates a documented precondition."""
+
+
+def whole(value, name: str, low: int = 0, high: int | None = None) -> int:
+    """`value` as an int when it is a whole number in low..high, an integer-valued float included.
+
+    Anything else (NaN, an infinity, None, a string, a fraction, a number out
+    of range) raises ParameterError naming `name`. Every count, index and
+    seed of the package goes through this one rule.
+    """
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number != value or number < low or (high is not None and number > high):
+        if high is not None:
+            kind = f"an integer in {low}..{high}"
+        else:
+            kind = {0: "a non-negative integer", 1: "a positive integer"}.get(low, f"an integer of at least {low}")
+        raise ParameterError(f"{name} must be {kind}, got {value!r}")
+    return number
 
 
 class StructuralError(HipppError, ValueError):

@@ -40,12 +40,13 @@ from .architecture import (
     Architecture,
     ArchitectureKind,
     Layer1Design,
+    _check_budget,
     aggregate_rating,
     cppp_from_budget,
     fpp_from_budget,
 )
 from .design import DesignConfig, design_layer1, lshippp_for_budget
-from .errors import InternalCheckError, ParameterError, UndefinedMetricError
+from .errors import InternalCheckError, ParameterError, UndefinedMetricError, whole
 from .powerflow import flow_powers
 from .supply import BatterySupply, ExpectedSet, draw_capabilities, flatten
 
@@ -88,8 +89,8 @@ def system_efficiency(processed, output, converter_efficiency: float):
     _check_efficiency(converter_efficiency)
     processed = np.asarray(processed, dtype=float)
     output = np.asarray(output, dtype=float)
-    if np.any(processed < 0.0) or np.any(output < 0.0):
-        raise ParameterError("powers must be non-negative")
+    if not (np.all(processed >= 0.0) and np.all(output >= 0.0)):
+        raise ParameterError("powers must be non-negative, not NaN")
     if np.any(output == 0.0):
         raise UndefinedMetricError("system efficiency is undefined at zero output")
     efficiency = 1.0 - (processed / output) * (1.0 - converter_efficiency)
@@ -124,15 +125,11 @@ def evaluate_cells(cells: Sequence[SweepCell], workers: int = 1) -> list[Metrics
     spread over a process pool of at most one worker per group.
     """
     cells = [SweepCell(*cell) for cell in cells]
-    for arch, supply, trials, seed, converter_efficiency in cells:
+    cells = [cell._replace(trials=whole(cell.trials, "trials", 1), seed=whole(cell.seed, "seed")) for cell in cells]
+    for arch, supply, _, _, converter_efficiency in cells:
         if supply.count != arch.num_batteries:
             raise ParameterError(f"supply count {supply.count} does not match architecture {arch.num_batteries}")
-        if int(trials) != trials or trials < 1:
-            raise ParameterError("trials must be a positive integer")
-        if int(seed) != seed or seed < 0:
-            raise ParameterError("seed must be a non-negative integer")
         _check_efficiency(converter_efficiency)
-    cells = [cell._replace(trials=int(cell.trials), seed=int(cell.seed)) for cell in cells]
 
     distinct = list(dict.fromkeys(cells))
     blocks: dict[tuple, np.ndarray] = {}
@@ -242,7 +239,10 @@ def _architecture_for(kind: ArchitectureKind, budget: float, expected, layer1) -
 
 
 def _normalize_kinds(kinds) -> list[ArchitectureKind]:
-    out = [ArchitectureKind(k) for k in kinds]
+    try:
+        out = [ArchitectureKind(k) for k in kinds]
+    except ValueError as exc:
+        raise ParameterError(str(exc)) from exc
     if not out:
         raise ParameterError("at least one architecture kind is required")
     if len(set(out)) != len(out):
@@ -250,27 +250,22 @@ def _normalize_kinds(kinds) -> list[ArchitectureKind]:
     return out
 
 
-def _rating_points(supply: BatterySupply, rating_grid) -> list[tuple[BatterySupply, list[float]]]:
-    grid = [float(b) for b in rating_grid]
+def _grid(values, name: str) -> list[float]:
+    """A non-empty, strictly increasing list of non-negative finite floats; NaN fails both tests."""
+    grid = [float(v) for v in values]
     if not grid:
-        raise ParameterError("rating grid must not be empty")
-    if any(not 0.0 <= b < np.inf for b in grid):
-        raise ParameterError("rating budgets must be non-negative and finite")
-    if any(not b2 > b1 for b1, b2 in zip(grid, grid[1:])):
-        raise ParameterError("rating grid must be strictly increasing")
-    return [(supply, grid)]
+        raise ParameterError(f"{name} must not be empty")
+    if any(not 0.0 <= v < np.inf for v in grid):
+        raise ParameterError(f"{name} values must be non-negative and finite, not NaN")
+    if any(not b > a for a, b in zip(grid, grid[1:])):
+        raise ParameterError(f"{name} must be strictly increasing")
+    return grid
 
 
 def _sigma_points(supply_mean: float, sigma_grid, fixed_budget: float, count: int):
-    sigmas = [float(s) for s in sigma_grid]
-    if not sigmas:
-        raise ParameterError("sigma grid must not be empty")
-    if any(not 0.0 <= s < np.inf for s in sigmas):
-        raise ParameterError("supply spreads must be non-negative and finite")
-    if any(not s2 > s1 for s1, s2 in zip(sigmas, sigmas[1:])):
-        raise ParameterError("sigma grid must be strictly increasing")
-    if not 0.0 <= fixed_budget < np.inf:
-        raise ParameterError("rating budget must be non-negative and finite")
+    """One supply per spread, each at the fixed budget; BatterySupply refuses a spread it cannot flatten."""
+    _check_budget(fixed_budget)
+    sigmas = _grid(sigma_grid, "sigma grid")
     return [(BatterySupply(supply_mean, sigma, count), [float(fixed_budget)]) for sigma in sigmas]
 
 
@@ -323,7 +318,7 @@ def sweep_rating(
     every budget; each budget only re-splits what is left for the ladder.
     """
     kinds = _normalize_kinds(kinds)
-    points = _rating_points(supply, rating_grid)
+    points = [(supply, _grid(rating_grid, "rating grid"))]
     return _sweep(kinds, points, trials, seed, design_cfg, converter_efficiency, workers)
 
 
@@ -369,8 +364,8 @@ def sweep_figures(
     of `supply` shares its block draws and its layer-1 design between the two.
     """
     kinds = _normalize_kinds(kinds)
-    rating_points = _rating_points(supply, rating_grid)
-    sigma_points = _sigma_points(supply.mean_power, sigma_grid, fixed_budget, supply.count)
-    records = _sweep(kinds, rating_points + sigma_points, trials, seed, design_cfg, converter_efficiency, workers)
-    split = len(kinds) * len(rating_points[0][1])
+    ratings = _grid(rating_grid, "rating grid")
+    points = [(supply, ratings)] + _sigma_points(supply.mean_power, sigma_grid, fixed_budget, supply.count)
+    records = _sweep(kinds, points, trials, seed, design_cfg, converter_efficiency, workers)
+    split = len(kinds) * len(ratings)
     return records[:split], records[split:]

@@ -27,7 +27,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from ._normal import ndtr, ndtri
-from .errors import InternalCheckError, ParameterError
+from .errors import InternalCheckError, ParameterError, whole
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -122,9 +122,7 @@ class BatterySupply:
         if self.std_power >= self.mean_power:
             # keeps the negative-capability tail negligible
             raise ParameterError("std_power must be below mean_power")
-        if int(self.count) != self.count or self.count < 1:
-            raise ParameterError("count must be a positive integer")
-        object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "count", whole(self.count, "count", 1))
 
     def distribution(self) -> GaussianCapability:
         return GaussianCapability(self.mean_power, self.std_power)
@@ -191,9 +189,7 @@ class BatterySample:
 
 def flatten_distribution(dist: CapabilityDistribution, count: int) -> np.ndarray:
     """Cut `dist` into `count` equal-probability intervals; return their means."""
-    if int(count) != count or count < 1:
-        raise ParameterError("count must be a positive integer")
-    count = int(count)
+    count = whole(count, "count", 1)
     bounds = [dist.quantile(k / count) for k in range(count + 1)]
     means = np.empty(count)
     for k in range(count):
@@ -230,7 +226,7 @@ def draw_capabilities(supply: BatterySupply, seed: int) -> np.ndarray:
     non-positive draws are rejected and redrawn from the same stream, so a
     given (supply, seed) pair always yields the same batch.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(whole(seed, "seed"))
     caps = rng.normal(supply.mean_power, supply.std_power, size=supply.count)
     while True:
         bad = caps <= 0.0

@@ -71,6 +71,13 @@ class TestAggregateRating:
         with pytest.raises(ParameterError):
             cppp_from_budget(0.1, flatten(BatterySupply(1.0, 0.1, 1)))
 
+    @pytest.mark.parametrize("budget", [float("inf"), float("nan")])
+    def test_an_infinite_or_nan_budget_is_refused(self, expected9, budget):
+        # the one budget rule of every budget check: non-negative and finite
+        for from_budget in (fpp_from_budget, cppp_from_budget):
+            with pytest.raises(ParameterError, match="rating budget"):
+                from_budget(budget, expected9)
+
 
 class TestConverterEdge:
     def test_rejects_self_loop(self):

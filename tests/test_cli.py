@@ -120,6 +120,24 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=key):
             load_config(str(path))
 
+    @pytest.mark.parametrize("key, value", [
+        ("kinds", "fpp, fpp"),
+        ("kinds", ","),
+        ("trials", "0"),
+        ("converter_efficiency", "0"),
+        ("converter_efficiency", "1.5"),
+        ("rating_budget", "-0.1"),
+        ("seed", "-1"),
+        ("rating_grid", "0.2 0.1"),
+        ("sigma_grid", "0.2 0.1"),
+        ("sigma_grid", "0.1 1.0"),
+    ])
+    def test_an_evaluate_value_refused_by_the_library_names_its_key(self, tmp_path, key, value):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[evaluate]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"^\[evaluate\] {key}: "):
+            load_config(str(path))
+
 
 class TestDesignCommand:
     def test_writes_the_design_artifact(self, config_file, tmp_path, capsys):
@@ -149,6 +167,19 @@ class TestDesignCommand:
         assert run_main("design", "--config", config_file, "--out", out1) == 0
         assert run_main("design", "--config", config_file, "--out", out2) == 0
         assert (out1 / "design.txt").read_bytes() == (out2 / "design.txt").read_bytes()
+
+    def test_the_seed_flag_sets_the_base_seed(self, config_file, tmp_path):
+        by_flag, by_key = tmp_path / "flag", tmp_path / "key"
+        assert run_main("design", "--config", config_file, "--out", by_flag, "--seed", 5) == 0
+        config_file.write_text(BASE_CONFIG.replace("monte_carlo_trials = 8", "monte_carlo_trials = 8\nbase_seed = 5"))
+        assert run_main("design", "--config", config_file, "--out", by_key) == 0
+        assert (by_flag / "design.txt").read_bytes() == (by_key / "design.txt").read_bytes()
+        assert load_config(str(config_file)).design.base_seed == 5
+
+    def test_more_than_one_thread_exits_two(self, config_file, tmp_path, capsys):
+        assert run_main("design", "--config", config_file, "--out", tmp_path / "o", "--threads", 2) == 2
+        assert "config error: --threads" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestSweepCommand:

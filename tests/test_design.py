@@ -277,6 +277,10 @@ class TestPartitionRatings:
         with pytest.raises(ParameterError):
             partition_ratings([0.2, 0.3], 0)
 
+    def test_a_nan_processed_power_is_refused(self):
+        with pytest.raises(ParameterError, match="processed powers"):
+            partition_ratings([float("nan"), 1.0], 1)
+
 
 class TestDesignConfig:
     def test_rejects_bad_knobs(self):
@@ -490,6 +494,10 @@ class TestLayer2Curve:
             Layer2Curve(((0.0, 1.5),))
         with pytest.raises(ParameterError):
             Layer2Curve(((-0.1, 0.5),))
+
+    def test_a_nan_rating_is_refused(self):
+        with pytest.raises(ParameterError):
+            Layer2Curve(((float("nan"), 0.5),))
 
 
 class TestLayer2Rating:

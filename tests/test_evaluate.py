@@ -70,6 +70,11 @@ class TestSystemEfficiency:
         with pytest.raises(ParameterError):
             system_efficiency(-0.1, 1.0, 0.85)
 
+    def test_a_nan_power_is_refused(self):
+        for processed, output in ((np.nan, 1.0), (0.1, np.nan), ([0.1, np.nan], [1.0, 1.0])):
+            with pytest.raises(ParameterError, match="powers"):
+                system_efficiency(processed, output, 0.85)
+
 
 class TestEvaluateArchitecture:
     def test_record_shape_and_ranges(self):

@@ -1,6 +1,8 @@
-"""The package's public names."""
+"""The package's public names and its one spelling of shared input rules."""
 
+import re
 from collections import Counter
+from pathlib import Path
 
 import hippp
 
@@ -8,3 +10,16 @@ import hippp
 def test_every_exported_name_resolves_once():
     assert [name for name, seen in Counter(hippp.__all__).items() if seen > 1] == []
     assert [name for name in hippp.__all__ if not hasattr(hippp, name)] == []
+
+
+def test_only_errors_spells_the_whole_number_rule():
+    # every count, index and seed goes through hippp.errors.whole
+    spelled = re.compile(r"\bint\(.*\)\s*!=|!=\s*int\(")
+    package = Path(hippp.__file__).parent
+    copies = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(package.glob("*.py")) if path.name != "errors.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if spelled.search(line)
+    ]
+    assert copies == []
