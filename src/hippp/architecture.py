@@ -74,6 +74,8 @@ class Layer1Design:
             raise StructuralError("layer 1 needs at least one converter")
         if len(self.processed_at_design) != len(self.edges):
             raise StructuralError("one design processed power per edge required")
+        if not all(0.0 <= p < math.inf for p in self.processed_at_design):
+            raise ParameterError("processed_at_design must be non-negative and finite")
         k = whole(self.rating_partitions, "rating_partitions", 1, len(self.edges))
         object.__setattr__(self, "rating_partitions", k)
         distinct = len(set(edge.rating for edge in self.edges))

@@ -312,11 +312,12 @@ def _read_design(path: str) -> tuple[BatterySupply, Architecture]:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse design {path}: {exc}") from exc
 
-    supply = BatterySupply(
-        mean_power=_parse_scalar(parser, "supply", "mean_power", float, None),
-        std_power=_parse_scalar(parser, "supply", "std_power", float, None),
-        count=_parse_scalar(parser, "supply", "count", int, None),
-    )
+    with _key(f"design {path}: [supply]"):
+        supply = BatterySupply(
+            mean_power=_parse_scalar(parser, "supply", "mean_power", float, None),
+            std_power=_parse_scalar(parser, "supply", "std_power", float, None),
+            count=_parse_scalar(parser, "supply", "count", int, None),
+        )
     n_edges = _parse_scalar(parser, "layer1", "count", int, None)
     edges = []
     processed = []
@@ -330,11 +331,11 @@ def _read_design(path: str) -> tuple[BatterySupply, Architecture]:
         with _key(f"design {path}: [layer1] edge_{i}"):
             edges.append(ConverterEdge(src, dst, rating))
         processed.append(_parse_scalar(parser, "layer1", f"processed_{i}", float, None))
-    layer1 = Layer1Design(
-        edges=tuple(edges),
-        rating_partitions=_parse_scalar(parser, "design", "num_rating_sets", int, None),
-        processed_at_design=tuple(processed),
-    )
+    partitions = _parse_scalar(parser, "design", "num_rating_sets", int, None)
+    with _key(f"design {path}: [design] num_rating_sets"):
+        whole(partitions, "num_rating_sets", 1)  # at most one set per edge is Layer1Design's check, under [layer1]
+    with _key(f"design {path}: [layer1]"):
+        layer1 = Layer1Design(edges=tuple(edges), rating_partitions=partitions, processed_at_design=tuple(processed))
     if _parse_scalar(parser, "layer2", "count", int, None) != supply.count - 1:
         raise ConfigError(f"[layer2] count: a {supply.count}-battery ladder has {supply.count - 1} rungs")
     rung = _design_rating(parser, path, "layer2", "rating")

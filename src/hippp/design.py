@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 
 import numpy as np
 
@@ -66,8 +66,8 @@ class DesignConfig:
         ratings = self.layer2_trial_ratings
         if len(ratings) == 0:
             raise ParameterError("layer2_trial_ratings must not be empty")
-        if any(not r >= 0.0 for r in ratings):
-            raise ParameterError("layer2_trial_ratings must be non-negative numbers, not NaN")
+        if any(not 0.0 <= r < inf for r in ratings):
+            raise ParameterError("layer2_trial_ratings must be non-negative and finite")
         if any(b <= a for a, b in zip(ratings, ratings[1:])):
             raise ParameterError("layer2_trial_ratings must be strictly increasing")
 

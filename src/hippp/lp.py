@@ -10,28 +10,30 @@ variable index, falling back to Bland's rule after a run of degenerate
 steps. Identical inputs therefore produce bit-identical solutions, which
 keeps Monte Carlo sweeps reproducible across runs and worker counts.
 
-solve_stack is the one entry point. It runs a stack of K same-shape LPs
-through the two phases in lockstep, over arrays: an objective, one
-constraint matrix broadcast over the whole stack or one per LP, right-hand
-sides, and (K, n) bounds. Validation, the phase-1 set-up, the phase-2
-handover and the certification each run once over the stack; only an LP
-that still holds a basic artificial after phase 1 has it exchanged on its
-own. Each LP keeps its own basis, statuses, Bland flag, stall count and
-verdict, and leaves the stack when it is done. Every step is a stacked
-np.linalg.solve on (G, m, m) with a (G, m, 1) right-hand side, a stacked
-matmul, or an elementwise op, each of which gives, slice for slice, the bits
-of the serial call. The basic values take one slice per live LP. The duals
-y (B^T y = c_B) and the entering column w (B w = a_enter) take one slice
-per group of live LPs whose inputs hold the same bytes, and every LP of the
-group takes that slice's result: equal inputs give equal bits. Each
-iteration finds the groups from the LPs' basis rows, every column coded by
-its bytes (_column_codes, once per stack), through a hash checked row by
-row (_basis_groups). So every LP takes the same pivots and returns the same
-bits as it does alone. A stack of one goes through the serial path
-(_solve_one and _iterate), because the lockstep costs two to three times as
-much per LP at K = 1; that path is also the lockstep's bitwise reference.
-The phase-1 set-up, the phase-2 handover and the certification are written
-once, for one LP or a stack, and both paths use them.
+solve_stack is the one entry point. It runs a stack of K LPs in lockstep:
+one problem (an objective, a constraint matrix and a right-hand side) under
+K sets of bounds, given as (K, n) arrays. Validation, the phase-1 set-up,
+the phase-2 handover and the certification each run once over the stack;
+only an LP that still holds a basic artificial after phase 1 has it
+exchanged on its own. The stack keeps one phase-1 matrix, the problem's
+columns and both signs of every row's artificial, and each LP reads its own
+columns from it through a row of column codes (_phase_one): the LPs differ
+only in bounds, hence only in the signs of their artificials. Each LP keeps
+its own basis, statuses, Bland flag, stall count and verdict, and leaves the
+stack when it is done. Every step is a stacked np.linalg.solve on (G, m, m)
+with a (G, m, 1) right-hand side, a stacked matmul, or an elementwise op,
+each of which gives, slice for slice, the bits of the serial call. The basic
+values take one slice per live LP. The duals y (B^T y = c_B) and the
+entering column w (B w = a_enter) take one slice per group of live LPs whose
+basis rows of codes are equal, that is whose basis columns are the same
+columns of the one matrix (_basis_groups, through a hash checked row by
+row), and every LP of the group takes that slice's result: equal inputs give
+equal bits. So every LP takes the same pivots and returns the same bits as
+it does alone. A stack of one goes through the serial path (_solve_one and
+_iterate), because the lockstep costs two to three times as much per LP
+at K = 1; that path is also the lockstep's bitwise reference. The phase-1
+set-up, the phase-2 handover and the certification are written once, for
+one LP or a stack, and both paths use them.
 """
 
 from __future__ import annotations
@@ -212,49 +214,51 @@ def _drive_out_artificials(a, lower, upper, basis, stat, x, n_real):
 
 
 def _phase_one(a, b, lower, upper):
-    """Phase-1 problem of a constrained LP, or of a stack of K of them: one
-    artificial per row, signed by the residual at the starting point and
-    basic, with objective -sum of them.
+    """Phase-1 problem of the LP (a, b) under one set of (n,) bounds, or a
+    stack of them under (K, n) bounds: one artificial per row, signed by the
+    residual at the starting point and basic, with objective -sum of them.
 
-    a is (m, n), or (K, m, n), and b (m,) or (K, m); one matrix and one
-    right-hand side broadcast over a stack. lower and upper are (n,), or
-    (K, n) for a stack. Returns (c, a, lower, upper, basis, stat, x), with a
-    leading K axis for a stack; c is a read-only broadcast, the rest is
-    freshly allocated.
+    Returns (c, columns, codes, lower, upper, basis, stat, x). columns is the
+    stack's one phase-1 matrix [A | I | 0 - I], (m, n + 2m) and free of
+    -0.0, and codes (..., n + m) names the column of it that each LP column
+    is: j for column j, n + r or n + m + r for row r's artificial, by the
+    sign of its residual. So columns[:, codes[k]] is LP k's phase-1 matrix.
+    c (n + m,) is the shared phase-1 objective; the rest has a leading K
+    axis for a stack and is freshly allocated.
     """
-    m, n = a.shape[-2:]
+    m, n = a.shape
     x0, stat0 = _initial_point(lower, upper)
     residual = b - (a @ x0[..., None])[..., 0]
     lead = residual.shape[:-1]
-    diagonal = np.arange(m)
-    a1 = np.zeros(lead + (m, n + m))
-    a1[..., :n] = a
-    a1[..., diagonal, n + diagonal] = np.where(residual >= 0.0, 1.0, -1.0)
+    eye = np.eye(m)
+    columns = np.concatenate([a, eye, 0.0 - eye], axis=1)
+    codes = np.concatenate([np.broadcast_to(np.arange(n), lead + (n,)), n + np.arange(m) + m * (residual < 0.0)],
+                           axis=-1)
     lo1 = np.concatenate([lower, np.zeros(lead + (m,))], axis=-1)
     up1 = np.concatenate([upper, np.full(lead + (m,), np.inf)], axis=-1)
     x = np.concatenate([x0, np.abs(residual)], axis=-1)
     stat = np.concatenate([stat0, np.full(lead + (m,), _BASIC, dtype=np.int8)], axis=-1)
     basis = np.broadcast_to(np.arange(n, n + m), lead + (m,)).copy()
-    c_phase1 = np.broadcast_to(np.concatenate([np.zeros(n), -np.ones(m)]), lead + (n + m,))
-    return c_phase1, a1, lo1, up1, basis, stat, x
+    return np.concatenate([np.zeros(n), -np.ones(m)]), columns, codes, lo1, up1, basis, stat, x
 
 
-def _phase_two(c, a1, lo1, up1, basis, stat, x):
+def _phase_two(c, columns, codes, lo1, up1, basis, stat, x):
     """Turn a finished phase 1 into phase 2 in place, for one LP or a stack.
 
     Returns (feasible, c2): whether each LP's artificials sum to at most
-    FEASIBILITY_TOL, and the phase-2 objective (c padded with zeros). Each
-    feasible LP that still holds a basic artificial has its zero artificials
-    driven out of the basis, one LP at a time; then every artificial is
-    pinned at zero.
+    FEASIBILITY_TOL, and the shared phase-2 objective (c padded with zeros).
+    Each feasible LP that still holds a basic artificial has its zero
+    artificials driven out of the basis, one LP at a time, on its own
+    C-contiguous phase-1 matrix; then every artificial is pinned at zero.
     """
-    n = c.shape[-1]
+    n = c.size
     feasible = ~(x[..., n:].sum(axis=-1) > FEASIBILITY_TOL)
     for k in map(tuple, np.argwhere(feasible & (basis >= n).any(axis=-1))):
-        _drive_out_artificials(a1[k], lo1[k], up1[k], basis[k], stat[k], x[k], n)
+        a1 = np.ascontiguousarray(columns[:, codes[k]])
+        _drive_out_artificials(a1, lo1[k], up1[k], basis[k], stat[k], x[k], n)
     lo1[..., n:] = 0.0
     up1[..., n:] = 0.0  # artificials pinned; they can never re-enter
-    return feasible, np.concatenate([np.broadcast_to(c, feasible.shape + (n,)), np.zeros(basis.shape)], axis=-1)
+    return feasible, np.concatenate([c, np.zeros(basis.shape[-1])])
 
 
 def _check_points(a, b, lower, upper, values, rows=...):
@@ -277,10 +281,11 @@ def _check_points(a, b, lower, upper, values, rows=...):
 def _solve_one(c, a, b, lower, upper) -> StackSolution:
     """solve_stack's serial path: the two phases on the arrays of one
     validated LP, given without the stack axis, as a stack of one."""
-    c_phase1, a1, lo1, up1, basis, stat, x = _phase_one(a, b, lower, upper)
+    c_phase1, columns, codes, lo1, up1, basis, stat, x = _phase_one(a, b, lower, upper)
+    a1 = np.ascontiguousarray(columns[:, codes])  # a plain gather is F-ordered, and matmul would take another kernel
     if _iterate(c_phase1, a1, b, lo1, up1, basis, stat, x) != "optimal":  # pragma: no cover
         raise InternalCheckError("phase-1 simplex reported unbounded")
-    feasible, c_phase2 = _phase_two(c, a1, lo1, up1, basis, stat, x)
+    feasible, c_phase2 = _phase_two(c, columns, codes, lo1, up1, basis, stat, x)
     if not feasible:
         status = LPStatus.INFEASIBLE
     elif _iterate(c_phase2, a1, b, lo1, up1, basis, stat, x) == "unbounded":
@@ -321,75 +326,68 @@ def _basis_groups(key, weights):
     return first, group
 
 
-def _column_codes(a1, n, own):
-    """A (K, n + m) code for every column of every LP of a phase-1 stack:
-    two columns get one code when they are the same column of the problem,
-    with the same artificial sign if artificial, in two LPs whose arrays in
-    `own` (the stack's per-LP matrices or objectives, leading axis K) are
-    equal byte for byte, so 0.0 and -0.0 differ. Equal codes therefore mean
-    equal column bytes and equal costs in either phase."""
-    k, m = a1.shape[:2]
-    diagonal = np.arange(m)
-    codes = np.broadcast_to(np.arange(n + m), (k, n + m)).copy()
-    codes[:, n:] += m * (a1[:, diagonal, n + diagonal] < 0.0)
-    if own:
-        key = np.concatenate([arr.reshape(k, int(np.prod(arr.shape[1:]))) for arr in own], axis=1)
-        cls = np.unique(key.view(np.uint8), axis=0, return_inverse=True)[1]
-        codes += (n + 2 * m) * cls.reshape(k, 1)
-    return codes
+def _iterate_many(c, columns, b, lower, upper, basis, stat, codes, x, counts) -> np.ndarray:
+    """_iterate on a stack of K LPs of one problem at once, in lockstep.
 
+    c (w,) and b (m,) are the problem's, shared; columns (m, ·) and codes
+    (K, w) come from _phase_one, and LP k's matrix is columns[:, codes[k]].
+    lower, upper, basis, stat and x gain a leading axis of length K; basis,
+    stat and x are updated in place. Each LP keeps its own basis, statuses,
+    Bland flag, stall count and verdict, and takes exactly the steps
+    _iterate would take on it alone: the stacked linear solves and matrix
+    products give, slice for slice, the bits of the serial calls, and
+    everything else is elementwise or a per-row selection with the same tie
+    rules. An LP leaves the live stack as soon as it is optimal, before the
+    ratio test and its solve, or unbounded. A step writes only the
+    non-basic values it moves: the next iteration's solve overwrites every
+    basic value.
 
-def _iterate_many(c, a, b, lower, upper, basis, stat, codes, x, counts) -> np.ndarray:
-    """_iterate on a stack of K same-shape problems at once, in lockstep.
-
-    Every argument but counts gains a leading axis of length K; basis, stat
-    and x are updated in place. Each problem keeps its own basis, statuses,
-    Bland flag, stall count and verdict, and takes exactly the steps _iterate
-    would take on it alone: the stacked linear solves and matrix products
-    give, slice for slice, the bits of the serial calls, and everything else
-    is elementwise or a per-row selection with the same tie rules. A problem
-    leaves the live stack as soon as it is optimal, before the ratio test and
-    its solve, or unbounded. A step writes only the non-basic values it moves:
-    the next iteration's solve overwrites every basic value.
-
-    The duals y (B^T y = c_B) depend on nothing but the bytes of the basis
-    columns and their costs, and the entering column w (B w = a_enter) on
-    those of B and a_enter. codes (K, columns), from _column_codes, give two
-    columns one code only when those bytes are equal. So each iteration
-    groups the live problems by their basis row of codes and solves y once
-    per group, and w once per (group, entering column); every problem takes
-    its group's result, and since a stacked solve gives each slice the bits of
-    that slice alone, that is the result of its own solve. The basic values
-    x_B and the reduced costs stay per problem: x_B has a right-hand side of
-    its own, and c - y A reads every column, where two problems of a group
-    may differ in a non-basic artificial's sign. counts, a list of five
-    ints, gains the iterations, the problem iterations (the y rows), the
-    distinct y solves, the distinct w solves and the w rows. Returns the
-    (K,) mask of unbounded problems.
+    Basis and entering columns are gathered by code. The duals y (B^T y =
+    c_B) depend on nothing but the basis columns and their costs, and the
+    entering column w (B w = a_enter) on B and a_enter. Equal codes are the
+    same column of the one matrix, with the same cost. So each iteration
+    groups the live LPs by their basis row of codes and solves y once per
+    group, and w once per (group, entering code); every LP takes its group's
+    result, and since a stacked solve gives each slice the bits of that
+    slice alone, that is the result of its own solve. The basic values x_B
+    (b - A x_N) and the reduced costs (c - y A) stay per LP, on one
+    C-contiguous [A | I] for every LP. That gives each LP's own bits: x_N
+    is +0.0 on every artificial, so an artificial's sign reaches b - A x_N
+    only as the sign of a zero, which b (free of -0.0) absorbs;
+    and the reduced cost of an artificial is then rewritten as c - s y_r,
+    the bits its own column s e_r gives. counts, a list of five ints, gains
+    the iterations, the LP iterations (the y rows), the distinct y solves,
+    the distinct w solves and the w rows. Returns the (K,) mask of
+    unbounded LPs.
     """
     unbounded = np.zeros(basis.shape[0], dtype=bool)
     live = np.arange(basis.shape[0])
     bland = np.zeros(live.size, dtype=bool)
     stall = np.zeros(live.size, dtype=int)
     weights = np.array([pow(_HASH_BASE, i + 1, 2**64) for i in range(basis.shape[1])], dtype=np.uint64)
-    width = c.shape[1]
-    # the live problems; the caller's arrays themselves until the first one leaves
-    cc, aa, bb, lo, up, bas, st, co, xs = c, a, b, lower, upper, basis, stat, codes, x
+    width = c.size
+    n = width - b.size
+    plus = np.ascontiguousarray(columns[:, :width])  # [A | I]
+    by_code = columns.T  # row i is column i of the phase-1 matrix
+    # the live LPs; the caller's arrays themselves until the first one leaves
+    lo, up, bas, st, co, xs = lower, upper, basis, stat, codes, x
     for _ in range(_MAX_ITERATIONS):
         if live.size == 0:
             return unbounded
         rows = np.arange(live.size)
         at = rows[:, None] * width + bas  # flat positions of the basic variables in the (live, width) arrays
-        first, group = _basis_groups(co.take(at), weights)
-        lead = aa[first[:, None], :, bas[first]].transpose(0, 2, 1)  # slice i holds a_k[:, bas_k], k = first[i]
+        key = co.take(at)  # the basis columns' codes
+        first, group = _basis_groups(key, weights)
+        lead = by_code[key[first]].transpose(0, 2, 1)  # slice i holds LP first[i]'s basis columns
         x_nb = xs.copy()
         x_nb.put(at, 0.0)
         try:
-            xs.put(at, np.linalg.solve(lead[group], bb[:, :, None] - aa @ x_nb[:, :, None])[:, :, 0])
-            y = np.linalg.solve(lead.transpose(0, 2, 1), cc[first[:, None], bas[first]][:, :, None])[group, :, 0]
+            xs.put(at, np.linalg.solve(lead[group], b[:, None] - plus @ x_nb[:, :, None])[:, :, 0])
+            y = np.linalg.solve(lead.transpose(0, 2, 1), c[bas[first]][:, :, None])[group, :, 0]
         except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by pivot tol
             raise InternalCheckError(f"singular simplex basis: {exc}") from exc
-        reduced = cc - (y[:, None, :] @ aa)[:, 0, :]  # read only where a candidate is, never on a basic column
+        reduced = c - (y[:, None, :] @ plus)[:, 0, :]  # read only where a candidate is, never on a basic column
+        reduced[:, n:] = c[n:] - np.where(co[:, n:] < width, y, -y)
         counts[0] += 1
         counts[1] += live.size
         counts[2] += first.size
@@ -407,9 +405,8 @@ def _iterate_many(c, a, b, lower, upper, basis, stat, codes, x, counts) -> np.nd
             if live.size == 0:
                 return unbounded
             rows = rows[:live.size]
-            cc, aa, bb, lo, up, bas, st, xs, co, bland, stall, group, reduced, candidates = (
-                arr[going] for arr in
-                (cc, aa, bb, lo, up, bas, st, xs, co, bland, stall, group, reduced, candidates)
+            lo, up, bas, st, xs, co, bland, stall, group, reduced, candidates = (
+                arr[going] for arr in (lo, up, bas, st, xs, co, bland, stall, group, reduced, candidates)
             )
             at = rows[:, None] * width + bas
         # Bland takes the first candidate; Dantzig the first of the largest |reduced cost|
@@ -422,11 +419,9 @@ def _iterate_many(c, a, b, lower, upper, basis, stat, codes, x, counts) -> np.nd
         # a candidate at its lower bound has a positive reduced cost, at its upper a negative one
         direction = np.where(reduced.take(at_enter) > 0.0, 1.0, -1.0)
 
-        # A group shares its basis codes, hence its class and y; so one entering index means one column's
-        # bytes. Only an artificial's sign may differ, and an artificial enters only in phase 1, where its
-        # reduced cost -1 - sign * y_r is positive for at most one sign.
-        w_first, w_group = _distinct(group * width + enter)
-        w = np.linalg.solve(lead[group[w_first]], aa[w_first, :, enter[w_first]][:, :, None])[w_group, :, 0]
+        code = co.take(at_enter)
+        w_first, w_group = _distinct(group * by_code.shape[0] + code)
+        w = np.linalg.solve(lead[group[w_first]], by_code[code[w_first]][:, :, None])[w_group, :, 0]
         counts[3] += w_first.size
         counts[4] += live.size
         g = -direction[:, None] * w
@@ -463,59 +458,55 @@ def _iterate_many(c, a, b, lower, upper, basis, stat, codes, x, counts) -> np.nd
             done = ~going
             basis[live[done]], stat[live[done]], x[live[done]] = bas[done], st[done], xs[done]
             live = live[going]
-            cc, aa, bb, lo, up, bas, st, xs, co, bland, stall = (
-                arr[going] for arr in (cc, aa, bb, lo, up, bas, st, xs, co, bland, stall)
+            lo, up, bas, st, xs, co, bland, stall = (
+                arr[going] for arr in (lo, up, bas, st, xs, co, bland, stall)
             )
     raise InternalCheckError("simplex iteration cap exceeded")
 
 
 def solve_stack(objective, a_eq, b_eq, lower, upper) -> StackSolution:
-    """Two-phase simplex on a stack of K same-shape LPs with at least one row.
+    """Two-phase simplex on one LP with at least one row under K sets of bounds.
 
-    lower and upper are (K, n) and set K. objective is (n,) or (K, n), b_eq
-    (m,) or (K, m), and a_eq (m, n) or (K, m, n); a matrix the whole stack
-    shares is broadcast, never copied per LP. The values are checked once
-    over the whole stack, and any LP that fails the checks raises
-    ParameterError. Infeasible and unbounded LPs are reported through their
-    status, never raised, with NaN values and objective; every optimum is
-    re-verified against the constraints and bounds. Row k of the result
-    equals by == in status, values and objective what a stack of LP k alone
-    returns: K >= 2 runs the same two phases, pivots and checks in lockstep
-    (see _iterate_many), and a stack of one takes the serial path
+    objective is (n,), a_eq (m, n) and b_eq (m,), one problem for the whole
+    stack; lower and upper are (K, n) and set K. An objective, matrix or
+    right-hand side per LP raises ParameterError, and so does any value
+    that fails the checks, which run once over the whole stack. b_eq is
+    taken as b_eq + 0.0, so a -0.0 in it counts as 0.0. Infeasible and
+    unbounded LPs are reported through their status, never raised, with NaN
+    values and objective; every optimum is re-verified against the
+    constraints and bounds. Row k of the result equals by == in status,
+    values and objective what a stack of bounds row k alone returns: K >= 2
+    runs the same two phases, pivots and checks in lockstep on one phase-1
+    matrix (see _iterate_many), and a stack of one takes the serial path
     (_solve_one), which gives those bits for less work.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     c = np.asarray(objective, dtype=float)
     a = np.asarray(a_eq, dtype=float)
-    b = np.asarray(b_eq, dtype=float)
+    b = np.asarray(b_eq, dtype=float) + 0.0
     if lower.ndim != 2 or upper.shape != lower.shape:
         raise ParameterError("bounds of a stack must be two (K, n) arrays of one shape")
     k_all, n = lower.shape
-    m = a.shape[-2] if a.ndim in (2, 3) else 0
-    if a.shape not in ((m, n), (k_all, m, n)) or c.shape not in ((n,), (k_all, n)) \
-            or b.shape not in ((m,), (k_all, m)):
-        raise ParameterError("objective, constraints and bounds of a stack do not match in shape")
-    if m == 0:
+    if a.ndim != 2 or a.shape[1] != n or c.shape != (n,) or b.shape != a.shape[:1]:
+        raise ParameterError("a stack takes one objective (n,), one matrix (m, n) and one right-hand side (m,) "
+                             "under (K, n) bounds")
+    if a.shape[0] == 0:
         raise ParameterError("a stack of LPs needs at least one equality row")
     _check_values(c, a, b, lower, upper)
-    own = [arr for arr, shared_ndim in ((a, 2), (c, 1)) if arr.ndim > shared_ndim]  # per-LP matrices, objectives
-    c = np.broadcast_to(c, (k_all, n))
-    b = np.broadcast_to(b, (k_all, m))
     if k_all == 1:
-        return _solve_one(c[0], a.reshape(m, n), b[0], lower[0], upper[0])
+        return _solve_one(c, a, b, lower[0], upper[0])
 
-    c_phase1, a1, lo1, up1, basis, stat, x = _phase_one(a, b, lower, upper)
-    codes = _column_codes(a1, n, own)
+    c_phase1, columns, codes, lo1, up1, basis, stat, x = _phase_one(a, b, lower, upper)
     counts = [0, 0, 0, 0, 0]
-    if _iterate_many(c_phase1, a1, b, lo1, up1, basis, stat, codes, x, counts).any():  # pragma: no cover
+    if _iterate_many(c_phase1, columns, b, lo1, up1, basis, stat, codes, x, counts).any():  # pragma: no cover
         raise InternalCheckError("phase-1 simplex reported unbounded")
-    feasible, c_phase2 = _phase_two(c, a1, lo1, up1, basis, stat, x)
+    feasible, c_phase2 = _phase_two(c, columns, codes, lo1, up1, basis, stat, x)
     live = np.flatnonzero(feasible)
-    stacks = c_phase2, a1, b, lo1, up1, basis, stat, codes, x
+    stacks = lo1, up1, basis, stat, codes, x
     if live.size < k_all:  # otherwise phase 2 runs on the phase-1 stacks, uncopied
         stacks = tuple(arr[live] for arr in stacks)
-    unbounded = _iterate_many(*stacks, counts)
+    unbounded = _iterate_many(c_phase2, columns, b, *stacks, counts)
     log.debug("lockstep stack: %d LPs, %d iterations, %d LP-iterations (y rows), %d y solves, "
               "%d w solves for %d rows", k_all, *counts)
 
@@ -526,5 +517,5 @@ def solve_stack(objective, a_eq, b_eq, lower, upper) -> StackSolution:
     values = np.full((k_all, n), np.nan)
     values[optimal] = stacks[-1][~unbounded, :n]
     _check_points(a, b, lower, upper, values, optimal)
-    objective_value = (values[:, None, :] @ c[:, :, None])[:, 0, 0]  # per LP the dot product _solve_one takes
+    objective_value = (values[:, None, :] @ c[:, None])[:, 0, 0]  # per LP the dot product _solve_one takes
     return StackSolution(tuple(verdicts[i] for i in verdict.tolist()), values, objective_value)

@@ -36,9 +36,9 @@ rating curve and the layer-1 design solve of the chosen placement
 (layer1_design_lp), whose printed values they pin bit for bit. Both write
 their LPs as arrays and solve them with lp.solve_stack, with the same
 pivots and bits as one LP solved alone. The curve's stage-1 LPs, one per
-(trial rating, draw), form stacks (max_string_outputs): one constraint
-matrix broadcast over all rows and a (rows, variables) block of bounds
-that holds each row's rung. The design solve is two stacks of one LP
+(trial rating, draw), form stacks (max_string_outputs): one objective,
+constraint matrix and right-hand side for all rows, and a (rows,
+variables) block of bounds that holds each row's rung. The design solve is two stacks of one LP
 each.
 
 Capabilities are per string position, in any order: battery j is the j-th
@@ -618,9 +618,9 @@ def max_string_outputs(capabilities, arch: Architecture, rungs=None) -> np.ndarr
     the ladder with the closed form of ladder_flow; the layer-2 curve is
     printed with repr, so it stays on this LP.
 
-    All rows share one constraint matrix, broadcast over them. Each row's
-    bounds are written straight into one (T, variables) block: the layer-1
-    ratings, the row's rung on every ladder edge, and the row's
+    All rows share one objective, constraint matrix and right-hand side.
+    Each row's bounds are written straight into one (T, variables) block:
+    the layer-1 ratings, the row's rung on every ladder edge, and the row's
     capabilities. The rows go through lp.solve_stack in passes of at most
     _CUT_CELLS phase-1 cells, rows x (columns + artificials) per LP, and are
     certified by one block _certify call. Capabilities are per string

@@ -165,6 +165,12 @@ class TestStructure:
         with pytest.raises(StructuralError):
             Layer1Design((), 1, ())
 
+    @pytest.mark.parametrize("processed", [float("nan"), float("inf"), -0.1])
+    def test_processed_must_be_non_negative_and_finite(self, processed):
+        with pytest.raises(ParameterError, match="processed_at_design"):
+            Layer1Design((ConverterEdge(0, 1, 0.1), ConverterEdge(1, 2, 0.1)), 1, (0.1, processed))
+        assert Layer1Design((ConverterEdge(0, 1, 0.1),), 1, (0.0,)).processed_at_design == (0.0,)
+
     def test_processed_must_align_with_edges(self):
         with pytest.raises(StructuralError):
             Layer1Design((ConverterEdge(0, 1, 0.1),), 1, (0.1, 0.2))

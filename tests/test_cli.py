@@ -395,6 +395,19 @@ class TestFlowCommand:
         design = tmp_path / "artifacts" / "design.txt"
         assert code == 2 and f"config error: design {design}: [layer1] {key}: rating must be non-negative" in err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("design", "num_rating_sets", "0"),
+        ("supply", "mean_power", "-1.0"),
+        ("layer1", "processed_0", "nan"),
+        ("layer1", "processed_1", "inf"),
+        ("layer1", "processed_2", "-0.1"),
+    ])
+    def test_a_bad_design_value_names_the_file_and_the_section(self, config_file, tmp_path, capsys, section, key,
+                                                              value):
+        code, err = self.flow_with_design_value(config_file, tmp_path, capsys, section, key, value)
+        design = tmp_path / "artifacts" / "design.txt"
+        assert code == 2 and f"config error: design {design}: [{section}]" in err
+
     def test_a_bad_design_edge_names_the_file_and_the_key(self, config_file, tmp_path, capsys):
         code, err = self.flow_with_design_value(config_file, tmp_path, capsys, "layer1", "edge_1", "4,4")
         design = tmp_path / "artifacts" / "design.txt"
@@ -426,6 +439,13 @@ class TestExitCodes:
         code = run_main("sweep", "--config", config_file, "--out", tmp_path, "--threads", 0)
         assert code == 2
         assert "config error:" in capsys.readouterr().err
+
+    def test_an_infinite_trial_rating_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "inf.ini"
+        path.write_text("[design]\nnum_layer1 = 2\nlayer2_trial_ratings = 0 inf\nmonte_carlo_trials = 2\n")
+        assert run_main("design", "--config", path, "--out", tmp_path / "o") == 2
+        assert "config error: [design]: layer2_trial_ratings must be non-negative and finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_nan_trial_rating_is_a_config_error(self, tmp_path, capsys):
         # NaN passes every ordered comparison as False, so it must be refused

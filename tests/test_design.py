@@ -296,6 +296,8 @@ class TestDesignConfig:
             DesignConfig(layer2_trial_ratings=(-0.1, 0.2))
         with pytest.raises(ParameterError, match="layer2_trial_ratings"):
             DesignConfig(layer2_trial_ratings=(0.0, float("nan")))
+        with pytest.raises(ParameterError, match="layer2_trial_ratings must be non-negative and finite"):
+            DesignConfig(layer2_trial_ratings=(0.0, float("inf")))
         with pytest.raises(ParameterError):
             DesignConfig(monte_carlo_trials=0)
 
@@ -623,7 +625,7 @@ class TestBatchedCurve:
     """design_layer2 solves every (rating, draw) LP in one batch; its curve
     must equal the one-LP-at-a-time curve by ==."""
 
-    RATINGS = (0.0, 0.03, 0.1, np.inf)
+    RATINGS = (0.0, 0.03, 0.1, 10.0)  # the last rung is far above every flow
 
     @staticmethod
     def layer1(n, m, seed):

@@ -3,8 +3,9 @@
 Two oracles back the solver: exhaustive vertex enumeration (every basis,
 every at-bound assignment) for tiny problems, and scipy's HiGHS interface
 for randomized ones. Neither shares any code with the implementation. The
-stacked solver (solve_stack) is checked against its serial path, a stack of
-one (oracles.solve), by ==.
+stacked solver (solve_stack), one problem under many sets of bounds, is
+checked row by row against its serial path, a stack of one (oracles.solve),
+byte for byte.
 """
 
 import itertools
@@ -280,50 +281,54 @@ def test_solution_is_feasible_and_undominated(seed):
         assert lp.objective @ z <= sol.objective_value + 1e-7
 
 
-def mixed_batch(rng, n_var, n_row, size, a=None):
-    """Same-shape LPs of every verdict: random, infeasible, degenerate, with fixed variables.
+def mixed_batch(rng, n_var, n_row, size):
+    """LPs of one problem under bounds of every verdict: random, infeasible, degenerate, with fixed variables.
 
-    Random instances with free variables give optimal and unbounded ones; a
-    right-hand side far outside what a finite box reaches gives infeasible
-    ones; a zero right-hand side over a box at zero gives degenerate pivots;
-    and some variables get zero-width bounds. All LPs share the constraint
-    matrix `a` when it is given.
+    The problem is a random matrix and objective with the right-hand side of
+    a point p, zero a quarter of the time, and each LP takes its own box. A
+    box around p with some infinite bounds gives optimal and unbounded LPs;
+    a thin box whose first row cannot reach its right-hand side gives
+    infeasible ones; a box that starts at p gives degenerate pivots; and
+    some variables get zero-width bounds at p.
     """
+    a, c = rng.normal(size=(n_row, n_var)), rng.normal(size=n_var)
+    p = rng.normal(size=n_var) * (rng.random() < 0.75)
+    b = a @ p
     batch = []
     for _ in range(size):
-        lp = random_lp(rng, n_var, n_row, free_prob=0.3, a=a)
+        lower, upper = p - rng.uniform(0.0, 3.0, n_var), p + rng.uniform(0.0, 3.0, n_var)
         kind = rng.integers(4)
-        if kind == 1:
-            box = random_lp(rng, n_var, n_row, free_prob=0.0, a=a)
-            lp = LinearProgram(box.objective, box.a_eq, np.full(n_row, 1e3), box.lower, box.upper)
+        if kind == 0:
+            lower[rng.random(n_var) < 0.5] = -np.inf
+            upper[rng.random(n_var) < 0.5] = np.inf
+        elif kind == 1:
+            far = p + 3.0 * np.sign(a[0])  # row 0 is off by 3 sum|a_0j| at the centre, the box reaches 0.1 of it
+            lower, upper = far - 0.1, far + 0.1
         elif kind == 2:
-            lp = LinearProgram(lp.objective, lp.a_eq, np.zeros(n_row), np.zeros(n_var), np.full(n_var, 2.0))
-        elif kind == 3:
-            lower, upper = lp.lower.copy(), lp.upper.copy()
+            lower = p.copy()
+        else:
             fixed = rng.random(n_var) < 0.4
-            lower[fixed] = upper[fixed] = np.where(np.isfinite(lower[fixed]), lower[fixed], 0.5)
-            lp = LinearProgram(lp.objective, lp.a_eq, lp.a_eq @ np.clip(rng.normal(size=n_var), lower, upper),
-                               lower, upper)
-        batch.append(lp)
+            lower[fixed] = upper[fixed] = p[fixed]
+        batch.append(LinearProgram(c, a, b, lower, upper))
     return batch
 
 
-def stack_arrays(batch, shared):
-    """The arrays of a batch as solve_stack takes them: the first LP's matrix
-    for the whole stack when `shared`, else one matrix per LP."""
-    a = batch[0].a_eq if shared else np.stack([lp.a_eq for lp in batch])
-    return (np.stack([lp.objective for lp in batch]), a, np.stack([lp.b_eq for lp in batch]),
-            np.stack([lp.lower for lp in batch]), np.stack([lp.upper for lp in batch]))
+def stack_arrays(batch):
+    """The arrays of a batch of LPs of one problem as solve_stack takes them."""
+    lp = batch[0]
+    return (lp.objective, lp.a_eq, lp.b_eq, np.stack([lp.lower for lp in batch]),
+            np.stack([lp.upper for lp in batch]))
 
 
 def assert_stack_equals_serial(batch, stack):
+    """Every row of the stack holds, byte for byte, what its LP gives as a stack of one."""
     assert len(stack.status) == len(batch) == len(stack.values) == len(stack.objective_value)
     for lp, status, values, value in zip(batch, stack.status, stack.values, stack.objective_value):
         want = solve(lp)
         assert status is want.status
         if want.status is LPStatus.OPTIMAL:
-            assert np.all(values == want.values)
-            assert value == want.objective_value
+            assert values.tobytes() == want.values.tobytes()
+            assert value.tobytes() == np.float64(want.objective_value).tobytes()
         else:
             assert np.all(np.isnan(values)) and np.isnan(value)
 
@@ -340,114 +345,103 @@ def lockstep_counts(caplog, solve):
 
 
 def templated_batch(rng, n_var, n_row, size, templates):
-    """A curve-like batch: one matrix and one objective, and bounds and
-    right-hand sides copied from a few templates, some with a small shift,
-    so that many LPs share bases."""
-    a, c = rng.normal(size=(n_row, n_var)), rng.normal(size=n_var)
-    base = [random_lp(rng, n_var, n_row, free_prob=0.2, a=a) for _ in range(templates)]
+    """A curve-like batch: one problem, and bounds copied from a few
+    templates, some with a small shift, so that many LPs share bases."""
+    a, c, p = rng.normal(size=(n_row, n_var)), rng.normal(size=n_var), rng.normal(size=n_var)
+    base = []
+    for _ in range(templates):
+        lower, upper = p - rng.uniform(0.0, 2.0, n_var), p + rng.uniform(0.0, 2.0, n_var)
+        lower[rng.random(n_var) < 0.2] = -np.inf
+        upper[rng.random(n_var) < 0.2] = np.inf
+        base.append((lower, upper))
     batch = []
     for k in range(size):
-        lp = base[k % templates]
+        lower, upper = base[k % templates]
         shift = rng.uniform(0.0, 0.05, n_var) * (rng.random(n_var) < 0.3)
-        batch.append(LinearProgram(c, a, a @ (np.where(np.isfinite(lp.lower), lp.lower, -1.0) + 0.5),
-                                   lp.lower + shift, lp.upper + shift))
+        batch.append(LinearProgram(c, a, a @ p, lower + shift, upper + shift))
     return batch
 
 
 class TestSolveStack:
-    """The array core against one serial solve per LP, compared by ==."""
+    """The array core against a stack of one per LP, compared byte for byte."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 8), st.integers(1, 4),
-           st.integers(1, 12), st.booleans())
-    def test_equals_the_serial_solver(self, seed, n_var, n_row, size, shared):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(n_row, n_var)) if shared else None
-        batch = mixed_batch(rng, n_var, n_row, size, a)
-        assert_stack_equals_serial(batch, solve_stack(*stack_arrays(batch, shared)))
+           st.integers(1, 12))
+    def test_equals_the_serial_solver(self, seed, n_var, n_row, size):
+        batch = mixed_batch(np.random.default_rng(seed), n_var, n_row, size)
+        assert_stack_equals_serial(batch, solve_stack(*stack_arrays(batch)))
 
-    @pytest.mark.parametrize("shared", [True, False])
-    def test_a_fixed_stack_holds_every_verdict_and_infinite_bound(self, shared):
-        rng = np.random.default_rng(11)
-        batch = mixed_batch(rng, 6, 3, 60, rng.normal(size=(3, 6)) if shared else None)
-        stack = solve_stack(*stack_arrays(batch, shared))
+    def test_a_fixed_stack_holds_every_verdict_and_infinite_bound(self):
+        batch = mixed_batch(np.random.default_rng(11), 6, 3, 60)
+        stack = solve_stack(*stack_arrays(batch))
         assert set(stack.status) == set(LPStatus)
-        lower = np.stack([lp.lower for lp in batch])
-        upper = np.stack([lp.upper for lp in batch])
+        _, _, _, lower, upper = stack_arrays(batch)
         assert np.isneginf(lower).any() and np.isposinf(upper).any() and (lower == upper).any()
         assert_stack_equals_serial(batch, stack)
 
     @settings(max_examples=20, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(2, 8), st.booleans())
-    def test_bland_switch_at_different_iterations(self, seed, size, shared):
-        # degenerate LPs: a stall limit of 2 makes most of them switch to
-        # Bland's rule, each after its own number of iterations
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(2, 8))
+    def test_bland_switch_at_different_iterations(self, seed, size):
+        # degenerate LPs, each in a box of its own: a stall limit of 2 makes
+        # most of them switch to Bland's rule, each after its own number of
+        # iterations
         rng = np.random.default_rng(seed)
-        shape = (3, 6) if shared else (size, 3, 6)
-        arrays = rng.normal(size=(size, 6)), rng.normal(size=shape), np.zeros(3), np.zeros((size, 6)), \
-            np.full((size, 6), 2.0)
-        batch = [LinearProgram(arrays[0][k], arrays[1] if shared else arrays[1][k], arrays[2], arrays[3][k],
-                               arrays[4][k]) for k in range(size)]
+        c, a, upper = rng.normal(size=6), rng.normal(size=(3, 6)), rng.uniform(0.5, 2.0, size=(size, 6))
+        batch = [LinearProgram(c, a, np.zeros(3), np.zeros(6), row) for row in upper]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(hippp.lp, "_STALL_LIMIT", 2)
-            assert_stack_equals_serial(batch, solve_stack(*arrays))
+            assert_stack_equals_serial(batch, solve_stack(*stack_arrays(batch)))
 
-    @pytest.mark.parametrize("shared", [True, False])
-    def test_a_stack_of_one_is_a_serial_solve(self, monkeypatch, shared):
+    def test_a_stack_of_one_is_a_serial_solve(self, monkeypatch):
         batch = mixed_batch(np.random.default_rng(3), 6, 3, 1)
         monkeypatch.setattr(hippp.lp, "_iterate_many", None)  # the lockstep must not run
-        assert_stack_equals_serial(batch, solve_stack(*stack_arrays(batch, shared)))
+        assert_stack_equals_serial(batch, solve_stack(*stack_arrays(batch)))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_a_curve_like_stack_shares_its_solves(self, caplog, seed):
         batch = templated_batch(np.random.default_rng(seed), 7, 3, 48, templates=4)
-        arrays = stack_arrays(batch, shared=True)
         stack, (_, _, y_rows, y_solves, w_solves, w_rows) = lockstep_counts(
-            caplog, lambda: solve_stack(arrays[0][0], *arrays[1:]))
+            caplog, lambda: solve_stack(*stack_arrays(batch)))
         assert_stack_equals_serial(batch, stack)
         assert y_solves < y_rows and w_solves < w_rows
 
-    @pytest.mark.parametrize("shared", [True, False])
-    def test_equal_basis_rows_over_different_bytes(self, shared):
+    def test_equal_basis_rows_over_different_artificial_signs(self):
         # every LP starts on the same basis index row, the artificials, but
-        # the bytes behind it differ: the artificial signs (right-hand sides
-        # from different points of one box), and without a shared matrix and
-        # objective also a scaled column, other objectives, one entry or cost
-        # an ulp away and a zero of the other sign. Each variant comes
-        # three times, so that the copies share solves.
+        # the columns behind it differ: boxes whose lower corners sit on
+        # either side of the rows give the artificials different signs. Each
+        # box comes three times, so that the copies share solves.
         rng = np.random.default_rng(5)
-        lp = random_lp(rng, 6, 3, free_prob=0.0)
-        a, c = lp.a_eq.copy(), lp.objective
+        a, c, p = rng.normal(size=(3, 6)), rng.normal(size=6), rng.normal(size=6)
         a[1, 2] = 0.0
-        points = lp.lower + rng.uniform(0.1, 0.9, (4, 6)) * (lp.upper - lp.lower)
-        variants = [(a, c, a @ point) for point in points]
-        assert len({tuple(np.sign(b - a @ lp.lower)) for _, _, b in variants}) > 1
-        if not shared:
-            scaled, bumped, signed_zero, costly = a.copy(), a.copy(), a.copy(), c.copy()
-            scaled[:, 4] *= 2.0
-            bumped[0, 0] = np.nextafter(bumped[0, 0], np.inf)
-            signed_zero[1, 2] = -0.0
-            costly[3] = np.nextafter(costly[3], -np.inf)
-            b = a @ points[0]
-            variants += [(scaled, c, b), (a, -c, b), (bumped, c, b), (signed_zero, c, b), (a, costly, b)]
-            variants += [(a, other, b) for other in rng.normal(size=(4, 6))]  # one phase 1, then apart
-        batch = [LinearProgram(vc, va, vb, lp.lower, lp.upper) for va, vc, vb in variants for _ in range(3)]
-        arrays = list(stack_arrays(batch, shared))
-        if shared:
-            arrays[0] = arrays[0][0]  # one objective for the stack
-        stack = solve_stack(*arrays)
+        corners = p - rng.uniform(-0.5, 1.5, (4, 6))
+        boxes = [(corner, np.maximum(corner, p) + 1.0) for corner in corners]
+        assert len({tuple(np.sign(a @ p - a @ corner)) for corner in corners}) > 1
+        batch = [LinearProgram(c, a, a @ p, lower, upper) for lower, upper in boxes for _ in range(3)]
+        stack = solve_stack(*stack_arrays(batch))
         assert set(stack.status) == {LPStatus.OPTIMAL}
         assert_stack_equals_serial(batch, stack)
 
-    def test_column_codes_tell_bytes_apart(self):
-        a = np.array([[[1.0, 0.0]], [[1.0, -0.0]], [[1.0, 0.0]]])
-        codes = hippp.lp._column_codes(hippp.lp._phase_one(a, np.ones((3, 1)), np.zeros((3, 2)),
-                                                           np.ones((3, 2)))[1], 2, [a])
-        assert (codes[0] == codes[2]).all() and not (codes[0] == codes[1]).any()
-        shared = hippp.lp._phase_one(np.ones((1, 2)), np.array([[1.0], [-1.0], [3.0]]), np.zeros((3, 2)),
-                                     np.ones((3, 2)))[1]
-        codes = hippp.lp._column_codes(shared, 2, [])
-        assert (codes[:, :2] == [0, 1]).all() and codes[0, 2] == codes[2, 2] != codes[1, 2]
+    def test_phase_one_codes_name_each_lps_columns(self):
+        # LP k's phase-1 matrix is columns[:, codes[k]]: the problem's
+        # columns, then each row's artificial signed by its residual
+        a = np.array([[2.0, -0.0], [1.0, 3.0]])
+        lower = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        c1, columns, codes = hippp.lp._phase_one(a, np.array([1.0, 2.0]), lower, lower + 1.0)[:3]
+        assert columns.shape == (2, 6) and not np.signbit(columns[:, 2:][columns[:, 2:] == 0.0]).any()
+        assert codes.tolist() == [[0, 1, 2, 3], [0, 1, 4, 3], [0, 1, 2, 5]]
+        assert columns[:, codes[1]].tolist() == [[2.0, 0.0, -1.0, 0.0], [1.0, 3.0, 0.0, 1.0]]
+        assert c1.tolist() == [0.0, 0.0, -1.0, -1.0]
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_a_negative_zero_right_hand_side_counts_as_zero(self, size):
+        # x0 + x1 = -0.0 in the unit box: taken as it is, the basic x0 would
+        # come out as -0.0
+        c, a, lower, upper = np.array([1.0, 0.0]), np.array([[1.0, 1.0]]), np.zeros((size, 2)), np.ones((size, 2))
+        minus = solve_stack(c, a, np.array([-0.0]), lower, upper)
+        plus = solve_stack(c, a, np.zeros(1), lower, upper)
+        assert minus.status == plus.status == (LPStatus.OPTIMAL,) * size
+        assert minus.values.tobytes() == plus.values.tobytes() and not np.signbit(minus.values).any()
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -464,13 +458,15 @@ class TestSolveStack:
 
     def test_a_basis_hash_collision_is_caught(self, caplog, monkeypatch):
         # a zero hash base sends every basis row to one key; the row check
-        # catches it, and every iteration solves each row on its own
+        # catches it, and then each row of the iteration is its own group
+        first, group = hippp.lp._basis_groups(np.array([[4, 5], [4, 5], [6, 5]]), np.zeros(2, dtype=np.uint64))
+        assert first.tolist() == group.tolist() == [0, 1, 2]
         monkeypatch.setattr(hippp.lp, "_HASH_BASE", 0)
         batch = templated_batch(np.random.default_rng(9), 7, 4, 24, templates=3)
-        arrays = stack_arrays(batch, shared=True)
-        stack, (_, _, y_rows, y_solves, _, _) = lockstep_counts(caplog, lambda: solve_stack(*arrays))
+        stack, (_, iterations, _, y_solves, _, _) = lockstep_counts(
+            caplog, lambda: solve_stack(*stack_arrays(batch)))
         assert_stack_equals_serial(batch, stack)
-        assert y_solves == y_rows
+        assert y_solves > iterations  # not one solve per iteration, as the colliding key alone would give
 
     def test_the_layer2_curve_stack_shares_its_solves(self, caplog):
         supply = BatterySupply(1.0, 0.2, 9)
@@ -484,6 +480,35 @@ class TestSolveStack:
         assert lps == 40
         assert 2 * y_solves < y_rows and 2 * w_solves < w_rows
 
+    @pytest.mark.parametrize("n, m", [(9, 3), (16, 2)])
+    def test_curve_stacks_equal_their_rows_alone_byte_for_byte(self, monkeypatch, n, m):
+        # the stacks max_string_outputs builds for a layer-2 curve: 30 draws
+        # under the rungs 0, 0.05, 0.3 and inf; each row against its bounds
+        # solved as a stack of one
+        supply = BatterySupply(1.0, 0.2, n)
+        expected = flatten(supply)
+        layer1 = design_layer1(expected, DesignConfig(num_layer1=m, num_rating_sets=2))
+        arch = Architecture(ArchitectureKind.LSHIPPP, n, expected.total_power, 0.0, layer1)
+        block = np.tile([draw_capabilities(supply, seed) for seed in range(30)], (4, 1))
+        rungs = np.repeat([0.0, 0.05, 0.3, np.inf], 30)
+        stacks = []
+
+        def recorded(*arrays):
+            stack = solve_stack(*arrays)
+            stacks.append((arrays, stack))
+            return stack
+
+        monkeypatch.setattr(hippp.powerflow, "solve_stack", recorded)
+        max_string_outputs(block, arch, rungs)
+        assert sum(len(stack.status) for _, stack in stacks) == 120
+        for (c, a, b, lower, upper), stack in stacks:
+            assert set(stack.status) == {LPStatus.OPTIMAL}
+            for k in range(len(stack.status)):
+                alone = solve_stack(c, a, b, lower[k:k + 1], upper[k:k + 1])
+                assert stack.status[k] is alone.status[0]
+                assert stack.values[k].tobytes() == alone.values[0].tobytes()
+                assert stack.objective_value[k].tobytes() == alone.objective_value[0].tobytes()
+
     def test_empty_batch(self):
         stack = solve_stack(np.zeros(2), np.ones((1, 2)), np.ones(1), np.zeros((0, 2)), np.ones((0, 2)))
         assert stack.status == ()
@@ -493,43 +518,32 @@ class TestSolveStack:
         (3, (2, 1), np.nan),     # a NaN lower bound
         (4, (1, 0), np.nan),     # a NaN upper bound
         (3, (3, 2), 9.0),        # a lower bound above its upper
-        (0, (1, 2), np.inf),     # an infinite objective coefficient
-        (1, (2, 0, 1), np.inf),  # an infinite constraint coefficient
-        (1, (0, 1, 0), np.nan),  # a NaN constraint coefficient
-        (2, (3, 1), -np.inf),    # an infinite right-hand side
+        (0, (2,), np.inf),       # an infinite objective coefficient
+        (1, (0, 1), np.inf),     # an infinite constraint coefficient
+        (1, (1, 0), np.nan),     # a NaN constraint coefficient
+        (2, (1,), -np.inf),      # an infinite right-hand side
     ])
-    def test_one_bad_lp_in_a_stack_is_refused(self, field, index, value):
-        rng = np.random.default_rng(2)
-        arrays = list(stack_arrays(mixed_batch(rng, 3, 2, 4), shared=False))
-        arrays[field] = arrays[field].copy()
+    def test_one_bad_value_in_a_stack_is_refused(self, field, index, value):
+        arrays = [arr.copy() for arr in stack_arrays(mixed_batch(np.random.default_rng(2), 3, 2, 4))]
         arrays[field][index] = value
         with pytest.raises(ParameterError):
             solve_stack(*arrays)
 
-    def test_rejects_mismatched_shapes_and_empty_rows(self):
-        c, a, b, lower, upper = stack_arrays(mixed_batch(np.random.default_rng(4), 3, 2, 4), shared=False)
+    def test_rejects_a_problem_per_lp_mismatched_shapes_and_empty_rows(self):
+        c, a, b, lower, upper = stack_arrays(mixed_batch(np.random.default_rng(4), 3, 2, 4))
         for bad in (
-            (c[:, :2], a, b, lower, upper),
-            (c, a[:3], b, lower, upper),
-            (c, a[0, :, :2], b, lower, upper),
-            (c, a, b[:, :1], lower, upper),
+            (np.tile(c, (4, 1)), a, b, lower, upper),  # an objective per LP
+            (c, np.stack([a] * 4), b, lower, upper),   # a matrix per LP
+            (c, a, np.tile(b, (4, 1)), lower, upper),  # a right-hand side per LP
+            (c[:2], a, b, lower, upper),
+            (c, a[:, :2], b, lower, upper),
+            (c, a, b[:1], lower, upper),
             (c, a, b, lower[0], upper[0]),
             (c, a, b, lower, upper[:3]),
-            (c, a[:, :0], b[:, :0], lower, upper),
+            (c, a[:0], b[:0], lower, upper),           # no rows
         ):
             with pytest.raises(ParameterError):
                 solve_stack(*bad)
-
-    def test_rejects_mismatched_shared_shapes_and_empty_rows(self):
-        c, b, lower, upper = np.ones((2, 2)), np.ones((2, 1)), np.zeros((2, 2)), np.ones((2, 2))
-        one_row = np.ones((1, 2))
-        for bad in (
-            (c, np.ones((2, 2)), b, lower, upper),                  # two rows, one right-hand side each
-            (c, np.ones((1, 3)), b, lower, upper),                  # three columns, two variables
-            (np.ones((2, 3)), one_row, b, lower, upper),            # three objective coefficients
-            (c, np.zeros((0, 2)), np.zeros((2, 0)), lower, upper),  # no rows
-        ):
-            with pytest.raises(ParameterError):
-                solve_stack(*bad)
-        # one shared one-row matrix is a matrix, not a stack of one row each
-        assert solve_stack(c, one_row, b, lower, upper).status == (LPStatus.OPTIMAL,) * 2
+        # a one-row matrix is one matrix, not one row per LP
+        one_row = np.ones((1, 3))
+        assert solve_stack(c, one_row, np.ones(1), np.zeros((2, 3)), np.ones((2, 3))).status == (LPStatus.OPTIMAL,) * 2

@@ -72,7 +72,7 @@ def ls_arch(n, total, layer1_edges, layer2_rating, k=None):
     ratings = [r for (_, _, r) in layer1_edges]
     edges = tuple(ConverterEdge(a, b, r) for (a, b, r) in layer1_edges)
     k = k if k is not None else len(set(ratings))
-    layer1 = Layer1Design(edges, k, tuple(ratings))
+    layer1 = Layer1Design(edges, k, (0.0,) * len(edges))  # the design record; the flow kernels read only ratings
     return Architecture(
         ArchitectureKind.LSHIPPP,
         num_batteries=n,
