@@ -57,7 +57,6 @@ from .evaluate import (
     sweep_rating,
     system_efficiency,
 )
-from .lp import LPStatus
 from .powerflow import (
     PowerFlowSolution,
     architecture_edges,
@@ -99,7 +98,6 @@ __all__ = [
     "InternalCheckError",
     "Layer1Design",
     "Layer2Curve",
-    "LPStatus",
     "MetricsRecord",
     "ParameterError",
     "PowerFlowSolution",

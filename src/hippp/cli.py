@@ -295,24 +295,32 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> list[Pat
     return written
 
 
-def _design_rating(parser, path: str, section: str, key: str) -> float:
+def _design_rating(parser, section: str, key: str) -> float:
     rating = _parse_scalar(parser, section, key, float, None)
     if not rating >= 0.0:
-        raise ConfigError(f"design {path}: [{section}] {key}: rating must be non-negative, not NaN")
+        raise ConfigError(f"[{section}] {key}: rating must be non-negative, not NaN")
     return rating
 
 
 def _read_design(path: str) -> tuple[BatterySupply, Architecture]:
+    """The supply and LS-HiPPP architecture of a design file; every error starts with `design <path>:`."""
     parser = configparser.ConfigParser()
     try:
         with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle)
     except OSError as exc:
-        raise ConfigError(f"cannot read design {path}: {exc}") from exc
+        raise ConfigError(f"design {path}: cannot read: {exc}") from exc
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse design {path}: {exc}") from exc
+        raise ConfigError(f"design {path}: cannot parse: {exc}") from exc
+    try:
+        return _design_from(parser)
+    except ConfigError as exc:
+        raise ConfigError(f"design {path}: {exc}") from exc
 
-    with _key(f"design {path}: [supply]"):
+
+def _design_from(parser) -> tuple[BatterySupply, Architecture]:
+    """_read_design's checks on a parsed design file; each error names its section or key."""
+    with _key("[supply]"):
         supply = BatterySupply(
             mean_power=_parse_scalar(parser, "supply", "mean_power", float, None),
             std_power=_parse_scalar(parser, "supply", "std_power", float, None),
@@ -327,18 +335,18 @@ def _read_design(path: str) -> tuple[BatterySupply, Architecture]:
             src, dst = (int(tok) for tok in raw.split(","))
         except ValueError as exc:
             raise ConfigError(f"[layer1] edge_{i}: cannot parse {raw!r}") from exc
-        rating = _design_rating(parser, path, "layer1", f"rating_{i}")
-        with _key(f"design {path}: [layer1] edge_{i}"):
+        rating = _design_rating(parser, "layer1", f"rating_{i}")
+        with _key(f"[layer1] edge_{i}"):
             edges.append(ConverterEdge(src, dst, rating))
         processed.append(_parse_scalar(parser, "layer1", f"processed_{i}", float, None))
     partitions = _parse_scalar(parser, "design", "num_rating_sets", int, None)
-    with _key(f"design {path}: [design] num_rating_sets"):
+    with _key("[design] num_rating_sets"):
         whole(partitions, "num_rating_sets", 1)  # at most one set per edge is Layer1Design's check, under [layer1]
-    with _key(f"design {path}: [layer1]"):
+    with _key("[layer1]"):
         layer1 = Layer1Design(edges=tuple(edges), rating_partitions=partitions, processed_at_design=tuple(processed))
     if _parse_scalar(parser, "layer2", "count", int, None) != supply.count - 1:
         raise ConfigError(f"[layer2] count: a {supply.count}-battery ladder has {supply.count - 1} rungs")
-    rung = _design_rating(parser, path, "layer2", "rating")
+    rung = _design_rating(parser, "layer2", "rating")
     arch = Architecture(ArchitectureKind.LSHIPPP, supply.count, flatten(supply).total_power, rung, layer1)
     return supply, arch
 

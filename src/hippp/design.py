@@ -28,7 +28,7 @@ import numpy as np
 from .architecture import Architecture, ArchitectureKind, ConverterEdge, Layer1Design, _check_budget
 from .errors import EnumerationCapError, ParameterError, whole
 from .powerflow import free_flow_outputs, layer1_design_lp, least_processing_flows, max_string_outputs
-from .supply import BatterySupply, ExpectedSet, draw_capabilities, flatten
+from .supply import BatterySupply, ExpectedSet, _draw_block, flatten
 
 log = logging.getLogger(__name__)
 
@@ -325,7 +325,7 @@ def design_layer2(
     """
     expected = flatten(supply)
     spent = None if budget is None else layer2_rating_for_budget(layer1, expected, budget)
-    draws = np.array([draw_capabilities(supply, cfg.base_seed + t) for t in range(cfg.monte_carlo_trials)])
+    draws = _draw_block(supply, cfg.base_seed, cfg.monte_carlo_trials)
     ratings = cfg.layer2_trial_ratings
     arch = _lshippp(layer1, expected, ratings[0])
     rungs = np.repeat(ratings, len(draws))  # every draw once per trial rating, rating-major

@@ -48,7 +48,7 @@ from .architecture import (
 from .design import DesignConfig, design_layer1, lshippp_for_budget
 from .errors import InternalCheckError, ParameterError, UndefinedMetricError, whole
 from .powerflow import flow_powers
-from .supply import BatterySupply, ExpectedSet, draw_capabilities, flatten
+from .supply import BatterySupply, ExpectedSet, _draw_block, flatten
 
 log = logging.getLogger(__name__)
 
@@ -138,7 +138,7 @@ def evaluate_cells(cells: Sequence[SweepCell], workers: int = 1) -> list[Metrics
         arch, supply, trials, seed, _ = cell
         key = (supply, trials, seed)
         if key not in blocks:
-            blocks[key] = np.array([draw_capabilities(supply, seed + t) for t in range(trials)])
+            blocks[key] = _draw_block(supply, seed, trials)
         tasks.setdefault((arch.kind, arch.num_batteries, arch.layer1), []).append((cell, blocks[key]))
 
     records: dict[SweepCell, MetricsRecord] = {}

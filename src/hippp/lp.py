@@ -10,37 +10,35 @@ variable index, falling back to Bland's rule after a run of degenerate
 steps. Identical inputs therefore produce bit-identical solutions, which
 keeps Monte Carlo sweeps reproducible across runs and worker counts.
 
-solve_stack is the one entry point. It runs a stack of K LPs in lockstep:
-one problem (an objective, a constraint matrix and a right-hand side) under
-K sets of bounds, given as (K, n) arrays. Validation, the phase-1 set-up,
-the phase-2 handover and the certification each run once over the stack;
-only an LP that still holds a basic artificial after phase 1 has it
-exchanged on its own. The stack keeps one phase-1 matrix, the problem's
-columns and both signs of every row's artificial, and each LP reads its own
-columns from it through a row of column codes (_phase_one): the LPs differ
-only in bounds, hence only in the signs of their artificials. Each LP keeps
-its own basis, statuses, Bland flag, stall count and verdict, and leaves the
-stack when it is done. Every step is a stacked np.linalg.solve on (G, m, m)
-with a (G, m, 1) right-hand side, a stacked matmul, or an elementwise op,
-each of which gives, slice for slice, the bits of the serial call. The basic
-values take one slice per live LP. The duals y (B^T y = c_B) and the
-entering column w (B w = a_enter) take one slice per group of live LPs whose
-basis rows of codes are equal, that is whose basis columns are the same
-columns of the one matrix (_basis_groups, through a hash checked row by
-row), and every LP of the group takes that slice's result: equal inputs give
-equal bits. So every LP takes the same pivots and returns the same bits as
-it does alone. A stack of one goes through the serial path (_solve_one and
-_iterate), because the lockstep costs two to three times as much per LP
-at K = 1; that path is also the lockstep's bitwise reference. The phase-1
-set-up, the phase-2 handover and the certification are written once, for
-one LP or a stack, and both paths use them.
+solve_stack is the one entry point. It takes one problem (an objective, a
+constraint matrix and a right-hand side) under K sets of bounds, given as
+(K, n) arrays, and returns the K optimal points. Every LP this package
+builds is feasible and bounded by construction, so an infeasible or an
+unbounded LP is a fault: it raises InternalCheckError naming the LP. One
+two-phase driver serves every K. The phase-1 set-up, the phase-2 handover
+and the certification each run once over the stack; only an LP that still
+holds a basic artificial after phase 1 has it exchanged on its own. The
+stack keeps one phase-1 matrix, the problem's columns and both signs of
+every row's artificial, and each LP reads its own columns from it through a
+row of column codes (_phase_one): the LPs differ only in bounds, hence only
+in the signs of their artificials.
+
+The inner loop runs each phase. For K >= 2 it is the lockstep
+(_iterate_many): each LP keeps its own basis, statuses, Bland flag and
+stall count, and leaves the stack when it is optimal. Every step is a
+stacked np.linalg.solve on (G, m, m) with a (G, m, 1) right-hand side, a
+stacked matmul, or an elementwise op, each of which gives, slice for slice,
+the bits of the serial call, and LPs whose basis columns are the same
+columns of the one matrix share their solves for the duals and the entering
+column: equal inputs give equal bits. So every LP takes the same pivots and
+returns the same bits as it does alone. A stack of one runs the serial loop
+(_iterate) on its own matrix instead, because the lockstep costs about
+twice as much at K = 1; that loop is also the lockstep's bitwise reference.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -63,12 +61,6 @@ _NB_LOWER, _NB_UPPER, _NB_FREE, _BASIC = 0, 1, 2, 3
 _NO_POSITION = np.iinfo(np.intp).max  # above every basis index in the leaving-variable choice
 
 
-class LPStatus(str, Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
-
-
 def _check_values(objective, a, b, lower, upper):
     """The checks on the values of a stack of LPs with (K, n) bounds, over the
     whole stack at once: finite objective and constraints, no NaN bound, no
@@ -85,19 +77,9 @@ def _check_values(objective, a, b, lower, upper):
         raise ParameterError(f"LP {k}, variable {j}: lower bound exceeds upper bound")
 
 
-@dataclass(frozen=True)
-class StackSolution:
-    """Verdicts of a stack of K LPs: one LPStatus per LP, and values (K, n)
-    and objective values (K,) that are NaN where an LP is not optimal."""
-
-    status: tuple[LPStatus, ...]
-    values: np.ndarray
-    objective_value: np.ndarray
-
-
 def _initial_point(lower: np.ndarray, upper: np.ndarray):
     """Start each variable at its lower bound when finite, else upper, else
-    zero; for one LP's bounds or a (K, n) stack of them."""
+    zero; for a (K, n) stack of bounds."""
     fin_lo = np.isfinite(lower)
     only_up = ~fin_lo & np.isfinite(upper)
     x = np.where(fin_lo, lower, np.where(only_up, upper, 0.0))
@@ -105,9 +87,12 @@ def _initial_point(lower: np.ndarray, upper: np.ndarray):
     return x, stat
 
 
-def _iterate(c, a, b, lower, upper, basis, stat, x) -> str:
-    """Run simplex iterations in place on one LP with at least one row;
-    returns 'optimal' or 'unbounded'."""
+def _iterate(c, a, b, lower, upper, basis, stat, x, counts) -> None:
+    """Run simplex iterations in place on one LP with at least one row until
+    it is optimal. It runs only stacks of one, so an unbounded LP raises
+    InternalCheckError naming LP 0. counts gains what _iterate_many's would:
+    per iteration one iteration, LP iteration and y solve, and per step one
+    w solve and w row."""
     bland = False
     stall = 0
     for _ in range(_MAX_ITERATIONS):
@@ -121,6 +106,9 @@ def _iterate(c, a, b, lower, upper, basis, stat, x) -> str:
             raise InternalCheckError(f"singular simplex basis: {exc}") from exc
         reduced = c - y @ a
         reduced[basis] = 0.0
+        counts[0] += 1
+        counts[1] += 1
+        counts[2] += 1
 
         can_increase = (stat == _NB_LOWER) | (stat == _NB_FREE)
         can_decrease = (stat == _NB_UPPER) | (stat == _NB_FREE)
@@ -132,7 +120,7 @@ def _iterate(c, a, b, lower, upper, basis, stat, x) -> str:
         candidates[basis] = False
         idxs = np.flatnonzero(candidates)
         if idxs.size == 0:
-            return "optimal"
+            return
         if bland:
             enter = int(idxs[0])
         else:
@@ -141,6 +129,8 @@ def _iterate(c, a, b, lower, upper, basis, stat, x) -> str:
         direction = 1.0 if (stat[enter] == _NB_LOWER or reduced[enter] > 0.0) else -1.0
 
         w = np.linalg.solve(basis_cols, a[:, enter])
+        counts[3] += 1
+        counts[4] += 1
         g = -direction * w  # per-unit change of each basic variable
         xb = x[basis]
         caps = np.full(basis.size, np.inf)
@@ -153,7 +143,7 @@ def _iterate(c, a, b, lower, upper, basis, stat, x) -> str:
         step_self = upper[enter] - lower[enter]  # bound-to-bound flip distance
         step = min(step_basic, step_self)
         if not np.isfinite(step):
-            return "unbounded"
+            raise InternalCheckError("LP 0 of the stack is unbounded")
 
         x[basis] = xb + g * step
         if step_self < step_basic:
@@ -193,19 +183,14 @@ def _drive_out_artificials(a, lower, upper, basis, stat, x, n_real):
         basis_cols = a[:, basis]
         unit = np.zeros(m)
         unit[pos] = 1.0
-        row = np.linalg.solve(basis_cols.T, unit) @ a[:, :n_real]
-        pick = -1
-        for j in range(n_real):
-            if stat[j] != _BASIC and upper[j] > lower[j] and abs(row[j]) > 1e-7:
-                pick = j
-                break
-        if pick < 0:
-            for j in range(n_real):
-                if stat[j] != _BASIC and abs(row[j]) > 1e-9:
-                    pick = j
-                    break
-        if pick < 0:
+        row = np.abs(np.linalg.solve(basis_cols.T, unit) @ a[:, :n_real])
+        nonbasic = stat[:n_real] != _BASIC
+        picks = np.flatnonzero(nonbasic & (upper[:n_real] > lower[:n_real]) & (row > 1e-7))
+        if picks.size == 0:
+            picks = np.flatnonzero(nonbasic & (row > 1e-9))
+        if picks.size == 0:
             continue
+        pick = int(picks[0])
         artificial = int(basis[pos])
         basis[pos] = pick
         stat[pick] = _BASIC
@@ -214,62 +199,63 @@ def _drive_out_artificials(a, lower, upper, basis, stat, x, n_real):
 
 
 def _phase_one(a, b, lower, upper):
-    """Phase-1 problem of the LP (a, b) under one set of (n,) bounds, or a
-    stack of them under (K, n) bounds: one artificial per row, signed by the
-    residual at the starting point and basic, with objective -sum of them.
+    """Phase-1 problem of the LP (a, b) under a stack of (K, n) bounds: one
+    artificial per row, signed by the residual at the starting point and
+    basic, with objective -sum of them.
 
     Returns (c, columns, codes, lower, upper, basis, stat, x). columns is the
     stack's one phase-1 matrix [A | I | 0 - I], (m, n + 2m) and free of
-    -0.0, and codes (..., n + m) names the column of it that each LP column
+    -0.0, and codes (K, n + m) names the column of it that each LP column
     is: j for column j, n + r or n + m + r for row r's artificial, by the
     sign of its residual. So columns[:, codes[k]] is LP k's phase-1 matrix.
     c (n + m,) is the shared phase-1 objective; the rest has a leading K
-    axis for a stack and is freshly allocated.
+    axis and is freshly allocated.
     """
     m, n = a.shape
+    k = lower.shape[0]
     x0, stat0 = _initial_point(lower, upper)
     residual = b - (a @ x0[..., None])[..., 0]
-    lead = residual.shape[:-1]
     eye = np.eye(m)
     columns = np.concatenate([a, eye, 0.0 - eye], axis=1)
-    codes = np.concatenate([np.broadcast_to(np.arange(n), lead + (n,)), n + np.arange(m) + m * (residual < 0.0)],
-                           axis=-1)
-    lo1 = np.concatenate([lower, np.zeros(lead + (m,))], axis=-1)
-    up1 = np.concatenate([upper, np.full(lead + (m,), np.inf)], axis=-1)
-    x = np.concatenate([x0, np.abs(residual)], axis=-1)
-    stat = np.concatenate([stat0, np.full(lead + (m,), _BASIC, dtype=np.int8)], axis=-1)
-    basis = np.broadcast_to(np.arange(n, n + m), lead + (m,)).copy()
+    codes = np.concatenate([np.broadcast_to(np.arange(n), (k, n)), n + np.arange(m) + m * (residual < 0.0)], axis=1)
+    lo1 = np.concatenate([lower, np.zeros((k, m))], axis=1)
+    up1 = np.concatenate([upper, np.full((k, m), np.inf)], axis=1)
+    x = np.concatenate([x0, np.abs(residual)], axis=1)
+    stat = np.concatenate([stat0, np.full((k, m), _BASIC, dtype=np.int8)], axis=1)
+    basis = np.broadcast_to(np.arange(n, n + m), (k, m)).copy()
     return np.concatenate([np.zeros(n), -np.ones(m)]), columns, codes, lo1, up1, basis, stat, x
 
 
 def _phase_two(c, columns, codes, lo1, up1, basis, stat, x):
-    """Turn a finished phase 1 into phase 2 in place, for one LP or a stack.
+    """Turn a finished phase 1 into phase 2 in place; returns the shared
+    phase-2 objective, c padded with zeros.
 
-    Returns (feasible, c2): whether each LP's artificials sum to at most
-    FEASIBILITY_TOL, and the shared phase-2 objective (c padded with zeros).
-    Each feasible LP that still holds a basic artificial has its zero
-    artificials driven out of the basis, one LP at a time, on its own
-    C-contiguous phase-1 matrix; then every artificial is pinned at zero.
+    An LP whose artificials sum to more than FEASIBILITY_TOL is infeasible:
+    InternalCheckError names the first one. Each LP that still holds a basic
+    artificial has its zero artificials driven out of the basis, one LP at a
+    time, on its own C-contiguous phase-1 matrix; then every artificial is
+    pinned at zero.
     """
     n = c.size
-    feasible = ~(x[..., n:].sum(axis=-1) > FEASIBILITY_TOL)
-    for k in map(tuple, np.argwhere(feasible & (basis >= n).any(axis=-1))):
+    infeasible = np.flatnonzero(x[:, n:].sum(axis=1) > FEASIBILITY_TOL)
+    if infeasible.size:
+        raise InternalCheckError(f"LP {infeasible[0]} of the stack is infeasible")
+    for k in np.flatnonzero((basis >= n).any(axis=1)):
         a1 = np.ascontiguousarray(columns[:, codes[k]])
         _drive_out_artificials(a1, lo1[k], up1[k], basis[k], stat[k], x[k], n)
-    lo1[..., n:] = 0.0
-    up1[..., n:] = 0.0  # artificials pinned; they can never re-enter
-    return feasible, np.concatenate([c, np.zeros(basis.shape[-1])])
+    lo1[:, n:] = 0.0
+    up1[:, n:] = 0.0  # artificials pinned; they can never re-enter
+    return np.concatenate([c, np.zeros(basis.shape[1])])
 
 
-def _check_points(a, b, lower, upper, values, rows=...):
-    """Re-verify optimal points against the constraints and bounds; a
-    violation here is a solver bug. Takes one LP's point, or a (K, n) stack
-    of points of which `rows` are checked."""
-    eq_residual = float(np.abs((a @ values[..., None])[..., 0] - b)[rows].max(initial=0.0))
+def _check_points(a, b, lower, upper, values):
+    """Re-verify a (K, n) stack of optimal points against the constraints
+    and bounds; a violation here is a solver bug."""
+    eq_residual = float(np.abs((a @ values[..., None])[..., 0] - b).max(initial=0.0))
     if eq_residual > FEASIBILITY_TOL:
         raise InternalCheckError(f"optimal point violates equalities by {eq_residual:.3e}")
-    below = (lower - values)[rows]
-    above = (values - upper)[rows]
+    below = lower - values
+    above = values - upper
     bound_violation = max(
         float(below[np.isfinite(below)].max(initial=0.0)),
         float(above[np.isfinite(above)].max(initial=0.0)),
@@ -278,23 +264,11 @@ def _check_points(a, b, lower, upper, values, rows=...):
         raise InternalCheckError(f"optimal point violates bounds by {bound_violation:.3e}")
 
 
-def _solve_one(c, a, b, lower, upper) -> StackSolution:
-    """solve_stack's serial path: the two phases on the arrays of one
-    validated LP, given without the stack axis, as a stack of one."""
-    c_phase1, columns, codes, lo1, up1, basis, stat, x = _phase_one(a, b, lower, upper)
-    a1 = np.ascontiguousarray(columns[:, codes])  # a plain gather is F-ordered, and matmul would take another kernel
-    if _iterate(c_phase1, a1, b, lo1, up1, basis, stat, x) != "optimal":  # pragma: no cover
-        raise InternalCheckError("phase-1 simplex reported unbounded")
-    feasible, c_phase2 = _phase_two(c, columns, codes, lo1, up1, basis, stat, x)
-    if not feasible:
-        status = LPStatus.INFEASIBLE
-    elif _iterate(c_phase2, a1, b, lo1, up1, basis, stat, x) == "unbounded":
-        status = LPStatus.UNBOUNDED
-    else:
-        values = x[:c.size]
-        _check_points(a, b, lower, upper, values)
-        return StackSolution((LPStatus.OPTIMAL,), values[None, :], np.array([c @ values]))
-    return StackSolution((status,), np.full((1, c.size), np.nan), np.array([np.nan]))
+def _iterate_one(c, columns, b, lower, upper, basis, stat, codes, x, counts) -> None:
+    """The inner loop of a stack of one, with _iterate_many's arguments:
+    _iterate on LP 0 and its own C-contiguous phase-1 matrix (a plain gather
+    is F-ordered, and matmul would take another kernel)."""
+    _iterate(c, np.ascontiguousarray(columns[:, codes[0]]), b, lower[0], upper[0], basis[0], stat[0], x[0], counts)
 
 
 def _distinct(code):
@@ -326,21 +300,21 @@ def _basis_groups(key, weights):
     return first, group
 
 
-def _iterate_many(c, columns, b, lower, upper, basis, stat, codes, x, counts) -> np.ndarray:
+def _iterate_many(c, columns, b, lower, upper, basis, stat, codes, x, counts) -> None:
     """_iterate on a stack of K LPs of one problem at once, in lockstep.
 
     c (w,) and b (m,) are the problem's, shared; columns (m, ·) and codes
     (K, w) come from _phase_one, and LP k's matrix is columns[:, codes[k]].
     lower, upper, basis, stat and x gain a leading axis of length K; basis,
     stat and x are updated in place. Each LP keeps its own basis, statuses,
-    Bland flag, stall count and verdict, and takes exactly the steps
-    _iterate would take on it alone: the stacked linear solves and matrix
-    products give, slice for slice, the bits of the serial calls, and
-    everything else is elementwise or a per-row selection with the same tie
-    rules. An LP leaves the live stack as soon as it is optimal, before the
-    ratio test and its solve, or unbounded. A step writes only the
-    non-basic values it moves: the next iteration's solve overwrites every
-    basic value.
+    Bland flag and stall count, and takes exactly the steps _iterate would
+    take on it alone: the stacked linear solves and matrix products give,
+    slice for slice, the bits of the serial calls, and everything else is
+    elementwise or a per-row selection with the same tie rules. An LP leaves
+    the live stack as soon as it is optimal, before the ratio test and its
+    solve; an unbounded LP raises InternalCheckError naming it by its index
+    in the stack. A step writes only the non-basic values it
+    moves: the next iteration's solve overwrites every basic value.
 
     Basis and entering columns are gathered by code. The duals y (B^T y =
     c_B) depend on nothing but the basis columns and their costs, and the
@@ -357,10 +331,8 @@ def _iterate_many(c, columns, b, lower, upper, basis, stat, codes, x, counts) ->
     and the reduced cost of an artificial is then rewritten as c - s y_r,
     the bits its own column s e_r gives. counts, a list of five ints, gains
     the iterations, the LP iterations (the y rows), the distinct y solves,
-    the distinct w solves and the w rows. Returns the (K,) mask of
-    unbounded LPs.
+    the distinct w solves and the w rows.
     """
-    unbounded = np.zeros(basis.shape[0], dtype=bool)
     live = np.arange(basis.shape[0])
     bland = np.zeros(live.size, dtype=bool)
     stall = np.zeros(live.size, dtype=int)
@@ -373,7 +345,7 @@ def _iterate_many(c, columns, b, lower, upper, basis, stat, codes, x, counts) ->
     lo, up, bas, st, co, xs = lower, upper, basis, stat, codes, x
     for _ in range(_MAX_ITERATIONS):
         if live.size == 0:
-            return unbounded
+            return
         rows = np.arange(live.size)
         at = rows[:, None] * width + bas  # flat positions of the basic variables in the (live, width) arrays
         key = co.take(at)  # the basis columns' codes
@@ -403,7 +375,7 @@ def _iterate_many(c, columns, b, lower, upper, basis, stat, codes, x, counts) ->
             basis[live[done]], stat[live[done]], x[live[done]] = bas[done], st[done], xs[done]
             live = live[going]
             if live.size == 0:
-                return unbounded
+                return
             rows = rows[:live.size]
             lo, up, bas, st, xs, co, bland, stall, group, reduced, candidates = (
                 arr[going] for arr in (lo, up, bas, st, xs, co, bland, stall, group, reduced, candidates)
@@ -433,16 +405,16 @@ def _iterate_many(c, columns, b, lower, upper, basis, stat, codes, x, counts) ->
         step_basic = np.minimum.reduce(caps, axis=1)
         step_self = up.take(at_enter) - lo.take(at_enter)
         step = np.minimum(step_basic, step_self)
+        unbounded = ~np.isfinite(step)
+        if unbounded.any():
+            raise InternalCheckError(f"LP {live[unbounded][0]} of the stack is unbounded")
 
-        going = np.isfinite(step)
-        unbounded[live] = ~going
-
-        flip = going & (step_self < step_basic)
+        flip = step_self < step_basic
         if flip.any():
             fe, fd = at_enter[flip], direction[flip] > 0
             xs.put(fe, np.where(fd, up.take(fe), lo.take(fe)))
             st.put(fe, np.where(fd, _NB_UPPER, _NB_LOWER))
-        pivot = going & ~flip
+        pivot = ~flip
         leave_pos = np.where(caps <= (step + 1e-12)[:, None], bas, _NO_POSITION).argmin(axis=1)
         slot = (rows * bas.shape[1] + leave_pos)[pivot]  # flat position in bas of each pivot's leaving variable
         at_leave, leave_up = at.take(slot), g.take(slot) > 0
@@ -453,32 +425,25 @@ def _iterate_many(c, columns, b, lower, upper, basis, stat, codes, x, counts) ->
 
         stall = np.where(step <= _DEGENERATE_STEP, stall + 1, 0)
         bland |= stall >= _STALL_LIMIT
-
-        if not going.all():
-            done = ~going
-            basis[live[done]], stat[live[done]], x[live[done]] = bas[done], st[done], xs[done]
-            live = live[going]
-            lo, up, bas, st, xs, co, bland, stall = (
-                arr[going] for arr in (lo, up, bas, st, xs, co, bland, stall)
-            )
     raise InternalCheckError("simplex iteration cap exceeded")
 
 
-def solve_stack(objective, a_eq, b_eq, lower, upper) -> StackSolution:
-    """Two-phase simplex on one LP with at least one row under K sets of bounds.
+def solve_stack(objective, a_eq, b_eq, lower, upper) -> np.ndarray:
+    """Two-phase simplex on one LP with at least one row under K sets of
+    bounds; returns the (K, n) optimal points.
 
     objective is (n,), a_eq (m, n) and b_eq (m,), one problem for the whole
     stack; lower and upper are (K, n) and set K. An objective, matrix or
     right-hand side per LP raises ParameterError, and so does any value
     that fails the checks, which run once over the whole stack. b_eq is
-    taken as b_eq + 0.0, so a -0.0 in it counts as 0.0. Infeasible and
-    unbounded LPs are reported through their status, never raised, with NaN
-    values and objective; every optimum is re-verified against the
-    constraints and bounds. Row k of the result equals by == in status,
-    values and objective what a stack of bounds row k alone returns: K >= 2
-    runs the same two phases, pivots and checks in lockstep on one phase-1
-    matrix (see _iterate_many), and a stack of one takes the serial path
-    (_solve_one), which gives those bits for less work.
+    taken as b_eq + 0.0, so a -0.0 in it counts as 0.0. An infeasible LP
+    (after phase 1) or an unbounded one raises InternalCheckError, which
+    names its index in the stack and its verdict; every optimum is
+    re-verified against the constraints and bounds. Row k of the result
+    equals, byte for byte, what a stack of bounds row k alone returns: one
+    driver runs phase 1, the handover, phase 2 and the checks for every K,
+    and only the inner loop differs, the lockstep (_iterate_many) for
+    K >= 2 and the serial loop (_iterate_one) for a stack of one.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -494,28 +459,15 @@ def solve_stack(objective, a_eq, b_eq, lower, upper) -> StackSolution:
     if a.shape[0] == 0:
         raise ParameterError("a stack of LPs needs at least one equality row")
     _check_values(c, a, b, lower, upper)
-    if k_all == 1:
-        return _solve_one(c, a, b, lower[0], upper[0])
 
+    iterate = _iterate_one if k_all == 1 else _iterate_many
     c_phase1, columns, codes, lo1, up1, basis, stat, x = _phase_one(a, b, lower, upper)
     counts = [0, 0, 0, 0, 0]
-    if _iterate_many(c_phase1, columns, b, lo1, up1, basis, stat, codes, x, counts).any():  # pragma: no cover
-        raise InternalCheckError("phase-1 simplex reported unbounded")
-    feasible, c_phase2 = _phase_two(c, columns, codes, lo1, up1, basis, stat, x)
-    live = np.flatnonzero(feasible)
-    stacks = lo1, up1, basis, stat, codes, x
-    if live.size < k_all:  # otherwise phase 2 runs on the phase-1 stacks, uncopied
-        stacks = tuple(arr[live] for arr in stacks)
-    unbounded = _iterate_many(c_phase2, columns, b, *stacks, counts)
-    log.debug("lockstep stack: %d LPs, %d iterations, %d LP-iterations (y rows), %d y solves, "
+    iterate(c_phase1, columns, b, lo1, up1, basis, stat, codes, x, counts)
+    c_phase2 = _phase_two(c, columns, codes, lo1, up1, basis, stat, x)
+    iterate(c_phase2, columns, b, lo1, up1, basis, stat, codes, x, counts)
+    log.debug("LP stack: %d LPs, %d iterations, %d LP-iterations (y rows), %d y solves, "
               "%d w solves for %d rows", k_all, *counts)
-
-    verdicts = (LPStatus.INFEASIBLE, LPStatus.UNBOUNDED, LPStatus.OPTIMAL)
-    verdict = np.zeros(k_all, dtype=int)
-    verdict[live] = np.where(unbounded, 1, 2)
-    optimal = live[~unbounded]
-    values = np.full((k_all, n), np.nan)
-    values[optimal] = stacks[-1][~unbounded, :n]
-    _check_points(a, b, lower, upper, values, optimal)
-    objective_value = (values[:, None, :] @ c[:, None])[:, 0, 0]  # per LP the dot product _solve_one takes
-    return StackSolution(tuple(verdicts[i] for i in verdict.tolist()), values, objective_value)
+    values = x[:, :n]
+    _check_points(a, b, lower, upper, values)
+    return values

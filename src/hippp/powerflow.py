@@ -34,12 +34,14 @@ row, so rows of architectures that differ only in their budget rating stack
 into one call with the bits of one-row calls. The LPs stay for the layer-2
 rating curve and the layer-1 design solve of the chosen placement
 (layer1_design_lp), whose printed values they pin bit for bit. Both write
-their LPs as arrays and solve them with lp.solve_stack, with the same
-pivots and bits as one LP solved alone. The curve's stage-1 LPs, one per
-(trial rating, draw), form stacks (max_string_outputs): one objective,
-constraint matrix and right-hand side for all rows, and a (rows,
-variables) block of bounds that holds each row's rung. The design solve is two stacks of one LP
-each.
+their LPs as arrays and take their optimal points from lp.solve_stack, with
+the same pivots and bits as one LP solved alone. Every flow LP here is
+feasible at zero current with zero flows, and bounded, so the solver's
+InternalCheckError on an infeasible or unbounded LP marks a fault. The
+curve's stage-1 LPs, one per (trial rating, draw), form stacks
+(max_string_outputs): one objective, constraint matrix and right-hand side
+for all rows, and a (rows, variables) block of bounds that holds each row's
+rung. The design solve is two stacks of one LP each.
 
 Capabilities are per string position, in any order: battery j is the j-th
 battery of the string, and a reordered draw is a different string.
@@ -58,7 +60,7 @@ import numpy as np
 
 from .architecture import Architecture, ArchitectureKind, ConverterEdge
 from .errors import EnumerationCapError, InternalCheckError, ParameterError, StructuralError
-from .lp import FEASIBILITY_TOL, LPStatus, solve_stack
+from .lp import FEASIBILITY_TOL, solve_stack
 from .supply import ExpectedSet
 
 _Pair = tuple[int, int]
@@ -118,20 +120,6 @@ def _flow_matrix(pairs: Sequence[_Pair], n: int) -> np.ndarray:
     a[:, 1:1 + e] = _incidence(pairs, n)
     a[:, 1 + e:] = -np.eye(n)
     return a
-
-
-def _optimal_points(stage: str, objective, a, b, lower, upper) -> np.ndarray:
-    """The (K, n) optimal points of a stack of flow LPs, from lp.solve_stack.
-
-    Every flow LP here is feasible at zero current with zero flows, and its
-    objective is bounded, so any other verdict is a solver fault and raises
-    InternalCheckError, naming the stage.
-    """
-    stack = solve_stack(objective, a, b, lower, upper)
-    failed = set(stack.status) - {LPStatus.OPTIMAL}
-    if failed:
-        raise InternalCheckError(f"{stage}: solver returned {failed.pop().value}")
-    return stack.values
 
 
 def _certify(caps, pairs, ratings, current, flows, battery):
@@ -649,7 +637,7 @@ def max_string_outputs(capabilities, arch: Architecture, rungs=None) -> np.ndarr
     values = np.empty_like(upper)
     for start in range(0, trials, per_pass):
         part = slice(start, start + per_pass)
-        values[part] = _optimal_points("maximum-output stage", objective, a, np.zeros(n), lower[part], upper[part])
+        values[part] = solve_stack(objective, a, np.zeros(n), lower[part], upper[part])
     _certify(caps, pairs, upper[:, 1:1 + e], values[:, 0], values[:, 1:1 + e], values[:, 1 + e:])
     return n * values[:, 0]
 
@@ -732,7 +720,7 @@ def layer1_design_lp(expected: ExpectedSet, edges: Sequence[_Pair]):
     1 is the maximum-output LP over [I, f, p] with free flows; stage 2 fixes
     its current and minimizes sum |f| over [I, f+, f-, p], with f = f+ - f-
     and both halves non-negative. Each goes through lp.solve_stack as a
-    stack of one, which takes the solver's serial path. Both flows are
+    stack of one, whose inner loop is the solver's serial one. Both flows are
     certified, and a stage-2 flow that circulates power both ways along an
     edge raises InternalCheckError.
     """
@@ -746,7 +734,7 @@ def layer1_design_lp(expected: ExpectedSet, edges: Sequence[_Pair]):
     objective[0] = float(n)
     lower = np.concatenate([[0.0], np.full(e, -np.inf), -caps])
     upper = np.concatenate([[np.inf], np.full(e, np.inf), caps])
-    first = _optimal_points("maximum-output stage", objective, _flow_matrix(pairs, n), b, lower[None], upper[None])[0]
+    first = solve_stack(objective, _flow_matrix(pairs, n), b, lower[None], upper[None])[0]
     current = float(first[0])
     _certify(caps, pairs, None, current, first[1:1 + e], first[1 + e:])
 
@@ -760,7 +748,7 @@ def layer1_design_lp(expected: ExpectedSet, edges: Sequence[_Pair]):
     objective[1:1 + 2 * e] = -1.0  # maximize the negated processed power
     lower = np.concatenate([[current], np.zeros(2 * e), -caps])
     upper = np.concatenate([[current], np.full(2 * e, np.inf), caps])
-    second = _optimal_points("minimum-processing stage", objective, a, b, lower[None], upper[None])[0]
+    second = solve_stack(objective, a, b, lower[None], upper[None])[0]
     pos, neg = second[1:1 + e], second[1 + e:1 + 2 * e]
     if e and float(np.minimum(pos, neg).max(initial=0.0)) > 1e-7:
         raise InternalCheckError("flow split left circulating power in both directions")

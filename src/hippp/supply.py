@@ -237,6 +237,11 @@ def draw_capabilities(supply: BatterySupply, seed: int) -> np.ndarray:
     return np.sort(caps)
 
 
+def _draw_block(supply: BatterySupply, seed: int, trials: int) -> np.ndarray:
+    """The (trials, count) draws of a Monte Carlo run: trial t draws with seed + t."""
+    return np.array([draw_capabilities(supply, seed + t) for t in range(trials)])
+
+
 def sample_battery_set(supply: BatterySupply, seed: int) -> BatterySample:
     """The batch of `draw_capabilities` with its slot-by-slot deviations.
 

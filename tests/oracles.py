@@ -1,11 +1,13 @@
 """Brute-force references shared by the flow and acceptance tests."""
 
 import itertools
+import re
+from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from hippp import ConverterEdge, InternalCheckError, LPStatus, architecture_edges
+from hippp import ConverterEdge, InternalCheckError, architecture_edges
 from hippp.design import _PLACEMENT_BLOCK, _VALUE_TIE_TOL, _check_enumeration
 from hippp.lp import FEASIBILITY_TOL, solve_stack
 from hippp.powerflow import free_flow_outputs
@@ -26,16 +28,33 @@ def linear_program(objective, a_eq, b_eq, lower, upper) -> LinearProgram:
     return LinearProgram(*(np.asarray(values, dtype=float) for values in (objective, a_eq, b_eq, lower, upper)))
 
 
+class LPStatus(str, Enum):
+    OPTIMAL = "optimal"
+    INFEASIBLE = "infeasible"
+    UNBOUNDED = "unbounded"
+
+
 class Solution(NamedTuple):
     status: LPStatus
     values: np.ndarray
     objective_value: float
 
 
+def failed_lp(exc: InternalCheckError) -> tuple[int, LPStatus]:
+    """The index and verdict of the LP that solve_stack's error names; any other fault is re-raised."""
+    named = re.fullmatch(r"LP (\d+) of the stack is (infeasible|unbounded)", str(exc))
+    if named is None:
+        raise exc
+    return int(named[1]), LPStatus(named[2])
+
+
 def solve(lp: LinearProgram) -> Solution:
-    """One LP through lp.solve_stack as a stack of one; values and objective are NaN unless optimal."""
-    stack = solve_stack(lp.objective, lp.a_eq, lp.b_eq, np.asarray(lp.lower)[None], np.asarray(lp.upper)[None])
-    return Solution(stack.status[0], stack.values[0], float(stack.objective_value[0]))
+    """One LP through lp.solve_stack as a stack of one, with its verdict; NaN values and objective unless optimal."""
+    try:
+        values = solve_stack(lp.objective, lp.a_eq, lp.b_eq, np.asarray(lp.lower)[None], np.asarray(lp.upper)[None])[0]
+    except InternalCheckError as exc:
+        return Solution(failed_lp(exc)[1], np.full(len(lp.objective), np.nan), np.nan)
+    return Solution(LPStatus.OPTIMAL, values, float(lp.objective @ values))
 
 
 def incidence(pairs, n):

@@ -363,12 +363,16 @@ class TestFlowCommand:
 
     @staticmethod
     def flow_with_design_value(config_file, tmp_path, capsys, section, key, value):
-        """Exit code and stderr of `hippp flow` on a fresh design whose [section] `key` reads `value`."""
+        """Exit code and stderr of `hippp flow` on a fresh design whose [section] `key` reads `value`, or lacks
+        `key` if `value` is None."""
         out = tmp_path / "artifacts"
         run_main("design", "--config", config_file, "--out", out)
         design = configparser.ConfigParser()
         design.read(out / "design.txt")
-        design[section][key] = value
+        if value is None:
+            del design[section][key]
+        else:
+            design[section][key] = value
         with open(out / "design.txt", "w") as handle:
             design.write(handle)
         caps = tmp_path / "caps.txt"
@@ -379,7 +383,8 @@ class TestFlowCommand:
     @pytest.mark.parametrize("count", ["7", "9"])
     def test_a_wrong_layer2_count_names_its_key(self, config_file, tmp_path, capsys, count):
         code, err = self.flow_with_design_value(config_file, tmp_path, capsys, "layer2", "count", count)
-        assert code == 2 and "config error: [layer2] count" in err
+        design = tmp_path / "artifacts" / "design.txt"
+        assert code == 2 and f"config error: design {design}: [layer2] count: a 9-battery ladder has 8 rungs" in err
 
     @pytest.mark.parametrize("rating", ["-0.1", "nan"])
     def test_a_negative_or_nan_layer2_rating_is_a_config_error(self, config_file, tmp_path, capsys, rating):
@@ -413,11 +418,22 @@ class TestFlowCommand:
         design = tmp_path / "artifacts" / "design.txt"
         assert code == 2 and f"config error: design {design}: [layer1] edge_1: converter endpoints must differ" in err
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("layer1", "edge_0", "0;8", "[layer1] edge_0: cannot parse '0;8'"),  # an unparsable edge
+        ("layer1", "processed_1", "abc", "[layer1] processed_1: cannot parse 'abc'"),  # an unparsable key
+        ("supply", "count", None, "[supply] count: required key is missing"),  # a missing key
+    ], ids=["edge", "unparsable-key", "missing-key"])
+    def test_an_unparsable_or_missing_design_key_names_the_file(self, config_file, tmp_path, capsys, section, key,
+                                                                value, message):
+        code, err = self.flow_with_design_value(config_file, tmp_path, capsys, section, key, value)
+        design = tmp_path / "artifacts" / "design.txt"
+        assert code == 2 and f"config error: design {design}: {message}" in err
+
     def test_missing_design_file(self, tmp_path, capsys):
         caps = tmp_path / "caps.txt"
         caps.write_text("1.0\n")
         assert run_main("flow", tmp_path / "absent.txt", caps) == 2
-        assert "config error:" in capsys.readouterr().err
+        assert f"config error: design {tmp_path / 'absent.txt'}: cannot read" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    LPStatus,
     build_flow_lp,
     exhaustive_tie_band,
     free_flow_output,
@@ -33,7 +34,6 @@ from hippp import (
     ExpectedSet,
     Layer1Design,
     Layer2Curve,
-    LPStatus,
     ParameterError,
     StructuralError,
     architecture_edges,

@@ -365,7 +365,7 @@ class TestSweeps:
         def unreachable(*args, **kwargs):
             raise AssertionError("work ran before the converter efficiency was checked")
 
-        for name in ("design_layer1", "draw_capabilities", "flow_powers"):
+        for name in ("design_layer1", "_draw_block", "flow_powers"):
             monkeypatch.setattr(hippp.evaluate, name, unreachable)
         arch = cppp_from_budget(0.2, flatten(SUPPLY9))
         kinds = ["lshippp", "cppp", "fpp"]

@@ -4,8 +4,9 @@ Two oracles back the solver: exhaustive vertex enumeration (every basis,
 every at-bound assignment) for tiny problems, and scipy's HiGHS interface
 for randomized ones. Neither shares any code with the implementation. The
 stacked solver (solve_stack), one problem under many sets of bounds, is
-checked row by row against its serial path, a stack of one (oracles.solve),
-byte for byte.
+checked row by row against a stack of one per LP (oracles.solve), which runs
+the serial loop: an all-optimal stack equals its rows byte for byte, and a
+stack raises iff one of its rows raises alone, naming such a row.
 """
 
 import itertools
@@ -18,10 +19,10 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import hippp.lp
-from hippp import (Architecture, ArchitectureKind, BatterySupply, DesignConfig, LPStatus, ParameterError,
+from hippp import (Architecture, ArchitectureKind, BatterySupply, DesignConfig, InternalCheckError, ParameterError,
                    design_layer1, draw_capabilities, flatten, max_string_outputs)
 from hippp.lp import solve_stack
-from oracles import LinearProgram, linear_program, solve
+from oracles import LinearProgram, LPStatus, failed_lp, linear_program, solve
 
 RNG_INSTANCES = 60
 
@@ -320,28 +321,42 @@ def stack_arrays(batch):
             np.stack([lp.upper for lp in batch]))
 
 
-def assert_stack_equals_serial(batch, stack):
-    """Every row of the stack holds, byte for byte, what its LP gives as a stack of one."""
-    assert len(stack.status) == len(batch) == len(stack.values) == len(stack.objective_value)
-    for lp, status, values, value in zip(batch, stack.status, stack.values, stack.objective_value):
+def assert_stack_equals_serial(batch, values):
+    """Every LP of the batch is optimal alone, and row k of the stack's points holds, byte for byte, LP k's
+    optimum as a stack of one."""
+    assert values.shape == (len(batch), batch[0].objective.size)
+    for lp, row in zip(batch, values):
         want = solve(lp)
-        assert status is want.status
-        if want.status is LPStatus.OPTIMAL:
-            assert values.tobytes() == want.values.tobytes()
-            assert value.tobytes() == np.float64(want.objective_value).tobytes()
-        else:
-            assert np.all(np.isnan(values)) and np.isnan(value)
+        assert want.status is LPStatus.OPTIMAL
+        assert row.tobytes() == want.values.tobytes()
 
 
-def lockstep_counts(caplog, solve):
-    """Run solve() and return its result and the counters of the one lockstep
-    stack it logs: LPs, iterations, LP-iterations (the y rows), y solves, w
-    solves, w rows."""
+def stack_failure(batch):
+    """The index and verdict of the LP that solve_stack names when the batch's stack raises."""
+    with pytest.raises(InternalCheckError) as raised:
+        solve_stack(*stack_arrays(batch))
+    return failed_lp(raised.value)
+
+
+def assert_stack_agrees_with_rows(batch):
+    """A stack raises iff one of its LPs raises alone, and then names such an LP and its verdict; otherwise it
+    equals its rows alone."""
+    failed = {k: sol.status for k, sol in enumerate(map(solve, batch)) if sol.status is not LPStatus.OPTIMAL}
+    if failed:
+        k, verdict = stack_failure(batch)
+        assert failed.get(k) is verdict
+    else:
+        assert_stack_equals_serial(batch, solve_stack(*stack_arrays(batch)))
+
+
+def stack_counts(caplog, solve):
+    """Run solve() and return its result and the counters of every LP stack
+    it logs, in order: LPs, iterations, LP-iterations (the y rows), y
+    solves, w solves, w rows."""
     with caplog.at_level(logging.DEBUG, logger="hippp.lp"):
         caplog.clear()
         result = solve()
-    (record,) = [r for r in caplog.records if r.name == "hippp.lp" and r.msg.startswith("lockstep stack")]
-    return result, record.args
+    return result, [r.args for r in caplog.records if r.name == "hippp.lp" and r.msg.startswith("LP stack")]
 
 
 def templated_batch(rng, n_var, n_row, size, templates):
@@ -369,16 +384,29 @@ class TestSolveStack:
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 8), st.integers(1, 4),
            st.integers(1, 12))
     def test_equals_the_serial_solver(self, seed, n_var, n_row, size):
+        # the batch, and then its LPs that are optimal alone
         batch = mixed_batch(np.random.default_rng(seed), n_var, n_row, size)
+        assert_stack_agrees_with_rows(batch)
+        optimal = [lp for lp in batch if solve(lp).status is LPStatus.OPTIMAL]
+        if optimal:
+            assert_stack_agrees_with_rows(optimal)
+
+    @staticmethod
+    def fixed_batch(status):
+        """The LPs of one fixed batch of every verdict that have `status` alone."""
+        return [lp for lp in mixed_batch(np.random.default_rng(11), 6, 3, 60) if solve(lp).status is status]
+
+    def test_a_fixed_optimal_stack_with_every_kind_of_bound(self):
+        batch = self.fixed_batch(LPStatus.OPTIMAL)
+        _, _, _, lower, upper = stack_arrays(batch)
+        assert len(batch) >= 30 and np.isneginf(lower).any() and np.isposinf(upper).any() and (lower == upper).any()
         assert_stack_equals_serial(batch, solve_stack(*stack_arrays(batch)))
 
-    def test_a_fixed_stack_holds_every_verdict_and_infinite_bound(self):
-        batch = mixed_batch(np.random.default_rng(11), 6, 3, 60)
-        stack = solve_stack(*stack_arrays(batch))
-        assert set(stack.status) == set(LPStatus)
-        _, _, _, lower, upper = stack_arrays(batch)
-        assert np.isneginf(lower).any() and np.isposinf(upper).any() and (lower == upper).any()
-        assert_stack_equals_serial(batch, stack)
+    @pytest.mark.parametrize("status", [LPStatus.INFEASIBLE, LPStatus.UNBOUNDED])
+    def test_one_failing_lp_fails_the_stack_naming_it(self, status):
+        optimal = self.fixed_batch(LPStatus.OPTIMAL)
+        batch = optimal[:7] + self.fixed_batch(status)[:1] + optimal[7:]
+        assert stack_failure(batch) == (7, status)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(2, 8))
@@ -394,14 +422,14 @@ class TestSolveStack:
             assert_stack_equals_serial(batch, solve_stack(*stack_arrays(batch)))
 
     def test_a_stack_of_one_is_a_serial_solve(self, monkeypatch):
-        batch = mixed_batch(np.random.default_rng(3), 6, 3, 1)
         monkeypatch.setattr(hippp.lp, "_iterate_many", None)  # the lockstep must not run
-        assert_stack_equals_serial(batch, solve_stack(*stack_arrays(batch)))
+        for status in LPStatus:
+            assert_stack_agrees_with_rows(self.fixed_batch(status)[:1])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_a_curve_like_stack_shares_its_solves(self, caplog, seed):
         batch = templated_batch(np.random.default_rng(seed), 7, 3, 48, templates=4)
-        stack, (_, _, y_rows, y_solves, w_solves, w_rows) = lockstep_counts(
+        stack, [(_, _, y_rows, y_solves, w_solves, w_rows)] = stack_counts(
             caplog, lambda: solve_stack(*stack_arrays(batch)))
         assert_stack_equals_serial(batch, stack)
         assert y_solves < y_rows and w_solves < w_rows
@@ -418,9 +446,7 @@ class TestSolveStack:
         boxes = [(corner, np.maximum(corner, p) + 1.0) for corner in corners]
         assert len({tuple(np.sign(a @ p - a @ corner)) for corner in corners}) > 1
         batch = [LinearProgram(c, a, a @ p, lower, upper) for lower, upper in boxes for _ in range(3)]
-        stack = solve_stack(*stack_arrays(batch))
-        assert set(stack.status) == {LPStatus.OPTIMAL}
-        assert_stack_equals_serial(batch, stack)
+        assert_stack_equals_serial(batch, solve_stack(*stack_arrays(batch)))
 
     def test_phase_one_codes_name_each_lps_columns(self):
         # LP k's phase-1 matrix is columns[:, codes[k]]: the problem's
@@ -433,6 +459,19 @@ class TestSolveStack:
         assert columns[:, codes[1]].tolist() == [[2.0, 0.0, -1.0, 0.0], [1.0, 3.0, 0.0, 1.0]]
         assert c1.tolist() == [0.0, 0.0, -1.0, -1.0]
 
+    @pytest.mark.parametrize("row, upper, pick", [
+        ([2.0, 1.0, 3.0], [0.0, 1.0, 1.0], 1),   # the first movable column
+        ([5e-8, 0.0, 3.0], [1.0, 1.0, 1.0], 2),  # an entry below 1e-7 is passed over while a movable column is left
+        ([5e-8, 0.0, 3.0], [0.0, 0.0, 0.0], 0),  # else the first column with an entry above 1e-9
+        ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 3),   # a redundant row keeps its artificial
+    ])
+    def test_a_zero_artificial_leaves_for_the_first_eligible_column(self, row, upper, pick):
+        # one row, its artificial (column 3) basic at zero, three real columns at their lower bounds
+        basis, stat, x = np.array([3]), np.array([0, 0, 0, hippp.lp._BASIC], dtype=np.int8), np.zeros(4)
+        hippp.lp._drive_out_artificials(np.array([row + [1.0]]), np.zeros(4), np.array(upper + [np.inf]), basis,
+                                        stat, x, 3)
+        assert basis.tolist() == [pick] and stat[pick] == hippp.lp._BASIC
+
     @pytest.mark.parametrize("size", [1, 3])
     def test_a_negative_zero_right_hand_side_counts_as_zero(self, size):
         # x0 + x1 = -0.0 in the unit box: taken as it is, the basic x0 would
@@ -440,8 +479,7 @@ class TestSolveStack:
         c, a, lower, upper = np.array([1.0, 0.0]), np.array([[1.0, 1.0]]), np.zeros((size, 2)), np.ones((size, 2))
         minus = solve_stack(c, a, np.array([-0.0]), lower, upper)
         plus = solve_stack(c, a, np.zeros(1), lower, upper)
-        assert minus.status == plus.status == (LPStatus.OPTIMAL,) * size
-        assert minus.values.tobytes() == plus.values.tobytes() and not np.signbit(minus.values).any()
+        assert minus.tobytes() == plus.tobytes() and not np.signbit(minus).any()
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -463,19 +501,27 @@ class TestSolveStack:
         assert first.tolist() == group.tolist() == [0, 1, 2]
         monkeypatch.setattr(hippp.lp, "_HASH_BASE", 0)
         batch = templated_batch(np.random.default_rng(9), 7, 4, 24, templates=3)
-        stack, (_, iterations, _, y_solves, _, _) = lockstep_counts(
+        stack, [(_, iterations, _, y_solves, _, _)] = stack_counts(
             caplog, lambda: solve_stack(*stack_arrays(batch)))
         assert_stack_equals_serial(batch, stack)
         assert y_solves > iterations  # not one solve per iteration, as the colliding key alone would give
 
     def test_the_layer2_curve_stack_shares_its_solves(self, caplog):
+        # the layer-1 design solve logs its two stacks of one, one y and one
+        # w solve per step of the serial loop (the last iteration of each
+        # phase only finds it optimal); the layer-2 curve's stack shares its
+        # solves
         supply = BatterySupply(1.0, 0.2, 9)
         expected = flatten(supply)
-        layer1 = design_layer1(expected, DesignConfig(num_layer1=3, num_rating_sets=2))
+        cfg = DesignConfig(num_layer1=3, num_rating_sets=2)
+        layer1, design = stack_counts(caplog, lambda: design_layer1(expected, cfg))
+        assert [lps for lps, *_ in design] == [1, 1]
+        for _, iterations, y_rows, y_solves, w_solves, w_rows in design:
+            assert y_rows == y_solves == iterations and w_rows == w_solves == iterations - 2
         arch = Architecture(ArchitectureKind.LSHIPPP, 9, expected.total_power, 0.0, layer1)
         block = np.tile([draw_capabilities(supply, seed) for seed in range(10)], (4, 1))
         rungs = np.repeat([0.0, 0.05, 0.1, 0.3], 10)
-        _, (lps, _, y_rows, y_solves, w_solves, w_rows) = lockstep_counts(
+        _, [(lps, _, y_rows, y_solves, w_solves, w_rows)] = stack_counts(
             caplog, lambda: max_string_outputs(block, arch, rungs))
         assert lps == 40
         assert 2 * y_solves < y_rows and 2 * w_solves < w_rows
@@ -500,19 +546,13 @@ class TestSolveStack:
 
         monkeypatch.setattr(hippp.powerflow, "solve_stack", recorded)
         max_string_outputs(block, arch, rungs)
-        assert sum(len(stack.status) for _, stack in stacks) == 120
+        assert sum(len(stack) for _, stack in stacks) == 120
         for (c, a, b, lower, upper), stack in stacks:
-            assert set(stack.status) == {LPStatus.OPTIMAL}
-            for k in range(len(stack.status)):
-                alone = solve_stack(c, a, b, lower[k:k + 1], upper[k:k + 1])
-                assert stack.status[k] is alone.status[0]
-                assert stack.values[k].tobytes() == alone.values[0].tobytes()
-                assert stack.objective_value[k].tobytes() == alone.objective_value[0].tobytes()
+            for k, row in enumerate(stack):
+                assert row.tobytes() == solve_stack(c, a, b, lower[k:k + 1], upper[k:k + 1])[0].tobytes()
 
     def test_empty_batch(self):
-        stack = solve_stack(np.zeros(2), np.ones((1, 2)), np.ones(1), np.zeros((0, 2)), np.ones((0, 2)))
-        assert stack.status == ()
-        assert stack.values.shape == (0, 2) and stack.objective_value.shape == (0,)
+        assert solve_stack(np.zeros(2), np.ones((1, 2)), np.ones(1), np.zeros((0, 2)), np.ones((0, 2))).shape == (0, 2)
 
     @pytest.mark.parametrize("field, index, value", [
         (3, (2, 1), np.nan),     # a NaN lower bound
@@ -546,4 +586,4 @@ class TestSolveStack:
                 solve_stack(*bad)
         # a one-row matrix is one matrix, not one row per LP
         one_row = np.ones((1, 3))
-        assert solve_stack(c, one_row, np.ones(1), np.zeros((2, 3)), np.ones((2, 3))).status == (LPStatus.OPTIMAL,) * 2
+        assert solve_stack(c, one_row, np.ones(1), np.zeros((2, 3)), np.ones((2, 3))).shape == (2, 3)
