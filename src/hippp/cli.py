@@ -11,8 +11,10 @@ Three commands:
 * ``flow``: solve a single operating point for a design file and a
   capability listing, and print the full flow report.
 
-Exit codes: 0 on success, 2 for configuration problems (malformed config or
-input files, bad values), 3 for runtime failures such as the interconnection
+The config and the design file are both checked against their tables of
+keys, and ``design`` writes its file from its table. Exit codes: 0 on
+success, 2 for configuration problems (malformed config or input files, bad
+values, unknown keys), 3 for runtime failures such as the interconnection
 enumeration cap. Set HIPPP_LOG=debug|info|warning to control verbosity.
 """
 
@@ -31,6 +33,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,14 +46,13 @@ from .architecture import (
     aggregate_rating,
 )
 from .design import DesignConfig, design_layer1, design_layer2, lshippp_for_budget
-from .errors import ConfigError, EnumerationCapError, HipppError, InternalCheckError, whole
+from .errors import ConfigError, EnumerationCapError, HipppError, InternalCheckError, ParameterError, whole
 from .evaluate import (
     DEFAULT_CONVERTER_EFFICIENCY,
     MetricsRecord,
     _check_efficiency,
     _grid,
     _normalize_kinds,
-    _sigma_points,
     sweep_figures,
 )
 from .powerflow import architecture_edges, optimal_flow
@@ -63,22 +65,19 @@ CSV_HEADER = (
     "util_mean", "util_std", "eff_mean", "proc_mean", "out_mean",
 )
 
-_DEFAULT_RATING_GRID = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.50)
-_DEFAULT_SIGMA_GRID = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    supply: BatterySupply
-    design: DesignConfig
-    kinds: tuple[ArchitectureKind, ...]
-    rating_grid: tuple[float, ...]
-    sigma_grid: tuple[float, ...]
-    rating_budget: float
-    converter_efficiency: float
-    trials: int
-    seed: int
-    out_dir: str
+    supply: BatterySupply = BatterySupply(1.0, 0.2, 9)
+    design: DesignConfig = DesignConfig()
+    kinds: tuple[ArchitectureKind, ...] = (ArchitectureKind.LSHIPPP, ArchitectureKind.CPPP, ArchitectureKind.FPP)
+    rating_grid: tuple[float, ...] = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.50)
+    sigma_grid: tuple[float, ...] = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
+    rating_budget: float = 0.15
+    converter_efficiency: float = DEFAULT_CONVERTER_EFFICIENCY
+    trials: int = 1000
+    seed: int = 0
+    directory: str = "out"
 
 
 def _sig6(value: float) -> str:
@@ -96,116 +95,183 @@ def _key(label: str):
         raise ConfigError(f"{label}: {exc}") from exc
 
 
-def _parse_scalar(parser, section, key, caster, default):
-    if not parser.has_option(section, key):
-        if default is None:
-            raise ConfigError(f"[{section}] {key}: required key is missing")
-        return default
-    raw = parser.get(section, key)
-    try:
-        return caster(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} ({exc})") from exc
+class _Key(NamedTuple):
+    """An INI key; a `{i}` in `name` makes it one key per index. `read` parses the key's text, raising a
+    ValueError or TypeError if it cannot, and `check(value, got)` holds the value to the library's rules and
+    to the sections read before it, raising a HipppError."""
+
+    name: str
+    read: Callable
+    check: Callable | None = None
 
 
-def _parse_float_list(parser, section, key, default):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    try:
-        values = tuple(float(tok) for tok in raw.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} ({exc})") from exc
+class _Section(NamedTuple):
+    """An INI section and its keys, plain keys first. `count(got, given)` is how many indices its `{i}` keys
+    take, from the sections read so far and the file's keys for it. `build` makes its values one object,
+    which the writer reads back by key. A missing key takes the attribute of `defaults`, or is required."""
+
+    name: str
+    keys: tuple[_Key, ...]
+    count: Callable | None = None
+    build: Callable | None = None
+    defaults: object = None
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    values = tuple(float(tok) for tok in text.replace(",", " ").split())
     if not values:
-        raise ConfigError(f"[{section}] {key}: list must not be empty")
+        raise ValueError("list must not be empty")
     return values
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Read the flat key-value experiment description; see README for keys.
+def _whole(name: str, low: int) -> _Key:
+    """A key holding a whole number of at least `low`, by the library's one whole-number rule."""
+    return _Key(name, int, lambda number, got: whole(number, name, low))
 
-    A `;` after a value, with whitespace before it, starts a comment.
-    """
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+
+def _rating(rating: float, got) -> None:
+    if not rating >= 0.0:
+        raise ParameterError("rating must be non-negative, not NaN")
+
+
+def _rungs(count: int, got) -> None:
+    n = got["supply"].count
+    if count != n - 1:
+        raise ParameterError(f"a {n}-battery ladder has {n - 1} rungs")
+
+
+def _edge(text: str) -> tuple[int, int]:
+    """The `from,to` endpoints of a layer-1 converter."""
+    src, dst = (int(tok) for tok in text.split(","))
+    return src, dst
+
+
+# how the writer formats a value, by the read of its key; a float by its shortest repr
+_FORMATS = {int: str, _edge: "{0[0]},{0[1]}".format}
+_SUPPLY_KEYS = (_Key("mean_power", float), _Key("std_power", float), _Key("count", int))
+
+# the experiment config, each section's defaults those of ExperimentConfig
+_CONFIG = (
+    _Section("supply", _SUPPLY_KEYS, build=BatterySupply, defaults=ExperimentConfig.supply),
+    _Section("design", (
+        _Key("num_layer1", int), _Key("num_rating_sets", int), _Key("layer2_trial_ratings", _floats),
+        _Key("monte_carlo_trials", int), _Key("base_seed", int),
+    ), build=DesignConfig, defaults=ExperimentConfig.design),
+    _Section("evaluate", (
+        _Key("kinds", lambda text: tuple(_normalize_kinds(text.lower().replace(",", " ").split()))),
+        _Key("rating_grid", _floats, lambda grid, got: _grid(grid, "rating grid")),
+        # each spread is the std_power of a BatterySupply like the config's
+        _Key("sigma_grid", _floats, lambda grid, got: [
+            BatterySupply(got["supply"].mean_power, sigma, got["supply"].count) for sigma in _grid(grid, "sigma grid")
+        ]),
+        _Key("rating_budget", float, lambda budget, got: _check_budget(budget)),
+        _Key("converter_efficiency", float, lambda efficiency, got: _check_efficiency(efficiency)),
+        _whole("trials", 1),
+        _whole("seed", 0),
+    ), build=dict, defaults=ExperimentConfig),
+    _Section("output", (_Key("directory", str),), build=dict, defaults=ExperimentConfig),
+)
+
+# design.txt, as `hippp design` writes it and `hippp flow` reads it back
+_DESIGN_FILE = (
+    _Section("supply", _SUPPLY_KEYS, build=BatterySupply),
+    _Section("design", (
+        _Key("num_layer1", int), _whole("num_rating_sets", 1), _Key("monte_carlo_trials", int),
+        _Key("base_seed", int), _Key("rating_budget", float),
+    )),
+    _Section("expected_set", (_Key("capability_{i}", float),), count=lambda got, given: got["supply"].count),
+    _Section("layer1", (
+        _whole("count", 1), _Key("edge_{i}", _edge, lambda edge, got: ConverterEdge(*edge, 0.0)),
+        _Key("rating_{i}", float, _rating), _Key("processed_{i}", float),
+    ), count=lambda got, given: got["layer1"]["count"]),
+    _Section("layer2", (_Key("count", int, _rungs), _Key("rating", float, _rating))),
+    # as many points as the file lists
+    _Section("layer2_curve", (_Key("rating_{i}", float), _Key("utilization_{i}", float)),
+             count=lambda got, given: -(-len(given) // 2)),
+)
+
+
+def _layout(section: _Section, count):
+    """(key, name, index) of each key of `section` in file order: plain keys, then `{i}` keys for `count()` i."""
+    yield from ((key, key.name, None) for key in section.keys if "{i}" not in key.name)
+    indexed = [key for key in section.keys if "{i}" in key.name]
+    for i in range(count() if indexed else 0):
+        yield from ((key, key.name.format(i=i), i) for key in indexed)
+
+
+def _read_ini(path: str, table) -> dict:
+    """The sections of INI file `path` checked against `table`, each as the object its `build` makes or as a
+    tuple of its values in key order, an `{i}` key's a list. A section or key not in the table, one under
+    [DEFAULT] included, is refused. A `;` after a value, with whitespace before it, starts a comment."""
+    # no default section: [DEFAULT] is a section like any other, and in no table
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None, default_section="")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except (OSError, UnicodeError) as exc:
+        raise ConfigError(f"cannot read: {exc}") from exc
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+        raise ConfigError(f"cannot parse: {exc}") from exc
+    for name in (name for name in parser.sections() if name not in {section.name for section in table}):
+        first = next(iter(parser[name]), None)
+        raise ConfigError(f"[{name}] {first}: unknown key" if first else f"[{name}]: unknown section")
+    got = {}
+    for section in table:
+        given = parser[section.name] if parser.has_section(section.name) else {}
+        values = got[section.name] = {key.name: [] for key in section.keys}
+        for key, name, i in _layout(section, lambda: section.count(got, given)):
+            label = f"[{section.name}] {name}"
+            with _key(label):
+                if name in given:
+                    try:
+                        value = key.read(given[name])
+                    except (TypeError, ValueError) as exc:
+                        raise ConfigError(f"{label}: cannot parse {given[name]!r} ({exc})") from exc
+                elif section.defaults is None:
+                    raise ConfigError(f"{label}: required key is missing")
+                else:
+                    value = getattr(section.defaults, key.name)
+                if key.check:
+                    key.check(value, got)
+            if i is None:
+                values[key.name] = value
+            else:
+                values[key.name].append(value)
+        read = {name for _, name, _ in _layout(section, lambda: len(values[section.keys[-1].name]))}
+        for name in (name for name in given if name not in read):
+            raise ConfigError(f"[{section.name}] {name}: unknown key")
+        with _key(f"[{section.name}]"):
+            got[section.name] = section.build(**values) if section.build else tuple(values.values())
+    return got
 
-    with _key("[supply]"):
-        supply = BatterySupply(
-            mean_power=_parse_scalar(parser, "supply", "mean_power", float, 1.0),
-            std_power=_parse_scalar(parser, "supply", "std_power", float, 0.2),
-            count=_parse_scalar(parser, "supply", "count", int, 9),
-        )
-    with _key("[design]"):
-        design = DesignConfig(
-            num_layer1=_parse_scalar(parser, "design", "num_layer1", int, 3),
-            num_rating_sets=_parse_scalar(parser, "design", "num_rating_sets", int, 2),
-            layer2_trial_ratings=_parse_float_list(
-                parser, "design", "layer2_trial_ratings", DesignConfig().layer2_trial_ratings
-            ),
-            monte_carlo_trials=_parse_scalar(parser, "design", "monte_carlo_trials", int, 1000),
-            base_seed=_parse_scalar(parser, "design", "base_seed", int, 0),
-        )
 
-    # each [evaluate] value goes through the library rule that will use it
-    names = _parse_scalar(parser, "evaluate", "kinds", str, "lshippp, cppp, fpp")
-    with _key("[evaluate] kinds"):
-        kinds = _normalize_kinds(names.lower().replace(",", " ").split())
-    trials = _parse_scalar(parser, "evaluate", "trials", int, 1000)
-    with _key("[evaluate] trials"):
-        trials = whole(trials, "trials", 1)
-    efficiency = _parse_scalar(parser, "evaluate", "converter_efficiency", float, DEFAULT_CONVERTER_EFFICIENCY)
-    with _key("[evaluate] converter_efficiency"):
-        _check_efficiency(efficiency)
-    budget = _parse_scalar(parser, "evaluate", "rating_budget", float, 0.15)
-    with _key("[evaluate] rating_budget"):
-        _check_budget(budget)
-    seed = _parse_scalar(parser, "evaluate", "seed", int, 0)
-    with _key("[evaluate] seed"):
-        seed = whole(seed, "seed")
-    rating_grid = _parse_float_list(parser, "evaluate", "rating_grid", _DEFAULT_RATING_GRID)
-    with _key("[evaluate] rating_grid"):
-        _grid(rating_grid, "rating grid")
-    sigma_grid = _parse_float_list(parser, "evaluate", "sigma_grid", _DEFAULT_SIGMA_GRID)
-    with _key("[evaluate] sigma_grid"):  # each spread is a BatterySupply's std_power
-        _sigma_points(supply.mean_power, sigma_grid, budget, supply.count)
+def _write_ini(handle, table, sections) -> None:
+    """Write `sections`, per section of `table` what `_read_ini` gives for it, in ConfigParser.write's layout."""
+    for section, values in zip(table, sections, strict=True):
+        names = [key.name for key in section.keys]
+        by_name = {name: getattr(values, name) for name in names} if section.build else dict(zip(names, values))
+        handle.write(f"[{section.name}]\n")
+        for key, name, i in _layout(section, lambda: len(by_name[section.keys[-1].name])):
+            value = by_name[key.name] if i is None else by_name[key.name][i]
+            handle.write(f"{name} = {_FORMATS.get(key.read, lambda v: repr(float(v)))(value)}\n")
+        handle.write("\n")
 
-    return ExperimentConfig(
-        supply=supply,
-        design=design,
-        kinds=tuple(kinds),
-        rating_grid=rating_grid,
-        sigma_grid=sigma_grid,
-        rating_budget=budget,
-        converter_efficiency=efficiency,
-        trials=trials,
-        seed=seed,
-        out_dir=_parse_scalar(parser, "output", "directory", str, "out"),
-    )
+
+def load_config(path: str) -> ExperimentConfig:
+    """The experiment config at `path`, read against `_CONFIG`; see README for keys."""
+    supply, design, evaluate, output = _read_ini(path, _CONFIG).values()
+    return ExperimentConfig(supply, design, **evaluate, **output)
 
 
 def _write_records(path: Path, records: list[MetricsRecord]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_HEADER)
-        for r in records:
-            writer.writerow([
-                r.architecture_kind,
-                _sig6(r.rating_norm),
-                _sig6(r.heterogeneity),
-                r.trials,
-                r.seed,
-                _sig6(r.utilization),
-                _sig6(r.utilization_std),
-                _sig6(r.system_efficiency),
-                _sig6(r.processed_norm),
-                _sig6(r.output_norm),
-            ])
+        writer.writerows(
+            [r.architecture_kind, _sig6(r.rating_norm), _sig6(r.heterogeneity), r.trials, r.seed,
+             *map(_sig6, (r.utilization, r.utilization_std, r.system_efficiency, r.processed_norm, r.output_norm))]
+            for r in records
+        )
 
 
 def cmd_design(cfg: ExperimentConfig, out_dir: str) -> Path:
@@ -214,39 +280,21 @@ def cmd_design(cfg: ExperimentConfig, out_dir: str) -> Path:
     layer1 = design_layer1(expected, cfg.design)
     rung, curve = design_layer2(layer1, cfg.supply, cfg.design, budget=cfg.rating_budget)
 
-    out = configparser.ConfigParser()
-    out["supply"] = {
-        "mean_power": repr(cfg.supply.mean_power),
-        "std_power": repr(cfg.supply.std_power),
-        "count": str(cfg.supply.count),
-    }
-    out["design"] = {
-        "num_layer1": str(cfg.design.num_layer1),
-        "num_rating_sets": str(cfg.design.num_rating_sets),
-        "monte_carlo_trials": str(cfg.design.monte_carlo_trials),
-        "base_seed": str(cfg.design.base_seed),
-        "rating_budget": repr(cfg.rating_budget),
-    }
-    out["expected_set"] = {
-        f"capability_{i}": repr(float(v)) for i, v in enumerate(expected.capabilities)
-    }
-    layer1_section = {"count": str(len(layer1.edges))}
-    for i, (edge, processed) in enumerate(zip(layer1.edges, layer1.processed_at_design)):
-        layer1_section[f"edge_{i}"] = f"{edge.from_battery},{edge.to_battery}"
-        layer1_section[f"rating_{i}"] = repr(edge.rating)
-        layer1_section[f"processed_{i}"] = repr(processed)
-    out["layer1"] = layer1_section
-    out["layer2"] = {"count": str(expected.count - 1), "rating": repr(rung)}
-    out["layer2_curve"] = {}
-    for i, (rating, util) in enumerate(curve.points):
-        out["layer2_curve"][f"rating_{i}"] = repr(rating)
-        out["layer2_curve"][f"utilization_{i}"] = repr(util)
-
+    sections = (
+        cfg.supply,
+        (cfg.design.num_layer1, cfg.design.num_rating_sets, cfg.design.monte_carlo_trials, cfg.design.base_seed,
+         cfg.rating_budget),
+        (expected.capabilities,),
+        (len(layer1.edges), [(e.from_battery, e.to_battery) for e in layer1.edges], [e.rating for e in layer1.edges],
+         layer1.processed_at_design),
+        (expected.count - 1, rung),
+        tuple(zip(*curve.points)),
+    )
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / "design.txt"
     with open(path, "w", encoding="utf-8") as handle:
-        out.write(handle)
+        _write_ini(handle, _DESIGN_FILE, sections)
 
     arch = lshippp_for_budget(layer1, expected, cfg.rating_budget)
     print(f"design written to {path}")
@@ -285,69 +333,24 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> list[Pat
             (r for r in rating_records if r.architecture_kind == kind.value),
             key=lambda r: abs(r.rating_norm - cfg.rating_budget),
         )
-        print(
-            f"[{kind.value}] rating {_sig6(at_budget.rating_norm)} "
-            f"sigma {_sig6(at_budget.heterogeneity)}: "
-            f"utilization {_sig6(at_budget.utilization)} "
-            f"efficiency {_sig6(at_budget.system_efficiency)} "
-            f"processed {_sig6(at_budget.processed_norm)}"
-        )
+        print(f"[{kind.value}] rating {_sig6(at_budget.rating_norm)} sigma {_sig6(at_budget.heterogeneity)}: "
+              f"utilization {_sig6(at_budget.utilization)} efficiency {_sig6(at_budget.system_efficiency)} "
+              f"processed {_sig6(at_budget.processed_norm)}")
     return written
-
-
-def _design_rating(parser, section: str, key: str) -> float:
-    rating = _parse_scalar(parser, section, key, float, None)
-    if not rating >= 0.0:
-        raise ConfigError(f"[{section}] {key}: rating must be non-negative, not NaN")
-    return rating
 
 
 def _read_design(path: str) -> tuple[BatterySupply, Architecture]:
     """The supply and LS-HiPPP architecture of a design file; every error starts with `design <path>:`."""
-    parser = configparser.ConfigParser()
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            parser.read_file(handle)
-    except OSError as exc:
-        raise ConfigError(f"design {path}: cannot read: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"design {path}: cannot parse: {exc}") from exc
-    try:
-        return _design_from(parser)
+        sections = _read_ini(path, _DESIGN_FILE).values()
+        supply, (_, partitions, *_), _, (_, pairs, ratings, processed), (_, rung), _ = sections
+        total = flatten(supply).total_power
+        with _key("[layer1]"):
+            edges = tuple(ConverterEdge(src, dst, rating) for (src, dst), rating in zip(pairs, ratings))
+            layer1 = Layer1Design(edges, partitions, tuple(processed))
+            arch = Architecture(ArchitectureKind.LSHIPPP, supply.count, total, rung, layer1)
     except ConfigError as exc:
         raise ConfigError(f"design {path}: {exc}") from exc
-
-
-def _design_from(parser) -> tuple[BatterySupply, Architecture]:
-    """_read_design's checks on a parsed design file; each error names its section or key."""
-    with _key("[supply]"):
-        supply = BatterySupply(
-            mean_power=_parse_scalar(parser, "supply", "mean_power", float, None),
-            std_power=_parse_scalar(parser, "supply", "std_power", float, None),
-            count=_parse_scalar(parser, "supply", "count", int, None),
-        )
-    n_edges = _parse_scalar(parser, "layer1", "count", int, None)
-    edges = []
-    processed = []
-    for i in range(n_edges):
-        raw = _parse_scalar(parser, "layer1", f"edge_{i}", str, None)
-        try:
-            src, dst = (int(tok) for tok in raw.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"[layer1] edge_{i}: cannot parse {raw!r}") from exc
-        rating = _design_rating(parser, "layer1", f"rating_{i}")
-        with _key(f"[layer1] edge_{i}"):
-            edges.append(ConverterEdge(src, dst, rating))
-        processed.append(_parse_scalar(parser, "layer1", f"processed_{i}", float, None))
-    partitions = _parse_scalar(parser, "design", "num_rating_sets", int, None)
-    with _key("[design] num_rating_sets"):
-        whole(partitions, "num_rating_sets", 1)  # at most one set per edge is Layer1Design's check, under [layer1]
-    with _key("[layer1]"):
-        layer1 = Layer1Design(edges=tuple(edges), rating_partitions=partitions, processed_at_design=tuple(processed))
-    if _parse_scalar(parser, "layer2", "count", int, None) != supply.count - 1:
-        raise ConfigError(f"[layer2] count: a {supply.count}-battery ladder has {supply.count - 1} rungs")
-    rung = _design_rating(parser, "layer2", "rating")
-    arch = Architecture(ArchitectureKind.LSHIPPP, supply.count, flatten(supply).total_power, rung, layer1)
     return supply, arch
 
 
@@ -457,15 +460,12 @@ def main(argv=None) -> int:
         with _key("--threads"):
             whole(args.threads, "threads", 1)
         cfg = _apply_overrides(load_config(args.config), args)
-        out_dir = args.out if args.out is not None else cfg.out_dir
+        out_dir = args.out if args.out is not None else cfg.directory
         if args.command == "design":
             cmd_design(cfg, out_dir)
         else:
             cmd_sweep(cfg, out_dir, workers=args.threads)
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (EnumerationCapError, InternalCheckError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3

@@ -4,6 +4,7 @@ import concurrent.futures
 import configparser
 import csv
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -18,7 +19,7 @@ from oracles import hierarchical_lp_output, least_processing_lp
 import hippp.cli
 import hippp.evaluate
 from hippp import architecture_edges
-from hippp.cli import CSV_HEADER, _read_design, load_config, main
+from hippp.cli import _DESIGN_FILE, CSV_HEADER, _read_design, _read_ini, _write_ini, load_config, main
 from hippp.errors import ConfigError
 
 BASE_CONFIG = """\
@@ -79,7 +80,7 @@ class TestConfigLoading:
         assert cfg.sigma_grid == (0.10, 0.20)
         assert cfg.rating_budget == 0.15
         assert cfg.trials == 8
-        assert cfg.out_dir == "out"
+        assert cfg.directory == "out"
 
     def test_defaults_fill_missing_keys(self, tmp_path):
         path = tmp_path / "minimal.ini"
@@ -91,11 +92,21 @@ class TestConfigLoading:
         assert cfg.converter_efficiency == 0.85
         assert len(cfg.rating_grid) == 10
 
-    def test_bad_value_names_section_and_key(self, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        ("[supply]\nstd_power = banana\n", "[supply] std_power: cannot parse 'banana'"),
+        ("[design]\nnum_layer1 = 4\nnum_layer1s = 4\n", "[design] num_layer1s: unknown key"),
+        ("[desgin]\nnum_layer1 = 4\n", "[desgin] num_layer1: unknown key"),
+        ("[supply]\ncount = 5\n[bogus]\ncount = 5\n", "[bogus] count: unknown key"),
+        ("[bogus]\n", "[bogus]: unknown section"),
+        ("[DEFAULT]\ncount = 5\n", "[DEFAULT] count: unknown key"),
+    ], ids=["unparsable", "unknown-key", "unknown-section", "unknown-section-key", "empty-unknown-section",
+            "default-key"])
+    def test_bad_value_names_section_and_key(self, tmp_path, text, message):
         path = tmp_path / "bad.ini"
-        path.write_text("[supply]\nstd_power = banana\n")
-        with pytest.raises(ConfigError, match=r"\[supply\] std_power"):
+        path.write_text(text)
+        with pytest.raises(ConfigError) as caught:
             load_config(str(path))
+        assert str(caught.value).startswith(message)
 
     def test_unknown_architecture_is_reported(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -161,6 +172,33 @@ class TestDesignCommand:
         # the rating curve is stored alongside the chosen point
         assert parser.getfloat("layer2_curve", "rating_0") == 0.0
         assert 0.0 < parser.getfloat("layer2_curve", "utilization_0") <= 1.0
+
+    @pytest.mark.parametrize("config, batteries, converters", [
+        ("[design]\nmonte_carlo_trials = 8\n", 9, 3),
+        ("[supply]\ncount = 16\n[design]\nnum_layer1 = 2\nmonte_carlo_trials = 8\n", 16, 2),
+    ], ids=["readme-default", "n16-m2"])
+    def test_the_design_file_reads_and_writes_back_to_its_bytes(self, tmp_path, config, batteries, converters):
+        path = tmp_path / "experiment.ini"
+        path.write_text(config)
+        assert run_main("design", "--config", path, "--out", tmp_path) == 0
+        written = (tmp_path / "design.txt").read_text(encoding="utf-8")
+        again = io.StringIO()
+        _write_ini(again, _DESIGN_FILE, _read_ini(str(tmp_path / "design.txt"), _DESIGN_FILE).values())
+        assert again.getvalue() == written
+        # the keys in the order the format has always had, independent of the table
+        parser = configparser.ConfigParser()
+        parser.read_string(written)
+        assert parser.getint("design", "num_layer1") == parser.getint("layer1", "count") == converters
+        assert [(name, key) for name in parser.sections() for key in parser[name]] == (
+            [("supply", key) for key in ("mean_power", "std_power", "count")]
+            + [("design", key) for key in ("num_layer1", "num_rating_sets", "monte_carlo_trials", "base_seed",
+                                           "rating_budget")]
+            + [("expected_set", f"capability_{i}") for i in range(batteries)]
+            + [("layer1", "count")]
+            + [("layer1", f"{key}_{i}") for i in range(converters) for key in ("edge", "rating", "processed")]
+            + [("layer2", "count"), ("layer2", "rating")]
+            + [("layer2_curve", f"{key}_{i}") for i in range(10) for key in ("rating", "utilization")]
+        )
 
     def test_rerun_is_byte_identical(self, config_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -372,7 +410,7 @@ class TestFlowCommand:
         if value is None:
             del design[section][key]
         else:
-            design[section][key] = value
+            design.read_dict({section: {key: value}})  # a new section, or [DEFAULT], too
         with open(out / "design.txt", "w") as handle:
             design.write(handle)
         caps = tmp_path / "caps.txt"
@@ -422,7 +460,13 @@ class TestFlowCommand:
         ("layer1", "edge_0", "0;8", "[layer1] edge_0: cannot parse '0;8'"),  # an unparsable edge
         ("layer1", "processed_1", "abc", "[layer1] processed_1: cannot parse 'abc'"),  # an unparsable key
         ("supply", "count", None, "[supply] count: required key is missing"),  # a missing key
-    ], ids=["edge", "unparsable-key", "missing-key"])
+        ("expected_set", "capability_8", None, "[expected_set] capability_8: required key is missing"),
+        ("layer1", "count", "2", "[layer1] edge_2: unknown key"),  # a key past its section's count
+        ("layer2", "extra", "1", "[layer2] extra: unknown key"),
+        ("bogus", "extra", "1", "[bogus] extra: unknown key"),
+        ("DEFAULT", "extra", "1", "[DEFAULT] extra: unknown key"),
+    ], ids=["edge", "unparsable-key", "missing-key", "missing-indexed-key", "past-count", "unknown-key",
+            "unknown-section", "default-key"])
     def test_an_unparsable_or_missing_design_key_names_the_file(self, config_file, tmp_path, capsys, section, key,
                                                                 value, message):
         code, err = self.flow_with_design_value(config_file, tmp_path, capsys, section, key, value)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hippp.cli import load_config
+from hippp.cli import _DESIGN_FILE, load_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -31,3 +31,11 @@ def test_the_library_block_runs():
     record = namespace["record"]
     assert record.architecture_kind == "lshippp" and record.trials == 1000
     assert record.rating_norm == pytest.approx(0.15, abs=1e-12)
+
+
+def test_the_design_file_table_lists_the_keys_hippp_reads_and_writes():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("### Design file"):text.index("## Output schema")]
+    rows = re.findall(r"^\| `\[(\w+)\]` \| (.*?) \|", section, re.M)
+    documented = [(name, re.findall(r"`([^`]+)`", keys)) for name, keys in rows]
+    assert documented == [(s.name, [key.name for key in s.keys]) for s in _DESIGN_FILE]
