@@ -70,12 +70,9 @@ from .powerflow import (
 from .supply import (
     BatterySample,
     BatterySupply,
-    CapabilityDistribution,
     ExpectedSet,
-    GaussianCapability,
     draw_capabilities,
     flatten,
-    flatten_distribution,
     sample_battery_set,
 )
 
@@ -86,14 +83,12 @@ __all__ = [
     "ArchitectureKind",
     "BatterySample",
     "BatterySupply",
-    "CapabilityDistribution",
     "ConfigError",
     "ConverterEdge",
     "DEFAULT_CONVERTER_EFFICIENCY",
     "DesignConfig",
     "EnumerationCapError",
     "ExpectedSet",
-    "GaussianCapability",
     "HipppError",
     "InternalCheckError",
     "Layer1Design",
@@ -113,7 +108,6 @@ __all__ = [
     "evaluate_architecture",
     "evaluate_cells",
     "flatten",
-    "flatten_distribution",
     "flow_powers",
     "fpp_from_budget",
     "hierarchical_currents",

@@ -119,10 +119,14 @@ class Architecture:
                     raise StructuralError(f"edge {edge.from_battery}->{edge.to_battery} leaves the string")
 
 
+def _converters(kind: ArchitectureKind, n: int) -> int:
+    """How many identical converters share the rating: one per battery, or one per ladder rung."""
+    return n if kind == ArchitectureKind.FPP else n - 1
+
+
 def aggregate_rating(arch: Architecture) -> float:
     """Total installed converter rating over the design-time expected string power."""
-    count = arch.num_batteries if arch.kind == ArchitectureKind.FPP else arch.num_batteries - 1
-    installed = count * arch.rating
+    installed = _converters(arch.kind, arch.num_batteries) * arch.rating
     if arch.layer1 is not None:
         installed = arch.layer1.total_rating + installed
     return installed / arch.total_expected_power
@@ -134,29 +138,29 @@ def _check_budget(budget: float) -> None:
         raise ParameterError("rating budget must be non-negative and finite")
 
 
-def fpp_from_budget(budget: float, expected: ExpectedSet) -> Architecture:
-    """Spend a normalized rating budget evenly across N per-battery converters."""
+def _spend(kind: ArchitectureKind, budget: float, expected: ExpectedSet,
+           layer1: Layer1Design | None = None) -> Architecture:
+    """The `kind` architecture that spends a normalized rating budget on its identical converters.
+
+    Layer 1, when given, is bought first, and what it leaves is floored at
+    zero; the rest spreads evenly over the N per-battery converters of full
+    processing or the N-1 rungs of a ladder.
+    """
     _check_budget(budget)
     n = expected.count
-    rating = budget * expected.total_power / n
-    return Architecture(
-        ArchitectureKind.FPP,
-        num_batteries=n,
-        total_expected_power=expected.total_power,
-        rating=rating,
-    )
+    if kind != ArchitectureKind.FPP and n < 2:
+        raise ParameterError("a converter ladder needs at least two batteries")
+    spent = budget * expected.total_power
+    if layer1 is not None:
+        spent = max(0.0, spent - layer1.total_rating)
+    return Architecture(kind, n, expected.total_power, spent / _converters(kind, n), layer1)
+
+
+def fpp_from_budget(budget: float, expected: ExpectedSet) -> Architecture:
+    """Spend a normalized rating budget evenly across N per-battery converters."""
+    return _spend(ArchitectureKind.FPP, budget, expected)
 
 
 def cppp_from_budget(budget: float, expected: ExpectedSet) -> Architecture:
     """Spend a normalized rating budget evenly across the N-1 ladder converters."""
-    _check_budget(budget)
-    n = expected.count
-    if n < 2:
-        raise ParameterError("a converter ladder needs at least two batteries")
-    rating = budget * expected.total_power / (n - 1)
-    return Architecture(
-        ArchitectureKind.CPPP,
-        num_batteries=n,
-        total_expected_power=expected.total_power,
-        rating=rating,
-    )
+    return _spend(ArchitectureKind.CPPP, budget, expected)

@@ -454,18 +454,23 @@ def main(argv=None) -> int:
     try:
         if args.command == "flow":
             cmd_flow(args.design_file, args.capabilities_file)
-            return 0
-        if args.command == "design" and args.threads != 1:
-            raise ConfigError("--threads: hippp design runs in one process and takes only --threads 1")
-        with _key("--threads"):
-            whole(args.threads, "threads", 1)
-        cfg = _apply_overrides(load_config(args.config), args)
-        out_dir = args.out if args.out is not None else cfg.directory
-        if args.command == "design":
-            cmd_design(cfg, out_dir)
         else:
-            cmd_sweep(cfg, out_dir, workers=args.threads)
+            if args.command == "design" and args.threads != 1:
+                raise ConfigError("--threads: hippp design runs in one process and takes only --threads 1")
+            with _key("--threads"):
+                whole(args.threads, "threads", 1)
+            cfg = _apply_overrides(load_config(args.config), args)
+            out_dir = args.out if args.out is not None else cfg.directory
+            if args.command == "design":
+                cmd_design(cfg, out_dir)
+            else:
+                cmd_sweep(cfg, out_dir, workers=args.threads)
+        sys.stdout.flush()  # a reader that closed early fails the flush here, not at exit
         return 0
+    except BrokenPipeError:
+        # what is left of standard output goes to devnull, so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (EnumerationCapError, InternalCheckError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3

@@ -25,7 +25,7 @@ from math import comb, inf
 
 import numpy as np
 
-from .architecture import Architecture, ArchitectureKind, ConverterEdge, Layer1Design, _check_budget
+from .architecture import Architecture, ArchitectureKind, ConverterEdge, Layer1Design, _spend
 from .errors import EnumerationCapError, ParameterError, whole
 from .powerflow import free_flow_outputs, layer1_design_lp, least_processing_flows, max_string_outputs
 from .supply import BatterySupply, ExpectedSet, _draw_block, flatten
@@ -286,27 +286,18 @@ def design_layer1(expected: ExpectedSet, cfg: DesignConfig) -> Layer1Design:
 
 
 def layer2_rating_for_budget(layer1: Layer1Design, expected: ExpectedSet, budget: float) -> float:
-    """Per-converter ladder rating that spends what layer 1 left of the budget.
+    """Per-converter ladder rating that spends what layer 1 left of the budget (see lshippp_for_budget)."""
+    return _spend(ArchitectureKind.LSHIPPP, budget, expected, layer1).rating
+
+
+def lshippp_for_budget(layer1: Layer1Design, expected: ExpectedSet, budget: float) -> Architecture:
+    """Assemble the hierarchical architecture for a normalized rating budget.
 
     The layer-1 ratings are already bought; the remaining normalized budget
     spreads evenly over the N-1 ladder converters, floored at zero when layer
     1 alone exceeds the budget.
     """
-    _check_budget(budget)
-    n = expected.count
-    if n < 2:
-        raise ParameterError("a converter ladder needs at least two batteries")
-    leftover = budget * expected.total_power - layer1.total_rating
-    return max(0.0, leftover / (n - 1))
-
-
-def _lshippp(layer1: Layer1Design, expected: ExpectedSet, rating: float) -> Architecture:
-    return Architecture(ArchitectureKind.LSHIPPP, expected.count, expected.total_power, rating, layer1)
-
-
-def lshippp_for_budget(layer1: Layer1Design, expected: ExpectedSet, budget: float) -> Architecture:
-    """Assemble the hierarchical architecture for a normalized rating budget."""
-    return _lshippp(layer1, expected, layer2_rating_for_budget(layer1, expected, budget))
+    return _spend(ArchitectureKind.LSHIPPP, budget, expected, layer1)
 
 
 def design_layer2(
@@ -323,17 +314,15 @@ def design_layer2(
     given; otherwise it is the cheapest trial rating whose mean utilization
     already matches the top of the curve.
     """
-    expected = flatten(supply)
-    spent = None if budget is None else layer2_rating_for_budget(layer1, expected, budget)
+    arch = lshippp_for_budget(layer1, flatten(supply), 0.0 if budget is None else budget)
     draws = _draw_block(supply, cfg.base_seed, cfg.monte_carlo_trials)
     ratings = cfg.layer2_trial_ratings
-    arch = _lshippp(layer1, expected, ratings[0])
     rungs = np.repeat(ratings, len(draws))  # every draw once per trial rating, rating-major
     outputs = max_string_outputs(np.tile(draws, (len(ratings), 1)), arch, rungs)
     utilizations = (outputs.reshape(len(ratings), len(draws)) / draws.sum(axis=1)).mean(axis=1)
     curve = Layer2Curve(tuple(zip(ratings, utilizations.tolist())))
 
-    if spent is not None:
-        return spent, curve
+    if budget is not None:
+        return arch.rating, curve
     top = max(curve.utilizations)
     return next(r for r, u in curve.points if u >= top - 1e-9), curve

@@ -36,16 +36,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .architecture import (
-    Architecture,
-    ArchitectureKind,
-    Layer1Design,
-    _check_budget,
-    aggregate_rating,
-    cppp_from_budget,
-    fpp_from_budget,
-)
-from .design import DesignConfig, design_layer1, lshippp_for_budget
+from .architecture import Architecture, ArchitectureKind, Layer1Design, _check_budget, _spend, aggregate_rating
+from .design import DesignConfig, design_layer1
 from .errors import InternalCheckError, ParameterError, UndefinedMetricError, whole
 from .powerflow import flow_powers
 from .supply import BatterySupply, ExpectedSet, _draw_block, flatten
@@ -230,14 +222,6 @@ def evaluate_architecture(
     return evaluate_cells([SweepCell(arch, supply, trials, seed, converter_efficiency)])[0]
 
 
-def _architecture_for(kind: ArchitectureKind, budget: float, expected, layer1) -> Architecture:
-    if kind == ArchitectureKind.FPP:
-        return fpp_from_budget(budget, expected)
-    if kind == ArchitectureKind.CPPP:
-        return cppp_from_budget(budget, expected)
-    return lshippp_for_budget(layer1, expected, budget)
-
-
 def _normalize_kinds(kinds) -> list[ArchitectureKind]:
     try:
         out = [ArchitectureKind(k) for k in kinds]
@@ -292,7 +276,8 @@ def _sweep(kinds, points, trials, seed, design_cfg, converter_efficiency, worker
                 layer1s[key] = design_layer1(expected, design_cfg or DesignConfig())
             layer1 = layer1s[key]
         cells += [
-            SweepCell(_architecture_for(kind, budget, expected, layer1), supply, trials, seed, converter_efficiency)
+            SweepCell(_spend(kind, budget, expected, layer1 if kind == ArchitectureKind.LSHIPPP else None),
+                      supply, trials, seed, converter_efficiency)
             for budget in budgets
             for kind in kinds
         ]

@@ -27,11 +27,15 @@ mismatch along until it saturates, so curtailment lands on the strong end of
 the string and considerably more power is processed for the same output. On
 a path graph both of its stages have exact closed forms (see ladder_flow),
 evaluated for a whole block of capability draws at once. Full processing
-needs no flow model at all. Every block kernel takes one rating per row as
-well as one for the whole block (flow_powers, hierarchical_currents,
-ladder_flow, least_processing_flows), and every step is elementwise per
-row, so rows of architectures that differ only in their budget rating stack
-into one call with the bits of one-row calls. The LPs stay for the layer-2
+needs no flow model at all. One block path (_operating_points) gives every
+kind's operating point on a block of draws; flow_powers reads its outputs
+and processed powers, and optimal_flow is its one-row block. Every block
+kernel takes one rating per row as well as one for the whole block
+(flow_powers, hierarchical_currents, ladder_flow, least_processing_flows),
+and every step is elementwise per row, so rows of architectures that differ
+only in their budget rating stack into one call with the bits of one-row
+calls. Layer-1 ratings come first in every edge-rating table, then the
+ladder's rungs (_edge_table). The LPs stay for the layer-2
 rating curve and the layer-1 design solve of the chosen placement
 (layer1_design_lp), whose printed values they pin bit for bit. Both write
 their LPs as arrays and take their optimal points from lp.solve_stack, with
@@ -157,16 +161,22 @@ def _row_ratings(rating, trials: int) -> np.ndarray:
     return np.broadcast_to(rating, (trials,))
 
 
-def _ladder(n: int, rating: float) -> list[ConverterEdge]:
-    return [ConverterEdge(j, j + 1, rating) for j in range(n - 1)]
-
-
 def architecture_edges(arch: Architecture) -> list[ConverterEdge]:
     """Converter edges the flow LP sees: layer 1 first, then the adjacent ladder."""
     if arch.kind == ArchitectureKind.FPP:
         raise StructuralError("full processing has no string-side converter edges")
     chords = arch.layer1.edges if arch.layer1 is not None else ()
-    return list(chords) + _ladder(arch.num_batteries, arch.rating)
+    return list(chords) + [ConverterEdge(j, j + 1, arch.rating) for j in range(arch.num_batteries - 1)]
+
+
+def _edge_table(arch: Architecture, rungs: np.ndarray) -> tuple[list[_Pair], np.ndarray]:
+    """The edge pairs of a string `arch`, as architecture_edges lists them, and a (T, E) table of their
+    ratings: row t keeps the layer-1 ratings and rates every ladder rung rungs[t]."""
+    edges = architecture_edges(arch)
+    table = np.empty((len(rungs), len(edges)))
+    table[:] = [edge.rating for edge in edges]
+    table[:, len(edges) - (arch.num_batteries - 1):] = rungs[:, None]
+    return [(edge.from_battery, edge.to_battery) for edge in edges], table
 
 
 def ladder_flow(capabilities, rating):
@@ -232,16 +242,10 @@ def _checked_capabilities(capabilities, arch: Architecture, ndim: int = 1) -> np
     return caps
 
 
-def _string_edges(arch: Architecture) -> tuple[list[_Pair], np.ndarray]:
-    """Edge pairs and ratings of a string architecture."""
-    edges = architecture_edges(arch)
-    pairs = _edge_pairs(edges, arch.num_batteries)
-    return pairs, np.array([edge.rating for edge in edges], dtype=float)
-
-
-# cells per pass of the least-processing kernel and of the batched stage-1 LPs
-# (LPs x rows x columns), and the most cut-form state cells one row may need;
-# bounds their working arrays the way the placement block bounds the search
+# cells per pass of the least-processing kernel, and the most cut-form state
+# cells one row may need; bounds their working arrays the way the placement
+# block bounds the search. It also caps the LPs per stage-1 stack of
+# max_string_outputs at _CUT_CELLS // (N * (variables + N))
 _CUT_CELLS = 1 << 18
 # cut-form state cells per pass: small enough to stay in a core's cache, which
 # halves the cut form's time on the default sweep against _CUT_CELLS
@@ -537,58 +541,60 @@ def _ssp_pass(caps, currents, ratings, tails, in_arcs) -> np.ndarray:
     return out
 
 
+def _operating_points(caps: np.ndarray, arch: Architecture, ratings: np.ndarray):
+    """(currents, outputs, flows, battery powers) of `arch` on every row of a (T, N) block, row t at ratings[t].
+
+    ratings[t] stands for `arch.rating` on row t: the per-battery rating of
+    full processing, the rung rating of the ladder and of the hierarchical
+    kind, whose layer-1 design stays that of `arch`. Full processing is
+    closed form: every battery delivers through its own converter, so output
+    is the sum of rating-clipped capabilities and all of it is processed,
+    and a zero rating means no converter was installed, which leaves the
+    bare series string. Its flows are one column per battery's converter,
+    and none when no row installs one. The ladder emulates its decentralized
+    controls in closed form (ladder_flow). The hierarchical kind takes its
+    currents from the cut form (hierarchical_currents) and the flows of
+    least processed power at those currents from least_processing_flows.
+    """
+    n = caps.shape[1]
+    if arch.kind == ArchitectureKind.FPP:
+        if not np.all(ratings >= 0.0):
+            raise ParameterError("converter ratings must be non-negative")
+        clipped = np.minimum(caps, ratings[:, None])
+        bare = ratings == 0.0
+        weakest = caps.min(axis=1)
+        outputs = np.where(bare, n * weakest, clipped.sum(axis=1))
+        battery = np.where(bare[:, None], weakest[:, None], clipped)
+        flows = clipped[:, :0] if bare.all() else clipped
+        return np.where(bare, weakest, outputs / n), outputs, flows, battery
+    if arch.kind == ArchitectureKind.CPPP:
+        currents, flows, battery = ladder_flow(caps, ratings)
+    else:
+        currents = hierarchical_currents(caps, arch, ratings)
+        flows, battery = least_processing_flows(caps, *_edge_table(arch, ratings), currents)
+    return currents, n * currents, flows, battery
+
+
 def optimal_flow(capabilities, arch: Architecture) -> PowerFlowSolution:
     """Best achievable operating point of `arch` on one capability draw.
 
-    Full processing needs no flow model: every battery delivers through its
-    own converter, so output is the sum of rating-clipped capabilities and all
-    of it is processed. A zero rating means no converter was installed at
-    all, which leaves the bare series string. The ladder and hierarchical
-    kinds both maximize output but run different dispatch among the
-    output-optimal patterns: the ladder emulates its decentralized controls
-    in closed form (ladder_flow); the hierarchical design takes its current
-    from the cut form (hierarchical_currents) and the flow of least processed
-    power at that current from least_processing_flows. Its output and
-    processed power are unique; its per-edge flows are one least-processing
-    optimum, which where several exist may differ from the vertex an LP
-    would return. Capabilities are per string position, in any order: a
-    reordered draw is a different string, whose answer may differ.
+    The one-row block of _operating_points. The ladder and hierarchical kinds
+    both maximize output but run different dispatch among the output-optimal
+    patterns. The hierarchical output and processed power are unique; its
+    per-edge flows are one least-processing optimum, which where several
+    exist may differ from the vertex an LP would return. A bare full
+    processing string has no converter flows. Capabilities are per string
+    position, in any order: a reordered draw is a different string, whose
+    answer may differ.
     """
     caps = _checked_capabilities(capabilities, arch)
-    n = caps.size
-    if arch.kind == ArchitectureKind.FPP:
-        if arch.rating == 0.0:
-            current = float(caps.min())
-            return PowerFlowSolution(
-                string_current=current,
-                converter_flows=np.zeros(0),
-                battery_powers=np.full(n, current),
-                output_power=n * current,
-                processed_power=0.0,
-            )
-        clipped = np.minimum(caps, arch.rating)
-        output = float(clipped.sum())
-        return PowerFlowSolution(
-            string_current=output / n,
-            converter_flows=clipped.copy(),
-            battery_powers=clipped,
-            output_power=output,
-            processed_power=output,
-        )
-
-    if arch.kind == ArchitectureKind.CPPP:
-        currents, flows, battery = ladder_flow(caps[None, :], arch.rating)
-        current, flows, battery = float(currents[0]), flows[0], battery[0]
-    else:
-        currents = hierarchical_currents(caps[None, :], arch)
-        flows, battery = least_processing_flows(caps[None, :], *_string_edges(arch), currents)
-        current, flows, battery = float(currents[0]), flows[0], battery[0]
+    currents, outputs, flows, battery = _operating_points(caps[None, :], arch, _row_ratings(arch.rating, 1))
     return PowerFlowSolution(
-        string_current=current,
-        converter_flows=flows,
-        battery_powers=battery,
-        output_power=n * current,
-        processed_power=float(np.abs(flows).sum()),
+        string_current=float(currents[0]),
+        converter_flows=flows[0],
+        battery_powers=battery[0],
+        output_power=float(outputs[0]),
+        processed_power=float(np.abs(flows[0]).sum()),
     )
 
 
@@ -609,26 +615,26 @@ def max_string_outputs(capabilities, arch: Architecture, rungs=None) -> np.ndarr
     All rows share one objective, constraint matrix and right-hand side.
     Each row's bounds are written straight into one (T, variables) block:
     the layer-1 ratings, the row's rung on every ladder edge, and the row's
-    capabilities. The rows go through lp.solve_stack in passes of at most
-    _CUT_CELLS phase-1 cells, rows x (columns + artificials) per LP, and are
-    certified by one block _certify call. Capabilities are per string
-    position, in any order.
+    capabilities. The rows go through lp.solve_stack in passes of
+    _CUT_CELLS // (N * (variables + N)) LPs, at least one: 970 at N = 9 with
+    three layer-1 edges. The cap bounds one stack's working arrays; a row's
+    result does not depend on it, and its value is kept so that timings stay
+    as measured. The rows are certified by one block _certify call.
+    Capabilities are per string position, in any order.
     """
     caps = _checked_capabilities(capabilities, arch, ndim=2)
     trials, n = caps.shape
-    pairs, ratings = _string_edges(arch)
     rung = _row_ratings(arch.rating if rungs is None else rungs, trials)
     if not np.all(rung >= 0.0):
         raise ParameterError("ladder ratings must be non-negative")
+    pairs, table = _edge_table(arch, rung)
     e = len(pairs)
-    chords = e - (n - 1)  # the layer-1 edges come first, the ladder's n - 1 rungs last
     width = 1 + e + n  # variables [I, f_0..f_{E-1}, p_0..p_{N-1}]
     objective = np.zeros(width)
     objective[0] = float(n)
     upper = np.empty((trials, width))
     upper[:, 0] = np.inf
-    upper[:, 1:1 + chords] = ratings[:chords]
-    upper[:, 1 + chords:1 + e] = rung[:, None]
+    upper[:, 1:1 + e] = table
     upper[:, 1 + e:] = caps
     lower = -upper
     lower[:, 0] = 0.0
@@ -643,37 +649,18 @@ def max_string_outputs(capabilities, arch: Architecture, rungs=None) -> np.ndarr
 
 
 def flow_powers(capabilities, arch: Architecture, ratings=None) -> tuple[np.ndarray, np.ndarray]:
-    """Output and processed power of `arch` on every row of a (T, N) block.
+    """Output and processed power sum |f| of `arch` on every row of a (T, N) block.
 
     `ratings`, when given, is a (T,) array that replaces `arch.rating` row
-    by row: the per-battery rating of full processing, the rung rating of
-    the ladder and of the hierarchical kind (whose layer-1 design stays that
-    of `arch`). So one call evaluates rows of several architectures that
-    differ only in the rating their budget sets.
-
-    Full processing and the ladder are closed form over the whole block. The
-    hierarchical kind takes every row's current from the cut form in one
-    call and its least-processing flows from one min-cost flow call at those
-    currents; no LP is solved. Row t equals optimal_flow(capabilities[t],
-    arch) bit for bit, with arch's rating replaced by ratings[t] if given.
+    by row (see _operating_points). So one call evaluates rows of several
+    architectures that differ only in the rating their budget sets. No LP is
+    solved. Row t equals optimal_flow(capabilities[t], arch) bit for bit,
+    with arch's rating replaced by ratings[t] if given.
     """
     caps = _checked_capabilities(capabilities, arch, ndim=2)
-    trials, n = caps.shape
-    ratings = _row_ratings(arch.rating if ratings is None else ratings, trials)
-    if arch.kind == ArchitectureKind.FPP:
-        if not np.all(ratings >= 0.0):
-            raise ParameterError("converter ratings must be non-negative")
-        clipped = np.minimum(caps, ratings[:, None]).sum(axis=1)
-        bare = ratings == 0.0  # no converter installed: the bare series string
-        return np.where(bare, n * caps.min(axis=1), clipped), np.where(bare, 0.0, clipped)
-    if arch.kind == ArchitectureKind.CPPP:
-        current, flows, _ = ladder_flow(caps, ratings)
-        return n * current, np.abs(flows).sum(axis=1)
-    currents = hierarchical_currents(caps, arch, ratings)
-    chords = np.array([edge.rating for edge in arch.layer1.edges], dtype=float)
-    table = np.concatenate([np.tile(chords, (trials, 1)), np.repeat(ratings[:, None], n - 1, axis=1)], axis=1)
-    flows, _ = least_processing_flows(caps, _string_edges(arch)[0], table, currents)
-    return n * currents, np.abs(flows).sum(axis=1)
+    ratings = _row_ratings(arch.rating if ratings is None else ratings, len(caps))
+    _, outputs, flows, _ = _operating_points(caps, arch, ratings)
+    return outputs, np.abs(flows).sum(axis=1)
 
 
 def free_flow_outputs(caps: np.ndarray, endpoints: np.ndarray) -> np.ndarray:

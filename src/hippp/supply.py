@@ -1,4 +1,4 @@
-"""Battery supply statistics: capability distribution, flattening, seeded sampling.
+"""Battery supply statistics: the Gaussian population, its flattening, seeded sampling.
 
 Second-use batteries arrive with scattered power capabilities. We model the
 population as Gaussian with mean `mean_power` and spread `std_power` (both in
@@ -16,7 +16,6 @@ scipy.special's bit for bit.
 
 from __future__ import annotations
 
-import abc
 import math
 from dataclasses import dataclass
 
@@ -48,55 +47,6 @@ def _phi(z: float) -> float:
     return math.exp(-0.5 * z * z) / _SQRT_2PI
 
 
-class CapabilityDistribution(abc.ABC):
-    """Extension point for non-Gaussian supplies.
-
-    `flatten_distribution` only needs the CDF, the quantile function, and the
-    conditional first moment over an interval, so any distribution exposing
-    these three can be flattened. Only the Gaussian model ships here.
-    """
-
-    @abc.abstractmethod
-    def cdf(self, x: float) -> float: ...
-
-    @abc.abstractmethod
-    def quantile(self, q: float) -> float: ...
-
-    @abc.abstractmethod
-    def interval_mean(self, low: float, high: float) -> float:
-        """Conditional mean of the distribution restricted to [low, high]."""
-
-
-@dataclass(frozen=True)
-class GaussianCapability(CapabilityDistribution):
-    mean: float
-    std: float
-
-    def cdf(self, x: float) -> float:
-        if self.std == 0.0:
-            return 1.0 if x >= self.mean else 0.0
-        return ndtr((x - self.mean) / self.std)
-
-    def quantile(self, q: float) -> float:
-        if not 0.0 <= q <= 1.0:
-            raise ParameterError(f"quantile level {q} outside [0, 1]")
-        if self.std == 0.0:
-            return self.mean
-        return self.mean + self.std * ndtri(q)
-
-    def interval_mean(self, low: float, high: float) -> float:
-        if not low < high:
-            raise ParameterError("interval_mean needs low < high")
-        if self.std == 0.0:
-            return self.mean
-        a = (low - self.mean) / self.std
-        b = (high - self.mean) / self.std
-        mass = ndtr(b) - ndtr(a)
-        if mass <= 0.0:
-            raise ParameterError("interval carries no probability mass")
-        return self.mean + self.std * (_phi(a) - _phi(b)) / mass
-
-
 @dataclass(frozen=True)
 class BatterySupply:
     """Gaussian battery population feeding one series string of `count` units.
@@ -123,9 +73,6 @@ class BatterySupply:
             # keeps the negative-capability tail negligible
             raise ParameterError("std_power must be below mean_power")
         object.__setattr__(self, "count", whole(self.count, "count", 1))
-
-    def distribution(self) -> GaussianCapability:
-        return GaussianCapability(self.mean_power, self.std_power)
 
 
 def _ascending(values: np.ndarray) -> bool:
@@ -187,35 +134,31 @@ class BatterySample:
         return float(self.capabilities.sum())
 
 
-def flatten_distribution(dist: CapabilityDistribution, count: int) -> np.ndarray:
-    """Cut `dist` into `count` equal-probability intervals; return their means."""
-    count = whole(count, "count", 1)
-    bounds = [dist.quantile(k / count) for k in range(count + 1)]
-    means = np.empty(count)
-    for k in range(count):
-        mass = dist.cdf(bounds[k + 1]) - dist.cdf(bounds[k])
-        if abs(mass - 1.0 / count) > MASS_TOL:
-            raise InternalCheckError(
-                f"interval {k} carries probability {mass!r}, expected {1.0 / count!r}"
-            )
-        means[k] = dist.interval_mean(bounds[k], bounds[k + 1])
-    return means
-
-
 def flatten(supply: BatterySupply) -> ExpectedSet:
     """Flatten the supply distribution onto the string's slots.
 
-    The flattened set is symmetric about the supply mean, sums to
-    count * mean_power exactly, and is strictly increasing for any
-    positive spread.
+    Slot k takes the mean of the Gaussian over its probability interval
+    [k / count, (k + 1) / count]: mean + std * (phi(a) - phi(b)) / mass, with
+    a and b the standard scores of the interval's bounds and mass =
+    ndtr(b) - ndtr(a), which must be 1 / count to MASS_TOL. A bound's score
+    is taken from the bound itself, mean + std * ndtri(k / count), so it
+    carries the rounding of the bound. The flattened set is symmetric about
+    the supply mean, sums to count * mean_power exactly, and is strictly
+    increasing for any positive spread.
     """
-    if supply.std_power == 0.0:
-        return ExpectedSet(np.full(supply.count, supply.mean_power), supply)
-    means = flatten_distribution(supply.distribution(), supply.count)
+    mean, std, count = supply.mean_power, supply.std_power, supply.count
+    if std == 0.0:
+        return ExpectedSet(np.full(count, mean), supply)
+    scores = [((mean + std * ndtri(k / count)) - mean) / std for k in range(count + 1)]
+    below = [ndtr(z) for z in scores]
+    means = np.empty(count)
+    for k in range(count):
+        mass = below[k + 1] - below[k]
+        if abs(mass - 1.0 / count) > MASS_TOL:
+            raise InternalCheckError(f"interval {k} carries probability {mass!r}, expected {1.0 / count!r}")
+        means[k] = mean + std * (_phi(scores[k]) - _phi(scores[k + 1])) / mass
     if means[0] <= 0.0:
-        raise ParameterError(
-            "std_power too large for this count: weakest slot mean is not positive"
-        )
+        raise ParameterError("std_power too large for this count: weakest slot mean is not positive")
     return ExpectedSet(means, supply)
 
 

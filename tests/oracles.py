@@ -1,16 +1,20 @@
-"""Brute-force references shared by the flow and acceptance tests."""
+"""References shared by the tests: brute-force solves for the flow and acceptance tests, and earlier
+formulas that the budget split and flattening must keep, bit for bit."""
 
 import itertools
+import math
 import re
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from hippp import ConverterEdge, InternalCheckError, architecture_edges
+from hippp import ConverterEdge, InternalCheckError, ParameterError, architecture_edges
+from hippp._normal import ndtr, ndtri
 from hippp.design import _PLACEMENT_BLOCK, _VALUE_TIE_TOL, _check_enumeration
 from hippp.lp import FEASIBILITY_TOL, solve_stack
 from hippp.powerflow import free_flow_outputs
+from hippp.supply import MASS_TOL
 
 
 class LinearProgram(NamedTuple):
@@ -370,3 +374,53 @@ def ssp_pass(caps, currents, ratings, tails, in_arcs) -> np.ndarray:
     if not float(left.max(initial=0.0)) <= FEASIBILITY_TOL:
         raise InternalCheckError("the string current is above what the converter edges can carry")
     return out
+
+
+# the budget splits as each builder wrote its own: divide, then floor at zero where layer 1 comes first
+def fpp_budget_rating(budget, expected):
+    return budget * expected.total_power / expected.count
+
+
+def cppp_budget_rating(budget, expected):
+    return budget * expected.total_power / (expected.count - 1)
+
+
+def layer2_budget_rating(layer1, expected, budget):
+    leftover = budget * expected.total_power - layer1.total_rating
+    return max(0.0, leftover / (expected.count - 1))
+
+
+# flattening through a distribution object: quantile, CDF and interval mean, each on its own
+def _phi(z):
+    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+
+class GaussianCapability(NamedTuple):
+    mean: float
+    std: float
+
+    def cdf(self, x):
+        return ndtr((x - self.mean) / self.std)
+
+    def quantile(self, q):
+        return self.mean + self.std * ndtri(q)
+
+    def interval_mean(self, low, high):
+        a = (low - self.mean) / self.std
+        b = (high - self.mean) / self.std
+        mass = ndtr(b) - ndtr(a)
+        return self.mean + self.std * (_phi(a) - _phi(b)) / mass
+
+
+def flatten_distribution(supply):
+    """The expected capabilities of `supply`, or the error class that refuses it."""
+    if supply.std_power == 0.0:
+        return np.full(supply.count, supply.mean_power)
+    dist, count = GaussianCapability(supply.mean_power, supply.std_power), supply.count
+    bounds = [dist.quantile(k / count) for k in range(count + 1)]
+    means = np.empty(count)
+    for k in range(count):
+        if abs(dist.cdf(bounds[k + 1]) - dist.cdf(bounds[k]) - 1.0 / count) > MASS_TOL:
+            return InternalCheckError
+        means[k] = dist.interval_mean(bounds[k], bounds[k + 1])
+    return ParameterError if means[0] <= 0.0 else means

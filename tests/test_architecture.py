@@ -1,20 +1,27 @@
 """Architecture data model: rating arithmetic and structural validation."""
 
+import math
+
 import pytest
+from oracles import cppp_budget_rating, fpp_budget_rating, layer2_budget_rating
 
 from hippp import (
     Architecture,
     ArchitectureKind,
     BatterySupply,
     ConverterEdge,
+    DesignConfig,
     Layer1Design,
     ParameterError,
     StructuralError,
     aggregate_rating,
     architecture_edges,
     cppp_from_budget,
+    design_layer1,
     flatten,
     fpp_from_budget,
+    layer2_rating_for_budget,
+    lshippp_for_budget,
 )
 
 
@@ -77,6 +84,31 @@ class TestAggregateRating:
         for from_budget in (fpp_from_budget, cppp_from_budget):
             with pytest.raises(ParameterError, match="rating budget"):
                 from_budget(budget, expected9)
+
+
+class TestBudgetSplit:
+    """Every kind's budget rating keeps the bits of the split its builder wrote out alone, signed zeros included."""
+
+    @pytest.fixture(scope="class", params=[(9, 3), (16, 2)], ids=["N9", "N16"])
+    def design(self, request):
+        n, m = request.param
+        expected = flatten(BatterySupply(1.0, 0.2, n))
+        return expected, design_layer1(expected, DesignConfig(num_layer1=m, num_rating_sets=min(m, 2)))
+
+    @pytest.mark.parametrize("budget", [0.0, -0.0, "below layer 1", 0.15, 0.5])
+    def test_each_kind_spends_a_budget_as_its_own_split_did(self, design, budget):
+        expected, layer1 = design
+        if budget == "below layer 1":  # the largest budget whose spend falls short of layer 1's total
+            budget = math.nextafter(layer1.total_rating / expected.total_power, 0.0)
+            assert budget * expected.total_power < layer1.total_rating
+        pairs = [
+            (fpp_from_budget(budget, expected).rating, fpp_budget_rating(budget, expected)),
+            (cppp_from_budget(budget, expected).rating, cppp_budget_rating(budget, expected)),
+            (lshippp_for_budget(layer1, expected, budget).rating, layer2_budget_rating(layer1, expected, budget)),
+            (layer2_rating_for_budget(layer1, expected, budget), layer2_budget_rating(layer1, expected, budget)),
+        ]
+        for got, want in pairs:
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 class TestConverterEdge:

@@ -99,8 +99,10 @@ class TestConfigLoading:
         ("[supply]\ncount = 5\n[bogus]\ncount = 5\n", "[bogus] count: unknown key"),
         ("[bogus]\n", "[bogus]: unknown section"),
         ("[DEFAULT]\ncount = 5\n", "[DEFAULT] count: unknown key"),
+        # an integer key takes an integer literal only: a float parse would round seeds above 2**53
+        ("[supply]\ncount = 9.0\n", "[supply] count: cannot parse '9.0'"),
     ], ids=["unparsable", "unknown-key", "unknown-section", "unknown-section-key", "empty-unknown-section",
-            "default-key"])
+            "default-key", "float-count"])
     def test_bad_value_names_section_and_key(self, tmp_path, text, message):
         path = tmp_path / "bad.ini"
         path.write_text(text)
@@ -623,6 +625,30 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, env=child_env(), timeout=60,
         )
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_a_closed_standard_output_exits_one_without_a_traceback(self, config_file, tmp_path, buffered):
+        # as `hippp flow ... | head` does once head has read its lines; buffered, the report
+        # reaches the pipe at the flush, unbuffered at its first print
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        out = tmp_path / "artifacts"
+        assert run_main("design", "--config", config_file, "--out", out) == 0
+        caps = tmp_path / "caps.txt"
+        caps.write_text("0.9 1.1 0.95 1.0 1.05 0.8 1.2 0.85 1.0\n")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "hippp", "flow", str(out / "design.txt"), str(caps)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in result.stderr
+        assert result.returncode == 1
 
 
 class TestImportCost:

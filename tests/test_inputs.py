@@ -10,7 +10,6 @@ from hippp import (
     BatterySupply,
     ConverterEdge,
     DesignConfig,
-    GaussianCapability,
     Layer1Design,
     ParameterError,
     SweepCell,
@@ -18,7 +17,6 @@ from hippp import (
     draw_capabilities,
     evaluate_cells,
     flatten,
-    flatten_distribution,
     interconnection_count,
     partition_ratings,
 )
@@ -28,7 +26,6 @@ from hippp.errors import whole
 SUPPLY3 = BatterySupply(1.0, 0.2, 3)
 LADDER3 = cppp_from_budget(0.2, flatten(SUPPLY3))
 EDGE = ConverterEdge(0, 2, 0.5)
-DIST = GaussianCapability(1.0, 0.2)
 
 # field as its error names it, what a value builds (the stored value, or the
 # call's result), an integer-valued float in range, and the nearest integer below range
@@ -53,7 +50,6 @@ FIELDS = {
     "evaluate_cells seed": ("seed", lambda v: evaluate_cells([SweepCell(LADDER3, SUPPLY3, 2, v)])[0].seed, 3.0, -1),
     "BatterySupply count": ("count", lambda v: BatterySupply(1.0, 0.2, v).count, 3.0, 0),
     "draw_capabilities seed": ("seed", lambda v: draw_capabilities(SUPPLY3, v).tolist(), 3.0, -1),
-    "flatten_distribution count": ("count", lambda v: flatten_distribution(DIST, v).tolist(), 3.0, 0),
 }
 
 BAD = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "None": None, "'3'": "3", "2.5": 2.5}

@@ -2,29 +2,23 @@
 
 The flattening oracle is direct numeric quadrature of x * pdf(x) over each
 equal-probability interval, done with scipy and sharing nothing with the
-implementation. The port of the Cephes normal CDF and quantile is compared
-with scipy.special, the C code it was transcribed from, bit for bit.
+implementation. Flattening also keeps the bits of flattening through a
+distribution object's quantile, CDF and interval mean (oracles). The port of
+the Cephes normal CDF and quantile is compared with scipy.special, the C
+code it was transcribed from, bit for bit.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import flatten_distribution
 from scipy import integrate, special, stats
 
-from hippp import (
-    BatterySupply,
-    CapabilityDistribution,
-    GaussianCapability,
-    InternalCheckError,
-    ParameterError,
-    flatten,
-    flatten_distribution,
-    sample_battery_set,
-)
+import hippp.supply
+from hippp import BatterySupply, InternalCheckError, ParameterError, flatten, sample_battery_set
 from hippp._normal import _EXP_M2, _MAXLOG, _SQRT1_2, ndtr, ndtri
 from hippp.supply import MIN_RELATIVE_STD
 
@@ -64,8 +58,9 @@ def quad_interval_means(mean, std, count):
 
 class TestFlattenAnchors:
     def test_two_slot_standard_normal(self):
-        means = flatten_distribution(GaussianCapability(0.0, 1.0), 2)
-        assert means == pytest.approx([-SQRT_2_OVER_PI, SQRT_2_OVER_PI], abs=1e-12)
+        # the two half-normal means, mean +- std * sqrt(2 / pi)
+        means = flatten(BatterySupply(1.0, 0.5, 2)).capabilities
+        assert (means - 1.0) / 0.5 == pytest.approx([-SQRT_2_OVER_PI, SQRT_2_OVER_PI], abs=1e-12)
 
     def test_three_slot_reference(self):
         es = flatten(BatterySupply(1.0, 0.2, 3))
@@ -78,7 +73,7 @@ class TestFlattenAnchors:
 
     def test_matches_quadrature(self):
         for mean, std, count in [(1.0, 0.2, 9), (1.0, 0.05, 4), (3.0, 0.9, 7), (1.0, 0.2, 1)]:
-            got = flatten_distribution(GaussianCapability(mean, std), count)
+            got = flatten(BatterySupply(mean, std, count)).capabilities
             assert got == pytest.approx(quad_interval_means(mean, std, count), abs=1e-9)
 
     def test_single_slot_is_the_mean(self):
@@ -107,35 +102,30 @@ def test_flatten_properties(mean, rel_std, count):
     assert np.all(caps > 0.0)
 
 
-class TestCustomDistribution:
-    """The flattening entry point accepts any distribution exposing the ABC."""
+class TestFlattenArithmetic:
+    # means 0.5-7.3, spreads from the least BatterySupply takes to near the mean, counts 1-64;
+    # wide spreads at high counts are refused for their weakest slot
+    GRID = [(mean, rel, count) for mean in (0.5, 1.0, 2.9, 7.3)
+            for rel in (MIN_RELATIVE_STD, 0.01, 0.1, 0.2, 0.35, 0.5, 0.62, 0.9) for count in range(1, 65)]
 
-    @dataclass(frozen=True)
-    class Uniform(CapabilityDistribution):
-        low: float
-        high: float
+    def test_bytes_and_refusals_match_flattening_through_a_distribution(self):
+        refused = 0
+        for mean, rel, count in self.GRID:
+            supply = BatterySupply(mean, rel * mean, count)
+            want = flatten_distribution(supply)
+            if isinstance(want, np.ndarray):
+                assert flatten(supply).capabilities.tobytes() == want.tobytes(), (mean, rel, count)
+            else:
+                with pytest.raises(want):
+                    flatten(supply)
+                refused += 1
+        assert 0 < refused < len(self.GRID)
 
-        def cdf(self, x):
-            return min(1.0, max(0.0, (x - self.low) / (self.high - self.low)))
-
-        def quantile(self, q):
-            return self.low + q * (self.high - self.low)
-
-        def interval_mean(self, low, high):
-            return 0.5 * (max(low, self.low) + min(high, self.high))
-
-    def test_uniform_slices_are_midpoints(self):
-        means = flatten_distribution(self.Uniform(0.4, 1.6), 4)
-        assert means == pytest.approx([0.55, 0.85, 1.15, 1.45], abs=1e-12)
-
-    def test_mass_check_catches_inconsistent_quantiles(self):
-        @dataclass(frozen=True)
-        class Skewed(TestCustomDistribution.Uniform):
-            def quantile(self, q):
-                return self.low + q * q * (self.high - self.low)
-
-        with pytest.raises(InternalCheckError):
-            flatten_distribution(Skewed(0.0, 1.0), 4)
+    def test_mass_check_catches_inconsistent_quantiles(self, monkeypatch):
+        # a quantile skewed off the CDF leaves the intervals unequal in probability
+        monkeypatch.setattr(hippp.supply, "ndtri", lambda q: ndtri(q * q))
+        with pytest.raises(InternalCheckError, match="carries probability"):
+            flatten(BatterySupply(1.0, 0.2, 4))
 
 
 class TestValidation:
@@ -155,12 +145,8 @@ class TestValidation:
         supply = BatterySupply(1.0, 0.2, 9.0)
         assert type(supply.count) is int
         assert np.array_equal(flatten(supply).capabilities, flatten(BatterySupply(1.0, 0.2, 9)).capabilities)
-        dist = GaussianCapability(1.0, 0.2)
-        assert np.array_equal(flatten_distribution(dist, 9.0), flatten_distribution(dist, 9))
         with pytest.raises(ParameterError):
             BatterySupply(1.0, 0.2, 2.5)
-        with pytest.raises(ParameterError):
-            flatten_distribution(dist, 2.5)
 
     def test_rejects_nonpositive_mean(self):
         with pytest.raises(ParameterError):
@@ -186,10 +172,6 @@ class TestValidation:
         # wide spread and many slots push the weakest interval mean negative
         with pytest.raises(ParameterError):
             flatten(BatterySupply(1.0, 0.6, 40))
-
-    def test_quantile_range_checked(self):
-        with pytest.raises(ParameterError):
-            GaussianCapability(0.0, 1.0).quantile(1.5)
 
 
 class TestSampling:
