@@ -26,21 +26,33 @@ in the signs of their artificials.
 The inner loop runs each phase. For K >= 2 it is the lockstep
 (_iterate_many): each LP keeps its own basis, statuses, Bland flag and
 stall count, and leaves the stack when it is optimal. Every step is a
-stacked np.linalg.solve on (G, m, m) with a (G, m, 1) right-hand side, a
-stacked matmul, or an elementwise op, each of which gives, slice for slice,
-the bits of the serial call, and LPs whose basis columns are the same
-columns of the one matrix share their solves for the duals and the entering
+stacked LU solve on (G, m, m) with a (G, m, 1) right-hand side, a stacked
+matmul, or an elementwise op, each of which gives, slice for slice, the
+bits of the serial call, and LPs whose basis columns are the same columns
+of the one matrix share their solves for the duals and the entering
 column: equal inputs give equal bits. So every LP takes the same pivots and
 returns the same bits as it does alone. A stack of one runs the serial loop
-(_iterate) on its own matrix instead, because the lockstep costs about
-twice as much at K = 1; that loop is also the lockstep's bitwise reference.
+(_iterate) on its own matrix instead, because the lockstep costs about three
+times as much at K = 1 (3.1-3.5x on the two LPs of the layer-1 design solve
+at N = 9 and 16, on a 2-core Xeon); that loop is also the lockstep's bitwise
+reference. It keeps in numpy what reads a matrix: the gather of the basis
+columns, b - A x_N, y A and the three solves. Pricing, the ratio test and
+the updates run on Python floats and lists, with numpy's tie rules. The
+bits hold because IEEE +, -, * and / round the same in Python as in numpy,
+and every product and solve stays in numpy and LAPACK.
+
+Every solve, in either loop, goes through _solve: the LAPACK gufunc that
+numpy.linalg's solve calls, without that function's per-call Python
+wrapper, so with its bits and its LinAlgError on a singular basis.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # the gufuncs behind numpy.linalg's solve, loaded with numpy
 
 from .errors import InternalCheckError, ParameterError
 
@@ -58,6 +70,7 @@ _HASH_BASE = 0x9E3779B97F4A7C15  # the odd 64-bit golden-ratio constant; _iterat
 
 # nonbasic-at-lower / nonbasic-at-upper / nonbasic free (at zero) / basic
 _NB_LOWER, _NB_UPPER, _NB_FREE, _BASIC = 0, 1, 2, 3
+_RISES, _FALLS = (_NB_LOWER, _NB_FREE), (_NB_UPPER, _NB_FREE)  # the statuses that may increase / decrease
 _NO_POSITION = np.iinfo(np.intp).max  # above every basis index in the leaving-variable choice
 
 
@@ -87,12 +100,35 @@ def _initial_point(lower: np.ndarray, upper: np.ndarray):
     return x, stat
 
 
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _solve(a, b):
+    """numpy.linalg's solve of a x = b for float64 a (..., m, m) and b, (m,)
+    or (..., m, k), without its Python wrapper: the gufunc that the wrapper
+    calls on such input, under the error state that it sets. So the result
+    has the same bits, and a singular a raises np.linalg.LinAlgError."""
+    gufunc = _umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve
+    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return gufunc(a, b, signature="dd->d")
+
+
 def _iterate(c, a, b, lower, upper, basis, stat, x, counts) -> None:
     """Run simplex iterations in place on one LP with at least one row until
     it is optimal. It runs only stacks of one, so an unbounded LP raises
     InternalCheckError naming LP 0. counts gains what _iterate_many's would:
     per iteration one iteration, LP iteration and y solve, and per step one
-    w solve and w row."""
+    w solve and w row.
+
+    Bounds, statuses and the basis are read from Python lists; stat is
+    written back when the LP is optimal. As in _iterate_many, a step writes
+    only the non-basic values it moves: the next iteration's solve
+    overwrites every basic value.
+    """
+    lo, up, st = lower.tolist(), upper.tolist(), stat.tolist()
+    movable = [j for j in range(len(lo)) if up[j] > lo[j]]
+    bas = basis.tolist()
     bland = False
     stall = 0
     for _ in range(_MAX_ITERATIONS):
@@ -100,69 +136,67 @@ def _iterate(c, a, b, lower, upper, basis, stat, x, counts) -> None:
         x_nb = x.copy()
         x_nb[basis] = 0.0
         try:
-            x[basis] = np.linalg.solve(basis_cols, b - a @ x_nb)
-            y = np.linalg.solve(basis_cols.T, c[basis])
+            x_b = _solve(basis_cols, b - a @ x_nb)
+            y = _solve(basis_cols.T, c[basis])
         except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by pivot tol
             raise InternalCheckError(f"singular simplex basis: {exc}") from exc
-        reduced = c - y @ a
-        reduced[basis] = 0.0
+        x[basis] = x_b
+        reduced = (c - y @ a).tolist()
         counts[0] += 1
         counts[1] += 1
         counts[2] += 1
 
-        can_increase = (stat == _NB_LOWER) | (stat == _NB_FREE)
-        can_decrease = (stat == _NB_UPPER) | (stat == _NB_FREE)
-        movable = upper > lower
-        candidates = movable & (
-            (can_increase & (reduced > REDUCED_COST_TOL))
-            | (can_decrease & (reduced < -REDUCED_COST_TOL))
-        )
-        candidates[basis] = False
-        idxs = np.flatnonzero(candidates)
-        if idxs.size == 0:
+        # Bland takes the first candidate, Dantzig the first of the largest |reduced cost|;
+        # a basic variable's status is _BASIC, so it is never one
+        enter, best = -1, 0.0
+        for j in movable:
+            r = reduced[j]
+            if (r > REDUCED_COST_TOL and st[j] in _RISES) or (r < -REDUCED_COST_TOL and st[j] in _FALLS):
+                if bland:
+                    enter = j
+                    break
+                if abs(r) > best:
+                    enter, best = j, abs(r)
+        if enter < 0:
+            stat[:] = st
             return
-        if bland:
-            enter = int(idxs[0])
-        else:
-            # Dantzig pricing; np.argmax takes the first maximum, i.e. lowest index
-            enter = int(idxs[np.argmax(np.abs(reduced[idxs]))])
-        direction = 1.0 if (stat[enter] == _NB_LOWER or reduced[enter] > 0.0) else -1.0
+        direction = 1.0 if (st[enter] == _NB_LOWER or reduced[enter] > 0.0) else -1.0
 
-        w = np.linalg.solve(basis_cols, a[:, enter])
+        w = _solve(basis_cols, a[:, enter]).tolist()  # the same matrix as x_b's solve, so not singular
         counts[3] += 1
         counts[4] += 1
-        g = -direction * w  # per-unit change of each basic variable
-        xb = x[basis]
-        caps = np.full(basis.size, np.inf)
-        hits_upper = g > _PIVOT_TOL
-        hits_lower = g < -_PIVOT_TOL
-        caps[hits_upper] = (upper[basis[hits_upper]] - xb[hits_upper]) / g[hits_upper]
-        caps[hits_lower] = (lower[basis[hits_lower]] - xb[hits_lower]) / g[hits_lower]
-        np.maximum(caps, 0.0, out=caps)
-        step_basic = float(caps.min())
-        step_self = upper[enter] - lower[enter]  # bound-to-bound flip distance
+        g = [-direction * wi for wi in w]  # per-unit change of each basic variable
+        caps = []
+        for gi, xi, j in zip(g, x_b.tolist(), bas):
+            if gi > _PIVOT_TOL:
+                cap = (up[j] - xi) / gi
+            elif gi < -_PIVOT_TOL:
+                cap = (lo[j] - xi) / gi
+            else:
+                cap = math.inf
+            caps.append(cap if cap > 0.0 else 0.0)  # np.maximum(cap, 0.0): -0.0 becomes +0.0
+        step_basic = min(caps)
+        step_self = up[enter] - lo[enter]  # bound-to-bound flip distance
         step = min(step_basic, step_self)
-        if not np.isfinite(step):
+        if not math.isfinite(step):
             raise InternalCheckError("LP 0 of the stack is unbounded")
 
-        x[basis] = xb + g * step
         if step_self < step_basic:
             # entering variable flips to its opposite bound; basis unchanged
-            x[enter] = upper[enter] if direction > 0 else lower[enter]
-            stat[enter] = _NB_UPPER if direction > 0 else _NB_LOWER
+            x[enter] = up[enter] if direction > 0 else lo[enter]
+            st[enter] = _NB_UPPER if direction > 0 else _NB_LOWER
         else:
-            tied = np.flatnonzero(caps <= step + 1e-12)
-            leave_pos = int(tied[np.argmin(basis[tied])])  # lowest variable index wins
-            leaving = int(basis[leave_pos])
-            x[enter] += direction * step
+            tie = step + 1e-12
+            leave_pos = min((pos for pos, cap in enumerate(caps) if cap <= tie), key=bas.__getitem__)
+            leaving = bas[leave_pos]  # lowest variable index wins
             if g[leave_pos] > 0:
-                x[leaving] = upper[leaving]
-                stat[leaving] = _NB_UPPER
+                x[leaving] = up[leaving]
+                st[leaving] = _NB_UPPER
             else:
-                x[leaving] = lower[leaving]
-                stat[leaving] = _NB_LOWER
-            stat[enter] = _BASIC
-            basis[leave_pos] = enter
+                x[leaving] = lo[leaving]
+                st[leaving] = _NB_LOWER
+            st[enter] = _BASIC
+            basis[leave_pos] = bas[leave_pos] = enter
 
         stall = stall + 1 if step <= _DEGENERATE_STEP else 0
         if stall >= _STALL_LIMIT:
@@ -183,7 +217,7 @@ def _drive_out_artificials(a, lower, upper, basis, stat, x, n_real):
         basis_cols = a[:, basis]
         unit = np.zeros(m)
         unit[pos] = 1.0
-        row = np.abs(np.linalg.solve(basis_cols.T, unit) @ a[:, :n_real])
+        row = np.abs(_solve(basis_cols.T, unit) @ a[:, :n_real])
         nonbasic = stat[:n_real] != _BASIC
         picks = np.flatnonzero(nonbasic & (upper[:n_real] > lower[:n_real]) & (row > 1e-7))
         if picks.size == 0:
@@ -354,8 +388,8 @@ def _iterate_many(c, columns, b, lower, upper, basis, stat, codes, x, counts) ->
         x_nb = xs.copy()
         x_nb.put(at, 0.0)
         try:
-            xs.put(at, np.linalg.solve(lead[group], b[:, None] - plus @ x_nb[:, :, None])[:, :, 0])
-            y = np.linalg.solve(lead.transpose(0, 2, 1), c[bas[first]][:, :, None])[group, :, 0]
+            xs.put(at, _solve(lead[group], b[:, None] - plus @ x_nb[:, :, None])[:, :, 0])
+            y = _solve(lead.transpose(0, 2, 1), c[bas[first]][:, :, None])[group, :, 0]
         except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by pivot tol
             raise InternalCheckError(f"singular simplex basis: {exc}") from exc
         reduced = c - (y[:, None, :] @ plus)[:, 0, :]  # read only where a candidate is, never on a basic column
@@ -393,7 +427,7 @@ def _iterate_many(c, columns, b, lower, upper, basis, stat, codes, x, counts) ->
 
         code = co.take(at_enter)
         w_first, w_group = _distinct(group * by_code.shape[0] + code)
-        w = np.linalg.solve(lead[group[w_first]], by_code[code[w_first]][:, :, None])[w_group, :, 0]
+        w = _solve(lead[group[w_first]], by_code[code[w_first]][:, :, None])[w_group, :, 0]
         counts[3] += w_first.size
         counts[4] += live.size
         g = -direction[:, None] * w

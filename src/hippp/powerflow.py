@@ -617,9 +617,13 @@ def max_string_outputs(capabilities, arch: Architecture, rungs=None) -> np.ndarr
     the layer-1 ratings, the row's rung on every ladder edge, and the row's
     capabilities. The rows go through lp.solve_stack in passes of
     _CUT_CELLS // (N * (variables + N)) LPs, at least one: 970 at N = 9 with
-    three layer-1 edges. The cap bounds one stack's working arrays; a row's
-    result does not depend on it, and its value is kept so that timings stay
-    as measured. The rows are certified by one block _certify call.
+    three layer-1 edges. The cap bounds one stack's working arrays: a
+    lockstep step's (K, N, N) basis matrices to _CUT_CELLS cells, and each
+    (K, variables + N) array of bounds, values, statuses, codes or reduced
+    costs to _CUT_CELLS / N. It was sized for an N x (variables + N) phase-1
+    matrix per LP, which the stack no longer builds; a row's result does not
+    depend on it, and its value is kept so that timings stay as measured.
+    The rows are certified by one block _certify call.
     Capabilities are per string position, in any order.
     """
     caps = _checked_capabilities(capabilities, arch, ndim=2)

@@ -1,5 +1,5 @@
 """References shared by the tests: brute-force solves for the flow and acceptance tests, and earlier
-formulas that the budget split and flattening must keep, bit for bit."""
+formulas that the budget split, flattening and the serial simplex loop must keep, bit for bit."""
 
 import itertools
 import math
@@ -12,6 +12,7 @@ import numpy as np
 from hippp import ConverterEdge, InternalCheckError, ParameterError, architecture_edges
 from hippp._normal import ndtr, ndtri
 from hippp.design import _PLACEMENT_BLOCK, _VALUE_TIE_TOL, _check_enumeration
+import hippp.lp
 from hippp.lp import FEASIBILITY_TOL, solve_stack
 from hippp.powerflow import free_flow_outputs
 from hippp.supply import MASS_TOL
@@ -374,6 +375,94 @@ def ssp_pass(caps, currents, ratings, tails, in_arcs) -> np.ndarray:
     if not float(left.max(initial=0.0)) <= FEASIBILITY_TOL:
         raise InternalCheckError("the string current is above what the converter edges can carry")
     return out
+
+
+def serial_iterate(c, a, b, lower, upper, basis, stat, x, counts) -> None:
+    """hippp.lp._iterate as it was written on numpy arrays: pricing, the ratio test
+    and the updates as array operations, each solve through np.linalg.solve.
+    It reads the solver's constants from hippp.lp, so a patched _STALL_LIMIT
+    reaches it too.
+
+    Run simplex iterations in place on one LP with at least one row until
+    it is optimal. It runs only stacks of one, so an unbounded LP raises
+    InternalCheckError naming LP 0. counts gains what _iterate_many's would:
+    per iteration one iteration, LP iteration and y solve, and per step one
+    w solve and w row."""
+    bland = False
+    stall = 0
+    for _ in range(hippp.lp._MAX_ITERATIONS):
+        basis_cols = a[:, basis]
+        x_nb = x.copy()
+        x_nb[basis] = 0.0
+        try:
+            x[basis] = np.linalg.solve(basis_cols, b - a @ x_nb)
+            y = np.linalg.solve(basis_cols.T, c[basis])
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by pivot tol
+            raise InternalCheckError(f"singular simplex basis: {exc}") from exc
+        reduced = c - y @ a
+        reduced[basis] = 0.0
+        counts[0] += 1
+        counts[1] += 1
+        counts[2] += 1
+
+        can_increase = (stat == hippp.lp._NB_LOWER) | (stat == hippp.lp._NB_FREE)
+        can_decrease = (stat == hippp.lp._NB_UPPER) | (stat == hippp.lp._NB_FREE)
+        movable = upper > lower
+        candidates = movable & (
+            (can_increase & (reduced > hippp.lp.REDUCED_COST_TOL))
+            | (can_decrease & (reduced < -hippp.lp.REDUCED_COST_TOL))
+        )
+        candidates[basis] = False
+        idxs = np.flatnonzero(candidates)
+        if idxs.size == 0:
+            return
+        if bland:
+            enter = int(idxs[0])
+        else:
+            # Dantzig pricing; np.argmax takes the first maximum, i.e. lowest index
+            enter = int(idxs[np.argmax(np.abs(reduced[idxs]))])
+        direction = 1.0 if (stat[enter] == hippp.lp._NB_LOWER or reduced[enter] > 0.0) else -1.0
+
+        w = np.linalg.solve(basis_cols, a[:, enter])
+        counts[3] += 1
+        counts[4] += 1
+        g = -direction * w  # per-unit change of each basic variable
+        xb = x[basis]
+        caps = np.full(basis.size, np.inf)
+        hits_upper = g > hippp.lp._PIVOT_TOL
+        hits_lower = g < -hippp.lp._PIVOT_TOL
+        caps[hits_upper] = (upper[basis[hits_upper]] - xb[hits_upper]) / g[hits_upper]
+        caps[hits_lower] = (lower[basis[hits_lower]] - xb[hits_lower]) / g[hits_lower]
+        np.maximum(caps, 0.0, out=caps)
+        step_basic = float(caps.min())
+        step_self = upper[enter] - lower[enter]  # bound-to-bound flip distance
+        step = min(step_basic, step_self)
+        if not np.isfinite(step):
+            raise InternalCheckError("LP 0 of the stack is unbounded")
+
+        x[basis] = xb + g * step
+        if step_self < step_basic:
+            # entering variable flips to its opposite bound; basis unchanged
+            x[enter] = upper[enter] if direction > 0 else lower[enter]
+            stat[enter] = hippp.lp._NB_UPPER if direction > 0 else hippp.lp._NB_LOWER
+        else:
+            tied = np.flatnonzero(caps <= step + 1e-12)
+            leave_pos = int(tied[np.argmin(basis[tied])])  # lowest variable index wins
+            leaving = int(basis[leave_pos])
+            x[enter] += direction * step
+            if g[leave_pos] > 0:
+                x[leaving] = upper[leaving]
+                stat[leaving] = hippp.lp._NB_UPPER
+            else:
+                x[leaving] = lower[leaving]
+                stat[leaving] = hippp.lp._NB_LOWER
+            stat[enter] = hippp.lp._BASIC
+            basis[leave_pos] = enter
+
+        stall = stall + 1 if step <= hippp.lp._DEGENERATE_STEP else 0
+        if stall >= hippp.lp._STALL_LIMIT:
+            bland = True
+    raise InternalCheckError("simplex iteration cap exceeded")
 
 
 # the budget splits as each builder wrote its own: divide, then floor at zero where layer 1 comes first

@@ -6,7 +6,10 @@ for randomized ones. Neither shares any code with the implementation. The
 stacked solver (solve_stack), one problem under many sets of bounds, is
 checked row by row against a stack of one per LP (oracles.solve), which runs
 the serial loop: an all-optimal stack equals its rows byte for byte, and a
-stack raises iff one of its rows raises alone, naming such a row.
+stack raises iff one of its rows raises alone, naming such a row. The serial
+loop itself is checked step state for step state against the array loop it
+replaced (oracles.serial_iterate), and the solver's LU solve against
+np.linalg.solve, byte for byte.
 """
 
 import itertools
@@ -19,10 +22,12 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import hippp.lp
-from hippp import (Architecture, ArchitectureKind, BatterySupply, DesignConfig, InternalCheckError, ParameterError,
-                   design_layer1, draw_capabilities, flatten, max_string_outputs)
+import hippp.powerflow
+from hippp import (Architecture, ArchitectureKind, BatterySupply, ConverterEdge, DesignConfig, InternalCheckError,
+                   Layer1Design, ParameterError, design_layer1, draw_capabilities, flatten, max_string_outputs)
 from hippp.lp import solve_stack
-from oracles import LinearProgram, LPStatus, failed_lp, linear_program, solve
+from hippp.powerflow import layer1_design_lp
+from oracles import LinearProgram, LPStatus, failed_lp, linear_program, serial_iterate, solve
 
 RNG_INSTANCES = 60
 
@@ -587,3 +592,134 @@ class TestSolveStack:
         # a one-row matrix is one matrix, not one row per LP
         one_row = np.ones((1, 3))
         assert solve_stack(c, one_row, np.ones(1), np.zeros((2, 3)), np.ones((2, 3))).shape == (2, 3)
+
+
+def loop_states(iterate, c, a, b, lower, upper):
+    """What the inner loop `iterate` leaves on one LP with (n,) bounds,
+    driven as solve_stack drives a stack of one: after each phase, the bytes
+    of x, basis and stat and the counts; or, last, the text of the
+    InternalCheckError that ends the solve."""
+    b = b + 0.0
+    c1, columns, codes, lo1, up1, basis, stat, x = hippp.lp._phase_one(a, b, lower[None], upper[None])
+    states = []
+    try:
+        for phase in range(2):
+            counts = [0, 0, 0, 0, 0]
+            iterate(c1, np.ascontiguousarray(columns[:, codes[0]]), b, lo1[0], up1[0], basis[0], stat[0], x[0], counts)
+            states.append((x.tobytes(), basis.tobytes(), stat.tobytes(), counts))
+            if phase == 0:
+                c1 = hippp.lp._phase_two(c, columns, codes, lo1, up1, basis, stat, x)
+    except InternalCheckError as exc:
+        states.append(str(exc))
+    return states
+
+
+def assert_loops_agree(lps):
+    """The serial loop leaves every LP (c, a, b, lower, upper) of `lps`, given (n,) bounds, in the states the
+    array loop leaves it in, byte for byte."""
+    for lp in lps:
+        assert loop_states(hippp.lp._iterate, *lp) == loop_states(serial_iterate, *lp)
+
+
+def recorded_stacks(run):
+    """The arguments of every stack of one that run() passes to powerflow's solve_stack, bounds as (n,)."""
+    lps = []
+
+    def recorded(c, a, b, lower, upper):
+        if len(lower) == 1:
+            lps.append((c, a, b, lower[0], upper[0]))
+        return solve_stack(c, a, b, lower, upper)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hippp.powerflow, "solve_stack", recorded)
+        run()
+    return lps
+
+
+def random_placement(rng, n):
+    """M <= 4 distinct battery pairs out of n batteries, M at random too."""
+    pairs = list(itertools.combinations(range(n), 2))
+    return [pairs[i] for i in rng.choice(len(pairs), size=int(rng.integers(1, min(4, len(pairs)) + 1)), replace=False)]
+
+
+def design_lps(seed):
+    """Stage 1 and stage 2 of the layer-1 design solve on a random placement
+    over N = 2..20 expected capabilities, a third of them with no spread, so
+    that every capability ties."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 21))
+    placement = random_placement(rng, n)
+    expected = flatten(BatterySupply(1.0, float(rng.choice([0.0, 0.1, 0.3])), n))
+    lps = recorded_stacks(lambda: layer1_design_lp(expected, placement))
+    assert len(lps) == 2
+    return lps
+
+
+class TestSerialLoop:
+    """The serial loop, on Python floats, against the array loop it replaced: equal states after each phase,
+    byte for byte, on the stacks of one the package solves and on random LPs of every verdict."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_design_lps(self, seed):
+        assert_loops_agree(design_lps(seed))
+
+    @pytest.mark.parametrize("stall_limit", [0, 1, 3])
+    def test_under_blands_rule(self, monkeypatch, stall_limit):
+        # design LPs, and random ones, where Bland and Dantzig pick different columns more often
+        lps = [lp for seed in range(12) for lp in design_lps(seed)]
+        lps += [lp for seed in range(12) for lp in mixed_batch(np.random.default_rng(seed), 8, 3, 4)]
+        monkeypatch.setattr(hippp.lp, "_STALL_LIMIT", stall_limit)
+        assert_loops_agree(lps)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_zero_rated_edges(self, seed):
+        # stage 1 of a hierarchical string with one trial: zero-rated layer-1
+        # edges and zero rungs have a lower bound of -0.0, where a ratio test
+        # meets -0.0 caps
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 13))
+        placement = random_placement(rng, n)
+        ratings = rng.choice([0.0, 0.2], size=len(placement)).tolist()
+        layer1 = Layer1Design([ConverterEdge(*pair, r) for pair, r in zip(placement, ratings)], len(placement), ratings)
+        arch = Architecture(ArchitectureKind.LSHIPPP, n, float(n), 0.0, layer1)
+        caps = draw_capabilities(BatterySupply(1.0, 0.2, n), seed)
+        lps = [lp for rung in (0.0, 0.05)
+               for lp in recorded_stacks(lambda: max_string_outputs(caps[None], arch, np.array([rung])))]
+        assert len(lps) == 2 and all(np.signbit(lower).any() for _, _, _, lower, _ in lps)
+        assert_loops_agree(lps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 8), st.integers(1, 4))
+    def test_random_lps_of_every_verdict(self, seed, n_var, n_row):
+        assert_loops_agree(mixed_batch(np.random.default_rng(seed), n_var, n_row, 4))
+
+
+class TestSolveHelper:
+    """lp._solve calls numpy's LAPACK gufunc without np.linalg.solve's wrapper; it must give its bytes and
+    its error. This pins a private numpy interface: a numpy release that changes it fails here."""
+
+    @staticmethod
+    def assert_same(a, b):
+        got, want = hippp.lp._solve(a, b), np.linalg.solve(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", range(1, 21))
+    def test_equals_numpy_solve(self, m):
+        rng = np.random.default_rng(m)
+        a, stack = rng.normal(size=(m, m)), rng.normal(size=(5, m, m))
+        self.assert_same(a, rng.normal(size=m))
+        self.assert_same(a.T, rng.normal(size=m))  # an F-ordered view, as the dual solves pass
+        self.assert_same(stack, rng.normal(size=(5, m, 1)))
+        self.assert_same(stack.transpose(0, 2, 1), rng.normal(size=(5, m, 1)))
+        # the lockstep's gather: basis columns of one matrix by code, then its grouping of them
+        by_code = rng.normal(size=(m, 3 * m)).T
+        lead = by_code[np.array([rng.permutation(3 * m)[:m] for _ in range(5)])].transpose(0, 2, 1)
+        self.assert_same(lead[[0, 0, 3]], rng.normal(size=(3, m, 1)))
+        self.assert_same(lead.transpose(0, 2, 1), rng.normal(size=(5, m, 1)))
+
+    def test_a_singular_matrix_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            hippp.lp._solve(np.ones((3, 3)), np.ones(3))
+        stack = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]])])
+        with pytest.raises(np.linalg.LinAlgError):
+            hippp.lp._solve(stack, np.ones((2, 2, 1)))

@@ -170,7 +170,7 @@ class TestValidation:
 
     def test_rejects_spread_that_drowns_the_weak_slot(self):
         # wide spread and many slots push the weakest interval mean negative
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="weakest slot mean is not positive"):
             flatten(BatterySupply(1.0, 0.6, 40))
 
 
