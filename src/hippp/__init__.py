@@ -33,7 +33,6 @@ from .design import (
     design_layer1,
     design_layer2,
     interconnection_count,
-    layer2_rating_for_budget,
     lshippp_for_budget,
     partition_ratings,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "interconnection_count",
     "ladder_flow",
     "least_processing_flows",
-    "layer2_rating_for_budget",
     "lshippp_for_budget",
     "max_string_outputs",
     "optimal_flow",

@@ -45,7 +45,7 @@ from .architecture import (
     _check_budget,
     aggregate_rating,
 )
-from .design import DesignConfig, design_layer1, design_layer2, lshippp_for_budget
+from .design import DesignConfig, _check_sparse, design_layer1, design_layer2, lshippp_for_budget
 from .errors import ConfigError, EnumerationCapError, HipppError, InternalCheckError, ParameterError, whole
 from .evaluate import (
     DEFAULT_CONVERTER_EFFICIENCY,
@@ -154,7 +154,8 @@ _SUPPLY_KEYS = (_Key("mean_power", float), _Key("std_power", float), _Key("count
 _CONFIG = (
     _Section("supply", _SUPPLY_KEYS, build=BatterySupply, defaults=ExperimentConfig.supply),
     _Section("design", (
-        _Key("num_layer1", int), _Key("num_rating_sets", int), _Key("layer2_trial_ratings", _floats),
+        _Key("num_layer1", int, lambda m, got: _check_sparse(m, got["supply"].count)),
+        _Key("num_rating_sets", int), _Key("layer2_trial_ratings", _floats),
         _Key("monte_carlo_trials", int), _Key("base_seed", int),
     ), build=DesignConfig, defaults=ExperimentConfig.design),
     _Section("evaluate", (
@@ -278,7 +279,8 @@ def cmd_design(cfg: ExperimentConfig, out_dir: str) -> Path:
     """Run both design stages and write the design artifact; returns its path."""
     expected = flatten(cfg.supply)
     layer1 = design_layer1(expected, cfg.design)
-    rung, curve = design_layer2(layer1, cfg.supply, cfg.design, budget=cfg.rating_budget)
+    arch = lshippp_for_budget(layer1, expected, cfg.rating_budget)  # before the curve: a bad budget stops first
+    _, curve = design_layer2(layer1, cfg.supply, cfg.design)
 
     sections = (
         cfg.supply,
@@ -287,7 +289,7 @@ def cmd_design(cfg: ExperimentConfig, out_dir: str) -> Path:
         (expected.capabilities,),
         (len(layer1.edges), [(e.from_battery, e.to_battery) for e in layer1.edges], [e.rating for e in layer1.edges],
          layer1.processed_at_design),
-        (expected.count - 1, rung),
+        (expected.count - 1, arch.rating),
         tuple(zip(*curve.points)),
     )
     directory = Path(out_dir)
@@ -296,10 +298,9 @@ def cmd_design(cfg: ExperimentConfig, out_dir: str) -> Path:
     with open(path, "w", encoding="utf-8") as handle:
         _write_ini(handle, _DESIGN_FILE, sections)
 
-    arch = lshippp_for_budget(layer1, expected, cfg.rating_budget)
     print(f"design written to {path}")
     print(f"layer 1: {len(layer1.edges)} converters, total rating {_sig6(layer1.total_rating)}")
-    print(f"layer 2: {expected.count - 1} converters rated {_sig6(rung)} each")
+    print(f"layer 2: {expected.count - 1} converters rated {_sig6(arch.rating)} each")
     print(f"aggregate normalized rating {_sig6(aggregate_rating(arch))}")
     return path
 

@@ -13,8 +13,8 @@ are replayed against a grid of trial ladder ratings, and the mean
 utilization per rating forms a curve. The draws are tiled once per trial
 rating, and their stage-1 LPs go through one max_string_outputs call with
 one rung per row, solved in lockstep (lp.solve_stack) with the bits of
-one-at-a-time solves. Callers pick the ladder rating off that curve,
-usually by spending the budget layer 1 left.
+one-at-a-time solves. The curve reports what each rung rating buys; a
+design's rung spends what layer 1 left of the budget (lshippp_for_budget).
 """
 
 from __future__ import annotations
@@ -114,9 +114,15 @@ def _check_enumeration(n: int, m: int) -> tuple[int, int]:
     if total > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError(
             f"{total} candidate interconnections exceed the cap of {DEFAULT_ENUMERATION_CAP}; "
-            "reduce num_layer1 or raise the cap deliberately"
+            "reduce num_layer1 or the battery count"
         )
     return n, m
+
+
+def _check_sparse(m: int, n: int) -> None:
+    """The sparsity rule: layer 1 places at most count - 1 pair converters on a string of count batteries."""
+    if m > n - 1:
+        raise ParameterError(f"layer 1 must stay sparse: num_layer1 at most count - 1 = {n - 1}, got {m}")
 
 
 def partition_ratings(processed, k: int) -> list[float]:
@@ -250,8 +256,7 @@ def design_layer1(expected: ExpectedSet, cfg: DesignConfig) -> Layer1Design:
     """
     n = expected.count
     m = cfg.num_layer1
-    if m > n - 1:
-        raise ParameterError("layer 1 must stay sparse: num_layer1 at most count - 1")
+    _check_sparse(m, n)
     caps = expected.capabilities
     best_output, scored, outputs, tied = _tie_band(caps, m)
     floor = float(np.maximum(float(outputs.min()) / n - caps, 0.0).sum())
@@ -285,11 +290,6 @@ def design_layer1(expected: ExpectedSet, cfg: DesignConfig) -> Layer1Design:
     )
 
 
-def layer2_rating_for_budget(layer1: Layer1Design, expected: ExpectedSet, budget: float) -> float:
-    """Per-converter ladder rating that spends what layer 1 left of the budget (see lshippp_for_budget)."""
-    return _spend(ArchitectureKind.LSHIPPP, budget, expected, layer1).rating
-
-
 def lshippp_for_budget(layer1: Layer1Design, expected: ExpectedSet, budget: float) -> Architecture:
     """Assemble the hierarchical architecture for a normalized rating budget.
 
@@ -300,29 +300,21 @@ def lshippp_for_budget(layer1: Layer1Design, expected: ExpectedSet, budget: floa
     return _spend(ArchitectureKind.LSHIPPP, budget, expected, layer1)
 
 
-def design_layer2(
-    layer1: Layer1Design,
-    supply: BatterySupply,
-    cfg: DesignConfig,
-    budget: float | None = None,
-) -> tuple[float, Layer2Curve]:
+def design_layer2(layer1: Layer1Design, supply: BatterySupply, cfg: DesignConfig) -> tuple[float, Layer2Curve]:
     """Monte Carlo rating curve for the ladder under a frozen layer 1.
 
     Every trial rating replays the same seeded batches (common random
     numbers), which also forces the curve to be non-decreasing. Returns the
-    per-rung ladder rating and the curve. The rating spends `budget` when
-    given; otherwise it is the cheapest trial rating whose mean utilization
-    already matches the top of the curve.
+    cheapest trial rating whose mean utilization already matches the top of
+    the curve, and the curve. A design's own rung spends its budget instead
+    (lshippp_for_budget).
     """
-    arch = lshippp_for_budget(layer1, flatten(supply), 0.0 if budget is None else budget)
+    arch = lshippp_for_budget(layer1, flatten(supply), 0.0)  # the wiring; every row gets its own rung
     draws = _draw_block(supply, cfg.base_seed, cfg.monte_carlo_trials)
     ratings = cfg.layer2_trial_ratings
     rungs = np.repeat(ratings, len(draws))  # every draw once per trial rating, rating-major
     outputs = max_string_outputs(np.tile(draws, (len(ratings), 1)), arch, rungs)
     utilizations = (outputs.reshape(len(ratings), len(draws)) / draws.sum(axis=1)).mean(axis=1)
     curve = Layer2Curve(tuple(zip(ratings, utilizations.tolist())))
-
-    if budget is not None:
-        return arch.rating, curve
     top = max(curve.utilizations)
     return next(r for r, u in curve.points if u >= top - 1e-9), curve

@@ -30,22 +30,24 @@ evaluated for a whole block of capability draws at once. Full processing
 needs no flow model at all. One block path (_operating_points) gives every
 kind's operating point on a block of draws; flow_powers reads its outputs
 and processed powers, and optimal_flow is its one-row block. Every block
-kernel takes one rating per row as well as one for the whole block
-(flow_powers, hierarchical_currents, ladder_flow, least_processing_flows),
-and every step is elementwise per row, so rows of architectures that differ
-only in their budget rating stack into one call with the bits of one-row
-calls. Layer-1 ratings come first in every edge-rating table, then the
-ladder's rungs (_edge_table). The LPs stay for the layer-2
-rating curve and the layer-1 design solve of the chosen placement
-(layer1_design_lp), whose printed values they pin bit for bit. Both write
-their LPs as arrays and take their optimal points from lp.solve_stack, with
-the same pivots and bits as one LP solved alone. Every flow LP here is
-feasible at zero current with zero flows, and bounded, so the solver's
-InternalCheckError on an infeasible or unbounded LP marks a fault. The
-curve's stage-1 LPs, one per (trial rating, draw), form stacks
-(max_string_outputs): one objective, constraint matrix and right-hand side
-for all rows, and a (rows, variables) block of bounds that holds each row's
-rung. The design solve is two stacks of one LP each.
+kernel takes its ratings per row only: a (T,) array of one rating per row
+(flow_powers, hierarchical_currents, ladder_flow, max_string_outputs), or a
+(T, E) table of one per row and edge (least_processing_flows). The
+architecture gives the wiring and those arrays give the sizes, and every
+step is elementwise per row, so rows of architectures that differ only in
+their budget rating stack into one call with the bits of one-row calls.
+Layer-1 ratings come first in every edge-rating table, then the ladder's
+rungs (_edge_table). The LPs stay for the layer-2 rating curve and the
+layer-1 design solve of the chosen placement (layer1_design_lp), whose
+printed values they pin bit for bit. Both write their LPs as arrays and take
+their optimal points from lp.solve_stack, with the same pivots and bits as
+one LP solved alone. Every flow LP here is feasible at zero current with
+zero flows, and bounded, so the solver's InternalCheckError on an infeasible
+or unbounded LP marks a fault. The maximum-output LP is built in one place
+(_stage_one): one objective, constraint matrix and right-hand side for all
+rows, and a (rows, variables) block of bounds that holds each row's ratings.
+The curve's LPs, one per (trial rating, draw), form its stacks
+(max_string_outputs); the design solve is two stacks of one LP each.
 
 Capabilities are per string position, in any order: battery j is the j-th
 battery of the string, and a reordered draw is a different string.
@@ -100,19 +102,16 @@ def _validate_capabilities(capabilities, ndim: int = 1) -> np.ndarray:
     return caps
 
 
-def _edge_pairs(edges: Sequence[ConverterEdge] | Sequence[_Pair], n: int) -> list[_Pair]:
-    pairs = []
-    for edge in edges:
-        if isinstance(edge, ConverterEdge):
-            a, b = edge.from_battery, edge.to_battery
-        else:
-            a, b = edge
-            if a == b:
-                raise StructuralError("converter endpoints must differ")
+def _edge_pairs(pairs: Sequence[_Pair], n: int) -> list[_Pair]:
+    """(from, to) battery pairs as ints, each with distinct endpoints in 0..n-1."""
+    checked = []
+    for a, b in pairs:
+        if a == b:
+            raise StructuralError("converter endpoints must differ")
         if not (0 <= a < n and 0 <= b < n):
             raise StructuralError(f"edge {a}->{b} references a battery outside 0..{n - 1}")
-        pairs.append((int(a), int(b)))
-    return pairs
+        checked.append((int(a), int(b)))
+    return checked
 
 
 def _flow_matrix(pairs: Sequence[_Pair], n: int) -> np.ndarray:
@@ -153,12 +152,17 @@ def _incidence(pairs: Sequence[_Pair], n: int) -> np.ndarray:
     return inc
 
 
-def _row_ratings(rating, trials: int) -> np.ndarray:
-    """A rating given once for every row, or a (T,) array of one per row, as (T,) floats."""
-    rating = np.asarray(rating, dtype=float)
-    if rating.shape not in ((), (trials,)):
-        raise ParameterError("need one rating, or one per row")
-    return np.broadcast_to(rating, (trials,))
+def _row_ratings(ratings, *shape: int) -> np.ndarray:
+    """`ratings` as floats of exactly `shape`, (T,) or (T, E): one per row, or one per row and edge.
+
+    The one rating rule of every kernel: non-negative, not NaN (inf is
+    unbounded). Nothing is broadcast.
+    """
+    ratings = np.asarray(ratings, dtype=float)
+    if ratings.shape != shape or not np.all(ratings >= 0.0):
+        raise ParameterError(f"ratings must be non-negative, not NaN, in an array of shape {shape}, "
+                             f"got shape {ratings.shape}")
+    return ratings
 
 
 def architecture_edges(arch: Architecture) -> list[ConverterEdge]:
@@ -182,8 +186,8 @@ def _edge_table(arch: Architecture, rungs: np.ndarray) -> tuple[list[_Pair], np.
 def ladder_flow(capabilities, rating):
     """Conventional-ladder operating point of every row of a (T, N) block.
 
-    Rung j joins batteries j and j+1 and carries f_j, at most `rating` either
-    way; `rating` is one value for every row or a (T,) array of one per row.
+    Rung j joins batteries j and j+1 and carries f_j, at most rating[t]
+    either way on row t; `rating` is a (T,) array of finite ratings.
     Battery j sources p_j = I + f_j - f_{j-1}, with virtual rungs
     f_{-1} = f_{N-1} = 0 at the string ends. Returns the string currents (T,),
     rung flows (T, N-1) and battery powers (T, N), all certified. Rows are
@@ -207,8 +211,8 @@ def ladder_flow(capabilities, rating):
     caps = _validate_capabilities(capabilities, ndim=2)
     trials, n = caps.shape
     rating = _row_ratings(rating, trials)
-    if not np.all(np.isfinite(rating) & (rating >= 0.0)):
-        raise ParameterError("ladder rating must be non-negative and finite")
+    if not np.all(np.isfinite(rating)):  # an infinite rung times a zero boundary is NaN
+        raise ParameterError("ladder ratings must be finite")
 
     current = np.full(trials, np.inf)
     sums = np.zeros((trials, n))
@@ -252,12 +256,11 @@ _CUT_CELLS = 1 << 18
 _CUT_PASS_CELLS = 1 << 16
 
 
-def hierarchical_currents(capabilities, arch: Architecture, rungs=None) -> np.ndarray:
+def hierarchical_currents(capabilities, arch: Architecture, rungs) -> np.ndarray:
     """Maximum string current of a hierarchical `arch` on every row of a (T, N) block.
 
-    `rungs`, when given, is a (T,) array of ladder ratings that replaces the
-    ladder rating of `arch` row by row; the layer-1 design stays that of
-    `arch`.
+    `rungs` is a (T,) array of ladder ratings, one per row; the layer-1
+    chords are those of `arch`, which Architecture has already checked.
 
     By the Gale/Hoffman feasibility condition, current I is reachable exactly
     when every non-empty battery subset U can source |U| * I from its own
@@ -285,13 +288,10 @@ def hierarchical_currents(capabilities, arch: Architecture, rungs=None) -> np.nd
         raise StructuralError("the cut-form current covers the hierarchical kind only")
     caps = _checked_capabilities(capabilities, arch, ndim=2)
     trials, n = caps.shape
-    chords = _edge_pairs(arch.layer1.edges, n)
-    chord_ratings = np.array([edge.rating for edge in arch.layer1.edges], dtype=float)
-    rung = _row_ratings(arch.rating if rungs is None else rungs, trials)
-    if not (np.all(rung >= 0.0) and np.all(chord_ratings >= 0.0)):
-        raise ParameterError("converter ratings must be non-negative")
+    rung = _row_ratings(rungs, trials)
+    chords = arch.layer1.edges
 
-    ends = sorted({battery for pair in chords for battery in pair})
+    ends = sorted({battery for edge in chords for battery in (edge.from_battery, edge.to_battery)})
     patterns = 1 << len(ends)
     # after battery j: the patterns of the endpoints up to j by sizes 0..j+1
     cells = max((1 << sum(end <= j for end in ends)) * (j + 2) for j in range(n))
@@ -303,9 +303,9 @@ def hierarchical_currents(capabilities, arch: Architecture, rungs=None) -> np.nd
     member = (np.arange(patterns)[:, None] >> np.arange(len(ends)) & 1).astype(bool)  # (Q, d)
     slot = {battery: i for i, battery in enumerate(ends)}
     chord_cost = np.zeros(patterns)
-    for (a, b), rating in zip(chords, chord_ratings):
-        crossed = member[:, slot[a]] != member[:, slot[b]]
-        chord_cost[crossed] += rating
+    for edge in chords:
+        crossed = member[:, slot[edge.from_battery]] != member[:, slot[edge.to_battery]]
+        chord_cost[crossed] += edge.rating
     # added to battery j's states: 0 where the pattern allows its side, inf where not
     ban_in = np.zeros((n, patterns))
     ban_out = np.zeros((n, patterns))
@@ -357,11 +357,10 @@ def least_processing_flows(capabilities, pairs: Sequence[_Pair], ratings, curren
     """Flows of least processed power sum |f_e| on every row of a (T, N) block.
 
     Row t runs at string current currents[t] over the converter edges `pairs`,
-    each rated either way by `ratings`: an (E,) array for every row or a
-    (T, E) table of one per row (inf means unbounded). Returns the flows
-    (T, E) and battery powers (T, N), all certified. Rows are independent and
-    every step is elementwise, so a block gives, row for row, the same bits
-    as one-row calls.
+    edge e rated either way by ratings[t, e] of a (T, E) table (inf means
+    unbounded). Returns the flows (T, E) and battery powers (T, N), all
+    certified. Rows are independent and every step is elementwise, so a
+    block gives, row for row, the same bits as one-row calls.
 
     At a fixed current this is a min-cost flow with unit arc costs. Battery j
     has a deficit max(0, I - P_j) that must flow in and a surplus
@@ -394,11 +393,8 @@ def least_processing_flows(capabilities, pairs: Sequence[_Pair], ratings, curren
     caps = _validate_capabilities(capabilities, ndim=2)
     trials, n = caps.shape
     pairs = _edge_pairs(pairs, n)
-    ratings = np.asarray(ratings, dtype=float)
+    ratings = _row_ratings(ratings, trials, len(pairs))
     currents = np.asarray(currents, dtype=float)
-    if ratings.shape not in ((len(pairs),), (trials, len(pairs))) or not np.all(ratings >= 0.0):
-        raise ParameterError("need one non-negative rating per converter edge, or one per row and edge")
-    ratings = np.broadcast_to(ratings, (trials, len(pairs)))
     if currents.shape != (trials,) or not np.all(np.isfinite(currents) & (currents >= 0.0)):
         raise ParameterError("need one non-negative finite current per row")
 
@@ -558,8 +554,6 @@ def _operating_points(caps: np.ndarray, arch: Architecture, ratings: np.ndarray)
     """
     n = caps.shape[1]
     if arch.kind == ArchitectureKind.FPP:
-        if not np.all(ratings >= 0.0):
-            raise ParameterError("converter ratings must be non-negative")
         clipped = np.minimum(caps, ratings[:, None])
         bare = ratings == 0.0
         weakest = caps.min(axis=1)
@@ -588,7 +582,7 @@ def optimal_flow(capabilities, arch: Architecture) -> PowerFlowSolution:
     answer may differ.
     """
     caps = _checked_capabilities(capabilities, arch)
-    currents, outputs, flows, battery = _operating_points(caps[None, :], arch, _row_ratings(arch.rating, 1))
+    currents, outputs, flows, battery = _operating_points(caps[None, :], arch, np.array([arch.rating]))
     return PowerFlowSolution(
         string_current=float(currents[0]),
         converter_flows=flows[0],
@@ -598,24 +592,14 @@ def optimal_flow(capabilities, arch: Architecture) -> PowerFlowSolution:
     )
 
 
-def max_string_outputs(capabilities, arch: Architecture, rungs=None) -> np.ndarray:
-    """Stage 1 of the LP flow of a string `arch` on every row of a (T, N) block.
+def _stage_one(caps: np.ndarray, pairs: Sequence[_Pair], table: np.ndarray) -> np.ndarray:
+    """Optimal points (T, variables) of the maximum-output LP over [I, f, p] on every row of a (T, N) block.
 
-    `rungs`, when given, is a (T,) array of non-negative ladder ratings, inf
-    allowed, that replaces the ladder rating of `arch` row by row; a
-    hierarchical design keeps the layer-1 edges of `arch`. Returns (T,):
-    entry t is N * I of the maximum-output LP over [I, f, p] with the edges
-    of arch on row t (the rows of _flow_matrix, |f_e| at most the edge's
-    rating, |p_j| at most P_j and I >= 0), equal by == to what that LP gives
-    solved alone. For the hierarchical kind it agrees with the cut form of
-    hierarchical_currents to rounding, about 1e-16 in the current, and for
-    the ladder with the closed form of ladder_flow; the layer-2 curve is
-    printed with repr, so it stays on this LP.
-
-    All rows share one objective, constraint matrix and right-hand side.
-    Each row's bounds are written straight into one (T, variables) block:
-    the layer-1 ratings, the row's rung on every ladder edge, and the row's
-    capabilities. The rows go through lp.solve_stack in passes of
+    Row t maximizes N * I over the rows of _flow_matrix, with |f_e| at most
+    table[t, e] (a (T, E) table, inf allowed), |p_j| at most caps[t, j] and
+    I >= 0. All rows share one objective, constraint matrix and right-hand
+    side, and each row's bounds are written straight into one (T, variables)
+    block. The rows go through lp.solve_stack in passes of
     _CUT_CELLS // (N * (variables + N)) LPs, at least one: 970 at N = 9 with
     three layer-1 edges. The cap bounds one stack's working arrays: a
     lockstep step's (K, N, N) basis matrices to _CUT_CELLS cells, and each
@@ -624,14 +608,8 @@ def max_string_outputs(capabilities, arch: Architecture, rungs=None) -> np.ndarr
     matrix per LP, which the stack no longer builds; a row's result does not
     depend on it, and its value is kept so that timings stay as measured.
     The rows are certified by one block _certify call.
-    Capabilities are per string position, in any order.
     """
-    caps = _checked_capabilities(capabilities, arch, ndim=2)
     trials, n = caps.shape
-    rung = _row_ratings(arch.rating if rungs is None else rungs, trials)
-    if not np.all(rung >= 0.0):
-        raise ParameterError("ladder ratings must be non-negative")
-    pairs, table = _edge_table(arch, rung)
     e = len(pairs)
     width = 1 + e + n  # variables [I, f_0..f_{E-1}, p_0..p_{N-1}]
     objective = np.zeros(width)
@@ -648,21 +626,39 @@ def max_string_outputs(capabilities, arch: Architecture, rungs=None) -> np.ndarr
     for start in range(0, trials, per_pass):
         part = slice(start, start + per_pass)
         values[part] = solve_stack(objective, a, np.zeros(n), lower[part], upper[part])
-    _certify(caps, pairs, upper[:, 1:1 + e], values[:, 0], values[:, 1:1 + e], values[:, 1 + e:])
-    return n * values[:, 0]
+    _certify(caps, pairs, table, values[:, 0], values[:, 1:1 + e], values[:, 1 + e:])
+    return values
 
 
-def flow_powers(capabilities, arch: Architecture, ratings=None) -> tuple[np.ndarray, np.ndarray]:
-    """Output and processed power sum |f| of `arch` on every row of a (T, N) block.
+def max_string_outputs(capabilities, arch: Architecture, rungs) -> np.ndarray:
+    """Stage 1 of the LP flow of a string `arch` on every row of a (T, N) block.
 
-    `ratings`, when given, is a (T,) array that replaces `arch.rating` row
-    by row (see _operating_points). So one call evaluates rows of several
-    architectures that differ only in the rating their budget sets. No LP is
-    solved. Row t equals optimal_flow(capabilities[t], arch) bit for bit,
-    with arch's rating replaced by ratings[t] if given.
+    `rungs` is a (T,) array of non-negative ladder ratings, inf allowed, one
+    per row; a hierarchical design keeps the layer-1 edges of `arch`.
+    Returns (T,): entry t is N * I of the maximum-output LP (_stage_one)
+    with the edges of arch on row t, equal by == to what that LP gives
+    solved alone. For the hierarchical kind it agrees with the cut form of
+    hierarchical_currents to rounding, about 1e-16 in the current, and for
+    the ladder with the closed form of ladder_flow; the layer-2 curve is
+    printed with repr, so it stays on this LP.
+    Capabilities are per string position, in any order.
     """
     caps = _checked_capabilities(capabilities, arch, ndim=2)
-    ratings = _row_ratings(arch.rating if ratings is None else ratings, len(caps))
+    pairs, table = _edge_table(arch, _row_ratings(rungs, len(caps)))
+    return caps.shape[1] * _stage_one(caps, pairs, table)[:, 0]
+
+
+def flow_powers(capabilities, arch: Architecture, ratings) -> tuple[np.ndarray, np.ndarray]:
+    """Output and processed power sum |f| of `arch` on every row of a (T, N) block.
+
+    `ratings` is a (T,) array: row t runs `arch` at rating ratings[t] (see
+    _operating_points). So one call evaluates rows of several architectures
+    that differ only in the rating their budget sets. No LP is solved. Row t
+    equals optimal_flow(capabilities[t], arch) bit for bit, with arch's
+    rating replaced by ratings[t].
+    """
+    caps = _checked_capabilities(capabilities, arch, ndim=2)
+    ratings = _row_ratings(ratings, len(caps))
     _, outputs, flows, _ = _operating_points(caps, arch, ratings)
     return outputs, np.abs(flows).sum(axis=1)
 
@@ -708,26 +704,18 @@ def layer1_design_lp(expected: ExpectedSet, edges: Sequence[_Pair]):
     Returns (processed, output): the canonical per-edge processed powers
     |f_e| at maximum output with minimum total processing, and that output.
     The design prints these values with repr, so they stay on the LP. Stage
-    1 is the maximum-output LP over [I, f, p] with free flows; stage 2 fixes
-    its current and minimizes sum |f| over [I, f+, f-, p], with f = f+ - f-
-    and both halves non-negative. Each goes through lp.solve_stack as a
-    stack of one, whose inner loop is the solver's serial one. Both flows are
-    certified, and a stage-2 flow that circulates power both ways along an
-    edge raises InternalCheckError.
+    1 is the maximum-output LP (_stage_one) with unbounded flows; stage 2
+    fixes its current and minimizes sum |f| over [I, f+, f-, p], with
+    f = f+ - f- and both halves non-negative. Each goes through
+    lp.solve_stack as a stack of one, whose inner loop is the solver's
+    serial one. Both flows are certified, and a stage-2 flow that circulates
+    power both ways along an edge raises InternalCheckError.
     """
     caps = expected.capabilities
     n = caps.size
     pairs = _edge_pairs(edges, n)
     e = len(pairs)
-    b = np.zeros(n)
-
-    objective = np.zeros(1 + e + n)
-    objective[0] = float(n)
-    lower = np.concatenate([[0.0], np.full(e, -np.inf), -caps])
-    upper = np.concatenate([[np.inf], np.full(e, np.inf), caps])
-    first = solve_stack(objective, _flow_matrix(pairs, n), b, lower[None], upper[None])[0]
-    current = float(first[0])
-    _certify(caps, pairs, None, current, first[1:1 + e], first[1 + e:])
+    current = float(_stage_one(caps[None], pairs, np.full((1, e), np.inf))[0, 0])
 
     inc = _incidence(pairs, n)
     a = np.zeros((n, 1 + 2 * e + n))
@@ -739,7 +727,7 @@ def layer1_design_lp(expected: ExpectedSet, edges: Sequence[_Pair]):
     objective[1:1 + 2 * e] = -1.0  # maximize the negated processed power
     lower = np.concatenate([[current], np.zeros(2 * e), -caps])
     upper = np.concatenate([[current], np.full(2 * e, np.inf), caps])
-    second = solve_stack(objective, a, b, lower[None], upper[None])[0]
+    second = solve_stack(objective, a, np.zeros(n), lower[None], upper[None])[0]
     pos, neg = second[1:1 + e], second[1 + e:1 + 2 * e]
     if e and float(np.minimum(pos, neg).max(initial=0.0)) > 1e-7:
         raise InternalCheckError("flow split left circulating power in both directions")

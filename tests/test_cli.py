@@ -101,8 +101,10 @@ class TestConfigLoading:
         ("[DEFAULT]\ncount = 5\n", "[DEFAULT] count: unknown key"),
         # an integer key takes an integer literal only: a float parse would round seeds above 2**53
         ("[supply]\ncount = 9.0\n", "[supply] count: cannot parse '9.0'"),
+        # layer 1 stays sparse, checked at load against the supply's count
+        ("[supply]\ncount = 3\n[design]\nnum_layer1 = 3\n", "[design] num_layer1: layer 1 must stay sparse"),
     ], ids=["unparsable", "unknown-key", "unknown-section", "unknown-section-key", "empty-unknown-section",
-            "default-key", "float-count"])
+            "default-key", "float-count", "dense-layer1"])
     def test_bad_value_names_section_and_key(self, tmp_path, text, message):
         path = tmp_path / "bad.ini"
         path.write_text(text)

@@ -43,13 +43,13 @@ from hippp import (
     flatten,
     interconnection_count,
     ladder_flow,
-    layer2_rating_for_budget,
     lshippp_for_budget,
     max_string_outputs,
     optimal_flow,
     partition_ratings,
     sample_battery_set,
 )
+from hippp.cli import ExperimentConfig, cmd_design
 from hippp.powerflow import free_flow_outputs, layer1_design_lp, least_processing_flows
 from hippp.supply import MIN_RELATIVE_STD
 
@@ -429,7 +429,7 @@ class TestLayer1Search:
         currents = free_flow_outputs(caps, endpoints) / n
         totals = hippp.design._processing_totals(caps, endpoints, currents)
         for edges, current, total in zip(endpoints.tolist(), currents, totals):
-            flows, _ = least_processing_flows(caps[None, :], edges, np.full(m, np.inf), [current])
+            flows, _ = least_processing_flows(caps[None, :], edges, np.full((1, m), np.inf), [current])
             assert total.hex() == float(np.abs(flows).sum()).hex()
 
     @settings(max_examples=60, deadline=None)
@@ -508,28 +508,31 @@ class TestLayer2Rating:
         self.layer1 = design_layer1(self.expected, DesignConfig(num_layer1=3, num_rating_sets=2))
 
     def test_budget_split_arithmetic(self):
-        rating = layer2_rating_for_budget(self.layer1, self.expected, 0.15)
+        rating = lshippp_for_budget(self.layer1, self.expected, 0.15).rating
         leftover = 0.15 * self.expected.total_power - self.layer1.total_rating
         assert rating == pytest.approx(leftover / 8, abs=1e-15)
         assert rating == pytest.approx(0.0985942186170313, abs=1e-12)
 
     def test_budget_below_layer1_cost_floors_at_zero(self):
-        assert layer2_rating_for_budget(self.layer1, self.expected, 0.01) == 0.0
+        assert lshippp_for_budget(self.layer1, self.expected, 0.01).rating == 0.0
         with pytest.raises(ParameterError):
-            layer2_rating_for_budget(self.layer1, self.expected, -0.1)
+            lshippp_for_budget(self.layer1, self.expected, -0.1)
 
     @pytest.mark.parametrize("budget", [np.inf, np.nan, -np.inf])
-    def test_a_budget_that_is_not_finite_is_refused_before_the_curve(self, budget, monkeypatch):
+    def test_a_budget_that_is_not_finite_is_refused_before_the_curve(self, budget, monkeypatch, tmp_path):
         with pytest.raises(ParameterError):
-            layer2_rating_for_budget(self.layer1, self.expected, budget)
+            lshippp_for_budget(self.layer1, self.expected, budget)
 
         def no_curve(*args):
             raise AssertionError("the layer-2 curve ran before the budget was checked")
 
+        # a design spends its budget before the curve runs
         monkeypatch.setattr(hippp.design, "max_string_outputs", no_curve)
-        cfg = DesignConfig(num_layer1=3, num_rating_sets=2, monte_carlo_trials=2)
+        design = DesignConfig(num_layer1=3, num_rating_sets=2, monte_carlo_trials=2)
+        cfg = ExperimentConfig(BatterySupply(1.0, 0.2, 9), design, rating_budget=budget)
         with pytest.raises(ParameterError):
-            design_layer2(self.layer1, BatterySupply(1.0, 0.2, 9), cfg, budget=budget)
+            cmd_design(cfg, str(tmp_path))
+        assert not (tmp_path / "design.txt").exists()
 
     def test_assembled_architecture_spends_the_budget(self):
         from hippp import aggregate_rating
@@ -550,14 +553,12 @@ class TestLayer2Design:
         layer2_trial_ratings=(0.0, 0.05, 0.10), monte_carlo_trials=40,
     )
 
-    def test_curve_rises_and_budget_sets_the_rating(self):
+    def test_curve_rises_at_the_trial_ratings(self):
         supply = BatterySupply(1.0, 0.2, 9)
-        expected = flatten(supply)
-        layer1 = design_layer1(expected, self.CFG)
-        rung, curve = design_layer2(layer1, supply, self.CFG, budget=0.15)
+        layer1 = design_layer1(flatten(supply), self.CFG)
+        _, curve = design_layer2(layer1, supply, self.CFG)
         assert curve.ratings == (0.0, 0.05, 0.10)
         assert all(u1 <= u2 + 1e-12 for u1, u2 in zip(curve.utilizations, curve.utilizations[1:]))
-        assert rung == layer2_rating_for_budget(layer1, expected, 0.15)
 
     def test_without_budget_takes_the_cheapest_top_rating(self):
         supply = BatterySupply(1.0, 0.2, 9)
@@ -596,8 +597,8 @@ class TestLayer2Design:
     def test_repeat_run_is_bit_identical(self):
         supply = BatterySupply(1.0, 0.2, 9)
         layer1 = design_layer1(flatten(supply), self.CFG)
-        d1, c1 = design_layer2(layer1, supply, self.CFG, budget=0.15)
-        d2, c2 = design_layer2(layer1, supply, self.CFG, budget=0.15)
+        d1, c1 = design_layer2(layer1, supply, self.CFG)
+        d2, c2 = design_layer2(layer1, supply, self.CFG)
         assert d1 == d2
         assert c1.points == c2.points
 
@@ -663,7 +664,7 @@ class TestBatchedCurve:
 
     def test_block_rows_equal_one_row_calls(self):
         # rows with mixed rungs, an infinite one included, against one-row calls
-        # with the rung given and built in, and against the serial LP
+        # and against the serial LP of an architecture with the rung built in
         supply = BatterySupply(1.0, 0.2, 9)
         expected = flatten(supply)
         layer1 = self.layer1(9, 2, seed=8)
@@ -674,8 +675,7 @@ class TestBatchedCurve:
         assert outputs.shape == (15,)
         for caps, rung, output in zip(block, rungs, outputs):
             built_in = Architecture(ArchitectureKind.LSHIPPP, 9, expected.total_power, rung, layer1)
-            assert output == max_string_outputs(caps[None, :], arch, [rung])[0]
-            assert output == max_string_outputs(caps[None, :], built_in)[0] == hierarchical_lp_output(caps, built_in)
+            assert output == max_string_outputs(caps[None, :], arch, [rung])[0] == hierarchical_lp_output(caps, built_in)
 
     def test_the_default_design_lp_traffic(self, monkeypatch):
         # the README default design, layer 1 and the 10 x 1000 layer-2 curve:
@@ -697,7 +697,7 @@ class TestBatchedCurve:
         cfg = DesignConfig(num_layer1=3, num_rating_sets=2)
         layer1 = design_layer1(flatten(supply), cfg)
         assert stacks == [1, 1]
-        _, curve = design_layer2(layer1, supply, cfg, budget=0.15)
+        _, curve = design_layer2(layer1, supply, cfg)
         assert [(e.from_battery, e.to_battery) for e in layer1.edges] == N9_EDGES
         assert [p.hex() for p in layer1.processed_at_design] == [p.hex() for p in N9_PROCESSED]
         assert len(curve.points) == 10
@@ -726,7 +726,7 @@ class TestStageOneOutput:
                 ArchitectureKind.LSHIPPP, 9, expected.total_power, rating, layer1,
             )
             block = np.stack([draw_capabilities(supply, seed) for seed in range(200)])
-            for caps, output in zip(block, max_string_outputs(block, arch)):
+            for caps, output in zip(block, max_string_outputs(block, arch, np.full(len(block), rating))):
                 assert output == hierarchical_lp_output(caps, arch)
                 assert output == pytest.approx(optimal_flow(caps, arch).output_power, abs=1e-12)
 
@@ -734,7 +734,7 @@ class TestStageOneOutput:
         expected = flatten(BatterySupply(1.0, 0.2, 9))
         arch = Architecture(ArchitectureKind.CPPP, 9, expected.total_power, rating=0.1)
         caps = draw_capabilities(BatterySupply(1.0, 0.2, 9), 3)
-        output = max_string_outputs(caps[None, :], arch)[0]
+        output = max_string_outputs(caps[None, :], arch, [arch.rating])[0]
         assert output == pytest.approx(optimal_flow(caps, arch).output_power, abs=1e-12)
         # and row by row at each row's own rung
         block = np.stack([draw_capabilities(BatterySupply(1.0, 0.2, 9), seed) for seed in range(6)])
@@ -745,4 +745,4 @@ class TestStageOneOutput:
     def test_full_processing_has_no_string_stage(self):
         arch = Architecture(ArchitectureKind.FPP, 3, 3.0, rating=0.5)
         with pytest.raises(StructuralError):
-            max_string_outputs([[0.8, 1.0, 1.2]], arch)
+            max_string_outputs([[0.8, 1.0, 1.2]], arch, [0.5])

@@ -151,7 +151,7 @@ class TestTrialBlock:
         else:
             arch = lshippp_for_budget(design_layer1(expected, FAST_CFG), expected, budget)
         block = np.array([draw_capabilities(SUPPLY9, seed) for seed in range(12)])
-        output, processed = flow_powers(block, arch)
+        output, processed = flow_powers(block, arch, np.full(len(block), arch.rating))
         for t, caps in enumerate(block):
             sol = optimal_flow(caps, arch)
             assert output[t] == sol.output_power
@@ -161,9 +161,9 @@ class TestTrialBlock:
     def test_block_shape_is_checked(self):
         arch = cppp_from_budget(0.15, flatten(SUPPLY9))
         with pytest.raises(ParameterError):
-            flow_powers(draw_capabilities(SUPPLY9, 0), arch)
+            flow_powers(draw_capabilities(SUPPLY9, 0), arch, [arch.rating])
         with pytest.raises(ParameterError):
-            flow_powers(np.ones((3, 5)), arch)
+            flow_powers(np.ones((3, 5)), arch, np.full(3, arch.rating))
 
 
 @st.composite
@@ -396,7 +396,7 @@ class TestSweeps:
         cfg = DesignConfig(num_layer1=1, num_rating_sets=1, layer2_trial_ratings=(0.0, 0.05), monte_carlo_trials=8)
         layer1 = design_layer1(flatten(supply), cfg)
         assert [(e.from_battery, e.to_battery) for e in layer1.edges] == [(0, 1)]
-        _, curve = design_layer2(layer1, supply, cfg, budget=0.15)
+        _, curve = design_layer2(layer1, supply, cfg)
         assert len(curve.points) == 2
         records = sweep_rating(["lshippp", "cppp"], supply, [0.1, 0.2], trials=12, seed=3, design_cfg=cfg)
         for hier, ladder in zip(records[::2], records[1::2]):

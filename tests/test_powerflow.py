@@ -82,6 +82,11 @@ def ls_arch(n, total, layer1_edges, layer2_rating, k=None):
     )
 
 
+def rows_at(block, rating):
+    """One rating per row of `block`, the same on every row: the kernels take per-row ratings only."""
+    return np.full(len(block), rating, dtype=float)
+
+
 class TestFrozenExamples:
     def test_homogeneous_string_needs_no_processing(self):
         caps = [1.0, 1.0, 1.0]
@@ -323,7 +328,7 @@ class TestLadderKernel:
     @example((np.array([[0.05, 0.05, 3.0, 0.2]]), 0.6))   # only the backward pass keeps p_3 >= -P_3
     def test_kernel_matches_the_two_stage_lp(self, instance):
         block, rating = instance
-        current, flows, battery = ladder_flow(block, rating)
+        current, flows, battery = ladder_flow(block, rows_at(block, rating))
         assert current.shape == (len(block),)
         assert flows.shape == (len(block), block.shape[1] - 1)
         assert battery.shape == block.shape
@@ -334,7 +339,7 @@ class TestLadderKernel:
             assert battery[t] == pytest.approx(ref_battery, abs=1e-9)
             assert np.abs(flows[t]).sum() == pytest.approx(np.abs(ref_flows).sum(), abs=1e-9)
             # a block row and a one-row call give the same bits
-            one = ladder_flow(row[None, :], rating)
+            one = ladder_flow(row[None, :], [rating])
             for got, alone in zip((current, flows, battery), one):
                 assert np.array_equal(got[t], alone[0])
 
@@ -342,14 +347,14 @@ class TestLadderKernel:
         rng = np.random.default_rng(11)
         caps = np.sort(rng.uniform(0.4, 1.6, 9))
         sol = optimal_flow(caps, cppp_arch(9.0, 9, 0.1))
-        current, flows, battery = ladder_flow(caps[None, :], 0.1)
+        current, flows, battery = ladder_flow(caps[None, :], [0.1])
         assert sol.string_current == current[0]
         assert np.array_equal(sol.converter_flows, flows[0])
         assert np.array_equal(sol.battery_powers, battery[0])
 
     def test_zero_rating_processes_nothing(self):
         block = np.array([[0.7, 1.3, 0.9, 1.1], [1.0, 1.0, 1.0, 1.0]])
-        current, flows, battery = ladder_flow(block, 0.0)
+        current, flows, battery = ladder_flow(block, [0.0, 0.0])
         assert np.array_equal(current, block.min(axis=1))
         assert np.all(flows == 0.0)
         assert np.array_equal(battery, np.repeat(current[:, None], 4, axis=1))
@@ -367,16 +372,16 @@ class TestLadderKernel:
                 optimal_flow(caps, arch)
         block = np.array([[0.9, 1.0, 1.1], caps])
         with pytest.raises(ParameterError):
-            ladder_flow(block, 0.1)
+            ladder_flow(block, [0.1, 0.1])
         with pytest.raises(ParameterError):
-            hierarchical_currents(block, ls_arch(3, 3.0, layer1, 0.1))
+            hierarchical_currents(block, ls_arch(3, 3.0, layer1, 0.1), [0.1, 0.1])
 
     def test_rejects_a_bad_block_or_rating(self):
         with pytest.raises(ParameterError):
-            ladder_flow([0.8, 1.0, 1.2], 0.1)        # a vector, not a block
+            ladder_flow([0.8, 1.0, 1.2], [0.1])      # a vector, not a block
         for rating in (-0.1, np.nan, np.inf):
             with pytest.raises(ParameterError):
-                ladder_flow([[0.8, 1.0, 1.2]], rating)
+                ladder_flow([[0.8, 1.0, 1.2]], [rating])
 
 
 @st.composite
@@ -412,14 +417,14 @@ class TestHierarchicalKernel:
     def test_kernel_matches_the_stage_one_lp(self, instance):
         block, arch = instance
         n = block.shape[1]
-        current = hierarchical_currents(block, arch)
+        current = hierarchical_currents(block, arch, rows_at(block, arch.rating))
         assert current.shape == (len(block),)
         for t, row in enumerate(block):
             assert n * current[t] == pytest.approx(hierarchical_lp_output(row, arch), abs=1e-12)
             # a block row and a one-row call give the same bits
-            assert current[t] == hierarchical_currents(row[None, :], arch)[0]
+            assert current[t] == hierarchical_currents(row[None, :], arch, [arch.rating])[0]
         if all(edge.rating == 0.0 for edge in arch.layer1.edges):
-            ladder_current = ladder_flow(block, arch.rating)[0]
+            ladder_current = ladder_flow(block, rows_at(block, arch.rating))[0]
             assert current == pytest.approx(ladder_current, abs=1e-12)
 
     def test_passes_cut_a_large_block_without_changing_bits(self):
@@ -427,46 +432,42 @@ class TestHierarchicalKernel:
         rng = np.random.default_rng(13)
         block = np.sort(rng.uniform(0.3, 1.7, (300, 16)), axis=1)
         arch = ls_arch(16, 16.0, [(0, 15, 0.4), (1, 9, 0.2), (3, 12, 0.1)], 0.05, k=3)
-        whole = hierarchical_currents(block, arch)
-        assert np.array_equal(whole, [hierarchical_currents(row[None, :], arch)[0] for row in block])
+        whole = hierarchical_currents(block, arch, rows_at(block, 0.05))
+        assert np.array_equal(whole, [hierarchical_currents(row[None, :], arch, [0.05])[0] for row in block])
 
     def test_zero_ratings_give_the_weakest_capability(self):
         block = np.array([[0.7, 1.3, 0.9, 1.1], [1.0, 1.0, 1.0, 1.0]])
         arch = ls_arch(4, 4.0, [(0, 3, 0.0)], 0.0)
-        assert np.array_equal(hierarchical_currents(block, arch), block.min(axis=1))
+        assert np.array_equal(hierarchical_currents(block, arch, [0.0, 0.0]), block.min(axis=1))
 
     def test_unbounded_chord_pools_its_endpoints(self):
         # an infinite rating never crosses a finite cut: batteries 0 and 2 share power freely
         caps = np.array([[0.6, 1.1, 1.0], [0.9, 0.7, 1.3]])
         arch = ls_arch(3, 3.0, [(0, 2, np.inf)], 0.0)
         expected = [free_flow_output(row, [(0, 2)]) / 3 for row in caps]
-        assert hierarchical_currents(caps, arch) == pytest.approx(expected, abs=1e-12)
+        assert hierarchical_currents(caps, arch, [0.0, 0.0]) == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.parametrize("chord, rung", [(-0.1, None), (np.nan, None), (None, -0.1), (None, np.nan)])
-    def test_invalid_ratings_are_parameter_errors(self, chord, rung):
-        # the dataclasses refuse these ratings, so they are forged in to reach the kernel's own check
+    @pytest.mark.parametrize("rungs", [[-0.1], [np.nan], [-np.inf], 0.1])
+    def test_invalid_ratings_are_parameter_errors(self, rungs):
+        # the chords come from the architecture, whose ConverterEdges refuse such ratings
         arch = ls_arch(3, 3.0, [(0, 2, 0.1)], 0.1)
-        if chord is not None:
-            object.__setattr__(arch.layer1.edges[0], "rating", chord)
-        if rung is not None:
-            object.__setattr__(arch, "rating", rung)
         with pytest.raises(ParameterError):
-            hierarchical_currents(np.array([[0.8, 1.0, 1.2]]), arch)
+            hierarchical_currents(np.array([[0.8, 1.0, 1.2]]), arch, rungs)
 
     def test_rejects_other_kinds_and_shapes(self):
         with pytest.raises(StructuralError):
-            hierarchical_currents(np.array([[0.8, 1.0, 1.2]]), cppp_arch(3.0, 3, 0.1))
+            hierarchical_currents(np.array([[0.8, 1.0, 1.2]]), cppp_arch(3.0, 3, 0.1), [0.1])
         arch = ls_arch(3, 3.0, [(0, 2, 0.1)], 0.1)
         with pytest.raises(ParameterError):
-            hierarchical_currents([0.8, 1.0, 1.2], arch)      # a vector, not a block
+            hierarchical_currents([0.8, 1.0, 1.2], arch, [0.1])      # a vector, not a block
         with pytest.raises(ParameterError):
-            hierarchical_currents(np.ones((2, 4)), arch)
+            hierarchical_currents(np.ones((2, 4)), arch, [0.1, 0.1])
 
     def test_too_many_endpoints_are_refused_before_any_work(self):
         # 20 distinct endpoints would need 2^20 patterns per draw
         arch = ls_arch(20, 20.0, [(j, j + 10, 0.1) for j in range(10)], 0.1, k=1)
         with pytest.raises(EnumerationCapError):
-            hierarchical_currents(np.ones((1, 20)), arch)
+            hierarchical_currents(np.ones((1, 20)), arch, [0.1])
 
 
 @st.composite
@@ -495,29 +496,29 @@ def dispatch_blocks(draw):
     rung = draw(st.one_of(st.just(0.0), hundredths))
     if chords:
         arch = ls_arch(n, float(n), [(a, b, r) for (a, b), r in chords], rung, k=len(chords))
-        best = hierarchical_currents(block, arch)
+        best = hierarchical_currents(block, arch, rows_at(block, rung))
     else:
-        best = ladder_flow(block, rung)[0]
+        best = ladder_flow(block, rows_at(block, rung))[0]
     scale = st.one_of(st.just(1.0), st.integers(0, 16).map(lambda k: k / 16))
     currents = best * np.array([draw(scale) for _ in range(rows)])
     pairs = [p for p, _ in chords] + [(j, j + 1) for j in range(n - 1)]
-    ratings = np.array([r for _, r in chords] + [rung] * (n - 1))
+    ratings = np.tile([r for _, r in chords] + [rung] * (n - 1), (rows, 1))
     return block, pairs, ratings, currents
 
 
 class TestLeastProcessingKernel:
     @settings(max_examples=150, deadline=None)
     @given(dispatch_blocks())
-    @example((np.array([[0.5, 1.0, 1.5]]), [(0, 2), (0, 1), (1, 2)], np.array([0.5, 0.5, 0.5]),
+    @example((np.array([[0.5, 1.0, 1.5]]), [(0, 2), (0, 1), (1, 2)], np.array([[0.5, 0.5, 0.5]]),
               np.array([1.0])))                                        # the chord serves the deficit alone
     @example((np.array([[0.95, 0.6, 1.4, 0.9]]), [(1, 2), (2, 1), (0, 1), (1, 2), (2, 3)],
-              np.array([0.3, np.inf, 0.05, 0.05, 0.05]), np.array([0.9])))  # repeats, parallel to a rung
-    @example((np.array([[0.8, 1.0, 1.2]]), [(0, 1), (1, 2)], np.zeros(2), np.array([0.8])))  # bare string
+              np.array([[0.3, np.inf, 0.05, 0.05, 0.05]]), np.array([0.9])))  # repeats, parallel to a rung
+    @example((np.array([[0.8, 1.0, 1.2]]), [(0, 1), (1, 2)], np.zeros((1, 2)), np.array([0.8])))  # bare string
     # the least-processing flow must reroute an earlier path (undo arcs) in these two
     @example((np.array([[1.98, 0.17, 1.47, 0.6]]), [(2, 1), (1, 3), (3, 2), (0, 1), (1, 2), (2, 3)],
-              np.array([np.inf, 0.41, np.inf, 0.58, 0.58, 0.58]), np.array([0.94])))
+              np.array([[np.inf, 0.41, np.inf, 0.58, 0.58, 0.58]]), np.array([0.94])))
     @example((np.array([[1.29, 0.91, 0.51, 1.56, 0.73, 0.74]]), [(j, j + 1) for j in range(5)],
-              np.full(5, 0.53), np.array([0.95666])))
+              np.full((1, 5), 0.53), np.array([0.95666])))
     def test_kernel_matches_the_least_processing_lp(self, instance):
         block, pairs, ratings, currents = instance
         n = block.shape[1]
@@ -525,14 +526,14 @@ class TestLeastProcessingKernel:
         assert flows.shape == (len(block), len(pairs))
         assert battery.shape == block.shape
         for t, row in enumerate(block):
-            ref, _, _ = least_processing_lp(row, pairs, ratings, currents[t])
+            ref, _, _ = least_processing_lp(row, pairs, ratings[t], currents[t])
             assert np.abs(flows[t]).sum() == pytest.approx(ref, abs=1e-12)
             residual = battery[t] - currents[t] - incidence(pairs, n) @ flows[t]
             assert np.abs(residual).max() <= 1e-8
             assert np.all(np.abs(battery[t]) <= row + 1e-8)
-            assert np.all(np.abs(flows[t]) <= ratings + 1e-8)
+            assert np.all(np.abs(flows[t]) <= ratings[t] + 1e-8)
             # a block row and a one-row call give the same bits
-            one = least_processing_flows(row[None, :], pairs, ratings, currents[t:t + 1])
+            one = least_processing_flows(row[None, :], pairs, ratings[t:t + 1], currents[t:t + 1])
             assert np.array_equal(flows[t], one[0][0])
             assert np.array_equal(battery[t], one[1][0])
 
@@ -541,17 +542,17 @@ class TestLeastProcessingKernel:
         # deficit crosses every rung between it and the strong end, so
         # sum |f| = 2.5e-13 * (1 + 2 + 3 + 4). The LP oracle's tolerances blur this.
         block = np.array([[1.0, 1.0, 1.0, 1.0, 2.0]])
-        current = ladder_flow(block, 1e-12)[0]
-        flows, _ = least_processing_flows(block, [(j, j + 1) for j in range(4)], np.full(4, 1e-12), current)
+        current = ladder_flow(block, [1e-12])[0]
+        flows, _ = least_processing_flows(block, [(j, j + 1) for j in range(4)], np.full((1, 4), 1e-12), current)
         assert np.abs(flows).sum() == pytest.approx(2.5e-12, rel=1e-3)
 
     def test_passes_cut_a_block_without_changing_bits(self, monkeypatch):
         rng = np.random.default_rng(14)
         block = np.sort(rng.uniform(0.3, 1.7, (50, 9)), axis=1)
         arch = ls_arch(9, 9.0, [(0, 8, 0.3), (1, 6, np.inf), (2, 5, 0.0)], 0.05, k=3)
-        currents = hierarchical_currents(block, arch)
+        currents = hierarchical_currents(block, arch, rows_at(block, arch.rating))
         pairs = [(e.from_battery, e.to_battery) for e in architecture_edges(arch)]
-        ratings = np.array([e.rating for e in architecture_edges(arch)])
+        ratings = np.tile([e.rating for e in architecture_edges(arch)], (len(block), 1))
         whole = least_processing_flows(block, pairs, ratings, currents)
         # passes of 7 rows of 10 * (3 * 3 + 11) + 10 * 11 + 8 * 10 cells: 10 nodes with
         # the sentinel, 3 incoming arcs at most, 11 iterations kept, 11 edges
@@ -566,7 +567,7 @@ class TestLeastProcessingKernel:
         edges = architecture_edges(arch)
         flows, battery = least_processing_flows(
             caps[None, :], [(e.from_battery, e.to_battery) for e in edges],
-            [e.rating for e in edges], hierarchical_currents(caps[None, :], arch),
+            [[e.rating for e in edges]], hierarchical_currents(caps[None, :], arch, [arch.rating]),
         )
         assert np.array_equal(sol.converter_flows, flows[0])
         assert np.array_equal(sol.battery_powers, battery[0])
@@ -575,14 +576,14 @@ class TestLeastProcessingKernel:
     def test_current_above_the_maximum_is_an_internal_error(self):
         block = np.array([[0.6, 1.0, 1.4]])
         arch = ls_arch(3, 3.0, [(0, 2, 0.1)], 0.05)
-        current = hierarchical_currents(block, arch) + 1e-6
+        current = hierarchical_currents(block, arch, [0.05]) + 1e-6
         with pytest.raises(InternalCheckError):
-            least_processing_flows(block, [(0, 2), (0, 1), (1, 2)], [0.1, 0.05, 0.05], current)
+            least_processing_flows(block, [(0, 2), (0, 1), (1, 2)], [[0.1, 0.05, 0.05]], current)
 
     def test_rejects_bad_ratings_and_currents(self):
         block = np.array([[0.6, 1.0, 1.4]])
-        for ratings, currents in (([0.1, -0.1], [0.8]), ([0.1, np.nan], [0.8]), ([0.1], [0.8]),
-                                  ([0.1, 0.1], [-0.1]), ([0.1, 0.1], [np.inf]), ([0.1, 0.1], [0.8, 0.8])):
+        for ratings, currents in (([[0.1, -0.1]], [0.8]), ([[0.1, np.nan]], [0.8]), ([[0.1]], [0.8]),
+                                  ([[0.1, 0.1]], [-0.1]), ([[0.1, 0.1]], [np.inf]), ([[0.1, 0.1]], [0.8, 0.8])):
             with pytest.raises(ParameterError):
                 least_processing_flows(block, [(0, 1), (1, 2)], ratings, currents)
 
@@ -648,7 +649,7 @@ class TestPerRowRatings:
         block, arch, rungs = instance
         currents = hierarchical_currents(block, arch, rungs)
         for t, row in enumerate(block):
-            assert currents[t] == hierarchical_currents(row[None, :], replace(arch, rating=float(rungs[t])))[0]
+            assert currents[t] == hierarchical_currents(row[None, :], arch, rungs[t:t + 1])[0]
 
     @settings(max_examples=40, deadline=None)
     @given(mixed_rating_blocks())
@@ -656,7 +657,7 @@ class TestPerRowRatings:
         block, _, rungs = instance
         stacked = ladder_flow(block, rungs)
         for t, row in enumerate(block):
-            for got, alone in zip(stacked, ladder_flow(row[None, :], rungs[t])):
+            for got, alone in zip(stacked, ladder_flow(row[None, :], rungs[t:t + 1])):
                 assert np.array_equal(got[t], alone[0])
 
     @settings(max_examples=40, deadline=None)
@@ -673,7 +674,7 @@ class TestPerRowRatings:
         table = np.array([chords + [rung] * (block.shape[1] - 1) for rung in rungs])
         flows, battery = least_processing_flows(block, pairs, table, currents)
         for t, row in enumerate(block):
-            one = least_processing_flows(row[None, :], pairs, table[t], currents[t:t + 1])
+            one = least_processing_flows(row[None, :], pairs, table[t:t + 1], currents[t:t + 1])
             assert np.array_equal(flows[t], one[0][0])
             assert np.array_equal(battery[t], one[1][0])
 
@@ -688,7 +689,7 @@ class TestPerRowRatings:
         flows, _ = least_processing_flows(block, union, table, currents)
         for t, (row, edges) in enumerate(zip(block, placements)):
             own = [union.index(edge) for edge in edges]
-            one, _ = least_processing_flows(row[None, :], edges, np.full(len(edges), np.inf), currents[t:t + 1])
+            one, _ = least_processing_flows(row[None, :], edges, np.full((1, len(edges)), np.inf), currents[t:t + 1])
             assert flows[t, own].tobytes() == one[0].tobytes()
             assert np.abs(flows[t, own]).sum().hex() == np.abs(one).sum().hex()
             assert not np.delete(flows[t], own).any()
@@ -720,21 +721,33 @@ class TestPerRowRatings:
             assert processed[t] == alone.processed_power
 
     def test_rejects_bad_per_row_ratings(self):
+        # one refusal, by one rule, in every kernel: a scalar, a wrong length, NaN or a negative
+        # rating, and for least_processing_flows an (E,) table, all raise the same ParameterError
         block = np.array([[0.6, 1.0, 1.4], [0.7, 1.0, 1.3]])
         arch = ls_arch(3, 3.0, [(0, 2, 0.1)], 0.05)
-        for rungs in ([0.1], [0.1, 0.1, 0.1], [0.1, -0.1], [0.1, np.nan]):
-            with pytest.raises(ParameterError):
-                hierarchical_currents(block, arch, rungs)
-            with pytest.raises(ParameterError):
-                ladder_flow(block, rungs)
-            with pytest.raises(ParameterError):
-                hippp.powerflow.flow_powers(block, cppp_arch(3.0, 3, 0.1), rungs)
-            with pytest.raises(ParameterError):
-                hippp.powerflow.flow_powers(block, fpp_from_budget(0.1, flatten(BatterySupply(1.0, 0.2, 3))), rungs)
-        currents = hierarchical_currents(block, arch)
-        for table in (np.full((2, 2), 0.1), np.full((3, 3), 0.1), np.array([[0.1] * 3, [0.1, -0.1, 0.1]])):
-            with pytest.raises(ParameterError):
-                least_processing_flows(block, [(0, 2), (0, 1), (1, 2)], table, currents)
+        pairs = [(e.from_battery, e.to_battery) for e in architecture_edges(arch)]
+        refused = "ratings must be non-negative, not NaN"
+        fpp = fpp_from_budget(0.1, flatten(BatterySupply(1.0, 0.2, 3)))
+        kernels = (
+            lambda rungs: ladder_flow(block, rungs),
+            lambda rungs: hierarchical_currents(block, arch, rungs),
+            lambda rungs: hippp.powerflow.max_string_outputs(block, arch, rungs),
+            lambda rungs: hippp.powerflow.flow_powers(block, cppp_arch(3.0, 3, 0.1), rungs),
+            lambda rungs: hippp.powerflow.flow_powers(block, fpp, rungs),
+            lambda rungs: hippp.powerflow.flow_powers(block, arch, rungs),
+        )
+        for kernel in kernels:
+            for rungs in (0.1, [0.1], [0.1, 0.1, 0.1], [[0.1, 0.1]], [0.1, -0.1], [0.1, np.nan]):
+                with pytest.raises(ParameterError, match=refused):
+                    kernel(rungs)
+            kernel(np.array([0.1, 0.05]))  # one per row is accepted
+        currents = hierarchical_currents(block, arch, [0.05, 0.05])
+        table = np.full((2, 3), 0.1)
+        for bad in (table[0], 0.1, table[:, :2], np.full((3, 3), 0.1), [[0.1] * 3, [0.1, -0.1, 0.1]],
+                    [[0.1] * 3, [0.1, np.nan, 0.1]]):
+            with pytest.raises(ParameterError, match=refused):
+                least_processing_flows(block, pairs, bad, currents)
+        assert least_processing_flows(block, pairs, table, currents)[0].shape == (2, 3)
 
 
 @contextlib.contextmanager
@@ -780,15 +793,15 @@ class TestKernelsAgainstTheirFirstVersions:
     def test_cut_pass(self, instance):
         block, arch = instance
         with first_kernels_alongside() as compared:
-            hierarchical_currents(block, arch)
+            hierarchical_currents(block, arch, rows_at(block, arch.rating))
         assert compared["cut"] == 1
 
     @settings(max_examples=100, deadline=None)
     @given(dispatch_blocks())
     @example((np.array([[1.98, 0.17, 1.47, 0.6]]), [(2, 1), (1, 3), (3, 2), (0, 1), (1, 2), (2, 3)],
-              np.array([np.inf, 0.41, np.inf, 0.58, 0.58, 0.58]), np.array([0.94])))
+              np.array([[np.inf, 0.41, np.inf, 0.58, 0.58, 0.58]]), np.array([0.94])))
     @example((np.array([[1.29, 0.91, 0.51, 1.56, 0.73, 0.74]]), [(j, j + 1) for j in range(5)],
-              np.full(5, 0.53), np.array([0.95666])))
+              np.full((1, 5), 0.53), np.array([0.95666])))
     def test_ssp_pass(self, instance):
         block, pairs, ratings, currents = instance
         with first_kernels_alongside() as compared:
@@ -846,7 +859,7 @@ class TestBlockCertification:
     def setup_method(self):
         rng = np.random.default_rng(12)
         self.caps = np.sort(rng.uniform(0.3, 1.7, (6, 5)), axis=1)
-        self.current, self.flows, self.battery = ladder_flow(self.caps, self.RATING)
+        self.current, self.flows, self.battery = ladder_flow(self.caps, rows_at(self.caps, self.RATING))
         self.pairs = [(j, j + 1) for j in range(4)]
         self.ratings = np.full(4, self.RATING)
 
