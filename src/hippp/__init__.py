@@ -60,9 +60,6 @@ from .powerflow import (
     PowerFlowSolution,
     architecture_edges,
     flow_powers,
-    hierarchical_currents,
-    ladder_flow,
-    least_processing_flows,
     max_string_outputs,
     optimal_flow,
 )
@@ -109,10 +106,7 @@ __all__ = [
     "flatten",
     "flow_powers",
     "fpp_from_budget",
-    "hierarchical_currents",
     "interconnection_count",
-    "ladder_flow",
-    "least_processing_flows",
     "lshippp_for_budget",
     "max_string_outputs",
     "optimal_flow",

@@ -109,14 +109,24 @@ class Architecture:
         hierarchical = self.kind == ArchitectureKind.LSHIPPP
         if (self.layer1 is not None) != hierarchical:
             raise StructuralError("layer1 is set for the lshippp architecture and only for it")
-        if self.kind != ArchitectureKind.FPP and n < 2:
-            raise StructuralError("a converter ladder needs at least two batteries")
+        _check_ladder(self.kind, n)
         if hierarchical:
-            if len(self.layer1.edges) > n - 1:
-                raise StructuralError("layer 1 must stay sparse: at most N-1 converters")
+            _check_sparse(len(self.layer1.edges), n)
             for edge in self.layer1.edges:
                 if edge.from_battery >= n or edge.to_battery >= n:
                     raise StructuralError(f"edge {edge.from_battery}->{edge.to_battery} leaves the string")
+
+
+def _check_ladder(kind: ArchitectureKind, n: int) -> None:
+    """The ladder rule: the rungs of cppp, and of lshippp's layer 2, need a string of at least two batteries."""
+    if kind != ArchitectureKind.FPP and n < 2:
+        raise StructuralError("a converter ladder needs at least two batteries")
+
+
+def _check_sparse(m: int, n: int) -> None:
+    """The sparsity rule: layer 1 places at most n - 1 pair converters on a string of n batteries."""
+    if m > n - 1:
+        raise StructuralError(f"layer 1 must stay sparse: at most count - 1 = {n - 1} pair converters, got {m}")
 
 
 def _converters(kind: ArchitectureKind, n: int) -> int:
@@ -148,8 +158,7 @@ def _spend(kind: ArchitectureKind, budget: float, expected: ExpectedSet,
     """
     _check_budget(budget)
     n = expected.count
-    if kind != ArchitectureKind.FPP and n < 2:
-        raise ParameterError("a converter ladder needs at least two batteries")
+    _check_ladder(kind, n)  # before the division by the rung count
     spent = budget * expected.total_power
     if layer1 is not None:
         spent = max(0.0, spent - layer1.total_rating)

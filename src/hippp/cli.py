@@ -43,18 +43,12 @@ from .architecture import (
     ConverterEdge,
     Layer1Design,
     _check_budget,
+    _check_sparse,
     aggregate_rating,
 )
-from .design import DesignConfig, _check_sparse, design_layer1, design_layer2, lshippp_for_budget
-from .errors import ConfigError, EnumerationCapError, HipppError, InternalCheckError, ParameterError, whole
-from .evaluate import (
-    DEFAULT_CONVERTER_EFFICIENCY,
-    MetricsRecord,
-    _check_efficiency,
-    _grid,
-    _normalize_kinds,
-    sweep_figures,
-)
+from .design import DesignConfig, design_layer1, design_layer2, lshippp_for_budget
+from .errors import ConfigError, EnumerationCapError, HipppError, InternalCheckError, ParameterError, grid, whole
+from .evaluate import DEFAULT_CONVERTER_EFFICIENCY, MetricsRecord, _check_efficiency, _normalize_kinds, sweep_figures
 from .powerflow import architecture_edges, optimal_flow
 from .supply import BatterySupply, flatten
 
@@ -118,10 +112,8 @@ class _Section(NamedTuple):
 
 
 def _floats(text: str) -> tuple[float, ...]:
-    values = tuple(float(tok) for tok in text.replace(",", " ").split())
-    if not values:
-        raise ValueError("list must not be empty")
-    return values
+    """A grid's values; the grid rule (errors.grid) refuses an empty one."""
+    return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
 def _whole(name: str, low: int) -> _Key:
@@ -132,6 +124,12 @@ def _whole(name: str, low: int) -> _Key:
 def _rating(rating: float, got) -> None:
     if not rating >= 0.0:
         raise ParameterError("rating must be non-negative, not NaN")
+
+
+def _layer1_count(count: int, got) -> None:
+    m = got["design"][0]  # [design] num_layer1, read and checked before [layer1]
+    if count != m:
+        raise ParameterError(f"layer 1 lists {count} converters, but [design] num_layer1 = {m}")
 
 
 def _rungs(count: int, got) -> None:
@@ -149,6 +147,7 @@ def _edge(text: str) -> tuple[int, int]:
 # how the writer formats a value, by the read of its key; a float by its shortest repr
 _FORMATS = {int: str, _edge: "{0[0]},{0[1]}".format}
 _SUPPLY_KEYS = (_Key("mean_power", float), _Key("std_power", float), _Key("count", int))
+_RATING_BUDGET = _Key("rating_budget", float, lambda budget, got: _check_budget(budget))
 
 # the experiment config, each section's defaults those of ExperimentConfig
 _CONFIG = (
@@ -160,12 +159,12 @@ _CONFIG = (
     ), build=DesignConfig, defaults=ExperimentConfig.design),
     _Section("evaluate", (
         _Key("kinds", lambda text: tuple(_normalize_kinds(text.lower().replace(",", " ").split()))),
-        _Key("rating_grid", _floats, lambda grid, got: _grid(grid, "rating grid")),
+        _Key("rating_grid", _floats, lambda values, got: grid(values, "rating grid")),
         # each spread is the std_power of a BatterySupply like the config's
-        _Key("sigma_grid", _floats, lambda grid, got: [
-            BatterySupply(got["supply"].mean_power, sigma, got["supply"].count) for sigma in _grid(grid, "sigma grid")
+        _Key("sigma_grid", _floats, lambda values, got: [
+            BatterySupply(got["supply"].mean_power, sigma, got["supply"].count) for sigma in grid(values, "sigma grid")
         ]),
-        _Key("rating_budget", float, lambda budget, got: _check_budget(budget)),
+        _RATING_BUDGET,
         _Key("converter_efficiency", float, lambda efficiency, got: _check_efficiency(efficiency)),
         _whole("trials", 1),
         _whole("seed", 0),
@@ -176,13 +175,14 @@ _CONFIG = (
 # design.txt, as `hippp design` writes it and `hippp flow` reads it back
 _DESIGN_FILE = (
     _Section("supply", _SUPPLY_KEYS, build=BatterySupply),
+    # the config's design settings and budget, held to the config's rules
     _Section("design", (
-        _Key("num_layer1", int), _whole("num_rating_sets", 1), _Key("monte_carlo_trials", int),
-        _Key("base_seed", int), _Key("rating_budget", float),
+        _Key("num_layer1", int, lambda m, got: _check_sparse(whole(m, "num_layer1", 1), got["supply"].count)),
+        _whole("num_rating_sets", 1), _whole("monte_carlo_trials", 1), _whole("base_seed", 0), _RATING_BUDGET,
     )),
     _Section("expected_set", (_Key("capability_{i}", float),), count=lambda got, given: got["supply"].count),
     _Section("layer1", (
-        _whole("count", 1), _Key("edge_{i}", _edge, lambda edge, got: ConverterEdge(*edge, 0.0)),
+        _Key("count", int, _layer1_count), _Key("edge_{i}", _edge, lambda edge, got: ConverterEdge(*edge, 0.0)),
         _Key("rating_{i}", float, _rating), _Key("processed_{i}", float),
     ), count=lambda got, given: got["layer1"]["count"]),
     _Section("layer2", (_Key("count", int, _rungs), _Key("rating", float, _rating))),

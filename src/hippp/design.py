@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from math import comb, inf
+from math import comb
 
 import numpy as np
 
-from .architecture import Architecture, ArchitectureKind, ConverterEdge, Layer1Design, _spend
-from .errors import EnumerationCapError, ParameterError, whole
-from .powerflow import free_flow_outputs, layer1_design_lp, least_processing_flows, max_string_outputs
+from .architecture import Architecture, ArchitectureKind, ConverterEdge, Layer1Design, _check_sparse, _spend
+from .errors import EnumerationCapError, ParameterError, grid, whole
+from .powerflow import _processing_totals, free_flow_outputs, layer1_design_lp, max_string_outputs
 from .supply import BatterySupply, ExpectedSet, _draw_block, flatten
 
 log = logging.getLogger(__name__)
@@ -57,19 +57,12 @@ class DesignConfig:
     base_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "layer2_trial_ratings", tuple(float(r) for r in self.layer2_trial_ratings))
         m = whole(self.num_layer1, "num_layer1", 1)
         object.__setattr__(self, "num_layer1", m)
         object.__setattr__(self, "num_rating_sets", whole(self.num_rating_sets, "num_rating_sets", 1, m))
         object.__setattr__(self, "monte_carlo_trials", whole(self.monte_carlo_trials, "monte_carlo_trials", 1))
         object.__setattr__(self, "base_seed", whole(self.base_seed, "base_seed"))
-        ratings = self.layer2_trial_ratings
-        if len(ratings) == 0:
-            raise ParameterError("layer2_trial_ratings must not be empty")
-        if any(not 0.0 <= r < inf for r in ratings):
-            raise ParameterError("layer2_trial_ratings must be non-negative and finite")
-        if any(b <= a for a, b in zip(ratings, ratings[1:])):
-            raise ParameterError("layer2_trial_ratings must be strictly increasing")
+        object.__setattr__(self, "layer2_trial_ratings", grid(self.layer2_trial_ratings, "layer2_trial_ratings"))
 
 
 @dataclass(frozen=True)
@@ -117,12 +110,6 @@ def _check_enumeration(n: int, m: int) -> tuple[int, int]:
             "reduce num_layer1 or the battery count"
         )
     return n, m
-
-
-def _check_sparse(m: int, n: int) -> None:
-    """The sparsity rule: layer 1 places at most count - 1 pair converters on a string of count batteries."""
-    if m > n - 1:
-        raise ParameterError(f"layer 1 must stay sparse: num_layer1 at most count - 1 = {n - 1}, got {m}")
 
 
 def partition_ratings(processed, k: int) -> list[float]:
@@ -209,28 +196,6 @@ def _tie_band(caps: np.ndarray, m: int):
     return best, scored, outputs[in_band], pairs[tied[in_band]]
 
 
-def _processing_totals(caps: np.ndarray, endpoints: np.ndarray, currents: np.ndarray) -> np.ndarray:
-    """Least total processed power of each placement of a (P, M, 2) run, unbounded flows.
-
-    One least_processing_flows call over the sorted union of the run's
-    edges, other rows' edges rated 0 (cost inf, never relaxed). A row's
-    edges are a lexicographic subsequence of the union, so each row gets
-    the bits of a one-row call on its own edges.
-    """
-    n = caps.size
-    rows = np.arange(len(endpoints))[:, None]
-    codes = endpoints[:, :, 0] * n + endpoints[:, :, 1]
-    present = np.zeros(n * n, dtype=bool)
-    present[codes] = True
-    union = np.flatnonzero(present)
-    cols = (np.cumsum(present) - 1)[codes]  # each edge's column in the union
-    table = np.zeros((rows.size, union.size))
-    table[rows, cols] = np.inf
-    pairs = [divmod(code, n) for code in union.tolist()]
-    flows, _ = least_processing_flows(np.broadcast_to(caps, (rows.size, n)), pairs, table, currents)
-    return np.abs(flows[rows, cols]).sum(axis=1)
-
-
 def design_layer1(expected: ExpectedSet, cfg: DesignConfig) -> Layer1Design:
     """Pruned search for the best M-converter placement on the expected set.
 
@@ -245,8 +210,8 @@ def design_layer1(expected: ExpectedSet, cfg: DesignConfig) -> Layer1Design:
     more such batteries than twice the edges left.
 
     The least total processed power in the band wins, scored in
-    lexicographic runs of one least_processing_flows call
-    (_processing_totals), _FIRST_TIE_RUN long, doubling up to
+    lexicographic runs of one least-processing kernel call
+    (powerflow._processing_totals), _FIRST_TIE_RUN long, doubling up to
     _PLACEMENT_BLOCK. At current I battery j takes in at least
     max(0, I - P_j) and each |f_e| lands on one battery, so every tied
     placement processes at least floor = sum_j max(0, I - P_j), I the least

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and its one whole-number rule."""
+"""Exception types shared across the package, and its one whole-number rule and one grid rule."""
 
 from __future__ import annotations
+
+import math
 
 
 class HipppError(Exception):
@@ -29,6 +31,23 @@ def whole(value, name: str, low: int = 0, high: int | None = None) -> int:
             kind = {0: "a non-negative integer", 1: "a positive integer"}.get(low, f"an integer of at least {low}")
         raise ParameterError(f"{name} must be {kind}, got {value!r}")
     return number
+
+
+def grid(values, name: str) -> tuple[float, ...]:
+    """`values` as a tuple of floats when they are non-empty, non-negative, finite and strictly increasing.
+
+    Anything else raises ParameterError naming `name`, one message per
+    failure; NaN fails the finite test. Every grid of the package (rating
+    and sigma grids, layer-2 trial ratings) goes through this one rule.
+    """
+    values = tuple(float(v) for v in values)
+    if not values:
+        raise ParameterError(f"{name} must not be empty")
+    if not all(0.0 <= v < math.inf for v in values):
+        raise ParameterError(f"{name} values must be non-negative and finite, not NaN")
+    if not all(b > a for a, b in zip(values, values[1:])):
+        raise ParameterError(f"{name} must be strictly increasing")
+    return values
 
 
 class StructuralError(HipppError, ValueError):

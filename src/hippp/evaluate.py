@@ -38,7 +38,7 @@ import numpy as np
 
 from .architecture import Architecture, ArchitectureKind, Layer1Design, _check_budget, _spend, aggregate_rating
 from .design import DesignConfig, design_layer1
-from .errors import InternalCheckError, ParameterError, UndefinedMetricError, whole
+from .errors import InternalCheckError, ParameterError, UndefinedMetricError, grid, whole
 from .powerflow import flow_powers
 from .supply import BatterySupply, ExpectedSet, _draw_block, flatten
 
@@ -234,22 +234,10 @@ def _normalize_kinds(kinds) -> list[ArchitectureKind]:
     return out
 
 
-def _grid(values, name: str) -> list[float]:
-    """A non-empty, strictly increasing list of non-negative finite floats; NaN fails both tests."""
-    grid = [float(v) for v in values]
-    if not grid:
-        raise ParameterError(f"{name} must not be empty")
-    if any(not 0.0 <= v < np.inf for v in grid):
-        raise ParameterError(f"{name} values must be non-negative and finite, not NaN")
-    if any(not b > a for a, b in zip(grid, grid[1:])):
-        raise ParameterError(f"{name} must be strictly increasing")
-    return grid
-
-
 def _sigma_points(supply_mean: float, sigma_grid, fixed_budget: float, count: int):
     """One supply per spread, each at the fixed budget; BatterySupply refuses a spread it cannot flatten."""
     _check_budget(fixed_budget)
-    sigmas = _grid(sigma_grid, "sigma grid")
+    sigmas = grid(sigma_grid, "sigma grid")
     return [(BatterySupply(supply_mean, sigma, count), [float(fixed_budget)]) for sigma in sigmas]
 
 
@@ -303,7 +291,7 @@ def sweep_rating(
     every budget; each budget only re-splits what is left for the ladder.
     """
     kinds = _normalize_kinds(kinds)
-    points = [(supply, _grid(rating_grid, "rating grid"))]
+    points = [(supply, grid(rating_grid, "rating grid"))]
     return _sweep(kinds, points, trials, seed, design_cfg, converter_efficiency, workers)
 
 
@@ -349,7 +337,7 @@ def sweep_figures(
     of `supply` shares its block draws and its layer-1 design between the two.
     """
     kinds = _normalize_kinds(kinds)
-    ratings = _grid(rating_grid, "rating grid")
+    ratings = grid(rating_grid, "rating grid")
     points = [(supply, ratings)] + _sigma_points(supply.mean_power, sigma_grid, fixed_budget, supply.count)
     records = _sweep(kinds, points, trials, seed, design_cfg, converter_efficiency, workers)
     split = len(kinds) * len(ratings)

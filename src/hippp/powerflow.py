@@ -17,25 +17,31 @@ its layer-1 placement to a central optimizer and re-optimizes dispatch the
 same way at operation time, so it takes the pattern with the least total
 processed power sum |f_e|; converter ratings derived at design time use the
 same convention. Its maximum output has an exact cut form, a dynamic program
-over the string (see hierarchical_currents), and its dispatch at that current
-is a min-cost flow with unit arc costs, solved by successive shortest paths
-(see least_processing_flows); both run on a whole block of draws at once,
-with the draws on the last axis of every working array.
+over the string (see _hierarchical_currents), and its dispatch at that
+current is a min-cost flow with unit arc costs, solved by successive shortest
+paths (see _least_processing_flows); both run on a whole block of draws at
+once, with the draws on the last axis of every working array.
 The conventional ladder has no central optimizer: every battery regulates
 toward its full capability and each adjacent converter passes the accumulated
 mismatch along until it saturates, so curtailment lands on the strong end of
 the string and considerably more power is processed for the same output. On
-a path graph both of its stages have exact closed forms (see ladder_flow),
+a path graph both of its stages have exact closed forms (see _ladder_flow),
 evaluated for a whole block of capability draws at once. Full processing
 needs no flow model at all. One block path (_operating_points) gives every
 kind's operating point on a block of draws; flow_powers reads its outputs
-and processed powers, and optimal_flow is its one-row block. Every block
-kernel takes its ratings per row only: a (T,) array of one rating per row
-(flow_powers, hierarchical_currents, ladder_flow, max_string_outputs), or a
-(T, E) table of one per row and edge (least_processing_flows). The
-architecture gives the wiring and those arrays give the sizes, and every
-step is elementwise per row, so rows of architectures that differ only in
-their budget rating stack into one call with the bits of one-row calls.
+and processed powers, and optimal_flow is its one-row block.
+
+The flow API is optimal_flow, flow_powers and max_string_outputs (the
+stage-1 LP output of every row). Each checks its inputs once, where they
+enter (_checked_capabilities, _row_ratings, and a ladder's finite rating in
+_operating_points); the wiring comes checked from Architecture, and the
+private kernels take their float arrays as given. No other module calls a
+kernel: the layer-1 search scores placements through free_flow_outputs and
+_processing_totals. The architecture gives the wiring and a (T,) array of
+one rating per row gives the sizes, and every step is elementwise per row,
+so rows of architectures that differ only in their budget rating stack into
+one call with the bits of one-row calls.
+
 Layer-1 ratings come first in every edge-rating table, then the ladder's
 rungs (_edge_table). The LPs stay for the layer-2 rating curve and the
 layer-1 design solve of the chosen placement (layer1_design_lp), whose
@@ -91,29 +97,6 @@ class PowerFlowSolution:
         object.__setattr__(self, "battery_powers", powers)
 
 
-def _validate_capabilities(capabilities, ndim: int = 1) -> np.ndarray:
-    """Capabilities as floats: one non-empty vector, or a (T, N) block of them."""
-    caps = np.asarray(capabilities, dtype=float)
-    if caps.ndim != ndim or caps.size == 0:
-        shape = "vector" if ndim == 1 else "(trials, batteries) block"
-        raise ParameterError(f"capabilities must be a non-empty {shape}")
-    if not np.all(np.isfinite(caps)) or not np.all(caps > 0.0):
-        raise ParameterError("capabilities must be positive and finite")
-    return caps
-
-
-def _edge_pairs(pairs: Sequence[_Pair], n: int) -> list[_Pair]:
-    """(from, to) battery pairs as ints, each with distinct endpoints in 0..n-1."""
-    checked = []
-    for a, b in pairs:
-        if a == b:
-            raise StructuralError("converter endpoints must differ")
-        if not (0 <= a < n and 0 <= b < n):
-            raise StructuralError(f"edge {a}->{b} references a battery outside 0..{n - 1}")
-        checked.append((int(a), int(b)))
-    return checked
-
-
 def _flow_matrix(pairs: Sequence[_Pair], n: int) -> np.ndarray:
     """Equality rows of the maximum-output LP over [I, f, p]: row j reads
     I + (signed flows of the edges at battery j) - p_j = 0."""
@@ -152,15 +135,29 @@ def _incidence(pairs: Sequence[_Pair], n: int) -> np.ndarray:
     return inc
 
 
-def _row_ratings(ratings, *shape: int) -> np.ndarray:
-    """`ratings` as floats of exactly `shape`, (T,) or (T, E): one per row, or one per row and edge.
+def _checked_capabilities(capabilities, arch: Architecture, ndim: int = 1) -> np.ndarray:
+    """Capabilities as floats, checked once per public call: one non-empty vector (ndim 1) or a
+    (T, N) block of them (ndim 2), positive and finite, with a last axis of `arch`'s battery count."""
+    caps = np.asarray(capabilities, dtype=float)
+    if caps.ndim != ndim or caps.size == 0:
+        shape = "vector" if ndim == 1 else "(trials, batteries) block"
+        raise ParameterError(f"capabilities must be a non-empty {shape}")
+    if not np.all((caps > 0.0) & (caps < np.inf)):
+        raise ParameterError("capabilities must be positive and finite")
+    if caps.shape[-1] != arch.num_batteries:
+        raise ParameterError(f"got {caps.shape[-1]} capabilities for {arch.num_batteries} batteries")
+    return caps
 
-    The one rating rule of every kernel: non-negative, not NaN (inf is
-    unbounded). Nothing is broadcast.
+
+def _row_ratings(ratings, trials: int) -> np.ndarray:
+    """`ratings` as a (trials,) float array, one per row, checked once per public block call.
+
+    The one rating rule: non-negative, not NaN (inf is unbounded). Nothing
+    is broadcast.
     """
     ratings = np.asarray(ratings, dtype=float)
-    if ratings.shape != shape or not np.all(ratings >= 0.0):
-        raise ParameterError(f"ratings must be non-negative, not NaN, in an array of shape {shape}, "
+    if ratings.shape != (trials,) or not np.all(ratings >= 0.0):
+        raise ParameterError(f"ratings must be non-negative, not NaN, in an array of shape {(trials,)}, "
                              f"got shape {ratings.shape}")
     return ratings
 
@@ -183,7 +180,7 @@ def _edge_table(arch: Architecture, rungs: np.ndarray) -> tuple[list[_Pair], np.
     return [(edge.from_battery, edge.to_battery) for edge in edges], table
 
 
-def ladder_flow(capabilities, rating):
+def _ladder_flow(caps: np.ndarray, rating: np.ndarray):
     """Conventional-ladder operating point of every row of a (T, N) block.
 
     Rung j joins batteries j and j+1 and carries f_j, at most rating[t]
@@ -208,12 +205,7 @@ def ladder_flow(capabilities, rating):
     greatest feasible flow: one forward pass f_j = min(rating, f_{j-1} + P_j
     - I), then one backward pass f_j = min(f_j, f_{j+1} + P_{j+1} + I).
     """
-    caps = _validate_capabilities(capabilities, ndim=2)
     trials, n = caps.shape
-    rating = _row_ratings(rating, trials)
-    if not np.all(np.isfinite(rating)):  # an infinite rung times a zero boundary is NaN
-        raise ParameterError("ladder ratings must be finite")
-
     current = np.full(trials, np.inf)
     sums = np.zeros((trials, n))
     for length in range(1, n + 1):
@@ -237,15 +229,6 @@ def ladder_flow(capabilities, rating):
     return current, flows, battery
 
 
-def _checked_capabilities(capabilities, arch: Architecture, ndim: int = 1) -> np.ndarray:
-    """Validated capabilities whose last axis matches the battery count of `arch`."""
-    caps = _validate_capabilities(capabilities, ndim)
-    n = caps.shape[-1]
-    if n != arch.num_batteries:
-        raise ParameterError(f"got {n} capabilities for {arch.num_batteries} batteries")
-    return caps
-
-
 # cells per pass of the least-processing kernel, and the most cut-form state
 # cells one row may need; bounds their working arrays the way the placement
 # block bounds the search. It also caps the LPs per stage-1 stack of
@@ -256,10 +239,10 @@ _CUT_CELLS = 1 << 18
 _CUT_PASS_CELLS = 1 << 16
 
 
-def hierarchical_currents(capabilities, arch: Architecture, rungs) -> np.ndarray:
+def _hierarchical_currents(caps: np.ndarray, arch: Architecture, rung: np.ndarray) -> np.ndarray:
     """Maximum string current of a hierarchical `arch` on every row of a (T, N) block.
 
-    `rungs` is a (T,) array of ladder ratings, one per row; the layer-1
+    `rung` is a (T,) array of ladder ratings, one per row; the layer-1
     chords are those of `arch`, which Architecture has already checked.
 
     By the Gale/Hoffman feasibility condition, current I is reachable exactly
@@ -284,11 +267,7 @@ def hierarchical_currents(capabilities, arch: Architecture, rungs) -> np.ndarray
     widest state (see _cut_pass); an architecture whose single row needs more
     than _CUT_CELLS is refused with EnumerationCapError.
     """
-    if arch.kind != ArchitectureKind.LSHIPPP:
-        raise StructuralError("the cut-form current covers the hierarchical kind only")
-    caps = _checked_capabilities(capabilities, arch, ndim=2)
     trials, n = caps.shape
-    rung = _row_ratings(rungs, trials)
     chords = arch.layer1.edges
 
     ends = sorted({battery for edge in chords for battery in (edge.from_battery, edge.to_battery)})
@@ -321,7 +300,7 @@ def hierarchical_currents(capabilities, arch: Architecture, rungs) -> np.ndarray
 
 
 def _cut_pass(caps: np.ndarray, rung: np.ndarray, ban_in, ban_out, chord_cost) -> np.ndarray:
-    """The subset dynamic program of hierarchical_currents on one block of rows, one rung rating each.
+    """The subset dynamic program of _hierarchical_currents on one block of rows, one rung rating each.
 
     States are (subset size k, pattern, row). Patterns that differ only in
     endpoints not reached yet are equal, so the pass starts with one and, at
@@ -353,7 +332,7 @@ def _cut_pass(caps: np.ndarray, rung: np.ndarray, ban_in, ban_out, chord_cost) -
     return (best / np.arange(1, n + 1)[:, None, None]).min(axis=(0, 1))
 
 
-def least_processing_flows(capabilities, pairs: Sequence[_Pair], ratings, currents):
+def _least_processing_flows(caps: np.ndarray, pairs: Sequence[_Pair], ratings: np.ndarray, currents: np.ndarray):
     """Flows of least processed power sum |f_e| on every row of a (T, N) block.
 
     Row t runs at string current currents[t] over the converter edges `pairs`,
@@ -390,14 +369,7 @@ def least_processing_flows(capabilities, pairs: Sequence[_Pair], ratings, curren
     working arrays with its flows written back. Rows go through in passes
     of at most _CUT_CELLS cells of a round's peak state.
     """
-    caps = _validate_capabilities(capabilities, ndim=2)
     trials, n = caps.shape
-    pairs = _edge_pairs(pairs, n)
-    ratings = _row_ratings(ratings, trials, len(pairs))
-    currents = np.asarray(currents, dtype=float)
-    if currents.shape != (trials,) or not np.all(np.isfinite(currents) & (currents >= 0.0)):
-        raise ParameterError("need one non-negative finite current per row")
-
     # arc a < E runs src -> dst along edge a; arc E + a runs dst -> src; arc 2E is
     # padding, which leads from the sentinel node N
     e = len(pairs)
@@ -424,7 +396,7 @@ def least_processing_flows(capabilities, pairs: Sequence[_Pair], ratings, curren
 
 
 def _ssp_pass(caps, currents, ratings, tails, in_arcs) -> np.ndarray:
-    """Successive shortest paths of least_processing_flows on one block of rows.
+    """Successive shortest paths of _least_processing_flows on one block of rows.
 
     Works on the rows still augmenting, on the last axis of every working
     array: `keep` maps them to the block's rows. A row with no deficit in
@@ -548,9 +520,10 @@ def _operating_points(caps: np.ndarray, arch: Architecture, ratings: np.ndarray)
     and a zero rating means no converter was installed, which leaves the
     bare series string. Its flows are one column per battery's converter,
     and none when no row installs one. The ladder emulates its decentralized
-    controls in closed form (ladder_flow). The hierarchical kind takes its
-    currents from the cut form (hierarchical_currents) and the flows of
-    least processed power at those currents from least_processing_flows.
+    controls in closed form (_ladder_flow); an infinite rating is refused
+    here, where a ladder rating enters. The hierarchical kind takes its
+    currents from the cut form (_hierarchical_currents) and the flows of
+    least processed power at those currents from _least_processing_flows.
     """
     n = caps.shape[1]
     if arch.kind == ArchitectureKind.FPP:
@@ -562,10 +535,12 @@ def _operating_points(caps: np.ndarray, arch: Architecture, ratings: np.ndarray)
         flows = clipped[:, :0] if bare.all() else clipped
         return np.where(bare, weakest, outputs / n), outputs, flows, battery
     if arch.kind == ArchitectureKind.CPPP:
-        currents, flows, battery = ladder_flow(caps, ratings)
+        if not np.all(np.isfinite(ratings)):  # an infinite rung times a zero boundary is NaN
+            raise ParameterError("ladder ratings must be finite")
+        currents, flows, battery = _ladder_flow(caps, ratings)
     else:
-        currents = hierarchical_currents(caps, arch, ratings)
-        flows, battery = least_processing_flows(caps, *_edge_table(arch, ratings), currents)
+        currents = _hierarchical_currents(caps, arch, ratings)
+        flows, battery = _least_processing_flows(caps, *_edge_table(arch, ratings), currents)
     return currents, n * currents, flows, battery
 
 
@@ -638,8 +613,8 @@ def max_string_outputs(capabilities, arch: Architecture, rungs) -> np.ndarray:
     Returns (T,): entry t is N * I of the maximum-output LP (_stage_one)
     with the edges of arch on row t, equal by == to what that LP gives
     solved alone. For the hierarchical kind it agrees with the cut form of
-    hierarchical_currents to rounding, about 1e-16 in the current, and for
-    the ladder with the closed form of ladder_flow; the layer-2 curve is
+    _hierarchical_currents to rounding, about 1e-16 in the current, and for
+    the ladder with the closed form of _ladder_flow; the layer-2 curve is
     printed with repr, so it stays on this LP.
     Capabilities are per string position, in any order.
     """
@@ -698,9 +673,34 @@ def free_flow_outputs(caps: np.ndarray, endpoints: np.ndarray) -> np.ndarray:
     return n * means.min(axis=1)
 
 
+def _processing_totals(caps: np.ndarray, endpoints: np.ndarray, currents: np.ndarray) -> np.ndarray:
+    """Least total processed power of each placement of a (P, M, 2) run, unbounded flows.
+
+    The design-mode twin of free_flow_outputs: row p runs at currents[p].
+    One _least_processing_flows call over the sorted union of the run's
+    edges, other rows' edges rated 0 (cost inf, never relaxed). A row's
+    edges are a lexicographic subsequence of the union, so each row gets
+    the bits of a one-row call on its own edges.
+    """
+    n = caps.size
+    rows = np.arange(len(endpoints))[:, None]
+    codes = endpoints[:, :, 0] * n + endpoints[:, :, 1]
+    present = np.zeros(n * n, dtype=bool)
+    present[codes] = True
+    union = np.flatnonzero(present)
+    cols = (np.cumsum(present) - 1)[codes]  # each edge's column in the union
+    table = np.zeros((rows.size, union.size))
+    table[rows, cols] = np.inf
+    pairs = [divmod(code, n) for code in union.tolist()]
+    flows, _ = _least_processing_flows(np.broadcast_to(caps, (rows.size, n)), pairs, table, currents)
+    return np.abs(flows[rows, cols]).sum(axis=1)
+
+
 def layer1_design_lp(expected: ExpectedSet, edges: Sequence[_Pair]):
     """Design solve on the expected set with unbounded pair flows, as two LPs.
 
+    `edges` are (from, to) battery pairs of a placement the layer-1 search
+    made, taken as given.
     Returns (processed, output): the canonical per-edge processed powers
     |f_e| at maximum output with minimum total processing, and that output.
     The design prints these values with repr, so they stay on the LP. Stage
@@ -713,11 +713,10 @@ def layer1_design_lp(expected: ExpectedSet, edges: Sequence[_Pair]):
     """
     caps = expected.capabilities
     n = caps.size
-    pairs = _edge_pairs(edges, n)
-    e = len(pairs)
-    current = float(_stage_one(caps[None], pairs, np.full((1, e), np.inf))[0, 0])
+    e = len(edges)
+    current = float(_stage_one(caps[None], edges, np.full((1, e), np.inf))[0, 0])
 
-    inc = _incidence(pairs, n)
+    inc = _incidence(edges, n)
     a = np.zeros((n, 1 + 2 * e + n))
     a[:, 0] = 1.0
     a[:, 1:1 + e] = inc
@@ -732,5 +731,5 @@ def layer1_design_lp(expected: ExpectedSet, edges: Sequence[_Pair]):
     if e and float(np.minimum(pos, neg).max(initial=0.0)) > 1e-7:
         raise InternalCheckError("flow split left circulating power in both directions")
     flows = pos - neg
-    _certify(caps, pairs, None, current, flows, second[1 + 2 * e:])
+    _certify(caps, edges, None, current, flows, second[1 + 2 * e:])
     return np.abs(flows), n * current

@@ -276,7 +276,7 @@ def least_processing_lp(caps, pairs, ratings, current):
 
 
 def cut_pass(caps: np.ndarray, rung: np.ndarray, ban_in, ban_out, chord_cost) -> np.ndarray:
-    """The subset dynamic program of hierarchical_currents on one block of rows, one rung rating each."""
+    """The subset dynamic program of powerflow._hierarchical_currents on one block of rows, one rung rating each."""
     trials, n = caps.shape
     rung = rung[:, None, None]
     shape = (trials, chord_cost.size, n + 1)  # last axis: subset size k
@@ -296,7 +296,7 @@ def cut_pass(caps: np.ndarray, rung: np.ndarray, ban_in, ban_out, chord_cost) ->
 
 
 def ssp_pass(caps, currents, ratings, tails, in_arcs) -> np.ndarray:
-    """Successive shortest paths of least_processing_flows on one block of rows.
+    """Successive shortest paths of powerflow._least_processing_flows on one block of rows.
 
     Works on the rows still augmenting: `keep` maps them to the block's rows.
     A round that finds a row with no deficit in reach writes the row back to

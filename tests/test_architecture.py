@@ -74,7 +74,8 @@ class TestAggregateRating:
             cppp_from_budget(-0.1, expected9)
 
     def test_ladder_needs_two_batteries(self):
-        with pytest.raises(ParameterError):
+        # the one ladder rule of architecture.py, refused before the split divides by zero rungs
+        with pytest.raises(StructuralError, match="a converter ladder needs at least two batteries"):
             cppp_from_budget(0.1, flatten(BatterySupply(1.0, 0.1, 1)))
 
     @pytest.mark.parametrize("budget", [float("inf"), float("nan")])

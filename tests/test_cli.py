@@ -146,6 +146,8 @@ class TestConfigLoading:
         ("rating_grid", "0.2 0.1"),
         ("sigma_grid", "0.2 0.1"),
         ("sigma_grid", "0.1 1.0"),
+        ("rating_grid", ""),
+        ("sigma_grid", ""),
     ])
     def test_an_evaluate_value_refused_by_the_library_names_its_key(self, tmp_path, key, value):
         path = tmp_path / "bad.ini"
@@ -189,6 +191,7 @@ class TestDesignCommand:
         again = io.StringIO()
         _write_ini(again, _DESIGN_FILE, _read_ini(str(tmp_path / "design.txt"), _DESIGN_FILE).values())
         assert again.getvalue() == written
+        _read_design(str(tmp_path / "design.txt"))  # every key, [design] included, passes its checks
         # the keys in the order the format has always had, independent of the table
         parser = configparser.ConfigParser()
         parser.read_string(written)
@@ -404,9 +407,9 @@ class TestFlowCommand:
         assert "config error:" in err and str(caps) in err and "positive and finite" in err
 
     @staticmethod
-    def flow_with_design_value(config_file, tmp_path, capsys, section, key, value):
+    def flow_with_design_value(config_file, tmp_path, capsys, section, key, value, also=None):
         """Exit code and stderr of `hippp flow` on a fresh design whose [section] `key` reads `value`, or lacks
-        `key` if `value` is None."""
+        `key` if `value` is None; `also` maps more sections to keys and values to set."""
         out = tmp_path / "artifacts"
         run_main("design", "--config", config_file, "--out", out)
         design = configparser.ConfigParser()
@@ -415,6 +418,7 @@ class TestFlowCommand:
             del design[section][key]
         else:
             design.read_dict({section: {key: value}})  # a new section, or [DEFAULT], too
+        design.read_dict(also or {})
         with open(out / "design.txt", "w") as handle:
             design.write(handle)
         caps = tmp_path / "caps.txt"
@@ -473,6 +477,27 @@ class TestFlowCommand:
             "unknown-section", "default-key"])
     def test_an_unparsable_or_missing_design_key_names_the_file(self, config_file, tmp_path, capsys, section, key,
                                                                 value, message):
+        # past-count: [design] num_layer1 follows [layer1] count, which must equal it
+        also = {"design": {"num_layer1": value}} if (section, key) == ("layer1", "count") else None
+        code, err = self.flow_with_design_value(config_file, tmp_path, capsys, section, key, value, also)
+        design = tmp_path / "artifacts" / "design.txt"
+        assert code == 2 and f"config error: design {design}: {message}" in err
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("design", "num_layer1", "20", "[design] num_layer1: layer 1 must stay sparse: at most count - 1 = 8"),
+        ("design", "num_layer1", "0", "[design] num_layer1: num_layer1 must be a positive integer, got 0"),
+        ("design", "monte_carlo_trials", "-5",
+         "[design] monte_carlo_trials: monte_carlo_trials must be a positive integer, got -5"),
+        ("design", "base_seed", "-7", "[design] base_seed: base_seed must be a non-negative integer, got -7"),
+        ("design", "rating_budget", "nan", "[design] rating_budget: rating budget must be non-negative and finite"),
+        # [design] is read first, so its agreement with [layer1] count is checked on the later key
+        ("design", "num_layer1", "2", "[layer1] count: layer 1 lists 3 converters, but [design] num_layer1 = 2"),
+        ("layer1", "count", "2", "[layer1] count: layer 1 lists 2 converters, but [design] num_layer1 = 3"),
+    ], ids=["dense", "no-layer1", "negative-trials", "negative-seed", "nan-budget", "fewer-placed",
+            "fewer-listed"])
+    def test_a_bad_design_section_value_names_the_file_and_the_key(self, config_file, tmp_path, capsys, section,
+                                                                     key, value, message):
+        # the [design] section is held to the config's rules and to the [layer1] converters it describes
         code, err = self.flow_with_design_value(config_file, tmp_path, capsys, section, key, value)
         design = tmp_path / "artifacts" / "design.txt"
         assert code == 2 and f"config error: design {design}: {message}" in err
@@ -508,7 +533,8 @@ class TestExitCodes:
         path = tmp_path / "inf.ini"
         path.write_text("[design]\nnum_layer1 = 2\nlayer2_trial_ratings = 0 inf\nmonte_carlo_trials = 2\n")
         assert run_main("design", "--config", path, "--out", tmp_path / "o") == 2
-        assert "config error: [design]: layer2_trial_ratings must be non-negative and finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error: [design]: layer2_trial_ratings values must be non-negative and finite" in err
         assert not (tmp_path / "o").exists()
 
     def test_nan_trial_rating_is_a_config_error(self, tmp_path, capsys):

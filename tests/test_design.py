@@ -42,7 +42,6 @@ from hippp import (
     draw_capabilities,
     flatten,
     interconnection_count,
-    ladder_flow,
     lshippp_for_budget,
     max_string_outputs,
     optimal_flow,
@@ -50,7 +49,13 @@ from hippp import (
     sample_battery_set,
 )
 from hippp.cli import ExperimentConfig, cmd_design
-from hippp.powerflow import free_flow_outputs, layer1_design_lp, least_processing_flows
+from hippp.powerflow import (
+    _ladder_flow,
+    _least_processing_flows,
+    _processing_totals,
+    free_flow_outputs,
+    layer1_design_lp,
+)
 from hippp.supply import MIN_RELATIVE_STD
 
 # frozen result of the nine-slot, three-converter, two-rating-group design
@@ -178,7 +183,7 @@ class TestEnumeration:
                 next(placement_blocks(n, m))
             with pytest.raises(ParameterError):
                 hippp.design._tie_band(np.ones(n), m)
-        with pytest.raises(ParameterError):  # one battery: the sparsity guard refuses first
+        with pytest.raises(StructuralError, match="must stay sparse"):  # one battery: the sparsity rule refuses first
             design_layer1(flatten(BatterySupply(1.0, 0.2, 1)), DesignConfig(num_layer1=1, num_rating_sets=1))
 
 
@@ -296,7 +301,7 @@ class TestDesignConfig:
             DesignConfig(layer2_trial_ratings=(-0.1, 0.2))
         with pytest.raises(ParameterError, match="layer2_trial_ratings"):
             DesignConfig(layer2_trial_ratings=(0.0, float("nan")))
-        with pytest.raises(ParameterError, match="layer2_trial_ratings must be non-negative and finite"):
+        with pytest.raises(ParameterError, match="layer2_trial_ratings values must be non-negative and finite"):
             DesignConfig(layer2_trial_ratings=(0.0, float("inf")))
         with pytest.raises(ParameterError):
             DesignConfig(monte_carlo_trials=0)
@@ -350,18 +355,18 @@ class TestLayer1Search:
 
     @staticmethod
     def count_solves(monkeypatch):
-        """Record the rows of each tie-break kernel call and the design LPs it solves."""
+        """Record the placements of each tie-break run, one kernel call each, and the design LPs it solves."""
         scored, solved = [], []
 
-        def counting_kernel(caps, pairs, ratings, currents):
-            scored.append(len(caps))
-            return least_processing_flows(caps, pairs, ratings, currents)
+        def counting_totals(caps, endpoints, currents):
+            scored.append(len(endpoints))
+            return _processing_totals(caps, endpoints, currents)
 
         def counting_design_lp(expected, edges):
             solved.append(edges)
             return layer1_design_lp(expected, edges)
 
-        monkeypatch.setattr(hippp.design, "least_processing_flows", counting_kernel)
+        monkeypatch.setattr(hippp.design, "_processing_totals", counting_totals)
         monkeypatch.setattr(hippp.design, "layer1_design_lp", counting_design_lp)
         return scored, solved
 
@@ -427,9 +432,9 @@ class TestLayer1Search:
         picked = np.sort(rng.choice(len(placements), size=min(len(placements), 40), replace=False))
         endpoints = np.array([placements[i] for i in picked], dtype=np.intp)
         currents = free_flow_outputs(caps, endpoints) / n
-        totals = hippp.design._processing_totals(caps, endpoints, currents)
+        totals = _processing_totals(caps, endpoints, currents)
         for edges, current, total in zip(endpoints.tolist(), currents, totals):
-            flows, _ = least_processing_flows(caps[None, :], edges, np.full((1, m), np.inf), [current])
+            flows, _ = _least_processing_flows(caps[None, :], edges, np.full((1, m), np.inf), np.array([current]))
             assert total.hex() == float(np.abs(flows).sum()).hex()
 
     @settings(max_examples=60, deadline=None)
@@ -467,8 +472,9 @@ class TestLayer1Search:
             assert out == pytest.approx(expected.total_power, abs=1e-9)
 
     def test_sparsity_guard(self):
+        # the one sparsity rule of architecture.py, which Architecture also applies
         expected = flatten(BatterySupply(1.0, 0.2, 4))
-        with pytest.raises(ParameterError):
+        with pytest.raises(StructuralError, match="layer 1 must stay sparse"):
             design_layer1(expected, DesignConfig(num_layer1=4, num_rating_sets=2))
 
     def test_repeat_call_is_identical(self):
@@ -739,7 +745,7 @@ class TestStageOneOutput:
         # and row by row at each row's own rung
         block = np.stack([draw_capabilities(BatterySupply(1.0, 0.2, 9), seed) for seed in range(6)])
         rungs = np.array([0.0, 0.05, 0.1, 0.2, 0.3, 0.5])
-        currents, _, _ = ladder_flow(block, rungs)
+        currents, _, _ = _ladder_flow(block, rungs)
         assert max_string_outputs(block, arch, rungs) == pytest.approx(9 * currents, abs=1e-12)
 
     def test_full_processing_has_no_string_stage(self):

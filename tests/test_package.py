@@ -4,6 +4,8 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import hippp
 
 
@@ -23,3 +25,22 @@ def test_only_errors_spells_the_whole_number_rule():
         if spelled.search(line)
     ]
     assert copies == []
+
+
+@pytest.mark.parametrize("message, home", [
+    ("must stay sparse", "architecture.py"),
+    ("a converter ladder needs at least two batteries", "architecture.py"),
+    ("capabilities must be positive and finite", "powerflow.py"),
+])
+def test_each_wiring_and_capability_rule_is_raised_from_one_place(message, home):
+    # one function holds each rule and raises its message; a second copy of the message is a second copy of the rule
+    package = Path(hippp.__file__).parent
+    places = [
+        (path.name, line.strip())
+        for path in sorted(package.glob("*.py"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if message in line
+    ]
+    assert len(places) == 1, places
+    name, line = places[0]
+    assert name == home and line.startswith("raise ")

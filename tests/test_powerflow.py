@@ -41,13 +41,18 @@ from hippp import (
     cppp_from_budget,
     flatten,
     fpp_from_budget,
-    hierarchical_currents,
-    ladder_flow,
-    least_processing_flows,
+    max_string_outputs,
     optimal_flow,
 )
 import hippp.powerflow
-from hippp.powerflow import _certify, free_flow_outputs
+from hippp.powerflow import (
+    _certify,
+    _hierarchical_currents,
+    _ladder_flow,
+    _least_processing_flows,
+    flow_powers,
+    free_flow_outputs,
+)
 
 GRID_TOL = 2e-3
 
@@ -83,7 +88,7 @@ def ls_arch(n, total, layer1_edges, layer2_rating, k=None):
 
 
 def rows_at(block, rating):
-    """One rating per row of `block`, the same on every row: the kernels take per-row ratings only."""
+    """One rating per row of `block`, the same on every row, as the float array the kernels take."""
     return np.full(len(block), rating, dtype=float)
 
 
@@ -328,7 +333,7 @@ class TestLadderKernel:
     @example((np.array([[0.05, 0.05, 3.0, 0.2]]), 0.6))   # only the backward pass keeps p_3 >= -P_3
     def test_kernel_matches_the_two_stage_lp(self, instance):
         block, rating = instance
-        current, flows, battery = ladder_flow(block, rows_at(block, rating))
+        current, flows, battery = _ladder_flow(block, rows_at(block, rating))
         assert current.shape == (len(block),)
         assert flows.shape == (len(block), block.shape[1] - 1)
         assert battery.shape == block.shape
@@ -339,7 +344,7 @@ class TestLadderKernel:
             assert battery[t] == pytest.approx(ref_battery, abs=1e-9)
             assert np.abs(flows[t]).sum() == pytest.approx(np.abs(ref_flows).sum(), abs=1e-9)
             # a block row and a one-row call give the same bits
-            one = ladder_flow(row[None, :], [rating])
+            one = _ladder_flow(row[None, :], np.array([rating]))
             for got, alone in zip((current, flows, battery), one):
                 assert np.array_equal(got[t], alone[0])
 
@@ -347,41 +352,51 @@ class TestLadderKernel:
         rng = np.random.default_rng(11)
         caps = np.sort(rng.uniform(0.4, 1.6, 9))
         sol = optimal_flow(caps, cppp_arch(9.0, 9, 0.1))
-        current, flows, battery = ladder_flow(caps[None, :], [0.1])
+        current, flows, battery = _ladder_flow(caps[None, :], np.array([0.1]))
         assert sol.string_current == current[0]
         assert np.array_equal(sol.converter_flows, flows[0])
         assert np.array_equal(sol.battery_powers, battery[0])
 
     def test_zero_rating_processes_nothing(self):
         block = np.array([[0.7, 1.3, 0.9, 1.1], [1.0, 1.0, 1.0, 1.0]])
-        current, flows, battery = ladder_flow(block, [0.0, 0.0])
+        current, flows, battery = _ladder_flow(block, rows_at(block, 0.0))
         assert np.array_equal(current, block.min(axis=1))
         assert np.all(flows == 0.0)
         assert np.array_equal(battery, np.repeat(current[:, None], 4, axis=1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.5])
     def test_invalid_capabilities_are_parameter_errors(self, bad):
+        # refused once, where they enter: by every public call, of every kind
         caps = np.array([0.8, bad, 1.2])
-        layer1 = [(0, 2, 0.1)]
+        block = np.array([[0.9, 1.0, 1.1], caps])
+        refused = "capabilities must be positive and finite"
         for arch in (
             cppp_arch(3.0, 3, 0.1),
-            ls_arch(3, 3.0, layer1, 0.1),
+            ls_arch(3, 3.0, [(0, 2, 0.1)], 0.1),
             Architecture(ArchitectureKind.FPP, 3, 3.0, rating=0.5),
         ):
-            with pytest.raises(ParameterError):
+            with pytest.raises(ParameterError, match=refused):
                 optimal_flow(caps, arch)
-        block = np.array([[0.9, 1.0, 1.1], caps])
-        with pytest.raises(ParameterError):
-            ladder_flow(block, [0.1, 0.1])
-        with pytest.raises(ParameterError):
-            hierarchical_currents(block, ls_arch(3, 3.0, layer1, 0.1), [0.1, 0.1])
+            with pytest.raises(ParameterError, match=refused):
+                flow_powers(block, arch, rows_at(block, 0.1))
+            if arch.kind != ArchitectureKind.FPP:
+                with pytest.raises(ParameterError, match=refused):
+                    max_string_outputs(block, arch, rows_at(block, 0.1))
 
     def test_rejects_a_bad_block_or_rating(self):
-        with pytest.raises(ParameterError):
-            ladder_flow([0.8, 1.0, 1.2], [0.1])      # a vector, not a block
-        for rating in (-0.1, np.nan, np.inf):
-            with pytest.raises(ParameterError):
-                ladder_flow([[0.8, 1.0, 1.2]], [rating])
+        arch = cppp_arch(3.0, 3, 0.1)
+        with pytest.raises(ParameterError, match="non-empty"):
+            flow_powers([0.8, 1.0, 1.2], arch, [0.1])      # a vector, not a block
+        for rating in (-0.1, np.nan):
+            with pytest.raises(ParameterError, match="ratings must be non-negative, not NaN"):
+                flow_powers([[0.8, 1.0, 1.2]], arch, [rating])
+        # an infinite rung times a zero boundary is NaN: refused where a ladder rating enters
+        with pytest.raises(ParameterError, match="ladder ratings must be finite"):
+            flow_powers([[0.8, 1.0, 1.2], [0.9, 1.0, 1.1]], arch, [0.1, np.inf])
+        with pytest.raises(ParameterError, match="ladder ratings must be finite"):
+            optimal_flow([0.8, 1.0, 1.2], cppp_arch(3.0, 3, np.inf))
+        # the stage-1 LP takes an infinite rung as unbounded
+        assert max_string_outputs([[0.8, 1.0, 1.2]], arch, [np.inf])[0] == pytest.approx(3.0, abs=1e-12)
 
 
 @st.composite
@@ -417,14 +432,14 @@ class TestHierarchicalKernel:
     def test_kernel_matches_the_stage_one_lp(self, instance):
         block, arch = instance
         n = block.shape[1]
-        current = hierarchical_currents(block, arch, rows_at(block, arch.rating))
+        current = _hierarchical_currents(block, arch, rows_at(block, arch.rating))
         assert current.shape == (len(block),)
         for t, row in enumerate(block):
             assert n * current[t] == pytest.approx(hierarchical_lp_output(row, arch), abs=1e-12)
             # a block row and a one-row call give the same bits
-            assert current[t] == hierarchical_currents(row[None, :], arch, [arch.rating])[0]
+            assert current[t] == _hierarchical_currents(row[None, :], arch, np.array([arch.rating]))[0]
         if all(edge.rating == 0.0 for edge in arch.layer1.edges):
-            ladder_current = ladder_flow(block, rows_at(block, arch.rating))[0]
+            ladder_current = _ladder_flow(block, rows_at(block, arch.rating))[0]
             assert current == pytest.approx(ladder_current, abs=1e-12)
 
     def test_passes_cut_a_large_block_without_changing_bits(self):
@@ -432,42 +447,44 @@ class TestHierarchicalKernel:
         rng = np.random.default_rng(13)
         block = np.sort(rng.uniform(0.3, 1.7, (300, 16)), axis=1)
         arch = ls_arch(16, 16.0, [(0, 15, 0.4), (1, 9, 0.2), (3, 12, 0.1)], 0.05, k=3)
-        whole = hierarchical_currents(block, arch, rows_at(block, 0.05))
-        assert np.array_equal(whole, [hierarchical_currents(row[None, :], arch, [0.05])[0] for row in block])
+        whole = _hierarchical_currents(block, arch, rows_at(block, 0.05))
+        assert np.array_equal(whole, [_hierarchical_currents(row[None, :], arch, np.array([0.05]))[0] for row in block])
 
     def test_zero_ratings_give_the_weakest_capability(self):
         block = np.array([[0.7, 1.3, 0.9, 1.1], [1.0, 1.0, 1.0, 1.0]])
         arch = ls_arch(4, 4.0, [(0, 3, 0.0)], 0.0)
-        assert np.array_equal(hierarchical_currents(block, arch, [0.0, 0.0]), block.min(axis=1))
+        assert np.array_equal(_hierarchical_currents(block, arch, rows_at(block, 0.0)), block.min(axis=1))
 
     def test_unbounded_chord_pools_its_endpoints(self):
         # an infinite rating never crosses a finite cut: batteries 0 and 2 share power freely
         caps = np.array([[0.6, 1.1, 1.0], [0.9, 0.7, 1.3]])
         arch = ls_arch(3, 3.0, [(0, 2, np.inf)], 0.0)
         expected = [free_flow_output(row, [(0, 2)]) / 3 for row in caps]
-        assert hierarchical_currents(caps, arch, [0.0, 0.0]) == pytest.approx(expected, abs=1e-12)
+        assert _hierarchical_currents(caps, arch, rows_at(caps, 0.0)) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("rungs", [[-0.1], [np.nan], [-np.inf], 0.1])
     def test_invalid_ratings_are_parameter_errors(self, rungs):
         # the chords come from the architecture, whose ConverterEdges refuse such ratings
         arch = ls_arch(3, 3.0, [(0, 2, 0.1)], 0.1)
-        with pytest.raises(ParameterError):
-            hierarchical_currents(np.array([[0.8, 1.0, 1.2]]), arch, rungs)
+        for call in (flow_powers, max_string_outputs):
+            with pytest.raises(ParameterError):
+                call(np.array([[0.8, 1.0, 1.2]]), arch, rungs)
 
     def test_rejects_other_kinds_and_shapes(self):
-        with pytest.raises(StructuralError):
-            hierarchical_currents(np.array([[0.8, 1.0, 1.2]]), cppp_arch(3.0, 3, 0.1), [0.1])
+        with pytest.raises(StructuralError):  # full processing has no string stage
+            max_string_outputs(np.array([[0.8, 1.0, 1.2]]), Architecture(ArchitectureKind.FPP, 3, 3.0, 0.1), [0.1])
         arch = ls_arch(3, 3.0, [(0, 2, 0.1)], 0.1)
-        with pytest.raises(ParameterError):
-            hierarchical_currents([0.8, 1.0, 1.2], arch, [0.1])      # a vector, not a block
-        with pytest.raises(ParameterError):
-            hierarchical_currents(np.ones((2, 4)), arch, [0.1, 0.1])
+        for call in (flow_powers, max_string_outputs):
+            with pytest.raises(ParameterError, match="non-empty"):
+                call([0.8, 1.0, 1.2], arch, [0.1])      # a vector, not a block
+            with pytest.raises(ParameterError, match="got 4 capabilities for 3 batteries"):
+                call(np.ones((2, 4)), arch, [0.1, 0.1])
 
     def test_too_many_endpoints_are_refused_before_any_work(self):
         # 20 distinct endpoints would need 2^20 patterns per draw
         arch = ls_arch(20, 20.0, [(j, j + 10, 0.1) for j in range(10)], 0.1, k=1)
         with pytest.raises(EnumerationCapError):
-            hierarchical_currents(np.ones((1, 20)), arch, [0.1])
+            flow_powers(np.ones((1, 20)), arch, [0.1])
 
 
 @st.composite
@@ -476,7 +493,7 @@ def dispatch_blocks(draw):
 
     Chords go in any orientation, repeats and chords parallel to a rung
     allowed; chord ratings include exact zeros and inf, the rung rating exact
-    zeros. I* comes from the cut form (hierarchical_currents, or ladder_flow
+    zeros. I* comes from the cut form (_hierarchical_currents, or _ladder_flow
     without chords); each row runs at I* or at a sixteenth-step fraction of
     it. Capabilities and ratings are whole hundredths, so every deficit is
     zero or well above the LP oracle's 1e-8 tolerances, below which its
@@ -496,9 +513,9 @@ def dispatch_blocks(draw):
     rung = draw(st.one_of(st.just(0.0), hundredths))
     if chords:
         arch = ls_arch(n, float(n), [(a, b, r) for (a, b), r in chords], rung, k=len(chords))
-        best = hierarchical_currents(block, arch, rows_at(block, rung))
+        best = _hierarchical_currents(block, arch, rows_at(block, rung))
     else:
-        best = ladder_flow(block, rows_at(block, rung))[0]
+        best = _ladder_flow(block, rows_at(block, rung))[0]
     scale = st.one_of(st.just(1.0), st.integers(0, 16).map(lambda k: k / 16))
     currents = best * np.array([draw(scale) for _ in range(rows)])
     pairs = [p for p, _ in chords] + [(j, j + 1) for j in range(n - 1)]
@@ -522,7 +539,7 @@ class TestLeastProcessingKernel:
     def test_kernel_matches_the_least_processing_lp(self, instance):
         block, pairs, ratings, currents = instance
         n = block.shape[1]
-        flows, battery = least_processing_flows(block, pairs, ratings, currents)
+        flows, battery = _least_processing_flows(block, pairs, ratings, currents)
         assert flows.shape == (len(block), len(pairs))
         assert battery.shape == block.shape
         for t, row in enumerate(block):
@@ -533,7 +550,7 @@ class TestLeastProcessingKernel:
             assert np.all(np.abs(battery[t]) <= row + 1e-8)
             assert np.all(np.abs(flows[t]) <= ratings[t] + 1e-8)
             # a block row and a one-row call give the same bits
-            one = least_processing_flows(row[None, :], pairs, ratings[t:t + 1], currents[t:t + 1])
+            one = _least_processing_flows(row[None, :], pairs, ratings[t:t + 1], currents[t:t + 1])
             assert np.array_equal(flows[t], one[0][0])
             assert np.array_equal(battery[t], one[1][0])
 
@@ -542,22 +559,22 @@ class TestLeastProcessingKernel:
         # deficit crosses every rung between it and the strong end, so
         # sum |f| = 2.5e-13 * (1 + 2 + 3 + 4). The LP oracle's tolerances blur this.
         block = np.array([[1.0, 1.0, 1.0, 1.0, 2.0]])
-        current = ladder_flow(block, [1e-12])[0]
-        flows, _ = least_processing_flows(block, [(j, j + 1) for j in range(4)], np.full((1, 4), 1e-12), current)
+        current = _ladder_flow(block, np.array([1e-12]))[0]
+        flows, _ = _least_processing_flows(block, [(j, j + 1) for j in range(4)], np.full((1, 4), 1e-12), current)
         assert np.abs(flows).sum() == pytest.approx(2.5e-12, rel=1e-3)
 
     def test_passes_cut_a_block_without_changing_bits(self, monkeypatch):
         rng = np.random.default_rng(14)
         block = np.sort(rng.uniform(0.3, 1.7, (50, 9)), axis=1)
         arch = ls_arch(9, 9.0, [(0, 8, 0.3), (1, 6, np.inf), (2, 5, 0.0)], 0.05, k=3)
-        currents = hierarchical_currents(block, arch, rows_at(block, arch.rating))
+        currents = _hierarchical_currents(block, arch, rows_at(block, arch.rating))
         pairs = [(e.from_battery, e.to_battery) for e in architecture_edges(arch)]
         ratings = np.tile([e.rating for e in architecture_edges(arch)], (len(block), 1))
-        whole = least_processing_flows(block, pairs, ratings, currents)
+        whole = _least_processing_flows(block, pairs, ratings, currents)
         # passes of 7 rows of 10 * (3 * 3 + 11) + 10 * 11 + 8 * 10 cells: 10 nodes with
         # the sentinel, 3 incoming arcs at most, 11 iterations kept, 11 edges
         monkeypatch.setattr(hippp.powerflow, "_CUT_CELLS", 7 * 390)
-        split = least_processing_flows(block, pairs, ratings, currents)
+        split = _least_processing_flows(block, pairs, ratings, currents)
         assert all(np.array_equal(a, b) for a, b in zip(whole, split))
 
     def test_optimal_flow_is_the_kernel_at_the_cut_form_current(self):
@@ -565,9 +582,9 @@ class TestLeastProcessingKernel:
         arch = ls_arch(9, 9.0, [(0, 8, 0.3), (1, 6, 0.1)], 0.05, k=2)
         sol = optimal_flow(caps, arch)
         edges = architecture_edges(arch)
-        flows, battery = least_processing_flows(
+        flows, battery = _least_processing_flows(
             caps[None, :], [(e.from_battery, e.to_battery) for e in edges],
-            [[e.rating for e in edges]], hierarchical_currents(caps[None, :], arch, [arch.rating]),
+            np.array([[e.rating for e in edges]]), _hierarchical_currents(caps[None, :], arch, np.array([arch.rating])),
         )
         assert np.array_equal(sol.converter_flows, flows[0])
         assert np.array_equal(sol.battery_powers, battery[0])
@@ -576,16 +593,9 @@ class TestLeastProcessingKernel:
     def test_current_above_the_maximum_is_an_internal_error(self):
         block = np.array([[0.6, 1.0, 1.4]])
         arch = ls_arch(3, 3.0, [(0, 2, 0.1)], 0.05)
-        current = hierarchical_currents(block, arch, [0.05]) + 1e-6
+        current = _hierarchical_currents(block, arch, np.array([0.05])) + 1e-6
         with pytest.raises(InternalCheckError):
-            least_processing_flows(block, [(0, 2), (0, 1), (1, 2)], [[0.1, 0.05, 0.05]], current)
-
-    def test_rejects_bad_ratings_and_currents(self):
-        block = np.array([[0.6, 1.0, 1.4]])
-        for ratings, currents in (([[0.1, -0.1]], [0.8]), ([[0.1, np.nan]], [0.8]), ([[0.1]], [0.8]),
-                                  ([[0.1, 0.1]], [-0.1]), ([[0.1, 0.1]], [np.inf]), ([[0.1, 0.1]], [0.8, 0.8])):
-            with pytest.raises(ParameterError):
-                least_processing_flows(block, [(0, 1), (1, 2)], ratings, currents)
+            _least_processing_flows(block, [(0, 2), (0, 1), (1, 2)], np.array([[0.1, 0.05, 0.05]]), current)
 
 
 @st.composite
@@ -647,17 +657,17 @@ class TestPerRowRatings:
     @given(mixed_rating_blocks())
     def test_cut_form_rows_equal_one_row_calls(self, instance):
         block, arch, rungs = instance
-        currents = hierarchical_currents(block, arch, rungs)
+        currents = _hierarchical_currents(block, arch, rungs)
         for t, row in enumerate(block):
-            assert currents[t] == hierarchical_currents(row[None, :], arch, rungs[t:t + 1])[0]
+            assert currents[t] == _hierarchical_currents(row[None, :], arch, rungs[t:t + 1])[0]
 
     @settings(max_examples=40, deadline=None)
     @given(mixed_rating_blocks())
     def test_ladder_rows_equal_one_row_calls(self, instance):
         block, _, rungs = instance
-        stacked = ladder_flow(block, rungs)
+        stacked = _ladder_flow(block, rungs)
         for t, row in enumerate(block):
-            for got, alone in zip(stacked, ladder_flow(row[None, :], rungs[t:t + 1])):
+            for got, alone in zip(stacked, _ladder_flow(row[None, :], rungs[t:t + 1])):
                 assert np.array_equal(got[t], alone[0])
 
     @settings(max_examples=40, deadline=None)
@@ -667,14 +677,14 @@ class TestPerRowRatings:
         # numbers of rounds and leave the pass at different times
         block, arch, rungs = instance
         scale = np.random.default_rng(seed).choice([0.0, 0.5, 0.9, 1.0], size=len(block))
-        currents = hierarchical_currents(block, arch, rungs) * scale
+        currents = _hierarchical_currents(block, arch, rungs) * scale
         edges = architecture_edges(arch)
         pairs = [(e.from_battery, e.to_battery) for e in edges]
         chords = [e.rating for e in arch.layer1.edges]
         table = np.array([chords + [rung] * (block.shape[1] - 1) for rung in rungs])
-        flows, battery = least_processing_flows(block, pairs, table, currents)
+        flows, battery = _least_processing_flows(block, pairs, table, currents)
         for t, row in enumerate(block):
-            one = least_processing_flows(row[None, :], pairs, table[t:t + 1], currents[t:t + 1])
+            one = _least_processing_flows(row[None, :], pairs, table[t:t + 1], currents[t:t + 1])
             assert np.array_equal(flows[t], one[0][0])
             assert np.array_equal(battery[t], one[1][0])
 
@@ -686,10 +696,10 @@ class TestPerRowRatings:
         # flows of a one-row call over its own edges alone
         block, placements = instance
         currents, union, table = union_edge_table(block, placements)
-        flows, _ = least_processing_flows(block, union, table, currents)
+        flows, _ = _least_processing_flows(block, union, table, currents)
         for t, (row, edges) in enumerate(zip(block, placements)):
             own = [union.index(edge) for edge in edges]
-            one, _ = least_processing_flows(row[None, :], edges, np.full((1, len(edges)), np.inf), currents[t:t + 1])
+            one, _ = _least_processing_flows(row[None, :], edges, np.full((1, len(edges)), np.inf), currents[t:t + 1])
             assert flows[t, own].tobytes() == one[0].tobytes()
             assert np.abs(flows[t, own]).sum().hex() == np.abs(one).sum().hex()
             assert not np.delete(flows[t], own).any()
@@ -701,7 +711,7 @@ class TestPerRowRatings:
         n = block.shape[1]
         for kind_arch in (arch, cppp_arch(float(n), n, 0.0),
                           Architecture(ArchitectureKind.FPP, n, float(n), rating=0.0)):
-            output, processed = hippp.powerflow.flow_powers(block, kind_arch, rungs)
+            output, processed = flow_powers(block, kind_arch, rungs)
             for t, row in enumerate(block):
                 alone = optimal_flow(row, replace(kind_arch, rating=float(rungs[t])))
                 assert output[t] == alone.output_power
@@ -714,40 +724,31 @@ class TestPerRowRatings:
         block = np.sort(rng.uniform(0.3, 1.7, (400, 16)), axis=1)
         arch = ls_arch(16, 16.0, [(0, 15, 0.4), (1, 9, 0.2), (3, 12, 0.1)], 0.0, k=3)
         rungs = rng.choice([0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 1.0], size=len(block))
-        output, processed = hippp.powerflow.flow_powers(block, arch, rungs)
+        output, processed = flow_powers(block, arch, rungs)
         for t in range(0, len(block), 7):
             alone = optimal_flow(block[t], replace(arch, rating=float(rungs[t])))
             assert output[t] == alone.output_power
             assert processed[t] == alone.processed_power
 
     def test_rejects_bad_per_row_ratings(self):
-        # one refusal, by one rule, in every kernel: a scalar, a wrong length, NaN or a negative
-        # rating, and for least_processing_flows an (E,) table, all raise the same ParameterError
+        # one refusal, by one rule, in every public block call of every kind: a scalar, a wrong
+        # length, a 2-D array, NaN or a negative rating all raise the same ParameterError
         block = np.array([[0.6, 1.0, 1.4], [0.7, 1.0, 1.3]])
         arch = ls_arch(3, 3.0, [(0, 2, 0.1)], 0.05)
-        pairs = [(e.from_battery, e.to_battery) for e in architecture_edges(arch)]
         refused = "ratings must be non-negative, not NaN"
         fpp = fpp_from_budget(0.1, flatten(BatterySupply(1.0, 0.2, 3)))
-        kernels = (
-            lambda rungs: ladder_flow(block, rungs),
-            lambda rungs: hierarchical_currents(block, arch, rungs),
-            lambda rungs: hippp.powerflow.max_string_outputs(block, arch, rungs),
-            lambda rungs: hippp.powerflow.flow_powers(block, cppp_arch(3.0, 3, 0.1), rungs),
-            lambda rungs: hippp.powerflow.flow_powers(block, fpp, rungs),
-            lambda rungs: hippp.powerflow.flow_powers(block, arch, rungs),
+        calls = (
+            lambda rungs: max_string_outputs(block, arch, rungs),
+            lambda rungs: max_string_outputs(block, cppp_arch(3.0, 3, 0.1), rungs),
+            lambda rungs: flow_powers(block, cppp_arch(3.0, 3, 0.1), rungs),
+            lambda rungs: flow_powers(block, fpp, rungs),
+            lambda rungs: flow_powers(block, arch, rungs),
         )
-        for kernel in kernels:
+        for call in calls:
             for rungs in (0.1, [0.1], [0.1, 0.1, 0.1], [[0.1, 0.1]], [0.1, -0.1], [0.1, np.nan]):
                 with pytest.raises(ParameterError, match=refused):
-                    kernel(rungs)
-            kernel(np.array([0.1, 0.05]))  # one per row is accepted
-        currents = hierarchical_currents(block, arch, [0.05, 0.05])
-        table = np.full((2, 3), 0.1)
-        for bad in (table[0], 0.1, table[:, :2], np.full((3, 3), 0.1), [[0.1] * 3, [0.1, -0.1, 0.1]],
-                    [[0.1] * 3, [0.1, np.nan, 0.1]]):
-            with pytest.raises(ParameterError, match=refused):
-                least_processing_flows(block, pairs, bad, currents)
-        assert least_processing_flows(block, pairs, table, currents)[0].shape == (2, 3)
+                    call(rungs)
+            call(np.array([0.1, 0.05]))  # one per row is accepted
 
 
 @contextlib.contextmanager
@@ -793,7 +794,7 @@ class TestKernelsAgainstTheirFirstVersions:
     def test_cut_pass(self, instance):
         block, arch = instance
         with first_kernels_alongside() as compared:
-            hierarchical_currents(block, arch, rows_at(block, arch.rating))
+            _hierarchical_currents(block, arch, rows_at(block, arch.rating))
         assert compared["cut"] == 1
 
     @settings(max_examples=100, deadline=None)
@@ -805,7 +806,7 @@ class TestKernelsAgainstTheirFirstVersions:
     def test_ssp_pass(self, instance):
         block, pairs, ratings, currents = instance
         with first_kernels_alongside() as compared:
-            least_processing_flows(block, pairs, ratings, currents)
+            _least_processing_flows(block, pairs, ratings, currents)
         assert compared["ssp"] == 1
 
     @settings(max_examples=60, deadline=None)
@@ -822,9 +823,9 @@ class TestKernelsAgainstTheirFirstVersions:
         table = np.array([[e.rating for e in arch.layer1.edges] + [rung] * (block.shape[1] - 1) for rung in rungs])
         budgets = (1, 2048) if in_passes else (None, None)
         with first_kernels_alongside(*budgets) as compared:
-            currents = hierarchical_currents(block, arch, rungs)
-            least_processing_flows(block, pairs, table, currents * scale)
-            hippp.powerflow.flow_powers(block, arch, rungs)
+            currents = _hierarchical_currents(block, arch, rungs)
+            _least_processing_flows(block, pairs, table, currents * scale)
+            flow_powers(block, arch, rungs)
         assert compared["cut"] >= 2 and compared["ssp"] >= 2
         if in_passes:
             assert compared["cut"] == 2 * len(block)
@@ -835,7 +836,7 @@ class TestKernelsAgainstTheirFirstVersions:
         block, placements = instance
         currents, union, table = union_edge_table(block, placements)
         with first_kernels_alongside() as compared:
-            least_processing_flows(block, union, table, currents)
+            _least_processing_flows(block, union, table, currents)
         assert compared["ssp"] == 1
 
     def test_large_blocks_in_passes(self):
@@ -847,7 +848,7 @@ class TestKernelsAgainstTheirFirstVersions:
         arch = ls_arch(12, 12.0, [(0, 11, 0.2), (1, 8, 0.1), (2, 7, 0.05), (3, 6, 0.05)], 0.0, k=3)
         rungs = rng.choice([0.0, 0.01, 0.03, 0.1], size=len(block))
         with first_kernels_alongside(ssp_cells=1 << 14) as compared:
-            hippp.powerflow.flow_powers(block, arch, rungs)
+            flow_powers(block, arch, rungs)
         assert compared["cut"] > 1 and compared["ssp"] > 1
 
 
@@ -859,7 +860,7 @@ class TestBlockCertification:
     def setup_method(self):
         rng = np.random.default_rng(12)
         self.caps = np.sort(rng.uniform(0.3, 1.7, (6, 5)), axis=1)
-        self.current, self.flows, self.battery = ladder_flow(self.caps, rows_at(self.caps, self.RATING))
+        self.current, self.flows, self.battery = _ladder_flow(self.caps, rows_at(self.caps, self.RATING))
         self.pairs = [(j, j + 1) for j in range(4)]
         self.ratings = np.full(4, self.RATING)
 
