@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ParameterError, StructuralError, whole
+from .errors import ParameterError, StructuralError, nonnegative, positive, whole
 from .supply import ExpectedSet
 
 
@@ -50,8 +50,7 @@ class ConverterEdge:
         object.__setattr__(self, "to_battery", whole(self.to_battery, "to_battery"))
         if self.from_battery == self.to_battery:
             raise ParameterError("converter endpoints must differ")
-        if not self.rating >= 0.0:
-            raise ParameterError("rating must be non-negative")
+        nonnegative(self.rating, "rating")
 
 
 @dataclass(frozen=True)
@@ -100,12 +99,10 @@ class Architecture:
     def __post_init__(self):
         n = whole(self.num_batteries, "num_batteries", 1)
         object.__setattr__(self, "num_batteries", n)
-        if not self.total_expected_power > 0.0:
-            raise ParameterError("total_expected_power must be positive")
+        positive(self.total_expected_power, "total_expected_power")
         if self.kind not in tuple(ArchitectureKind):
             raise StructuralError(f"unknown architecture kind {self.kind!r}")
-        if not self.rating >= 0.0:
-            raise StructuralError("rating must be non-negative")
+        nonnegative(self.rating, "rating")
         hierarchical = self.kind == ArchitectureKind.LSHIPPP
         if (self.layer1 is not None) != hierarchical:
             raise StructuralError("layer1 is set for the lshippp architecture and only for it")

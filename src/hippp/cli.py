@@ -46,11 +46,12 @@ from .architecture import (
     _check_sparse,
     aggregate_rating,
 )
-from .design import DesignConfig, design_layer1, design_layer2, lshippp_for_budget
-from .errors import ConfigError, EnumerationCapError, HipppError, InternalCheckError, ParameterError, grid, whole
+from .design import DesignConfig, Layer2Curve, design_layer1, design_layer2, lshippp_for_budget
+from .errors import ConfigError, EnumerationCapError, HipppError, InternalCheckError, ParameterError
+from .errors import grid, nonnegative, whole
 from .evaluate import DEFAULT_CONVERTER_EFFICIENCY, MetricsRecord, _check_efficiency, _normalize_kinds, sweep_figures
 from .powerflow import architecture_edges, optimal_flow
-from .supply import BatterySupply, flatten
+from .supply import BatterySupply, ExpectedSet, flatten
 
 log = logging.getLogger(__name__)
 
@@ -121,11 +122,6 @@ def _whole(name: str, low: int) -> _Key:
     return _Key(name, int, lambda number, got: whole(number, name, low))
 
 
-def _rating(rating: float, got) -> None:
-    if not rating >= 0.0:
-        raise ParameterError("rating must be non-negative, not NaN")
-
-
 def _layer1_count(count: int, got) -> None:
     m = got["design"][0]  # [design] num_layer1, read and checked before [layer1]
     if count != m:
@@ -183,9 +179,11 @@ _DESIGN_FILE = (
     _Section("expected_set", (_Key("capability_{i}", float),), count=lambda got, given: got["supply"].count),
     _Section("layer1", (
         _Key("count", int, _layer1_count), _Key("edge_{i}", _edge, lambda edge, got: ConverterEdge(*edge, 0.0)),
-        _Key("rating_{i}", float, _rating), _Key("processed_{i}", float),
+        _Key("rating_{i}", float, lambda rating, got: nonnegative(rating, "rating")), _Key("processed_{i}", float),
     ), count=lambda got, given: got["layer1"]["count"]),
-    _Section("layer2", (_Key("count", int, _rungs), _Key("rating", float, _rating))),
+    _Section("layer2", (
+        _Key("count", int, _rungs), _Key("rating", float, lambda rating, got: nonnegative(rating, "rating")),
+    )),
     # as many points as the file lists
     _Section("layer2_curve", (_Key("rating_{i}", float), _Key("utilization_{i}", float)),
              count=lambda got, given: -(-len(given) // 2)),
@@ -344,48 +342,41 @@ def _read_design(path: str) -> tuple[BatterySupply, Architecture]:
     """The supply and LS-HiPPP architecture of a design file; every error starts with `design <path>:`."""
     try:
         sections = _read_ini(path, _DESIGN_FILE).values()
-        supply, (_, partitions, *_), _, (_, pairs, ratings, processed), (_, rung), _ = sections
-        total = flatten(supply).total_power
+        supply, (_, partitions, *_), (capabilities,), (_, pairs, ratings, processed), (_, rung), curve = sections
+        with _key("[expected_set]"):
+            expected = ExpectedSet(capabilities, supply)
         with _key("[layer1]"):
             edges = tuple(ConverterEdge(src, dst, rating) for (src, dst), rating in zip(pairs, ratings))
             layer1 = Layer1Design(edges, partitions, tuple(processed))
-            arch = Architecture(ArchitectureKind.LSHIPPP, supply.count, total, rung, layer1)
+            arch = Architecture(ArchitectureKind.LSHIPPP, supply.count, expected.total_power, rung, layer1)
+        with _key("[layer2_curve]"):
+            Layer2Curve(tuple(zip(*curve)))
     except ConfigError as exc:
         raise ConfigError(f"design {path}: {exc}") from exc
     return supply, arch
 
 
 def _read_capabilities(path: str) -> np.ndarray:
+    """The numbers listed in file `path`, unchecked: optimal_flow holds them to its rules."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            tokens = []
-            for line in handle:
-                line = line.split("#", 1)[0]
-                tokens.extend(line.split())
+            tokens = [token for line in handle for token in line.split("#", 1)[0].split()]
     except OSError as exc:
         raise ConfigError(f"cannot read capabilities {path}: {exc}") from exc
     try:
-        values = np.array([float(tok) for tok in tokens])
+        return np.array([float(token) for token in tokens])
     except ValueError as exc:
         raise ConfigError(f"capabilities {path}: {exc}") from exc
-    if values.size == 0:
-        raise ConfigError(f"capabilities {path}: file lists no values")
-    if not np.all((values > 0.0) & (values < np.inf)):
-        raise ConfigError(f"capabilities {path}: all values must be positive and finite")
-    return values
 
 
 def cmd_flow(design_file: str, capabilities_file: str) -> None:
     """Solve and print one operating point for a saved design."""
     supply, arch = _read_design(design_file)
-    caps = _read_capabilities(capabilities_file)
-    if caps.size != arch.num_batteries:
-        raise ConfigError(
-            f"capabilities {capabilities_file}: got {caps.size} values "
-            f"for a {arch.num_batteries}-battery design"
-        )
-    caps = np.sort(caps)
-    sol = optimal_flow(caps, arch)
+    caps = np.sort(_read_capabilities(capabilities_file))
+    try:
+        sol = optimal_flow(caps, arch)
+    except ParameterError as exc:  # the file's capabilities, the one input not checked yet
+        raise ConfigError(f"capabilities {capabilities_file}: {exc}") from exc
     edges = architecture_edges(arch)
     n_layer1 = len(arch.layer1.edges)
 

@@ -26,7 +26,7 @@ from math import comb
 import numpy as np
 
 from .architecture import Architecture, ArchitectureKind, ConverterEdge, Layer1Design, _check_sparse, _spend
-from .errors import EnumerationCapError, ParameterError, grid, whole
+from .errors import EnumerationCapError, ParameterError, grid, nonnegative, whole
 from .powerflow import _processing_totals, free_flow_outputs, layer1_design_lp, max_string_outputs
 from .supply import BatterySupply, ExpectedSet, _draw_block, flatten
 
@@ -123,8 +123,7 @@ def partition_ratings(processed, k: int) -> list[float]:
     values = [float(p) for p in processed]
     if len(values) == 0:
         raise ParameterError("no processed powers to partition")
-    if any(not v >= 0.0 for v in values):
-        raise ParameterError("processed powers must be non-negative, not NaN")
+    nonnegative(values, "processed powers")
     k = whole(k, "number of rating groups", 1, len(values))
     order = sorted(range(len(values)), key=lambda i: (-values[i], i))
     kth_value = values[order[k - 1]]

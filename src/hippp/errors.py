@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and its one whole-number rule and one grid rule."""
+"""Exception types shared across the package, and its one rule for each kind of input value."""
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 class HipppError(Exception):
@@ -48,6 +50,19 @@ def grid(values, name: str) -> tuple[float, ...]:
     if not all(b > a for a, b in zip(values, values[1:])):
         raise ParameterError(f"{name} must be strictly increasing")
     return values
+
+
+def nonnegative(values, name: str) -> None:
+    """The rule of every rating and power: refuse NaN or a value below 0 in number or array `values`; inf passes."""
+    if not (np.asarray(values) >= 0.0).all():
+        raise ParameterError(f"{name} must be non-negative, not NaN")
+
+
+def positive(values, name: str) -> None:
+    """The rule of every capability and mean power: refuse a value of number or array `values` not in (0, inf)."""
+    values = np.asarray(values)
+    if not ((values > 0.0) & (values < math.inf)).all():
+        raise ParameterError(f"{name} must be positive and finite")
 
 
 class StructuralError(HipppError, ValueError):

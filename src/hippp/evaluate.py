@@ -38,7 +38,7 @@ import numpy as np
 
 from .architecture import Architecture, ArchitectureKind, Layer1Design, _check_budget, _spend, aggregate_rating
 from .design import DesignConfig, design_layer1
-from .errors import InternalCheckError, ParameterError, UndefinedMetricError, grid, whole
+from .errors import InternalCheckError, ParameterError, UndefinedMetricError, grid, nonnegative, whole
 from .powerflow import flow_powers
 from .supply import BatterySupply, ExpectedSet, _draw_block, flatten
 
@@ -81,8 +81,8 @@ def system_efficiency(processed, output, converter_efficiency: float):
     _check_efficiency(converter_efficiency)
     processed = np.asarray(processed, dtype=float)
     output = np.asarray(output, dtype=float)
-    if not (np.all(processed >= 0.0) and np.all(output >= 0.0)):
-        raise ParameterError("powers must be non-negative, not NaN")
+    nonnegative(processed, "processed powers")
+    nonnegative(output, "output powers")
     if np.any(output == 0.0):
         raise UndefinedMetricError("system efficiency is undefined at zero output")
     efficiency = 1.0 - (processed / output) * (1.0 - converter_efficiency)

@@ -71,7 +71,7 @@ from typing import Sequence
 import numpy as np
 
 from .architecture import Architecture, ArchitectureKind, ConverterEdge
-from .errors import EnumerationCapError, InternalCheckError, ParameterError, StructuralError
+from .errors import EnumerationCapError, InternalCheckError, ParameterError, StructuralError, nonnegative, positive
 from .lp import FEASIBILITY_TOL, solve_stack
 from .supply import ExpectedSet
 
@@ -142,8 +142,7 @@ def _checked_capabilities(capabilities, arch: Architecture, ndim: int = 1) -> np
     if caps.ndim != ndim or caps.size == 0:
         shape = "vector" if ndim == 1 else "(trials, batteries) block"
         raise ParameterError(f"capabilities must be a non-empty {shape}")
-    if not np.all((caps > 0.0) & (caps < np.inf)):
-        raise ParameterError("capabilities must be positive and finite")
+    positive(caps, "capabilities")
     if caps.shape[-1] != arch.num_batteries:
         raise ParameterError(f"got {caps.shape[-1]} capabilities for {arch.num_batteries} batteries")
     return caps
@@ -152,13 +151,13 @@ def _checked_capabilities(capabilities, arch: Architecture, ndim: int = 1) -> np
 def _row_ratings(ratings, trials: int) -> np.ndarray:
     """`ratings` as a (trials,) float array, one per row, checked once per public block call.
 
-    The one rating rule: non-negative, not NaN (inf is unbounded). Nothing
-    is broadcast.
+    Nothing is broadcast, and the values keep the one rating rule
+    (errors.nonnegative: inf is unbounded).
     """
     ratings = np.asarray(ratings, dtype=float)
-    if ratings.shape != (trials,) or not np.all(ratings >= 0.0):
-        raise ParameterError(f"ratings must be non-negative, not NaN, in an array of shape {(trials,)}, "
-                             f"got shape {ratings.shape}")
+    if ratings.shape != (trials,):
+        raise ParameterError(f"ratings must be one per row, an array of shape {(trials,)}, got shape {ratings.shape}")
+    nonnegative(ratings, "ratings")
     return ratings
 
 

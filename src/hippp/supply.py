@@ -26,7 +26,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from ._normal import ndtr, ndtri
-from .errors import InternalCheckError, ParameterError, whole
+from .errors import InternalCheckError, ParameterError, positive, whole
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -60,8 +60,7 @@ class BatterySupply:
     count: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.mean_power) and self.mean_power > 0.0):
-            raise ParameterError("mean_power must be positive and finite")
+        positive(self.mean_power, "mean_power")
         if not (math.isfinite(self.std_power) and self.std_power >= 0.0):
             raise ParameterError("std_power must be non-negative and finite")
         if 0.0 < self.std_power < MIN_RELATIVE_STD * self.mean_power:
@@ -92,8 +91,7 @@ class ExpectedSet:
         object.__setattr__(self, "capabilities", caps)
         if caps.shape != (self.supply.count,):
             raise ParameterError("expected set length must equal supply count")
-        if not np.all(caps > 0.0):
-            raise ParameterError("expected capabilities must be positive")
+        positive(caps, "expected capabilities")
         if not _ascending(caps):
             raise ParameterError("expected capabilities must be sorted ascending")
 
@@ -124,8 +122,7 @@ class BatterySample:
         object.__setattr__(self, "deviations", dev)
         if caps.shape != dev.shape:
             raise ParameterError("capabilities and deviations must align")
-        if not np.all(caps > 0.0):
-            raise ParameterError("sampled capabilities must be positive")
+        positive(caps, "sampled capabilities")
         if not _ascending(caps):
             raise ParameterError("sampled capabilities must be sorted ascending")
 

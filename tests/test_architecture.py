@@ -140,8 +140,9 @@ class TestStructure:
     @pytest.mark.parametrize("kind", list(ArchitectureKind))
     @pytest.mark.parametrize("rating", [-0.1, float("nan")])
     def test_rating_must_be_non_negative(self, kind, rating):
+        # the one rating rule, as for a ConverterEdge
         layer1 = Layer1Design((ConverterEdge(0, 2, 0.5),), 1, (0.5,)) if kind == ArchitectureKind.LSHIPPP else None
-        with pytest.raises(StructuralError):
+        with pytest.raises(ParameterError, match="rating must be non-negative, not NaN"):
             Architecture(kind, 3, 3.0, rating, layer1)
 
     def test_ladder_kinds_need_two_batteries(self):

@@ -380,13 +380,18 @@ class TestFlowCommand:
         assert f"output power: {output:.6g} (utilization {output / values.sum():.6g})" in lines
         assert f"processed power: {processed:.6g}" in lines
 
-    def test_wrong_capability_count_is_a_config_error(self, config_file, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [
+        ("1.0 1.0 1.0\n", "got 3 capabilities for 9 batteries"),
+        ("# no values\n", "capabilities must be a non-empty vector"),
+    ])
+    def test_wrong_capability_count_is_a_config_error(self, config_file, tmp_path, capsys, text, message):
+        # optimal_flow's one capability check, under the file's name
         out = tmp_path / "artifacts"
         run_main("design", "--config", config_file, "--out", out)
         caps = tmp_path / "caps.txt"
-        caps.write_text("1.0 1.0 1.0\n")
+        caps.write_text(text)
         assert run_main("flow", out / "design.txt", caps) == 2
-        assert "config error:" in capsys.readouterr().err
+        assert f"config error: capabilities {caps}: {message}" in capsys.readouterr().err
 
     def test_nonpositive_capability_is_a_config_error(self, config_file, tmp_path, capsys):
         out = tmp_path / "artifacts"
@@ -452,6 +457,11 @@ class TestFlowCommand:
         ("layer1", "processed_0", "nan"),
         ("layer1", "processed_1", "inf"),
         ("layer1", "processed_2", "-0.1"),
+        ("expected_set", "capability_0", "nan"),
+        ("expected_set", "capability_3", "-2.0"),
+        ("expected_set", "capability_0", "1.5"),  # above its neighbours: out of order
+        ("layer2_curve", "utilization_1", "-7.0"),
+        ("layer2_curve", "rating_1", "nan"),
     ])
     def test_a_bad_design_value_names_the_file_and_the_section(self, config_file, tmp_path, capsys, section, key,
                                                               value):
@@ -677,6 +687,51 @@ class TestModuleEntryPoint:
             os.close(write_end)
         assert "Traceback" not in result.stderr
         assert result.returncode == 1
+
+
+def openblas_configuration():
+    """The BLAS numpy reports, and whether it is OpenBLAS built to pick its kernels by CPU at load."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    configuration = blas.get("openblas configuration", "")
+    found = f"{blas.get('name', 'an unknown BLAS')} {configuration}".strip()
+    return found, "openblas" in blas.get("name", "").lower() and "DYNAMIC_ARCH" in configuration.split()
+
+
+class TestBlasKernels:
+    # Prescott runs OpenBLAS's old generic kernels (it reports itself as Katmai)
+    CORES = (None, "Haswell", "Prescott")
+    # the CI step's tiny.ini. Its two-point layer-2 curve keeps its bytes under every core. The default ten
+    # trial ratings do not: at N=5 and 20 trials, cores without FMA (Prescott, Sandybridge, Nehalem) move
+    # the last digit of the curve point at 0.04, through the matmuls of the simplex in lp.py
+    TINY = ("[supply]\ncount = 5\n[design]\nnum_layer1 = 2\nlayer2_trial_ratings = 0.0 0.1\n"
+            "[evaluate]\nrating_grid = 0.1 0.2\nsigma_grid = 0.1 0.2\n")
+
+    def outputs(self, directory, core):
+        """Every byte a tiny `hippp design` and `hippp sweep` print and write, with OpenBLAS held to `core`."""
+        directory.mkdir()
+        (directory / "tiny.ini").write_text(self.TINY)
+        env = child_env()
+        env.pop("OPENBLAS_CORETYPE", None)
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
+        printed = {}
+        for command in ("design", "sweep"):
+            result = subprocess.run(
+                [sys.executable, "-m", "hippp", command, "--config", "tiny.ini", "--out", "out", "--trials", "20"],
+                cwd=directory, capture_output=True, env=env, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            printed[command] = result.stdout
+        return printed, {path.name: path.read_bytes() for path in sorted((directory / "out").iterdir())}
+
+    def test_a_tiny_design_and_sweep_keep_their_bytes_under_each_kernel(self, tmp_path):
+        found, dynamic = openblas_configuration()
+        if not dynamic:
+            pytest.skip(f"needs OpenBLAS built with DYNAMIC_ARCH; numpy reports {found}")
+        default, *forced = (self.outputs(tmp_path / (core or "default"), core) for core in self.CORES)
+        assert len(default[1]) == 5  # design.txt and the sweep's four CSVs
+        for core, outputs in zip(self.CORES[1:], forced):
+            assert outputs == default, core
 
 
 class TestImportCost:

@@ -731,11 +731,12 @@ class TestPerRowRatings:
             assert processed[t] == alone.processed_power
 
     def test_rejects_bad_per_row_ratings(self):
-        # one refusal, by one rule, in every public block call of every kind: a scalar, a wrong
-        # length, a 2-D array, NaN or a negative rating all raise the same ParameterError
+        # the same refusals in every public block call of every kind: a scalar, a wrong length or a
+        # 2-D array by the shape rule, NaN or a negative rating by the one rating rule
         block = np.array([[0.6, 1.0, 1.4], [0.7, 1.0, 1.3]])
         arch = ls_arch(3, 3.0, [(0, 2, 0.1)], 0.05)
-        refused = "ratings must be non-negative, not NaN"
+        shape = r"ratings must be one per row, an array of shape \(2,\)"
+        value = "ratings must be non-negative, not NaN"
         fpp = fpp_from_budget(0.1, flatten(BatterySupply(1.0, 0.2, 3)))
         calls = (
             lambda rungs: max_string_outputs(block, arch, rungs),
@@ -745,7 +746,8 @@ class TestPerRowRatings:
             lambda rungs: flow_powers(block, arch, rungs),
         )
         for call in calls:
-            for rungs in (0.1, [0.1], [0.1, 0.1, 0.1], [[0.1, 0.1]], [0.1, -0.1], [0.1, np.nan]):
+            for rungs, refused in ((0.1, shape), ([0.1], shape), ([0.1, 0.1, 0.1], shape), ([[0.1, 0.1]], shape),
+                                   ([0.1, -0.1], value), ([0.1, np.nan], value)):
                 with pytest.raises(ParameterError, match=refused):
                     call(rungs)
             call(np.array([0.1, 0.05]))  # one per row is accepted
