@@ -23,11 +23,10 @@ rating cost the same converter capacity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ParameterError, StructuralError, nonnegative, positive, whole
+from .errors import ParameterError, StructuralError, nonnegative, nonnegative_finite, positive, whole
 from .supply import ExpectedSet
 
 
@@ -73,8 +72,7 @@ class Layer1Design:
             raise StructuralError("layer 1 needs at least one converter")
         if len(self.processed_at_design) != len(self.edges):
             raise StructuralError("one design processed power per edge required")
-        if not all(0.0 <= p < math.inf for p in self.processed_at_design):
-            raise ParameterError("processed_at_design must be non-negative and finite")
+        nonnegative_finite(self.processed_at_design, "processed_at_design")
         k = whole(self.rating_partitions, "rating_partitions", 1, len(self.edges))
         object.__setattr__(self, "rating_partitions", k)
         distinct = len(set(edge.rating for edge in self.edges))
@@ -139,12 +137,6 @@ def aggregate_rating(arch: Architecture) -> float:
     return installed / arch.total_expected_power
 
 
-def _check_budget(budget: float) -> None:
-    """The rating-budget rule: a normalized budget is non-negative and finite, not NaN."""
-    if not 0.0 <= budget < math.inf:
-        raise ParameterError("rating budget must be non-negative and finite")
-
-
 def _spend(kind: ArchitectureKind, budget: float, expected: ExpectedSet,
            layer1: Layer1Design | None = None) -> Architecture:
     """The `kind` architecture that spends a normalized rating budget on its identical converters.
@@ -153,7 +145,7 @@ def _spend(kind: ArchitectureKind, budget: float, expected: ExpectedSet,
     zero; the rest spreads evenly over the N per-battery converters of full
     processing or the N-1 rungs of a ladder.
     """
-    _check_budget(budget)
+    nonnegative_finite(budget, "rating budget")
     n = expected.count
     _check_ladder(kind, n)  # before the division by the rung count
     spent = budget * expected.total_power

@@ -42,13 +42,12 @@ from .architecture import (
     ArchitectureKind,
     ConverterEdge,
     Layer1Design,
-    _check_budget,
     _check_sparse,
     aggregate_rating,
 )
 from .design import DesignConfig, Layer2Curve, design_layer1, design_layer2, lshippp_for_budget
 from .errors import ConfigError, EnumerationCapError, HipppError, InternalCheckError, ParameterError
-from .errors import grid, nonnegative, whole
+from .errors import grid, nonnegative, nonnegative_finite, whole
 from .evaluate import DEFAULT_CONVERTER_EFFICIENCY, MetricsRecord, _check_efficiency, _normalize_kinds, sweep_figures
 from .powerflow import architecture_edges, optimal_flow
 from .supply import BatterySupply, ExpectedSet, flatten
@@ -143,7 +142,7 @@ def _edge(text: str) -> tuple[int, int]:
 # how the writer formats a value, by the read of its key; a float by its shortest repr
 _FORMATS = {int: str, _edge: "{0[0]},{0[1]}".format}
 _SUPPLY_KEYS = (_Key("mean_power", float), _Key("std_power", float), _Key("count", int))
-_RATING_BUDGET = _Key("rating_budget", float, lambda budget, got: _check_budget(budget))
+_RATING_BUDGET = _Key("rating_budget", float, lambda budget, got: nonnegative_finite(budget, "rating budget"))
 
 # the experiment config, each section's defaults those of ExperimentConfig
 _CONFIG = (

@@ -67,23 +67,18 @@ class DesignConfig:
 
 @dataclass(frozen=True)
 class Layer2Curve:
-    """Mean utilization vs trial ladder rating, non-decreasing by construction."""
+    """Mean utilization vs trial ladder rating, non-decreasing by construction; its ratings are a grid."""
 
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
         pts = tuple((float(r), float(u)) for r, u in self.points)
         object.__setattr__(self, "points", pts)
-        if not pts:
-            raise ParameterError("curve needs at least one point")
-        for rating, util in pts:
-            if not rating >= 0.0 or not -1e-7 <= util <= 1.0 + 1e-7:
-                raise ParameterError("curve points must have rating >= 0 and utilization in [0, 1]")
-        for (r0, u0), (r1, u1) in zip(pts, pts[1:]):
-            if r1 <= r0:
-                raise ParameterError("curve ratings must be strictly increasing")
-            if u1 < u0 - 1e-7:
-                raise ParameterError("utilization curve must be non-decreasing")
+        grid(self.ratings, "curve rating grid")
+        if not all(-1e-7 <= util <= 1.0 + 1e-7 for util in self.utilizations):
+            raise ParameterError("curve utilizations must be in [0, 1]")
+        if any(u1 < u0 - 1e-7 for u0, u1 in zip(self.utilizations, self.utilizations[1:])):
+            raise ParameterError("utilization curve must be non-decreasing")
 
     @property
     def ratings(self) -> tuple[float, ...]:

@@ -45,8 +45,7 @@ def grid(values, name: str) -> tuple[float, ...]:
     values = tuple(float(v) for v in values)
     if not values:
         raise ParameterError(f"{name} must not be empty")
-    if not all(0.0 <= v < math.inf for v in values):
-        raise ParameterError(f"{name} values must be non-negative and finite, not NaN")
+    nonnegative_finite(values, f"{name} values")
     if not all(b > a for a, b in zip(values, values[1:])):
         raise ParameterError(f"{name} must be strictly increasing")
     return values
@@ -63,6 +62,13 @@ def positive(values, name: str) -> None:
     values = np.asarray(values)
     if not ((values > 0.0) & (values < math.inf)).all():
         raise ParameterError(f"{name} must be positive and finite")
+
+
+def nonnegative_finite(values, name: str) -> None:
+    """The rule of every budget, spread and grid: refuse a value of number or array `values` not in [0, inf)."""
+    # a few values a call: a Python loop costs less than numpy's per-call overhead
+    if not all(0.0 <= value < math.inf for value in np.asarray(values, dtype=float).flat):
+        raise ParameterError(f"{name} must be non-negative and finite")
 
 
 class StructuralError(HipppError, ValueError):

@@ -36,9 +36,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .architecture import Architecture, ArchitectureKind, Layer1Design, _check_budget, _spend, aggregate_rating
+from .architecture import Architecture, ArchitectureKind, Layer1Design, _spend, aggregate_rating
 from .design import DesignConfig, design_layer1
-from .errors import InternalCheckError, ParameterError, UndefinedMetricError, grid, nonnegative, whole
+from .errors import InternalCheckError, ParameterError, UndefinedMetricError
+from .errors import grid, nonnegative, nonnegative_finite, whole
 from .powerflow import flow_powers
 from .supply import BatterySupply, ExpectedSet, _draw_block, flatten
 
@@ -236,7 +237,7 @@ def _normalize_kinds(kinds) -> list[ArchitectureKind]:
 
 def _sigma_points(supply_mean: float, sigma_grid, fixed_budget: float, count: int):
     """One supply per spread, each at the fixed budget; BatterySupply refuses a spread it cannot flatten."""
-    _check_budget(fixed_budget)
+    nonnegative_finite(fixed_budget, "rating budget")
     sigmas = grid(sigma_grid, "sigma grid")
     return [(BatterySupply(supply_mean, sigma, count), [float(fixed_budget)]) for sigma in sigmas]
 

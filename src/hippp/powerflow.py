@@ -578,9 +578,10 @@ def _stage_one(caps: np.ndarray, pairs: Sequence[_Pair], table: np.ndarray) -> n
     three layer-1 edges. The cap bounds one stack's working arrays: a
     lockstep step's (K, N, N) basis matrices to _CUT_CELLS cells, and each
     (K, variables + N) array of bounds, values, statuses, codes or reduced
-    costs to _CUT_CELLS / N. It was sized for an N x (variables + N) phase-1
-    matrix per LP, which the stack no longer builds; a row's result does not
-    depend on it, and its value is kept so that timings stay as measured.
+    costs to _CUT_CELLS / N. A row's result does not depend on it, and no
+    size beat it beyond noise on the 1000-trial README curve (10,000 LPs,
+    four sets of 7-25 alternated rounds, 2-core Xeon): 485 and 15,534 LPs a
+    pass at best tied it, 1,941 and 3,883 won some sets and lost others.
     The rows are certified by one block _certify call.
     """
     trials, n = caps.shape

@@ -26,7 +26,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from ._normal import ndtr, ndtri
-from .errors import InternalCheckError, ParameterError, positive, whole
+from .errors import InternalCheckError, ParameterError, nonnegative_finite, positive, whole
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -52,7 +52,8 @@ class BatterySupply:
     """Gaussian battery population feeding one series string of `count` units.
 
     std_power is 0, a homogeneous supply, or between MIN_RELATIVE_STD *
-    mean_power and mean_power.
+    mean_power and mean_power, and small enough that the weakest of the
+    `count` flattened slots keeps a positive mean.
     """
 
     mean_power: float
@@ -61,8 +62,7 @@ class BatterySupply:
 
     def __post_init__(self):
         positive(self.mean_power, "mean_power")
-        if not (math.isfinite(self.std_power) and self.std_power >= 0.0):
-            raise ParameterError("std_power must be non-negative and finite")
+        nonnegative_finite(self.std_power, "std_power")
         if 0.0 < self.std_power < MIN_RELATIVE_STD * self.mean_power:
             raise ParameterError(
                 f"std_power must be 0 or at least {MIN_RELATIVE_STD} * mean_power, "
@@ -72,6 +72,8 @@ class BatterySupply:
             # keeps the negative-capability tail negligible
             raise ParameterError("std_power must be below mean_power")
         object.__setattr__(self, "count", whole(self.count, "count", 1))
+        if self.std_power > 0.0 and _slot_means(self, 1)[0] <= 0.0:
+            raise ParameterError("std_power too large for this count: weakest slot mean is not positive")
 
 
 def _ascending(values: np.ndarray) -> bool:
@@ -143,20 +145,23 @@ def flatten(supply: BatterySupply) -> ExpectedSet:
     the supply mean, sums to count * mean_power exactly, and is strictly
     increasing for any positive spread.
     """
+    if supply.std_power == 0.0:
+        return ExpectedSet(np.full(supply.count, supply.mean_power), supply)
+    return ExpectedSet(np.array(_slot_means(supply, supply.count)), supply)
+
+
+def _slot_means(supply: BatterySupply, slots: int) -> list[float]:
+    """The means of the first `slots` of the intervals that flatten places, for a positive spread."""
     mean, std, count = supply.mean_power, supply.std_power, supply.count
-    if std == 0.0:
-        return ExpectedSet(np.full(count, mean), supply)
-    scores = [((mean + std * ndtri(k / count)) - mean) / std for k in range(count + 1)]
+    scores = [((mean + std * ndtri(k / count)) - mean) / std for k in range(slots + 1)]
     below = [ndtr(z) for z in scores]
-    means = np.empty(count)
-    for k in range(count):
+    means = []
+    for k in range(slots):
         mass = below[k + 1] - below[k]
         if abs(mass - 1.0 / count) > MASS_TOL:
             raise InternalCheckError(f"interval {k} carries probability {mass!r}, expected {1.0 / count!r}")
-        means[k] = mean + std * (_phi(scores[k]) - _phi(scores[k + 1])) / mass
-    if means[0] <= 0.0:
-        raise ParameterError("std_power too large for this count: weakest slot mean is not positive")
-    return ExpectedSet(means, supply)
+        means.append(mean + std * (_phi(scores[k]) - _phi(scores[k + 1])) / mass)
+    return means
 
 
 def draw_capabilities(supply: BatterySupply, seed: int) -> np.ndarray:

@@ -501,11 +501,11 @@ class GaussianCapability(NamedTuple):
         return self.mean + self.std * (_phi(a) - _phi(b)) / mass
 
 
-def flatten_distribution(supply):
-    """The expected capabilities of `supply`, or the error class that refuses it."""
-    if supply.std_power == 0.0:
-        return np.full(supply.count, supply.mean_power)
-    dist, count = GaussianCapability(supply.mean_power, supply.std_power), supply.count
+def flatten_distribution(mean, std, count):
+    """The expected capabilities of a supply of `count` batteries, or the error class that refuses it."""
+    if std == 0.0:
+        return np.full(count, mean)
+    dist = GaussianCapability(mean, std)
     bounds = [dist.quantile(k / count) for k in range(count + 1)]
     means = np.empty(count)
     for k in range(count):

@@ -48,6 +48,10 @@ directory = out
 
 N9_EDGES = ["0,8", "1,6", "2,5"]
 
+# a five-battery config that designs and sweeps in a fraction of a second
+TINY_CONFIG = ("[supply]\ncount = 5\n[design]\nnum_layer1 = 2\nlayer2_trial_ratings = 0.0 0.1\n"
+               "[evaluate]\nrating_grid = 0.1 0.2\nsigma_grid = 0.1 0.2\n")
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -462,6 +466,7 @@ class TestFlowCommand:
         ("expected_set", "capability_0", "1.5"),  # above its neighbours: out of order
         ("layer2_curve", "utilization_1", "-7.0"),
         ("layer2_curve", "rating_1", "nan"),
+        ("layer2_curve", "rating_2", "inf"),  # the last rating: still increasing
     ])
     def test_a_bad_design_value_names_the_file_and_the_section(self, config_file, tmp_path, capsys, section, key,
                                                               value):
@@ -639,6 +644,21 @@ class TestExitCodes:
         config_file.write_text(BASE_CONFIG.replace("sigma_grid = 0.10 0.20", "sigma_grid = 0 0.001"))
         assert load_config(str(config_file)).sigma_grid == (0.0, 0.001)
 
+    @pytest.mark.parametrize("command, old, new, key", [
+        ("sweep", "sigma_grid = 0.1 0.2", "sigma_grid = 0.1 0.9", "[evaluate] sigma_grid"),
+        ("design", "count = 5", "count = 5\nstd_power = 0.9", "[supply]"),
+        ("sweep", "count = 5", "count = 5\nstd_power = 0.9", "[supply]"),
+    ])
+    def test_a_spread_that_drowns_the_weakest_slot_is_refused_at_load(self, tmp_path, capsys, command, old, new,
+                                                                      key):
+        # on five batteries a spread of 0.9 leaves the weakest slot a negative mean; it used to fail in the run
+        config = tmp_path / "tiny.ini"
+        config.write_text(TINY_CONFIG.replace(old, new))
+        assert run_main(command, "--config", config, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key}: std_power too large for this count: weakest slot mean is not positive" in err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_config_value(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text("[evaluate]\ntrials = -4\n")
@@ -700,16 +720,14 @@ def openblas_configuration():
 class TestBlasKernels:
     # Prescott runs OpenBLAS's old generic kernels (it reports itself as Katmai)
     CORES = (None, "Haswell", "Prescott")
-    # the CI step's tiny.ini. Its two-point layer-2 curve keeps its bytes under every core. The default ten
-    # trial ratings do not: at N=5 and 20 trials, cores without FMA (Prescott, Sandybridge, Nehalem) move
-    # the last digit of the curve point at 0.04, through the matmuls of the simplex in lp.py
-    TINY = ("[supply]\ncount = 5\n[design]\nnum_layer1 = 2\nlayer2_trial_ratings = 0.0 0.1\n"
-            "[evaluate]\nrating_grid = 0.1 0.2\nsigma_grid = 0.1 0.2\n")
+    # TINY_CONFIG is the CI step's tiny.ini. Its two-point layer-2 curve keeps its bytes under every core. The
+    # default ten trial ratings do not: at N=5 and 20 trials, cores without FMA (Prescott, Sandybridge, Nehalem)
+    # move the last digit of the curve point at 0.04, through the matmuls of the simplex in lp.py
 
     def outputs(self, directory, core):
         """Every byte a tiny `hippp design` and `hippp sweep` print and write, with OpenBLAS held to `core`."""
         directory.mkdir()
-        (directory / "tiny.ini").write_text(self.TINY)
+        (directory / "tiny.ini").write_text(TINY_CONFIG)
         env = child_env()
         env.pop("OPENBLAS_CORETYPE", None)
         if core is not None:

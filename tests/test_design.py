@@ -502,6 +502,9 @@ class TestLayer2Curve:
             Layer2Curve(((0.0, 1.5),))
         with pytest.raises(ParameterError):
             Layer2Curve(((-0.1, 0.5),))
+        # the ratings are a grid: finite, where a converter's infinite rating is an unbounded edge
+        with pytest.raises(ParameterError, match="curve rating grid values must be non-negative and finite"):
+            Layer2Curve(((0.0, 0.5), (float("inf"), 0.9)))
 
     def test_a_nan_rating_is_refused(self):
         with pytest.raises(ParameterError):

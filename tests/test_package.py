@@ -33,6 +33,8 @@ def test_only_errors_spells_the_whole_number_rule():
     # the rating rule and the capability rule, one function each
     ("must be non-negative, not NaN", "errors.py"),
     ("must be positive and finite", "errors.py"),
+    # the rule of budgets, spreads, grids and design-time processed powers
+    ("must be non-negative and finite", "errors.py"),
 ])
 def test_each_wiring_and_capability_rule_is_raised_from_one_place(message, home):
     # one function holds each rule and raises its message; a second copy of the message is a second copy of the rule

@@ -109,15 +109,16 @@ class TestFlattenArithmetic:
             for rel in (MIN_RELATIVE_STD, 0.01, 0.1, 0.2, 0.35, 0.5, 0.62, 0.9) for count in range(1, 65)]
 
     def test_bytes_and_refusals_match_flattening_through_a_distribution(self):
+        # the supply refuses what the oracle refuses, so flattening a supply never fails
         refused = 0
         for mean, rel, count in self.GRID:
-            supply = BatterySupply(mean, rel * mean, count)
-            want = flatten_distribution(supply)
+            want = flatten_distribution(mean, rel * mean, count)
             if isinstance(want, np.ndarray):
-                assert flatten(supply).capabilities.tobytes() == want.tobytes(), (mean, rel, count)
+                assert flatten(BatterySupply(mean, rel * mean, count)).capabilities.tobytes() == want.tobytes(), (
+                    mean, rel, count)
             else:
                 with pytest.raises(want):
-                    flatten(supply)
+                    BatterySupply(mean, rel * mean, count)
                 refused += 1
         assert 0 < refused < len(self.GRID)
 
@@ -169,9 +170,11 @@ class TestValidation:
             assert count == 1 or np.all(np.diff(caps) > 0.0)
 
     def test_rejects_spread_that_drowns_the_weak_slot(self):
-        # wide spread and many slots push the weakest interval mean negative
-        with pytest.raises(ParameterError, match="weakest slot mean is not positive"):
-            flatten(BatterySupply(1.0, 0.6, 40))
+        # wide spread and many slots push the weakest interval mean negative; the supply refuses it unflattened
+        for count in (9, 40):
+            with pytest.raises(ParameterError, match="weakest slot mean is not positive"):
+                BatterySupply(1.0, 0.6, count)
+        assert flatten(BatterySupply(1.0, 0.6, 8)).capabilities[0] > 0.0  # the most slots this spread fills
 
 
 class TestSampling:
