@@ -10,10 +10,11 @@ distinct cell is evaluated once, and each distinct (supply, trials, seed)
 block is drawn once. Cells that share a kind, a battery count and a
 layer-1 design form a group, whose cells' rows are stacked and run through
 one powerflow call (flow_powers) with each row's own budget rating: closed
-form for full processing and the ladder; for the hierarchical design,
-every row's current from the cut form and its least-processing flow from
-one min-cost flow kernel, with no LP. Every kernel step is elementwise per
-row, so a cell's rows carry the same bits as when the cell runs alone.
+form for full processing; for both ladder kinds, every row's current from
+one cut form, then the ladder's closed-form dispatch or the hierarchical
+design's least-processing flow from one min-cost flow kernel, with no LP.
+Every kernel step is elementwise per row, so a cell's rows carry the same
+bits as when the cell runs alone.
 Each cell's invariants and metric means are then computed on its own rows.
 evaluate_architecture is the one-cell call; `hippp sweep` evaluates the
 rating and heterogeneity sweeps together (sweep_figures), with each

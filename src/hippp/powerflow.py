@@ -16,26 +16,30 @@ pattern each architecture would actually run. The hierarchical design owes
 its layer-1 placement to a central optimizer and re-optimizes dispatch the
 same way at operation time, so it takes the pattern with the least total
 processed power sum |f_e|; converter ratings derived at design time use the
-same convention. Its maximum output has an exact cut form, a dynamic program
-over the string (see _hierarchical_currents), and its dispatch at that
-current is a min-cost flow with unit arc costs, solved by successive shortest
-paths (see _least_processing_flows); both run on a whole block of draws at
-once, with the draws on the last axis of every working array.
+same convention. Its dispatch at the maximum current is a min-cost flow with
+unit arc costs, solved by successive shortest paths (see
+_least_processing_flows).
 The conventional ladder has no central optimizer: every battery regulates
 toward its full capability and each adjacent converter passes the accumulated
 mismatch along until it saturates, so curtailment lands on the strong end of
 the string and considerably more power is processed for the same output. On
-a path graph both of its stages have exact closed forms (see _ladder_flow),
-evaluated for a whole block of capability draws at once. Full processing
-needs no flow model at all. One block path (_operating_points) gives every
-kind's operating point on a block of draws; flow_powers reads its outputs
-and processed powers, and optimal_flow is its one-row block.
+a path graph that dispatch has an exact closed form (see _ladder_flow).
+The hierarchical design is that ladder plus layer-1 chords, so one exact cut
+form, a dynamic program over the string (see _hierarchical_currents), gives
+the maximum output of both ladder kinds, the conventional one with no
+chords. Every step runs on a whole block of draws at once, the cut form and
+the min-cost flow with the draws on the last axis of every working array.
+Full processing needs no flow model at all. One block path
+(_operating_points) gives every kind's operating point on a block of draws;
+flow_powers reads its outputs and processed powers, and optimal_flow is its
+one-row block.
 
 The flow API is optimal_flow, flow_powers and max_string_outputs (the
 stage-1 LP output of every row). Each checks its inputs once, where they
-enter (_checked_capabilities, _row_ratings, and a ladder's finite rating in
-_operating_points); the wiring comes checked from Architecture, and the
-private kernels take their float arrays as given. No other module calls a
+enter (_checked_capabilities and _row_ratings); the wiring comes checked
+from Architecture, and the private kernels take their float arrays as
+given. Every kind keeps the one rating rule: inf is an unbounded converter,
+and an unbounded ladder runs at the row mean. No other module calls a
 kernel: the layer-1 search scores placements through free_flow_outputs and
 _processing_totals. The architecture gives the wiring and a (T,) array of
 one rating per row gives the sizes, and every step is elementwise per row,
@@ -179,23 +183,16 @@ def _edge_table(arch: Architecture, rungs: np.ndarray) -> tuple[list[_Pair], np.
     return [(edge.from_battery, edge.to_battery) for edge in edges], table
 
 
-def _ladder_flow(caps: np.ndarray, rating: np.ndarray):
-    """Conventional-ladder operating point of every row of a (T, N) block.
+def _ladder_flow(caps: np.ndarray, rating: np.ndarray, current: np.ndarray):
+    """Conventional-ladder dispatch of every row of a (T, N) block, row t at string current current[t].
 
     Rung j joins batteries j and j+1 and carries f_j, at most rating[t]
-    either way on row t; `rating` is a (T,) array of finite ratings.
-    Battery j sources p_j = I + f_j - f_{j-1}, with virtual rungs
-    f_{-1} = f_{N-1} = 0 at the string ends. Returns the string currents (T,),
-    rung flows (T, N-1) and battery powers (T, N), all certified. Rows are
+    either way on row t (inf means unbounded); `rating` and `current` are
+    (T,) arrays, the current at most the ladder's maximum (see
+    _hierarchical_currents). Battery j sources p_j = I + f_j - f_{j-1}, with
+    virtual rungs f_{-1} = f_{N-1} = 0 at the string ends. Returns the rung
+    flows (T, N-1) and battery powers (T, N), all certified. Rows are
     independent: a block gives, row for row, the same bits as one-row calls.
-
-    Stage 1 is the cut form of the Gale/Hoffman feasibility condition. The
-    batteries of an interval [a, b] source (b-a+1) * I plus what leaves over
-    its boundary rungs, so I* is the smallest (sum of P over [a, b] + rating *
-    boundary rungs) / (b-a+1) over the N(N+1)/2 intervals; on a path a union
-    of non-adjacent intervals is never tighter than its tightest interval.
-    Sums are accumulated length by length, so a one-battery interval is
-    exactly its capability and a zero rating gives exactly the weakest one.
 
     The dispatch weights slot j by N-j, and those weights telescope:
     sum_j (N-j) p_j = const + sum_j f_j. So the ladder maximizes the sum of
@@ -205,14 +202,6 @@ def _ladder_flow(caps: np.ndarray, rating: np.ndarray):
     - I), then one backward pass f_j = min(f_j, f_{j+1} + P_{j+1} + I).
     """
     trials, n = caps.shape
-    current = np.full(trials, np.inf)
-    sums = np.zeros((trials, n))
-    for length in range(1, n + 1):
-        sums = sums[:, :n - length + 1] + caps[:, length - 1:]
-        starts = np.arange(n - length + 1)
-        boundary = (starts > 0).astype(float) + (starts + length < n)
-        current = np.minimum(current, ((sums + rating[:, None] * boundary) / length).min(axis=1))
-
     padded = np.zeros((trials, n + 1))  # column j + 1 holds f_j
     surplus = caps - current[:, None]
     for j in range(n - 1):
@@ -225,7 +214,7 @@ def _ladder_flow(caps: np.ndarray, rating: np.ndarray):
 
     pairs = [(j, j + 1) for j in range(n - 1)]
     _certify(caps, pairs, np.broadcast_to(rating[:, None], flows.shape), current, flows, battery)
-    return current, flows, battery
+    return flows, battery
 
 
 # cells per pass of the least-processing kernel, and the most cut-form state
@@ -239,10 +228,12 @@ _CUT_PASS_CELLS = 1 << 16
 
 
 def _hierarchical_currents(caps: np.ndarray, arch: Architecture, rung: np.ndarray) -> np.ndarray:
-    """Maximum string current of a hierarchical `arch` on every row of a (T, N) block.
+    """Maximum string current of a ladder or hierarchical `arch` on every row of a (T, N) block.
 
-    `rung` is a (T,) array of ladder ratings, one per row; the layer-1
-    chords are those of `arch`, which Architecture has already checked.
+    `rung` is a (T,) array of ladder ratings, one per row (inf means
+    unbounded); the layer-1 chords are those of `arch`, which Architecture
+    has already checked, and the conventional ladder has none. So one cut
+    form gives the current of both ladder kinds.
 
     By the Gale/Hoffman feasibility condition, current I is reachable exactly
     when every non-empty battery subset U can source |U| * I from its own
@@ -252,13 +243,14 @@ def _hierarchical_currents(caps: np.ndarray, arch: Architecture, rung: np.ndarra
 
     The minimum is taken exactly without listing the 2^N subsets. Fix which
     of the d distinct chord endpoints lie in U (2^d patterns, at most 4^M for
-    M chords): the chord term is then a constant of the pattern, and what is
-    left is a path. One pass over the batteries keeps, per pattern, per
-    subset size k and per membership of the current battery, the least sum
-    of P over U plus r times the rungs crossed so far, with the membership
-    of each chord endpoint forced by the pattern. I* is the least (that sum
-    + chord term) / k. A one-battery subset with zero ratings costs exactly
-    its capability.
+    M chords, one with none): the chord term is then a constant of the
+    pattern, and what is left is a path. One pass over the batteries keeps,
+    per pattern, per subset size k and per membership of the current
+    battery, the least sum of P over U plus r times the rungs crossed so
+    far, with the membership of each chord endpoint forced by the pattern.
+    I* is the least (that sum + chord term) / k. A one-battery subset with
+    zero ratings costs exactly its capability, and an unbounded ladder
+    leaves only the whole string, at its mean.
 
     Rows are independent and every step is elementwise, so a block gives, row
     for row, the same bits as one-row calls, whatever rung rating each row
@@ -267,7 +259,7 @@ def _hierarchical_currents(caps: np.ndarray, arch: Architecture, rung: np.ndarra
     than _CUT_CELLS is refused with EnumerationCapError.
     """
     trials, n = caps.shape
-    chords = arch.layer1.edges
+    chords = arch.layer1.edges if arch.layer1 is not None else ()
 
     ends = sorted({battery for edge in chords for battery in (edge.from_battery, edge.to_battery)})
     patterns = 1 << len(ends)
@@ -518,11 +510,12 @@ def _operating_points(caps: np.ndarray, arch: Architecture, ratings: np.ndarray)
     is the sum of rating-clipped capabilities and all of it is processed,
     and a zero rating means no converter was installed, which leaves the
     bare series string. Its flows are one column per battery's converter,
-    and none when no row installs one. The ladder emulates its decentralized
-    controls in closed form (_ladder_flow); an infinite rating is refused
-    here, where a ladder rating enters. The hierarchical kind takes its
-    currents from the cut form (_hierarchical_currents) and the flows of
-    least processed power at those currents from _least_processing_flows.
+    and none when no row installs one. Both ladder kinds take their
+    currents from one cut form (_hierarchical_currents, with no chords for
+    the conventional ladder). At those currents the ladder emulates its
+    decentralized controls in closed form (_ladder_flow), and the
+    hierarchical kind runs the flows of least processed power
+    (_least_processing_flows).
     """
     n = caps.shape[1]
     if arch.kind == ArchitectureKind.FPP:
@@ -533,12 +526,10 @@ def _operating_points(caps: np.ndarray, arch: Architecture, ratings: np.ndarray)
         battery = np.where(bare[:, None], weakest[:, None], clipped)
         flows = clipped[:, :0] if bare.all() else clipped
         return np.where(bare, weakest, outputs / n), outputs, flows, battery
+    currents = _hierarchical_currents(caps, arch, ratings)
     if arch.kind == ArchitectureKind.CPPP:
-        if not np.all(np.isfinite(ratings)):  # an infinite rung times a zero boundary is NaN
-            raise ParameterError("ladder ratings must be finite")
-        currents, flows, battery = _ladder_flow(caps, ratings)
+        flows, battery = _ladder_flow(caps, ratings, currents)
     else:
-        currents = _hierarchical_currents(caps, arch, ratings)
         flows, battery = _least_processing_flows(caps, *_edge_table(arch, ratings), currents)
     return currents, n * currents, flows, battery
 
@@ -612,10 +603,9 @@ def max_string_outputs(capabilities, arch: Architecture, rungs) -> np.ndarray:
     per row; a hierarchical design keeps the layer-1 edges of `arch`.
     Returns (T,): entry t is N * I of the maximum-output LP (_stage_one)
     with the edges of arch on row t, equal by == to what that LP gives
-    solved alone. For the hierarchical kind it agrees with the cut form of
-    _hierarchical_currents to rounding, about 1e-16 in the current, and for
-    the ladder with the closed form of _ladder_flow; the layer-2 curve is
-    printed with repr, so it stays on this LP.
+    solved alone. For both ladder kinds it agrees with the cut form of
+    _hierarchical_currents to rounding, about 1e-16 in the current; the
+    layer-2 curve is printed with repr, so it stays on this LP.
     Capabilities are per string position, in any order.
     """
     caps = _checked_capabilities(capabilities, arch, ndim=2)

@@ -216,6 +216,30 @@ def ladder_lp_flow(caps, rating):
     return current, np.asarray(second.values[1:n]), np.asarray(second.values[n:])
 
 
+def ladder_interval_currents(caps: np.ndarray, rating: np.ndarray) -> np.ndarray:
+    """Maximum string current of the conventional ladder on every row of a (T, N) block, by intervals.
+
+    The interval scan that gave the ladder's current before the chordless cut
+    form of powerflow._hierarchical_currents replaced it; `rating` is a (T,)
+    array of finite rung ratings. The batteries of an interval [a, b] source
+    (b-a+1) * I plus what leaves over its boundary rungs, so I* is the
+    smallest (sum of P over [a, b] + rating * boundary rungs) / (b-a+1) over
+    the N(N+1)/2 intervals; on a path a union of non-adjacent intervals is
+    never tighter than its tightest interval. Sums are accumulated length by
+    length, so a one-battery interval is exactly its capability and a zero
+    rating gives exactly the weakest one.
+    """
+    trials, n = caps.shape
+    current = np.full(trials, np.inf)
+    sums = np.zeros((trials, n))
+    for length in range(1, n + 1):
+        sums = sums[:, :n - length + 1] + caps[:, length - 1:]
+        starts = np.arange(n - length + 1)
+        boundary = (starts > 0).astype(float) + (starts + length < n)
+        current = np.minimum(current, ((sums + rating[:, None] * boundary) / length).min(axis=1))
+    return current
+
+
 def hierarchical_lp_output(caps, arch):
     """Best output N * I of a string architecture from its stage-1 LP, certified.
 

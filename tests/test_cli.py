@@ -803,18 +803,26 @@ class TestImportCost:
         assert imported == []
 
 
+RECORDED_DIGESTS = json.loads((BENCH / "reference_digests.json").read_text(encoding="utf-8"))
+
+
 class TestBenchmarkOutputs:
-    def test_workloads_reproduce_the_recorded_digests(self, tmp_path, monkeypatch):
-        # the benchmark's three CLI calls at seed 0, in process; any engine
-        # change that alters a printed number fails here
+    @pytest.mark.parametrize("name, seed", [
+        (name, seed) for name, entry in sorted(RECORDED_DIGESTS.items()) for seed in sorted(entry["digests"], key=int)
+    ])
+    def test_workloads_reproduce_the_recorded_digests(self, name, seed, tmp_path, monkeypatch):
+        # each of the benchmark's CLI calls at every recorded seed, in process;
+        # any engine change that alters a printed number fails here
         monkeypatch.syspath_prepend(str(BENCH))
         bench_run = importlib.import_module("run")
-        references = json.loads((BENCH / "reference_digests.json").read_text(encoding="utf-8"))
-        for name, spec in bench_run.WORKLOADS.items():
-            entry = references[name]
-            assert entry["fingerprint"] == spec.fingerprint()
-            config = tmp_path / f"{name}.ini"
-            config.write_text(spec.config.format(seed=0), encoding="utf-8")
-            out_dir = tmp_path / name
-            assert main(spec.argv(config, out_dir, 0)) == 0
-            assert bench_run.output_digest(spec.command, out_dir) == entry["digests"]["0"], name
+        spec, entry = bench_run.WORKLOADS[name], RECORDED_DIGESTS[name]
+        assert entry["fingerprint"] == spec.fingerprint()
+        config = tmp_path / f"{name}.ini"
+        config.write_text(spec.config.format(seed=seed), encoding="utf-8")
+        out_dir = tmp_path / name
+        assert main(spec.argv(config, out_dir, int(seed))) == 0
+        assert bench_run.output_digest(spec.command, out_dir) == entry["digests"][seed]
+
+    def test_every_workload_has_recorded_digests(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH))
+        assert sorted(importlib.import_module("run").WORKLOADS) == sorted(RECORDED_DIGESTS)

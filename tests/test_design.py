@@ -50,7 +50,7 @@ from hippp import (
 )
 from hippp.cli import ExperimentConfig, cmd_design
 from hippp.powerflow import (
-    _ladder_flow,
+    _hierarchical_currents,
     _least_processing_flows,
     _processing_totals,
     free_flow_outputs,
@@ -748,7 +748,7 @@ class TestStageOneOutput:
         # and row by row at each row's own rung
         block = np.stack([draw_capabilities(BatterySupply(1.0, 0.2, 9), seed) for seed in range(6)])
         rungs = np.array([0.0, 0.05, 0.1, 0.2, 0.3, 0.5])
-        currents, _, _ = _ladder_flow(block, rungs)
+        currents = _hierarchical_currents(block, arch, rungs)
         assert max_string_outputs(block, arch, rungs) == pytest.approx(9 * currents, abs=1e-12)
 
     def test_full_processing_has_no_string_stage(self):

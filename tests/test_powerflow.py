@@ -20,6 +20,7 @@ from oracles import (
     grid_best_output,
     hierarchical_lp_output,
     incidence,
+    ladder_interval_currents,
     ladder_lp_flow,
     least_processing_lp,
     solve,
@@ -53,6 +54,7 @@ from hippp.powerflow import (
     flow_powers,
     free_flow_outputs,
 )
+from hippp.supply import _draw_block
 
 GRID_TOL = 2e-3
 
@@ -90,6 +92,14 @@ def ls_arch(n, total, layer1_edges, layer2_rating, k=None):
 def rows_at(block, rating):
     """One rating per row of `block`, the same on every row, as the float array the kernels take."""
     return np.full(len(block), rating, dtype=float)
+
+
+def ladder_point(block, rungs):
+    """The conventional ladder's (currents, rung flows, battery powers) on every row of a block, as
+    _operating_points runs it: the chordless cut form's currents, then the ladder dispatch at them."""
+    n = block.shape[1]
+    current = _hierarchical_currents(block, cppp_arch(float(n), n, 0.0), rungs)
+    return (current, *_ladder_flow(block, rungs, current))
 
 
 class TestFrozenExamples:
@@ -333,7 +343,7 @@ class TestLadderKernel:
     @example((np.array([[0.05, 0.05, 3.0, 0.2]]), 0.6))   # only the backward pass keeps p_3 >= -P_3
     def test_kernel_matches_the_two_stage_lp(self, instance):
         block, rating = instance
-        current, flows, battery = _ladder_flow(block, rows_at(block, rating))
+        current, flows, battery = ladder_point(block, rows_at(block, rating))
         assert current.shape == (len(block),)
         assert flows.shape == (len(block), block.shape[1] - 1)
         assert battery.shape == block.shape
@@ -344,7 +354,7 @@ class TestLadderKernel:
             assert battery[t] == pytest.approx(ref_battery, abs=1e-9)
             assert np.abs(flows[t]).sum() == pytest.approx(np.abs(ref_flows).sum(), abs=1e-9)
             # a block row and a one-row call give the same bits
-            one = _ladder_flow(row[None, :], np.array([rating]))
+            one = ladder_point(row[None, :], np.array([rating]))
             for got, alone in zip((current, flows, battery), one):
                 assert np.array_equal(got[t], alone[0])
 
@@ -352,14 +362,14 @@ class TestLadderKernel:
         rng = np.random.default_rng(11)
         caps = np.sort(rng.uniform(0.4, 1.6, 9))
         sol = optimal_flow(caps, cppp_arch(9.0, 9, 0.1))
-        current, flows, battery = _ladder_flow(caps[None, :], np.array([0.1]))
+        current, flows, battery = ladder_point(caps[None, :], np.array([0.1]))
         assert sol.string_current == current[0]
         assert np.array_equal(sol.converter_flows, flows[0])
         assert np.array_equal(sol.battery_powers, battery[0])
 
     def test_zero_rating_processes_nothing(self):
         block = np.array([[0.7, 1.3, 0.9, 1.1], [1.0, 1.0, 1.0, 1.0]])
-        current, flows, battery = _ladder_flow(block, rows_at(block, 0.0))
+        current, flows, battery = ladder_point(block, rows_at(block, 0.0))
         assert np.array_equal(current, block.min(axis=1))
         assert np.all(flows == 0.0)
         assert np.array_equal(battery, np.repeat(current[:, None], 4, axis=1))
@@ -390,13 +400,74 @@ class TestLadderKernel:
         for rating in (-0.1, np.nan):
             with pytest.raises(ParameterError, match="ratings must be non-negative, not NaN"):
                 flow_powers([[0.8, 1.0, 1.2]], arch, [rating])
-        # an infinite rung times a zero boundary is NaN: refused where a ladder rating enters
-        with pytest.raises(ParameterError, match="ladder ratings must be finite"):
-            flow_powers([[0.8, 1.0, 1.2], [0.9, 1.0, 1.1]], arch, [0.1, np.inf])
-        with pytest.raises(ParameterError, match="ladder ratings must be finite"):
-            optimal_flow([0.8, 1.0, 1.2], cppp_arch(3.0, 3, np.inf))
         # the stage-1 LP takes an infinite rung as unbounded
         assert max_string_outputs([[0.8, 1.0, 1.2]], arch, [np.inf])[0] == pytest.approx(3.0, abs=1e-12)
+
+    def test_an_unbounded_ladder_runs_at_the_row_mean(self):
+        # inf is an unbounded converter for the ladder too: every battery runs
+        # at its capability and the string at the row mean, through both calls
+        caps = np.array([0.7, 0.9, 1.0, 1.3, 1.6])
+        arch = cppp_arch(5.5, 5, np.inf)
+        sol = optimal_flow(caps, arch)
+        assert sol.string_current == pytest.approx(1.1, abs=1e-12)
+        assert sol.battery_powers == pytest.approx(caps, abs=1e-12)
+        assert sol.output_power == pytest.approx(5.5, abs=1e-12)
+        _certify(caps, [(j, j + 1) for j in range(4)], np.full(4, np.inf), sol.string_current,
+                 sol.converter_flows, sol.battery_powers)
+        block = np.array([caps, [0.8, 1.0, 1.2, 1.3, 1.4]])
+        outputs, processed = flow_powers(block, arch, [np.inf, np.inf])
+        assert outputs == pytest.approx(block.sum(axis=1), abs=1e-12)
+        assert outputs[0] == sol.output_power and processed[0] == sol.processed_power
+        current, flows, battery = ladder_point(block, rows_at(block, np.inf))  # certified inside
+        assert current == pytest.approx(block.mean(axis=1), abs=1e-12)
+        assert battery == pytest.approx(block, abs=1e-12)
+
+
+@st.composite
+def ladder_cut_blocks(draw):
+    """A (T, N) block of capabilities, rows ascending or not, and one rung rating per row.
+
+    Rows are supply draws at a spread of 0.05-0.45, as the CLI evaluates
+    them, or uniform draws; rung ratings come from a small pool of 0.0,
+    1e-12, whole hundredths and large values.
+    """
+    n = draw(st.integers(2, 16))
+    rows = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        block = _draw_block(BatterySupply(1.0, draw(st.floats(0.05, 0.45)), n), seed, rows)
+    else:
+        block = np.sort(rng.uniform(0.05, 3.0, (rows, n)), axis=1)
+    if not draw(st.booleans()):
+        block = rng.permuted(block, axis=1)
+    rating = st.one_of(st.sampled_from([0.0, 1e-12]), st.integers(0, 60).map(lambda k: k / 100), st.floats(1.0, 1e6))
+    rungs = rng.choice(draw(st.lists(rating, min_size=1, max_size=4)), size=rows)
+    return block, rungs
+
+
+class TestLadderCutForm:
+    """The chordless cut form gives the ladder's current: the interval scan it replaced (tests/oracles.py)
+    bit for bit on ascending rows, and to rounding on unordered ones.
+
+    Both add the same k capabilities and at most two rungs, all non-negative,
+    in a different order, so each sum is off by at most k + 1 roundings of
+    its total and the two currents by at most (N + 1) * eps relative. Rungs
+    near 1.0 on uniform rows reach 4 ulps, about 5.4e-16 relative.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(ladder_cut_blocks())
+    @example((np.array([[0.8, 1.0, 1.2], [1.0, 1.0, 1.0]]), np.array([0.0, 1e-12])))
+    @example((np.array([[1.2, 0.8, 1.0]]), np.array([0.2])))
+    def test_equals_the_interval_scan(self, instance):
+        block, rungs = instance
+        n = block.shape[1]
+        currents = _hierarchical_currents(block, cppp_arch(float(n), n, 0.0), rungs)
+        scan = ladder_interval_currents(block, rungs)
+        ascending = np.all(np.diff(block, axis=1) >= 0.0, axis=1)
+        assert np.array_equal(currents[ascending], scan[ascending])
+        assert np.all(np.abs(currents - scan) <= (n + 1) * np.finfo(float).eps * scan)
 
 
 @st.composite
@@ -439,8 +510,8 @@ class TestHierarchicalKernel:
             # a block row and a one-row call give the same bits
             assert current[t] == _hierarchical_currents(row[None, :], arch, np.array([arch.rating]))[0]
         if all(edge.rating == 0.0 for edge in arch.layer1.edges):
-            ladder_current = _ladder_flow(block, rows_at(block, arch.rating))[0]
-            assert current == pytest.approx(ladder_current, abs=1e-12)
+            ladder = cppp_arch(float(n), n, arch.rating)
+            assert np.array_equal(current, _hierarchical_currents(block, ladder, rows_at(block, arch.rating)))
 
     def test_passes_cut_a_large_block_without_changing_bits(self):
         # 64 endpoint patterns by 17 sizes at N = 16 fit 60 rows in one pass
@@ -493,7 +564,7 @@ def dispatch_blocks(draw):
 
     Chords go in any orientation, repeats and chords parallel to a rung
     allowed; chord ratings include exact zeros and inf, the rung rating exact
-    zeros. I* comes from the cut form (_hierarchical_currents, or _ladder_flow
+    zeros. I* comes from the cut form (_hierarchical_currents, with or
     without chords); each row runs at I* or at a sixteenth-step fraction of
     it. Capabilities and ratings are whole hundredths, so every deficit is
     zero or well above the LP oracle's 1e-8 tolerances, below which its
@@ -513,9 +584,9 @@ def dispatch_blocks(draw):
     rung = draw(st.one_of(st.just(0.0), hundredths))
     if chords:
         arch = ls_arch(n, float(n), [(a, b, r) for (a, b), r in chords], rung, k=len(chords))
-        best = _hierarchical_currents(block, arch, rows_at(block, rung))
     else:
-        best = _ladder_flow(block, rows_at(block, rung))[0]
+        arch = cppp_arch(float(n), n, rung)
+    best = _hierarchical_currents(block, arch, rows_at(block, rung))
     scale = st.one_of(st.just(1.0), st.integers(0, 16).map(lambda k: k / 16))
     currents = best * np.array([draw(scale) for _ in range(rows)])
     pairs = [p for p, _ in chords] + [(j, j + 1) for j in range(n - 1)]
@@ -559,7 +630,7 @@ class TestLeastProcessingKernel:
         # deficit crosses every rung between it and the strong end, so
         # sum |f| = 2.5e-13 * (1 + 2 + 3 + 4). The LP oracle's tolerances blur this.
         block = np.array([[1.0, 1.0, 1.0, 1.0, 2.0]])
-        current = _ladder_flow(block, np.array([1e-12]))[0]
+        current = ladder_point(block, np.array([1e-12]))[0]
         flows, _ = _least_processing_flows(block, [(j, j + 1) for j in range(4)], np.full((1, 4), 1e-12), current)
         assert np.abs(flows).sum() == pytest.approx(2.5e-12, rel=1e-3)
 
@@ -665,9 +736,9 @@ class TestPerRowRatings:
     @given(mixed_rating_blocks())
     def test_ladder_rows_equal_one_row_calls(self, instance):
         block, _, rungs = instance
-        stacked = _ladder_flow(block, rungs)
+        stacked = ladder_point(block, rungs)
         for t, row in enumerate(block):
-            for got, alone in zip(stacked, _ladder_flow(row[None, :], rungs[t:t + 1])):
+            for got, alone in zip(stacked, ladder_point(row[None, :], rungs[t:t + 1])):
                 assert np.array_equal(got[t], alone[0])
 
     @settings(max_examples=40, deadline=None)
@@ -862,7 +933,7 @@ class TestBlockCertification:
     def setup_method(self):
         rng = np.random.default_rng(12)
         self.caps = np.sort(rng.uniform(0.3, 1.7, (6, 5)), axis=1)
-        self.current, self.flows, self.battery = _ladder_flow(self.caps, rows_at(self.caps, self.RATING))
+        self.current, self.flows, self.battery = ladder_point(self.caps, rows_at(self.caps, self.RATING))
         self.pairs = [(j, j + 1) for j in range(4)]
         self.ratings = np.full(4, self.RATING)
 
