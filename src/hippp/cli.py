@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import io
 
 # argparse's gettext imports locale when it builds its first parser; import it
 # with hippp.cli so that a call imports no module
@@ -261,15 +262,17 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig(supply, design, **evaluate, **output)
 
 
-def _write_records(path: Path, records: list[MetricsRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(
-            [r.architecture_kind, _sig6(r.rating_norm), _sig6(r.heterogeneity), r.trials, r.seed,
-             *map(_sig6, (r.utilization, r.utilization_std, r.system_efficiency, r.processed_norm, r.output_norm))]
-            for r in records
-        )
+def _records_csv(records: list[MetricsRecord]) -> str:
+    """The CSV text of `records` under CSV_HEADER, with csv's CRLF line ends."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(CSV_HEADER)
+    writer.writerows(
+        [r.architecture_kind, _sig6(r.rating_norm), _sig6(r.heterogeneity), r.trials, r.seed,
+         *map(_sig6, (r.utilization, r.utilization_std, r.system_efficiency, r.processed_norm, r.output_norm))]
+        for r in records
+    )
+    return buffer.getvalue()
 
 
 def cmd_design(cfg: ExperimentConfig, out_dir: str) -> Path:
@@ -312,17 +315,18 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> list[Pat
         design_cfg=cfg.design, converter_efficiency=cfg.converter_efficiency, workers=workers,
     )
 
-    # the frontier reads off the same records the rating sweep produced
+    # the frontier reads off the same records the rating sweep produced, so the three rating files share one text
+    rating = (rating_records, _records_csv(rating_records))
     paths = {
-        "utilization_vs_rating.csv": rating_records,
-        "efficiency_vs_rating.csv": rating_records,
-        "frontier.csv": rating_records,
-        "utilization_vs_heterogeneity.csv": het_records,
+        "utilization_vs_rating.csv": rating,
+        "efficiency_vs_rating.csv": rating,
+        "frontier.csv": rating,
+        "utilization_vs_heterogeneity.csv": (het_records, _records_csv(het_records)),
     }
     written = []
-    for name, records in paths.items():
+    for name, (records, text) in paths.items():
         path = directory / name
-        _write_records(path, records)
+        path.write_text(text, encoding="utf-8", newline="")
         written.append(path)
         log.info("wrote %s (%d rows)", path, len(records))
 

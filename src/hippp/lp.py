@@ -3,7 +3,8 @@
 Solves   maximize c . x   subject to   A x = b,   lower <= x <= upper,
 where either bound may be infinite. Problems in this package are small
 (tens of variables), so everything is dense and each iteration refactors
-the basis with a fresh linear solve; accuracy is favored over speed.
+the basis with a fresh linear solve, or an exact gather where the basis is
+a signed permutation; accuracy is favored over speed.
 
 Pivoting is deterministic: Dantzig pricing with ties broken by lowest
 variable index, falling back to Bland's rule after a run of degenerate
@@ -27,11 +28,17 @@ The inner loop runs each phase. For K >= 2 it is the lockstep
 (_iterate_many): each LP keeps its own basis, statuses, Bland flag and
 stall count, and leaves the stack when it is optimal. Every step is a
 stacked LU solve on (G, m, m) with a (G, m, 1) right-hand side, a stacked
-matmul, or an elementwise op, each of which gives, slice for slice, the
-bits of the serial call, and LPs whose basis columns are the same columns
-of the one matrix share their solves for the duals and the entering
-column: equal inputs give equal bits. So every LP takes the same pivots and
-returns the same bits as it does alone. A stack of one runs the serial loop
+matmul, an exact gather, or an elementwise op, each of which gives, slice
+for slice, the bits of the serial call. LPs whose basis columns are the
+same columns of the one matrix share their solves for the duals and the
+entering column: equal inputs give equal bits. An LP whose basis columns
+are all signed unit columns (the artificials, and the -e_j columns of the
+flow LPs) has a signed permutation for its basis, which LAPACK's LU with
+partial pivoting factors without rounding: its basic values are a gather
+of the right-hand side, with LAPACK's bits, and when every live LP has
+such a basis, so are the duals and the entering column (see
+_iterate_many). So every LP takes the same pivots and returns the same
+bits as it does alone. A stack of one runs the serial loop
 (_iterate) on its own matrix instead, because the lockstep costs about three
 times as much at K = 1 (3.1-3.5x on the two LPs of the layer-1 design solve
 at N = 9 and 16, on a 2-core Xeon); that loop is also the lockstep's bitwise
@@ -41,9 +48,16 @@ the updates run on Python floats and lists, with numpy's tie rules. The
 bits hold because IEEE +, -, * and / round the same in Python as in numpy,
 and every product and solve stays in numpy and LAPACK.
 
-Every solve, in either loop, goes through _solve: the LAPACK gufunc that
+Every LAPACK solve, in either loop, goes through _solve: the gufunc that
 numpy.linalg's solve calls, without that function's per-call Python
-wrapper, so with its bits and its LinAlgError on a singular basis.
+wrapper, so with its bits. That wrapper also sets an error state per call,
+under which LAPACK's flag for a singular matrix raises LinAlgError;
+solve_stack sets it (_errstate) once, around both phases and the
+handover, because per call it cost about 4 us on a 2-core Xeon, as much
+as a 9x9 solve. Inside it an invalid value raises too, and overflow,
+division by zero and underflow pass silently. A LinAlgError there, from
+LAPACK or from a gather that finds a singular basis, ends the solve as
+InternalCheckError.
 """
 
 from __future__ import annotations
@@ -104,22 +118,30 @@ def _singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
+def _errstate():
+    """The error state numpy.linalg's solve sets around its gufunc: an
+    invalid value, which is how LAPACK flags a singular matrix, raises
+    np.linalg.LinAlgError, and overflow, division by zero and underflow pass
+    silently. solve_stack enters it once around both phases."""
+    return np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
 def _solve(a, b):
     """numpy.linalg's solve of a x = b for float64 a (..., m, m) and b, (m,)
     or (..., m, k), without its Python wrapper: the gufunc that the wrapper
-    calls on such input, under the error state that it sets. So the result
-    has the same bits, and a singular a raises np.linalg.LinAlgError."""
+    calls on such input. So the result has the same bits, and under
+    _errstate() a singular a raises np.linalg.LinAlgError."""
     gufunc = _umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve
-    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        return gufunc(a, b, signature="dd->d")
+    return gufunc(a, b, signature="dd->d")
 
 
 def _iterate(c, a, b, lower, upper, basis, stat, x, counts) -> None:
     """Run simplex iterations in place on one LP with at least one row until
     it is optimal. It runs only stacks of one, so an unbounded LP raises
-    InternalCheckError naming LP 0. counts gains what _iterate_many's would:
-    per iteration one iteration, LP iteration and y solve, and per step one
-    w solve and w row.
+    InternalCheckError naming LP 0. It solves every x_B, y and w with
+    LAPACK, and counts gains what _iterate_many's would with no gathers: per
+    iteration one iteration, LP iteration and y solve, and per step one w
+    solve and w row.
 
     Bounds, statuses and the basis are read from Python lists; stat is
     written back when the LP is optimal. As in _iterate_many, a step writes
@@ -135,11 +157,8 @@ def _iterate(c, a, b, lower, upper, basis, stat, x, counts) -> None:
         basis_cols = a[:, basis]
         x_nb = x.copy()
         x_nb[basis] = 0.0
-        try:
-            x_b = _solve(basis_cols, b - a @ x_nb)
-            y = _solve(basis_cols.T, c[basis])
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by pivot tol
-            raise InternalCheckError(f"singular simplex basis: {exc}") from exc
+        x_b = _solve(basis_cols, b - a @ x_nb)
+        y = _solve(basis_cols.T, c[basis])
         x[basis] = x_b
         reduced = (c - y @ a).tolist()
         counts[0] += 1
@@ -271,7 +290,7 @@ def _phase_two(c, columns, codes, lo1, up1, basis, stat, x):
     pinned at zero.
     """
     n = c.size
-    infeasible = np.flatnonzero(x[:, n:].sum(axis=1) > FEASIBILITY_TOL)
+    infeasible = np.flatnonzero(~(x[:, n:].sum(axis=1) <= FEASIBILITY_TOL))  # a NaN sum is infeasible too
     if infeasible.size:
         raise InternalCheckError(f"LP {infeasible[0]} of the stack is infeasible")
     for k in np.flatnonzero((basis >= n).any(axis=1)):
@@ -284,17 +303,15 @@ def _phase_two(c, columns, codes, lo1, up1, basis, stat, x):
 
 def _check_points(a, b, lower, upper, values):
     """Re-verify a (K, n) stack of optimal points against the constraints
-    and bounds; a violation here is a solver bug."""
+    and bounds; a violation here, or a NaN, is a solver bug."""
     eq_residual = float(np.abs((a @ values[..., None])[..., 0] - b).max(initial=0.0))
-    if eq_residual > FEASIBILITY_TOL:
+    if not eq_residual <= FEASIBILITY_TOL:
         raise InternalCheckError(f"optimal point violates equalities by {eq_residual:.3e}")
-    below = lower - values
-    above = values - upper
-    bound_violation = max(
-        float(below[np.isfinite(below)].max(initial=0.0)),
-        float(above[np.isfinite(above)].max(initial=0.0)),
-    )
-    if bound_violation > FEASIBILITY_TOL:
+    bound_violation = float(np.maximum(  # np.maximum, not max(), to keep a NaN
+        (lower - values).max(initial=0.0, where=np.isfinite(lower)),
+        (values - upper).max(initial=0.0, where=np.isfinite(upper)),
+    ))
+    if not bound_violation <= FEASIBILITY_TOL:
         raise InternalCheckError(f"optimal point violates bounds by {bound_violation:.3e}")
 
 
@@ -334,6 +351,27 @@ def _basis_groups(key, weights):
     return first, group
 
 
+def _aligned_rows(arr):
+    """A copy of a 2-D float array whose every row starts at the alignment
+    of a fresh array: its rows are padded to an even length, so 16 bytes
+    apart or a multiple of that."""
+    k, w = arr.shape
+    out = np.empty((k, w + w % 2))[:, :w]
+    out[...] = arr
+    return out
+
+
+def _unit_columns(columns):
+    """The signed unit columns s e_r of a matrix: (row, sign) per column, r
+    and s (+-1.0) for such a column, 0 and 0.0 for any other. Nonzeros are
+    found by != 0.0, so -0.0 entries count as zeros."""
+    nonzero = columns != 0.0
+    row = nonzero.argmax(axis=0)
+    value = columns[row, np.arange(columns.shape[1])]
+    unit = (nonzero.sum(axis=0) == 1) & (np.abs(value) == 1.0)
+    return np.where(unit, row, 0), np.where(unit, value, 0.0)
+
+
 def _iterate_many(c, columns, b, lower, upper, basis, stat, codes, x, counts) -> None:
     """_iterate on a stack of K LPs of one problem at once, in lockstep.
 
@@ -350,31 +388,54 @@ def _iterate_many(c, columns, b, lower, upper, basis, stat, codes, x, counts) ->
     in the stack. A step writes only the non-basic values it
     moves: the next iteration's solve overwrites every basic value.
 
-    Basis and entering columns are gathered by code. The duals y (B^T y =
-    c_B) depend on nothing but the basis columns and their costs, and the
-    entering column w (B w = a_enter) on B and a_enter. Equal codes are the
-    same column of the one matrix, with the same cost. So each iteration
-    groups the live LPs by their basis row of codes and solves y once per
-    group, and w once per (group, entering code); every LP takes its group's
-    result, and since a stacked solve gives each slice the bits of that
-    slice alone, that is the result of its own solve. The basic values x_B
-    (b - A x_N) and the reduced costs (c - y A) stay per LP, on one
-    C-contiguous [A | I] for every LP. That gives each LP's own bits: x_N
-    is +0.0 on every artificial, so an artificial's sign reaches b - A x_N
-    only as the sign of a zero, which b (free of -0.0) absorbs;
-    and the reduced cost of an artificial is then rewritten as c - s y_r,
-    the bits its own column s e_r gives. counts, a list of five ints, gains
-    the iterations, the LP iterations (the y rows), the distinct y solves,
-    the distinct w solves and the w rows.
+    Basis and entering columns are gathered by code. The right-hand side
+    b - A x_N and the reduced costs c - y A are taken on one C-contiguous
+    [A | I] for every LP, with x_N in rows that each start as aligned as the
+    serial loop's fresh x_N (_aligned_rows): OpenBLAS's kernels without FMA
+    (Prescott) sum A x_N in an order that depends on x_N's 16-byte
+    alignment, and a row of a plain (K, w) copy at an odd offset moved bits
+    there. That gives each LP's own bits: x_N is +0.0 on every artificial,
+    so an artificial's sign reaches b - A x_N only as the sign of a zero,
+    which b (free of -0.0) absorbs; and the reduced cost of an artificial
+    is then rewritten per LP as c - s y_r, the bits its own column s e_r
+    gives.
+
+    An LP whose basis columns are all signed unit columns (B's column i is
+    s_i e_{r_i}: the artificials, and _flow_matrix's -e_j columns) has a
+    signed permutation for B, on which LAPACK's LU with partial pivoting
+    does no arithmetic but exact moves, negations and operations on zeros.
+    Its x_B is the gather x_B[i] = s_i rhs[r_i], with LAPACK's bits: the
+    right-hand side is never -0.0 (b is free of -0.0, and v - v is +0.0),
+    so only s_i sets the sign of a zero. When every live LP has such a
+    basis, y and the entering column are gathered too, y[r_i] = s_i c_B[i]
+    and w[i] = s_i a_enter[r_i], equal to LAPACK's up to the signs of
+    zeros, which no comparison, step or result reads; a row that no basis
+    column covers leaves a NaN in y, the gather's singular basis, and
+    raises np.linalg.LinAlgError as LAPACK would.
+
+    Otherwise the LPs without such a basis solve for x_B with LAPACK, and
+    y and w are solved by group. The duals y (B^T y = c_B) depend on
+    nothing but the basis columns and their costs, and the entering column
+    w (B w = a_enter) on B and a_enter. Equal codes are the same column of
+    the one matrix, with the same cost. So such an iteration groups the
+    live LPs by their basis row of codes and solves y, and takes the
+    reduced costs, once per group, and w once per (group, entering code);
+    every LP takes its group's result, and since a stacked solve or matmul
+    gives each slice the bits of that slice alone, that is the result of
+    its own. counts, a list of eight ints, gains the iterations, the LP
+    iterations (the y rows), the distinct y solves, the distinct w solves,
+    the w rows, and the x_B, y and w rows taken by gather.
     """
     live = np.arange(basis.shape[0])
     bland = np.zeros(live.size, dtype=bool)
     stall = np.zeros(live.size, dtype=int)
     weights = np.array([pow(_HASH_BASE, i + 1, 2**64) for i in range(basis.shape[1])], dtype=np.uint64)
     width = c.size
-    n = width - b.size
+    m = b.size
+    n = width - m
     plus = np.ascontiguousarray(columns[:, :width])  # [A | I]
     by_code = columns.T  # row i is column i of the phase-1 matrix
+    unit_row, unit_sign = _unit_columns(columns)
     # the live LPs; the caller's arrays themselves until the first one leaves
     lo, up, bas, st, co, xs = lower, upper, basis, stat, codes, x
     for _ in range(_MAX_ITERATIONS):
@@ -383,20 +444,35 @@ def _iterate_many(c, columns, b, lower, upper, basis, stat, codes, x, counts) ->
         rows = np.arange(live.size)
         at = rows[:, None] * width + bas  # flat positions of the basic variables in the (live, width) arrays
         key = co.take(at)  # the basis columns' codes
-        first, group = _basis_groups(key, weights)
-        lead = by_code[key[first]].transpose(0, 2, 1)  # slice i holds LP first[i]'s basis columns
-        x_nb = xs.copy()
+        hit, sign = unit_row[key], unit_sign[key]  # each basis column's r_i and s_i; s_i is 0.0 off a unit column
+        spot = rows[:, None] * m + hit  # flat positions of the r_i in the (live, m) arrays
+        unit = sign.all(axis=1)
+        gathered = bool(unit.all())
+        x_nb = _aligned_rows(xs)
         x_nb.put(at, 0.0)
-        try:
-            xs.put(at, _solve(lead[group], b[:, None] - plus @ x_nb[:, :, None])[:, :, 0])
-            y = _solve(lead.transpose(0, 2, 1), c[bas[first]][:, :, None])[group, :, 0]
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by pivot tol
-            raise InternalCheckError(f"singular simplex basis: {exc}") from exc
-        reduced = c - (y[:, None, :] @ plus)[:, 0, :]  # read only where a candidate is, never on a basic column
+        rhs = b - (plus @ x_nb[:, :, None])[:, :, 0]
+        x_b = rhs.take(spot) * sign  # x_B of each LP whose basis is a signed permutation
+        if gathered:
+            y = np.full(rhs.shape, np.nan)
+            y.put(spot, c[bas] * sign)
+            if np.isnan(y).any():
+                raise np.linalg.LinAlgError("Singular matrix")
+            reduced = c - (y[:, None, :] @ plus)[:, 0, :]  # read only where a candidate is, never on a basic column
+            counts[6] += live.size
+        else:
+            first, group = _basis_groups(key, weights)
+            lead = by_code[key[first]].transpose(0, 2, 1)  # slice i holds LP first[i]'s basis columns
+            solved = np.flatnonzero(~unit)
+            x_b[solved] = _solve(lead[group[solved]], rhs[solved, :, None])[:, :, 0]
+            y = _solve(lead.transpose(0, 2, 1), c[bas[first]][:, :, None])[:, :, 0]
+            reduced = (c - (y[:, None, :] @ plus)[:, 0, :])[group]
+            y = y[group]
+            counts[2] += first.size
+        xs.put(at, x_b)
         reduced[:, n:] = c[n:] - np.where(co[:, n:] < width, y, -y)
         counts[0] += 1
         counts[1] += live.size
-        counts[2] += first.size
+        counts[5] += int(np.count_nonzero(unit))
 
         free = st == _NB_FREE
         candidates = (up > lo) & (  # a basic variable's status is _BASIC, so it is never one
@@ -411,9 +487,11 @@ def _iterate_many(c, columns, b, lower, upper, basis, stat, codes, x, counts) ->
             if live.size == 0:
                 return
             rows = rows[:live.size]
-            lo, up, bas, st, xs, co, bland, stall, group, reduced, candidates = (
-                arr[going] for arr in (lo, up, bas, st, xs, co, bland, stall, group, reduced, candidates)
+            lo, up, bas, st, xs, co, bland, stall, reduced, candidates, hit, sign = (
+                arr[going] for arr in (lo, up, bas, st, xs, co, bland, stall, reduced, candidates, hit, sign)
             )
+            if not gathered:
+                group = group[going]
             at = rows[:, None] * width + bas
         # Bland takes the first candidate; Dantzig the first of the largest |reduced cost|
         enter = np.where(
@@ -426,9 +504,13 @@ def _iterate_many(c, columns, b, lower, upper, basis, stat, codes, x, counts) ->
         direction = np.where(reduced.take(at_enter) > 0.0, 1.0, -1.0)
 
         code = co.take(at_enter)
-        w_first, w_group = _distinct(group * by_code.shape[0] + code)
-        w = _solve(lead[group[w_first]], by_code[code[w_first]][:, :, None])[w_group, :, 0]
-        counts[3] += w_first.size
+        if gathered:
+            w = columns.take(hit * columns.shape[1] + code[:, None]) * sign
+            counts[7] += live.size
+        else:
+            w_first, w_group = _distinct(group * by_code.shape[0] + code)
+            w = _solve(lead[group[w_first]], by_code[code[w_first]][:, :, None])[w_group, :, 0]
+            counts[3] += w_first.size
         counts[4] += live.size
         g = -direction[:, None] * w
         hits_upper = g > _PIVOT_TOL
@@ -472,7 +554,8 @@ def solve_stack(objective, a_eq, b_eq, lower, upper) -> np.ndarray:
     that fails the checks, which run once over the whole stack. b_eq is
     taken as b_eq + 0.0, so a -0.0 in it counts as 0.0. An infeasible LP
     (after phase 1) or an unbounded one raises InternalCheckError, which
-    names its index in the stack and its verdict; every optimum is
+    names its index in the stack and its verdict, and so does a singular
+    basis, without an index; every optimum is
     re-verified against the constraints and bounds. Row k of the result
     equals, byte for byte, what a stack of bounds row k alone returns: one
     driver runs phase 1, the handover, phase 2 and the checks for every K,
@@ -496,12 +579,16 @@ def solve_stack(objective, a_eq, b_eq, lower, upper) -> np.ndarray:
 
     iterate = _iterate_one if k_all == 1 else _iterate_many
     c_phase1, columns, codes, lo1, up1, basis, stat, x = _phase_one(a, b, lower, upper)
-    counts = [0, 0, 0, 0, 0]
-    iterate(c_phase1, columns, b, lo1, up1, basis, stat, codes, x, counts)
-    c_phase2 = _phase_two(c, columns, codes, lo1, up1, basis, stat, x)
-    iterate(c_phase2, columns, b, lo1, up1, basis, stat, codes, x, counts)
+    counts = [0] * 8
+    try:
+        with _errstate():
+            iterate(c_phase1, columns, b, lo1, up1, basis, stat, codes, x, counts)
+            c_phase2 = _phase_two(c, columns, codes, lo1, up1, basis, stat, x)
+            iterate(c_phase2, columns, b, lo1, up1, basis, stat, codes, x, counts)
+    except np.linalg.LinAlgError as exc:
+        raise InternalCheckError(f"singular simplex basis: {exc}") from exc
     log.debug("LP stack: %d LPs, %d iterations, %d LP-iterations (y rows), %d y solves, "
-              "%d w solves for %d rows", k_all, *counts)
+              "%d w solves for %d rows; by gather %d x_B rows, %d y rows, %d w rows", k_all, *counts)
     values = x[:, :n]
     _check_points(a, b, lower, upper, values)
     return values

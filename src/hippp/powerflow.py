@@ -573,7 +573,11 @@ def _stage_one(caps: np.ndarray, pairs: Sequence[_Pair], table: np.ndarray) -> n
     size beat it beyond noise on the 1000-trial README curve (10,000 LPs,
     four sets of 7-25 alternated rounds, 2-core Xeon): 485 and 15,534 LPs a
     pass at best tied it, 1,941 and 3,883 won some sets and lost others.
-    The rows are certified by one block _certify call.
+    Re-measured once the lockstep gathered on signed-permutation bases (two
+    sets of 6 and 8 alternated rounds, median ratios): 485 LPs a pass took
+    1.13x and the whole curve in one pass 1.12x; 1,941 took 0.98x in both
+    sets and 3,883 1.00x and 1.05x, within the rounds' noise, so the size
+    stayed. The rows are certified by one block _certify call.
     """
     trials, n = caps.shape
     e = len(pairs)

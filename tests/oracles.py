@@ -409,9 +409,9 @@ def serial_iterate(c, a, b, lower, upper, basis, stat, x, counts) -> None:
 
     Run simplex iterations in place on one LP with at least one row until
     it is optimal. It runs only stacks of one, so an unbounded LP raises
-    InternalCheckError naming LP 0. counts gains what _iterate_many's would:
-    per iteration one iteration, LP iteration and y solve, and per step one
-    w solve and w row."""
+    InternalCheckError naming LP 0. counts gains what _iterate_many's would
+    with no gathers: per iteration one iteration, LP iteration and y solve,
+    and per step one w solve and w row."""
     bland = False
     stall = 0
     for _ in range(hippp.lp._MAX_ITERATIONS):

@@ -17,7 +17,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -357,7 +357,7 @@ def assert_stack_agrees_with_rows(batch):
 def stack_counts(caplog, solve):
     """Run solve() and return its result and the counters of every LP stack
     it logs, in order: LPs, iterations, LP-iterations (the y rows), y
-    solves, w solves, w rows."""
+    solves, w solves, w rows, and the x_B, y and w rows taken by gather."""
     with caplog.at_level(logging.DEBUG, logger="hippp.lp"):
         caplog.clear()
         result = solve()
@@ -388,6 +388,9 @@ class TestSolveStack:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 8), st.integers(1, 4),
            st.integers(1, 12))
+    # under OpenBLAS's Prescott kernel, LP 1 of this stack moved a bit when the lockstep's x_N rows sat at odd
+    # 8-byte offsets (see lp._aligned_rows)
+    @example(seed=6, n_var=6, n_row=1, size=2)
     def test_equals_the_serial_solver(self, seed, n_var, n_row, size):
         # the batch, and then its LPs that are optimal alone
         batch = mixed_batch(np.random.default_rng(seed), n_var, n_row, size)
@@ -434,7 +437,7 @@ class TestSolveStack:
     @pytest.mark.parametrize("seed", range(6))
     def test_a_curve_like_stack_shares_its_solves(self, caplog, seed):
         batch = templated_batch(np.random.default_rng(seed), 7, 3, 48, templates=4)
-        stack, [(_, _, y_rows, y_solves, w_solves, w_rows)] = stack_counts(
+        stack, [(_, _, y_rows, y_solves, w_solves, w_rows, *_)] = stack_counts(
             caplog, lambda: solve_stack(*stack_arrays(batch)))
         assert_stack_equals_serial(batch, stack)
         assert y_solves < y_rows and w_solves < w_rows
@@ -506,7 +509,7 @@ class TestSolveStack:
         assert first.tolist() == group.tolist() == [0, 1, 2]
         monkeypatch.setattr(hippp.lp, "_HASH_BASE", 0)
         batch = templated_batch(np.random.default_rng(9), 7, 4, 24, templates=3)
-        stack, [(_, iterations, _, y_solves, _, _)] = stack_counts(
+        stack, [(_, iterations, _, y_solves, *_)] = stack_counts(
             caplog, lambda: solve_stack(*stack_arrays(batch)))
         assert_stack_equals_serial(batch, stack)
         assert y_solves > iterations  # not one solve per iteration, as the colliding key alone would give
@@ -514,19 +517,19 @@ class TestSolveStack:
     def test_the_layer2_curve_stack_shares_its_solves(self, caplog):
         # the layer-1 design solve logs its two stacks of one, one y and one
         # w solve per step of the serial loop (the last iteration of each
-        # phase only finds it optimal); the layer-2 curve's stack shares its
-        # solves
+        # phase only finds it optimal) and no gather; the layer-2 curve's
+        # stack shares its solves
         supply = BatterySupply(1.0, 0.2, 9)
         expected = flatten(supply)
         cfg = DesignConfig(num_layer1=3, num_rating_sets=2)
         layer1, design = stack_counts(caplog, lambda: design_layer1(expected, cfg))
         assert [lps for lps, *_ in design] == [1, 1]
-        for _, iterations, y_rows, y_solves, w_solves, w_rows in design:
-            assert y_rows == y_solves == iterations and w_rows == w_solves == iterations - 2
+        for _, iterations, y_rows, y_solves, w_solves, w_rows, *gathers in design:
+            assert y_rows == y_solves == iterations and w_rows == w_solves == iterations - 2 and gathers == [0, 0, 0]
         arch = Architecture(ArchitectureKind.LSHIPPP, 9, expected.total_power, 0.0, layer1)
         block = np.tile([draw_capabilities(supply, seed) for seed in range(10)], (4, 1))
         rungs = np.repeat([0.0, 0.05, 0.1, 0.3], 10)
-        _, [(lps, _, y_rows, y_solves, w_solves, w_rows)] = stack_counts(
+        _, [(lps, _, y_rows, y_solves, w_solves, w_rows, *_)] = stack_counts(
             caplog, lambda: max_string_outputs(block, arch, rungs))
         assert lps == 40
         assert 2 * y_solves < y_rows and 2 * w_solves < w_rows
@@ -555,6 +558,12 @@ class TestSolveStack:
         for (c, a, b, lower, upper), stack in stacks:
             for k, row in enumerate(stack):
                 assert row.tobytes() == solve_stack(c, a, b, lower[k:k + 1], upper[k:k + 1])[0].tobytes()
+
+    def test_aligned_rows_copy_at_a_fresh_arrays_alignment(self):
+        source = np.arange(15.0).reshape(3, 5)
+        rows = hippp.lp._aligned_rows(source)
+        assert rows.tobytes() == source.tobytes() and not np.shares_memory(rows, source)
+        assert {row.ctypes.data % 16 for row in rows} == {np.empty(5).ctypes.data % 16}
 
     def test_empty_batch(self):
         assert solve_stack(np.zeros(2), np.ones((1, 2)), np.ones(1), np.zeros((0, 2)), np.ones((0, 2))).shape == (0, 2)
@@ -594,18 +603,147 @@ class TestSolveStack:
         assert solve_stack(c, one_row, np.ones(1), np.zeros((2, 3)), np.ones((2, 3))).shape == (2, 3)
 
 
+def flow_stack(rng, n, size):
+    """A stack of maximum-output LPs shaped like powerflow._stage_one's:
+    _flow_matrix's rows over [I, f, p] (its -e_j columns hold -0.0 off the
+    diagonal) on random battery pairs, and the stage-1 objective with small
+    weights on some p_j. Each LP takes its own bounds: I >= 0, |p_j| up to
+    a capability that is zero a fifth of the time, and |f_e| up to a rating
+    that is zero or infinite a fifth of the time each. A zero bound gives
+    the lower bound -0.0, as in _stage_one."""
+    pairs = random_placement(rng, n) if n >= 2 else []
+    e = len(pairs)
+    c = np.zeros(1 + e + n)
+    c[0] = n
+    c[1 + e:] = rng.uniform(-0.5, 0.5, n) * (rng.random(n) < 0.5)
+    ratings = rng.uniform(0.0, 1.0, (size, e))
+    ratings[rng.random((size, e)) < 0.2] = 0.0
+    ratings[rng.random((size, e)) < 0.2] = np.inf
+    caps = rng.uniform(0.2, 2.0, (size, n)) * (rng.random((size, n)) >= 0.2)
+    upper = np.concatenate([np.full((size, 1), np.inf), ratings, caps], axis=1)
+    lower = -upper
+    lower[:, 0] = 0.0
+    return c, hippp.powerflow._flow_matrix(pairs, n), np.zeros(n), lower, upper
+
+
+def assert_rows_alone(c, a, b, lower, upper, stack):
+    """Row k of a stack's points equals, byte for byte, LP k alone as a stack of one, which solves with LAPACK."""
+    for k, row in enumerate(stack):
+        assert row.tobytes() == solve_stack(c, a, b, lower[k:k + 1], upper[k:k + 1])[0].tobytes()
+
+
+class TestGather:
+    """The lockstep's gathers on signed-permutation bases against LAPACK's solves."""
+
+    def test_signed_unit_columns_are_found_by_their_nonzeros(self):
+        # -0.0 counts as a zero; a column with one nonzero other than +-1 is no unit column
+        columns = np.array([[-0.0, 1.0, 2.0, 1.0, 0.0], [-1.0, -0.0, 0.0, 1.0, -0.0]])
+        rows, signs = hippp.lp._unit_columns(columns)
+        assert rows.tolist() == [1, 0, 0, 0, 0] and signs.tolist() == [-1.0, 1.0, 0.0, 0.0, 0.0]
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 16), st.integers(2, 12))
+    def test_a_flow_stack_equals_its_rows_alone(self, caplog, seed, n, size):
+        c, a, b, lower, upper = flow_stack(np.random.default_rng(seed), n, size)
+        assert n == 1 or np.signbit(a[a == 0.0]).any()
+        stack, [(*_, x_rows, y_rows, w_rows)] = stack_counts(caplog, lambda: solve_stack(c, a, b, lower, upper))
+        assert_rows_alone(c, a, b, lower, upper, stack)
+        assert x_rows >= y_rows >= size  # every LP starts on its artificials, a signed permutation
+
+    @pytest.mark.parametrize("n", [2, 9, 16])
+    def test_a_flow_stack_meets_every_kind_of_iteration(self, caplog, monkeypatch, n):
+        # all-unit iterations gather x_B, y and w; mixed ones gather x_B only; in LAPACK-only ones no LP has a
+        # signed-permutation basis. An iteration that gathers no y groups its LPs: record which kind it is.
+        c, a, b, lower, upper = flow_stack(np.random.default_rng(n), n, 40)
+        columns = hippp.lp._phase_one(a, b, lower, upper)[1]
+        unit = ((columns != 0.0).sum(axis=0) == 1) & (np.abs(columns).sum(axis=0) == 1.0)
+        groups, kinds = hippp.lp._basis_groups, set()
+
+        def recorded(key, weights):
+            kinds.add("mixed" if unit[key].all(axis=1).any() else "LAPACK only")
+            return groups(key, weights)
+
+        monkeypatch.setattr(hippp.lp, "_basis_groups", recorded)
+        stack, [(*_, x_rows, y_rows, w_rows)] = stack_counts(caplog, lambda: solve_stack(c, a, b, lower, upper))
+        assert_rows_alone(c, a, b, lower, upper, stack)
+        assert kinds == {"mixed", "LAPACK only"} and x_rows > y_rows > 0 and w_rows > 0
+
+
+class TestErrorState:
+    """solve_stack sets numpy's error state once, around both phases and the handover."""
+
+    @staticmethod
+    def singular_stack(monkeypatch, size, column):
+        """A stack whose phase 1 starts on a singular basis: every position holds one column, an artificial
+        (a signed unit column) or a dense one."""
+        phase_one = hippp.lp._phase_one
+
+        def singular(*args):
+            start = phase_one(*args)
+            basis = start[5]
+            basis[:] = basis[:, :1] if column == "artificial" else 0
+            return start
+
+        monkeypatch.setattr(hippp.lp, "_phase_one", singular)
+        rng = np.random.default_rng(3)
+        return rng.normal(size=4), rng.normal(size=(3, 4)), np.ones(3), np.zeros((size, 4)), np.ones((size, 4))
+
+    @pytest.mark.parametrize("column", ["artificial", "dense"])
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_a_singular_basis_raises_an_internal_check_error(self, monkeypatch, size, column):
+        # a stack of one meets it in LAPACK; the lockstep in LAPACK (dense) or in its gather (artificial)
+        with pytest.raises(InternalCheckError, match="singular simplex basis"):
+            solve_stack(*self.singular_stack(monkeypatch, size, column))
+
+    def test_the_callers_error_state_is_kept(self, monkeypatch):
+        # after a stack returns, after one raises, and under a caller's state that raises on every error
+        optimal = stack_arrays(TestSolveStack.fixed_batch(LPStatus.OPTIMAL))
+        infeasible = stack_arrays(TestSolveStack.fixed_batch(LPStatus.INFEASIBLE))
+        for state in ({}, {"all": "raise"}):
+            with np.errstate(**state):
+                before = np.geterr(), np.geterrcall()
+                solve_stack(*optimal)
+                assert (np.geterr(), np.geterrcall()) == before
+                with pytest.raises(InternalCheckError, match="infeasible"):
+                    solve_stack(*infeasible)
+                assert (np.geterr(), np.geterrcall()) == before
+                with pytest.MonkeyPatch.context() as patch, pytest.raises(InternalCheckError, match="singular"):
+                    solve_stack(*self.singular_stack(patch, 3, "dense"))
+                assert (np.geterr(), np.geterrcall()) == before
+
+
+class TestCertification:
+    """A NaN fails the solver's own checks, which pass only a value at most their tolerance."""
+
+    def test_a_nan_point_fails_the_check(self):
+        a, b, lower, upper = np.array([[1.0, 1.0]]), np.array([0.5]), np.zeros((1, 2)), np.ones((1, 2))
+        hippp.lp._check_points(a, b, lower, upper, np.array([[0.0, 0.5]]))
+        with pytest.raises(InternalCheckError, match="nan"):
+            hippp.lp._check_points(a, b, lower, upper, np.array([[np.nan, 0.5]]))
+
+    def test_a_nan_artificial_sum_is_infeasible(self):
+        a, b, lower, upper = np.array([[1.0, 1.0]]), np.array([0.5]), np.zeros((2, 2)), np.ones((2, 2))
+        # a finished phase 1 whose artificials are zero, but for LP 1's NaN
+        _, columns, codes, lo1, up1, basis, stat, x = hippp.lp._phase_one(a, b, lower, upper)
+        x[:, 2] = [0.0, np.nan]
+        with pytest.raises(InternalCheckError, match="LP 1 of the stack is infeasible"):
+            hippp.lp._phase_two(np.zeros(2), columns, codes, lo1, up1, basis, stat, x)
+
+
 def loop_states(iterate, c, a, b, lower, upper):
     """What the inner loop `iterate` leaves on one LP with (n,) bounds,
-    driven as solve_stack drives a stack of one: after each phase, the bytes
-    of x, basis and stat and the counts; or, last, the text of the
-    InternalCheckError that ends the solve."""
+    driven as solve_stack drives a stack of one, in its error state: after
+    each phase, the bytes of x, basis and stat and the counts; or, last, the
+    text of the InternalCheckError that ends the solve."""
     b = b + 0.0
     c1, columns, codes, lo1, up1, basis, stat, x = hippp.lp._phase_one(a, b, lower[None], upper[None])
     states = []
     try:
         for phase in range(2):
-            counts = [0, 0, 0, 0, 0]
-            iterate(c1, np.ascontiguousarray(columns[:, codes[0]]), b, lo1[0], up1[0], basis[0], stat[0], x[0], counts)
+            counts = [0] * 8
+            with hippp.lp._errstate():
+                iterate(c1, np.ascontiguousarray(columns[:, codes[0]]), b, lo1[0], up1[0], basis[0], stat[0], x[0],
+                        counts)
             states.append((x.tobytes(), basis.tobytes(), stat.tobytes(), counts))
             if phase == 0:
                 c1 = hippp.lp._phase_two(c, columns, codes, lo1, up1, basis, stat, x)
@@ -718,8 +856,9 @@ class TestSolveHelper:
         self.assert_same(lead.transpose(0, 2, 1), rng.normal(size=(5, m, 1)))
 
     def test_a_singular_matrix_raises(self):
-        with pytest.raises(np.linalg.LinAlgError):
+        # in the error state solve_stack sets around both phases, as numpy.linalg's solve sets it per call
+        with hippp.lp._errstate(), pytest.raises(np.linalg.LinAlgError):
             hippp.lp._solve(np.ones((3, 3)), np.ones(3))
         stack = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]])])
-        with pytest.raises(np.linalg.LinAlgError):
+        with hippp.lp._errstate(), pytest.raises(np.linalg.LinAlgError):
             hippp.lp._solve(stack, np.ones((2, 2, 1)))
