@@ -234,7 +234,7 @@ def design_layer1(expected: ExpectedSet, cfg: DesignConfig) -> Layer1Design:
         start += run
         run = min(2 * run, _PLACEMENT_BLOCK)
     chosen_edges = tuple(map(tuple, tied[chosen].tolist()))
-    chosen_processed, _ = layer1_design_lp(expected, chosen_edges)
+    chosen_processed = layer1_design_lp(expected, chosen_edges)
 
     total = interconnection_count(n, m)
     log.debug(

@@ -35,15 +35,14 @@ entering column: equal inputs give equal bits. An LP whose basis columns
 are all signed unit columns (the artificials, and the -e_j columns of the
 flow LPs) has a signed permutation for its basis, which LAPACK's LU with
 partial pivoting factors without rounding: its basic values are a gather
-of the right-hand side, with LAPACK's bits, and when every live LP has
-such a basis, so are the duals and the entering column (see
-_iterate_many). So every LP takes the same pivots and returns the same
-bits as it does alone. A stack of one runs the serial loop
-(_iterate) on its own matrix instead, because the lockstep costs about three
-times as much at K = 1 (3.1-3.5x on the two LPs of the layer-1 design solve
-at N = 9 and 16, on a 2-core Xeon); that loop is also the lockstep's bitwise
-reference. It keeps in numpy what reads a matrix: the gather of the basis
-columns, b - A x_N, y A and the three solves. Pricing, the ratio test and
+of the right-hand side, with LAPACK's bits (see _iterate_many). So every
+LP takes the same pivots and returns the same bits as it does alone. A
+stack of one runs the serial loop (_iterate) on its own matrix instead,
+because the lockstep costs about three times as much at K = 1 (3.1-3.5x
+on the two LPs of the layer-1 design solve at N = 9 and 16, on a 2-core
+Xeon); that loop is also the lockstep's bitwise reference. It keeps in
+numpy what reads a matrix: the gather of the basis columns, b - A x_N,
+y A and the three solves. Pricing, the ratio test and
 the updates run on Python floats and lists, with numpy's tie rules. The
 bits hold because IEEE +, -, * and / round the same in Python as in numpy,
 and every product and solve stays in numpy and LAPACK.
@@ -55,9 +54,8 @@ under which LAPACK's flag for a singular matrix raises LinAlgError;
 solve_stack sets it (_errstate) once, around both phases and the
 handover, because per call it cost about 4 us on a 2-core Xeon, as much
 as a 9x9 solve. Inside it an invalid value raises too, and overflow,
-division by zero and underflow pass silently. A LinAlgError there, from
-LAPACK or from a gather that finds a singular basis, ends the solve as
-InternalCheckError.
+division by zero and underflow pass silently. A LinAlgError there ends the
+solve as InternalCheckError.
 """
 
 from __future__ import annotations
@@ -139,9 +137,9 @@ def _iterate(c, a, b, lower, upper, basis, stat, x, counts) -> None:
     """Run simplex iterations in place on one LP with at least one row until
     it is optimal. It runs only stacks of one, so an unbounded LP raises
     InternalCheckError naming LP 0. It solves every x_B, y and w with
-    LAPACK, and counts gains what _iterate_many's would with no gathers: per
-    iteration one iteration, LP iteration and y solve, and per step one w
-    solve and w row.
+    LAPACK, and counts gains what _iterate_many's would with no x_B gather:
+    per iteration one iteration, LP iteration and y solve, and per step one
+    w solve and w row.
 
     Bounds, statuses and the basis are read from Python lists; stat is
     written back when the LP is optimal. As in _iterate_many, a step writes
@@ -406,25 +404,22 @@ def _iterate_many(c, columns, b, lower, upper, basis, stat, codes, x, counts) ->
     does no arithmetic but exact moves, negations and operations on zeros.
     Its x_B is the gather x_B[i] = s_i rhs[r_i], with LAPACK's bits: the
     right-hand side is never -0.0 (b is free of -0.0, and v - v is +0.0),
-    so only s_i sets the sign of a zero. When every live LP has such a
-    basis, y and the entering column are gathered too, y[r_i] = s_i c_B[i]
-    and w[i] = s_i a_enter[r_i], equal to LAPACK's up to the signs of
-    zeros, which no comparison, step or result reads; a row that no basis
-    column covers leaves a NaN in y, the gather's singular basis, and
-    raises np.linalg.LinAlgError as LAPACK would.
+    so only s_i sets the sign of a zero. The other LPs solve for x_B with
+    LAPACK. A singular basis of unit columns (a row that none covers) still
+    gathers an x_B, but the y solve of the same basis raises
+    np.linalg.LinAlgError in the same iteration, before anything reads it.
 
-    Otherwise the LPs without such a basis solve for x_B with LAPACK, and
     y and w are solved by group. The duals y (B^T y = c_B) depend on
     nothing but the basis columns and their costs, and the entering column
     w (B w = a_enter) on B and a_enter. Equal codes are the same column of
-    the one matrix, with the same cost. So such an iteration groups the
-    live LPs by their basis row of codes and solves y, and takes the
-    reduced costs, once per group, and w once per (group, entering code);
-    every LP takes its group's result, and since a stacked solve or matmul
-    gives each slice the bits of that slice alone, that is the result of
-    its own. counts, a list of eight ints, gains the iterations, the LP
+    the one matrix, with the same cost. So every iteration groups the live
+    LPs by their basis row of codes and solves y, and takes the reduced
+    costs, once per group, and w once per (group, entering code); every LP
+    takes its group's result, and since a stacked solve or matmul gives
+    each slice the bits of that slice alone, that is the result of its
+    own. counts, a list of six ints, gains the iterations, the LP
     iterations (the y rows), the distinct y solves, the distinct w solves,
-    the w rows, and the x_B, y and w rows taken by gather.
+    the w rows, and the x_B rows taken by gather.
     """
     live = np.arange(basis.shape[0])
     bland = np.zeros(live.size, dtype=bool)
@@ -444,34 +439,24 @@ def _iterate_many(c, columns, b, lower, upper, basis, stat, codes, x, counts) ->
         rows = np.arange(live.size)
         at = rows[:, None] * width + bas  # flat positions of the basic variables in the (live, width) arrays
         key = co.take(at)  # the basis columns' codes
-        hit, sign = unit_row[key], unit_sign[key]  # each basis column's r_i and s_i; s_i is 0.0 off a unit column
-        spot = rows[:, None] * m + hit  # flat positions of the r_i in the (live, m) arrays
+        sign = unit_sign[key]  # each basis column's s_i; 0.0 off a unit column
         unit = sign.all(axis=1)
-        gathered = bool(unit.all())
         x_nb = _aligned_rows(xs)
         x_nb.put(at, 0.0)
         rhs = b - (plus @ x_nb[:, :, None])[:, :, 0]
-        x_b = rhs.take(spot) * sign  # x_B of each LP whose basis is a signed permutation
-        if gathered:
-            y = np.full(rhs.shape, np.nan)
-            y.put(spot, c[bas] * sign)
-            if np.isnan(y).any():
-                raise np.linalg.LinAlgError("Singular matrix")
-            reduced = c - (y[:, None, :] @ plus)[:, 0, :]  # read only where a candidate is, never on a basic column
-            counts[6] += live.size
-        else:
-            first, group = _basis_groups(key, weights)
-            lead = by_code[key[first]].transpose(0, 2, 1)  # slice i holds LP first[i]'s basis columns
-            solved = np.flatnonzero(~unit)
-            x_b[solved] = _solve(lead[group[solved]], rhs[solved, :, None])[:, :, 0]
-            y = _solve(lead.transpose(0, 2, 1), c[bas[first]][:, :, None])[:, :, 0]
-            reduced = (c - (y[:, None, :] @ plus)[:, 0, :])[group]
-            y = y[group]
-            counts[2] += first.size
+        x_b = rhs.take(rows[:, None] * m + unit_row[key]) * sign  # x_B of each LP whose basis is a signed permutation
+        first, group = _basis_groups(key, weights)
+        lead = by_code[key[first]].transpose(0, 2, 1)  # slice i holds LP first[i]'s basis columns
+        solved = np.flatnonzero(~unit)
+        x_b[solved] = _solve(lead[group[solved]], rhs[solved, :, None])[:, :, 0]
+        y = _solve(lead.transpose(0, 2, 1), c[bas[first]][:, :, None])[:, :, 0]
+        reduced = (c - (y[:, None, :] @ plus)[:, 0, :])[group]
+        y = y[group]
         xs.put(at, x_b)
         reduced[:, n:] = c[n:] - np.where(co[:, n:] < width, y, -y)
         counts[0] += 1
         counts[1] += live.size
+        counts[2] += first.size
         counts[5] += int(np.count_nonzero(unit))
 
         free = st == _NB_FREE
@@ -487,11 +472,9 @@ def _iterate_many(c, columns, b, lower, upper, basis, stat, codes, x, counts) ->
             if live.size == 0:
                 return
             rows = rows[:live.size]
-            lo, up, bas, st, xs, co, bland, stall, reduced, candidates, hit, sign = (
-                arr[going] for arr in (lo, up, bas, st, xs, co, bland, stall, reduced, candidates, hit, sign)
+            lo, up, bas, st, xs, co, bland, stall, reduced, candidates, group = (
+                arr[going] for arr in (lo, up, bas, st, xs, co, bland, stall, reduced, candidates, group)
             )
-            if not gathered:
-                group = group[going]
             at = rows[:, None] * width + bas
         # Bland takes the first candidate; Dantzig the first of the largest |reduced cost|
         enter = np.where(
@@ -504,13 +487,9 @@ def _iterate_many(c, columns, b, lower, upper, basis, stat, codes, x, counts) ->
         direction = np.where(reduced.take(at_enter) > 0.0, 1.0, -1.0)
 
         code = co.take(at_enter)
-        if gathered:
-            w = columns.take(hit * columns.shape[1] + code[:, None]) * sign
-            counts[7] += live.size
-        else:
-            w_first, w_group = _distinct(group * by_code.shape[0] + code)
-            w = _solve(lead[group[w_first]], by_code[code[w_first]][:, :, None])[w_group, :, 0]
-            counts[3] += w_first.size
+        w_first, w_group = _distinct(group * by_code.shape[0] + code)
+        w = _solve(lead[group[w_first]], by_code[code[w_first]][:, :, None])[w_group, :, 0]
+        counts[3] += w_first.size
         counts[4] += live.size
         g = -direction[:, None] * w
         hits_upper = g > _PIVOT_TOL
@@ -579,7 +558,7 @@ def solve_stack(objective, a_eq, b_eq, lower, upper) -> np.ndarray:
 
     iterate = _iterate_one if k_all == 1 else _iterate_many
     c_phase1, columns, codes, lo1, up1, basis, stat, x = _phase_one(a, b, lower, upper)
-    counts = [0] * 8
+    counts = [0] * 6
     try:
         with _errstate():
             iterate(c_phase1, columns, b, lo1, up1, basis, stat, codes, x, counts)
@@ -588,7 +567,7 @@ def solve_stack(objective, a_eq, b_eq, lower, upper) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise InternalCheckError(f"singular simplex basis: {exc}") from exc
     log.debug("LP stack: %d LPs, %d iterations, %d LP-iterations (y rows), %d y solves, "
-              "%d w solves for %d rows; by gather %d x_B rows, %d y rows, %d w rows", k_all, *counts)
+              "%d w solves for %d rows; %d x_B rows by gather", k_all, *counts)
     values = x[:, :n]
     _check_points(a, b, lower, upper, values)
     return values

@@ -695,15 +695,15 @@ def layer1_design_lp(expected: ExpectedSet, edges: Sequence[_Pair]):
 
     `edges` are (from, to) battery pairs of a placement the layer-1 search
     made, taken as given.
-    Returns (processed, output): the canonical per-edge processed powers
-    |f_e| at maximum output with minimum total processing, and that output.
-    The design prints these values with repr, so they stay on the LP. Stage
-    1 is the maximum-output LP (_stage_one) with unbounded flows; stage 2
-    fixes its current and minimizes sum |f| over [I, f+, f-, p], with
-    f = f+ - f- and both halves non-negative. Each goes through
-    lp.solve_stack as a stack of one, whose inner loop is the solver's
-    serial one. Both flows are certified, and a stage-2 flow that circulates
-    power both ways along an edge raises InternalCheckError.
+    Returns the canonical per-edge processed powers |f_e| at maximum output
+    with minimum total processing. The design prints these values with
+    repr, so they stay on the LP. Stage 1 is the maximum-output LP
+    (_stage_one) with unbounded flows; stage 2 fixes its current and
+    minimizes sum |f| over [I, f+, f-, p], with f = f+ - f- and both halves
+    non-negative. Each goes through lp.solve_stack as a stack of one, whose
+    inner loop is the solver's serial one. Both flows are certified, and a
+    stage-2 flow that circulates power both ways along an edge raises
+    InternalCheckError.
     """
     caps = expected.capabilities
     n = caps.size
@@ -726,4 +726,4 @@ def layer1_design_lp(expected: ExpectedSet, edges: Sequence[_Pair]):
         raise InternalCheckError("flow split left circulating power in both directions")
     flows = pos - neg
     _certify(caps, edges, None, current, flows, second[1 + 2 * e:])
-    return np.abs(flows), n * current
+    return np.abs(flows)

@@ -147,7 +147,8 @@ def two_lp_design_solve(caps, pairs):
     Stage 1 is the maximum-output LP of build_flow_lp with unbounded pair
     flows; stage 2 fixes its current and takes the least processed power
     from least_processing_lp with infinite ratings. Returns (|f_e| per edge,
-    N * I), as powerflow.layer1_design_lp does.
+    N * I): powerflow.layer1_design_lp returns the first, and its stage-1
+    LP gives the second.
     """
     caps = np.asarray(caps, dtype=float)
     first = solve(build_flow_lp(caps, [ConverterEdge(src, dst, np.inf) for src, dst in pairs]))
@@ -410,8 +411,8 @@ def serial_iterate(c, a, b, lower, upper, basis, stat, x, counts) -> None:
     Run simplex iterations in place on one LP with at least one row until
     it is optimal. It runs only stacks of one, so an unbounded LP raises
     InternalCheckError naming LP 0. counts gains what _iterate_many's would
-    with no gathers: per iteration one iteration, LP iteration and y solve,
-    and per step one w solve and w row."""
+    with no x_B gather: per iteration one iteration, LP iteration and y
+    solve, and per step one w solve and w row."""
     bland = False
     stall = 0
     for _ in range(hippp.lp._MAX_ITERATIONS):

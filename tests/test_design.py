@@ -90,6 +90,12 @@ def scipy_two_stage(caps, edge_set):
     return n * best_current, float(second.fun)
 
 
+def design_output(expected, edges):
+    """N * I at the current that layer1_design_lp fixes: its stage-1 LP, with unbounded pair flows."""
+    unbounded = np.full((1, len(edges)), np.inf)
+    return expected.count * float(hippp.powerflow._stage_one(expected.capabilities[None], edges, unbounded)[0, 0])
+
+
 def placements_in_order(n, m):
     """Every m-subset of the pairs of n batteries, in lexicographic order."""
     return list(itertools.combinations(itertools.combinations(range(n), 2), m))
@@ -108,7 +114,7 @@ def full_tie_scan(expected, m, k):
     for edges, output in zip(placements, outputs):
         if output < best - 1e-9:
             continue
-        processed, _ = layer1_design_lp(expected, edges)
+        processed = layer1_design_lp(expected, edges)
         if processed.sum() < chosen[2] - 1e-9:
             chosen = (edges, processed, float(processed.sum()))
     edges, processed, _ = chosen
@@ -449,14 +455,14 @@ class TestLayer1Search:
         expected = ExpectedSet(np.sort(rng.uniform(0.3, 1.7, n)), supply) if drawn else flatten(supply)
         placements = placements_in_order(n, m)
         edges = placements[rng.integers(len(placements))]
-        processed, output = layer1_design_lp(expected, edges)
+        processed, output = layer1_design_lp(expected, edges), design_output(expected, edges)
         ref_processed, ref_output = two_lp_design_solve(expected.capabilities, edges)
         assert output.hex() == ref_output.hex()
         assert [p.hex() for p in processed.tolist()] == [p.hex() for p in ref_processed.tolist()]
 
     def test_design_lp_agrees_with_scipy_on_the_chosen_edges(self):
         expected = flatten(BatterySupply(1.0, 0.2, 9))
-        flows, output = layer1_design_lp(expected, N9_EDGES)
+        flows, output = layer1_design_lp(expected, N9_EDGES), design_output(expected, N9_EDGES)
         ref_output, ref_processed = scipy_two_stage(expected.capabilities, N9_EDGES)
         assert output == pytest.approx(ref_output, abs=1e-8)
         assert flows.sum() == pytest.approx(ref_processed, abs=1e-8)

@@ -357,7 +357,7 @@ def assert_stack_agrees_with_rows(batch):
 def stack_counts(caplog, solve):
     """Run solve() and return its result and the counters of every LP stack
     it logs, in order: LPs, iterations, LP-iterations (the y rows), y
-    solves, w solves, w rows, and the x_B, y and w rows taken by gather."""
+    solves, w solves, w rows, and the x_B rows taken by gather."""
     with caplog.at_level(logging.DEBUG, logger="hippp.lp"):
         caplog.clear()
         result = solve()
@@ -517,15 +517,15 @@ class TestSolveStack:
     def test_the_layer2_curve_stack_shares_its_solves(self, caplog):
         # the layer-1 design solve logs its two stacks of one, one y and one
         # w solve per step of the serial loop (the last iteration of each
-        # phase only finds it optimal) and no gather; the layer-2 curve's
-        # stack shares its solves
+        # phase only finds it optimal) and no x_B gather; the layer-2
+        # curve's stack shares its solves
         supply = BatterySupply(1.0, 0.2, 9)
         expected = flatten(supply)
         cfg = DesignConfig(num_layer1=3, num_rating_sets=2)
         layer1, design = stack_counts(caplog, lambda: design_layer1(expected, cfg))
         assert [lps for lps, *_ in design] == [1, 1]
-        for _, iterations, y_rows, y_solves, w_solves, w_rows, *gathers in design:
-            assert y_rows == y_solves == iterations and w_rows == w_solves == iterations - 2 and gathers == [0, 0, 0]
+        for _, iterations, y_rows, y_solves, w_solves, w_rows, x_rows in design:
+            assert y_rows == y_solves == iterations and w_rows == w_solves == iterations - 2 and x_rows == 0
         arch = Architecture(ArchitectureKind.LSHIPPP, 9, expected.total_power, 0.0, layer1)
         block = np.tile([draw_capabilities(supply, seed) for seed in range(10)], (4, 1))
         rungs = np.repeat([0.0, 0.05, 0.1, 0.3], 10)
@@ -633,7 +633,7 @@ def assert_rows_alone(c, a, b, lower, upper, stack):
 
 
 class TestGather:
-    """The lockstep's gathers on signed-permutation bases against LAPACK's solves."""
+    """The lockstep's x_B gather on signed-permutation bases against LAPACK's solves."""
 
     def test_signed_unit_columns_are_found_by_their_nonzeros(self):
         # -0.0 counts as a zero; a column with one nonzero other than +-1 is no unit column
@@ -646,27 +646,30 @@ class TestGather:
     def test_a_flow_stack_equals_its_rows_alone(self, caplog, seed, n, size):
         c, a, b, lower, upper = flow_stack(np.random.default_rng(seed), n, size)
         assert n == 1 or np.signbit(a[a == 0.0]).any()
-        stack, [(*_, x_rows, y_rows, w_rows)] = stack_counts(caplog, lambda: solve_stack(c, a, b, lower, upper))
+        stack, [(*_, x_rows)] = stack_counts(caplog, lambda: solve_stack(c, a, b, lower, upper))
         assert_rows_alone(c, a, b, lower, upper, stack)
-        assert x_rows >= y_rows >= size  # every LP starts on its artificials, a signed permutation
+        assert x_rows >= size  # every LP starts on its artificials, a signed permutation
 
     @pytest.mark.parametrize("n", [2, 9, 16])
     def test_a_flow_stack_meets_every_kind_of_iteration(self, caplog, monkeypatch, n):
-        # all-unit iterations gather x_B, y and w; mixed ones gather x_B only; in LAPACK-only ones no LP has a
-        # signed-permutation basis. An iteration that gathers no y groups its LPs: record which kind it is.
+        # every LP on a signed-permutation basis gathers its x_B, and the others solve for it with LAPACK: all-unit
+        # iterations gather every x_B, mixed ones some, LAPACK-only ones none. Every iteration groups its LPs:
+        # record which kind it is, and the LPs on such a basis.
         c, a, b, lower, upper = flow_stack(np.random.default_rng(n), n, 40)
         columns = hippp.lp._phase_one(a, b, lower, upper)[1]
         unit = ((columns != 0.0).sum(axis=0) == 1) & (np.abs(columns).sum(axis=0) == 1.0)
-        groups, kinds = hippp.lp._basis_groups, set()
+        groups, kinds, on_unit = hippp.lp._basis_groups, set(), []
 
         def recorded(key, weights):
-            kinds.add("mixed" if unit[key].all(axis=1).any() else "LAPACK only")
+            all_unit = unit[key].all(axis=1)
+            kinds.add("all-unit" if all_unit.all() else "mixed" if all_unit.any() else "LAPACK only")
+            on_unit.append(int(all_unit.sum()))
             return groups(key, weights)
 
         monkeypatch.setattr(hippp.lp, "_basis_groups", recorded)
-        stack, [(*_, x_rows, y_rows, w_rows)] = stack_counts(caplog, lambda: solve_stack(c, a, b, lower, upper))
+        stack, [(*_, x_rows)] = stack_counts(caplog, lambda: solve_stack(c, a, b, lower, upper))
         assert_rows_alone(c, a, b, lower, upper, stack)
-        assert kinds == {"mixed", "LAPACK only"} and x_rows > y_rows > 0 and w_rows > 0
+        assert kinds == {"all-unit", "mixed", "LAPACK only"} and x_rows == sum(on_unit)
 
 
 class TestErrorState:
@@ -691,7 +694,8 @@ class TestErrorState:
     @pytest.mark.parametrize("column", ["artificial", "dense"])
     @pytest.mark.parametrize("size", [1, 3])
     def test_a_singular_basis_raises_an_internal_check_error(self, monkeypatch, size, column):
-        # a stack of one meets it in LAPACK; the lockstep in LAPACK (dense) or in its gather (artificial)
+        # a stack of one meets it in LAPACK's x_B solve; the lockstep in its x_B solve (dense) or, after gathering
+        # x_B, in its y solve (artificial)
         with pytest.raises(InternalCheckError, match="singular simplex basis"):
             solve_stack(*self.singular_stack(monkeypatch, size, column))
 
@@ -740,7 +744,7 @@ def loop_states(iterate, c, a, b, lower, upper):
     states = []
     try:
         for phase in range(2):
-            counts = [0] * 8
+            counts = [0] * 6
             with hippp.lp._errstate():
                 iterate(c1, np.ascontiguousarray(columns[:, codes[0]]), b, lo1[0], up1[0], basis[0], stat[0], x[0],
                         counts)
