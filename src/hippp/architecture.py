@@ -23,10 +23,10 @@ rating cost the same converter capacity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .errors import ParameterError, StructuralError, nonnegative, nonnegative_finite, positive, whole
+from .errors import Checked, ParameterError, StructuralError, nonnegative, nonnegative_finite, positive, whole
 from .supply import ExpectedSet
 
 
@@ -36,24 +36,24 @@ class ArchitectureKind(str, Enum):
     LSHIPPP = "lshippp"
 
 
-@dataclass(frozen=True)
-class ConverterEdge:
+class ConverterEdge(Checked, NamedTuple("ConverterEdge", [
+    ("from_battery", int), ("to_battery", int), ("rating", float),
+])):
     """Directed converter between two batteries; flow is signed along from->to."""
 
-    from_battery: int
-    to_battery: int
-    rating: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "from_battery", whole(self.from_battery, "from_battery"))
-        object.__setattr__(self, "to_battery", whole(self.to_battery, "to_battery"))
+    def __new__(cls, from_battery, to_battery, rating):
+        self = super().__new__(cls, whole(from_battery, "from_battery"), whole(to_battery, "to_battery"), rating)
         if self.from_battery == self.to_battery:
             raise ParameterError("converter endpoints must differ")
-        nonnegative(self.rating, "rating")
+        nonnegative(rating, "rating")
+        return self
 
 
-@dataclass(frozen=True)
-class Layer1Design:
+class Layer1Design(Checked, NamedTuple("Layer1Design", [
+    ("edges", tuple[ConverterEdge, ...]), ("rating_partitions", int), ("processed_at_design", tuple[float, ...]),
+])):
     """Sparse pair converters chosen on the expected set.
 
     `processed_at_design` keeps each edge's optimal processed power from the
@@ -61,55 +61,53 @@ class Layer1Design:
     `rating_partitions` identical-converter groups.
     """
 
-    edges: tuple[ConverterEdge, ...]
-    rating_partitions: int
-    processed_at_design: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-        object.__setattr__(self, "processed_at_design", tuple(float(p) for p in self.processed_at_design))
-        if len(self.edges) == 0:
+    def __new__(cls, edges, rating_partitions, processed_at_design):
+        edges = tuple(edges)
+        processed_at_design = tuple(float(p) for p in processed_at_design)
+        if len(edges) == 0:
             raise StructuralError("layer 1 needs at least one converter")
-        if len(self.processed_at_design) != len(self.edges):
+        if len(processed_at_design) != len(edges):
             raise StructuralError("one design processed power per edge required")
-        nonnegative_finite(self.processed_at_design, "processed_at_design")
-        k = whole(self.rating_partitions, "rating_partitions", 1, len(self.edges))
-        object.__setattr__(self, "rating_partitions", k)
-        distinct = len(set(edge.rating for edge in self.edges))
+        nonnegative_finite(processed_at_design, "processed_at_design")
+        k = whole(rating_partitions, "rating_partitions", 1, len(edges))
+        distinct = len(set(edge.rating for edge in edges))
         if distinct > k:
             raise StructuralError(f"{distinct} distinct ratings exceed {k} partitions")
+        return super().__new__(cls, edges, k, processed_at_design)
 
     @property
     def total_rating(self) -> float:
         return float(sum(edge.rating for edge in self.edges))
 
 
-@dataclass(frozen=True)
-class Architecture:
+class Architecture(Checked, NamedTuple("Architecture", [
+    ("kind", ArchitectureKind), ("num_batteries", int), ("total_expected_power", float), ("rating", float),
+    ("layer1", Layer1Design | None),
+])):
     """The converters of one string: `rating` per battery (fpp) or per ladder rung, plus lshippp's layer 1."""
 
-    kind: ArchitectureKind
-    num_batteries: int
-    total_expected_power: float
-    rating: float
-    layer1: Layer1Design | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = whole(self.num_batteries, "num_batteries", 1)
-        object.__setattr__(self, "num_batteries", n)
-        positive(self.total_expected_power, "total_expected_power")
-        if self.kind not in tuple(ArchitectureKind):
-            raise StructuralError(f"unknown architecture kind {self.kind!r}")
-        nonnegative(self.rating, "rating")
-        hierarchical = self.kind == ArchitectureKind.LSHIPPP
-        if (self.layer1 is not None) != hierarchical:
+    def __new__(cls, kind, num_batteries, total_expected_power, rating, layer1=None):
+        n = whole(num_batteries, "num_batteries", 1)
+        positive(total_expected_power, "total_expected_power")
+        try:
+            kind = ArchitectureKind(kind)
+        except ValueError:
+            raise StructuralError(f"unknown architecture kind {kind!r}") from None
+        nonnegative(rating, "rating")
+        hierarchical = kind == ArchitectureKind.LSHIPPP
+        if (layer1 is not None) != hierarchical:
             raise StructuralError("layer1 is set for the lshippp architecture and only for it")
-        _check_ladder(self.kind, n)
+        _check_ladder(kind, n)
         if hierarchical:
-            _check_sparse(len(self.layer1.edges), n)
-            for edge in self.layer1.edges:
+            _check_sparse(len(layer1.edges), n)
+            for edge in layer1.edges:
                 if edge.from_battery >= n or edge.to_battery >= n:
                     raise StructuralError(f"edge {edge.from_battery}->{edge.to_battery} leaves the string")
+        return super().__new__(cls, kind, n, total_expected_power, rating, layer1)
 
 
 def _check_ladder(kind: ArchitectureKind, n: int) -> None:

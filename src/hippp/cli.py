@@ -32,7 +32,6 @@ import logging
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -61,8 +60,7 @@ CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     supply: BatterySupply = BatterySupply(1.0, 0.2, 9)
     design: DesignConfig = DesignConfig()
     kinds: tuple[ArchitectureKind, ...] = (ArchitectureKind.LSHIPPP, ArchitectureKind.CPPP, ArchitectureKind.FPP)
@@ -145,14 +143,15 @@ _FORMATS = {int: str, _edge: "{0[0]},{0[1]}".format}
 _SUPPLY_KEYS = (_Key("mean_power", float), _Key("std_power", float), _Key("count", int))
 _RATING_BUDGET = _Key("rating_budget", float, lambda budget, got: nonnegative_finite(budget, "rating budget"))
 
-# the experiment config, each section's defaults those of ExperimentConfig
+# the experiment config, each section's defaults those of ExperimentConfig() (on the class, a field is its getter)
+_DEFAULTS = ExperimentConfig()
 _CONFIG = (
-    _Section("supply", _SUPPLY_KEYS, build=BatterySupply, defaults=ExperimentConfig.supply),
+    _Section("supply", _SUPPLY_KEYS, build=BatterySupply, defaults=_DEFAULTS.supply),
     _Section("design", (
         _Key("num_layer1", int, lambda m, got: _check_sparse(m, got["supply"].count)),
         _Key("num_rating_sets", int), _Key("layer2_trial_ratings", _floats),
         _Key("monte_carlo_trials", int), _Key("base_seed", int),
-    ), build=DesignConfig, defaults=ExperimentConfig.design),
+    ), build=DesignConfig, defaults=_DEFAULTS.design),
     _Section("evaluate", (
         _Key("kinds", lambda text: tuple(_normalize_kinds(text.lower().replace(",", " ").split()))),
         _Key("rating_grid", _floats, lambda values, got: grid(values, "rating grid")),
@@ -164,8 +163,8 @@ _CONFIG = (
         _Key("converter_efficiency", float, lambda efficiency, got: _check_efficiency(efficiency)),
         _whole("trials", 1),
         _whole("seed", 0),
-    ), build=dict, defaults=ExperimentConfig),
-    _Section("output", (_Key("directory", str),), build=dict, defaults=ExperimentConfig),
+    ), build=dict, defaults=_DEFAULTS),
+    _Section("output", (_Key("directory", str),), build=dict, defaults=_DEFAULTS),
 )
 
 # design.txt, as `hippp design` writes it and `hippp flow` reads it back
@@ -247,8 +246,7 @@ def _read_ini(path: str, table) -> dict:
 def _write_ini(handle, table, sections) -> None:
     """Write `sections`, per section of `table` what `_read_ini` gives for it, in ConfigParser.write's layout."""
     for section, values in zip(table, sections, strict=True):
-        names = [key.name for key in section.keys]
-        by_name = {name: getattr(values, name) for name in names} if section.build else dict(zip(names, values))
+        by_name = dict(zip((key.name for key in section.keys), values, strict=True))
         handle.write(f"[{section.name}]\n")
         for key, name, i in _layout(section, lambda: len(by_name[section.keys[-1].name])):
             value = by_name[key.name] if i is None else by_name[key.name][i]
@@ -268,9 +266,8 @@ def _records_csv(records: list[MetricsRecord]) -> str:
     writer = csv.writer(buffer)
     writer.writerow(CSV_HEADER)
     writer.writerows(
-        [r.architecture_kind, _sig6(r.rating_norm), _sig6(r.heterogeneity), r.trials, r.seed,
-         *map(_sig6, (r.utilization, r.utilization_std, r.system_efficiency, r.processed_norm, r.output_norm))]
-        for r in records
+        [kind, _sig6(rating), _sig6(sigma), trials, seed, *map(_sig6, means)]
+        for kind, rating, sigma, trials, seed, *means in records
     )
     return buffer.getvalue()
 
@@ -438,7 +435,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.trials is not None:
         with _key("--trials"):
             updates["trials"] = design["monte_carlo_trials"] = whole(args.trials, "trials", 1)
-    return replace(cfg, design=replace(cfg.design, **design), **updates)
+    return cfg._replace(design=cfg.design._replace(**design), **updates)
 
 
 def main(argv=None) -> int:

@@ -20,13 +20,13 @@ design's rung spends what layer 1 left of the budget (lshippp_for_budget).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
 from .architecture import Architecture, ArchitectureKind, ConverterEdge, Layer1Design, _check_sparse, _spend
-from .errors import EnumerationCapError, ParameterError, grid, nonnegative, whole
+from .errors import Checked, EnumerationCapError, ParameterError, grid, nonnegative, whole
 from .powerflow import _processing_totals, free_flow_outputs, layer1_design_lp, max_string_outputs
 from .supply import BatterySupply, ExpectedSet, _draw_block, flatten
 
@@ -39,8 +39,10 @@ _VALUE_TIE_TOL = 1e-9
 _DEFAULT_TRIAL_RATINGS = (0.0, 0.02, 0.04, 0.06, 0.08, 0.10, 0.15, 0.20, 0.30, 0.50)
 
 
-@dataclass(frozen=True)
-class DesignConfig:
+class DesignConfig(Checked, NamedTuple("DesignConfig", [
+    ("num_layer1", int), ("num_rating_sets", int), ("layer2_trial_ratings", tuple[float, ...]),
+    ("monte_carlo_trials", int), ("base_seed", int),
+])):
     """Knobs for the two-stage design.
 
     num_layer1: pair converters placed by the search (M).
@@ -50,35 +52,29 @@ class DesignConfig:
     base_seed + t so every trial rating sees identical batches.
     """
 
-    num_layer1: int = 3
-    num_rating_sets: int = 2
-    layer2_trial_ratings: tuple[float, ...] = _DEFAULT_TRIAL_RATINGS
-    monte_carlo_trials: int = 1000
-    base_seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = whole(self.num_layer1, "num_layer1", 1)
-        object.__setattr__(self, "num_layer1", m)
-        object.__setattr__(self, "num_rating_sets", whole(self.num_rating_sets, "num_rating_sets", 1, m))
-        object.__setattr__(self, "monte_carlo_trials", whole(self.monte_carlo_trials, "monte_carlo_trials", 1))
-        object.__setattr__(self, "base_seed", whole(self.base_seed, "base_seed"))
-        object.__setattr__(self, "layer2_trial_ratings", grid(self.layer2_trial_ratings, "layer2_trial_ratings"))
+    def __new__(cls, num_layer1=3, num_rating_sets=2, layer2_trial_ratings=_DEFAULT_TRIAL_RATINGS,
+                monte_carlo_trials=1000, base_seed=0):
+        m = whole(num_layer1, "num_layer1", 1)
+        k = whole(num_rating_sets, "num_rating_sets", 1, m)
+        trials, seed = whole(monte_carlo_trials, "monte_carlo_trials", 1), whole(base_seed, "base_seed")
+        return super().__new__(cls, m, k, grid(layer2_trial_ratings, "layer2_trial_ratings"), trials, seed)
 
 
-@dataclass(frozen=True)
-class Layer2Curve:
+class Layer2Curve(Checked, NamedTuple("Layer2Curve", [("points", tuple[tuple[float, float], ...])])):
     """Mean utilization vs trial ladder rating, non-decreasing by construction; its ratings are a grid."""
 
-    points: tuple[tuple[float, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        pts = tuple((float(r), float(u)) for r, u in self.points)
-        object.__setattr__(self, "points", pts)
+    def __new__(cls, points):
+        self = super().__new__(cls, tuple((float(r), float(u)) for r, u in points))
         grid(self.ratings, "curve rating grid")
         if not all(-1e-7 <= util <= 1.0 + 1e-7 for util in self.utilizations):
             raise ParameterError("curve utilizations must be in [0, 1]")
         if any(u1 < u0 - 1e-7 for u0, u1 in zip(self.utilizations, self.utilizations[1:])):
             raise ParameterError("utilization curve must be non-decreasing")
+        return self
 
     @property
     def ratings(self) -> tuple[float, ...]:

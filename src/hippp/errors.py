@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one rule for each kind of input value."""
+"""Exception types shared across the package, its one rule for each kind of input value, and its record base."""
 
 from __future__ import annotations
 
@@ -51,15 +51,21 @@ def grid(values, name: str) -> tuple[float, ...]:
     return values
 
 
+def _numbers(values) -> np.ndarray:
+    """`values` as an array, all NaN unless it holds numbers: so None or a string fails each rule, never converted."""
+    array = np.asarray(values)
+    return array if array.dtype.kind in "biuf" else np.full(array.shape, math.nan)
+
+
 def nonnegative(values, name: str) -> None:
     """The rule of every rating and power: refuse NaN or a value below 0 in number or array `values`; inf passes."""
-    if not (np.asarray(values) >= 0.0).all():
+    if not (_numbers(values) >= 0.0).all():
         raise ParameterError(f"{name} must be non-negative, not NaN")
 
 
 def positive(values, name: str) -> None:
     """The rule of every capability and mean power: refuse a value of number or array `values` not in (0, inf)."""
-    values = np.asarray(values)
+    values = _numbers(values)
     if not ((values > 0.0) & (values < math.inf)).all():
         raise ParameterError(f"{name} must be positive and finite")
 
@@ -67,8 +73,18 @@ def positive(values, name: str) -> None:
 def nonnegative_finite(values, name: str) -> None:
     """The rule of every budget, spread and grid: refuse a value of number or array `values` not in [0, inf)."""
     # a few values a call: a Python loop costs less than numpy's per-call overhead
-    if not all(0.0 <= value < math.inf for value in np.asarray(values, dtype=float).flat):
+    if not all(0.0 <= value < math.inf for value in _numbers(values).flat):
         raise ParameterError(f"{name} must be non-negative and finite")
+
+
+class Checked:
+    """First base of a checked NamedTuple: ``_make``, so ``_replace``, builds through the checking ``__new__``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class StructuralError(HipppError, ValueError):

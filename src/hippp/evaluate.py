@@ -32,7 +32,6 @@ Reported metrics per architecture:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -51,8 +50,7 @@ DEFAULT_CONVERTER_EFFICIENCY = 0.85
 _UTIL_SLACK = 1e-7
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
+class MetricsRecord(NamedTuple):
     """Mean Monte Carlo metrics for one architecture at one operating point."""
 
     architecture_kind: str

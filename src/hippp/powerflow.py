@@ -69,36 +69,30 @@ current.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .architecture import Architecture, ArchitectureKind, ConverterEdge
-from .errors import EnumerationCapError, InternalCheckError, ParameterError, StructuralError, nonnegative, positive
+from .errors import Checked, EnumerationCapError, InternalCheckError, ParameterError, StructuralError
+from .errors import nonnegative, positive
 from .lp import FEASIBILITY_TOL, solve_stack
-from .supply import ExpectedSet
+from .supply import ExpectedSet, _frozen
 
 _Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class PowerFlowSolution:
+class PowerFlowSolution(Checked, NamedTuple("PowerFlowSolution", [
+    ("string_current", float), ("converter_flows", np.ndarray), ("battery_powers", np.ndarray),
+    ("output_power", float), ("processed_power", float),
+])):
     """One operating point: string current, per-edge flows, per-battery powers."""
 
-    string_current: float
-    converter_flows: np.ndarray
-    battery_powers: np.ndarray
-    output_power: float
-    processed_power: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        flows = np.array(self.converter_flows, dtype=float)
-        powers = np.array(self.battery_powers, dtype=float)
-        flows.setflags(write=False)
-        powers.setflags(write=False)
-        object.__setattr__(self, "converter_flows", flows)
-        object.__setattr__(self, "battery_powers", powers)
+    def __new__(cls, string_current, converter_flows, battery_powers, output_power, processed_power):
+        return super().__new__(cls, string_current, _frozen(converter_flows), _frozen(battery_powers),
+                               output_power, processed_power)
 
 
 def _flow_matrix(pairs: Sequence[_Pair], n: int) -> np.ndarray:

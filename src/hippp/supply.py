@@ -17,7 +17,7 @@ scipy.special's bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +26,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from ._normal import ndtr, ndtri
-from .errors import InternalCheckError, ParameterError, nonnegative_finite, positive, whole
+from .errors import Checked, InternalCheckError, ParameterError, nonnegative_finite, positive, whole
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -47,8 +47,9 @@ def _phi(z: float) -> float:
     return math.exp(-0.5 * z * z) / _SQRT_2PI
 
 
-@dataclass(frozen=True)
-class BatterySupply:
+class BatterySupply(Checked, NamedTuple("BatterySupply", [
+    ("mean_power", float), ("std_power", float), ("count", int),
+])):
     """Gaussian battery population feeding one series string of `count` units.
 
     std_power is 0, a homogeneous supply, or between MIN_RELATIVE_STD *
@@ -56,46 +57,49 @@ class BatterySupply:
     `count` flattened slots keeps a positive mean.
     """
 
-    mean_power: float
-    std_power: float
-    count: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        positive(self.mean_power, "mean_power")
-        nonnegative_finite(self.std_power, "std_power")
-        if 0.0 < self.std_power < MIN_RELATIVE_STD * self.mean_power:
+    def __new__(cls, mean_power, std_power, count):
+        positive(mean_power, "mean_power")
+        nonnegative_finite(std_power, "std_power")
+        if 0.0 < std_power < MIN_RELATIVE_STD * mean_power:
             raise ParameterError(
                 f"std_power must be 0 or at least {MIN_RELATIVE_STD} * mean_power, "
-                f"got {self.std_power!r}: a smaller spread cannot be flattened"
+                f"got {std_power!r}: a smaller spread cannot be flattened"
             )
-        if self.std_power >= self.mean_power:
+        if std_power >= mean_power:
             # keeps the negative-capability tail negligible
             raise ParameterError("std_power must be below mean_power")
-        object.__setattr__(self, "count", whole(self.count, "count", 1))
-        if self.std_power > 0.0 and _slot_means(self, 1)[0] <= 0.0:
+        self = super().__new__(cls, mean_power, std_power, whole(count, "count", 1))
+        if std_power > 0.0 and _slot_means(self, 1)[0] <= 0.0:
             raise ParameterError("std_power too large for this count: weakest slot mean is not positive")
+        return self
 
 
 def _ascending(values: np.ndarray) -> bool:
     return bool(np.all(np.diff(values) >= 0.0))
 
 
-@dataclass(frozen=True)
-class ExpectedSet:
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy of `values`."""
+    array = np.array(values, dtype=float)
+    array.setflags(write=False)
+    return array
+
+
+class ExpectedSet(Checked, NamedTuple("ExpectedSet", [("capabilities", np.ndarray), ("supply", BatterySupply)])):
     """Flattened per-slot expected capabilities, ascending, one per battery."""
 
-    capabilities: np.ndarray
-    supply: BatterySupply
+    __slots__ = ()
 
-    def __post_init__(self):
-        caps = np.array(self.capabilities, dtype=float)
-        caps.setflags(write=False)
-        object.__setattr__(self, "capabilities", caps)
-        if caps.shape != (self.supply.count,):
+    def __new__(cls, capabilities, supply):
+        caps = _frozen(capabilities)
+        if caps.shape != (supply.count,):
             raise ParameterError("expected set length must equal supply count")
         positive(caps, "expected capabilities")
         if not _ascending(caps):
             raise ParameterError("expected capabilities must be sorted ascending")
+        return super().__new__(cls, caps, supply)
 
     @property
     def count(self) -> int:
@@ -107,26 +111,21 @@ class ExpectedSet:
         return float(self.capabilities.sum())
 
 
-@dataclass(frozen=True)
-class BatterySample:
+class BatterySample(Checked, NamedTuple("BatterySample", [
+    ("capabilities", np.ndarray), ("deviations", np.ndarray), ("seed", int),
+])):
     """One Monte Carlo draw of a procured batch, sorted onto string slots."""
 
-    capabilities: np.ndarray
-    deviations: np.ndarray
-    seed: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        caps = np.array(self.capabilities, dtype=float)
-        dev = np.array(self.deviations, dtype=float)
-        caps.setflags(write=False)
-        dev.setflags(write=False)
-        object.__setattr__(self, "capabilities", caps)
-        object.__setattr__(self, "deviations", dev)
+    def __new__(cls, capabilities, deviations, seed):
+        caps, dev = _frozen(capabilities), _frozen(deviations)
         if caps.shape != dev.shape:
             raise ParameterError("capabilities and deviations must align")
         positive(caps, "sampled capabilities")
         if not _ascending(caps):
             raise ParameterError("sampled capabilities must be sorted ascending")
+        return super().__new__(cls, caps, dev, seed)
 
     @property
     def total_power(self) -> float:

@@ -1,6 +1,7 @@
 """Architecture data model: rating arithmetic and structural validation."""
 
 import math
+import re
 
 import pytest
 from oracles import cppp_budget_rating, fpp_budget_rating, layer2_budget_rating
@@ -18,6 +19,7 @@ from hippp import (
     architecture_edges,
     cppp_from_budget,
     design_layer1,
+    evaluate_architecture,
     flatten,
     fpp_from_budget,
     lshippp_for_budget,
@@ -136,6 +138,19 @@ class TestStructure:
                 Architecture(kind, 3, 3.0, 0.1, layer1)
             assert Architecture(kind, 3, 3.0, 0.1).layer1 is None
         assert Architecture(ArchitectureKind.LSHIPPP, 3, 3.0, 0.1, layer1).layer1 is layer1
+
+    @pytest.mark.parametrize("kind", list(ArchitectureKind))
+    def test_a_kind_given_as_its_value_is_stored_as_the_enum(self, kind):
+        layer1 = Layer1Design((ConverterEdge(0, 2, 0.5),), 1, (0.5,)) if kind == ArchitectureKind.LSHIPPP else None
+        arch = Architecture(kind.value, 3, 3.0, 0.1, layer1)
+        assert arch.kind is kind
+        record = evaluate_architecture(arch, BatterySupply(1.0, 0.2, 3), trials=2, seed=0)
+        assert record.architecture_kind == kind.value
+
+    @pytest.mark.parametrize("kind", ["FPP", "ladder", None, 3, ["fpp"]], ids=repr)
+    def test_an_unknown_kind_is_a_structural_error(self, kind):
+        with pytest.raises(StructuralError, match=f"^unknown architecture kind {re.escape(repr(kind))}$"):
+            Architecture(kind, 3, 3.0, 0.1)
 
     @pytest.mark.parametrize("kind", list(ArchitectureKind))
     @pytest.mark.parametrize("rating", [-0.1, float("nan")])

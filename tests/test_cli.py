@@ -775,6 +775,17 @@ class TestImportCost:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("module", ["hippp", "hippp.cli"])
+    def test_import_leaves_dataclasses_out(self, module):
+        # the records are named tuples: @dataclass would generate and compile
+        # six methods per record class at import
+        result = subprocess.run(
+            [sys.executable, "-c", f"import sys, {module}; print('dataclasses' in sys.modules)"],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
     def test_cli_call_imports_no_module(self, tmp_path, monkeypatch):
         # everything a call needs is imported with hippp.cli, so that import
         # time never lands inside a timed call (numpy.random, for one, loads

@@ -7,7 +7,6 @@ maximum over the grid bounds the LP answer to grid resolution.
 
 import contextlib
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -784,7 +783,7 @@ class TestPerRowRatings:
                           Architecture(ArchitectureKind.FPP, n, float(n), rating=0.0)):
             output, processed = flow_powers(block, kind_arch, rungs)
             for t, row in enumerate(block):
-                alone = optimal_flow(row, replace(kind_arch, rating=float(rungs[t])))
+                alone = optimal_flow(row, kind_arch._replace(rating=float(rungs[t])))
                 assert output[t] == alone.output_power
                 assert processed[t] == alone.processed_power
 
@@ -797,7 +796,7 @@ class TestPerRowRatings:
         rungs = rng.choice([0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 1.0], size=len(block))
         output, processed = flow_powers(block, arch, rungs)
         for t in range(0, len(block), 7):
-            alone = optimal_flow(block[t], replace(arch, rating=float(rungs[t])))
+            alone = optimal_flow(block[t], arch._replace(rating=float(rungs[t])))
             assert output[t] == alone.output_power
             assert processed[t] == alone.processed_power
 
