@@ -78,13 +78,21 @@ def nonnegative_finite(values, name: str) -> None:
 
 
 class Checked:
-    """First base of a checked NamedTuple: ``_make``, so ``_replace``, builds through the checking ``__new__``."""
+    """First base of a checked NamedTuple: every way in builds through the checking ``__new__``.
+
+    ``_make``, so ``_replace``, calls the class, and ``__reduce__`` has pickle
+    and ``copy`` call it at every protocol; protocols 0 and 1 would otherwise
+    rebuild the tuple with ``tuple.__new__``.
+    """
 
     __slots__ = ()
 
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
 
 class StructuralError(HipppError, ValueError):

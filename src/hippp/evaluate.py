@@ -15,11 +15,12 @@ one cut form, then the ladder's closed-form dispatch or the hierarchical
 design's least-processing flow from one min-cost flow kernel, with no LP.
 Every kernel step is elementwise per row, so a cell's rows carry the same
 bits as when the cell runs alone.
-Each cell's invariants and metric means are then computed on its own rows.
-evaluate_architecture is the one-cell call; `hippp sweep` evaluates the
-rating and heterogeneity sweeps together (sweep_figures), with each
-distinct supply flattened once and layer 1 designed once per distinct
-flattened supply. Under several workers a group is the unit of work.
+Each cell's invariants and metric means are then computed in the calling
+process, on its own rows. evaluate_architecture is the one-cell call;
+`hippp sweep` evaluates the rating and heterogeneity sweeps together
+(sweep_figures), with each distinct supply flattened once and layer 1
+designed once per distinct flattened supply. Under several workers the
+unit of work is one group's flow_powers call.
 
 Reported metrics per architecture:
 
@@ -38,7 +39,7 @@ import numpy as np
 
 from .architecture import Architecture, ArchitectureKind, Layer1Design, _spend, aggregate_rating
 from .design import DesignConfig, design_layer1
-from .errors import InternalCheckError, ParameterError, UndefinedMetricError
+from .errors import Checked, InternalCheckError, ParameterError, UndefinedMetricError
 from .errors import grid, nonnegative, nonnegative_finite, whole
 from .powerflow import flow_powers
 from .supply import BatterySupply, ExpectedSet, _draw_block, flatten
@@ -95,14 +96,21 @@ def _first_trial(violations: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-class SweepCell(NamedTuple):
+class SweepCell(Checked, NamedTuple("SweepCell", [
+    ("arch", Architecture), ("supply", BatterySupply), ("trials", int), ("seed", int),
+    ("converter_efficiency", float),
+])):
     """One evaluation: `arch` against `trials` seeded draws of `supply` from `seed`."""
 
-    arch: Architecture
-    supply: BatterySupply
-    trials: int
-    seed: int
-    converter_efficiency: float = DEFAULT_CONVERTER_EFFICIENCY
+    __slots__ = ()
+
+    def __new__(cls, arch, supply, trials, seed, converter_efficiency=DEFAULT_CONVERTER_EFFICIENCY):
+        trials = whole(trials, "trials", 1)
+        seed = whole(seed, "seed")
+        if supply.count != arch.num_batteries:
+            raise ParameterError(f"supply count {supply.count} does not match architecture {arch.num_batteries}")
+        _check_efficiency(converter_efficiency)
+        return super().__new__(cls, arch, supply, trials, seed, converter_efficiency)
 
 
 def evaluate_cells(cells: Sequence[SweepCell], workers: int = 1) -> list[MetricsRecord]:
@@ -110,58 +118,47 @@ def evaluate_cells(cells: Sequence[SweepCell], workers: int = 1) -> list[Metrics
 
     Each distinct cell is evaluated once, and every copy of it gets its
     record. Each distinct (supply, trials, seed) block is drawn once. Cells
-    sharing a kind, a battery count and a layer-1 design are stacked and
-    evaluated by one flow_powers call, each row at its own cell's budget
-    rating; each cell's record comes from its own rows and equals, by ==,
-    the record of the cell evaluated alone. With workers > 1 the groups are
-    spread over a process pool of at most one worker per group.
+    sharing a kind, a battery count and a layer-1 design are stacked into
+    one flow_powers call, each row at its own cell's budget rating. With
+    workers > 1 the calls are spread over a process pool of at most one
+    worker per call. Every record is built here, from its own cell's rows,
+    and equals, by ==, the record of the cell evaluated alone.
     """
     cells = [SweepCell(*cell) for cell in cells]
-    cells = [cell._replace(trials=whole(cell.trials, "trials", 1), seed=whole(cell.seed, "seed")) for cell in cells]
-    for arch, supply, _, _, converter_efficiency in cells:
-        if supply.count != arch.num_batteries:
-            raise ParameterError(f"supply count {supply.count} does not match architecture {arch.num_batteries}")
-        _check_efficiency(converter_efficiency)
-
-    distinct = list(dict.fromkeys(cells))
     blocks: dict[tuple, np.ndarray] = {}
-    tasks: dict[tuple, list[tuple[SweepCell, np.ndarray]]] = {}
-    for cell in distinct:
+    groups: dict[tuple, list[tuple[SweepCell, np.ndarray]]] = {}
+    for cell in dict.fromkeys(cells):
         arch, supply, trials, seed, _ = cell
         key = (supply, trials, seed)
         if key not in blocks:
             blocks[key] = _draw_block(supply, seed, trials)
-        tasks.setdefault((arch.kind, arch.num_batteries, arch.layer1), []).append((cell, blocks[key]))
+        groups.setdefault((arch.kind, arch.num_batteries, arch.layer1), []).append((cell, blocks[key]))
 
+    # generators: a one-process run stacks one group at a time
+    caps = (np.concatenate([block for _, block in group]) for group in groups.values())
+    archs = (group[0][0].arch for group in groups.values())
+    ratings = (np.concatenate([np.full(cell.trials, cell.arch.rating) for cell, _ in group])
+               for group in groups.values())
     records: dict[SweepCell, MetricsRecord] = {}
-    for task, group_records in zip(tasks.values(), _run_groups(list(tasks.values()), workers)):
-        records.update(zip((cell for cell, _ in task), group_records))
+    for group, (output, processed) in zip(groups.values(), _flows(workers, len(groups), caps, archs, ratings)):
+        start = 0
+        for cell, block in group:
+            stop = start + cell.trials
+            records[cell] = _cell_record(cell, block, output[start:stop], processed[start:stop])
+            start = stop
     return [records[cell] for cell in cells]
 
 
-def _run_groups(tasks, workers: int):
-    workers = min(workers, len(tasks))  # a forked pool starts every worker up front
+def _flows(workers: int, calls: int, *args):
+    """flow_powers over each call's (caps, arch, ratings), in order."""
+    workers = min(workers, calls)  # a forked pool starts every worker up front
     if workers > 1:
         # imported here: it pulls in multiprocessing, which a one-process run never needs
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_evaluate_group, tasks))
-    return [_evaluate_group(task) for task in tasks]
-
-
-def _evaluate_group(task) -> list[MetricsRecord]:
-    """One flow_powers call over the stacked rows of a group, then one record per cell."""
-    caps = np.concatenate([block for _, block in task])
-    ratings = np.concatenate([np.full(len(block), cell.arch.rating) for cell, block in task])
-    output, processed = flow_powers(caps, task[0][0].arch, ratings)
-    records = []
-    start = 0
-    for cell, block in task:
-        stop = start + len(block)
-        records.append(_cell_record(cell, block, output[start:stop], processed[start:stop]))
-        start = stop
-    return records
+            return list(pool.map(flow_powers, *args))
+    return map(flow_powers, *args)
 
 
 def _cell_record(cell: SweepCell, caps: np.ndarray, output: np.ndarray, processed: np.ndarray) -> MetricsRecord:

@@ -467,6 +467,24 @@ class TestLayer1Search:
         assert output == pytest.approx(ref_output, abs=1e-8)
         assert flows.sum() == pytest.approx(ref_processed, abs=1e-8)
 
+    def test_a_design_whose_lp_drives_out_an_artificial_agrees_with_scipy(self, monkeypatch):
+        # product input, not an error path: this design's phase 1 ends with an artificial in the basis
+        drives = []
+        drive_out = hippp.lp._drive_out_artificials
+
+        def counting_drive_out(*args):
+            drives.append(args)
+            return drive_out(*args)
+
+        monkeypatch.setattr(hippp.lp, "_drive_out_artificials", counting_drive_out)
+        expected = flatten(BatterySupply(1.0, 0.1, 9))
+        design = design_layer1(expected, DesignConfig(num_layer1=2))
+        assert drives
+        edges = [(e.from_battery, e.to_battery) for e in design.edges]
+        ref_output, ref_processed = scipy_two_stage(expected.capabilities, edges)
+        assert design_output(expected, edges) == pytest.approx(ref_output, abs=1e-9)
+        assert sum(design.processed_at_design) == pytest.approx(ref_processed, abs=1e-9)
+
     def test_spanning_layer1_balances_the_expected_set(self):
         # with one converter per rung, the expected set delivers in full
         for n in (3, 4):

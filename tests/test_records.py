@@ -9,6 +9,7 @@ import copy
 import math
 import pickle
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from hippp import (
     Layer2Curve,
     MetricsRecord,
     ParameterError,
+    SweepCell,
     cppp_from_budget,
     flatten,
     optimal_flow,
@@ -41,6 +43,8 @@ LSHIPPP = Architecture(ArchitectureKind.LSHIPPP, 3, 3.0, 0.1, LAYER1)
 CURVE = Layer2Curve(((0.0, 0.5), (0.1, 0.9)))
 SOLUTION = optimal_flow([0.8, 1.0, 1.2], cppp_from_budget(0.2, EXPECTED))
 METRICS = MetricsRecord("cppp", 0.2, 0.2, 2, 0, 0.9, 0.01, 0.98, 0.1, 0.9)
+SUPPLY9 = BatterySupply(1.0, 0.2, 9)
+CELL = SweepCell(cppp_from_budget(0.2, flatten(SUPPLY9)), SUPPLY9, 2, 0)
 
 RECORDS = {
     "BatterySupply": SUPPLY,
@@ -53,6 +57,7 @@ RECORDS = {
     "Layer2Curve": CURVE,
     "PowerFlowSolution": SOLUTION,
     "MetricsRecord": METRICS,
+    "SweepCell": CELL,
     "ExperimentConfig": ExperimentConfig(),
 }
 
@@ -80,6 +85,10 @@ INVALID = {
     "DesignConfig base_seed": (DesignConfig(), {"base_seed": -1}),
     "Layer2Curve points": (CURVE, {"points": ((0.0, 0.9), (0.1, 0.5))}),
     "PowerFlowSolution converter_flows": (SOLUTION, {"converter_flows": ["a flow"]}),
+    "SweepCell trials": (CELL, {"trials": 0}),
+    "SweepCell seed": (CELL, {"seed": -1}),
+    "SweepCell supply": (CELL, {"supply": BatterySupply(1.0, 0.2, 5)}),
+    "SweepCell converter_efficiency": (CELL, {"converter_efficiency": 0.0}),
 }
 
 
@@ -114,19 +123,37 @@ def test_replace_normalizes_as_the_constructor_does():
     assert LAYER1._replace(processed_at_design=[1]).processed_at_design == (1.0,)
 
 
+PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
 @pytest.mark.parametrize("name", RECORDS)
-def test_a_pickle_round_trip_returns_an_equal_record(name):
+def test_a_pickle_round_trip_returns_an_equal_record(name, protocol):
     record = RECORDS[name]
-    assert _same(pickle.loads(pickle.dumps(record)), record)
+    assert _same(pickle.loads(pickle.dumps(record, protocol)), record)
     assert _same(copy.deepcopy(record), record)
 
 
+@pytest.mark.parametrize("protocol", PROTOCOLS)
 @pytest.mark.parametrize("record", [EXPECTED, SAMPLE, SOLUTION], ids=lambda r: type(r).__name__)
-def test_unpickling_runs_the_constructor(record):
+def test_unpickling_runs_the_constructor(record, protocol):
     # numpy unpickles an array writeable; the record's own __new__ makes it read-only again
-    for value in pickle.loads(pickle.dumps(record)):
+    for value in pickle.loads(pickle.dumps(record, protocol)):
         if isinstance(value, np.ndarray):
             assert not value.flags.writeable
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_an_edited_pickle_raises_the_constructors_error(protocol):
+    # a pickle is a way in too: the edge's rating edited to -1.0 in the stream is refused on load
+    def opcode(value):  # pickle's float opcode: text at protocol 0, a big-endian double after it
+        return f"F{value!r}\n".encode() if protocol == 0 else b"G" + struct.pack(">d", value)
+
+    data = pickle.dumps(EDGE, protocol)
+    assert data.count(opcode(0.5)) == 1
+    data = data.replace(opcode(0.5), opcode(-1.0))
+    with pytest.raises(ParameterError, match="^rating must be non-negative, not NaN$"):
+        pickle.loads(data)
 
 
 @pytest.mark.parametrize("name", RECORDS)
