@@ -26,6 +26,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import Checked, ParameterError, StructuralError, nonnegative, nonnegative_finite, positive, whole
 from .supply import ExpectedSet
 
@@ -65,17 +67,16 @@ class Layer1Design(Checked, NamedTuple("Layer1Design", [
 
     def __new__(cls, edges, rating_partitions, processed_at_design):
         edges = tuple(edges)
-        processed_at_design = tuple(float(p) for p in processed_at_design)
         if len(edges) == 0:
             raise StructuralError("layer 1 needs at least one converter")
-        if len(processed_at_design) != len(edges):
+        processed_at_design = nonnegative_finite(processed_at_design, "processed_at_design")
+        if np.shape(processed_at_design) != (len(edges),):
             raise StructuralError("one design processed power per edge required")
-        nonnegative_finite(processed_at_design, "processed_at_design")
         k = whole(rating_partitions, "rating_partitions", 1, len(edges))
         distinct = len(set(edge.rating for edge in edges))
         if distinct > k:
             raise StructuralError(f"{distinct} distinct ratings exceed {k} partitions")
-        return super().__new__(cls, edges, k, processed_at_design)
+        return super().__new__(cls, edges, k, tuple(processed_at_design.tolist()))
 
     @property
     def total_rating(self) -> float:

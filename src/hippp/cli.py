@@ -14,8 +14,8 @@ Three commands:
 The config and the design file are both checked against their tables of
 keys, and ``design`` writes its file from its table. Exit codes: 0 on
 success, 2 for configuration problems (malformed config or input files, bad
-values, unknown keys), 3 for runtime failures such as the interconnection
-enumeration cap. Set HIPPP_LOG=debug|info|warning to control verbosity.
+values, unknown keys), 3 for runtime failures such as the enumeration cap.
+HIPPP_LOG=debug|info|warning, read at every main() call, sets verbosity.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from .architecture import (
 )
 from .design import DesignConfig, Layer2Curve, design_layer1, design_layer2, lshippp_for_budget
 from .errors import ConfigError, EnumerationCapError, HipppError, InternalCheckError, ParameterError
-from .errors import grid, nonnegative, nonnegative_finite, whole
-from .evaluate import DEFAULT_CONVERTER_EFFICIENCY, MetricsRecord, _check_efficiency, _normalize_kinds, sweep_figures
+from .errors import efficiency, grid, nonnegative, nonnegative_finite, whole
+from .evaluate import DEFAULT_CONVERTER_EFFICIENCY, MetricsRecord, _normalize_kinds, sweep_figures
 from .powerflow import architecture_edges, optimal_flow
 from .supply import BatterySupply, ExpectedSet, flatten
 
@@ -160,7 +160,7 @@ _CONFIG = (
             BatterySupply(got["supply"].mean_power, sigma, got["supply"].count) for sigma in grid(values, "sigma grid")
         ]),
         _RATING_BUDGET,
-        _Key("converter_efficiency", float, lambda efficiency, got: _check_efficiency(efficiency)),
+        _Key("converter_efficiency", float, lambda value, got: efficiency(value)),
         _whole("trials", 1),
         _whole("seed", 0),
     ), build=dict, defaults=_DEFAULTS),
@@ -347,10 +347,10 @@ def _read_design(path: str) -> tuple[BatterySupply, Architecture]:
             expected = ExpectedSet(capabilities, supply)
         with _key("[layer1]"):
             edges = tuple(ConverterEdge(src, dst, rating) for (src, dst), rating in zip(pairs, ratings))
-            layer1 = Layer1Design(edges, partitions, tuple(processed))
+            layer1 = Layer1Design(edges, partitions, processed)
             arch = Architecture(ArchitectureKind.LSHIPPP, supply.count, expected.total_power, rung, layer1)
         with _key("[layer2_curve]"):
-            Layer2Curve(tuple(zip(*curve)))
+            Layer2Curve(zip(*curve))
     except ConfigError as exc:
         raise ConfigError(f"design {path}: {exc}") from exc
     return supply, arch
@@ -398,8 +398,8 @@ def _setup_logging() -> None:
     level_name = os.environ.get("HIPPP_LOG", "warning").strip().lower()
     levels = {"debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING,
               "error": logging.ERROR, "quiet": logging.ERROR}
-    logging.basicConfig(level=levels.get(level_name, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("hippp").setLevel(levels.get(level_name, logging.WARNING))
 
 
 def _build_parser() -> argparse.ArgumentParser:

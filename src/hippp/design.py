@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .architecture import Architecture, ArchitectureKind, ConverterEdge, Layer1Design, _check_sparse, _spend
-from .errors import Checked, EnumerationCapError, ParameterError, grid, nonnegative, whole
+from .errors import Checked, EnumerationCapError, ParameterError, _numbers, grid, nonnegative, whole
 from .powerflow import _processing_totals, free_flow_outputs, layer1_design_lp, max_string_outputs
 from .supply import BatterySupply, ExpectedSet, _draw_block, flatten
 
@@ -68,8 +68,9 @@ class Layer2Curve(Checked, NamedTuple("Layer2Curve", [("points", tuple[tuple[flo
     __slots__ = ()
 
     def __new__(cls, points):
-        self = super().__new__(cls, tuple((float(r), float(u)) for r, u in points))
-        grid(self.ratings, "curve rating grid")
+        points = tuple(points)
+        ratings = grid([r for r, _ in points], "curve rating grid")
+        self = super().__new__(cls, tuple(zip(ratings, _numbers([u for _, u in points]).tolist())))
         if not all(-1e-7 <= util <= 1.0 + 1e-7 for util in self.utilizations):
             raise ParameterError("curve utilizations must be in [0, 1]")
         if any(u1 < u0 - 1e-7 for u0, u1 in zip(self.utilizations, self.utilizations[1:])):
@@ -111,10 +112,10 @@ def partition_ratings(processed, k: int) -> list[float]:
     Ratings come back in the original converter order and never fall below
     the converter's own processed power.
     """
-    values = [float(p) for p in processed]
-    if len(values) == 0:
+    values = nonnegative(processed, "processed powers")
+    if np.ndim(values) != 1 or len(values) == 0:
         raise ParameterError("no processed powers to partition")
-    nonnegative(values, "processed powers")
+    values = values.tolist()
     k = whole(k, "number of rating groups", 1, len(values))
     order = sorted(range(len(values)), key=lambda i: (-values[i], i))
     kth_value = values[order[k - 1]]
@@ -241,7 +242,7 @@ def design_layer1(expected: ExpectedSet, cfg: DesignConfig) -> Layer1Design:
     return Layer1Design(
         edges=tuple(ConverterEdge(src, dst, r) for (src, dst), r in zip(chosen_edges, ratings)),
         rating_partitions=cfg.num_rating_sets,
-        processed_at_design=tuple(float(p) for p in chosen_processed),
+        processed_at_design=chosen_processed,
     )
 
 
@@ -270,6 +271,6 @@ def design_layer2(layer1: Layer1Design, supply: BatterySupply, cfg: DesignConfig
     rungs = np.repeat(ratings, len(draws))  # every draw once per trial rating, rating-major
     outputs = max_string_outputs(np.tile(draws, (len(ratings), 1)), arch, rungs)
     utilizations = (outputs.reshape(len(ratings), len(draws)) / draws.sum(axis=1)).mean(axis=1)
-    curve = Layer2Curve(tuple(zip(ratings, utilizations.tolist())))
+    curve = Layer2Curve(zip(ratings, utilizations))
     top = max(curve.utilizations)
     return next(r for r, u in curve.points if u >= top - 1e-9), curve

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, its one rule for each kind of input value, and its record base."""
+"""Exception types shared across the package, its one rule for each kind of input value, and its record base.
+Each value rule returns the floats it checked: a float for one number, a float array for an array."""
 
 from __future__ import annotations
 
@@ -36,45 +37,58 @@ def whole(value, name: str, low: int = 0, high: int | None = None) -> int:
 
 
 def grid(values, name: str) -> tuple[float, ...]:
-    """`values` as a tuple of floats when they are non-empty, non-negative, finite and strictly increasing.
+    """`values` as a tuple of floats when they are a non-empty sequence of strictly increasing numbers in [0, inf).
 
     Anything else raises ParameterError naming `name`, one message per
     failure; NaN fails the finite test. Every grid of the package (rating
     and sigma grids, layer-2 trial ratings) goes through this one rule.
     """
-    values = tuple(float(v) for v in values)
-    if not values:
-        raise ParameterError(f"{name} must not be empty")
-    nonnegative_finite(values, f"{name} values")
+    numbers = _numbers(values)
+    if numbers.ndim != 1 or not numbers.size:
+        raise ParameterError(f"{name} must be a non-empty sequence of numbers")
+    values = tuple(nonnegative_finite(numbers, f"{name} values").tolist())
     if not all(b > a for a, b in zip(values, values[1:])):
         raise ParameterError(f"{name} must be strictly increasing")
     return values
 
 
 def _numbers(values) -> np.ndarray:
-    """`values` as an array, all NaN unless it holds numbers: so None or a string fails each rule, never converted."""
+    """`values` read once as the floats of dtype=float, or all NaN unless bool, int or float: refused, not converted."""
     array = np.asarray(values)
-    return array if array.dtype.kind in "biuf" else np.full(array.shape, math.nan)
+    return array.astype(float, copy=False) if array.dtype.kind in "biuf" else np.full(array.shape, math.nan)
 
 
-def nonnegative(values, name: str) -> None:
+def nonnegative(values, name: str) -> float | np.ndarray:
     """The rule of every rating and power: refuse NaN or a value below 0 in number or array `values`; inf passes."""
-    if not (_numbers(values) >= 0.0).all():
+    numbers = _numbers(values)
+    if not (numbers >= 0.0).all():
         raise ParameterError(f"{name} must be non-negative, not NaN")
+    return numbers if numbers.ndim else numbers.item()
 
 
-def positive(values, name: str) -> None:
+def positive(values, name: str) -> float | np.ndarray:
     """The rule of every capability and mean power: refuse a value of number or array `values` not in (0, inf)."""
-    values = _numbers(values)
-    if not ((values > 0.0) & (values < math.inf)).all():
+    numbers = _numbers(values)
+    if not ((numbers > 0.0) & (numbers < math.inf)).all():
         raise ParameterError(f"{name} must be positive and finite")
+    return numbers if numbers.ndim else numbers.item()
 
 
-def nonnegative_finite(values, name: str) -> None:
+def nonnegative_finite(values, name: str) -> float | np.ndarray:
     """The rule of every budget, spread and grid: refuse a value of number or array `values` not in [0, inf)."""
+    numbers = _numbers(values)
     # a few values a call: a Python loop costs less than numpy's per-call overhead
-    if not all(0.0 <= value < math.inf for value in _numbers(values).flat):
+    if not all(0.0 <= value < math.inf for value in numbers.flat):
         raise ParameterError(f"{name} must be non-negative and finite")
+    return numbers if numbers.ndim else numbers.item()
+
+
+def efficiency(value) -> float:
+    """The rule of every converter efficiency: refuse `value` unless it is one number in (0, 1]."""
+    number = _numbers(value)
+    if number.ndim or not 0.0 < number.item() <= 1.0:
+        raise ParameterError("converter efficiency must lie in (0, 1]")
+    return number.item()
 
 
 class Checked:

@@ -40,7 +40,7 @@ import numpy as np
 from .architecture import Architecture, ArchitectureKind, Layer1Design, _spend, aggregate_rating
 from .design import DesignConfig, design_layer1
 from .errors import Checked, InternalCheckError, ParameterError, UndefinedMetricError
-from .errors import grid, nonnegative, nonnegative_finite, whole
+from .errors import efficiency, grid, nonnegative, nonnegative_finite, whole
 from .powerflow import flow_powers
 from .supply import BatterySupply, ExpectedSet, _draw_block, flatten
 
@@ -66,11 +66,6 @@ class MetricsRecord(NamedTuple):
     output_norm: float
 
 
-def _check_efficiency(converter_efficiency: float) -> None:
-    if not 0.0 < converter_efficiency <= 1.0:
-        raise ParameterError("converter efficiency must lie in (0, 1]")
-
-
 def system_efficiency(processed, output, converter_efficiency: float):
     """Share of delivered power that survives conversion losses.
 
@@ -79,15 +74,12 @@ def system_efficiency(processed, output, converter_efficiency: float):
     processing degenerates to the bare converter efficiency. Scalar powers
     give a float; equal-shape arrays of per-trial powers give an array.
     """
-    _check_efficiency(converter_efficiency)
-    processed = np.asarray(processed, dtype=float)
-    output = np.asarray(output, dtype=float)
-    nonnegative(processed, "processed powers")
-    nonnegative(output, "output powers")
+    loss = 1.0 - efficiency(converter_efficiency)
+    processed = nonnegative(processed, "processed powers")
+    output = nonnegative(output, "output powers")
     if np.any(output == 0.0):
         raise UndefinedMetricError("system efficiency is undefined at zero output")
-    efficiency = 1.0 - (processed / output) * (1.0 - converter_efficiency)
-    return float(efficiency) if efficiency.ndim == 0 else efficiency
+    return 1.0 - (processed / output) * loss
 
 
 def _first_trial(violations: np.ndarray) -> int | None:
@@ -109,8 +101,7 @@ class SweepCell(Checked, NamedTuple("SweepCell", [
         seed = whole(seed, "seed")
         if supply.count != arch.num_batteries:
             raise ParameterError(f"supply count {supply.count} does not match architecture {arch.num_batteries}")
-        _check_efficiency(converter_efficiency)
-        return super().__new__(cls, arch, supply, trials, seed, converter_efficiency)
+        return super().__new__(cls, arch, supply, trials, seed, efficiency(converter_efficiency))
 
 
 def evaluate_cells(cells: Sequence[SweepCell], workers: int = 1) -> list[MetricsRecord]:
@@ -233,9 +224,9 @@ def _normalize_kinds(kinds) -> list[ArchitectureKind]:
 
 def _sigma_points(supply_mean: float, sigma_grid, fixed_budget: float, count: int):
     """One supply per spread, each at the fixed budget; BatterySupply refuses a spread it cannot flatten."""
-    nonnegative_finite(fixed_budget, "rating budget")
+    budget = nonnegative_finite(fixed_budget, "rating budget")
     sigmas = grid(sigma_grid, "sigma grid")
-    return [(BatterySupply(supply_mean, sigma, count), [float(fixed_budget)]) for sigma in sigmas]
+    return [(BatterySupply(supply_mean, sigma, count), [budget]) for sigma in sigmas]
 
 
 def _sweep(kinds, points, trials, seed, design_cfg, converter_efficiency, workers) -> list[MetricsRecord]:
@@ -246,7 +237,7 @@ def _sweep(kinds, points, trials, seed, design_cfg, converter_efficiency, worker
     design, reused for every budget of every point that flattens to it; each
     budget only re-splits what is left for the ladder.
     """
-    _check_efficiency(converter_efficiency)
+    converter_efficiency = efficiency(converter_efficiency)
     expected_sets: dict[BatterySupply, ExpectedSet] = {}
     layer1s: dict[bytes, Layer1Design] = {}
     cells = []

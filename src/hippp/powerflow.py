@@ -134,13 +134,12 @@ def _incidence(pairs: Sequence[_Pair], n: int) -> np.ndarray:
 
 
 def _checked_capabilities(capabilities, arch: Architecture, ndim: int = 1) -> np.ndarray:
-    """Capabilities as floats, checked once per public call: one non-empty vector (ndim 1) or a
-    (T, N) block of them (ndim 2), positive and finite, with a last axis of `arch`'s battery count."""
-    caps = np.asarray(capabilities, dtype=float)
-    if caps.ndim != ndim or caps.size == 0:
+    """Capabilities as the floats the capability rule (errors.positive) read, checked once per public call: one
+    non-empty vector (ndim 1) or a (T, N) block of them (ndim 2), with a last axis of `arch`'s battery count."""
+    caps = positive(capabilities, "capabilities")
+    if np.ndim(caps) != ndim or np.size(caps) == 0:
         shape = "vector" if ndim == 1 else "(trials, batteries) block"
         raise ParameterError(f"capabilities must be a non-empty {shape}")
-    positive(caps, "capabilities")
     if caps.shape[-1] != arch.num_batteries:
         raise ParameterError(f"got {caps.shape[-1]} capabilities for {arch.num_batteries} batteries")
     return caps
@@ -152,10 +151,10 @@ def _row_ratings(ratings, trials: int) -> np.ndarray:
     Nothing is broadcast, and the values keep the one rating rule
     (errors.nonnegative: inf is unbounded).
     """
-    ratings = np.asarray(ratings, dtype=float)
-    if ratings.shape != (trials,):
-        raise ParameterError(f"ratings must be one per row, an array of shape {(trials,)}, got shape {ratings.shape}")
-    nonnegative(ratings, "ratings")
+    ratings = nonnegative(ratings, "ratings")
+    shape = np.shape(ratings)
+    if shape != (trials,):
+        raise ParameterError(f"ratings must be one per row, an array of shape {(trials,)}, got shape {shape}")
     return ratings
 
 
@@ -704,12 +703,8 @@ def layer1_design_lp(expected: ExpectedSet, edges: Sequence[_Pair]):
     e = len(edges)
     current = float(_stage_one(caps[None], edges, np.full((1, e), np.inf))[0, 0])
 
-    inc = _incidence(edges, n)
-    a = np.zeros((n, 1 + 2 * e + n))
-    a[:, 0] = 1.0
-    a[:, 1:1 + e] = inc
-    a[:, 1 + e:1 + 2 * e] -= inc  # written as 0 - inc: no negative zeros
-    a[:, 1 + 2 * e:] = -np.eye(n)
+    # f- is the flow of each edge reversed
+    a = _flow_matrix(list(edges) + [(dst, src) for src, dst in edges], n)
     objective = np.zeros(1 + 2 * e + n)
     objective[1:1 + 2 * e] = -1.0  # maximize the negated processed power
     lower = np.concatenate([[current], np.zeros(2 * e), -caps])

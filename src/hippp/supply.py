@@ -26,7 +26,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from ._normal import ndtr, ndtri
-from .errors import Checked, InternalCheckError, ParameterError, nonnegative_finite, positive, whole
+from .errors import Checked, InternalCheckError, ParameterError, _numbers, nonnegative_finite, positive, whole
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -93,10 +93,9 @@ class ExpectedSet(Checked, NamedTuple("ExpectedSet", [("capabilities", np.ndarra
     __slots__ = ()
 
     def __new__(cls, capabilities, supply):
-        caps = _frozen(capabilities)
+        caps = _frozen(positive(capabilities, "expected capabilities"))
         if caps.shape != (supply.count,):
             raise ParameterError("expected set length must equal supply count")
-        positive(caps, "expected capabilities")
         if not _ascending(caps):
             raise ParameterError("expected capabilities must be sorted ascending")
         return super().__new__(cls, caps, supply)
@@ -119,13 +118,12 @@ class BatterySample(Checked, NamedTuple("BatterySample", [
     __slots__ = ()
 
     def __new__(cls, capabilities, deviations, seed):
-        caps, dev = _frozen(capabilities), _frozen(deviations)
-        if caps.shape != dev.shape:
-            raise ParameterError("capabilities and deviations must align")
-        positive(caps, "sampled capabilities")
+        caps, dev = _frozen(positive(capabilities, "sampled capabilities")), _frozen(_numbers(deviations))
+        if caps.shape != dev.shape or not np.isfinite(dev).all():
+            raise ParameterError("sampled deviations must be finite, one per capability")
         if not _ascending(caps):
             raise ParameterError("sampled capabilities must be sorted ascending")
-        return super().__new__(cls, caps, dev, seed)
+        return super().__new__(cls, caps, dev, whole(seed, "seed"))
 
     @property
     def total_power(self) -> float:
@@ -146,7 +144,7 @@ def flatten(supply: BatterySupply) -> ExpectedSet:
     """
     if supply.std_power == 0.0:
         return ExpectedSet(np.full(supply.count, supply.mean_power), supply)
-    return ExpectedSet(np.array(_slot_means(supply, supply.count)), supply)
+    return ExpectedSet(_slot_means(supply, supply.count), supply)
 
 
 def _slot_means(supply: BatterySupply, slots: int) -> list[float]:
@@ -193,4 +191,4 @@ def sample_battery_set(supply: BatterySupply, seed: int) -> BatterySample:
     """
     caps = draw_capabilities(supply, seed)
     expected = flatten(supply)
-    return BatterySample(caps, caps - expected.capabilities, int(seed))
+    return BatterySample(caps, caps - expected.capabilities, seed)

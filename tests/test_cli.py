@@ -709,6 +709,32 @@ class TestModuleEntryPoint:
         assert result.returncode == 1
 
 
+class TestLogging:
+    def test_each_main_call_reads_hippp_log(self, tmp_path):
+        # three calls in one fresh process: warning, debug, warning again; each call's stderr ends at a marker
+        config = tmp_path / "tiny.ini"
+        config.write_text(TINY_CONFIG)
+        script = (
+            "import os, sys\n"
+            "from hippp.cli import main\n"
+            "for level in ('warning', 'debug', 'warning'):\n"
+            "    os.environ['HIPPP_LOG'] = level\n"
+            "    assert main(['design', '--config', sys.argv[1], '--out', sys.argv[2], '--trials', '5']) == 0\n"
+            "    print('end of call', file=sys.stderr, flush=True)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(config), str(tmp_path / "out")],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        first, debug, last, tail = result.stderr.split("end of call\n")
+        assert first == last == tail == ""
+        lines = debug.splitlines()
+        # the format of a fresh process's first call
+        assert all(line.startswith("DEBUG hippp.") for line in lines)
+        assert any(line.startswith("DEBUG hippp.lp: LP stack") for line in lines)
+
+
 def openblas_configuration():
     """The BLAS numpy reports, and whether it is OpenBLAS built to pick its kernels by CPU at load."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})

@@ -7,6 +7,7 @@ import pytest
 from hippp import (
     Architecture,
     ArchitectureKind,
+    BatterySample,
     BatterySupply,
     ConverterEdge,
     DesignConfig,
@@ -50,6 +51,7 @@ FIELDS = {
     "evaluate_cells seed": ("seed", lambda v: evaluate_cells([SweepCell(LADDER3, SUPPLY3, 2, v)])[0].seed, 3.0, -1),
     "BatterySupply count": ("count", lambda v: BatterySupply(1.0, 0.2, v).count, 3.0, 0),
     "draw_capabilities seed": ("seed", lambda v: draw_capabilities(SUPPLY3, v).tolist(), 3.0, -1),
+    "BatterySample seed": ("seed", lambda v: BatterySample([0.9, 1.0, 1.1], [0.0, 0.0, 0.0], v).seed, 3.0, -1),
 }
 
 BAD = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "None": None, "'3'": "3", "2.5": 2.5}

@@ -35,6 +35,8 @@ def test_only_errors_spells_the_whole_number_rule():
     ("must be positive and finite", "errors.py"),
     # the rule of budgets, spreads, grids and design-time processed powers
     ("must be non-negative and finite", "errors.py"),
+    # the rule of every converter efficiency
+    ("must lie in (0, 1]", "errors.py"),
 ])
 def test_each_wiring_and_capability_rule_is_raised_from_one_place(message, home):
     # one function holds each rule and raises its message; a second copy of the message is a second copy of the rule

@@ -10,6 +10,8 @@ import math
 import pickle
 import re
 import struct
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,9 +19,11 @@ import pytest
 from hippp import (
     Architecture,
     ArchitectureKind,
+    BatterySample,
     BatterySupply,
     ConverterEdge,
     DesignConfig,
+    ExpectedSet,
     HipppError,
     Layer1Design,
     Layer2Curve,
@@ -28,11 +32,18 @@ from hippp import (
     SweepCell,
     cppp_from_budget,
     flatten,
+    flow_powers,
+    max_string_outputs,
     optimal_flow,
+    partition_ratings,
     sample_battery_set,
+    sweep_figures,
+    sweep_heterogeneity,
+    sweep_rating,
 )
 from hippp.cli import ExperimentConfig
-from hippp.errors import nonnegative, nonnegative_finite, positive
+from hippp.errors import efficiency, grid, nonnegative, nonnegative_finite, positive
+from hippp.evaluate import system_efficiency
 
 SUPPLY = BatterySupply(1.0, 0.2, 3)
 EXPECTED = flatten(SUPPLY)
@@ -41,7 +52,8 @@ EDGE = ConverterEdge(0, 2, 0.5)
 LAYER1 = Layer1Design((EDGE,), 1, (0.5,))
 LSHIPPP = Architecture(ArchitectureKind.LSHIPPP, 3, 3.0, 0.1, LAYER1)
 CURVE = Layer2Curve(((0.0, 0.5), (0.1, 0.9)))
-SOLUTION = optimal_flow([0.8, 1.0, 1.2], cppp_from_budget(0.2, EXPECTED))
+LADDER3 = cppp_from_budget(0.2, EXPECTED)
+SOLUTION = optimal_flow([0.8, 1.0, 1.2], LADDER3)
 METRICS = MetricsRecord("cppp", 0.2, 0.2, 2, 0, 0.9, 0.01, 0.98, 0.1, 0.9)
 SUPPLY9 = BatterySupply(1.0, 0.2, 9)
 CELL = SweepCell(cppp_from_budget(0.2, flatten(SUPPLY9)), SUPPLY9, 2, 0)
@@ -187,7 +199,8 @@ def test_a_record_equals_the_plain_tuple_of_its_values():
 
 class TestValueRules:
     # a value the rule cannot compare is refused with the rule's own error, never converted
-    NOT_NUMBERS = [None, "1", "abc", [1.0, None], ["1.0", "2.0"]]
+    NOT_NUMBERS = [None, "1", "abc", [1.0, None], ["1.0", "2.0"], Fraction(1, 2), Decimal("0.5"),
+                   np.array([0.5], dtype=object)]
 
     @pytest.mark.parametrize("rule, message", [
         (nonnegative, "must be non-negative, not NaN"),
@@ -199,14 +212,63 @@ class TestValueRules:
         with pytest.raises(ParameterError, match=f"^x {message}$"):
             rule(value, "x")
 
+    @pytest.mark.parametrize("value", NOT_NUMBERS, ids=repr)
+    def test_a_grid_that_is_not_a_sequence_of_numbers_is_a_parameter_error(self, value):
+        not_numbers = "(must be a non-empty sequence of numbers|values must be non-negative and finite)"
+        with pytest.raises(ParameterError, match=f"^x {not_numbers}$"):
+            grid(value, "x")
+
+    @pytest.mark.parametrize("value", [*NOT_NUMBERS, 0.0, 1.5, math.nan, [0.9]], ids=repr)
+    def test_an_efficiency_that_is_not_one_number_in_the_unit_interval_is_a_parameter_error(self, value):
+        with pytest.raises(ParameterError, match=r"^converter efficiency must lie in \(0, 1\]$"):
+            efficiency(value)
+
     @pytest.mark.parametrize("build, message", [
         (lambda v: ConverterEdge(0, 1, v), "rating must be non-negative, not NaN"),
         (lambda v: Architecture(ArchitectureKind.FPP, 3, 3.0, v), "rating must be non-negative, not NaN"),
         (lambda v: BatterySupply(v, 0.2, 9), "mean_power must be positive and finite"),
         (lambda v: BatterySupply(1.0, v, 9), "std_power must be non-negative and finite"),
         (lambda v: Architecture(ArchitectureKind.FPP, 3, v, 0.1), "total_expected_power must be positive and finite"),
-    ], ids=["edge rating", "architecture rating", "mean_power", "std_power", "total_expected_power"])
-    @pytest.mark.parametrize("value", [None, "1"], ids=repr)
+        (lambda v: optimal_flow([v, 1.0, 1.2], LADDER3), "capabilities must be positive and finite"),
+        (lambda v: flow_powers([[v, 1.0, 1.2]], LADDER3, [0.1]), "capabilities must be positive and finite"),
+        (lambda v: flow_powers([[0.8, 1.0, 1.2]], LADDER3, [v]), "ratings must be non-negative, not NaN"),
+        (lambda v: max_string_outputs([[v, 1.0, 1.2]], LADDER3, [0.1]), "capabilities must be positive and finite"),
+        (lambda v: max_string_outputs([[0.8, 1.0, 1.2]], LADDER3, [v]), "ratings must be non-negative, not NaN"),
+        (lambda v: ExpectedSet([v, 1.0, 1.2], SUPPLY), "expected capabilities must be positive and finite"),
+        (lambda v: BatterySample([v, 1.0, 1.2], [0.0, 0.0, 0.0], 0),
+         "sampled capabilities must be positive and finite"),
+        (lambda v: BatterySample([0.8, 1.0, 1.2], [v, 0.0, 0.0], 0),
+         "sampled deviations must be finite, one per capability"),
+        (lambda v: Layer1Design((EDGE,), 1, (v,)), "processed_at_design must be non-negative and finite"),
+        (lambda v: partition_ratings([0.3, v], 1), "processed powers must be non-negative, not NaN"),
+        (lambda v: DesignConfig(layer2_trial_ratings=[0.0, v]),
+         "layer2_trial_ratings values must be non-negative and finite"),
+        (lambda v: Layer2Curve([(0.0, 0.5), (v, 0.9)]), "curve rating grid values must be non-negative and finite"),
+        (lambda v: Layer2Curve([(0.0, v)]), "curve utilizations must be in [0, 1]"),
+        (lambda v: system_efficiency(v, 1.0, 0.9), "processed powers must be non-negative, not NaN"),
+        (lambda v: system_efficiency([0.1], [v], 0.9), "output powers must be non-negative, not NaN"),
+        (lambda v: system_efficiency(0.1, 1.0, v), "converter efficiency must lie in (0, 1]"),
+        (lambda v: SweepCell(LADDER3, SUPPLY, 2, 0, v), "converter efficiency must lie in (0, 1]"),
+        (lambda v: sweep_rating(["cppp"], SUPPLY, [0.1, v], 2, 0),
+         "rating grid values must be non-negative and finite"),
+        (lambda v: sweep_rating(["cppp"], SUPPLY, [0.1], 2, 0, converter_efficiency=v),
+         "converter efficiency must lie in (0, 1]"),
+        (lambda v: sweep_heterogeneity(["cppp"], 1.0, [v], 0.15, 2, 0, count=3),
+         "sigma grid values must be non-negative and finite"),
+        (lambda v: sweep_heterogeneity(["cppp"], 1.0, [0.2], v, 2, 0, count=3),
+         "rating budget must be non-negative and finite"),
+        (lambda v: sweep_figures(["cppp"], SUPPLY, [0.1], [0.2], 0.15, 2, 0, converter_efficiency=v),
+         "converter efficiency must lie in (0, 1]"),
+    ], ids=["edge rating", "architecture rating", "mean_power", "std_power", "total_expected_power",
+            "optimal_flow capabilities", "flow_powers capabilities", "flow_powers ratings",
+            "max_string_outputs capabilities", "max_string_outputs rungs", "ExpectedSet capabilities",
+            "BatterySample capabilities", "BatterySample deviations", "Layer1Design processed_at_design",
+            "partition_ratings processed", "DesignConfig layer2_trial_ratings", "Layer2Curve rating",
+            "Layer2Curve utilization", "system_efficiency processed", "system_efficiency output",
+            "system_efficiency converter_efficiency", "SweepCell converter_efficiency", "sweep_rating rating_grid",
+            "sweep_rating converter_efficiency", "sweep_heterogeneity sigma_grid",
+            "sweep_heterogeneity fixed_budget", "sweep_figures converter_efficiency"])
+    @pytest.mark.parametrize("value", [None, "1", "abc"], ids=repr)
     def test_a_record_refuses_a_field_that_is_not_a_number(self, build, message, value):
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             build(value)
@@ -215,3 +277,19 @@ class TestValueRules:
         nonnegative(np.array([0.0, math.inf]), "x")
         positive([1, 2.5], "x")
         nonnegative_finite((0.0, 3), "x")
+
+    @pytest.mark.parametrize("values", [
+        np.array([0.1, 0.7, 3.0]), np.array([1, 2, 3]), np.array([True, False]), np.float32([0.1, 0.3]),
+        np.arange(6, dtype=np.uint8).reshape(2, 3), [0.25, 1, True],
+    ], ids=repr)
+    def test_each_rule_returns_the_floats_of_dtype_float(self, values):
+        want = np.asarray(values, dtype=float)
+        rules = (nonnegative, nonnegative_finite, positive) if (want > 0.0).all() else (nonnegative, nonnegative_finite)
+        for rule in rules:
+            got = rule(values, "x")
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_a_single_number_comes_back_a_float(self):
+        assert [type(rule(np.float32(0.5), "x")) for rule in (nonnegative, positive, nonnegative_finite)] == [float] * 3
+        assert type(efficiency(np.float32(0.5))) is float
+        assert grid(np.array([0, 1]), "x") == (0.0, 1.0) and type(grid([0, 1], "x")[0]) is float
