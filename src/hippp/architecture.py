@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import Checked, ParameterError, StructuralError, nonnegative, nonnegative_finite, positive, whole
+from .errors import Checked, ParameterError, StructuralError, nonnegative, nonnegative_finite, positive, single, whole
 from .supply import ExpectedSet
 
 
@@ -46,11 +46,10 @@ class ConverterEdge(Checked, NamedTuple("ConverterEdge", [
     __slots__ = ()
 
     def __new__(cls, from_battery, to_battery, rating):
-        self = super().__new__(cls, whole(from_battery, "from_battery"), whole(to_battery, "to_battery"), rating)
-        if self.from_battery == self.to_battery:
+        src, dst = whole(from_battery, "from_battery"), whole(to_battery, "to_battery")
+        if src == dst:
             raise ParameterError("converter endpoints must differ")
-        nonnegative(rating, "rating")
-        return self
+        return super().__new__(cls, src, dst, single(nonnegative, rating, "rating"))
 
 
 class Layer1Design(Checked, NamedTuple("Layer1Design", [
@@ -93,12 +92,12 @@ class Architecture(Checked, NamedTuple("Architecture", [
 
     def __new__(cls, kind, num_batteries, total_expected_power, rating, layer1=None):
         n = whole(num_batteries, "num_batteries", 1)
-        positive(total_expected_power, "total_expected_power")
+        total_expected_power = single(positive, total_expected_power, "total_expected_power")
         try:
             kind = ArchitectureKind(kind)
         except ValueError:
             raise StructuralError(f"unknown architecture kind {kind!r}") from None
-        nonnegative(rating, "rating")
+        rating = single(nonnegative, rating, "rating")
         hierarchical = kind == ArchitectureKind.LSHIPPP
         if (layer1 is not None) != hierarchical:
             raise StructuralError("layer1 is set for the lshippp architecture and only for it")
@@ -144,7 +143,7 @@ def _spend(kind: ArchitectureKind, budget: float, expected: ExpectedSet,
     zero; the rest spreads evenly over the N per-battery converters of full
     processing or the N-1 rungs of a ladder.
     """
-    nonnegative_finite(budget, "rating budget")
+    budget = single(nonnegative_finite, budget, "rating budget")
     n = expected.count
     _check_ladder(kind, n)  # before the division by the rung count
     spent = budget * expected.total_power

@@ -68,11 +68,15 @@ class Layer2Curve(Checked, NamedTuple("Layer2Curve", [("points", tuple[tuple[flo
     __slots__ = ()
 
     def __new__(cls, points):
-        points = tuple(points)
-        ratings = grid([r for r, _ in points], "curve rating grid")
-        self = super().__new__(cls, tuple(zip(ratings, _numbers([u for _, u in points]).tolist())))
-        if not all(-1e-7 <= util <= 1.0 + 1e-7 for util in self.utilizations):
+        # object dtype: numpy converts no entry, the rules below read them
+        table = np.array(list(points) if np.iterable(points) else points, dtype=object)
+        if table.ndim != 2 or table.shape[1] != 2:
+            raise ParameterError("curve points must be (rating, utilization) pairs")
+        ratings = grid(table[:, 0].tolist(), "curve rating grid")
+        utilizations = _numbers(table[:, 1].tolist())
+        if utilizations.ndim != 1 or not all(-1e-7 <= util <= 1.0 + 1e-7 for util in utilizations.tolist()):
             raise ParameterError("curve utilizations must be in [0, 1]")
+        self = super().__new__(cls, tuple(zip(ratings, utilizations.tolist())))
         if any(u1 < u0 - 1e-7 for u0, u1 in zip(self.utilizations, self.utilizations[1:])):
             raise ParameterError("utilization curve must be non-decreasing")
         return self

@@ -53,9 +53,26 @@ def grid(values, name: str) -> tuple[float, ...]:
 
 
 def _numbers(values) -> np.ndarray:
-    """`values` read once as the floats of dtype=float, or all NaN unless bool, int or float: refused, not converted."""
-    array = np.asarray(values)
+    """`values` read once as the floats of dtype=float, or all NaN unless bool, int or float: refused, not converted.
+
+    A ragged nest of sequences reads as NaN over the regular part of its shape.
+    """
+    try:
+        array = np.asarray(values)
+    except ValueError:  # numpy gives a ragged nest no numeric shape
+        array = np.array(values, dtype=object)
     return array.astype(float, copy=False) if array.dtype.kind in "biuf" else np.full(array.shape, math.nan)
+
+
+def single(rule, value, name: str) -> float:
+    """`value` as the float `rule` returned for it: the reading of every single-number field.
+
+    An array, even of one number, raises ParameterError naming `name`.
+    """
+    number = rule(value, name)
+    if np.ndim(number):
+        raise ParameterError(f"{name} must be one number, got {value!r}")
+    return number
 
 
 def nonnegative(values, name: str) -> float | np.ndarray:

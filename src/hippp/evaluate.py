@@ -40,7 +40,7 @@ import numpy as np
 from .architecture import Architecture, ArchitectureKind, Layer1Design, _spend, aggregate_rating
 from .design import DesignConfig, design_layer1
 from .errors import Checked, InternalCheckError, ParameterError, UndefinedMetricError
-from .errors import efficiency, grid, nonnegative, nonnegative_finite, whole
+from .errors import efficiency, grid, nonnegative, nonnegative_finite, single, whole
 from .powerflow import flow_powers
 from .supply import BatterySupply, ExpectedSet, _draw_block, flatten
 
@@ -224,7 +224,7 @@ def _normalize_kinds(kinds) -> list[ArchitectureKind]:
 
 def _sigma_points(supply_mean: float, sigma_grid, fixed_budget: float, count: int):
     """One supply per spread, each at the fixed budget; BatterySupply refuses a spread it cannot flatten."""
-    budget = nonnegative_finite(fixed_budget, "rating budget")
+    budget = single(nonnegative_finite, fixed_budget, "rating budget")
     sigmas = grid(sigma_grid, "sigma grid")
     return [(BatterySupply(supply_mean, sigma, count), [budget]) for sigma in sigmas]
 

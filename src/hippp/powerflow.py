@@ -74,7 +74,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .architecture import Architecture, ArchitectureKind, ConverterEdge
-from .errors import Checked, EnumerationCapError, InternalCheckError, ParameterError, StructuralError
+from .errors import Checked, EnumerationCapError, InternalCheckError, ParameterError, StructuralError, _numbers
 from .errors import nonnegative, positive
 from .lp import FEASIBILITY_TOL, solve_stack
 from .supply import ExpectedSet, _frozen
@@ -91,8 +91,10 @@ class PowerFlowSolution(Checked, NamedTuple("PowerFlowSolution", [
     __slots__ = ()
 
     def __new__(cls, string_current, converter_flows, battery_powers, output_power, processed_power):
-        return super().__new__(cls, string_current, _frozen(converter_flows), _frozen(battery_powers),
-                               output_power, processed_power)
+        flows, battery = _frozen(_numbers(converter_flows)), _frozen(_numbers(battery_powers))
+        if not (np.isfinite(flows).all() and np.isfinite(battery).all()):
+            raise ParameterError("converter flows and battery powers must be finite numbers")
+        return super().__new__(cls, string_current, flows, battery, output_power, processed_power)
 
 
 def _flow_matrix(pairs: Sequence[_Pair], n: int) -> np.ndarray:
@@ -364,8 +366,8 @@ def _least_processing_flows(caps: np.ndarray, pairs: Sequence[_Pair], ratings: n
     in_arcs = np.array([arcs + [2 * e] * (width - len(arcs)) for arcs in incoming], dtype=np.intp)
 
     # a row's peak: per (node, incoming arc) its cost, candidate and flags; per node
-    # every iteration's distance and eight more; per edge ten arc and flow values
-    rows = max(1, _CUT_CELLS // ((n + 1) * (3 * width + n + 2) + 10 * e + 8 * (n + 1)))
+    # its key and eight more; per edge ten arc and flow values
+    rows = max(1, _CUT_CELLS // ((n + 1) * (3 * width + 9) + 10 * e))
     flows = np.concatenate([
         _ssp_pass(caps[start:start + rows], currents[start:start + rows], ratings[start:start + rows],
                   tails, in_arcs)
@@ -386,17 +388,21 @@ def _ssp_pass(caps, currents, ratings, tails, in_arcs) -> np.ndarray:
     array: `keep` maps them to the block's rows. A row with no deficit in
     reach is written back to `out` and dropped.
 
-    Bellman-Ford keeps every iteration's distances, (N + 1, rows) with a
-    sentinel node N at inf, and reduces the slot-major (W, N + 1, rows) arc
-    costs over the leading slot axis. Costs are +-1, so distances are exact
-    whole numbers that never rise: the first incoming arc that attained
-    dist[v] when it last fell, the one a per-iteration argmin keeps, is the
-    first that is tight now and whose tail last fell earlier. A node that
-    never fell gets the padding arc, which leads to N. Iterations of last
-    fall drop along a path, so a sink that last fell at k is at most k arcs
-    from its source. The bottleneck is the least of the sink's demand, the
-    path's room and the source's supply (min is exact, so order does not
-    matter), and the path is written with one scatter: a path of a
+    Bellman-Ford keeps one key per node, (N + 1, rows) with a sentinel node
+    N at inf, and reduces the slot-major (W, N + 1, rows) arc costs over the
+    leading slot axis. A walk of cost c over k arcs has key c * S + k with
+    S = 2 * (N + 2): Bellman-Ford relaxes at most N + 1 arcs, so keys order
+    walks by cost, then by arcs, and dist[v] = floor(key[v] / S). Costs are
+    +-1, so keys are exact whole numbers, and a key falls exactly when its
+    distance does. Ties: the k arcs in v's key are the iteration where
+    dist[v] last fell, and an arc u -> v is tight on keys exactly when dist[u]
+    was final by iteration k - 1 and attained dist[v] then. So the first
+    slot whose candidate equals the key is the one a per-iteration argmin
+    keeps. A node where none does gets the padding arc, which leads to N.
+    Arc counts drop by one along a path, so a sink whose key holds k arcs is
+    k arcs from its source. The bottleneck is the least of the sink's
+    demand, the path's room and the source's supply (min is exact, so order
+    does not matter), and the path is written with one scatter: a path of a
     predecessor tree repeats no edge.
     """
     trials, n = caps.shape
@@ -419,51 +425,47 @@ def _ssp_pass(caps, currents, ratings, tails, in_arcs) -> np.ndarray:
     supply = np.maximum(surplus, 0.0)
     demand = np.maximum(-surplus, 0.0)
     cols, inf_row = np.arange(trials), np.full((1, trials), np.inf)
+    stride = 2.0 * (n + 2)  # S: more than the N + 1 arcs of any walk Bellman-Ford relaxes
     for _ in range(4 * n * (n + e)):
-        # where each arc's flow ends up when saturated, how far off that is, and its cost;
-        # an arc that undoes flow always has room, and the padding arc leaves N, at inf
+        # where each arc's flow ends up when saturated, how far off that is, and its cost in
+        # key units; an arc that undoes flow always has room, and the padding arc leaves N, at inf
         undo = np.concatenate([flows < 0.0, flows > 0.0])
         limit = np.where(undo, 0.0, signed)
         room = np.concatenate([limit[:e] - flows, flows - limit[e:], inf_row])
-        cost = np.where(room > 0.0, 1.0, np.inf)
-        cost[:pad][undo] = -1.0
+        cost = np.where(room > 0.0, stride + 1.0, np.inf)
+        cost[:pad][undo] = 1.0 - stride
         in_cost = cost[slots]
 
-        hist = np.empty((n + 2, n + 1, keep.size))  # slot i: the distances after iteration i
-        hist[0] = np.concatenate([np.where(supply > 0.0, 0.0, np.inf), inf_row])
+        key = np.concatenate([np.where(supply > 0.0, 0.0, np.inf), inf_row])
         cand = np.empty_like(in_cost)
-        for fell in range(n + 1):
-            dist = hist[fell]
-            np.take(dist, in_tails, axis=0, out=cand, mode="clip")  # every index is in range
+        for _ in range(n + 1):
+            np.take(key, in_tails, axis=0, out=cand, mode="clip")  # every index is in range
             cand += in_cost
             best = np.minimum.reduce(cand, axis=0)
-            if not (best < dist).any():
+            if not (best < key).any():
                 break
-            np.minimum(dist, best, out=hist[fell + 1])
+            key = np.minimum(key, best)
         else:
             raise InternalCheckError("least-processing residual graph has a negative cycle")
-        last = (hist[:fell] != dist).sum(axis=0)  # the iteration where dist[v] last fell
-        # arc u -> v attained dist[v] at that fall exactly when it is tight now and dist[u]
-        # was already final then: distances are whole numbers and never rise
-        attains = (cand == dist) & (last[in_tails] < last)
-        first = (~attains).astype(np.intp)  # rank of the first slot that attains, W where none does
+        first = (cand != key).astype(np.intp)  # rank of the first slot tight on keys, W where none is
         first *= width
         first += rank
         pred = pick[np.minimum.reduce(first, axis=0), nodes]
 
-        reach = np.where(demand > 0.0, dist[:n], np.inf)
+        reach = np.where(demand > 0.0, np.floor(key[:n] / stride), np.inf)
         sink = reach.argmin(axis=0)
         live = np.isfinite(reach[sink, cols])
-        hops = last[sink, cols]  # last falls strictly along a path, so it has at most last[sink] arcs
+        sunk = key[sink, cols]
         if not live.all():
             out[keep[~live]] = flows[:, ~live].T
             left[keep[~live]] = demand[:, ~live].sum(axis=0)
             if not live.any():
                 break
             keep, flows, signed = keep[live], flows[:, live], signed[:, live]
-            supply, demand, sink, hops = supply[:, live], demand[:, live], sink[live], hops[live]
+            supply, demand, sink, sunk = supply[:, live], demand[:, live], sink[live], sunk[live]
             limit, room, pred = limit[:, live], room[:, live], pred[:, live]
             cols, inf_row = np.arange(keep.size), inf_row[:, live]
+        hops = np.mod(sunk, stride)  # the arcs of each sink's path
 
         # walk each row's path back to its source, then augment by the bottleneck
         node, path = sink, []

@@ -26,7 +26,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from ._normal import ndtr, ndtri
-from .errors import Checked, InternalCheckError, ParameterError, _numbers, nonnegative_finite, positive, whole
+from .errors import Checked, InternalCheckError, ParameterError, _numbers, nonnegative_finite, positive, single, whole
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -60,8 +60,8 @@ class BatterySupply(Checked, NamedTuple("BatterySupply", [
     __slots__ = ()
 
     def __new__(cls, mean_power, std_power, count):
-        positive(mean_power, "mean_power")
-        nonnegative_finite(std_power, "std_power")
+        mean_power = single(positive, mean_power, "mean_power")
+        std_power = single(nonnegative_finite, std_power, "std_power")
         if 0.0 < std_power < MIN_RELATIVE_STD * mean_power:
             raise ParameterError(
                 f"std_power must be 0 or at least {MIN_RELATIVE_STD} * mean_power, "

@@ -37,6 +37,11 @@ def test_only_errors_spells_the_whole_number_rule():
     ("must be non-negative and finite", "errors.py"),
     # the rule of every converter efficiency
     ("must lie in (0, 1]", "errors.py"),
+    # the reading of every single-number field
+    ("must be one number", "errors.py"),
+    # the shapes of a curve and of a flow solution
+    ("curve points must be (rating, utilization) pairs", "design.py"),
+    ("converter flows and battery powers must be finite numbers", "powerflow.py"),
 ])
 def test_each_wiring_and_capability_rule_is_raised_from_one_place(message, home):
     # one function holds each rule and raises its message; a second copy of the message is a second copy of the rule

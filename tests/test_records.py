@@ -29,7 +29,9 @@ from hippp import (
     Layer2Curve,
     MetricsRecord,
     ParameterError,
+    PowerFlowSolution,
     SweepCell,
+    aggregate_rating,
     cppp_from_budget,
     flatten,
     flow_powers,
@@ -96,7 +98,9 @@ INVALID = {
     "DesignConfig layer2_trial_ratings": (DesignConfig(), {"layer2_trial_ratings": (0.2, 0.1)}),
     "DesignConfig base_seed": (DesignConfig(), {"base_seed": -1}),
     "Layer2Curve points": (CURVE, {"points": ((0.0, 0.9), (0.1, 0.5))}),
+    "Layer2Curve points shape": (CURVE, {"points": ((0.0,),)}),
     "PowerFlowSolution converter_flows": (SOLUTION, {"converter_flows": ["a flow"]}),
+    "PowerFlowSolution battery_powers": (SOLUTION, {"battery_powers": ["0.8", "1.0", "1.2"]}),
     "SweepCell trials": (CELL, {"trials": 0}),
     "SweepCell seed": (CELL, {"seed": -1}),
     "SweepCell supply": (CELL, {"supply": BatterySupply(1.0, 0.2, 5)}),
@@ -200,7 +204,7 @@ def test_a_record_equals_the_plain_tuple_of_its_values():
 class TestValueRules:
     # a value the rule cannot compare is refused with the rule's own error, never converted
     NOT_NUMBERS = [None, "1", "abc", [1.0, None], ["1.0", "2.0"], Fraction(1, 2), Decimal("0.5"),
-                   np.array([0.5], dtype=object)]
+                   np.array([0.5], dtype=object), [[0.1], [0.2, 0.3]]]
 
     @pytest.mark.parametrize("rule, message", [
         (nonnegative, "must be non-negative, not NaN"),
@@ -293,3 +297,46 @@ class TestValueRules:
         assert [type(rule(np.float32(0.5), "x")) for rule in (nonnegative, positive, nonnegative_finite)] == [float] * 3
         assert type(efficiency(np.float32(0.5))) is float
         assert grid(np.array([0, 1]), "x") == (0.0, 1.0) and type(grid([0, 1], "x")[0]) is float
+
+
+class TestSingleNumberFields:
+    def test_a_record_keeps_the_float_its_rule_returned(self):
+        # a float32 mean flattened in float32 and missed the mass check; True was kept as True
+        assert _same(BatterySupply(np.float32(1.0), 0.2, 9), BatterySupply(1.0, 0.2, 9))
+        assert _same(BatterySupply(True, np.float32(0.25), 9), BatterySupply(1.0, 0.25, 9))
+        assert _same(ConverterEdge(0, 1, np.float32(0.5)), ConverterEdge(0, 1, 0.5))
+        rung = float(np.float32(0.1))
+        assert _same(Architecture("cppp", 9, np.int64(9), np.float32(0.1)), Architecture("cppp", 9, 9.0, rung))
+        assert type(aggregate_rating(Architecture("cppp", 9, 9.0, np.float32(0.1)))) is float
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda: ConverterEdge(0, 1, [0.5]), "rating"),
+        (lambda: Architecture("cppp", 9, [9.0], 0.1), "total_expected_power"),
+        (lambda: Architecture("cppp", 9, 9.0, np.array([0.1])), "rating"),
+        (lambda: BatterySupply(np.array([1.0]), 0.2, 3), "mean_power"),
+        (lambda: BatterySupply(1.0, [0.2], 3), "std_power"),
+        (lambda: cppp_from_budget([0.2], flatten(SUPPLY9)), "rating budget"),
+        (lambda: sweep_heterogeneity(["cppp"], 1.0, [0.2], [0.15], 2, 0, count=3), "rating budget"),
+    ], ids=["edge rating", "total_expected_power", "architecture rating", "mean_power", "std_power",
+            "cppp_from_budget", "sweep_heterogeneity fixed_budget"])
+    def test_an_array_is_refused(self, build, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be one number, got "):
+            build()
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: optimal_flow([[0.9], [1.0, 1.1]], LADDER3), "capabilities must be positive and finite"),
+        (lambda: DesignConfig(layer2_trial_ratings=[[0.1], [0.2, 0.3]]),
+         "layer2_trial_ratings values must be non-negative and finite"),
+        (lambda: Layer2Curve(None), "curve points must be (rating, utilization) pairs"),
+        (lambda: Layer2Curve([(0.0,)]), "curve points must be (rating, utilization) pairs"),
+        (lambda: Layer2Curve([(0.0, 0.5), (0.1, 0.9, 1.0)]), "curve points must be (rating, utilization) pairs"),
+        (lambda: Layer2Curve([(0.0, 0.5), (0.1, [0.9, 1.0])]), "curve utilizations must be in [0, 1]"),
+        (lambda: PowerFlowSolution(1.0, ["0.5"], [1.0, 1.0], 2.0, 0.5),
+         "converter flows and battery powers must be finite numbers"),
+        (lambda: PowerFlowSolution(1.0, [0.5], [[1.0], [1.0, 1.0]], 2.0, 0.5),
+         "converter flows and battery powers must be finite numbers"),
+    ], ids=["optimal_flow", "DesignConfig", "Layer2Curve None", "Layer2Curve single", "Layer2Curve triple",
+            "Layer2Curve nested utilization", "PowerFlowSolution string", "PowerFlowSolution ragged"])
+    def test_a_malformed_shape_or_string_is_refused(self, build, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            build()
