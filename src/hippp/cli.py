@@ -14,7 +14,8 @@ Three commands:
 The config and the design file are both checked against their tables of
 keys, and ``design`` writes its file from its table. Exit codes: 0 on
 success, 2 for configuration problems (malformed config or input files, bad
-values, unknown keys), 3 for runtime failures such as the enumeration cap.
+values, unknown keys, output paths that cannot be written), 3 for runtime
+failures such as the enumeration cap.
 HIPPP_LOG=debug|info|warning, read at every main() call, sets verbosity.
 """
 
@@ -272,8 +273,26 @@ def _records_csv(records: list[MetricsRecord]) -> str:
     return buffer.getvalue()
 
 
+@contextmanager
+def _writing(path: Path):
+    """Raise an OSError from making or writing output `path` as a ConfigError that names it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _output_directory(out_dir: str) -> Path:
+    """The output directory `out_dir`, made with its parents if missing."""
+    directory = Path(out_dir)
+    with _writing(directory):
+        directory.mkdir(parents=True, exist_ok=True)
+    return directory
+
+
 def cmd_design(cfg: ExperimentConfig, out_dir: str) -> Path:
     """Run both design stages and write the design artifact; returns its path."""
+    directory = _output_directory(out_dir)  # before the search: an unusable directory stops first
     expected = flatten(cfg.supply)
     layer1 = design_layer1(expected, cfg.design)
     arch = lshippp_for_budget(layer1, expected, cfg.rating_budget)  # before the curve: a bad budget stops first
@@ -289,10 +308,8 @@ def cmd_design(cfg: ExperimentConfig, out_dir: str) -> Path:
         (expected.count - 1, arch.rating),
         tuple(zip(*curve.points)),
     )
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
     path = directory / "design.txt"
-    with open(path, "w", encoding="utf-8") as handle:
+    with _writing(path), open(path, "w", encoding="utf-8") as handle:
         _write_ini(handle, _DESIGN_FILE, sections)
 
     print(f"design written to {path}")
@@ -304,8 +321,7 @@ def cmd_design(cfg: ExperimentConfig, out_dir: str) -> Path:
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> list[Path]:
     """Run all sweeps and write one CSV per figure family; returns the paths."""
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
+    directory = _output_directory(out_dir)
 
     rating_records, het_records = sweep_figures(
         cfg.kinds, cfg.supply, cfg.rating_grid, cfg.sigma_grid, cfg.rating_budget, cfg.trials, cfg.seed,
@@ -323,7 +339,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> list[Pat
     written = []
     for name, (records, text) in paths.items():
         path = directory / name
-        path.write_text(text, encoding="utf-8", newline="")
+        with _writing(path):
+            path.write_text(text, encoding="utf-8", newline="")
         written.append(path)
         log.info("wrote %s (%d rows)", path, len(records))
 

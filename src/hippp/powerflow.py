@@ -256,8 +256,7 @@ def _hierarchical_currents(caps: np.ndarray, arch: Architecture, rung: np.ndarra
     trials, n = caps.shape
     chords = arch.layer1.edges if arch.layer1 is not None else ()
 
-    ends = sorted({battery for edge in chords for battery in (edge.from_battery, edge.to_battery)})
-    patterns = 1 << len(ends)
+    ends = {battery for edge in chords for battery in (edge.from_battery, edge.to_battery)}
     # after battery j: the patterns of the endpoints up to j by sizes 0..j+1
     cells = max((1 << sum(end <= j for end in ends)) * (j + 2) for j in range(n))
     if cells > _CUT_CELLS:
@@ -265,55 +264,46 @@ def _hierarchical_currents(caps: np.ndarray, arch: Architecture, rung: np.ndarra
             f"{len(ends)} distinct layer-1 endpoints need {cells} cut states per draw, "
             f"over the cap of {_CUT_CELLS}"
         )
-    member = (np.arange(patterns)[:, None] >> np.arange(len(ends)) & 1).astype(bool)  # (Q, d)
-    slot = {battery: i for i, battery in enumerate(ends)}
-    chord_cost = np.zeros(patterns)
+    # bit s of pattern p says whether the s-th endpoint along the string is in U
+    slot = {battery: s for s, battery in enumerate(sorted(ends))}
+    pattern = np.arange(1 << len(ends))
+    chord_cost = np.zeros(pattern.size)
     for edge in chords:
-        crossed = member[:, slot[edge.from_battery]] != member[:, slot[edge.to_battery]]
-        chord_cost[crossed] += edge.rating
-    # added to battery j's states: 0 where the pattern allows its side, inf where not
-    ban_in = np.zeros((n, patterns))
-    ban_out = np.zeros((n, patterns))
-    for battery, i in slot.items():
-        ban_in[battery, ~member[:, i]] = np.inf
-        ban_out[battery, member[:, i]] = np.inf
+        crossed = ((pattern >> slot[edge.from_battery]) ^ (pattern >> slot[edge.to_battery])) & 1
+        chord_cost[crossed.astype(bool)] += edge.rating
 
     rows = max(1, _CUT_PASS_CELLS // cells)
     return np.concatenate([
-        _cut_pass(caps[start:start + rows], rung[start:start + rows], ban_in, ban_out, chord_cost)
+        _cut_pass(caps[start:start + rows], rung[start:start + rows], ends, chord_cost)
         for start in range(0, trials, rows)
     ])
 
 
-def _cut_pass(caps: np.ndarray, rung: np.ndarray, ban_in, ban_out, chord_cost) -> np.ndarray:
+def _cut_pass(caps: np.ndarray, rung: np.ndarray, ends, chord_cost) -> np.ndarray:
     """The subset dynamic program of _hierarchical_currents on one block of rows, one rung rating each.
 
     States are (subset size k, pattern, row). Patterns that differ only in
-    endpoints not reached yet are equal, so the pass starts with one and, at
-    each endpoint, appends the states to themselves before adding its bans:
-    pattern p + 2^s is p with endpoint s in U, as in chord_cost. Sizes stop
-    at j + 1 after battery j. Elsewhere the bans add 0.0, so they are skipped.
+    endpoints not reached yet are equal, so the pass starts with one and
+    doubles them at each chord endpoint of `ends`: the first half has the
+    endpoint outside U, so its states with it in U are inf, and the second
+    half has it in U, so its states with it outside are inf. Pattern p + 2^s
+    is thus p with endpoint s in U, as in chord_cost. Sizes stop at j + 1
+    after battery j. Before battery 0 only the empty subset exists, at cost
+    0 on either side, so battery 0 crosses no rung whichever side it takes.
     """
     trials, n = caps.shape
     caps = np.ascontiguousarray(caps.T)
-    inside = np.full((2, 1, trials), np.inf)  # least cost with the current battery in U
-    outside = np.full((2, 1, trials), np.inf)
-    inside[1] = caps[0]
-    outside[0] = 0.0
-    patterns = 1
+    inside = outside = np.zeros((1, 1, trials))  # least cost with the current battery in U, and outside it
     for j in range(n):
-        if j:
-            entered = np.empty((j + 2, patterns, trials))
-            entered[0] = np.inf
-            np.add(np.minimum(inside, outside + rung), caps[j], out=entered[1:])
-            stayed = np.empty_like(entered)
-            np.minimum(outside, inside + rung, out=stayed[:-1])
-            stayed[-1] = np.inf
-            inside, outside = entered, stayed
-        if ban_in[j].any():  # a chord endpoint: its side of the cut splits every pattern
-            patterns *= 2
-            inside = np.concatenate([inside, inside], axis=1) + ban_in[j, :patterns, None]
-            outside = np.concatenate([outside, outside], axis=1) + ban_out[j, :patterns, None]
+        patterns = inside.shape[1]
+        entered = np.empty((j + 2, 2 * patterns if j in ends else patterns, trials))
+        stayed = np.empty_like(entered)
+        entered[0] = stayed[-1] = np.inf
+        if j in ends:
+            entered[:, :patterns] = stayed[:, patterns:] = np.inf
+        np.add(np.minimum(inside, outside + rung), caps[j], out=entered[1:, -patterns:])
+        np.minimum(outside, inside + rung, out=stayed[:-1, :patterns])
+        inside, outside = entered, stayed
     best = np.minimum(inside, outside)[1:] + chord_cost[:, None]
     return (best / np.arange(1, n + 1)[:, None, None]).min(axis=(0, 1))
 
@@ -350,7 +340,8 @@ def _least_processing_flows(caps: np.ndarray, pairs: Sequence[_Pair], ratings: n
     above what the edges can carry) or a row still augmenting after
     4 * N * (N + E) rounds raises InternalCheckError (rows of 300-trial
     default sweeps need at most 13 at N = 9 with M = 3 chords, 17 at N = 12,
-    M = 3, 19 at N = 16, M = 2 and 22 at N = 16, M = 3). A row with no
+    M = 3, 19 at N = 16, M = 2 and 22 at N = 16, M = 3; of lshippp-only
+    ones, 20 at N = 24, M = 2 and 22 at N = 32, M = 2). A row with no
     deficit left in reach is finished for good, so it leaves the pass's
     working arrays with its flows written back. Rows go through in passes
     of at most _CUT_CELLS cells of a round's peak state.

@@ -659,6 +659,29 @@ class TestExitCodes:
         assert f"config error: {key}: std_power too large for this count: weakest slot mean is not positive" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, blocked", [
+        ("design", None), ("sweep", None), ("design", "design.txt"), ("sweep", "frontier.csv"),
+    ])
+    def test_an_output_path_that_cannot_be_written_exits_two(self, tmp_path, capsys, monkeypatch, command, blocked):
+        # a file where the output directory goes is refused before the layer-1 search, and a
+        # directory where an output file goes when the file is written; each names the path
+        out = tmp_path / "o"
+        if blocked is None:
+            out.write_text("")
+
+            def no_search(expected, cfg):
+                raise AssertionError("the layer-1 search ran before the output directory was made")
+
+            monkeypatch.setattr(hippp.cli, "design_layer1", no_search)
+            monkeypatch.setattr(hippp.evaluate, "design_layer1", no_search)
+        else:
+            (out / blocked).mkdir(parents=True)
+        config = tmp_path / "tiny.ini"
+        config.write_text(TINY_CONFIG)
+        assert run_main(command, "--config", config, "--out", out, "--trials", 5) == 2
+        path = out if blocked is None else out / blocked
+        assert f"config error: cannot write {path}: " in capsys.readouterr().err
+
     def test_bad_config_value(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text("[evaluate]\ntrials = -4\n")

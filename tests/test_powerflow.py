@@ -668,6 +668,123 @@ class TestLeastProcessingKernel:
             _least_processing_flows(block, [(0, 2), (0, 1), (1, 2)], np.array([[0.1, 0.05, 0.05]]), current)
 
 
+def scipy_string_output(caps, pairs, ratings):
+    """HiGHS on the rated stage-1 LP: maximize N*I over I >= 0, |f_e| <= rating_e (inf unbounded), |p| <= P."""
+    n, e = len(caps), len(pairs)
+    a_eq = np.hstack([np.ones((n, 1)), incidence(pairs, n), -np.eye(n)])
+    bounds = [(0, None)] + [(-r, r) if np.isfinite(r) else (None, None) for r in ratings] + [(-c, c) for c in caps]
+    c = np.zeros(1 + e + n)
+    c[0] = -float(n)
+    res = linprog(c, A_eq=a_eq, b_eq=np.zeros(n), bounds=bounds, method="highs")
+    assert res.status == 0
+    return -float(res.fun)
+
+
+def scipy_least_processing(caps, pairs, ratings, current):
+    """HiGHS on the least-processing LP at a fixed current: minimize sum f+ + f- with f = f+ - f-."""
+    n, e = len(caps), len(pairs)
+    inc = incidence(pairs, n)
+    a_eq = np.hstack([inc, -inc, -np.eye(n)])
+    flow = [(0, r if np.isfinite(r) else None) for r in ratings]
+    bounds = flow + flow + [(-c, c) for c in caps]
+    c = np.concatenate([np.ones(2 * e), np.zeros(n)])
+    res = linprog(c, A_eq=a_eq, b_eq=np.full(n, -current), bounds=bounds, method="highs")
+    assert res.status == 0
+    return float(res.fun)
+
+
+@st.composite
+def long_strings(draw):
+    """A row of whole hundredths at N = 17-32, a ladder with one to four chords on it, and a scale.
+
+    Chords go in any orientation, repeats and chords parallel to a rung
+    allowed, rated 0, inf or whole hundredths; the rung rating 0 or whole
+    hundredths. The least-processing flow runs at the cut form's I* times
+    the scale, 1 or a sixteenth step.
+    """
+    n = draw(st.integers(17, 32))
+    caps = np.array(draw(st.lists(st.integers(5, 300), min_size=n, max_size=n))) / 100
+    hundredths = st.integers(0, 60).map(lambda k: k / 100)
+    battery = st.integers(0, n - 1)
+    pair = st.tuples(battery, battery).filter(lambda p: p[0] != p[1])
+    chord_rating = st.one_of(st.just(0.0), st.just(np.inf), hundredths)
+    chords = draw(st.lists(st.tuples(pair, chord_rating), min_size=1, max_size=4))
+    arch = ls_arch(n, float(n), [(a, b, r) for (a, b), r in chords], draw(hundredths), k=len(chords))
+    scale = draw(st.one_of(st.just(1.0), st.integers(0, 16).map(lambda k: k / 16)))
+    return caps, arch, scale
+
+
+class TestLongStrings:
+    """Both LS-HiPPP kernels past N = 16, against the in-repo simplex and HiGHS."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(long_strings())
+    @example((np.arange(32) % 7 / 10 + 0.4, ls_arch(32, 32.0, [(0, 31, 0.4), (1, 20, np.inf), (5, 12, 0.0),
+                                                                (25, 30, 0.1)], 0.05, k=4), 1.0))
+    def test_kernels_match_the_lps(self, instance):
+        caps, arch, scale = instance
+        n = caps.size
+        edges = architecture_edges(arch)
+        pairs = [(e.from_battery, e.to_battery) for e in edges]
+        ratings = np.array([e.rating for e in edges])
+        current = _hierarchical_currents(caps[None, :], arch, np.array([arch.rating]))
+        assert n * current[0] == pytest.approx(hierarchical_lp_output(caps, arch), abs=1e-12)
+        assert n * current[0] == pytest.approx(scipy_string_output(caps, pairs, ratings), abs=1e-9)
+        flows, _ = _least_processing_flows(caps[None, :], pairs, ratings[None, :], current * scale)
+        processed = np.abs(flows[0]).sum()
+        assert processed == pytest.approx(least_processing_lp(caps, pairs, ratings, current[0] * scale)[0], abs=1e-12)
+        assert processed == pytest.approx(scipy_least_processing(caps, pairs, ratings, current[0] * scale), abs=1e-9)
+
+
+@st.composite
+def raised_strings(draw):
+    """A (T, N) block at N = 2-32 and a hierarchy on it, and the same with one input raised, as
+    (block, arch, raised block, raised arch).
+
+    The raise lifts one capability, the rung rating or one chord rating (to
+    inf included), or adds a chord anywhere in the chord list. Chords as in
+    hierarchical_blocks, at most four and, as layer 1 must, at most N - 1.
+    """
+    n = draw(st.integers(2, 32))
+    rows = draw(st.integers(1, 3))
+    block = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.05, 3.0, (rows, n))
+    if draw(st.booleans()):
+        block = np.sort(block, axis=1)
+    rating = st.one_of(st.just(0.0), st.floats(0.0, 0.6))
+    lift = st.one_of(st.just(np.inf), st.floats(0.0, 1.0))
+    battery = st.integers(0, n - 1)
+    pair = st.tuples(battery, battery).filter(lambda p: p[0] != p[1])
+    chords = [(a, b, r) for (a, b), r in draw(st.lists(st.tuples(pair, rating), min_size=1, max_size=min(4, n - 1)))]
+    rung = draw(rating)
+    raised_block, raised_chords, raised_rung = block.copy(), list(chords), rung
+    what = draw(st.sampled_from(["capability", "rung", "chord rating", "new chord"][:4 if len(chords) < n - 1 else 3]))
+    if what == "capability":
+        raised_block[:, draw(battery)] += draw(st.floats(0.0, 3.0))
+    elif what == "rung":
+        raised_rung += draw(lift)
+    elif what == "chord rating":
+        i = draw(st.integers(0, len(chords) - 1))
+        a, b, r = chords[i]
+        raised_chords[i] = (a, b, r + draw(lift))
+    else:
+        (a, b), r = draw(pair), draw(rating)
+        raised_chords.insert(draw(st.integers(0, len(chords))), (a, b, r))
+    return (block, ls_arch(n, float(n), chords, rung, k=len(chords)),
+            raised_block, ls_arch(n, float(n), raised_chords, raised_rung, k=len(raised_chords)))
+
+
+class TestCutFormMonotone:
+    @settings(max_examples=200, deadline=None)
+    @given(raised_strings())
+    def test_no_raise_lowers_the_current(self, instance):
+        # every state is a min of sums of non-negative terms, and rounding to nearest keeps order,
+        # so the kernel's floats never fall, with no tolerance; a new chord adds its rating to the
+        # chord costs in the middle of the sums, which keeps order too
+        block, arch, raised_block, raised = instance
+        current = _hierarchical_currents(block, arch, rows_at(block, arch.rating))
+        assert np.all(_hierarchical_currents(raised_block, raised, rows_at(block, raised.rating)) >= current)
+
+
 @st.composite
 def mixed_rating_blocks(draw):
     """A (T, N) block, a hierarchy on it, and one rung rating per row.
@@ -834,8 +951,15 @@ def first_kernels_alongside(cut_cells=None, ssp_cells=None):
     compared = {"cut": 0, "ssp": 0}
     cut, ssp = hippp.powerflow._cut_pass, hippp.powerflow._ssp_pass
 
-    def cut_checked(caps, rung, ban_in, ban_out, chord_cost):
-        got = cut(caps, rung, ban_in, ban_out, chord_cost)
+    def cut_checked(caps, rung, ends, chord_cost):
+        got = cut(caps, rung, ends, chord_cost)
+        # the first version's bans, added to battery j's states: 0 where pattern p allows its side, inf where not
+        inside = np.arange(chord_cost.size) >> np.arange(len(ends))[:, None] & 1 == 1  # (endpoint s, p)
+        ban_in = np.zeros((caps.shape[1], chord_cost.size))
+        ban_out = np.zeros_like(ban_in)
+        for s, battery in enumerate(sorted(ends)):
+            ban_in[battery, ~inside[s]] = np.inf
+            ban_out[battery, inside[s]] = np.inf
         assert got.tobytes() == cut_pass(caps, rung, ban_in, ban_out, chord_cost).tobytes()
         compared["cut"] += 1
         return got
@@ -863,6 +987,11 @@ class TestKernelsAgainstTheirFirstVersions:
 
     @settings(max_examples=100, deadline=None)
     @given(hierarchical_blocks())
+    # four chords with eight distinct endpoints at N = 32, the string's ends among them
+    @example((np.sort(np.random.default_rng(3).uniform(0.3, 1.7, (3, 32)), axis=1),
+              ls_arch(32, 32.0, [(0, 31, 0.4), (1, 20, 0.2), (5, 12, 0.0), (25, 30, 0.1)], 0.05, k=4)))
+    @example((np.random.default_rng(4).integers(5, 301, (2, 32)) / 100,
+              ls_arch(32, 32.0, [(31, 0, np.inf), (16, 17, 0.3), (2, 9, 0.05), (28, 4, 0.0)], 0.0, k=4)))
     def test_cut_pass(self, instance):
         block, arch = instance
         with first_kernels_alongside() as compared:
