@@ -15,16 +15,19 @@ solve_stack is the one entry point. It takes one problem (an objective, a
 constraint matrix and a right-hand side) under K sets of bounds, given as
 (K, n) arrays, and returns the K optimal points. Every LP this package
 builds is feasible and bounded by construction, so an infeasible or an
-unbounded LP is a fault: it raises InternalCheckError naming the LP. One
-two-phase driver serves every K. The phase-1 set-up, the phase-2 handover
-and the certification each run once over the stack; only an LP that still
-holds a basic artificial after phase 1 has it exchanged on its own. The
-stack keeps one phase-1 matrix, the problem's columns and both signs of
-every row's artificial, and each LP reads its own columns from it through a
-row of column codes (_phase_one): the LPs differ only in bounds, hence only
-in the signs of their artificials.
+unbounded LP is a fault: it raises InternalCheckError naming the LP by its
+index in the stack. The stack runs in consecutive passes, sized by the
+solver alone (_PASS_LPS, _PASS_CELLS), so a caller hands it every LP of
+one problem. One two-phase driver serves every pass. The phase-1 set-up
+and the phase-2 handover each run once over a pass, and the certification
+once over the stack; only an LP that still holds a basic artificial after
+phase 1 has it exchanged on its own. A pass keeps one phase-1 matrix, the
+problem's columns and both signs of every row's artificial, and each LP
+reads its own columns from it through a row of column codes (_phase_one):
+the LPs differ only in bounds, hence only in the signs of their
+artificials.
 
-The inner loop runs each phase. For K >= 2 it is the lockstep
+The inner loop runs each phase. On a pass of K >= 2 LPs it is the lockstep
 (_iterate_many): each LP keeps its own basis, statuses, Bland flag and
 stall count, and leaves the stack when it is optimal. Every step is a
 stacked LU solve on (G, m, m) with a (G, m, 1) right-hand side, a stacked
@@ -36,13 +39,13 @@ are all signed unit columns (the artificials, and the -e_j columns of the
 flow LPs) has a signed permutation for its basis, which LAPACK's LU with
 partial pivoting factors without rounding: its basic values are a gather
 of the right-hand side, with LAPACK's bits (see _iterate_many). So every
-LP takes the same pivots and returns the same bits as it does alone. A
-stack of one runs the serial loop (_iterate) on its own matrix instead,
-because the lockstep costs about three times as much at K = 1 (3.1-3.5x
-on the two LPs of the layer-1 design solve at N = 9 and 16, on a 2-core
-Xeon); that loop is also the lockstep's bitwise reference. It keeps in
-numpy what reads a matrix: the gather of the basis columns, b - A x_N,
-y A and the three solves. Pricing, the ratio test and
+LP takes the same pivots and returns the same bits as it does alone, in
+whatever pass. A pass of one runs the serial loop (_iterate) on its own
+matrix instead, because the lockstep costs about three times as much at
+K = 1 (3.1-3.5x on the two LPs of the layer-1 design solve at N = 9 and
+16, on a 2-core Xeon); that loop is also the lockstep's bitwise
+reference. It keeps in numpy what reads a matrix: the gather of the basis
+columns, b - A x_N, y A and the three solves. Pricing, the ratio test and
 the updates run on Python floats and lists, with numpy's tie rules. The
 bits hold because IEEE +, -, * and / round the same in Python as in numpy,
 and every product and solve stays in numpy and LAPACK.
@@ -52,10 +55,10 @@ numpy.linalg's solve calls, without that function's per-call Python
 wrapper, so with its bits. That wrapper also sets an error state per call,
 under which LAPACK's flag for a singular matrix raises LinAlgError;
 solve_stack sets it (_errstate) once, around both phases and the
-handover, because per call it cost about 4 us on a 2-core Xeon, as much
-as a 9x9 solve. Inside it an invalid value raises too, and overflow,
-division by zero and underflow pass silently. A LinAlgError there ends the
-solve as InternalCheckError.
+handover of every pass, because per call it cost about 4 us on a 2-core
+Xeon, as much as a 9x9 solve. Inside it an invalid value raises too, and
+overflow, division by zero and underflow pass silently. A LinAlgError
+there ends the solve as InternalCheckError.
 """
 
 from __future__ import annotations
@@ -77,6 +80,14 @@ _PIVOT_TOL = 1e-10
 _DEGENERATE_STEP = 1e-12
 _STALL_LIMIT = 64        # degenerate iterations tolerated before switching to Bland's rule
 _MAX_ITERATIONS = 20_000
+
+# a stack runs in passes of at most _PASS_LPS LPs, and of fewer when their (LPs, rows, rows)
+# basis matrices would pass _PASS_CELLS cells: 1024 LPs up to 32 rows, 256 at 64. The cells
+# bound the lockstep's largest working arrays, 8 MB each. The LPs bound the rest: under the
+# cells alone, the 10,000 LPs of the README default curve (9 rows) ran as one pass, 1.03-1.08x
+# slower than in passes of 1024
+_PASS_LPS = 1024
+_PASS_CELLS = 1 << 20
 
 _HASH_BASE = 0x9E3779B97F4A7C15  # the odd 64-bit golden-ratio constant; _iterate_many hashes with its powers
 
@@ -133,13 +144,13 @@ def _solve(a, b):
     return gufunc(a, b, signature="dd->d")
 
 
-def _iterate(c, a, b, lower, upper, basis, stat, x, counts) -> None:
+def _iterate(c, a, b, lower, upper, basis, stat, x, counts, offset) -> None:
     """Run simplex iterations in place on one LP with at least one row until
-    it is optimal. It runs only stacks of one, so an unbounded LP raises
-    InternalCheckError naming LP 0. It solves every x_B, y and w with
-    LAPACK, and counts gains what _iterate_many's would with no x_B gather:
-    per iteration one iteration, LP iteration and y solve, and per step one
-    w solve and w row.
+    it is optimal. It runs only passes of one, so an unbounded LP raises
+    InternalCheckError naming LP `offset`, its index in the stack. It solves
+    every x_B, y and w with LAPACK, and counts gains what _iterate_many's
+    would with no x_B gather: per iteration one iteration, LP iteration and
+    y solve, and per step one w solve and w row.
 
     Bounds, statuses and the basis are read from Python lists; stat is
     written back when the LP is optimal. As in _iterate_many, a step writes
@@ -196,7 +207,7 @@ def _iterate(c, a, b, lower, upper, basis, stat, x, counts) -> None:
         step_self = up[enter] - lo[enter]  # bound-to-bound flip distance
         step = min(step_basic, step_self)
         if not math.isfinite(step):
-            raise InternalCheckError("LP 0 of the stack is unbounded")
+            raise InternalCheckError(f"LP {offset} of the stack is unbounded")
 
         if step_self < step_basic:
             # entering variable flips to its opposite bound; basis unchanged
@@ -277,12 +288,13 @@ def _phase_one(a, b, lower, upper):
     return np.concatenate([np.zeros(n), -np.ones(m)]), columns, codes, lo1, up1, basis, stat, x
 
 
-def _phase_two(c, columns, codes, lo1, up1, basis, stat, x):
-    """Turn a finished phase 1 into phase 2 in place; returns the shared
-    phase-2 objective, c padded with zeros.
+def _phase_two(c, columns, codes, lo1, up1, basis, stat, x, offset):
+    """Turn a finished phase 1 of a pass into phase 2 in place; returns the
+    shared phase-2 objective, c padded with zeros.
 
     An LP whose artificials sum to more than FEASIBILITY_TOL is infeasible:
-    InternalCheckError names the first one. Each LP that still holds a basic
+    InternalCheckError names the first one by its index in the stack, the
+    pass's LP 0 being LP `offset`. Each LP that still holds a basic
     artificial has its zero artificials driven out of the basis, one LP at a
     time, on its own C-contiguous phase-1 matrix; then every artificial is
     pinned at zero.
@@ -290,7 +302,7 @@ def _phase_two(c, columns, codes, lo1, up1, basis, stat, x):
     n = c.size
     infeasible = np.flatnonzero(~(x[:, n:].sum(axis=1) <= FEASIBILITY_TOL))  # a NaN sum is infeasible too
     if infeasible.size:
-        raise InternalCheckError(f"LP {infeasible[0]} of the stack is infeasible")
+        raise InternalCheckError(f"LP {offset + infeasible[0]} of the stack is infeasible")
     for k in np.flatnonzero((basis >= n).any(axis=1)):
         a1 = np.ascontiguousarray(columns[:, codes[k]])
         _drive_out_artificials(a1, lo1[k], up1[k], basis[k], stat[k], x[k], n)
@@ -313,11 +325,12 @@ def _check_points(a, b, lower, upper, values):
         raise InternalCheckError(f"optimal point violates bounds by {bound_violation:.3e}")
 
 
-def _iterate_one(c, columns, b, lower, upper, basis, stat, codes, x, counts) -> None:
-    """The inner loop of a stack of one, with _iterate_many's arguments:
+def _iterate_one(c, columns, b, lower, upper, basis, stat, codes, x, counts, offset) -> None:
+    """The inner loop of a pass of one, with _iterate_many's arguments:
     _iterate on LP 0 and its own C-contiguous phase-1 matrix (a plain gather
     is F-ordered, and matmul would take another kernel)."""
-    _iterate(c, np.ascontiguousarray(columns[:, codes[0]]), b, lower[0], upper[0], basis[0], stat[0], x[0], counts)
+    _iterate(c, np.ascontiguousarray(columns[:, codes[0]]), b, lower[0], upper[0], basis[0], stat[0], x[0], counts,
+             offset)
 
 
 def _distinct(code):
@@ -370,8 +383,8 @@ def _unit_columns(columns):
     return np.where(unit, row, 0), np.where(unit, value, 0.0)
 
 
-def _iterate_many(c, columns, b, lower, upper, basis, stat, codes, x, counts) -> None:
-    """_iterate on a stack of K LPs of one problem at once, in lockstep.
+def _iterate_many(c, columns, b, lower, upper, basis, stat, codes, x, counts, offset) -> None:
+    """_iterate on a pass of K LPs of one problem at once, in lockstep.
 
     c (w,) and b (m,) are the problem's, shared; columns (m, ·) and codes
     (K, w) come from _phase_one, and LP k's matrix is columns[:, codes[k]].
@@ -383,8 +396,9 @@ def _iterate_many(c, columns, b, lower, upper, basis, stat, codes, x, counts) ->
     elementwise or a per-row selection with the same tie rules. An LP leaves
     the live stack as soon as it is optimal, before the ratio test and its
     solve; an unbounded LP raises InternalCheckError naming it by its index
-    in the stack. A step writes only the non-basic values it
-    moves: the next iteration's solve overwrites every basic value.
+    in the stack, the pass's LP 0 being LP `offset`. A step writes only the
+    non-basic values it moves: the next iteration's solve overwrites every
+    basic value.
 
     Basis and entering columns are gathered by code. The right-hand side
     b - A x_N and the reduced costs c - y A are taken on one C-contiguous
@@ -502,7 +516,7 @@ def _iterate_many(c, columns, b, lower, upper, basis, stat, codes, x, counts) ->
         step = np.minimum(step_basic, step_self)
         unbounded = ~np.isfinite(step)
         if unbounded.any():
-            raise InternalCheckError(f"LP {live[unbounded][0]} of the stack is unbounded")
+            raise InternalCheckError(f"LP {offset + live[unbounded][0]} of the stack is unbounded")
 
         flip = step_self < step_basic
         if flip.any():
@@ -523,6 +537,22 @@ def _iterate_many(c, columns, b, lower, upper, basis, stat, codes, x, counts) ->
     raise InternalCheckError("simplex iteration cap exceeded")
 
 
+def _solve_pass(c, a, b, lower, upper, offset) -> np.ndarray:
+    """The two phases of solve_stack on one pass, (K, n) bounds whose LP 0 is
+    LP `offset` of the stack, under _errstate(); returns the (K, n) points,
+    unchecked, and logs the pass's counts. A pass of one runs the serial
+    loop (_iterate_one), any other the lockstep (_iterate_many)."""
+    iterate = _iterate_one if len(lower) == 1 else _iterate_many
+    c_phase1, columns, codes, lo1, up1, basis, stat, x = _phase_one(a, b, lower, upper)
+    counts = [0] * 6
+    iterate(c_phase1, columns, b, lo1, up1, basis, stat, codes, x, counts, offset)
+    c_phase2 = _phase_two(c, columns, codes, lo1, up1, basis, stat, x, offset)
+    iterate(c_phase2, columns, b, lo1, up1, basis, stat, codes, x, counts, offset)
+    log.debug("LP stack: %d LPs, %d iterations, %d LP-iterations (y rows), %d y solves, "
+              "%d w solves for %d rows; %d x_B rows by gather", len(lower), *counts)
+    return x[:, :c.size]
+
+
 def solve_stack(objective, a_eq, b_eq, lower, upper) -> np.ndarray:
     """Two-phase simplex on one LP with at least one row under K sets of
     bounds; returns the (K, n) optimal points.
@@ -533,13 +563,18 @@ def solve_stack(objective, a_eq, b_eq, lower, upper) -> np.ndarray:
     that fails the checks, which run once over the whole stack. b_eq is
     taken as b_eq + 0.0, so a -0.0 in it counts as 0.0. An infeasible LP
     (after phase 1) or an unbounded one raises InternalCheckError, which
-    names its index in the stack and its verdict, and so does a singular
-    basis, without an index; every optimum is
-    re-verified against the constraints and bounds. Row k of the result
-    equals, byte for byte, what a stack of bounds row k alone returns: one
-    driver runs phase 1, the handover, phase 2 and the checks for every K,
-    and only the inner loop differs, the lockstep (_iterate_many) for
-    K >= 2 and the serial loop (_iterate_one) for a stack of one.
+    names its index in the whole stack and its verdict, and so does a
+    singular basis, without an index; every optimum is re-verified against
+    the constraints and bounds.
+
+    The stack runs as consecutive passes of at most _PASS_LPS LPs, and of
+    fewer when their (LPs, m, m) basis matrices would pass _PASS_CELLS
+    cells, at least one LP a pass (_solve_pass logs one debug line each).
+    Row k of the result equals, byte for byte, what a stack of bounds row k
+    alone returns, whatever pass holds it: one driver runs phase 1, the
+    handover, phase 2 and the checks for every pass, and only the inner
+    loop differs, the lockstep for K >= 2 and the serial loop for a pass
+    of one.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -556,18 +591,14 @@ def solve_stack(objective, a_eq, b_eq, lower, upper) -> np.ndarray:
         raise ParameterError("a stack of LPs needs at least one equality row")
     _check_values(c, a, b, lower, upper)
 
-    iterate = _iterate_one if k_all == 1 else _iterate_many
-    c_phase1, columns, codes, lo1, up1, basis, stat, x = _phase_one(a, b, lower, upper)
-    counts = [0] * 6
+    per_pass = max(1, min(_PASS_LPS, _PASS_CELLS // a.shape[0] ** 2))
+    values = np.empty((k_all, n))
     try:
         with _errstate():
-            iterate(c_phase1, columns, b, lo1, up1, basis, stat, codes, x, counts)
-            c_phase2 = _phase_two(c, columns, codes, lo1, up1, basis, stat, x)
-            iterate(c_phase2, columns, b, lo1, up1, basis, stat, codes, x, counts)
+            for start in range(0, k_all, per_pass):
+                part = slice(start, start + per_pass)
+                values[part] = _solve_pass(c, a, b, lower[part], upper[part], start)
     except np.linalg.LinAlgError as exc:
         raise InternalCheckError(f"singular simplex basis: {exc}") from exc
-    log.debug("LP stack: %d LPs, %d iterations, %d LP-iterations (y rows), %d y solves, "
-              "%d w solves for %d rows; %d x_B rows by gather", k_all, *counts)
-    values = x[:, :n]
     _check_points(a, b, lower, upper, values)
     return values

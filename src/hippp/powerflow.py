@@ -56,7 +56,7 @@ zero flows, and bounded, so the solver's InternalCheckError on an infeasible
 or unbounded LP marks a fault. The maximum-output LP is built in one place
 (_stage_one): one objective, constraint matrix and right-hand side for all
 rows, and a (rows, variables) block of bounds that holds each row's ratings.
-The curve's LPs, one per (trial rating, draw), form its stacks
+The curve's LPs, one per (trial rating, draw), form one stack
 (max_string_outputs); the design solve is two stacks of one LP each.
 
 Capabilities are per string position, in any order: battery j is the j-th
@@ -69,6 +69,7 @@ current.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -137,13 +138,16 @@ def _incidence(pairs: Sequence[_Pair], n: int) -> np.ndarray:
 
 def _checked_capabilities(capabilities, arch: Architecture, ndim: int = 1) -> np.ndarray:
     """Capabilities as the floats the capability rule (errors.positive) read, checked once per public call: one
-    non-empty vector (ndim 1) or a (T, N) block of them (ndim 2), with a last axis of `arch`'s battery count."""
+    non-empty vector (ndim 1) or a (T, N) block of them (ndim 2), with a last axis of `arch`'s battery count.
+    N times a row's largest capability must be a finite float, so that every sum of a row's powers is one."""
     caps = positive(capabilities, "capabilities")
     if np.ndim(caps) != ndim or np.size(caps) == 0:
         shape = "vector" if ndim == 1 else "(trials, batteries) block"
         raise ParameterError(f"capabilities must be a non-empty {shape}")
     if caps.shape[-1] != arch.num_batteries:
         raise ParameterError(f"got {caps.shape[-1]} capabilities for {arch.num_batteries} batteries")
+    if not math.isfinite(caps.shape[-1] * float(caps.max())):
+        raise ParameterError(f"capabilities too large: {caps.shape[-1]} times the largest is not a finite float")
     return caps
 
 
@@ -214,8 +218,7 @@ def _ladder_flow(caps: np.ndarray, rating: np.ndarray, current: np.ndarray):
 
 # cells per pass of the least-processing kernel, and the most cut-form state
 # cells one row may need; bounds their working arrays the way the placement
-# block bounds the search. It also caps the LPs per stage-1 stack of
-# max_string_outputs at _CUT_CELLS // (N * (variables + N))
+# block bounds the search
 _CUT_CELLS = 1 << 18
 # cut-form state cells per pass: small enough to stay in a core's cache, which
 # halves the cut form's time on the default sweep against _CUT_CELLS
@@ -550,20 +553,8 @@ def _stage_one(caps: np.ndarray, pairs: Sequence[_Pair], table: np.ndarray) -> n
     table[t, e] (a (T, E) table, inf allowed), |p_j| at most caps[t, j] and
     I >= 0. All rows share one objective, constraint matrix and right-hand
     side, and each row's bounds are written straight into one (T, variables)
-    block. The rows go through lp.solve_stack in passes of
-    _CUT_CELLS // (N * (variables + N)) LPs, at least one: 970 at N = 9 with
-    three layer-1 edges. The cap bounds one stack's working arrays: a
-    lockstep step's (K, N, N) basis matrices to _CUT_CELLS cells, and each
-    (K, variables + N) array of bounds, values, statuses, codes or reduced
-    costs to _CUT_CELLS / N. A row's result does not depend on it, and no
-    size beat it beyond noise on the 1000-trial README curve (10,000 LPs,
-    four sets of 7-25 alternated rounds, 2-core Xeon): 485 and 15,534 LPs a
-    pass at best tied it, 1,941 and 3,883 won some sets and lost others.
-    Re-measured once the lockstep gathered on signed-permutation bases (two
-    sets of 6 and 8 alternated rounds, median ratios): 485 LPs a pass took
-    1.13x and the whole curve in one pass 1.12x; 1,941 took 0.98x in both
-    sets and 3,883 1.00x and 1.05x, within the rounds' noise, so the size
-    stayed. The rows are certified by one block _certify call.
+    block, which goes to lp.solve_stack whole: the solver sizes its own
+    passes. The rows are certified by one block _certify call.
     """
     trials, n = caps.shape
     e = len(pairs)
@@ -576,12 +567,7 @@ def _stage_one(caps: np.ndarray, pairs: Sequence[_Pair], table: np.ndarray) -> n
     upper[:, 1 + e:] = caps
     lower = -upper
     lower[:, 0] = 0.0
-    a = _flow_matrix(pairs, n)
-    per_pass = max(1, _CUT_CELLS // (n * (width + n)))
-    values = np.empty_like(upper)
-    for start in range(0, trials, per_pass):
-        part = slice(start, start + per_pass)
-        values[part] = solve_stack(objective, a, np.zeros(n), lower[part], upper[part])
+    values = solve_stack(objective, _flow_matrix(pairs, n), np.zeros(n), lower, upper)
     _certify(caps, pairs, table, values[:, 0], values[:, 1:1 + e], values[:, 1 + e:])
     return values
 

@@ -54,7 +54,10 @@ class BatterySupply(Checked, NamedTuple("BatterySupply", [
 
     std_power is 0, a homogeneous supply, or between MIN_RELATIVE_STD *
     mean_power and mean_power, and small enough that the weakest of the
-    `count` flattened slots keeps a positive mean.
+    `count` flattened slots keeps a positive mean. `count` times the
+    strongest slot mean must be a finite float, so that a string's power is
+    one. The flattened set is symmetric about the mean, so the strongest
+    slot mean is the mean plus the weakest slot's distance below it.
     """
 
     __slots__ = ()
@@ -71,8 +74,12 @@ class BatterySupply(Checked, NamedTuple("BatterySupply", [
             # keeps the negative-capability tail negligible
             raise ParameterError("std_power must be below mean_power")
         self = super().__new__(cls, mean_power, std_power, whole(count, "count", 1))
-        if std_power > 0.0 and _slot_means(self, 1)[0] <= 0.0:
+        weakest = _slot_means(self, 1)[0] if std_power > 0.0 else mean_power
+        if weakest <= 0.0:
             raise ParameterError("std_power too large for this count: weakest slot mean is not positive")
+        if not math.isfinite(self.count * (mean_power + (mean_power - weakest))):
+            raise ParameterError("mean_power and std_power too large for this count: count times the strongest "
+                                 "slot mean is not a finite float")
         return self
 
 

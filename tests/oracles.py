@@ -402,15 +402,15 @@ def ssp_pass(caps, currents, ratings, tails, in_arcs) -> np.ndarray:
     return out
 
 
-def serial_iterate(c, a, b, lower, upper, basis, stat, x, counts) -> None:
+def serial_iterate(c, a, b, lower, upper, basis, stat, x, counts, offset) -> None:
     """hippp.lp._iterate as it was written on numpy arrays: pricing, the ratio test
     and the updates as array operations, each solve through np.linalg.solve.
     It reads the solver's constants from hippp.lp, so a patched _STALL_LIMIT
     reaches it too.
 
     Run simplex iterations in place on one LP with at least one row until
-    it is optimal. It runs only stacks of one, so an unbounded LP raises
-    InternalCheckError naming LP 0. counts gains what _iterate_many's would
+    it is optimal. It runs only passes of one, so an unbounded LP raises
+    InternalCheckError naming LP `offset`, its index in the stack. counts gains what _iterate_many's would
     with no x_B gather: per iteration one iteration, LP iteration and y
     solve, and per step one w solve and w row."""
     bland = False
@@ -463,7 +463,7 @@ def serial_iterate(c, a, b, lower, upper, basis, stat, x, counts) -> None:
         step_self = upper[enter] - lower[enter]  # bound-to-bound flip distance
         step = min(step_basic, step_self)
         if not np.isfinite(step):
-            raise InternalCheckError("LP 0 of the stack is unbounded")
+            raise InternalCheckError(f"LP {offset} of the stack is unbounded")
 
         x[basis] = xb + g * step
         if step_self < step_basic:

@@ -659,6 +659,34 @@ class TestExitCodes:
         assert f"config error: {key}: std_power too large for this count: weakest slot mean is not positive" in err
         assert not (tmp_path / "o").exists()
 
+    def test_capabilities_too_large_for_a_float_exit_two(self, tmp_path, capsys):
+        # five capabilities of 1e308 sum past the largest float; they used to print an infinite output and exit 0
+        config = tmp_path / "tiny.ini"
+        config.write_text(TINY_CONFIG)
+        assert run_main("design", "--config", config, "--out", tmp_path / "d", "--trials", 5) == 0
+        caps = tmp_path / "caps.txt"
+        caps.write_text("1e308 " * 5)
+        capsys.readouterr()
+        assert run_main("flow", tmp_path / "d" / "design.txt", caps) == 2
+        assert capsys.readouterr() == ("", f"config error: capabilities {caps}: capabilities too large: "
+                                           "5 times the largest is not a finite float\n")
+
+    @pytest.mark.parametrize("command, supply, sigmas, key", [
+        ("design", "mean_power = 1e308\nstd_power = 0", "1e306 2e306", "[supply]"),
+        ("sweep", "mean_power = 1e308\nstd_power = 0", "1e306 2e306", "[supply]"),
+        ("sweep", "mean_power = 3e307\nstd_power = 0", "1e305 1.5e307", "[evaluate] sigma_grid"),
+    ])
+    def test_a_supply_too_large_for_a_float_is_refused_at_load(self, tmp_path, capsys, command, supply, sigmas,
+                                                                key):
+        # five slots of 1e308 sum past the largest float; such a supply used to exit 3 with a singular basis
+        config = tmp_path / "big.ini"
+        config.write_text(TINY_CONFIG.replace("count = 5", f"{supply}\ncount = 5")
+                          .replace("sigma_grid = 0.1 0.2", f"sigma_grid = {sigmas}"))
+        assert run_main(command, "--config", config, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key}: mean_power and std_power too large for this count" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command, blocked", [
         ("design", None), ("sweep", None), ("design", "design.txt"), ("sweep", "frontier.csv"),
     ])

@@ -2,6 +2,7 @@
 and an independent scipy-based search oracle."""
 
 import itertools
+import logging
 import sys
 import tracemalloc
 
@@ -30,6 +31,7 @@ from hippp import (
     BatterySupply,
     ConverterEdge,
     DesignConfig,
+    InternalCheckError,
     EnumerationCapError,
     ExpectedSet,
     Layer1Design,
@@ -460,6 +462,25 @@ class TestLayer1Search:
         assert output.hex() == ref_output.hex()
         assert [p.hex() for p in processed.tolist()] == [p.hex() for p in ref_processed.tolist()]
 
+    def test_power_circulating_both_ways_is_an_internal_error(self, monkeypatch):
+        # stage 2 splits each flow into f+ and f- (columns 1..E and E+1..2E); 0.1 more on both halves of
+        # edge 1 keeps every equality and bound, and only the split check refuses it
+        expected = flatten(BatterySupply(1.0, 0.2, 4))
+        edges = [(0, 2), (1, 3)]
+        layer1_design_lp(expected, edges)
+        solve_stack = hippp.powerflow.solve_stack
+
+        def circulating(objective, a_eq, b_eq, lower, upper):
+            values = solve_stack(objective, a_eq, b_eq, lower, upper)
+            if objective.size == 1 + 2 * len(edges) + 4:  # stage 2; stage 1 has one column per edge
+                values = values.copy()
+                values[:, [2, 2 + len(edges)]] += 0.1
+            return values
+
+        monkeypatch.setattr(hippp.powerflow, "solve_stack", circulating)
+        with pytest.raises(InternalCheckError, match="^flow split left circulating power in both directions$"):
+            layer1_design_lp(expected, edges)
+
     def test_design_lp_agrees_with_scipy_on_the_chosen_edges(self):
         expected = flatten(BatterySupply(1.0, 0.2, 9))
         flows, output = layer1_design_lp(expected, N9_EDGES), design_output(expected, N9_EDGES)
@@ -682,18 +703,41 @@ class TestBatchedCurve:
         _, curve = design_layer2(layer1, supply, cfg)
         assert curve.points == one_lp_curve(layer1, supply, cfg)
 
-    def test_small_passes_give_the_same_bits(self, monkeypatch):
+    @staticmethod
+    def logged_passes(caplog, run):
+        """run()'s result and the LPs of each pass that lp.solve_stack logs, in order."""
+        with caplog.at_level(logging.DEBUG, logger="hippp.lp"):
+            caplog.clear()
+            result = run()
+        return result, [r.args[0] for r in caplog.records if r.name == "hippp.lp" and r.msg.startswith("LP stack")]
+
+    def test_small_passes_give_the_same_bits(self, monkeypatch, caplog):
+        # the curve's 4 x 7 LPs reach lp.solve_stack as one stack, which runs them in passes of its own size
         supply = BatterySupply(1.0, 0.2, 9)
         layer1 = self.layer1(9, 3, seed=4)
         cfg = DesignConfig(num_layer1=3, num_rating_sets=1, layer2_trial_ratings=self.RATINGS,
                            monte_carlo_trials=7)
-        whole = design_layer2(layer1, supply, cfg)
-        # a pass holds the phase-1 stacks: rows x (columns + one artificial per row) per LP,
-        # with columns [I, the 3 layer-1 edges and 8 rungs, 9 batteries]
-        cells_per_lp = 9 * ((1 + 3 + 8 + 9) + 9)
-        for lps_per_pass in (3, 1):
-            monkeypatch.setattr(hippp.powerflow, "_CUT_CELLS", lps_per_pass * cells_per_lp)
-            assert design_layer2(layer1, supply, cfg) == whole
+        whole = self.logged_passes(caplog, lambda: design_layer2(layer1, supply, cfg))
+        assert whole[1] == [28]
+        for lps_per_pass, passes in ((3, [3] * 9 + [1]), (1, [1] * 28)):
+            monkeypatch.setattr(hippp.lp, "_PASS_LPS", lps_per_pass)
+            assert self.logged_passes(caplog, lambda: design_layer2(layer1, supply, cfg)) == (whole[0], passes)
+
+    def test_passes_cut_by_basis_cells_give_the_same_bytes(self, monkeypatch, caplog):
+        # an N = 32 curve: 4 x 4 LPs of 32 rows; room for five 32 x 32 basis matrices cuts it into four passes
+        supply = BatterySupply(1.0, 0.2, 32)
+        layer1 = self.layer1(32, 2, seed=5)
+        cfg = DesignConfig(num_layer1=2, num_rating_sets=1, layer2_trial_ratings=self.RATINGS,
+                           monte_carlo_trials=4)
+
+        def curve_bytes():
+            rating, curve = design_layer2(layer1, supply, cfg)
+            return [rating.hex()] + [value.hex() for point in curve.points for value in point]
+
+        whole = self.logged_passes(caplog, curve_bytes)
+        assert whole[1] == [16]
+        monkeypatch.setattr(hippp.lp, "_PASS_CELLS", 5 * 32 * 32)
+        assert self.logged_passes(caplog, curve_bytes) == (whole[0], [5, 5, 5, 1])
 
     def test_block_rows_equal_one_row_calls(self):
         # rows with mixed rungs, an infinite one included, against one-row calls
@@ -712,8 +756,8 @@ class TestBatchedCurve:
 
     def test_the_default_design_lp_traffic(self, monkeypatch):
         # the README default design, layer 1 and the 10 x 1000 layer-2 curve:
-        # the design solve is two stacks of one LP, and the curve's stacks
-        # hold its 10 x 1000 LPs
+        # the design solve is two stacks of one LP, and the curve is one
+        # stack of its 10 x 1000 LPs
         stacks = []
         solve_stack = hippp.lp.solve_stack
 
@@ -734,7 +778,7 @@ class TestBatchedCurve:
         assert [(e.from_battery, e.to_battery) for e in layer1.edges] == N9_EDGES
         assert [p.hex() for p in layer1.processed_at_design] == [p.hex() for p in N9_PROCESSED]
         assert len(curve.points) == 10
-        assert sum(stacks[2:]) == 10 * 1000 and min(stacks[2:]) > 1
+        assert stacks[2:] == [10 * 1000]
 
     def test_rejects_bad_rungs(self):
         block = np.stack([draw_capabilities(BatterySupply(1.0, 0.2, 9), seed) for seed in range(2)])

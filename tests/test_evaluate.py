@@ -11,6 +11,7 @@ from hippp import (
     BatterySupply,
     ConverterEdge,
     DesignConfig,
+    InternalCheckError,
     Layer1Design,
     MetricsRecord,
     ParameterError,
@@ -127,6 +128,44 @@ class TestEvaluateArchitecture:
             evaluate_architecture(arch, BatterySupply(1.0, 0.2, 5), trials=5, seed=0)
         with pytest.raises(ParameterError):
             evaluate_architecture(arch, SUPPLY9, trials=0, seed=0)
+
+
+class TestInlineInvariants:
+    """A cell's rows pass three checks before its record is built. flow_powers, patched to spoil trial 2
+    alone, trips each one, and the error names that trial."""
+
+    @staticmethod
+    def evaluate_spoiled(monkeypatch, arch, spoil):
+        """evaluate_architecture of `arch` on 5 trials, with trial 2's (output, processed) replaced by
+        spoil(capabilities, output, processed)."""
+        real = hippp.evaluate.flow_powers
+
+        def spoiled(caps, arch, ratings):
+            output, processed = (values.copy() for values in real(caps, arch, ratings))
+            output[2], processed[2] = spoil(caps[2], output[2], processed[2])
+            return output, processed
+
+        monkeypatch.setattr(hippp.evaluate, "flow_powers", spoiled)
+        return evaluate_architecture(arch, SUPPLY9, trials=5, seed=0)
+
+    def test_utilization_above_one(self, monkeypatch):
+        arch = cppp_from_budget(0.15, flatten(SUPPLY9))
+        with pytest.raises(InternalCheckError, match=r"^utilization 1\.01\d* above 1 on trial 2$"):
+            self.evaluate_spoiled(monkeypatch, arch, lambda caps, output, processed: (1.01 * caps.sum(), processed))
+
+    def test_utilization_below_the_bare_string_floor(self, monkeypatch):
+        arch = cppp_from_budget(0.15, flatten(SUPPLY9))
+        with pytest.raises(InternalCheckError, match=r"below the bare-string floor on trial 2$"):
+            self.evaluate_spoiled(monkeypatch, arch, lambda caps, output, processed: (4.5 * caps.min(), processed))
+        # full processing can deliver less than the bare string, so it has no floor
+        fpp = fpp_from_budget(0.05, flatten(SUPPLY9))
+        self.evaluate_spoiled(monkeypatch, fpp, lambda caps, output, processed: (4.5 * caps.min(), 0.0))
+
+    def test_processed_power_above_the_installed_rating(self, monkeypatch):
+        arch = cppp_from_budget(0.15, flatten(SUPPLY9))
+        above = 0.151 * arch.total_expected_power
+        with pytest.raises(InternalCheckError, match=r"^processed power above installed rating on trial 2$"):
+            self.evaluate_spoiled(monkeypatch, arch, lambda caps, output, processed: (output, above))
 
 
 class TestTrialBlock:

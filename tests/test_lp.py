@@ -355,8 +355,8 @@ def assert_stack_agrees_with_rows(batch):
 
 
 def stack_counts(caplog, solve):
-    """Run solve() and return its result and the counters of every LP stack
-    it logs, in order: LPs, iterations, LP-iterations (the y rows), y
+    """Run solve() and return its result and the counters of every pass of
+    an LP stack it logs, in order: LPs, iterations, LP-iterations (the y rows), y
     solves, w solves, w rows, and the x_B rows taken by gather."""
     with caplog.at_level(logging.DEBUG, logger="hippp.lp"):
         caplog.clear()
@@ -415,6 +415,30 @@ class TestSolveStack:
         optimal = self.fixed_batch(LPStatus.OPTIMAL)
         batch = optimal[:7] + self.fixed_batch(status)[:1] + optimal[7:]
         assert stack_failure(batch) == (7, status)
+
+    @pytest.mark.parametrize("status", [LPStatus.INFEASIBLE, LPStatus.UNBOUNDED])
+    @pytest.mark.parametrize("per_pass", [5, 7])
+    def test_a_failing_lp_of_a_later_pass_is_named_by_its_index_in_the_stack(self, monkeypatch, caplog, status,
+                                                                           per_pass):
+        # LP 7 runs in the second pass: in the lockstep with passes of 5, alone in the serial loop with 7
+        monkeypatch.setattr(hippp.lp, "_PASS_LPS", per_pass)
+        optimal = self.fixed_batch(LPStatus.OPTIMAL)
+        batch = optimal[:7] + self.fixed_batch(status)[:1] + optimal[7:9]
+        (index, verdict), logged = stack_counts(caplog, lambda: stack_failure(batch))
+        assert (index, verdict) == (7, status)
+        assert [lps for lps, *_ in logged] == [per_pass]  # the first pass finished; the second raised
+
+    @pytest.mark.parametrize("rows, passes", [(1, [1024, 1024, 1]), (32, [1024, 1]), (33, [962, 1]),
+                                              (64, [256, 256, 1])])
+    def test_a_pass_holds_1024_lps_or_fewer_past_32_rows(self, caplog, rows, passes):
+        # at most 1024 LPs a pass, and fewer when their (LPs, rows, rows) basis matrices would pass 2^20 cells
+        # (2^20 // 33^2 = 962); x_j + x_{rows + j} = 1 in the unit box, the second of each pair priced higher
+        k = sum(passes)
+        a, c = np.hstack([np.eye(rows), np.eye(rows)]), np.arange(2.0 * rows)
+        points, logged = stack_counts(
+            caplog, lambda: solve_stack(c, a, np.ones(rows), np.zeros((k, 2 * rows)), np.ones((k, 2 * rows))))
+        assert [lps for lps, *_ in logged] == passes
+        assert np.array_equal(points, np.repeat([[0.0] * rows + [1.0] * rows], k, axis=0))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(2, 8))
@@ -725,13 +749,23 @@ class TestCertification:
         with pytest.raises(InternalCheckError, match="nan"):
             hippp.lp._check_points(a, b, lower, upper, np.array([[np.nan, 0.5]]))
 
+    def test_a_point_outside_its_bounds_fails_the_check(self):
+        # x0 + x1 = 0.5 holds on both rows; row 1's x0 sits 0.25 above its upper bound, and x1 has none
+        a, b = np.array([[1.0, 1.0]]), np.array([0.5])
+        lower, upper = np.array([[0.0, -np.inf]] * 2), np.array([[1.0, np.inf]] * 2)
+        hippp.lp._check_points(a, b, lower, upper, np.array([[1.0, -0.5], [0.5, 0.0]]))
+        with pytest.raises(InternalCheckError, match=r"^optimal point violates bounds by 2\.500e-01$"):
+            hippp.lp._check_points(a, b, lower, upper, np.array([[1.0, -0.5], [1.25, -0.75]]))
+        with pytest.raises(InternalCheckError, match=r"^optimal point violates bounds by 2\.500e-01$"):
+            hippp.lp._check_points(a, b, lower, upper, np.array([[-0.25, 0.75], [0.5, 0.0]]))
+
     def test_a_nan_artificial_sum_is_infeasible(self):
         a, b, lower, upper = np.array([[1.0, 1.0]]), np.array([0.5]), np.zeros((2, 2)), np.ones((2, 2))
         # a finished phase 1 whose artificials are zero, but for LP 1's NaN
         _, columns, codes, lo1, up1, basis, stat, x = hippp.lp._phase_one(a, b, lower, upper)
         x[:, 2] = [0.0, np.nan]
         with pytest.raises(InternalCheckError, match="LP 1 of the stack is infeasible"):
-            hippp.lp._phase_two(np.zeros(2), columns, codes, lo1, up1, basis, stat, x)
+            hippp.lp._phase_two(np.zeros(2), columns, codes, lo1, up1, basis, stat, x, 0)
 
 
 def loop_states(iterate, c, a, b, lower, upper):
@@ -747,10 +781,10 @@ def loop_states(iterate, c, a, b, lower, upper):
             counts = [0] * 6
             with hippp.lp._errstate():
                 iterate(c1, np.ascontiguousarray(columns[:, codes[0]]), b, lo1[0], up1[0], basis[0], stat[0], x[0],
-                        counts)
+                        counts, 0)
             states.append((x.tobytes(), basis.tobytes(), stat.tobytes(), counts))
             if phase == 0:
-                c1 = hippp.lp._phase_two(c, columns, codes, lo1, up1, basis, stat, x)
+                c1 = hippp.lp._phase_two(c, columns, codes, lo1, up1, basis, stat, x, 0)
     except InternalCheckError as exc:
         states.append(str(exc))
     return states

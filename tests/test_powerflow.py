@@ -373,12 +373,14 @@ class TestLadderKernel:
         assert np.all(flows == 0.0)
         assert np.array_equal(battery, np.repeat(current[:, None], 4, axis=1))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.5, 1e308])
     def test_invalid_capabilities_are_parameter_errors(self, bad):
-        # refused once, where they enter: by every public call, of every kind
+        # refused once, where they enter: by every public call, of every kind; three capabilities
+        # of 1e308 sum past the largest float, and a row of 5e307 is let in
         caps = np.array([0.8, bad, 1.2])
         block = np.array([[0.9, 1.0, 1.1], caps])
-        refused = "capabilities must be positive and finite"
+        refused = ("capabilities too large: 3 times the largest is not a finite float" if bad == 1e308
+                   else "capabilities must be positive and finite")
         for arch in (
             cppp_arch(3.0, 3, 0.1),
             ls_arch(3, 3.0, [(0, 2, 0.1)], 0.1),
@@ -391,6 +393,7 @@ class TestLadderKernel:
             if arch.kind != ArchitectureKind.FPP:
                 with pytest.raises(ParameterError, match=refused):
                     max_string_outputs(block, arch, rows_at(block, 0.1))
+            assert np.isfinite(optimal_flow([5e307] * 3, arch).output_power)
 
     def test_rejects_a_bad_block_or_rating(self):
         arch = cppp_arch(3.0, 3, 0.1)
@@ -641,10 +644,18 @@ class TestLeastProcessingKernel:
         pairs = [(e.from_battery, e.to_battery) for e in architecture_edges(arch)]
         ratings = np.tile([e.rating for e in architecture_edges(arch)], (len(block), 1))
         whole = _least_processing_flows(block, pairs, ratings, currents)
-        # passes of 7 rows of 10 * (3 * 3 + 11) + 10 * 11 + 8 * 10 cells: 10 nodes with
-        # the sentinel, 3 incoming arcs at most, 11 iterations kept, 11 edges
-        monkeypatch.setattr(hippp.powerflow, "_CUT_CELLS", 7 * 390)
+        # passes of 7 rows of 10 * (3 * 3 + 9) + 10 * 11 = 290 cells: 10 nodes with
+        # the sentinel, 3 incoming arcs at most, 11 edges
+        monkeypatch.setattr(hippp.powerflow, "_CUT_CELLS", 7 * 290)
+        ssp_pass, rows = hippp.powerflow._ssp_pass, []
+
+        def counted_ssp_pass(caps, *args):
+            rows.append(len(caps))
+            return ssp_pass(caps, *args)
+
+        monkeypatch.setattr(hippp.powerflow, "_ssp_pass", counted_ssp_pass)
         split = _least_processing_flows(block, pairs, ratings, currents)
+        assert rows == [7] * 7 + [1]
         assert all(np.array_equal(a, b) for a, b in zip(whole, split))
 
     def test_optimal_flow_is_the_kernel_at_the_cut_form_current(self):

@@ -18,7 +18,7 @@ from oracles import flatten_distribution
 from scipy import integrate, special, stats
 
 import hippp.supply
-from hippp import BatterySupply, InternalCheckError, ParameterError, flatten, sample_battery_set
+from hippp import BatterySample, BatterySupply, InternalCheckError, ParameterError, flatten, sample_battery_set
 from hippp._normal import _EXP_M2, _MAXLOG, _SQRT1_2, ndtr, ndtri
 from hippp.supply import MIN_RELATIVE_STD
 
@@ -177,6 +177,17 @@ class TestValidation:
         assert flatten(BatterySupply(1.0, 0.6, 8)).capabilities[0] > 0.0  # the most slots this spread fills
 
 
+    def test_rejects_a_string_power_too_large_for_a_float(self):
+        # count times the strongest slot mean must be finite; the strongest is as far above the mean as the
+        # weakest is below it
+        for mean, std, count in ((1e308, 0.0, 9), (1e308, 0.0, 2), (3e307, 1.5e307, 5)):
+            with pytest.raises(ParameterError, match="count times the strongest slot mean is not a finite float"):
+                BatterySupply(mean, std, count)
+        for mean, std, count in ((1e308, 0.0, 1), (3e307, 0.0, 5), (1e307, 5e306, 5)):
+            caps = flatten(BatterySupply(mean, std, count)).capabilities
+            assert np.isfinite(count * caps[-1]) and caps[-1] - mean == pytest.approx(mean - caps[0], rel=1e-12)
+
+
 class TestSampling:
     def test_same_seed_same_batch(self):
         supply = BatterySupply(1.0, 0.2, 9)
@@ -205,6 +216,11 @@ class TestSampling:
         draws = np.concatenate([sample_battery_set(supply, seed).capabilities for seed in range(400)])
         assert draws.mean() == pytest.approx(1.0, abs=0.01)
         assert draws.std(ddof=1) == pytest.approx(0.2, abs=0.01)
+
+    def test_a_sample_must_be_ascending(self):
+        assert BatterySample([0.9, 1.1], [-0.1, 0.1], 3).seed == 3
+        with pytest.raises(ParameterError, match="^sampled capabilities must be sorted ascending$"):
+            BatterySample([1.1, 0.9], [0.1, -0.1], 3)
 
     def test_rejection_keeps_batch_positive(self):
         # spread close to the mean makes non-positive draws likely enough to hit
