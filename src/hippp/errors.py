@@ -84,10 +84,13 @@ def nonnegative(values, name: str) -> float | np.ndarray:
 
 
 def positive(values, name: str) -> float | np.ndarray:
-    """The rule of every capability and mean power: refuse a value of number or array `values` not in (0, inf)."""
+    """The rule of every capability and mean power: refuse a value of number or array `values` not in (0, inf).
+    An array's last axis is one string: its length times its largest value must be a finite float, so its sum is one."""
     numbers = _numbers(values)
     if not ((numbers > 0.0) & (numbers < math.inf)).all():
         raise ParameterError(f"{name} must be positive and finite")
+    if numbers.ndim and not math.isfinite(numbers.shape[-1] * float(numbers.max(initial=0.0))):
+        raise ParameterError(f"{name} too large: {numbers.shape[-1]} times the largest is not a finite float")
     return numbers if numbers.ndim else numbers.item()
 
 

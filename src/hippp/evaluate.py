@@ -233,24 +233,19 @@ def _sweep(kinds, points, trials, seed, design_cfg, converter_efficiency, worker
     """Cells point by point, budget by budget, kind by kind, as one grouped evaluation.
 
     `points` pairs each supply with its budgets. Each distinct supply is
-    flattened once, and each distinct flattened supply gets one layer-1
-    design, reused for every budget of every point that flattens to it; each
-    budget only re-splits what is left for the ladder.
+    flattened and given its layer-1 design once, reused for every budget of
+    every point with that supply; each budget only re-splits what is left for
+    the ladder.
     """
     converter_efficiency = efficiency(converter_efficiency)
-    expected_sets: dict[BatterySupply, ExpectedSet] = {}
-    layer1s: dict[bytes, Layer1Design] = {}
+    designs: dict[BatterySupply, tuple[ExpectedSet, Layer1Design | None]] = {}
+    lshippp = ArchitectureKind.LSHIPPP in kinds
     cells = []
     for supply, budgets in points:
-        if supply not in expected_sets:
-            expected_sets[supply] = flatten(supply)
-        expected = expected_sets[supply]
-        layer1 = None
-        if ArchitectureKind.LSHIPPP in kinds:
-            key = expected.capabilities.tobytes()
-            if key not in layer1s:
-                layer1s[key] = design_layer1(expected, design_cfg or DesignConfig())
-            layer1 = layer1s[key]
+        if supply not in designs:
+            expected = flatten(supply)
+            designs[supply] = expected, (design_layer1(expected, design_cfg or DesignConfig()) if lshippp else None)
+        expected, layer1 = designs[supply]
         cells += [
             SweepCell(_spend(kind, budget, expected, layer1 if kind == ArchitectureKind.LSHIPPP else None),
                       supply, trials, seed, converter_efficiency)

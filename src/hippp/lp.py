@@ -448,8 +448,6 @@ def _iterate_many(c, columns, b, lower, upper, basis, stat, codes, x, counts, of
     # the live LPs; the caller's arrays themselves until the first one leaves
     lo, up, bas, st, co, xs = lower, upper, basis, stat, codes, x
     for _ in range(_MAX_ITERATIONS):
-        if live.size == 0:
-            return
         rows = np.arange(live.size)
         at = rows[:, None] * width + bas  # flat positions of the basic variables in the (live, width) arrays
         key = co.take(at)  # the basis columns' codes

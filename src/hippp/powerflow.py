@@ -69,7 +69,6 @@ current.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -139,15 +138,13 @@ def _incidence(pairs: Sequence[_Pair], n: int) -> np.ndarray:
 def _checked_capabilities(capabilities, arch: Architecture, ndim: int = 1) -> np.ndarray:
     """Capabilities as the floats the capability rule (errors.positive) read, checked once per public call: one
     non-empty vector (ndim 1) or a (T, N) block of them (ndim 2), with a last axis of `arch`'s battery count.
-    N times a row's largest capability must be a finite float, so that every sum of a row's powers is one."""
+    The rule also holds the bound on a row: N times its largest capability is a finite float."""
     caps = positive(capabilities, "capabilities")
     if np.ndim(caps) != ndim or np.size(caps) == 0:
         shape = "vector" if ndim == 1 else "(trials, batteries) block"
         raise ParameterError(f"capabilities must be a non-empty {shape}")
     if caps.shape[-1] != arch.num_batteries:
         raise ParameterError(f"got {caps.shape[-1]} capabilities for {arch.num_batteries} batteries")
-    if not math.isfinite(caps.shape[-1] * float(caps.max())):
-        raise ParameterError(f"capabilities too large: {caps.shape[-1]} times the largest is not a finite float")
     return caps
 
 

@@ -7,6 +7,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -670,6 +671,22 @@ class TestExitCodes:
         assert run_main("flow", tmp_path / "d" / "design.txt", caps) == 2
         assert capsys.readouterr() == ("", f"config error: capabilities {caps}: capabilities too large: "
                                            "5 times the largest is not a finite float\n")
+
+    def test_an_expected_set_too_large_for_a_float_exits_two(self, tmp_path, capsys):
+        # two of five expected capabilities at 1e308 sum past the largest float; the sum used to warn
+        # inside ExpectedSet.total_power, which filterwarnings = error turns into an escaping exception
+        config = tmp_path / "tiny.ini"
+        config.write_text(TINY_CONFIG)
+        assert run_main("design", "--config", config, "--out", tmp_path / "d", "--trials", 5) == 0
+        design = tmp_path / "big.txt"
+        design.write_text(re.sub(r"(?m)^(capability_[34]) = .*$", r"\1 = 1e308",
+                                 (tmp_path / "d" / "design.txt").read_text()))
+        caps = tmp_path / "caps.txt"
+        caps.write_text("0.8 0.9 1.0 1.1 1.2")
+        capsys.readouterr()
+        assert run_main("flow", design, caps) == 2
+        assert capsys.readouterr() == ("", f"config error: design {design}: [expected_set]: expected capabilities "
+                                           "too large: 5 times the largest is not a finite float\n")
 
     @pytest.mark.parametrize("command, supply, sigmas, key", [
         ("design", "mean_power = 1e308\nstd_power = 0", "1e306 2e306", "[supply]"),

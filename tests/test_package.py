@@ -33,6 +33,8 @@ def test_only_errors_spells_the_whole_number_rule():
     # the rating rule and the capability rule, one function each
     ("must be non-negative, not NaN", "errors.py"),
     ("must be positive and finite", "errors.py"),
+    # its bound on a string: the capabilities of a flow call, an expected set or a sample
+    ("times the largest is not a finite float", "errors.py"),
     # the rule of budgets, spreads, grids and design-time processed powers
     ("must be non-negative and finite", "errors.py"),
     # the rule of every converter efficiency

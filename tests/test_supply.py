@@ -18,7 +18,8 @@ from oracles import flatten_distribution
 from scipy import integrate, special, stats
 
 import hippp.supply
-from hippp import BatterySample, BatterySupply, InternalCheckError, ParameterError, flatten, sample_battery_set
+from hippp import (BatterySample, BatterySupply, ExpectedSet, InternalCheckError, ParameterError, flatten,
+                   sample_battery_set)
 from hippp._normal import _EXP_M2, _MAXLOG, _SQRT1_2, ndtr, ndtri
 from hippp.supply import MIN_RELATIVE_STD
 
@@ -186,6 +187,19 @@ class TestValidation:
         for mean, std, count in ((1e308, 0.0, 1), (3e307, 0.0, 5), (1e307, 5e306, 5)):
             caps = flatten(BatterySupply(mean, std, count)).capabilities
             assert np.isfinite(count * caps[-1]) and caps[-1] - mean == pytest.approx(mean - caps[0], rel=1e-12)
+
+    def test_an_expected_or_sampled_string_too_large_for_a_float_is_refused(self):
+        # each value is finite, but three times the largest is not: the capability rule holds the string's sum bound
+        supply = BatterySupply(1.0, 0.0, 3)
+        for caps in ([1.0, 1e308, 1e308], [1e308] * 3):
+            with pytest.raises(ParameterError, match="^expected capabilities too large: 3 times the largest is not a "
+                                                     "finite float$"):
+                ExpectedSet(caps, supply)
+            with pytest.raises(ParameterError, match="^sampled capabilities too large: 3 times the largest is not a "
+                                                     "finite float$"):
+                BatterySample(caps, [0.0] * 3, 0)
+        assert ExpectedSet([5e307] * 3, supply).total_power == 1.5e308
+        assert BatterySample([5e307] * 3, [0.0] * 3, 0).total_power == 1.5e308
 
 
 class TestSampling:
