@@ -49,7 +49,6 @@ from .evaluate import (
     DEFAULT_CONVERTER_EFFICIENCY,
     MetricsRecord,
     SweepCell,
-    evaluate_architecture,
     evaluate_cells,
     sweep_figures,
     sweep_heterogeneity,
@@ -101,7 +100,6 @@ __all__ = [
     "design_layer1",
     "design_layer2",
     "draw_capabilities",
-    "evaluate_architecture",
     "evaluate_cells",
     "flatten",
     "flow_powers",

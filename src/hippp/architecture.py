@@ -97,13 +97,14 @@ class Architecture(Checked, NamedTuple("Architecture", [
             kind = ArchitectureKind(kind)
         except ValueError:
             raise StructuralError(f"unknown architecture kind {kind!r}") from None
-        rating = single(nonnegative, rating, "rating")
+        rating = single(nonnegative, rating, "rating", n)
         hierarchical = kind == ArchitectureKind.LSHIPPP
         if (layer1 is not None) != hierarchical:
             raise StructuralError("layer1 is set for the lshippp architecture and only for it")
         _check_ladder(kind, n)
         if hierarchical:
             _check_sparse(len(layer1.edges), n)
+            nonnegative([edge.rating for edge in layer1.edges], "layer-1 ratings", n)
             for edge in layer1.edges:
                 if edge.from_battery >= n or edge.to_battery >= n:
                     raise StructuralError(f"edge {edge.from_battery}->{edge.to_battery} leaves the string")
@@ -146,7 +147,8 @@ def _spend(kind: ArchitectureKind, budget: float, expected: ExpectedSet,
     budget = single(nonnegative_finite, budget, "rating budget")
     n = expected.count
     _check_ladder(kind, n)  # before the division by the rung count
-    spent = budget * expected.total_power
+    # a finite budget buys finite converters: a spend that overflows is refused, not made unbounded
+    spent = single(nonnegative_finite, budget * expected.total_power, "rating budget times the expected total power")
     if layer1 is not None:
         spent = max(0.0, spent - layer1.total_rating)
     return Architecture(kind, n, expected.total_power, spent / _converters(kind, n), layer1)

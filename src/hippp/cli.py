@@ -133,6 +133,11 @@ def _rungs(count: int, got) -> None:
         raise ParameterError(f"a {n}-battery ladder has {n - 1} rungs")
 
 
+def _rating(name: str) -> Callable:
+    """The check of a key holding ratings on the supply's string: the rating rule, with the string's bound."""
+    return lambda ratings, got: nonnegative(ratings, name, got["supply"].count)
+
+
 def _edge(text: str) -> tuple[int, int]:
     """The `from,to` endpoints of a layer-1 converter."""
     src, dst = (int(tok) for tok in text.split(","))
@@ -150,7 +155,7 @@ _CONFIG = (
     _Section("supply", _SUPPLY_KEYS, build=BatterySupply, defaults=_DEFAULTS.supply),
     _Section("design", (
         _Key("num_layer1", int, lambda m, got: _check_sparse(m, got["supply"].count)),
-        _Key("num_rating_sets", int), _Key("layer2_trial_ratings", _floats),
+        _Key("num_rating_sets", int), _Key("layer2_trial_ratings", _floats, _rating("layer2_trial_ratings")),
         _Key("monte_carlo_trials", int), _Key("base_seed", int),
     ), build=DesignConfig, defaults=_DEFAULTS.design),
     _Section("evaluate", (
@@ -179,10 +184,10 @@ _DESIGN_FILE = (
     _Section("expected_set", (_Key("capability_{i}", float),), count=lambda got, given: got["supply"].count),
     _Section("layer1", (
         _Key("count", int, _layer1_count), _Key("edge_{i}", _edge, lambda edge, got: ConverterEdge(*edge, 0.0)),
-        _Key("rating_{i}", float, lambda rating, got: nonnegative(rating, "rating")), _Key("processed_{i}", float),
+        _Key("rating_{i}", float, _rating("rating")), _Key("processed_{i}", float),
     ), count=lambda got, given: got["layer1"]["count"]),
     _Section("layer2", (
-        _Key("count", int, _rungs), _Key("rating", float, lambda rating, got: nonnegative(rating, "rating")),
+        _Key("count", int, _rungs), _Key("rating", float, _rating("rating")),
     )),
     # as many points as the file lists
     _Section("layer2_curve", (_Key("rating_{i}", float), _Key("utilization_{i}", float)),

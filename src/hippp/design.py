@@ -35,6 +35,7 @@ log = logging.getLogger(__name__)
 DEFAULT_ENUMERATION_CAP = 1_000_000
 
 _VALUE_TIE_TOL = 1e-9
+_UTIL_SLACK = 1e-7  # the rounding a utilization may carry past 1, below a floor or down a non-decreasing curve
 
 _DEFAULT_TRIAL_RATINGS = (0.0, 0.02, 0.04, 0.06, 0.08, 0.10, 0.15, 0.20, 0.30, 0.50)
 
@@ -74,10 +75,10 @@ class Layer2Curve(Checked, NamedTuple("Layer2Curve", [("points", tuple[tuple[flo
             raise ParameterError("curve points must be (rating, utilization) pairs")
         ratings = grid(table[:, 0].tolist(), "curve rating grid")
         utilizations = _numbers(table[:, 1].tolist())
-        if utilizations.ndim != 1 or not all(-1e-7 <= util <= 1.0 + 1e-7 for util in utilizations.tolist()):
+        if utilizations.ndim != 1 or not all(-_UTIL_SLACK <= u <= 1.0 + _UTIL_SLACK for u in utilizations.tolist()):
             raise ParameterError("curve utilizations must be in [0, 1]")
         self = super().__new__(cls, tuple(zip(ratings, utilizations.tolist())))
-        if any(u1 < u0 - 1e-7 for u0, u1 in zip(self.utilizations, self.utilizations[1:])):
+        if any(u1 < u0 - _UTIL_SLACK for u0, u1 in zip(self.utilizations, self.utilizations[1:])):
             raise ParameterError("utilization curve must be non-decreasing")
         return self
 

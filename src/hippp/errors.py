@@ -64,33 +64,43 @@ def _numbers(values) -> np.ndarray:
     return array.astype(float, copy=False) if array.dtype.kind in "biuf" else np.full(array.shape, math.nan)
 
 
-def single(rule, value, name: str) -> float:
-    """`value` as the float `rule` returned for it: the reading of every single-number field.
+def single(rule, value, name: str, *args) -> float:
+    """`value` as the float `rule(value, name, *args)` returned: the reading of every single-number field.
 
     An array, even of one number, raises ParameterError naming `name`.
     """
-    number = rule(value, name)
+    number = rule(value, name, *args)
     if np.ndim(number):
         raise ParameterError(f"{name} must be one number, got {value!r}")
     return number
 
 
-def nonnegative(values, name: str) -> float | np.ndarray:
-    """The rule of every rating and power: refuse NaN or a value below 0 in number or array `values`; inf passes."""
+def _string_bound(numbers: np.ndarray, count: int, name: str) -> None:
+    """The bound on a string of `count` batteries: `count` times the largest finite value of `numbers` is a finite
+    float, so every sum of that many of them is one. An infinite rating is an unbounded converter, not a value."""
+    if not math.isfinite(count * float(numbers.max(initial=0.0, where=numbers < math.inf))):
+        raise ParameterError(f"{name} too large: {count} times the largest is not a finite float")
+
+
+def nonnegative(values, name: str, count: int | None = None) -> float | np.ndarray:
+    """The rule of every rating and power: refuse NaN or a value below 0 in number or array `values`; inf passes.
+    Ratings on a string of `count` batteries also keep its bound (_string_bound)."""
     numbers = _numbers(values)
     if not (numbers >= 0.0).all():
         raise ParameterError(f"{name} must be non-negative, not NaN")
+    if count is not None:
+        _string_bound(numbers, count, name)
     return numbers if numbers.ndim else numbers.item()
 
 
 def positive(values, name: str) -> float | np.ndarray:
     """The rule of every capability and mean power: refuse a value of number or array `values` not in (0, inf).
-    An array's last axis is one string: its length times its largest value must be a finite float, so its sum is one."""
+    An array's last axis is one string, held to its bound (_string_bound)."""
     numbers = _numbers(values)
     if not ((numbers > 0.0) & (numbers < math.inf)).all():
         raise ParameterError(f"{name} must be positive and finite")
-    if numbers.ndim and not math.isfinite(numbers.shape[-1] * float(numbers.max(initial=0.0))):
-        raise ParameterError(f"{name} too large: {numbers.shape[-1]} times the largest is not a finite float")
+    if numbers.ndim:
+        _string_bound(numbers, numbers.shape[-1], name)
     return numbers if numbers.ndim else numbers.item()
 
 

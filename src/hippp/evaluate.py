@@ -16,10 +16,9 @@ design's least-processing flow from one min-cost flow kernel, with no LP.
 Every kernel step is elementwise per row, so a cell's rows carry the same
 bits as when the cell runs alone.
 Each cell's invariants and metric means are then computed in the calling
-process, on its own rows. evaluate_architecture is the one-cell call;
-`hippp sweep` evaluates the rating and heterogeneity sweeps together
-(sweep_figures), with each distinct supply flattened once and layer 1
-designed once per distinct flattened supply. Under several workers the
+process, on its own rows. `hippp sweep` evaluates the rating and
+heterogeneity sweeps together (sweep_figures), with each distinct supply
+flattened once and layer 1 designed once per distinct flattened supply. Under several workers the
 unit of work is one group's flow_powers call.
 
 Reported metrics per architecture:
@@ -38,7 +37,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .architecture import Architecture, ArchitectureKind, Layer1Design, _spend, aggregate_rating
-from .design import DesignConfig, design_layer1
+from .design import _UTIL_SLACK, DesignConfig, design_layer1
 from .errors import Checked, InternalCheckError, ParameterError, UndefinedMetricError
 from .errors import efficiency, grid, nonnegative, nonnegative_finite, single, whole
 from .powerflow import flow_powers
@@ -47,8 +46,6 @@ from .supply import BatterySupply, ExpectedSet, _draw_block, flatten
 log = logging.getLogger(__name__)
 
 DEFAULT_CONVERTER_EFFICIENCY = 0.85
-
-_UTIL_SLACK = 1e-7
 
 
 class MetricsRecord(NamedTuple):
@@ -193,21 +190,6 @@ def _cell_record(cell: SweepCell, caps: np.ndarray, output: np.ndarray, processe
         processed_norm=float(procs.mean()),
         output_norm=float((output / total_expected).mean()),
     )
-
-
-def evaluate_architecture(
-    arch: Architecture,
-    supply: BatterySupply,
-    trials: int,
-    seed: int,
-    converter_efficiency: float = DEFAULT_CONVERTER_EFFICIENCY,
-) -> MetricsRecord:
-    """Replay `trials` seeded batches against `arch` and average the metrics.
-
-    The one-cell call of evaluate_cells. Inline invariants are checked on
-    every trial and abort on violation.
-    """
-    return evaluate_cells([SweepCell(arch, supply, trials, seed, converter_efficiency)])[0]
 
 
 def _normalize_kinds(kinds) -> list[ArchitectureKind]:

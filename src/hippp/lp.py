@@ -78,6 +78,7 @@ REDUCED_COST_TOL = 1e-9
 
 _PIVOT_TOL = 1e-10
 _DEGENERATE_STEP = 1e-12
+_RATIO_TIE = 1e-12  # a basic variable whose ratio is within this of the step ties for leaving, in both loops
 _STALL_LIMIT = 64        # degenerate iterations tolerated before switching to Bland's rule
 _MAX_ITERATIONS = 20_000
 
@@ -144,10 +145,11 @@ def _solve(a, b):
     return gufunc(a, b, signature="dd->d")
 
 
-def _iterate(c, a, b, lower, upper, basis, stat, x, counts, offset) -> None:
-    """Run simplex iterations in place on one LP with at least one row until
-    it is optimal. It runs only passes of one, so an unbounded LP raises
-    InternalCheckError naming LP `offset`, its index in the stack. It solves
+def _iterate(c, columns, b, lower, upper, basis, stat, codes, x, counts, offset) -> None:
+    """_iterate_many on a pass of one LP with at least one row, with its
+    arguments, serially: on the LP's own C-contiguous phase-1 matrix (a
+    plain gather is F-ordered, and matmul would take another kernel). An
+    unbounded LP raises InternalCheckError naming LP `offset`. It solves
     every x_B, y and w with LAPACK, and counts gains what _iterate_many's
     would with no x_B gather: per iteration one iteration, LP iteration and
     y solve, and per step one w solve and w row.
@@ -157,7 +159,9 @@ def _iterate(c, a, b, lower, upper, basis, stat, x, counts, offset) -> None:
     only the non-basic values it moves: the next iteration's solve
     overwrites every basic value.
     """
-    lo, up, st = lower.tolist(), upper.tolist(), stat.tolist()
+    a = np.ascontiguousarray(columns[:, codes[0]])
+    basis, stat, x = basis[0], stat[0], x[0]
+    lo, up, st = lower[0].tolist(), upper[0].tolist(), stat.tolist()
     movable = [j for j in range(len(lo)) if up[j] > lo[j]]
     bas = basis.tolist()
     bland = False
@@ -214,7 +218,7 @@ def _iterate(c, a, b, lower, upper, basis, stat, x, counts, offset) -> None:
             x[enter] = up[enter] if direction > 0 else lo[enter]
             st[enter] = _NB_UPPER if direction > 0 else _NB_LOWER
         else:
-            tie = step + 1e-12
+            tie = step + _RATIO_TIE
             leave_pos = min((pos for pos, cap in enumerate(caps) if cap <= tie), key=bas.__getitem__)
             leaving = bas[leave_pos]  # lowest variable index wins
             if g[leave_pos] > 0:
@@ -323,14 +327,6 @@ def _check_points(a, b, lower, upper, values):
     ))
     if not bound_violation <= FEASIBILITY_TOL:
         raise InternalCheckError(f"optimal point violates bounds by {bound_violation:.3e}")
-
-
-def _iterate_one(c, columns, b, lower, upper, basis, stat, codes, x, counts, offset) -> None:
-    """The inner loop of a pass of one, with _iterate_many's arguments:
-    _iterate on LP 0 and its own C-contiguous phase-1 matrix (a plain gather
-    is F-ordered, and matmul would take another kernel)."""
-    _iterate(c, np.ascontiguousarray(columns[:, codes[0]]), b, lower[0], upper[0], basis[0], stat[0], x[0], counts,
-             offset)
 
 
 def _distinct(code):
@@ -522,7 +518,7 @@ def _iterate_many(c, columns, b, lower, upper, basis, stat, codes, x, counts, of
             xs.put(fe, np.where(fd, up.take(fe), lo.take(fe)))
             st.put(fe, np.where(fd, _NB_UPPER, _NB_LOWER))
         pivot = ~flip
-        leave_pos = np.where(caps <= (step + 1e-12)[:, None], bas, _NO_POSITION).argmin(axis=1)
+        leave_pos = np.where(caps <= (step + _RATIO_TIE)[:, None], bas, _NO_POSITION).argmin(axis=1)
         slot = (rows * bas.shape[1] + leave_pos)[pivot]  # flat position in bas of each pivot's leaving variable
         at_leave, leave_up = at.take(slot), g.take(slot) > 0
         xs.put(at_leave, np.where(leave_up, up.take(at_leave), lo.take(at_leave)))
@@ -539,8 +535,8 @@ def _solve_pass(c, a, b, lower, upper, offset) -> np.ndarray:
     """The two phases of solve_stack on one pass, (K, n) bounds whose LP 0 is
     LP `offset` of the stack, under _errstate(); returns the (K, n) points,
     unchecked, and logs the pass's counts. A pass of one runs the serial
-    loop (_iterate_one), any other the lockstep (_iterate_many)."""
-    iterate = _iterate_one if len(lower) == 1 else _iterate_many
+    loop (_iterate), any other the lockstep (_iterate_many)."""
+    iterate = _iterate if len(lower) == 1 else _iterate_many
     c_phase1, columns, codes, lo1, up1, basis, stat, x = _phase_one(a, b, lower, upper)
     counts = [0] * 6
     iterate(c_phase1, columns, b, lo1, up1, basis, stat, codes, x, counts, offset)

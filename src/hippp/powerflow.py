@@ -38,8 +38,9 @@ The flow API is optimal_flow, flow_powers and max_string_outputs (the
 stage-1 LP output of every row). Each checks its inputs once, where they
 enter (_checked_capabilities and _row_ratings); the wiring comes checked
 from Architecture, and the private kernels take their float arrays as
-given. Every kind keeps the one rating rule: inf is an unbounded converter,
-and an unbounded ladder runs at the row mean. No other module calls a
+given. Every kind keeps the one rating rule, with the string's bound on the
+finite ratings: inf is an unbounded converter, and an unbounded ladder runs
+at the row mean. No other module calls a
 kernel: the layer-1 search scores placements through free_flow_outputs and
 _processing_totals. The architecture gives the wiring and a (T,) array of
 one rating per row gives the sizes, and every step is elementwise per row,
@@ -148,13 +149,13 @@ def _checked_capabilities(capabilities, arch: Architecture, ndim: int = 1) -> np
     return caps
 
 
-def _row_ratings(ratings, trials: int) -> np.ndarray:
-    """`ratings` as a (trials,) float array, one per row, checked once per public block call.
+def _row_ratings(ratings, trials: int, n: int) -> np.ndarray:
+    """`ratings` as a (trials,) float array, one per row of n batteries, checked once per public block call.
 
     Nothing is broadcast, and the values keep the one rating rule
-    (errors.nonnegative: inf is unbounded).
+    (errors.nonnegative: inf is unbounded) with the bound of an n-battery string.
     """
-    ratings = nonnegative(ratings, "ratings")
+    ratings = nonnegative(ratings, "ratings", n)
     shape = np.shape(ratings)
     if shape != (trials,):
         raise ParameterError(f"ratings must be one per row, an array of shape {(trials,)}, got shape {shape}")
@@ -582,7 +583,7 @@ def max_string_outputs(capabilities, arch: Architecture, rungs) -> np.ndarray:
     Capabilities are per string position, in any order.
     """
     caps = _checked_capabilities(capabilities, arch, ndim=2)
-    pairs, table = _edge_table(arch, _row_ratings(rungs, len(caps)))
+    pairs, table = _edge_table(arch, _row_ratings(rungs, *caps.shape))
     return caps.shape[1] * _stage_one(caps, pairs, table)[:, 0]
 
 
@@ -596,7 +597,7 @@ def flow_powers(capabilities, arch: Architecture, ratings) -> tuple[np.ndarray, 
     rating replaced by ratings[t].
     """
     caps = _checked_capabilities(capabilities, arch, ndim=2)
-    ratings = _row_ratings(ratings, len(caps))
+    ratings = _row_ratings(ratings, *caps.shape)
     _, outputs, flows, _ = _operating_points(caps, arch, ratings)
     return outputs, np.abs(flows).sum(axis=1)
 

@@ -471,7 +471,7 @@ def serial_iterate(c, a, b, lower, upper, basis, stat, x, counts, offset) -> Non
             x[enter] = upper[enter] if direction > 0 else lower[enter]
             stat[enter] = hippp.lp._NB_UPPER if direction > 0 else hippp.lp._NB_LOWER
         else:
-            tied = np.flatnonzero(caps <= step + 1e-12)
+            tied = np.flatnonzero(caps <= step + hippp.lp._RATIO_TIE)
             leave_pos = int(tied[np.argmin(basis[tied])])  # lowest variable index wins
             leaving = int(basis[leave_pos])
             x[enter] += direction * step

@@ -15,11 +15,12 @@ from hippp import (
     Layer1Design,
     ParameterError,
     StructuralError,
+    SweepCell,
     aggregate_rating,
     architecture_edges,
     cppp_from_budget,
     design_layer1,
-    evaluate_architecture,
+    evaluate_cells,
     flatten,
     fpp_from_budget,
     lshippp_for_budget,
@@ -80,12 +81,20 @@ class TestAggregateRating:
         with pytest.raises(StructuralError, match="a converter ladder needs at least two batteries"):
             cppp_from_budget(0.1, flatten(BatterySupply(1.0, 0.1, 1)))
 
-    @pytest.mark.parametrize("budget", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("budget", [float("inf"), float("nan"), 5e307])
     def test_an_infinite_or_nan_budget_is_refused(self, expected9, budget):
-        # the one budget rule of every budget check: non-negative and finite
+        # the one budget rule of every budget check: non-negative and finite; 5e307 is finite, but its spend on
+        # a 9-unit string is not, and it used to build unbounded converters
         for from_budget in (fpp_from_budget, cppp_from_budget):
             with pytest.raises(ParameterError, match="rating budget"):
                 from_budget(budget, expected9)
+
+    def test_a_budget_whose_rung_breaks_the_string_bound_is_refused(self, expected9):
+        # 1.9e307 of a 9-unit string spends a finite 1.71e308: per battery that fits the bound, per rung
+        # (9 / 8 of the budget) 9 rungs would not
+        assert math.isfinite(9 * fpp_from_budget(1.9e307, expected9).rating)
+        with pytest.raises(ParameterError, match="rating too large: 9 times the largest is not a finite float"):
+            cppp_from_budget(1.9e307, expected9)
 
 
 class TestBudgetSplit:
@@ -144,7 +153,7 @@ class TestStructure:
         layer1 = Layer1Design((ConverterEdge(0, 2, 0.5),), 1, (0.5,)) if kind == ArchitectureKind.LSHIPPP else None
         arch = Architecture(kind.value, 3, 3.0, 0.1, layer1)
         assert arch.kind is kind
-        record = evaluate_architecture(arch, BatterySupply(1.0, 0.2, 3), trials=2, seed=0)
+        (record,) = evaluate_cells([SweepCell(arch, BatterySupply(1.0, 0.2, 3), trials=2, seed=0)])
         assert record.architecture_kind == kind.value
 
     @pytest.mark.parametrize("kind", ["FPP", "ladder", None, 3, ["fpp"]], ids=repr)

@@ -6,6 +6,7 @@ import csv
 import importlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -687,6 +688,53 @@ class TestExitCodes:
         assert run_main("flow", design, caps) == 2
         assert capsys.readouterr() == ("", f"config error: design {design}: [expected_set]: expected capabilities "
                                            "too large: 5 times the largest is not a finite float\n")
+
+    @staticmethod
+    def largest_rating(count):
+        """The largest rating whose `count` times is a finite float: the last one a `count`-battery string takes."""
+        rating = sys.float_info.max / count
+        while math.isfinite(count * math.nextafter(rating, math.inf)):
+            rating = math.nextafter(rating, math.inf)
+        while not math.isfinite(count * rating):
+            rating = math.nextafter(rating, 0.0)
+        return rating
+
+    def test_a_trial_rating_too_large_for_its_string_exits_two(self, tmp_path, capsys):
+        # five rungs of 1e308 sum past the largest float; the curve's LPs used to overflow in phase 1 and exit 3
+        config = tmp_path / "big.ini"
+        config.write_text(TINY_CONFIG.replace("layer2_trial_ratings = 0.0 0.1", "layer2_trial_ratings = 0.0 1e308"))
+        assert run_main("design", "--config", config, "--out", tmp_path / "o", "--trials", 5) == 2
+        assert capsys.readouterr() == ("", "config error: [design] layer2_trial_ratings: layer2_trial_ratings too "
+                                           "large: 5 times the largest is not a finite float\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("count", [5, 16])
+    def test_the_largest_trial_rating_a_string_takes_still_designs(self, tmp_path, capsys, count):
+        # the bound is count times the largest rating; filterwarnings = error makes any overflow fail the run
+        largest = self.largest_rating(count)
+        config = tmp_path / "edge.ini"
+        for rating, code in ((largest, 0), (math.nextafter(largest, math.inf), 2)):
+            config.write_text(TINY_CONFIG.replace("count = 5", f"count = {count}").replace(
+                "layer2_trial_ratings = 0.0 0.1", f"layer2_trial_ratings = 0.0 {rating!r}"))
+            assert run_main("design", "--config", config, "--out", tmp_path / "o", "--trials", 10) == code
+        assert "[design] layer2_trial_ratings" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key", [("layer2", "rating"), ("layer1", "rating_0")])
+    def test_a_design_rating_too_large_for_its_string_exits_two(self, tmp_path, capsys, section, key):
+        # five rungs of 1e308 sum past the largest float; the cut form used to overflow and exit 0
+        config = tmp_path / "tiny.ini"
+        config.write_text(TINY_CONFIG)
+        assert run_main("design", "--config", config, "--out", tmp_path / "d", "--trials", 5) == 0
+        design = tmp_path / "big.txt"
+        design.write_text(re.sub(rf"(?m)^\[{section}\]\n((?:.*\n)*?){key} = .*$", rf"[{section}]\n\g<1>{key} = 1e308",
+                                 (tmp_path / "d" / "design.txt").read_text()))
+        assert f"{key} = 1e308" in design.read_text()
+        caps = tmp_path / "caps.txt"
+        caps.write_text("0.8 0.9 1.0 1.1 1.2")
+        capsys.readouterr()
+        assert run_main("flow", design, caps) == 2
+        assert capsys.readouterr() == ("", f"config error: design {design}: [{section}] {key}: rating too large: "
+                                           "5 times the largest is not a finite float\n")
 
     @pytest.mark.parametrize("command, supply, sigmas, key", [
         ("design", "mean_power = 1e308\nstd_power = 0", "1e306 2e306", "[supply]"),

@@ -21,7 +21,6 @@ from hippp import (
     design_layer1,
     design_layer2,
     draw_capabilities,
-    evaluate_architecture,
     evaluate_cells,
     flatten,
     flow_powers,
@@ -37,6 +36,12 @@ from hippp import (
 
 SUPPLY9 = BatterySupply(1.0, 0.2, 9)
 FAST_CFG = DesignConfig(num_layer1=3, num_rating_sets=2, monte_carlo_trials=10)
+
+
+def evaluate_one(*cell, **fields):
+    """The record of the one cell SweepCell(*cell, **fields), evaluated alone."""
+    (record,) = evaluate_cells([SweepCell(*cell, **fields)])
+    return record
 
 
 class TestSystemEfficiency:
@@ -80,7 +85,7 @@ class TestSystemEfficiency:
 class TestEvaluateArchitecture:
     def test_record_shape_and_ranges(self):
         arch = cppp_from_budget(0.15, flatten(SUPPLY9))
-        record = evaluate_architecture(arch, SUPPLY9, trials=50, seed=7)
+        record = evaluate_one(arch, SUPPLY9, trials=50, seed=7)
         assert isinstance(record, MetricsRecord)
         assert record.architecture_kind == "cppp"
         assert record.trials == 50 and record.seed == 7
@@ -95,7 +100,7 @@ class TestEvaluateArchitecture:
     def test_full_processing_architecture_matches_the_converter_efficiency(self):
         # dedicated converters process everything they deliver
         arch = fpp_from_budget(0.15, flatten(SUPPLY9))
-        record = evaluate_architecture(arch, SUPPLY9, trials=40, seed=3, converter_efficiency=0.85)
+        record = evaluate_one(arch, SUPPLY9, trials=40, seed=3, converter_efficiency=0.85)
         assert record.system_efficiency == pytest.approx(0.85, abs=1e-12)
         # and utilization tracks the installed rating
         assert record.utilization == pytest.approx(0.15, abs=0.01)
@@ -103,8 +108,8 @@ class TestEvaluateArchitecture:
     def test_zero_budget_strings_fall_back_to_the_bare_series(self):
         expected = flatten(SUPPLY9)
         records = [
-            evaluate_architecture(cppp_from_budget(0.0, expected), SUPPLY9, 30, 11),
-            evaluate_architecture(fpp_from_budget(0.0, expected), SUPPLY9, 30, 11),
+            evaluate_one(cppp_from_budget(0.0, expected), SUPPLY9, 30, 11),
+            evaluate_one(fpp_from_budget(0.0, expected), SUPPLY9, 30, 11),
         ]
         assert records[0].utilization == pytest.approx(records[1].utilization, abs=1e-12)
         assert records[0].system_efficiency == 1.0
@@ -112,22 +117,22 @@ class TestEvaluateArchitecture:
 
     def test_repeat_evaluation_is_bit_identical(self):
         arch = cppp_from_budget(0.2, flatten(SUPPLY9))
-        a = evaluate_architecture(arch, SUPPLY9, trials=25, seed=5)
-        b = evaluate_architecture(arch, SUPPLY9, trials=25, seed=5)
+        a = evaluate_one(arch, SUPPLY9, trials=25, seed=5)
+        b = evaluate_one(arch, SUPPLY9, trials=25, seed=5)
         assert a == b
 
     def test_seed_changes_the_draws(self):
         arch = cppp_from_budget(0.2, flatten(SUPPLY9))
-        a = evaluate_architecture(arch, SUPPLY9, trials=25, seed=5)
-        b = evaluate_architecture(arch, SUPPLY9, trials=25, seed=6)
+        a = evaluate_one(arch, SUPPLY9, trials=25, seed=5)
+        b = evaluate_one(arch, SUPPLY9, trials=25, seed=6)
         assert a.utilization != b.utilization
 
     def test_validation(self):
         arch = cppp_from_budget(0.2, flatten(SUPPLY9))
         with pytest.raises(ParameterError):
-            evaluate_architecture(arch, BatterySupply(1.0, 0.2, 5), trials=5, seed=0)
+            evaluate_one(arch, BatterySupply(1.0, 0.2, 5), trials=5, seed=0)
         with pytest.raises(ParameterError):
-            evaluate_architecture(arch, SUPPLY9, trials=0, seed=0)
+            evaluate_one(arch, SUPPLY9, trials=0, seed=0)
 
 
 class TestInlineInvariants:
@@ -136,7 +141,7 @@ class TestInlineInvariants:
 
     @staticmethod
     def evaluate_spoiled(monkeypatch, arch, spoil):
-        """evaluate_architecture of `arch` on 5 trials, with trial 2's (output, processed) replaced by
+        """The record of `arch` on 5 trials, with trial 2's (output, processed) replaced by
         spoil(capabilities, output, processed)."""
         real = hippp.evaluate.flow_powers
 
@@ -146,7 +151,7 @@ class TestInlineInvariants:
             return output, processed
 
         monkeypatch.setattr(hippp.evaluate, "flow_powers", spoiled)
-        return evaluate_architecture(arch, SUPPLY9, trials=5, seed=0)
+        return evaluate_one(arch, SUPPLY9, trials=5, seed=0)
 
     def test_utilization_above_one(self, monkeypatch):
         arch = cppp_from_budget(0.15, flatten(SUPPLY9))
@@ -253,7 +258,7 @@ class TestGroupedEvaluation:
     @settings(max_examples=60, deadline=None)
     @given(cell_lists())
     def test_equals_one_cell_at_a_time(self, cells):
-        assert evaluate_cells(cells) == [evaluate_architecture(*cell) for cell in cells]
+        assert evaluate_cells(cells) == [evaluate_one(*cell) for cell in cells]
 
     def test_cells_sharing_a_block_and_a_design(self):
         # a rating sweep stacks every budget of one layer-1 design into one
@@ -268,7 +273,7 @@ class TestGroupedEvaluation:
                          lambda b: fpp_from_budget(b, expected))
         ]
         records = evaluate_cells(cells)
-        assert records == [evaluate_architecture(*cell) for cell in cells]
+        assert records == [evaluate_one(*cell) for cell in cells]
         assert len(set(records)) == len(records)
 
     @settings(max_examples=30, deadline=None)
@@ -288,7 +293,7 @@ class TestGroupedEvaluation:
             alone_rows = sum(stacked)
             stacked.clear()
             evaluate_cells(list(dict.fromkeys(cells)))
-        assert records == [evaluate_architecture(*cell) for cell in cells + copies]
+        assert records == [evaluate_one(*cell) for cell in cells + copies]
         assert alone_rows == sum(stacked)
 
     def test_validation_covers_every_cell(self):
@@ -305,7 +310,7 @@ class TestGroupedEvaluation:
         with pytest.raises(ParameterError, match="seed"):
             evaluate_cells([SweepCell(arch, SUPPLY9, 5, 0), SweepCell(arch, SUPPLY9, 5, -1)])
         with pytest.raises(ParameterError, match="seed"):
-            evaluate_architecture(arch, SUPPLY9, trials=5, seed=-2)
+            evaluate_one(arch, SUPPLY9, trials=5, seed=-2)
 
     def test_sweep_figures_equals_the_two_sweeps(self):
         kinds = ["lshippp", "cppp", "fpp"]
@@ -410,7 +415,7 @@ class TestSweeps:
         kinds = ["lshippp", "cppp", "fpp"]
         for run in (
             lambda: evaluate_cells([SweepCell(arch, SUPPLY9, 5, 0), SweepCell(arch, SUPPLY9, 5, 0, efficiency)]),
-            lambda: evaluate_architecture(arch, SUPPLY9, trials=5, seed=0, converter_efficiency=efficiency),
+            lambda: evaluate_one(arch, SUPPLY9, trials=5, seed=0, converter_efficiency=efficiency),
             lambda: sweep_rating(kinds, SUPPLY9, [0.1], trials=5, seed=0, converter_efficiency=efficiency),
             lambda: sweep_heterogeneity(kinds, 1.0, [0.1], fixed_budget=0.15, trials=5, seed=0,
                                         converter_efficiency=efficiency),

@@ -768,6 +768,13 @@ class TestCertification:
             hippp.lp._phase_two(np.zeros(2), columns, codes, lo1, up1, basis, stat, x, 0)
 
 
+def serial_loop(c, columns, b, lower, upper, basis, stat, codes, x, counts, offset):
+    """The reference serial_iterate under the inner loops' arguments: on LP 0
+    of a pass of one and its own C-contiguous phase-1 matrix."""
+    serial_iterate(c, np.ascontiguousarray(columns[:, codes[0]]), b, lower[0], upper[0], basis[0], stat[0], x[0],
+                   counts, offset)
+
+
 def loop_states(iterate, c, a, b, lower, upper):
     """What the inner loop `iterate` leaves on one LP with (n,) bounds,
     driven as solve_stack drives a stack of one, in its error state: after
@@ -780,8 +787,7 @@ def loop_states(iterate, c, a, b, lower, upper):
         for phase in range(2):
             counts = [0] * 6
             with hippp.lp._errstate():
-                iterate(c1, np.ascontiguousarray(columns[:, codes[0]]), b, lo1[0], up1[0], basis[0], stat[0], x[0],
-                        counts, 0)
+                iterate(c1, columns, b, lo1, up1, basis, stat, codes, x, counts, 0)
             states.append((x.tobytes(), basis.tobytes(), stat.tobytes(), counts))
             if phase == 0:
                 c1 = hippp.lp._phase_two(c, columns, codes, lo1, up1, basis, stat, x, 0)
@@ -794,7 +800,7 @@ def assert_loops_agree(lps):
     """The serial loop leaves every LP (c, a, b, lower, upper) of `lps`, given (n,) bounds, in the states the
     array loop leaves it in, byte for byte."""
     for lp in lps:
-        assert loop_states(hippp.lp._iterate, *lp) == loop_states(serial_iterate, *lp)
+        assert loop_states(hippp.lp._iterate, *lp) == loop_states(serial_loop, *lp)
 
 
 def recorded_stacks(run):

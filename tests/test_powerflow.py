@@ -402,6 +402,14 @@ class TestLadderKernel:
         for rating in (-0.1, np.nan):
             with pytest.raises(ParameterError, match="ratings must be non-negative, not NaN"):
                 flow_powers([[0.8, 1.0, 1.2]], arch, [rating])
+        # a rating keeps its string's bound: three rungs of 1e308 sum past the largest float
+        for call in (flow_powers, max_string_outputs):
+            with pytest.raises(ParameterError, match="ratings too large: 3 times the largest is not a finite float"):
+                call([[0.8, 1.0, 1.2]], arch, [1e308])
+        with pytest.raises(ParameterError, match="rating too large: 5 times the largest is not a finite float"):
+            Architecture(ArchitectureKind.CPPP, 5, 5.0, 1e308)
+        with pytest.raises(ParameterError, match="layer-1 ratings too large: 3 times"):
+            ls_arch(3, 3.0, [(0, 2, 1e308)], 0.1)
         # the stage-1 LP takes an infinite rung as unbounded
         assert max_string_outputs([[0.8, 1.0, 1.2]], arch, [np.inf])[0] == pytest.approx(3.0, abs=1e-12)
 
